@@ -36,7 +36,23 @@ pub(crate) fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>, tx: 
                 let tx = tx.clone();
                 std::thread::spawn(move || {
                     let conn = ConnInfo::new(id, peer, shared.now_ms());
-                    let gate = Arc::new(ConnGate::default());
+                    // The gate owns the write half. The write timeout keeps
+                    // a client that stopped reading from parking the feed
+                    // thread in a credit write.
+                    let Ok(writer) = stream.try_clone() else {
+                        return;
+                    };
+                    if writer
+                        .set_write_timeout(Some(shared.cfg.read_tick))
+                        .is_err()
+                    {
+                        return;
+                    }
+                    let gate = Arc::new(ConnGate::new(
+                        shared.cfg.credit_window,
+                        Box::new(writer),
+                        Arc::clone(&shared.counters),
+                    ));
                     if tx
                         .send(Msg::Opened {
                             conn: id,
@@ -56,6 +72,7 @@ pub(crate) fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>, tx: 
                             false
                         }
                     };
+                    gate.kill();
                     shared.stack.on_close(&conn, clean);
                     let _ = tx.send(Msg::Closed { conn: id, clean });
                 });

@@ -178,83 +178,7 @@ pub(crate) fn render(shared: &ServerShared) -> String {
         );
     }
 
-    // Server front-end counters.
-    let c = &shared.counters;
-    counter(
-        &mut out,
-        "spectre_server_connections_accepted",
-        ServerCounters::get(&c.accepted),
-    );
-    gauge(
-        &mut out,
-        "spectre_server_connections_active",
-        ServerCounters::get(&c.active),
-    );
-    counter(
-        &mut out,
-        "spectre_server_connections_closed_clean",
-        ServerCounters::get(&c.closed_clean),
-    );
-    counter(
-        &mut out,
-        "spectre_server_connections_closed_abnormal",
-        ServerCounters::get(&c.closed_abnormal),
-    );
-    counter(
-        &mut out,
-        "spectre_server_panics_caught",
-        ServerCounters::get(&c.panics_caught),
-    );
-    counter(
-        &mut out,
-        "spectre_server_frames",
-        ServerCounters::get(&c.frames),
-    );
-    counter(
-        &mut out,
-        "spectre_server_events",
-        ServerCounters::get(&c.events),
-    );
-    counter(
-        &mut out,
-        "spectre_server_watermarks",
-        ServerCounters::get(&c.watermarks),
-    );
-    counter(
-        &mut out,
-        "spectre_server_rate_limited_dropped",
-        ServerCounters::get(&c.rate_dropped),
-    );
-    counter(
-        &mut out,
-        "spectre_server_rate_limited_throttled",
-        ServerCounters::get(&c.rate_throttled),
-    );
-    counter(
-        &mut out,
-        "spectre_server_idle_closed",
-        ServerCounters::get(&c.idle_closed),
-    );
-    counter(
-        &mut out,
-        "spectre_server_decode_errors",
-        ServerCounters::get(&c.decode_errors),
-    );
-    counter(
-        &mut out,
-        "spectre_server_credits_granted",
-        ServerCounters::get(&c.credits_granted),
-    );
-    counter(
-        &mut out,
-        "spectre_server_seq_stale_dropped",
-        ServerCounters::get(&c.seq_stale_dropped),
-    );
-    counter(
-        &mut out,
-        "spectre_server_seq_gaps_skipped",
-        ServerCounters::get(&c.seq_gaps_skipped),
-    );
+    server_counters(&mut out, &shared.counters);
 
     // Per-middleware-layer outcome counters.
     let _ = writeln!(out, "# TYPE spectre_server_layer_outcomes counter");
@@ -272,4 +196,108 @@ pub(crate) fn render(shared: &ServerShared) -> String {
         }
     }
     out
+}
+
+/// The server front-end counters.
+fn server_counters(out: &mut String, c: &ServerCounters) {
+    counter(
+        out,
+        "spectre_server_connections_accepted",
+        ServerCounters::get(&c.accepted),
+    );
+    gauge(
+        out,
+        "spectre_server_connections_active",
+        ServerCounters::get(&c.active),
+    );
+    counter(
+        out,
+        "spectre_server_connections_closed_clean",
+        ServerCounters::get(&c.closed_clean),
+    );
+    counter(
+        out,
+        "spectre_server_connections_closed_abnormal",
+        ServerCounters::get(&c.closed_abnormal),
+    );
+    counter(
+        out,
+        "spectre_server_panics_caught",
+        ServerCounters::get(&c.panics_caught),
+    );
+    counter(out, "spectre_server_frames", ServerCounters::get(&c.frames));
+    counter(out, "spectre_server_events", ServerCounters::get(&c.events));
+    counter(
+        out,
+        "spectre_server_watermarks",
+        ServerCounters::get(&c.watermarks),
+    );
+    counter(
+        out,
+        "spectre_server_rate_limited_dropped",
+        ServerCounters::get(&c.rate_dropped),
+    );
+    counter(
+        out,
+        "spectre_server_rate_limited_throttled",
+        ServerCounters::get(&c.rate_throttled),
+    );
+    counter(
+        out,
+        "spectre_server_idle_closed",
+        ServerCounters::get(&c.idle_closed),
+    );
+    counter(
+        out,
+        "spectre_server_decode_errors",
+        ServerCounters::get(&c.decode_errors),
+    );
+    counter(
+        out,
+        "spectre_server_credits_granted",
+        ServerCounters::get(&c.credits_granted),
+    );
+    counter(
+        out,
+        "spectre_server_credit_frames",
+        ServerCounters::get(&c.credit_frames),
+    );
+    counter(
+        out,
+        "spectre_server_credit_starved_ticks",
+        ServerCounters::get(&c.credit_starved_ticks),
+    );
+    counter(
+        out,
+        "spectre_server_seq_stale_dropped",
+        ServerCounters::get(&c.seq_stale_dropped),
+    );
+    counter(
+        out,
+        "spectre_server_seq_gaps_skipped",
+        ServerCounters::get(&c.seq_gaps_skipped),
+    );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::Ordering;
+
+    #[test]
+    fn credit_counters_are_exposed() {
+        let c = ServerCounters::default();
+        c.credits_granted.store(8192, Ordering::Relaxed);
+        c.credit_frames.store(3, Ordering::Relaxed);
+        c.credit_starved_ticks.store(2, Ordering::Relaxed);
+        let mut out = String::new();
+        server_counters(&mut out, &c);
+        for line in [
+            "# TYPE spectre_server_credit_frames counter\nspectre_server_credit_frames 3\n",
+            "# TYPE spectre_server_credit_starved_ticks counter\nspectre_server_credit_starved_ticks 2\n",
+            "spectre_server_credits_granted 8192\n",
+        ] {
+            assert!(out.contains(line), "{line:?} missing from\n{out}");
+        }
+    }
 }

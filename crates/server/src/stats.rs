@@ -42,6 +42,11 @@ pub struct ServerCounters {
     pub decode_errors: AtomicU64,
     /// Credit grants (in events) sent to clients.
     pub credits_granted: AtomicU64,
+    /// `CREDIT` frames written (each carries one grant).
+    pub credit_frames: AtomicU64,
+    /// Read timeouts that fired while the client had no credit left: both
+    /// sides sat out a `read_tick` waiting for each other.
+    pub credit_starved_ticks: AtomicU64,
     /// Events dropped by the sequencer as duplicates of an already-released
     /// sequence number (seq mode only).
     pub seq_stale_dropped: AtomicU64,

@@ -111,6 +111,47 @@ fn strided_clients_merge_bit_identical_to_solo_across_the_matrix() {
 }
 
 #[test]
+fn a_spent_credit_window_never_waits_for_a_read_tick() {
+    // A 64-event window against 20 k events: each client spends its window
+    // hundreds of times before the feed thread has released anything. If a
+    // grant ever waited for the connection's next read or tick, one such
+    // wait alone would cost the 2 s `read_tick` this run must beat.
+    const READ_TICK: Duration = Duration::from_secs(2);
+    let (schema, a, _, events) = fixture(20_000, 23);
+    let queries = vec![(TenantId(0), Arc::clone(&a))];
+    let expected = solo_outputs(&queries, SpectreConfig::default(), &events);
+    // Two strided clients need the sequencer: the engine takes its input in
+    // sequence order. Arrival order is a single client's.
+    for (order, clients) in [(IngestOrder::Seq, 2u64), (IngestOrder::Arrival, 1)] {
+        let cfg = ServerConfig {
+            order,
+            credit_window: 64,
+            read_tick: READ_TICK,
+            ..ServerConfig::default()
+        };
+        let handle = Server::start(cfg, schema.clone(), queries.clone()).expect("server starts");
+        let counters = handle.counters();
+        let started = Instant::now();
+        let feeders: Vec<_> = (0..clients)
+            .map(|i| spawn_client(handle.ingest_addr(), 0, events.clone(), i, clients))
+            .collect();
+        let sent: u64 = feeders.into_iter().map(|c| c.join().expect("client")).sum();
+        let outcome = drain_and_join(handle);
+        let took = started.elapsed();
+        assert_eq!(sent, events.len() as u64);
+        assert_eq!(outcome.report.input_events, sent);
+        for (qid, expected_outputs) in &expected {
+            let got = outcome.outputs.get(qid).map(Vec::as_slice).unwrap_or(&[]);
+            assert_same_output(&format!("{order:?} {qid}"), got, expected_outputs);
+        }
+        assert!(took < READ_TICK, "{order:?}: {took:?} for {sent} events");
+        let load = std::sync::atomic::Ordering::Relaxed;
+        assert_eq!(counters.credit_starved_ticks.load(load), 0, "{order:?}");
+        assert!(counters.credit_frames.load(load) > sent / 64, "{order:?}");
+    }
+}
+
+#[test]
 fn mid_stream_disconnect_leaves_survivors_undisturbed() {
     // Seq mode, two strided clients. The even-slice client dies (no BYE)
     // after 300 events; the odd-slice survivor streams to completion. The
@@ -212,6 +253,48 @@ fn rate_limiter_drops_over_budget_events_and_still_returns_credit() {
         outcome.report.input_events + dropped,
         events.len() as u64,
         "dropped + ingested covers the stream exactly"
+    );
+}
+
+#[test]
+fn throttle_and_credit_frames_share_one_connection_without_tearing() {
+    // Every over-limit event makes the connection thread queue a THROTTLE
+    // frame while the feed thread writes CREDIT frames for the 64-event
+    // window on the same socket. `FeedClient` decodes its side with
+    // `next_server_frame`, so a torn or interleaved frame fails the send
+    // (or loses credit and stalls it).
+    let (schema, a, _, events) = fixture(4_000, 17);
+    let queries = vec![(TenantId(0), Arc::clone(&a))];
+    let cfg = ServerConfig {
+        order: IngestOrder::Arrival,
+        rate_limit: Some(RateLimitConfig::per_conn(
+            500.0,
+            50.0,
+            OverLimitPolicy::Throttle,
+        )),
+        credit_window: 64,
+        ..ServerConfig::default()
+    };
+    let handle = Server::start(cfg, schema, queries).expect("server starts");
+    let mut client = FeedClient::connect(handle.ingest_addr(), 0).expect("connect");
+    client.ignore_throttle();
+    for event in &events {
+        client.send_event(event).expect("send");
+    }
+    assert!(
+        client.throttled_nanos() > 0,
+        "throttle frames reached the client"
+    );
+    client.finish().expect("finish");
+    let counters = handle.counters();
+    let outcome = drain_and_join(handle);
+    let load = std::sync::atomic::Ordering::Relaxed;
+    assert!(counters.rate_throttled.load(load) > 0);
+    assert!(counters.credit_frames.load(load) > events.len() as u64 / 64);
+    assert_eq!(
+        outcome.report.input_events,
+        events.len() as u64,
+        "throttled events are still forwarded"
     );
 }
 
