@@ -108,18 +108,25 @@
 //! identical either way (enforced by the lazy/attach on/off matrices in
 //! the same test suites).
 //!
-//! ## The vectorized Markov predictor
+//! ## The sparse Markov predictor
 //!
 //! The completion-probability prediction (paper Fig. 5) only reads entry
 //! `[δ][0]` of the precomputed transition-matrix powers, so
 //! [`markov::MarkovModel`] maintains just those *columns*
-//! (`v_{i+1} = T^ℓ·v_i`): a statistics refresh costs O(L·n²)
-//! matrix–vector work instead of O(L·n³) full products. Refreshes apply
-//! one exponential-smoothing step per full ρ-window of pending
-//! observations (remainder carried over) — the paper's per-ρ cadence even
-//! when statistics arrive in bulk — and can be rate-limited via
-//! [`markov::MarkovConfig::min_events_between_refreshes`]. The splitter
-//! accounts the cost in [`MetricsSnapshot::predictor_refreshes`] /
+//! (`v_{i+1} = T^ℓ·v_i`), and because a partial match advances or stays
+//! the transition matrix is nearly bidiagonal, so it lives in the sorted
+//! sparse rows of [`matrix::SparseMatrix`]. A statistics refresh is one
+//! smoothing pass over `nnz(T1)` plus a handful of sparse products for
+//! `T^ℓ`, in buffers the model owns; completion levels are advanced on
+//! demand, so the cost is O(nnz(T^ℓ) · levels read) instead of
+//! O(max_levels · n²). Every sum adds its stored terms in ascending
+//! column order — the order a dense kernel adds them — so predictions are
+//! bit-identical to the dense formulation. Refreshes apply one
+//! exponential-smoothing step per full ρ-window of pending observations
+//! (remainder carried over) — the paper's per-ρ cadence even when
+//! statistics arrive in bulk; at this cost the cadence needs no throttle,
+//! and there is none. The splitter accounts the cost in
+//! [`MetricsSnapshot::predictor_refreshes`] /
 //! [`MetricsSnapshot::predictor_refresh_nanos`].
 //!
 //! ## Quickstart

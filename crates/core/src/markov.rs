@@ -6,32 +6,40 @@
 //! `δ_old → δ_new` transitions per processed event — and refreshed with
 //! exponential smoothing `T1 = (1 − α)·T1_old + α·T1_new` after every ρ new
 //! measurements. The prediction of Fig. 5 only ever reads entry `[δ][0]`
-//! of the precomputed powers `T_ℓ, T_2ℓ, …`, so instead of maintaining the
-//! full matrices the model keeps just their completion-probability
-//! *columns*: `v_i = T^{iℓ}·e₀` with `v_{i+1} = T^ℓ·v_i`, making a refresh
-//! O(L·n²) matrix–vector work (plus the O(n³·log ℓ) computation of `T^ℓ`)
-//! instead of O(L·n³) full products. Predictions interpolate linearly
-//! between adjacent levels, exactly as with the dense powers — the
-//! matrix-power formulation survives as the executable specification
-//! [`completion_probability_via_matrix_powers`](MarkovModel::completion_probability_via_matrix_powers),
-//! which the equivalence tests hold the vectors to.
+//! of the precomputed powers `T_ℓ, T_2ℓ, …`, so instead of the full
+//! matrices the model keeps just their completion-probability *columns*:
+//! `v_i = T^{iℓ}·e₀` with `v_{i+1} = T^ℓ·v_i`. Predictions interpolate
+//! linearly between adjacent levels, exactly as with the dense powers.
+//!
+//! Cost model: the chain is nearly bidiagonal (advance or stay), so `T1`,
+//! the pending counts and `T^ℓ` live in the sorted sparse rows of
+//! [`SparseMatrix`], whose kernels add the stored terms in ascending
+//! column order — the same terms in the same order as a dense kernel, so
+//! predictions are bit-identical to the dense formulation (kept as the
+//! oracle in `tests/tests/prediction_property.rs`). A refresh is one
+//! smoothing pass over `nnz(T1)` plus `⌈log₂ ℓ⌉ + popcount(ℓ) − 1` sparse
+//! products for `T^ℓ`, into buffers the model owns (no allocation in
+//! steady state). Completion levels are extended on demand: a query for
+//! `events_left = n` needs level `⌈n/ℓ⌉ + 1`, so a window of `ws` events
+//! reads at most `ws/ℓ + 1` of the `max_levels` levels, each costing
+//! `nnz(T^ℓ)`; they are memoized until the next refresh. That makes the
+//! paper's per-ρ cadence cheap enough to run unthrottled — there is no
+//! rate limiter.
 //!
 //! Refresh cadence: statistics arrive in per-cycle batches, so `pending`
 //! may cross several ρ-windows at once. [`refresh_if_due`](MarkovModel::refresh_if_due)
 //! applies one smoothing step per *full* ρ-window (`pending / ρ` steps,
 //! remainder carried into the next window), matching the paper's per-ρ
 //! cadence instead of collapsing a whole backlog into a single step.
-//! [`MarkovConfig::min_events_between_refreshes`] optionally rate-limits
-//! the (rebuild-carrying) refreshes on top: while throttled, observations
-//! keep accumulating and the eventual refresh catches up on every full
-//! ρ-window at once.
 //!
 //! Deviation from the paper: the state space is capped at
 //! [`MarkovConfig::state_cap`] states (δ values above the cap saturate).
 //! The paper's examples use δ ≤ 3; query Q1 at q = 2560 would otherwise
 //! need a 2561² matrix with thousands of precomputed powers (see DESIGN.md).
 
-use crate::matrix::Matrix;
+use std::cell::RefCell;
+
+use crate::matrix::{PowerScratch, SparseMatrix};
 
 /// Configuration of the [`MarkovModel`].
 #[derive(Debug, Clone)]
@@ -47,13 +55,6 @@ pub struct MarkovConfig {
     /// Maximum number of precomputed power levels (`T_ℓ … T_{L·ℓ}`);
     /// predictions beyond saturate at the last level.
     pub max_levels: usize,
-    /// Minimum number of *observations* between two refreshes (each refresh
-    /// rebuilds the completion-probability vectors). `0` disables the
-    /// throttle: a refresh happens whenever a full ρ-window is pending.
-    /// With a positive value, a flood of stats batches cannot trigger
-    /// back-to-back rebuilds — pending observations accumulate and the
-    /// next permitted refresh applies every full ρ-window at once.
-    pub min_events_between_refreshes: u64,
 }
 
 impl Default for MarkovConfig {
@@ -64,7 +65,6 @@ impl Default for MarkovConfig {
             rho: 512,
             state_cap: 128,
             max_levels: 128,
-            min_events_between_refreshes: 0,
         }
     }
 }
@@ -92,17 +92,18 @@ impl Default for MarkovConfig {
 pub struct MarkovModel {
     config: MarkovConfig,
     states: usize,
-    t1: Matrix,
-    counts: Matrix,
+    t1: SparseMatrix,
+    counts: SparseMatrix,
     pending: u64,
-    /// Lifetime observation count (drives the refresh rate limiter).
-    events_seen: u64,
-    /// `events_seen` at the last refresh.
-    last_refresh_events: u64,
-    /// Completion-probability vectors, level-major:
-    /// `completion[i·states + δ] = (T^{(i+1)·ℓ})[δ][0]`.
-    completion: Vec<f64>,
-    dirty: bool,
+    /// `T^ℓ` of the current `T1`.
+    t_ell: SparseMatrix,
+    /// Refresh temporaries: the normalized counts and the power buffers.
+    t_new: SparseMatrix,
+    scratch: PowerScratch,
+    /// Completion-probability vectors computed since the last refresh,
+    /// level-major: `levels[i·states + δ] = (T^{(i+1)·ℓ})[δ][0]`. Extended
+    /// on demand by [`completion_probability`](Self::completion_probability).
+    levels: RefCell<Vec<f64>>,
     refreshes: u64,
     smoothing_steps: u64,
 }
@@ -125,25 +126,26 @@ impl MarkovModel {
         );
         assert!(config.ell > 0, "ell must be positive");
         let states = max_delta.min(config.state_cap) + 1;
-        let mut t1 = Matrix::identity(states);
+        let mut t1 = SparseMatrix::zeros(states);
+        t1.add(0, 0, 1.0);
         for i in 1..states {
-            t1[(i, i)] = 0.5;
-            t1[(i, i - 1)] = 0.5;
+            t1.add(i, i - 1, 0.5);
+            t1.add(i, i, 0.5);
         }
         let mut model = MarkovModel {
             config,
             states,
             t1,
-            counts: Matrix::zeros(states),
+            counts: SparseMatrix::zeros(states),
             pending: 0,
-            events_seen: 0,
-            last_refresh_events: 0,
-            completion: Vec::new(),
-            dirty: true,
+            t_ell: SparseMatrix::default(),
+            t_new: SparseMatrix::default(),
+            scratch: PowerScratch::default(),
+            levels: RefCell::default(),
             refreshes: 0,
             smoothing_steps: 0,
         };
-        model.rebuild_completion_levels();
+        model.rebuild_t_ell();
         model
     }
 
@@ -152,9 +154,9 @@ impl MarkovModel {
         self.states
     }
 
-    /// Number of refreshes performed so far (each rebuilt the
-    /// completion-probability vectors; one refresh may apply several
-    /// smoothing steps, see [`smoothing_steps`](Self::smoothing_steps)).
+    /// Number of refreshes performed so far (each recomputed `T^ℓ`; one
+    /// refresh may apply several smoothing steps, see
+    /// [`smoothing_steps`](Self::smoothing_steps)).
     pub fn refresh_count(&self) -> u64 {
         self.refreshes
     }
@@ -170,10 +172,19 @@ impl MarkovModel {
         self.pending
     }
 
-    /// The current smoothed transition matrix `T1` (for inspection and the
-    /// equivalence tests).
-    pub fn t1(&self) -> &Matrix {
+    /// The current smoothed transition matrix `T1` (for inspection).
+    pub fn t1(&self) -> &SparseMatrix {
         &self.t1
+    }
+
+    /// Dense row-major copy of `T1`, the input of the tests' dense oracle.
+    pub fn t1_dense(&self) -> Vec<Vec<f64>> {
+        self.t1.to_dense()
+    }
+
+    /// Stored entries of `T^ℓ` — what one completion level costs.
+    pub fn t_ell_nnz(&self) -> usize {
+        self.t_ell.nnz()
     }
 
     /// Maps a completion distance onto the (possibly saturated) state index.
@@ -185,9 +196,8 @@ impl MarkovModel {
     pub fn observe(&mut self, delta_old: usize, delta_new: usize) {
         let from = self.clamp_delta(delta_old);
         let to = self.clamp_delta(delta_new);
-        self.counts[(from, to)] += 1.0;
+        self.counts.add(from, to, 1.0);
         self.pending += 1;
-        self.events_seen += 1;
     }
 
     /// Records a batch of transitions.
@@ -197,12 +207,16 @@ impl MarkovModel {
         }
     }
 
-    /// Refreshes `T1` (exponential smoothing) and the precomputed
-    /// completion-probability vectors if at least one full ρ-window of
-    /// measurements accumulated — one smoothing step per full window, the
-    /// remainder carried over — unless the refresh rate limiter
-    /// ([`MarkovConfig::min_events_between_refreshes`]) is still in its
-    /// hold-off period. Returns `true` if a refresh happened.
+    /// `true` when a full ρ-window is pending, i.e. the next
+    /// [`refresh_if_due`](Self::refresh_if_due) will refresh.
+    pub fn refresh_due(&self) -> bool {
+        self.pending >= self.config.rho
+    }
+
+    /// Refreshes `T1` (exponential smoothing) and `T^ℓ` if at least one
+    /// full ρ-window of measurements accumulated — one smoothing step per
+    /// full window, the remainder carried over. Returns `true` if a
+    /// refresh happened.
     ///
     /// Statistics arrive in per-cycle batches, so `pending` routinely
     /// crosses several ρ-windows at once; collapsing them into a single
@@ -215,57 +229,35 @@ impl MarkovModel {
     /// pending, their counts scaled down to the remainder's share of the
     /// aggregate.
     pub fn refresh_if_due(&mut self) -> bool {
-        if self.pending < self.config.rho {
-            return false;
-        }
-        let min_gap = self.config.min_events_between_refreshes;
-        if min_gap > 0 && self.events_seen - self.last_refresh_events < min_gap {
+        if !self.refresh_due() {
             return false;
         }
         let steps = self.pending / self.config.rho;
         let remainder = self.pending % self.config.rho;
-        let mut t_new = self.counts.clone();
-        t_new.row_normalize();
+        self.counts.normalize_into(&mut self.t_new);
         // One lerp per full ρ-window — bit-identical to feeding the same
         // windows one refresh at a time.
-        for _ in 0..steps {
-            self.t1 = self.t1.lerp(&t_new, self.config.alpha);
-        }
+        self.t1
+            .smooth_towards(&self.t_new, self.config.alpha, steps);
         if remainder == 0 {
-            self.counts = Matrix::zeros(self.states);
+            self.counts.clear();
         } else {
             // Keep the remainder's share of the aggregate distribution.
             self.counts.scale(remainder as f64 / self.pending as f64);
         }
         self.pending = remainder;
         self.smoothing_steps += steps;
-        self.last_refresh_events = self.events_seen;
-        self.dirty = true;
-        self.rebuild_completion_levels();
+        self.rebuild_t_ell();
         self.refreshes += 1;
         true
     }
 
-    /// Rebuilds the completion-probability vectors from `T1`: level `i`
-    /// holds column 0 of `T^{(i+1)·ℓ}`, advanced one level at a time via
-    /// `v_{i+1} = T^ℓ·v_i` — O(max_levels · n²) after the single O(n³·log ℓ)
-    /// power for `T^ℓ`.
-    fn rebuild_completion_levels(&mut self) {
-        if !self.dirty {
-            return;
-        }
-        let t_ell = self.t1.power(self.config.ell);
-        let states = self.states;
-        let mut completion = Vec::with_capacity(self.config.max_levels * states);
-        // Level 0: column 0 of T^ℓ itself.
-        let mut v: Vec<f64> = (0..states).map(|i| t_ell[(i, 0)]).collect();
-        completion.extend_from_slice(&v);
-        for _ in 1..self.config.max_levels {
-            v = t_ell.mul_col(&v);
-            completion.extend_from_slice(&v);
-        }
-        self.completion = completion;
-        self.dirty = false;
+    /// Recomputes `T^ℓ` from `T1` and forgets the completion levels
+    /// derived from the previous one.
+    fn rebuild_t_ell(&mut self) {
+        self.t1
+            .power_into(self.config.ell, &mut self.t_ell, &mut self.scratch);
+        self.levels.get_mut().clear();
     }
 
     /// Completion probability of a consumption group with completion
@@ -275,7 +267,9 @@ impl MarkovModel {
     /// `events_left` is clamped to at least 1 ("at least 1 more event
     /// expected") and the interpolation reads the `[δ][0]` entries of
     /// `T_n ≈ lerp(T_{⌊n/ℓ⌋·ℓ}, T_{⌈n/ℓ⌉·ℓ})` — two lookups in the
-    /// precomputed completion vectors plus the lerp.
+    /// completion vectors plus the lerp. Levels not yet computed since the
+    /// last refresh are advanced first (`v_{i+1} = T^ℓ·v_i`, O(nnz(T^ℓ))
+    /// each) and kept.
     pub fn completion_probability(&self, delta: usize, events_left: i64) -> f64 {
         let delta = self.clamp_delta(delta);
         if delta == 0 {
@@ -285,54 +279,30 @@ impl MarkovModel {
         let ell = self.config.ell as u64;
         // Level i holds the [δ][0] column of T^{(i+1)·ℓ}.
         let lo_level = n / ell; // T^{lo_level·ℓ}
-        let rem = n % ell;
-        let w = rem as f64 / ell as f64;
-        let max_level = (self.completion.len() / self.states) as u64;
+        let w = (n % ell) as f64 / ell as f64;
+        let hi_level = (lo_level + 1).min(self.config.max_levels.max(1) as u64);
 
+        let states = self.states;
+        let mut levels = self.levels.borrow_mut();
+        while levels.len() < hi_level as usize * states {
+            let have = levels.len();
+            levels.resize(have + states, 0.0);
+            let (prev, next) = levels.split_at_mut(have);
+            if have == 0 {
+                // Level 0: column 0 of T^ℓ itself.
+                for (i, v) in next.iter_mut().enumerate() {
+                    *v = self.t_ell.get(i, 0);
+                }
+            } else {
+                self.t_ell.mul_col_into(&prev[have - states..], next);
+            }
+        }
         let entry = |level: u64| -> f64 {
             if level == 0 {
                 // T^0 = identity: probability 1 only from state 0.
                 0.0
             } else {
-                let idx = (level.min(max_level) - 1) as usize;
-                self.completion[idx * self.states + delta]
-            }
-        };
-        let lo = entry(lo_level);
-        let hi = entry(lo_level + 1);
-        (1.0 - w) * lo + w * hi
-    }
-
-    /// Reference implementation of [`completion_probability`](Self::completion_probability)
-    /// via full dense matrix powers, recomputed from the current `T1` on
-    /// every call — O(max_levels·n³), the pre-vectorization cost. This is
-    /// the executable specification the equivalence tests hold the
-    /// maintained completion vectors to (≤ 1e-9); it is not used on any
-    /// hot path.
-    pub fn completion_probability_via_matrix_powers(&self, delta: usize, events_left: i64) -> f64 {
-        let delta = self.clamp_delta(delta);
-        if delta == 0 {
-            return 1.0;
-        }
-        let t_ell = self.t1.power(self.config.ell);
-        let mut powers: Vec<Matrix> = Vec::with_capacity(self.config.max_levels);
-        powers.push(t_ell.clone());
-        for _ in 1..self.config.max_levels {
-            let next = powers.last().expect("non-empty").multiply(&t_ell);
-            powers.push(next);
-        }
-        let n = events_left.max(1) as u64;
-        let ell = self.config.ell as u64;
-        let lo_level = n / ell;
-        let rem = n % ell;
-        let w = rem as f64 / ell as f64;
-        let max_level = powers.len() as u64;
-        let entry = |level: u64| -> f64 {
-            if level == 0 {
-                0.0
-            } else {
-                let idx = (level.min(max_level) - 1) as usize;
-                powers[idx][(delta, 0)]
+                levels[(level.min(hi_level) - 1) as usize * states + delta]
             }
         };
         (1.0 - w) * entry(lo_level) + w * entry(lo_level + 1)
@@ -419,7 +389,6 @@ mod tests {
             ell: 2,
             max_levels: 8,
             state_cap: 128,
-            min_events_between_refreshes: 0,
         };
         let mut model = MarkovModel::new(1, cfg);
         // Prior: P(1→0) = 0.5. Observe only 1→0.
@@ -469,7 +438,7 @@ mod tests {
 
         for i in 0..3 {
             for j in 0..3 {
-                let (s, b) = (sequential.t1()[(i, j)], batched.t1()[(i, j)]);
+                let (s, b) = (sequential.t1().get(i, j), batched.t1().get(i, j));
                 assert!(
                     (s - b).abs() < 1e-15,
                     "T1[{i}][{j}]: sequential {s} vs batched {b}"
@@ -506,58 +475,45 @@ mod tests {
     }
 
     #[test]
-    fn rate_limiter_batches_pending_windows() {
-        // With a 100-observation hold-off, ρ-windows pile up unrefreshed
-        // and the eventual refresh applies them all in one rebuild.
-        let cfg = MarkovConfig {
-            min_events_between_refreshes: 100,
-            ..small_config(10)
-        };
-        let mut model = MarkovModel::new(2, cfg);
-        for _ in 0..40 {
-            model.observe(2, 1);
+    fn decayed_transitions_are_flushed_not_subnormal() {
+        // Smoothing multiplies an entry that is no longer observed by
+        // (1 − α) per step: 0.3^n never reaches 0 on its own and would sit
+        // in the subnormal range from n ≈ 590 on.
+        let mut model = MarkovModel::new(3, small_config(4));
+        for _ in 0..4 {
+            model.observe_batch(&[(3, 0), (2, 0), (1, 0), (3, 1)]);
+            assert!(model.refresh_if_due());
         }
-        assert!(!model.refresh_if_due(), "throttled despite 4 full windows");
-        assert_eq!(model.refresh_count(), 0);
-        for _ in 0..60 {
-            model.observe(2, 1);
+        assert!(model.t1().get(3, 0) > 0.4);
+        for _ in 0..2000 {
+            model.observe_batch(&[(3, 3), (2, 2), (1, 1), (3, 2)]);
+            assert!(model.refresh_if_due());
         }
-        assert!(model.refresh_if_due());
-        assert_eq!(model.refresh_count(), 1, "one rebuild for 10 windows");
-        assert_eq!(model.smoothing_steps(), 10);
-        // The hold-off restarts from the refresh.
-        for _ in 0..10 {
-            model.observe(2, 1);
-        }
-        assert!(!model.refresh_if_due());
+        let t1 = model.t1_dense();
+        assert!(t1.iter().flatten().all(|v| *v == 0.0 || v.is_normal()));
+        assert_eq!(t1[3][..2], [0.0, 0.0], "the support shrank");
+        assert_eq!(model.t1().nnz(), 1 + 1 + 1 + 2);
+        assert!(model.t1().is_row_stochastic(1e-12));
+        assert_eq!(model.completion_probability(3, 1000), 0.0);
     }
 
     #[test]
-    fn vectors_match_matrix_power_reference() {
-        // The maintained completion vectors against the dense-power
-        // executable spec, before and after refreshes.
-        let mut model = MarkovModel::new(5, small_config(6));
-        let probe = |m: &MarkovModel| {
-            for delta in 0..=5usize {
-                for n in [0i64, 1, 3, 4, 7, 16, 64, 500] {
-                    let fast = m.completion_probability(delta, n);
-                    let slow = m.completion_probability_via_matrix_powers(delta, n);
-                    assert!(
-                        (fast - slow).abs() <= 1e-9,
-                        "delta={delta} n={n}: {fast} vs {slow}"
-                    );
-                }
-            }
-        };
-        probe(&model);
-        for round in 0..4 {
-            for _ in 0..6 {
-                model.observe(5 - (round % 3), 4 - (round % 3));
-                model.observe(2, 2);
-            }
-            model.refresh_if_due();
-            probe(&model);
-        }
+    fn levels_are_extended_on_demand_and_dropped_by_a_refresh() {
+        let mut model = MarkovModel::new(3, small_config(4));
+        assert!(model.levels.borrow().is_empty());
+        let far = model.completion_probability(3, 40); // levels 10 and 11
+        assert_eq!(model.levels.borrow().len(), 11 * 4);
+        let near = model.completion_probability(3, 6); // memoized
+        assert_eq!(model.levels.borrow().len(), 11 * 4);
+        assert!(near < far);
+        // Reading past max_levels saturates at the last level.
+        let last = model.completion_probability(3, 32 * 4);
+        assert_eq!(model.completion_probability(3, 1_000_000), last);
+        assert_eq!(model.levels.borrow().len(), 32 * 4);
+        model.observe_batch(&[(3, 3), (2, 2), (1, 1), (3, 3)]);
+        assert!(model.refresh_if_due());
+        assert!(model.levels.borrow().is_empty());
+        assert!(model.completion_probability(3, 6) < near);
     }
 
     #[test]

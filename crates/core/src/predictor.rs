@@ -18,6 +18,12 @@ pub trait CompletionPredictor: Send {
     /// predictors).
     fn observe_batch(&mut self, _transitions: &[(u32, u32)]) {}
 
+    /// `true` when [`refresh`](Self::refresh) has work to do. The splitter
+    /// asks every cycle and calls (and times) `refresh` only on `true`.
+    fn refresh_due(&self) -> bool {
+        false
+    }
+
     /// Gives the predictor a chance to refresh internal state (no-op for
     /// static predictors). Returns `true` if a refresh happened.
     fn refresh(&mut self) -> bool {
@@ -53,6 +59,10 @@ impl CompletionPredictor for MarkovPredictor {
 
     fn observe_batch(&mut self, transitions: &[(u32, u32)]) {
         self.model.observe_batch(transitions);
+    }
+
+    fn refresh_due(&self) -> bool {
+        self.model.refresh_due()
     }
 
     fn refresh(&mut self) -> bool {

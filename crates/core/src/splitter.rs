@@ -949,6 +949,10 @@ impl Splitter {
             }
         }
         for qs in &mut self.queries {
+            // No clock reads on the (common) cycle with no ρ-window pending.
+            if !qs.predictor.refresh_due() {
+                continue;
+            }
             let started = std::time::Instant::now();
             if qs.predictor.refresh() {
                 let nanos = started.elapsed().as_nanos() as u64;

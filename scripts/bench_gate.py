@@ -13,7 +13,7 @@ tracking. Throughput may drop by at most `tolerance`;
 peak tree size may grow by at most `tolerance` (plus a small absolute
 slack for tiny trees); cumulative predictor-refresh time may grow by at
 most `--refresh-tolerance` (default ±50 %, plus a millisecond of absolute
-slack — the vectorized refresh is cheap enough that timer noise dominates
+slack — the sparse refresh is cheap enough that timer noise dominates
 small values). Cases present on only one side are reported but do not
 fail the gate, so adding a bench case does not require regenerating the
 baseline in the same commit; the same applies per-field, so adding a

@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use spectre_baselines::run_sequential;
-use spectre_core::{run_threaded, SpectreConfig, SpectreEngine};
+use spectre_core::{run_simulated, run_threaded, MetricsSnapshot, SpectreConfig, SpectreEngine};
 use spectre_datasets::{NyseConfig, NyseGenerator, RandConfig, RandGenerator};
 use spectre_events::Schema;
 use spectre_integration::assert_same_output;
@@ -195,4 +195,40 @@ fn threaded_reports_plausible_metrics() {
     assert!(m.windows_retired > 0);
     assert!(m.sched_cycles > 0);
     assert!(report.throughput() > 0.0);
+}
+
+#[test]
+fn abandon_regime_matches_sequential_while_the_predictor_refreshes() {
+    // Q1 at q = 130 over ws = 200 with consumption: no group ever
+    // completes, every completion branch is dropped, and the Markov
+    // predictor refreshes throughout (the benchmark's `spec_abandon`
+    // shape). The equivalence matrices above never leave the prior.
+    let mut schema = Schema::new();
+    let config = NyseConfig {
+        symbols: 300,
+        leaders: 16,
+        events: 50_000,
+        seed: 19,
+        ..NyseConfig::default()
+    };
+    let events: Vec<_> = NyseGenerator::new(config, &mut schema).collect();
+    let query = Arc::new(queries::q1(&mut schema, 130, 200, Direction::Rising));
+    let expected = run_sequential(&query, &events).complex_events;
+    let check = |label: &str, got: &[_], metrics: &MetricsSnapshot| {
+        assert_same_output(label, got, &expected);
+        assert!(metrics.predictor_refreshes > 0, "{label}: {metrics:?}");
+        assert!(metrics.cgs_created > 0, "{label}: {metrics:?}");
+        assert_eq!(metrics.cgs_completed, 0, "{label}: {metrics:?}");
+    };
+    for k in [1usize, 2] {
+        let config = SpectreConfig::with_instances(k);
+        let report = run_simulated(&query, events.clone(), &config);
+        check(
+            &format!("sim k={k}"),
+            &report.complex_events,
+            &report.metrics,
+        );
+    }
+    let report = run_threaded(&query, events, &SpectreConfig::with_instances(2));
+    check("threaded k=2", &report.complex_events, &report.metrics);
 }
