@@ -100,10 +100,14 @@
 //! abandonment, a rollback or a losing outer branch cost nothing
 //! (counted by [`MetricsSnapshot::lazy_versions_dropped`]). Window attach
 //! is deferred the same way ([`SpectreConfig::lazy_attach`], default on):
-//! opening a window records it on a *pending-attach marker* per leaf
-//! lineage, and the fresh version is created only when the selection
-//! actually schedules the lineage — one version per pop, so per-window
-//! version creation is O(scheduled lineages) instead of O(leaves).
+//! the tree owns the sequence of live windows, a leaf lineage's
+//! unscheduled tail is one *pending-attach marker* (the id of its first
+//! pending window), and a fresh version is created only when the
+//! selection actually schedules the lineage — one version per pop. A
+//! completion, a rollback or a poisoned-version replacement likewise
+//! rebuilds one version and leaves the rest of the sequence pending, so
+//! no tree operation costs in proportion to the windows waiting behind
+//! the versions that hold processing state.
 //! `false` restores the eager behaviors for A/B runs; the output is
 //! identical either way (enforced by the lazy/attach on/off matrices in
 //! the same test suites).

@@ -220,15 +220,13 @@ struct QueryState {
     /// unconstrained events (then every window attaches eagerly, exactly
     /// the pre-filter behavior).
     filter: Option<EventFilter>,
-    /// Live (unretired) windows *attached to the tree*, oldest first.
-    /// Windows whose events the filter has so far all rejected are in
-    /// [`deferred`](Self::deferred) instead.
-    live: VecDeque<Arc<WindowInfo>>,
-    /// Open windows not yet attached: no event of theirs has passed the
-    /// filter. Always a suffix of the window sequence (a relevant event
-    /// attaches *all* deferred windows at once — it is in every open
-    /// window — so attached windows are strictly older than deferred
-    /// ones). A window still deferred at close is skipped entirely.
+    /// Open windows not yet attached to the tree (which owns the sequence
+    /// of attached, unretired ones — [`DependencyTree::windows`]): no
+    /// event of theirs has passed the filter. Always a suffix of the
+    /// window sequence (a relevant event attaches *all* deferred windows
+    /// at once — it is in every open window — so attached windows are
+    /// strictly older than deferred ones). A window still deferred at
+    /// close is skipped entirely.
     deferred: VecDeque<Arc<WindowInfo>>,
     /// Versions whose `WvFinished` op has been applied. Retirement requires
     /// the ack: the op queue is FIFO per instance and an instance pushes all
@@ -271,18 +269,11 @@ impl QueryState {
                 // The version restarted; a previous finish ack is void.
                 self.finished_acked.remove(&wv);
                 if let Some(version) = self.tree.version(wv) {
-                    let window_id = version.window().id;
                     // Completions surviving the rollback (the restored
                     // checkpoint's, if one was restored; empty otherwise)
                     // stay facts for the rebuilt dependents.
                     let carried = version.lock().completed_cells.clone();
-                    let newer: Vec<Arc<WindowInfo>> = self
-                        .live
-                        .iter()
-                        .filter(|w| w.id > window_id)
-                        .cloned()
-                        .collect();
-                    let dropped = self.tree.rollback_rebuild(wv, &newer, carried, factory) as u64;
+                    let dropped = self.tree.rollback_rebuild(wv, carried, factory) as u64;
                     if dropped > 0 {
                         global
                             .versions_dropped
@@ -308,7 +299,7 @@ impl QueryState {
         if revoked.is_empty() {
             return;
         }
-        let Some(oldest_live) = self.live.front().map(|w| w.id) else {
+        let Some(oldest_live) = self.tree.oldest_window().map(|w| w.id) else {
             return;
         };
         let revocable: Vec<Arc<CgCell>> = revoked
@@ -319,11 +310,7 @@ impl QueryState {
         if revocable.is_empty() {
             return;
         }
-        let live = &self.live;
-        let newer = |window_id: u64| -> Vec<Arc<WindowInfo>> {
-            live.iter().filter(|w| w.id > window_id).cloned().collect()
-        };
-        let dropped = self.tree.revoke_completions(&revocable, &newer, factory) as u64;
+        let dropped = self.tree.revoke_completions(&revocable, factory) as u64;
         if dropped > 0 {
             global
                 .versions_dropped
@@ -610,7 +597,6 @@ impl Splitter {
             ),
             predictor,
             filter,
-            live: VecDeque::new(),
             deferred: VecDeque::new(),
             finished_acked: HashSet::new(),
             avg_window_size,
@@ -661,7 +647,7 @@ impl Splitter {
         for ow in &mut g.open {
             ow.infos.retain(|(m, _)| *m != qid);
         }
-        for w in qs.live.iter().chain(qs.deferred.iter()) {
+        for w in qs.tree.windows().chain(qs.deferred.iter()) {
             if let Some(r) = g.refs.get_mut(&w.store_id) {
                 *r -= 1;
                 if *r == 0 {
@@ -1001,7 +987,7 @@ impl Splitter {
     fn backpressured(&self) -> bool {
         self.queries.iter().any(|q| {
             q.tree.speculative_load() >= self.config.max_tree_versions
-                && q.live.front().is_none_or(|w| w.end_pos().is_some())
+                && q.tree.oldest_window().is_none_or(|w| w.end_pos().is_some())
         })
     }
 
@@ -1018,9 +1004,8 @@ impl Splitter {
         while self.batch.len() < cap {
             // The load counts windows pending on attach markers alongside
             // live versions: lazy attach keeps the version count low while
-            // windows accumulate, and every completion-driven rebuild
-            // spans all of them, so unbounded pending windows would blow
-            // the cycle cost up exactly like unbounded versions.
+            // windows accumulate, and each holds its buffered events, so
+            // unbounded pending windows are unbounded memory.
             if self.backpressured() {
                 return FillOutcome::BackPressure;
             }
@@ -1084,7 +1069,6 @@ impl Splitter {
             }
             let mut factory = SplitterFactory::for_query(&shared, qs);
             while let Some(info) = qs.deferred.pop_front() {
-                qs.live.push_back(Arc::clone(&info));
                 qs.tree.new_window(&info, &mut factory);
             }
             qs.finished_acked.extend(factory.acked_clones);
@@ -1139,7 +1123,6 @@ impl Splitter {
                 // window outright if none does before it closes).
                 qs.deferred.push_back(Arc::clone(&info));
             } else {
-                qs.live.push_back(Arc::clone(&info));
                 let mut factory = SplitterFactory::for_query(&shared, qs);
                 qs.tree.new_window(&info, &mut factory);
                 qs.finished_acked.extend(factory.acked_clones);
@@ -1283,17 +1266,8 @@ impl Splitter {
                     .fetch_add(1, Ordering::Relaxed);
             }
             let carried = root.lock().completed_cells.clone();
-            let newer: Vec<Arc<WindowInfo>> = qs
-                .live
-                .iter()
-                .filter(|w| w.id > root.window().id)
-                .cloned()
-                .collect();
             let mut factory = SplitterFactory::for_query(&shared, qs);
-            let dropped = qs
-                .tree
-                .rollback_rebuild(root.id(), &newer, carried, &mut factory)
-                as u64;
+            let dropped = qs.tree.rollback_rebuild(root.id(), carried, &mut factory) as u64;
             qs.revoke(&shared.metrics, &outcome.revoked, &mut factory);
             qs.finished_acked.extend(factory.acked_clones);
             if dropped > 0 {
@@ -1323,12 +1297,6 @@ impl Splitter {
         // (retirement is rare relative to cycles).
         let tree = &qs.tree;
         qs.finished_acked.retain(|id| tree.version(*id).is_some());
-        debug_assert_eq!(
-            qs.live.front().map(|w| w.id),
-            Some(retired.window().id),
-            "windows retire in id order"
-        );
-        qs.live.pop_front();
         shared
             .metrics
             .windows_retired

@@ -38,8 +38,22 @@
 //! events is sound for the same reason eager clones survive late group
 //! updates: the consistency checks (and the final validation at
 //! retirement) detect the overlap and roll the copy back.
+//!
+//! # The window sequence and pending tails
+//!
+//! The tree owns the ascending sequence of live windows, and every
+//! root-to-leaf lineage covers exactly that sequence. With lazy attach on
+//! (the default, [`SpectreConfig::lazy_attach`](crate::SpectreConfig::lazy_attach))
+//! a lineage's not-yet-scheduled tail is one `PendingAttach` marker holding
+//! only the id of its first pending window: opening a window is no work on
+//! a lineage that ends in a marker, and a completion, a rollback or a
+//! poisoned-version replacement rebuilds *one* fresh version with the rest
+//! of the sequence pending below it. A marker's suppression is derived from
+//! its parent when it materializes, so the tail needs no state of its own,
+//! and no tree operation walks or copies the windows waiting behind the
+//! versions that hold processing state.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use crate::cg::{CgCell, CgId};
@@ -79,19 +93,21 @@ enum Node {
     /// slot recycled for a *different* thunk while the walk is in
     /// progress — see [`top_k`](DependencyTree::top_k)).
     Lazy { parent: Option<NodeId>, stamp: u64 },
-    /// A pending tail of fresh window versions: windows attached to this
-    /// leaf lineage (ascending by id) whose versions have not been created
-    /// yet. Like `Lazy`, the marker holds no version state — the
-    /// suppression context is derived from the parent at materialization
-    /// time — so attaching a window to a lineage is O(1) and a marker
-    /// dropped with a losing branch costs nothing. Materialized into a
-    /// [`fresh_chain`](DependencyTree::fresh_chain) when the top-k
-    /// selection schedules the lineage or the root lineage retires into
-    /// it. `stamp` is a unique id that lets queued top-k candidates detect
+    /// A pending tail of fresh window versions: every window of the tree's
+    /// sequence from id `first` on, none of whose versions on this lineage
+    /// has been created yet. The marker is a *position*, not a list: a
+    /// lineage always runs to the end of the sequence, so a newly opened
+    /// window needs no work on a lineage that already ends in a marker,
+    /// and copying or dropping one is O(1) however many windows wait
+    /// behind it. Like `Lazy`, it holds no version state — the suppression
+    /// context is derived from the parent at materialization time. One
+    /// version is materialized (and `first` bumped) each time the top-k
+    /// selection schedules the lineage or the root retires into it.
+    /// `stamp` is a unique id that lets queued top-k candidates detect
     /// arena-slot reuse.
     PendingAttach {
         parent: Option<NodeId>,
-        windows: Vec<Arc<WindowInfo>>,
+        first: u64,
         stamp: u64,
     },
 }
@@ -135,6 +151,11 @@ pub struct DependencyTree {
     nodes: Vec<Option<Node>>,
     free: Vec<NodeId>,
     root: Option<NodeId>,
+    /// The live (attached, unretired) windows, ascending by id — ids skip
+    /// windows the splitter's prefilter never attached. Every root-to-leaf
+    /// lineage covers exactly this sequence, so "the windows a subtree
+    /// covers" is the suffix starting at the subtree's first window.
+    windows: VecDeque<Arc<WindowInfo>>,
     version_vertex: HashMap<u64, NodeId>,
     cg_vertices: HashMap<CgId, Vec<NodeId>>,
     version_count: usize,
@@ -151,9 +172,11 @@ pub struct DependencyTree {
     /// Monotonic stamp source for thunk vertices (lazy branches and
     /// pending-attach markers).
     next_thunk_stamp: u64,
-    /// Windows currently recorded on pending-attach markers, summed over
-    /// all markers (kept incrementally: the back-pressure check reads it
-    /// per ingested event).
+    /// Live pending-attach markers.
+    marker_count: usize,
+    /// Windows pending behind markers, summed over all markers (kept
+    /// incrementally — a new window adds `marker_count` — because the
+    /// back-pressure check reads it per ingested event).
     pending_window_count: usize,
     /// Versions created by materializing lazy branches since the last
     /// [`take_lazy_stats`](Self::take_lazy_stats).
@@ -198,12 +221,14 @@ impl DependencyTree {
             nodes: Vec::new(),
             free: Vec::new(),
             root: None,
+            windows: VecDeque::new(),
             version_vertex: HashMap::new(),
             cg_vertices: HashMap::new(),
             version_count: 0,
             lazy,
             lazy_attach,
             next_thunk_stamp: 0,
+            marker_count: 0,
             pending_window_count: 0,
             versions_materialized: 0,
             lazy_versions_dropped: 0,
@@ -280,24 +305,36 @@ impl DependencyTree {
 
     /// Number of pending-attach markers (diagnostics/tests).
     pub fn pending_attach_count(&self) -> usize {
-        self.nodes
-            .iter()
-            .filter(|n| matches!(n, Some(Node::PendingAttach { .. })))
-            .count()
+        self.marker_count
     }
 
-    /// Total windows recorded on pending-attach markers — fresh versions
-    /// the lazy attach has not had to create yet (diagnostics/tests).
+    /// Total windows pending behind attach markers — fresh versions the
+    /// lazy attach has not had to create yet (diagnostics/tests).
     pub fn pending_attach_windows(&self) -> usize {
         self.pending_window_count
+    }
+
+    /// The live windows (attached by [`new_window`](Self::new_window), not
+    /// yet retired), oldest first.
+    pub fn windows(&self) -> impl Iterator<Item = &Arc<WindowInfo>> {
+        self.windows.iter()
+    }
+
+    /// The oldest live window — the root version's.
+    pub fn oldest_window(&self) -> Option<&Arc<WindowInfo>> {
+        self.windows.front()
+    }
+
+    /// Index in the window sequence of the first window with id ≥ `id`.
+    fn window_index(&self, id: u64) -> usize {
+        self.windows.partition_point(|w| w.id < id)
     }
 
     /// Speculative load the tree represents: live versions plus the
     /// deferred versions pending-attach markers stand for. This — not
     /// [`version_count`](Self::version_count) alone — is what ingestion
     /// back-pressure must bound: lazy attach keeps the version count
-    /// artificially low while windows pile up, and every
-    /// completion-driven rebuild spans all of them.
+    /// artificially low while windows (and their buffered events) pile up.
     pub fn speculative_load(&self) -> usize {
         self.version_count + self.pending_window_count
     }
@@ -309,20 +346,24 @@ impl DependencyTree {
         self.alloc(Node::Lazy { parent, stamp })
     }
 
-    /// Allocates a fresh pending-attach marker holding `windows`.
-    fn alloc_attach_marker(
-        &mut self,
-        parent: Option<NodeId>,
-        windows: Vec<Arc<WindowInfo>>,
-    ) -> NodeId {
+    /// Allocates a pending-attach marker standing for the window sequence
+    /// from the live window with id `first` to its end.
+    fn alloc_attach_marker(&mut self, parent: Option<NodeId>, first: u64) -> NodeId {
         let stamp = self.next_thunk_stamp;
         self.next_thunk_stamp += 1;
-        self.pending_window_count += windows.len();
+        self.marker_count += 1;
+        self.pending_window_count += self.windows.len() - self.window_index(first);
         self.alloc(Node::PendingAttach {
             parent,
-            windows,
+            first,
             stamp,
         })
+    }
+
+    /// Takes a freed marker (pending from window id `first`) off the counts.
+    fn uncount_attach_marker(&mut self, first: u64) {
+        self.marker_count -= 1;
+        self.pending_window_count -= self.windows.len() - self.window_index(first);
     }
 
     fn node(&self, id: NodeId) -> &Node {
@@ -366,6 +407,11 @@ impl DependencyTree {
         window: &Arc<WindowInfo>,
         f: &mut dyn VersionFactory,
     ) -> Vec<Arc<VersionState>> {
+        debug_assert!(self.windows.back().is_none_or(|w| w.id < window.id));
+        self.windows.push_back(Arc::clone(window));
+        // Every lineage that already ends in a marker absorbs the window
+        // here, with no per-marker work.
+        self.pending_window_count += self.marker_count;
         let mut created = Vec::new();
         match self.root {
             None => {
@@ -391,15 +437,6 @@ impl DependencyTree {
         f: &mut dyn VersionFactory,
         created: &mut Vec<Arc<VersionState>>,
     ) {
-        // A lineage that already ends in a pending-attach marker absorbs
-        // the window with one push — this is what makes per-window attach
-        // O(lineages) pointer work instead of O(leaves) version creation.
-        if let Node::PendingAttach { windows, .. } = self.node_mut(node) {
-            debug_assert!(windows.last().is_none_or(|w| w.id < window.id));
-            windows.push(Arc::clone(window));
-            self.pending_window_count += 1;
-            return;
-        }
         match self.node(node) {
             Node::Version {
                 child,
@@ -412,21 +449,15 @@ impl DependencyTree {
                     self.attach_recursive(c, window, f, created);
                 }
                 None if self.lazy_attach => {
-                    let id = self.alloc_attach_marker(Some(node), vec![Arc::clone(window)]);
-                    let Node::Version { child, .. } = self.node_mut(node) else {
-                        unreachable!()
-                    };
-                    *child = Some(id);
+                    let id = self.alloc_attach_marker(Some(node), window.id);
+                    self.set_child(node, id);
                 }
                 None => {
                     let mut suppressed = state.suppressed().to_vec();
                     suppressed.extend(facts.iter().cloned());
                     let state = f.fresh(window, suppressed);
                     let id = self.alloc_version(Some(node), Arc::clone(&state));
-                    let Node::Version { child, .. } = self.node_mut(node) else {
-                        unreachable!()
-                    };
-                    *child = Some(id);
+                    self.set_child(node, id);
                     created.push(state);
                 }
             },
@@ -437,65 +468,61 @@ impl DependencyTree {
                 ..
             } => {
                 let (completion, abandon, cell) = (*completion, *abandon, Arc::clone(cell));
-                match completion {
+                // Each edge either recurses (`None`: nothing to install)
+                // or yields the vertex that now fills the empty edge.
+                let new_completion = match completion {
                     // An unmaterialized branch needs no per-window work: its
                     // materialization clones the abandon side, which this
                     // attach extends below.
-                    Some(c) if self.is_lazy(c) => {}
-                    Some(c) => self.attach_recursive(c, window, f, created),
-                    None if self.lazy => {
-                        // Defer the completion-side version the same way
-                        // cg_created defers the completion-side copy.
-                        let id = self.alloc_lazy(Some(node));
-                        let Node::Cg { completion, .. } = self.node_mut(node) else {
-                            unreachable!()
-                        };
-                        *completion = Some(id);
+                    Some(c) if self.is_lazy(c) => None,
+                    Some(c) => {
+                        self.attach_recursive(c, window, f, created);
+                        None
                     }
+                    // Defer the completion-side version the same way
+                    // cg_created defers the completion-side copy.
+                    None if self.lazy => Some(self.alloc_lazy(Some(node))),
+                    // A marker on a completion edge adds the group's
+                    // cell to the suppression at materialization time.
                     None if self.lazy_attach => {
-                        // A marker on a completion edge adds the group's
-                        // cell to the suppression at materialization time.
-                        let id = self.alloc_attach_marker(Some(node), vec![Arc::clone(window)]);
-                        let Node::Cg { completion, .. } = self.node_mut(node) else {
-                            unreachable!()
-                        };
-                        *completion = Some(id);
+                        Some(self.alloc_attach_marker(Some(node), window.id))
                     }
                     None => {
                         let mut supp = self.suppression_above(node);
-                        supp.push(Arc::clone(&cell));
+                        supp.push(cell);
                         let state = f.fresh(window, supp);
-                        let id = self.alloc_version(Some(node), Arc::clone(&state));
-                        let Node::Cg { completion, .. } = self.node_mut(node) else {
-                            unreachable!()
-                        };
-                        *completion = Some(id);
-                        created.push(state);
+                        created.push(Arc::clone(&state));
+                        Some(self.alloc_version(Some(node), state))
                     }
-                }
-                match abandon {
-                    Some(a) => self.attach_recursive(a, window, f, created),
+                };
+                let new_abandon = match abandon {
+                    Some(a) => {
+                        self.attach_recursive(a, window, f, created);
+                        None
+                    }
                     None if self.lazy_attach => {
-                        let id = self.alloc_attach_marker(Some(node), vec![Arc::clone(window)]);
-                        let Node::Cg { abandon, .. } = self.node_mut(node) else {
-                            unreachable!()
-                        };
-                        *abandon = Some(id);
+                        Some(self.alloc_attach_marker(Some(node), window.id))
                     }
                     None => {
-                        let supp = self.suppression_above(node);
-                        let state = f.fresh(window, supp);
-                        let id = self.alloc_version(Some(node), Arc::clone(&state));
-                        let Node::Cg { abandon, .. } = self.node_mut(node) else {
-                            unreachable!()
-                        };
-                        *abandon = Some(id);
-                        created.push(state);
+                        let state = f.fresh(window, self.suppression_above(node));
+                        created.push(Arc::clone(&state));
+                        Some(self.alloc_version(Some(node), state))
                     }
-                }
+                };
+                let Node::Cg {
+                    completion,
+                    abandon,
+                    ..
+                } = self.node_mut(node)
+                else {
+                    unreachable!()
+                };
+                *completion = new_completion.or(*completion);
+                *abandon = new_abandon.or(*abandon);
             }
             Node::Lazy { .. } => unreachable!("attach never descends into lazy vertices"),
-            Node::PendingAttach { .. } => unreachable!("handled above"),
+            // A lineage that already ends in a marker covers the window.
+            Node::PendingAttach { .. } => {}
         }
     }
 
@@ -601,86 +628,47 @@ impl DependencyTree {
         if let Some(c) = old_child {
             self.set_parent(c, cg_node);
         }
-        let Node::Version { child, .. } = self.node_mut(vnode) else {
-            unreachable!()
-        };
-        *child = Some(cg_node);
+        self.set_child(vnode, cg_node);
         self.cg_vertices.entry(cell.id()).or_default().push(cg_node);
         true
     }
 
-    /// Distinct windows of the versions in `src`'s subtree, ascending by id.
-    fn subtree_windows(&self, src: NodeId) -> Vec<Arc<WindowInfo>> {
-        let mut windows: Vec<Arc<WindowInfo>> = Vec::new();
-        let mut stack = vec![src];
-        while let Some(id) = stack.pop() {
-            match self.node(id) {
-                Node::Version { state, child, .. } => {
-                    if !windows.iter().any(|w| w.id == state.window().id) {
-                        windows.push(Arc::clone(state.window()));
-                    }
-                    if let Some(c) = child {
-                        stack.push(*c);
-                    }
-                }
-                Node::Cg {
-                    completion,
-                    abandon,
-                    ..
-                } => {
-                    if let Some(c) = completion {
-                        stack.push(*c);
-                    }
-                    if let Some(a) = abandon {
-                        stack.push(*a);
-                    }
-                }
-                // A lazy branch mirrors the sibling abandon edge, whose
-                // windows the traversal collects anyway.
-                Node::Lazy { .. } => {}
-                // Pending-attach windows count: their fresh versions have
-                // not been created yet, but the lineage covers them.
-                Node::PendingAttach { windows: w, .. } => {
-                    for window in w {
-                        if !windows.iter().any(|x| x.id == window.id) {
-                            windows.push(Arc::clone(window));
-                        }
-                    }
-                }
-            }
-        }
-        windows.sort_by_key(|w| w.id);
-        windows
-    }
-
-    /// Builds a parentless chain of fresh versions (one per window, in the
-    /// given order), all suppressing `suppression`. Returns the chain head.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `windows` is empty.
+    /// Builds a parentless lineage over the window sequence from index
+    /// `from`, every version suppressing `suppression`; returns its head
+    /// (`None` when no window is left to cover). Under lazy attach only
+    /// the head version is created and the tail stays pending below it —
+    /// a marker derives its context from the parent version's suppressed
+    /// set and facts, which is exactly `suppression` — so a rebuild costs
+    /// one version however many windows wait behind it. Eager attach
+    /// creates one version per window.
     fn fresh_chain(
         &mut self,
-        windows: &[Arc<WindowInfo>],
+        from: usize,
         suppression: &[Arc<CgCell>],
         f: &mut dyn VersionFactory,
-    ) -> NodeId {
-        let mut head: Option<NodeId> = None;
-        let mut cur: Option<NodeId> = None;
-        for window in windows {
-            let state = f.fresh(window, suppression.to_vec());
-            let id = self.alloc_version(cur, state);
-            if let Some(p) = cur {
-                let Node::Version { child, .. } = self.node_mut(p) else {
-                    unreachable!("chain links versions only")
-                };
-                *child = Some(id);
-            } else {
-                head = Some(id);
+    ) -> Option<NodeId> {
+        let len = self.windows.len();
+        let end = if self.lazy_attach {
+            len.min(from + 1)
+        } else {
+            len
+        };
+        let mut head = None;
+        let mut tail: Option<NodeId> = None;
+        for i in from..end {
+            let window = Arc::clone(&self.windows[i]);
+            let id = self.alloc_version(tail, f.fresh(&window, suppression.to_vec()));
+            match tail {
+                Some(p) => self.set_child(p, id),
+                None => head = Some(id),
             }
-            cur = Some(id);
+            tail = Some(id);
         }
-        head.expect("chain must cover at least one window")
+        if let Some(p) = tail.filter(|_| end < len) {
+            let marker = self.alloc_attach_marker(Some(p), self.windows[end].id);
+            self.set_child(p, marker);
+        }
+        head
     }
 
     /// Copies `src`'s subtree for the completion branch of `extra`
@@ -745,8 +733,8 @@ impl DependencyTree {
                     // share ownership of that group. Fall back to fresh
                     // versions for this whole subtree; the speculation
                     // below re-emerges as they reprocess.
-                    let windows = self.subtree_windows(src);
-                    return Some(self.fresh_chain(&windows, &suppressed, f));
+                    let from = self.window_index(state.window().id);
+                    return self.fresh_chain(from, &suppressed, f);
                 };
                 twins.extend(new_twins);
                 // The clone's completed groups stand in its world whether
@@ -774,10 +762,7 @@ impl DependencyTree {
                         self.copy_stateful(c, extra, twins, f, &mut child_facts, &inherited_next)
                     {
                         self.set_parent(cc, new_id);
-                        let Node::Version { child, .. } = self.node_mut(new_id) else {
-                            unreachable!()
-                        };
-                        *child = Some(cc);
+                        self.set_child(new_id, cc);
                     }
                     new_facts.extend(child_facts);
                 }
@@ -887,12 +872,9 @@ impl DependencyTree {
             // A pending attach copies as a pending attach: the copy's
             // suppression context is derived from its *own* parent chain at
             // materialization time (which carries `extra` and the twins),
-            // so nothing but the window list needs to move — laziness
+            // so nothing but the position needs to move — laziness
             // survives subtree copies.
-            Node::PendingAttach { windows, .. } => {
-                let windows = windows.clone();
-                Some(self.alloc_attach_marker(None, windows))
-            }
+            Node::PendingAttach { first, .. } => Some(self.alloc_attach_marker(None, *first)),
         }
     }
 
@@ -972,13 +954,14 @@ impl DependencyTree {
     }
 
     /// Replaces the unmaterialized completion branch of `cg_node` with a
-    /// chain of *fresh* versions — one per window of the (doomed) abandon
-    /// side — suppressing the group's cell on top of the suppression above
-    /// the vertex. This is the completion path for branches the scheduler
-    /// never chose (see [`cg_resolved`](Self::cg_resolved)): no state is
-    /// worth cloning, so none is, and the fresh versions simply reprocess —
-    /// the position every viable clone would have rolled back to. Returns
-    /// the new completion edge.
+    /// [fresh lineage](Self::fresh_chain) over the windows of the (doomed)
+    /// abandon side, suppressing the group's cell on top of the
+    /// suppression above the vertex. This is the completion path for
+    /// branches the scheduler never chose (see
+    /// [`cg_resolved`](Self::cg_resolved)): no state is worth cloning, so
+    /// none is, and the fresh versions simply reprocess — the position
+    /// every viable clone would have rolled back to. Returns the new
+    /// completion edge.
     fn rebuild_completion_fresh(
         &mut self,
         cg_node: NodeId,
@@ -998,26 +981,26 @@ impl DependencyTree {
         let (cell, source) = (Arc::clone(cell), *abandon);
         self.nodes[lazy] = None;
         self.free.push(lazy);
-        let windows = source.map_or_else(Vec::new, |s| self.subtree_windows(s));
-        let head = if windows.is_empty() {
-            None
-        } else {
-            // The lineage suppression is the abandon-side root's own
-            // suppressed set: it carries completions accumulated from
-            // groups long since resolved (and retired), which the vertex
-            // walk above this CG cannot see. Facts recorded *on* dropped
-            // subtree versions are their own (now void) completions and
-            // must not leak in; facts from live ancestors were folded into
-            // the root's suppressed set when it was created.
-            let mut suppression = match source.map(|s| self.node(s)) {
-                Some(Node::Version { state, .. }) => state.suppressed().to_vec(),
-                _ => self.suppression_above(cg_node),
-            };
-            if !suppression.iter().any(|c| c.id() == cell.id()) {
-                suppression.push(cell);
-            }
-            Some(self.fresh_chain(&windows, &suppression, f))
+        // The lineage suppression is the abandon-side root's own
+        // suppressed set: it carries completions accumulated from
+        // groups long since resolved (and retired), which the vertex
+        // walk above this CG cannot see. Facts recorded *on* dropped
+        // subtree versions are their own (now void) completions and
+        // must not leak in; facts from live ancestors were folded into
+        // the root's suppressed set when it was created.
+        let mut suppression = match source.map(|s| self.node(s)) {
+            Some(Node::Version { state, .. }) => state.suppressed().to_vec(),
+            _ => self.suppression_above(cg_node),
         };
+        if !suppression.iter().any(|c| c.id() == cell.id()) {
+            suppression.push(cell);
+        }
+        // The abandon side covers the sequence from its first window on
+        // (an empty one covers nothing: `first_window` is `u64::MAX`).
+        let from = source.map_or(self.windows.len(), |s| {
+            self.window_index(self.first_window(s))
+        });
+        let head = self.fresh_chain(from, &suppression, f);
         let Node::Cg { completion, .. } = self.node_mut(cg_node) else {
             unreachable!()
         };
@@ -1047,20 +1030,13 @@ impl DependencyTree {
     /// remaining windows re-derive from the freshly created version, whose
     /// suppressed set is precisely their eager-attach context.
     fn materialize_attach(&mut self, marker: NodeId, f: &mut dyn VersionFactory) -> NodeId {
-        let (parent, window, remaining) = match self.node_mut(marker) {
-            Node::PendingAttach {
-                parent, windows, ..
-            } => {
-                let window = windows.remove(0);
-                (
-                    parent.expect("pending-attach markers always have a parent"),
-                    window,
-                    !windows.is_empty(),
-                )
-            }
-            _ => unreachable!("materialize_attach takes a pending-attach marker"),
+        let Node::PendingAttach { parent, first, .. } = *self.node(marker) else {
+            unreachable!("materialize_attach takes a pending-attach marker")
         };
-        self.pending_window_count -= 1;
+        let parent = parent.expect("pending-attach markers always have a parent");
+        let at = self.window_index(first);
+        let window = Arc::clone(&self.windows[at]);
+        let next = self.windows.get(at + 1).map(|w| w.id);
         let suppression = match self.node(parent) {
             Node::Version { state, facts, .. } => {
                 let mut s = state.suppressed().to_vec();
@@ -1084,21 +1060,30 @@ impl DependencyTree {
         };
         let state = f.fresh(&window, suppression);
         let vid = self.alloc_version(Some(parent), state);
-        if remaining {
-            // The marker survives as the new version's child, holding the
-            // still-pending tail.
-            self.replace_child(parent, marker, vid);
-            self.set_parent(marker, vid);
-            let Node::Version { child, .. } = self.node_mut(vid) else {
+        self.replace_child(parent, marker, vid);
+        if let Some(next) = next {
+            // The marker survives as the new version's child, standing
+            // for the still-pending tail.
+            self.pending_window_count -= 1;
+            let Node::PendingAttach { parent, first, .. } = self.node_mut(marker) else {
                 unreachable!()
             };
-            *child = Some(marker);
+            (*parent, *first) = (Some(vid), next);
+            self.set_child(vid, marker);
         } else {
             self.nodes[marker] = None;
             self.free.push(marker);
-            self.replace_child(parent, marker, vid);
+            self.uncount_attach_marker(first);
         }
         vid
+    }
+
+    /// Sets a version vertex's child edge.
+    fn set_child(&mut self, version: NodeId, child: NodeId) {
+        let Node::Version { child: slot, .. } = self.node_mut(version) else {
+            unreachable!("only version vertices have a single child edge")
+        };
+        *slot = Some(child);
     }
 
     fn set_parent(&mut self, node: NodeId, parent: NodeId) {
@@ -1116,9 +1101,9 @@ impl DependencyTree {
     /// the parent. Returns the number of versions dropped.
     ///
     /// A *completed* group whose completion branch is still a lazy
-    /// thunk *rebuilds* it as a chain of fresh versions (one per dependent
-    /// window, suppressing the group) instead of cloning the doomed abandon
-    /// side: an unscheduled source sits at position 0 (nothing to inherit),
+    /// thunk *rebuilds* it as a fresh lineage (one version, the rest
+    /// pending) suppressing the group instead of cloning the abandon side:
+    /// an unscheduled source sits at position 0 (nothing to inherit),
     /// and a scheduled one has processed the very events the completion
     /// just consumed, so its clone would fail the first consistency check
     /// and reset to the window start anyway — the rebuild goes straight to
@@ -1305,10 +1290,10 @@ impl DependencyTree {
                     // state was ever cloned for it.
                     self.lazy_versions_dropped += 1;
                 }
-                Node::PendingAttach { windows, .. } => {
+                Node::PendingAttach { first, .. } => {
                     // Pending windows die for free too: their fresh
                     // versions were never created.
-                    self.pending_window_count -= windows.len();
+                    self.uncount_attach_marker(first);
                 }
             }
         }
@@ -1317,12 +1302,11 @@ impl DependencyTree {
 
     /// Tears down and rebuilds the dependent subtree of a rolled-back
     /// version: all consumption groups the invalid processing produced (and
-    /// every version speculating on them) are discarded, and one fresh
-    /// version per newer live window is chained below (see DESIGN.md §6).
+    /// every version speculating on them) are discarded, and a fresh
+    /// lineage over the newer live windows takes their place (see
+    /// DESIGN.md §6) — under lazy attach one version plus a marker,
+    /// whatever the backlog. Returns the number of versions dropped.
     ///
-    /// `newer_windows` must be the live windows with id greater than the
-    /// rolled-back version's window, in ascending id order. Returns the
-    /// number of versions dropped.
     /// `carried_facts` are completions that *survive* the rollback — empty
     /// for a reset to the window start, or the completions preceding the
     /// restored checkpoint (their events stay consumed in the restarted
@@ -1330,7 +1314,6 @@ impl DependencyTree {
     pub fn rollback_rebuild(
         &mut self,
         wv: WvId,
-        newer_windows: &[Arc<WindowInfo>],
         carried_facts: Vec<Arc<CgCell>>,
         f: &mut dyn VersionFactory,
     ) -> usize {
@@ -1340,7 +1323,7 @@ impl DependencyTree {
         let Node::Version { child, state, .. } = self.node(vnode) else {
             unreachable!()
         };
-        let old_child = *child;
+        let (old_child, after) = (*child, self.window_index(state.window().id + 1));
         let mut suppressed = state.suppressed().to_vec();
         suppressed.extend(carried_facts.iter().cloned());
         let mut dropped = 0;
@@ -1357,13 +1340,9 @@ impl DependencyTree {
             *child = None;
             *facts = carried_facts;
         }
-        if !newer_windows.is_empty() {
-            let head = self.fresh_chain(newer_windows, &suppressed, f);
+        if let Some(head) = self.fresh_chain(after, &suppressed, f) {
             self.set_parent(head, vnode);
-            match self.node_mut(vnode) {
-                Node::Version { child, .. } => *child = Some(head),
-                _ => unreachable!("rollback roots are versions"),
-            }
+            self.set_child(vnode, head);
         }
         dropped
     }
@@ -1412,13 +1391,10 @@ impl DependencyTree {
     /// completions (suppressed set or vertex facts) *without* a chain
     /// ancestor that still vouches for it is replaced by a fresh version
     /// with the void groups removed, and its dependents are rebuilt.
-    ///
-    /// `newer_of` must return the live windows with id greater than the
-    /// given window id, ascending. Returns the number of versions dropped.
+    /// Returns the number of versions dropped.
     pub fn revoke_completions(
         &mut self,
         revoked: &[Arc<CgCell>],
-        newer_of: &dyn Fn(u64) -> Vec<Arc<WindowInfo>>,
         f: &mut dyn VersionFactory,
     ) -> usize {
         if revoked.is_empty() {
@@ -1444,7 +1420,7 @@ impl DependencyTree {
         candidates.sort_unstable_by_key(|&(w, v)| (w, v.0));
 
         let mut dropped = 0;
-        for (window_id, wv) in candidates {
+        for (_, wv) in candidates {
             let Some(&vnode) = self.version_vertex.get(&wv.0) else {
                 continue; // already cleaned by an ancestor's replacement
             };
@@ -1470,7 +1446,7 @@ impl DependencyTree {
             if unvouched.is_empty() {
                 continue; // a live ancestor still stands by the completion
             }
-            dropped += self.replace_poisoned(wv, &unvouched, &newer_of(window_id), f);
+            dropped += self.replace_poisoned(wv, &unvouched, f);
         }
         dropped
     }
@@ -1480,13 +1456,7 @@ impl DependencyTree {
     /// groups removed from its suppressed set and vertex facts — takes its
     /// place in the tree; its dependent subtree is rebuilt from scratch.
     /// Returns the number of versions dropped (including the replaced one).
-    fn replace_poisoned(
-        &mut self,
-        wv: WvId,
-        void: &[CgId],
-        newer_windows: &[Arc<WindowInfo>],
-        f: &mut dyn VersionFactory,
-    ) -> usize {
+    fn replace_poisoned(&mut self, wv: WvId, void: &[CgId], f: &mut dyn VersionFactory) -> usize {
         let Some(&vnode) = self.version_vertex.get(&wv.0) else {
             return 0;
         };
@@ -1530,15 +1500,12 @@ impl DependencyTree {
             *facts = new_facts.clone();
             *child = None;
         }
-        if !newer_windows.is_empty() {
-            let mut suppression = new_suppressed;
-            suppression.extend(new_facts);
-            let head = self.fresh_chain(newer_windows, &suppression, f);
+        let mut suppression = new_suppressed;
+        suppression.extend(new_facts);
+        let after = self.window_index(old_state.window().id + 1);
+        if let Some(head) = self.fresh_chain(after, &suppression, f) {
             self.set_parent(head, vnode);
-            let Node::Version { child, .. } = self.node_mut(vnode) else {
-                unreachable!()
-            };
-            *child = Some(head);
+            self.set_child(vnode, head);
         }
         dropped
     }
@@ -1568,6 +1535,12 @@ impl DependencyTree {
         self.free.push(root);
         self.version_vertex.remove(&state.id().0);
         self.version_count -= 1;
+        let retired = self.windows.pop_front();
+        debug_assert_eq!(
+            retired.map(|w| w.id),
+            Some(state.window().id),
+            "windows retire in id order"
+        );
         match child {
             Some(c) => {
                 assert!(
@@ -1684,7 +1657,7 @@ impl DependencyTree {
             }
         }
 
-        let mut result = Vec::with_capacity(k);
+        let mut result = Vec::with_capacity(k.min(self.speculative_load()));
         let mut heap: BinaryHeap<Cand> = BinaryHeap::new();
         let push_candidate = |tree: &Self, heap: &mut BinaryHeap<Cand>, p: f64, n: NodeId| {
             let expect = match tree.node(n) {
@@ -1695,7 +1668,7 @@ impl DependencyTree {
             };
             heap.push(Cand(
                 p,
-                Reverse(tree.candidate_window(n)),
+                Reverse(tree.first_window(n)),
                 Reverse(n),
                 n,
                 expect,
@@ -1721,8 +1694,8 @@ impl DependencyTree {
             // A live candidate is a version (schedule it), an
             // unmaterialized branch that just ranked inside the top k
             // (clone it now and let its versions compete), or a pending
-            // attach that just ranked (create its fresh chain now and let
-            // the head compete).
+            // attach that just ranked (create its first version now and
+            // let it compete).
             let expand = match expect {
                 // Materializing arms are budget-gated: an exhausted budget
                 // skips the candidate (the thunk survives for a later
@@ -1788,56 +1761,31 @@ impl DependencyTree {
         result
     }
 
-    /// Tie-break window id of a heap candidate: a version's own window, a
-    /// pending attach's first window, or — for an unmaterialized branch —
-    /// the first window its materialization source (the sibling abandon
-    /// edge) covers.
-    fn candidate_window(&self, node: NodeId) -> u64 {
-        // Fast path for the overwhelmingly common candidates: no
-        // allocation, no traversal (this runs once per heap push per
-        // scheduling cycle).
-        match self.node(node) {
-            Node::Version { state, .. } => return state.window().id,
-            Node::PendingAttach { windows, .. } => {
-                if let Some(w) = windows.first() {
-                    return w.id;
-                }
-            }
-            Node::Lazy { .. } | Node::Cg { .. } => {}
-        }
-        let mut stack = vec![node];
-        while let Some(id) = stack.pop() {
-            match self.node(id) {
+    /// The first window the subtree at `node` covers (`u64::MAX` for an
+    /// empty one) — also the tie-break window id of a heap candidate. Both
+    /// edges of a CG vertex cover the same windows and an unmaterialized
+    /// branch mirrors its sibling abandon edge, so one allocation-free
+    /// descent finds it (this runs once per heap push per scheduling
+    /// cycle).
+    fn first_window(&self, node: NodeId) -> u64 {
+        let mut cur = Some(node);
+        while let Some(id) = cur {
+            cur = match self.node(id) {
                 Node::Version { state, .. } => return state.window().id,
+                Node::PendingAttach { first, .. } => return *first,
                 Node::Cg {
                     completion,
                     abandon,
                     ..
-                } => {
-                    if let Some(c) = completion {
-                        stack.push(*c);
-                    }
-                    if let Some(a) = abandon {
-                        stack.push(*a);
-                    }
-                }
+                } => abandon.or(*completion),
                 Node::Lazy { parent, .. } => {
                     let p = parent.expect("lazy vertices hang off a CG vertex");
                     let Node::Cg { abandon, .. } = self.node(p) else {
                         unreachable!()
                     };
-                    if let Some(a) = abandon {
-                        stack.push(*a);
-                    }
+                    *abandon
                 }
-                // A pending attach covers its windows in ascending order;
-                // the earliest is the tie-break.
-                Node::PendingAttach { windows, .. } => {
-                    if let Some(w) = windows.first() {
-                        return w.id;
-                    }
-                }
-            }
+            };
         }
         u64::MAX
     }
@@ -1854,11 +1802,56 @@ impl DependencyTree {
     }
 
     /// Structural self-check for tests: parent/child links are mutual, the
-    /// registry matches the arena, and every version's suppressed set equals
-    /// the completion edges on its root path.
+    /// registry matches the arena, every version's suppressed set equals
+    /// the completion edges on its root path, every marker stands for a
+    /// suffix of the window sequence, and every root-to-leaf lineage covers
+    /// that sequence exactly once.
     #[doc(hidden)]
     pub fn assert_invariants(&self) {
+        assert!(
+            self.windows
+                .iter()
+                .zip(self.windows.iter().skip(1))
+                .all(|(a, b)| a.id < b.id),
+            "the window sequence ascends"
+        );
+        assert_eq!(self.root.is_none(), self.windows.is_empty());
+        // Lineage coverage: walk down from the root with the index of the
+        // next window each lineage owes.
+        let mut stack: Vec<(NodeId, usize)> = self.root.map(|r| (r, 0)).into_iter().collect();
+        while let Some((id, at)) = stack.pop() {
+            let edges = match self.node(id) {
+                Node::Version { state, child, .. } => {
+                    let owed = self.windows.get(at).map(|w| w.id);
+                    assert_eq!(owed, Some(state.window().id), "lineage skips a window");
+                    vec![(*child, at + 1)]
+                }
+                Node::Cg {
+                    completion,
+                    abandon,
+                    ..
+                } => vec![(*completion, at), (*abandon, at)],
+                // Mirrors the sibling abandon edge, which is checked.
+                Node::Lazy { .. } => continue,
+                Node::PendingAttach { first, .. } => {
+                    let owed = self.windows.get(at).map(|w| w.id);
+                    assert_eq!(
+                        owed,
+                        Some(*first),
+                        "marker is not the lineage's next window"
+                    );
+                    continue;
+                }
+            };
+            for (edge, at) in edges {
+                match edge {
+                    Some(c) => stack.push((c, at)),
+                    None => assert_eq!(at, self.windows.len(), "lineage ends early"),
+                }
+            }
+        }
         let mut seen_versions = 0;
+        let mut seen_markers = 0;
         let mut seen_pending_windows = 0;
         for (id, node) in self.nodes.iter().enumerate() {
             let Some(node) = node else { continue };
@@ -1933,9 +1926,7 @@ impl DependencyTree {
                         "lazy vertices sit on completion edges only"
                     );
                 }
-                Node::PendingAttach {
-                    parent, windows, ..
-                } => {
+                Node::PendingAttach { parent, first, .. } => {
                     let p = parent.expect("pending-attach markers always have a parent");
                     let points_back = match self.node(p) {
                         Node::Version { child, .. } => *child == Some(id),
@@ -1947,16 +1938,19 @@ impl DependencyTree {
                         Node::Lazy { .. } | Node::PendingAttach { .. } => false,
                     };
                     assert!(points_back, "pending-attach parent link is mutual");
-                    assert!(!windows.is_empty(), "pending-attach markers hold windows");
-                    assert!(
-                        windows.windows(2).all(|w| w[0].id < w[1].id),
-                        "pending windows accumulate in id order"
+                    let at = self.window_index(*first);
+                    assert_eq!(
+                        self.windows.get(at).map(|w| w.id),
+                        Some(*first),
+                        "a marker starts at a live window"
                     );
-                    seen_pending_windows += windows.len();
+                    seen_markers += 1;
+                    seen_pending_windows += self.windows.len() - at;
                 }
             }
         }
         assert_eq!(seen_versions, self.version_count);
+        assert_eq!(seen_markers, self.marker_count);
         assert_eq!(
             seen_pending_windows, self.pending_window_count,
             "incremental pending-window counter tracks the arena"
@@ -2155,22 +2149,15 @@ mod tests {
 
         // While v0's state still holds the completion, it is vouched for:
         // the sweep must not touch anything.
-        let newer_of = |_: u64| Vec::new();
         let revoked = vec![Arc::clone(&cell)];
-        assert_eq!(
-            f.tree
-                .revoke_completions(&revoked, &newer_of, &mut f.factory),
-            0
-        );
+        assert_eq!(f.tree.revoke_completions(&revoked, &mut f.factory), 0);
         assert_eq!(suppressor(&f.tree).id(), w1.id());
 
         // v0 rolls back: the completion is discarded and reported revoked.
         let outcome = v0.rollback_state();
         assert!(!outcome.restored_checkpoint);
         assert!(outcome.revoked.iter().any(|c| c.id() == cell.id()));
-        let dropped = f
-            .tree
-            .revoke_completions(&outcome.revoked, &newer_of, &mut f.factory);
+        let dropped = f.tree.revoke_completions(&outcome.revoked, &mut f.factory);
         assert_eq!(dropped, 1, "the poisoned w1 version is replaced");
         f.tree.assert_invariants();
         assert!(w1.is_dropped());
@@ -2446,17 +2433,11 @@ mod tests {
     fn rollback_rebuild_resets_subtree() {
         let mut f = Fixture::new();
         let w1 = f.open_window(0).remove(0);
-        let w2_windows: Vec<Arc<WindowInfo>> = vec![
-            Arc::new(WindowInfo::new(1, 2, 2, 2)),
-            Arc::new(WindowInfo::new(2, 4, 4, 4)),
-        ];
         let _w2 = f.open_window(1);
         let _w3 = f.open_window(2);
         let _cg = f.create_cg(&w1);
         assert_eq!(f.tree.version_count(), 5);
-        let dropped = f
-            .tree
-            .rollback_rebuild(w1.id(), &w2_windows, Vec::new(), &mut f.factory);
+        let dropped = f.tree.rollback_rebuild(w1.id(), Vec::new(), &mut f.factory);
         f.tree.assert_invariants();
         assert_eq!(dropped, 4);
         // fresh chain: w1 + one version each of w2, w3
@@ -2470,9 +2451,8 @@ mod tests {
         let mut f = Fixture::new();
         let w1 = f.open_window(0).remove(0);
         let w2 = f.open_window(1).remove(0);
-        // Drop w2's subtree via rollback of w1 (no newer windows recreated).
-        f.tree
-            .rollback_rebuild(w1.id(), &[], Vec::new(), &mut f.factory);
+        // Drop w2's subtree via rollback of w1 (w2 is rebuilt fresh).
+        f.tree.rollback_rebuild(w1.id(), Vec::new(), &mut f.factory);
         assert!(w2.is_dropped());
         // An op from the dropped version arrives late: ignored.
         let cell = Arc::new(CgCell::new(CgId(99), 1, 1));
@@ -2580,10 +2560,7 @@ mod tests {
         let _w2 = f.open_window(1);
         let _cg = f.create_cg(&w1);
         assert_eq!(f.tree.lazy_count(), 1);
-        let w2_windows = vec![Arc::new(WindowInfo::new(1, 2, 2, 2))];
-        let dropped = f
-            .tree
-            .rollback_rebuild(w1.id(), &w2_windows, Vec::new(), &mut f.factory);
+        let dropped = f.tree.rollback_rebuild(w1.id(), Vec::new(), &mut f.factory);
         f.tree.assert_invariants();
         assert_eq!(dropped, 1, "only the materialized dependent version");
         assert_eq!(f.tree.lazy_count(), 0);
@@ -2620,10 +2597,7 @@ mod tests {
         // v0 rolls back; its completion of a is void.
         let outcome = v0.rollback_state();
         assert!(outcome.revoked.iter().any(|c| c.id() == cg_a.id()));
-        let newer_of = |_: u64| Vec::new();
-        let dropped = f
-            .tree
-            .revoke_completions(&outcome.revoked, &newer_of, &mut f.factory);
+        let dropped = f.tree.revoke_completions(&outcome.revoked, &mut f.factory);
         f.tree.assert_invariants();
         assert_eq!(dropped, 1, "the poisoned w1 version is replaced");
         assert!(poisoned.is_dropped());
@@ -2787,7 +2761,8 @@ mod tests {
     fn pending_attach_drops_free_with_losing_branch() {
         // Windows pending under a CG's abandon side vanish for free when
         // the group completes and the completion branch (rebuilt fresh)
-        // wins — and the rebuilt chain covers the pending windows.
+        // wins — and the rebuilt lineage covers the pending windows: its
+        // head is created, its tail stays pending below the head.
         let mut f = Fixture::all_lazy();
         let w1 = f.open_window(0).remove(0);
         let cg = f.create_cg(&w1);
@@ -2797,8 +2772,12 @@ mod tests {
         cg.complete();
         f.tree.cg_resolved(cg.id(), true, &mut f.factory);
         f.tree.assert_invariants();
-        assert_eq!(f.tree.pending_attach_count(), 0);
-        assert_eq!(f.tree.version_count(), 3, "w1 + rebuilt w2, w3");
+        assert_eq!(f.tree.version_count(), 2, "w1 + the rebuilt head w2");
+        assert_eq!(f.tree.pending_attach_count(), 1);
+        assert_eq!(f.tree.pending_attach_windows(), 1, "w3 pends below w2");
+        let top = f.tree.top_k(3, &|_c| 0.5, &mut f.factory);
+        f.tree.assert_invariants();
+        assert_eq!(top.len(), 3);
         for v in f.tree.versions() {
             if v.window().id > 0 {
                 assert!(
@@ -2887,17 +2866,326 @@ mod tests {
         let _ = f.open_window(1);
         let _ = f.open_window(2);
         assert_eq!(f.tree.pending_attach_windows(), 2);
-        let newer = vec![
-            Arc::new(WindowInfo::new(1, 2, 2, 2)),
-            Arc::new(WindowInfo::new(2, 4, 4, 4)),
-        ];
-        let dropped = f
-            .tree
-            .rollback_rebuild(w1.id(), &newer, Vec::new(), &mut f.factory);
+        let dropped = f.tree.rollback_rebuild(w1.id(), Vec::new(), &mut f.factory);
         f.tree.assert_invariants();
         assert_eq!(dropped, 0, "pending windows die free");
-        assert_eq!(f.tree.pending_attach_count(), 0);
-        assert_eq!(f.tree.version_count(), 3, "rollback rebuilds eagerly");
+        assert_eq!(f.tree.version_count(), 2, "rollback rebuilds the head only");
+        assert_eq!(f.tree.pending_attach_count(), 1);
+        assert_eq!(f.tree.pending_attach_windows(), 1, "w3 pends below w2");
+    }
+
+    /// All-lazy fixture with a root window and `n` windows pending below
+    /// it. Returns the fixture and the root version.
+    fn backlog(n: u64) -> (Fixture, Arc<VersionState>) {
+        let mut f = Fixture::all_lazy();
+        let root = f.open_window(0).remove(0);
+        for id in 1..=n {
+            let window = Arc::new(WindowInfo::new(id, id * 2, id * 2, id * 2));
+            f.tree.new_window(&window, &mut f.factory);
+        }
+        f.tree.assert_invariants();
+        assert_eq!(f.tree.version_count(), 1);
+        assert_eq!(f.tree.pending_attach_windows(), n as usize);
+        (f, root)
+    }
+
+    /// Materializes every thunk and returns all versions.
+    fn materialize_all(f: &mut Fixture) -> Vec<Arc<VersionState>> {
+        f.tree.top_k(usize::MAX, &|_c| 0.5, &mut f.factory);
+        f.tree.assert_invariants();
+        assert_eq!(f.tree.pending_attach_windows(), 0);
+        f.tree.versions()
+    }
+
+    fn ids(cells: &[Arc<CgCell>]) -> Vec<CgId> {
+        let mut ids: Vec<CgId> = cells.iter().map(|c| c.id()).collect();
+        ids.sort();
+        ids
+    }
+
+    #[test]
+    fn completion_over_a_backlog_creates_the_head_only() {
+        let (mut f, root) = backlog(1000);
+        let cg = f.create_cg(&root);
+        cg.complete();
+        let before = f.factory.next_wv;
+        f.tree.cg_resolved(cg.id(), true, &mut f.factory);
+        f.tree.assert_invariants();
+        assert!(f.factory.next_wv - before <= 2, "one version, not 1000");
+        assert!(f.tree.pending_attach_windows() >= 998);
+        assert_eq!(f.tree.speculative_load(), 1001);
+        let versions = materialize_all(&mut f);
+        assert_eq!(versions.len(), 1001);
+        for v in versions.iter().filter(|v| v.window().id > 0) {
+            assert_eq!(ids(v.suppressed()), vec![cg.id()]);
+        }
+    }
+
+    #[test]
+    fn rollback_over_a_backlog_creates_the_head_only() {
+        let (mut f, root) = backlog(1000);
+        // A completion that survives the rollback (restored checkpoint).
+        let carried = Arc::new(CgCell::new(CgId(77), 0, 1));
+        carried.complete();
+        let before = f.factory.next_wv;
+        let dropped =
+            f.tree
+                .rollback_rebuild(root.id(), vec![Arc::clone(&carried)], &mut f.factory);
+        f.tree.assert_invariants();
+        assert_eq!(dropped, 0);
+        assert!(f.factory.next_wv - before <= 2, "one version, not 1000");
+        assert!(f.tree.pending_attach_windows() >= 998);
+        let versions = materialize_all(&mut f);
+        assert_eq!(versions.len(), 1001);
+        for v in versions.iter().filter(|v| v.window().id > 0) {
+            assert_eq!(ids(v.suppressed()), vec![carried.id()]);
+        }
+    }
+
+    #[test]
+    fn poisoned_replacement_over_a_backlog_creates_two_versions() {
+        let mut f = Fixture::all_lazy();
+        let v0 = f.open_window(0).remove(0);
+        let _ = f.open_window(1);
+        let cg = f.create_cg(&v0);
+        cg.complete();
+        v0.lock().completed_cells.push(Arc::clone(&cg));
+        f.tree.cg_resolved(cg.id(), true, &mut f.factory);
+        for id in 2..=1001 {
+            f.open_window(id);
+        }
+        assert_eq!(f.tree.version_count(), 2, "v0 + the w1 head suppressing cg");
+        // v0 rolls back; only the sweep runs here, so the w1 version is an
+        // escapee assuming the void completion.
+        let outcome = v0.rollback_state();
+        let before = f.factory.next_wv;
+        let dropped = f.tree.revoke_completions(&outcome.revoked, &mut f.factory);
+        f.tree.assert_invariants();
+        assert_eq!(dropped, 1);
+        assert!(
+            f.factory.next_wv - before <= 2,
+            "the replacement and the head of its rebuilt lineage"
+        );
+        assert!(f.tree.pending_attach_windows() >= 998);
+        let versions = materialize_all(&mut f);
+        assert_eq!(versions.len(), 1002);
+        assert!(versions.iter().all(|v| v.suppressed().is_empty()));
+    }
+
+    #[test]
+    fn clone_fallback_over_a_backlog_creates_the_head_only() {
+        // The w1 version holds an open group the tree has not seen yet (its
+        // CgCreated op is in flight), so materializing a branch over it
+        // cannot clone: the copy falls back to a fresh lineage from w1 on.
+        let mut f = Fixture::all_lazy();
+        let root = f.open_window(0).remove(0);
+        let _ = f.open_window(1);
+        let w1 = f.tree.top_k(2, &|_c| 0.5, &mut f.factory).remove(1);
+        let unseen = Arc::new(CgCell::new(CgId(77), 1, 1));
+        w1.lock().open_cgs.push((MatchId(0), unseen));
+        for id in 2..=1001 {
+            f.open_window(id);
+        }
+        let cg = f.create_cg(&root);
+        let before = f.factory.next_wv;
+        let top = f.tree.top_k(2, &|_c| 0.9, &mut f.factory);
+        f.tree.assert_invariants();
+        assert_eq!(ids(top[1].suppressed()), vec![cg.id()], "the fallback head");
+        assert_eq!(top[1].lock().pos, 0, "fresh, not a clone");
+        assert!(f.factory.next_wv - before <= 2, "one version, not 1000");
+        assert_eq!(f.tree.pending_attach_windows(), 2000, "both lineages");
+    }
+
+    #[test]
+    fn rebuilt_tail_derives_stats_eligibility_from_the_pruned_head() {
+        // A completed group whose events all precede w1 is dead for w1:
+        // the rebuilt head's suppressed set prunes to empty (the head
+        // itself is not a statistics source — it was *created* with an
+        // assumption). The tail materializes from the head's pruned set,
+        // like every lazily attached window, so it is created with no
+        // assumption and does feed the predictor; an eager chain hands
+        // every link the unpruned set, so none of its links does.
+        let run = |tree: DependencyTree| {
+            let mut f = Fixture::with_tree(tree);
+            let root = f.open_window(0).remove(0);
+            let _ = f.open_window(1);
+            let _ = f.open_window(2);
+            let cg = f.create_cg(&root);
+            cg.add_event(1, 1, 0); // w1 starts at seq 2
+            cg.complete();
+            f.tree.cg_resolved(cg.id(), true, &mut f.factory);
+            let versions = materialize_all(&mut f);
+            let of = |w: u64| {
+                let v = versions.iter().find(|v| v.window().id == w).unwrap();
+                (v.suppressed().is_empty(), v.stats_eligible())
+            };
+            (of(1), of(2))
+        };
+        let (head, tail) = run(DependencyTree::with_modes(true, true));
+        assert_eq!(
+            head,
+            (true, false),
+            "pruned, but created with an assumption"
+        );
+        assert_eq!(tail, (true, true), "derived from the pruned head");
+        let (head, tail) = run(DependencyTree::with_modes(true, false));
+        assert_eq!((head, tail), ((true, false), (true, false)), "eager chain");
+    }
+
+    /// One step of the exhaustive walk below. Every op targets the root
+    /// version — the one version that is real in both trees whatever has
+    /// or has not materialized — so one op sequence drives both.
+    #[derive(Clone, Copy, Debug)]
+    enum Op {
+        NewWindow,
+        CgCreated,
+        CgCompleted,
+        CgAbandoned,
+        Rollback,
+        TopK,
+        RetireRoot,
+    }
+
+    const OPS: [Op; 7] = [
+        Op::NewWindow,
+        Op::CgCreated,
+        Op::CgCompleted,
+        Op::CgAbandoned,
+        Op::Rollback,
+        Op::TopK,
+        Op::RetireRoot,
+    ];
+
+    /// One version on a lineage: (window id, suppressed ids, fact ids).
+    type Link = (u64, Vec<CgId>, Vec<CgId>);
+
+    /// A tree plus the bits of runtime state the ops mirror.
+    struct Walk {
+        f: Fixture,
+        next_window: u64,
+        /// The root's open group (the runtime keeps at most one per
+        /// version).
+        open: Option<Arc<CgCell>>,
+    }
+
+    impl Walk {
+        /// Applies `op` the way the splitter would; `false` when the op
+        /// does not apply in this state (same answer in both trees: it
+        /// depends only on the op history).
+        fn apply(&mut self, op: Op) -> bool {
+            let root = self.f.tree.root_version().cloned();
+            match (op, root, self.open.clone()) {
+                (Op::NewWindow, _, _) if self.next_window < 4 => {
+                    self.f.open_window(self.next_window);
+                    self.next_window += 1;
+                }
+                (Op::CgCreated, Some(root), None) => self.open = Some(self.f.create_cg(&root)),
+                (Op::CgCompleted, Some(root), Some(cg)) => {
+                    cg.complete();
+                    root.lock().completed_cells.push(Arc::clone(&cg));
+                    self.f.tree.cg_resolved(cg.id(), true, &mut self.f.factory);
+                    self.open = None;
+                }
+                (Op::CgAbandoned, Some(_), Some(cg)) => {
+                    cg.abandon();
+                    self.f.tree.cg_resolved(cg.id(), false, &mut self.f.factory);
+                    self.open = None;
+                }
+                (Op::Rollback, Some(root), _) => {
+                    let outcome = root.rollback_state();
+                    let carried = root.lock().completed_cells.clone();
+                    let (tree, factory) = (&mut self.f.tree, &mut self.f.factory);
+                    tree.rollback_rebuild(root.id(), carried, factory);
+                    tree.revoke_completions(&outcome.revoked, factory);
+                    self.open = None;
+                }
+                // k = 2, not 1: the root alone fills k = 1 and nothing
+                // below it is ever ranked. At p = 0.9 the second slot
+                // materializes a completion thunk or a pending window.
+                (Op::TopK, Some(_), _) => {
+                    self.f.tree.top_k(2, &|_c| 0.9, &mut self.f.factory);
+                }
+                (Op::RetireRoot, Some(_), None) => {
+                    self.f.tree.retire_root(&mut self.f.factory);
+                }
+                _ => return false,
+            }
+            self.f.tree.assert_invariants();
+            true
+        }
+
+        /// Every root-to-leaf lineage of the fully materialized tree as
+        /// its (window id, suppressed ids, fact ids) sequence, sorted.
+        fn lineages(mut self) -> Vec<Vec<Link>> {
+            materialize_all(&mut self.f);
+            let tree = &self.f.tree;
+            let mut done = Vec::new();
+            let mut stack: Vec<_> = tree.root.map(|r| (r, Vec::new())).into_iter().collect();
+            while let Some((id, mut path)) = stack.pop() {
+                let edges = match tree.node(id) {
+                    Node::Version {
+                        state,
+                        child,
+                        facts,
+                        ..
+                    } => {
+                        path.push((state.window().id, ids(state.suppressed()), ids(facts)));
+                        vec![*child]
+                    }
+                    Node::Cg {
+                        completion,
+                        abandon,
+                        ..
+                    } => vec![*completion, *abandon],
+                    Node::Lazy { .. } | Node::PendingAttach { .. } => {
+                        unreachable!("fully materialized")
+                    }
+                };
+                for edge in edges {
+                    match edge {
+                        Some(c) => stack.push((c, path.clone())),
+                        None => done.push(path.clone()),
+                    }
+                }
+            }
+            done.sort();
+            done
+        }
+    }
+
+    #[test]
+    fn lazy_tails_match_eager_attach_on_every_small_op_sequence() {
+        // The property that makes lazy tails output-invisible, checked
+        // exhaustively where a counter-example is six ops long: whatever
+        // the op history, the lazy-attach tree stands for exactly the
+        // versions the eager-attach reference holds.
+        let mut checked = 0u32;
+        for lazy_branches in [true, false] {
+            for len in 1..=6u32 {
+                'seq: for code in 0..7usize.pow(len) {
+                    let mut walks = [true, false].map(|lazy_attach| Walk {
+                        f: Fixture::with_tree(DependencyTree::with_modes(
+                            lazy_branches,
+                            lazy_attach,
+                        )),
+                        next_window: 0,
+                        open: None,
+                    });
+                    let ops: Vec<Op> = (0..len).map(|i| OPS[code / 7usize.pow(i) % 7]).collect();
+                    for &op in &ops {
+                        let applied = walks.each_mut().map(|w| w.apply(op));
+                        assert_eq!(applied[0], applied[1], "{ops:?}");
+                        if !applied[0] {
+                            continue 'seq;
+                        }
+                    }
+                    let [lazy, eager] = walks.map(Walk::lineages);
+                    assert_eq!(lazy, eager, "{ops:?} (lazy branches: {lazy_branches})");
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked > 4_000, "only {checked} sequences applied");
     }
 
     #[test]

@@ -231,6 +231,14 @@ impl VersionState {
     /// independent windows"). Deliberately *not* `suppressed().is_empty()`:
     /// dead-cell pruning may empty a dependent version's set without
     /// making its processing independent in the statistical sense.
+    ///
+    /// "Created with" is the set handed to the constructor. The dependency
+    /// tree creates a lazily attached window — including every tail window
+    /// of a rebuilt lineage — from its parent version's *stored* (already
+    /// pruned) set plus the parent's facts, so a window behind a parent
+    /// whose whole history was pruned is eligible even though an eager
+    /// chain, which copies the unpruned set into every link at rebuild
+    /// time, would not have made it so.
     pub fn stats_eligible(&self) -> bool {
         self.stats_eligible
     }

@@ -232,3 +232,88 @@ fn abandon_regime_matches_sequential_while_the_predictor_refreshes() {
     let report = run_threaded(&query, events, &SpectreConfig::with_instances(2));
     check("threaded k=2", &report.complex_events, &report.metrics);
 }
+
+/// The benchmark's `spec_complete` shape: Q1 at q = 40 over ws = 200 with
+/// consumption on the seeded NYSE stream — groups mostly complete, so
+/// completion branches are rebuilt, materialized and rolled back.
+fn completion_regime() -> (Arc<spectre_query::Query>, Vec<spectre_events::Event>) {
+    let mut schema = Schema::new();
+    let config = NyseConfig {
+        symbols: 300,
+        leaders: 16,
+        events: 50_000,
+        seed: 23,
+        ..NyseConfig::default()
+    };
+    let events: Vec<_> = NyseGenerator::new(config, &mut schema).collect();
+    let query = Arc::new(queries::q1(&mut schema, 40, 200, Direction::Rising));
+    (query, events)
+}
+
+#[test]
+fn completion_regime_matches_sequential_without_rebuilding_the_backlog() {
+    // The twin of the abandon-regime test for the other half of the
+    // tree: a completion or a rollback rebuilds one version, whatever the
+    // backlog of pending windows, so the versions a run creates stay
+    // within a small multiple of the windows it retires plus the groups
+    // it opens (≈ 126 × before rebuilt tails became thunks).
+    let (query, events) = completion_regime();
+    let expected = run_sequential(&query, &events).complex_events;
+    let check = |label: &str, got: &[_], m: &MetricsSnapshot| {
+        assert_same_output(label, got, &expected);
+        assert!(m.cgs_completed > 0, "{label}: {m:?}");
+        assert!(
+            m.versions_created <= 4 * (m.windows_retired + m.cgs_created),
+            "{label}: {m:?}"
+        );
+    };
+    let mut rollbacks = 0;
+    for k in [1usize, 2, 4] {
+        let config = SpectreConfig::with_instances(k);
+        let report = run_simulated(&query, events.clone(), &config);
+        check(
+            &format!("sim k={k}"),
+            &report.complex_events,
+            &report.metrics,
+        );
+        rollbacks += report.metrics.rollbacks;
+    }
+    // Whether the threaded run rolls back depends on how far its workers
+    // trail the splitter; the simulated schedules are deterministic and
+    // k = 4 speculates deep enough to be wrong.
+    assert!(rollbacks > 0, "no simulated run rolled back");
+    let report = run_threaded(&query, events, &SpectreConfig::with_instances(2));
+    check("threaded k=2", &report.complex_events, &report.metrics);
+}
+
+#[test]
+fn versions_created_do_not_grow_with_the_backlog_cap() {
+    // The whole stream sits in the feed before the first cycle, so every
+    // run ingests up to its `max_tree_versions` cap at once and works the
+    // backlog off from there: the deepest backlog the cap allows. The
+    // versions created must not depend on that depth.
+    let (query, events) = completion_regime();
+    let expected = run_sequential(&query, &events).complex_events;
+    let created: Vec<u64> = [64usize, 256, 1024]
+        .into_iter()
+        .map(|cap| {
+            let config = SpectreConfig {
+                max_tree_versions: cap,
+                ingest_per_cycle: events.len(),
+                ..SpectreConfig::with_instances(2)
+            };
+            let report = run_simulated(&query, events.clone(), &config);
+            assert_same_output(&format!("cap={cap}"), &report.complex_events, &expected);
+            assert!(report.metrics.cgs_completed > 0);
+            report.metrics.versions_created
+        })
+        .collect();
+    let (min, max) = (
+        *created.iter().min().unwrap(),
+        *created.iter().max().unwrap(),
+    );
+    assert!(
+        max as f64 <= 1.2 * min as f64,
+        "versions created per cap: {created:?}"
+    );
+}
