@@ -2,8 +2,8 @@
 //! NYSE workload (Q1), plus the SPECTRE simulator at several instance
 //! counts, plus the threaded runtime on paper-scale streams — the
 //! batched/sharded data path against the unbatched single-shard
-//! configuration, a consumption-heavy fixture comparing the lazy
-//! dependency tree against eager subtree copies, and a *streaming* mode:
+//! configuration, a consumption-heavy fixture driving the lazy
+//! dependency tree, and a *streaming* mode:
 //! the same data-path workload fed straight from the generator into a
 //! [`SpectreEngine`] session with no `Vec` fixture at all. These are the
 //! regression-guard companions to the figure binaries in `src/bin/`.
@@ -182,25 +182,6 @@ fn consumption_fixture() -> (Arc<Query>, Vec<Event>) {
     (query, events)
 }
 
-/// The lazy tree (defaults: O(1) group creation, lazy window attach,
-/// cap 1024) against the fully eager engine — eager subtree copies *and*
-/// eager per-leaf attach — with the cap PR 2 tuned for it (512 — higher
-/// caps make eager strictly worse, since every group creation copies a
-/// subtree bounded by the cap).
-fn consumption_configs() -> [(&'static str, SpectreConfig); 2] {
-    let lazy = SpectreConfig::with_batching(2, 64, 8);
-    let eager = SpectreConfig {
-        max_tree_versions: 512,
-        ..SpectreConfig::with_batching(2, 64, 8)
-            .with_lazy_materialization(false)
-            .with_lazy_attach(false)
-    };
-    [
-        ("consumption_lazy_k2", lazy),
-        ("consumption_eager_k2", eager),
-    ]
-}
-
 /// Last metrics + output count per threaded case, stashed by
 /// [`bench_consumption`] / [`bench_streaming`] so [`emit_summary`] can
 /// report speculation metrics without re-running the (expensive) cases.
@@ -223,16 +204,15 @@ fn bench_consumption(c: &mut Criterion) {
         events.len() / 1000
     ));
     group.sample_size(2);
-    for (name, config) in consumption_configs() {
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                let report = run_threaded(&query, events.clone(), &config);
-                let out = report.complex_events.len();
-                stash_case(name, report.metrics, out);
-                black_box(out)
-            })
-        });
-    }
+    let config = SpectreConfig::with_batching(2, 64, 8);
+    group.bench_function("consumption_lazy_k2", |b| {
+        b.iter(|| {
+            let report = run_threaded(&query, events.clone(), &config);
+            let out = report.complex_events.len();
+            stash_case("consumption_lazy_k2", report.metrics, out);
+            black_box(out)
+        })
+    });
     group.finish();
 }
 

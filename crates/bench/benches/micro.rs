@@ -116,15 +116,17 @@ fn bench_factory() -> BenchFactory {
     }
 }
 
-fn populated_tree(windows: usize, cgs: usize, lazy: bool) -> (DependencyTree, BenchFactory) {
-    let mut tree = DependencyTree::with_lazy(lazy);
+/// A tree over `windows` windows whose first `cgs` windows each opened a
+/// group. Pending windows are materialized first (ties rank the earlier
+/// window first), so every creator is a real version.
+fn populated_tree(windows: usize, cgs: usize) -> (DependencyTree, BenchFactory) {
+    let mut tree = DependencyTree::new();
     let mut factory = bench_factory();
-    let mut creators = Vec::new();
     for w in 0..windows as u64 {
         let window = Arc::new(WindowInfo::new(w, w * 10, w * 10, w * 10));
-        let created = tree.new_window(&window, &mut factory);
-        creators.push(created[0].clone());
+        tree.new_window(&window, &mut factory);
     }
+    let creators = tree.top_k(windows, &|_c| 0.5, &mut factory);
     for (i, creator) in creators.iter().take(cgs).enumerate() {
         let cell = Arc::new(CgCell::new(CgId(i as u64), creator.window().id, 2));
         tree.cg_created(creator.id(), cell, &mut factory);
@@ -133,15 +135,12 @@ fn populated_tree(windows: usize, cgs: usize, lazy: bool) -> (DependencyTree, Be
 }
 
 fn bench_tree(c: &mut Criterion) {
-    // Group creation: the eager tree copies the dependent subtree per
-    // group; the lazy tree allocates two arena nodes per group.
-    c.bench_function("tree_build_8_windows_4_cgs_eager", |b| {
-        b.iter(|| black_box(populated_tree(8, 4, false).0.version_count()))
+    // Group creation allocates two arena nodes per group, whatever the
+    // size of the dependent subtree.
+    c.bench_function("tree_build_8_windows_4_cgs", |b| {
+        b.iter(|| black_box(populated_tree(8, 4).0.version_count()))
     });
-    c.bench_function("tree_build_8_windows_4_cgs_lazy", |b| {
-        b.iter(|| black_box(populated_tree(8, 4, true).0.version_count()))
-    });
-    let (mut tree, mut factory) = populated_tree(8, 4, true);
+    let (mut tree, mut factory) = populated_tree(8, 4);
     // The first selection materializes the branches it schedules; steady
     // state measures the selection walk itself.
     c.bench_function("tree_top_k_16", |b| {
@@ -186,7 +185,7 @@ fn bench_elastic(c: &mut Criterion) {
 fn bench_tree_resolution(c: &mut Criterion) {
     c.bench_function("tree_cg_create_resolve_cycle", |b| {
         b.iter(|| {
-            let (tree, _) = populated_tree(8, 4, true);
+            let (tree, _) = populated_tree(8, 4);
             black_box(tree.version_count())
         })
     });

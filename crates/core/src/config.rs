@@ -49,48 +49,19 @@ pub struct SpectreConfig {
     /// one. `1` degenerates to the original single-lock store. Output is
     /// identical for every shard count.
     pub store_shards: usize,
-    /// Soft cap on live (materialized) window versions: ingestion stalls
-    /// (once the root window is fully ingested) while the tree is larger,
-    /// bounding speculative fan-out. With lazy materialization on (the
-    /// default), group creation is O(1) and unscheduled branches hold no
-    /// version state, which doubles the affordable cap versus the eager
-    /// design's ~512 sweet spot — but the cap still matters: per-cycle
-    /// tree work (window attach at every leaf, selection walks, subtree
-    /// drops) scales with live versions whether or not they were cloned
-    /// lazily. Measured on the 1 M-event consumption bench (k = 2), the
-    /// lazy engine runs ~343 k events/s at 1024, ~252 k at 2048 and
-    /// ~50 k at 8192, so the default stays at 1024; raise it only with
-    /// enough instances to actually process the extra breadth.
+    /// Soft cap on a query's speculative load — live window versions plus
+    /// the windows pending on attach markers (see
+    /// [`DependencyTree::speculative_load`](crate::tree::DependencyTree::speculative_load)):
+    /// ingestion stalls (once the root window is fully ingested) while any
+    /// tree carries more, bounding speculative fan-out. Completion branches
+    /// and pending tails hold no version state until scheduled, but the
+    /// cap still matters: per-cycle tree work (selection walks, subtree
+    /// drops) scales with the load. Measured on the 1 M-event consumption
+    /// bench (k = 2), the engine runs ~343 k events/s at 1024, ~252 k at
+    /// 2048 and ~50 k at 8192, so the default stays at 1024; raise it only
+    /// with enough instances to actually process the extra breadth. Must be
+    /// positive: a zero cap back-pressures every event forever.
     pub max_tree_versions: usize,
-    /// Create consumption-group completion branches as lazy
-    /// (copy-on-schedule) vertices. On — the default — a branch's version
-    /// state is cloned only when the top-k selection first schedules it or
-    /// its group completes; branches dropped by an abandonment or rollback
-    /// cost nothing, making group creation O(1) in tree size. Off
-    /// reproduces the original eager subtree copy at `cg_created` for A/B
-    /// comparison. Output is identical either way (enforced by the lazy
-    /// on/off matrices in `tests/tests/smoke.rs` / `threaded.rs`).
-    pub lazy_materialization: bool,
-    /// Attach newly opened windows to the dependency tree as *pending
-    /// attach* thunks. On — the default — a leaf lineage's unscheduled
-    /// tail is one marker (a position in the tree's window sequence, no
-    /// version state), fresh versions are created only when the top-k
-    /// selection actually schedules the lineage (or the root lineage
-    /// retires into it), and a completion or rollback rebuilds one version
-    /// instead of one per waiting window. Off reproduces the original
-    /// eager per-leaf attach and eager rebuilt chains for A/B comparison
-    /// (measured 2.5–2.8 × slower on the completion-heavy `spec_complete`
-    /// stream, k = 2). Output is identical
-    /// either way (enforced by the attach on/off matrices in
-    /// `tests/tests/smoke.rs` / `threaded.rs`).
-    pub lazy_attach: bool,
-    /// Checkpoint interval in events, or `None` to roll back to the window
-    /// start (the paper's final design: "the overhead in periodically
-    /// checkpointing all window versions is much higher than the gain from
-    /// recovering from checkpoints", §3.3). `Some(n)` snapshots a version's
-    /// state at clean cuts (no open partial match) every ≥ `n` events and
-    /// restores from the snapshot on rollback when it is still consistent.
-    pub checkpoint_freq: Option<u32>,
     /// Opt-in out-of-order ingestion: `Some` interposes a watermark-driven
     /// [`ReorderBuffer`](crate::reorder::ReorderBuffer) between the session
     /// surface (`push`/`push_batch`/`ingest`) and the splitter, so events
@@ -113,9 +84,6 @@ impl Default for SpectreConfig {
             batch_size: 64,
             store_shards: 8,
             max_tree_versions: 1024,
-            lazy_materialization: true,
-            lazy_attach: true,
-            checkpoint_freq: None,
             reorder: None,
         }
     }
@@ -152,45 +120,6 @@ impl SpectreConfig {
             store_shards,
             ..Default::default()
         }
-    }
-
-    /// Returns the configuration with lazy branch materialization toggled —
-    /// `false` restores the eager subtree copy at group creation (and is
-    /// usually paired with a lower
-    /// [`max_tree_versions`](Self::max_tree_versions), since eager copies
-    /// make oversized trees expensive).
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use spectre_core::SpectreConfig;
-    ///
-    /// let eager = SpectreConfig::with_instances(4).with_lazy_materialization(false);
-    /// assert!(!eager.lazy_materialization);
-    /// assert!(SpectreConfig::default().lazy_materialization);
-    /// ```
-    #[must_use]
-    pub fn with_lazy_materialization(mut self, on: bool) -> Self {
-        self.lazy_materialization = on;
-        self
-    }
-
-    /// Returns the configuration with lazy window attach toggled — `false`
-    /// restores the eager fresh-version-per-leaf attach at window open.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use spectre_core::SpectreConfig;
-    ///
-    /// let eager = SpectreConfig::with_instances(4).with_lazy_attach(false);
-    /// assert!(!eager.lazy_attach);
-    /// assert!(SpectreConfig::default().lazy_attach);
-    /// ```
-    #[must_use]
-    pub fn with_lazy_attach(mut self, on: bool) -> Self {
-        self.lazy_attach = on;
-        self
     }
 
     /// Returns the configuration with the reorder stage enabled at the
@@ -239,8 +168,8 @@ impl SpectreConfig {
         if self.store_shards == 0 {
             return Err("store shard count must be positive".into());
         }
-        if self.checkpoint_freq == Some(0) {
-            return Err("checkpoint interval must be positive".into());
+        if self.max_tree_versions == 0 {
+            return Err("tree version cap must be positive".into());
         }
         if let PredictorKind::Fixed(p) = self.predictor {
             if !(0.0..=1.0).contains(&p) {
@@ -258,8 +187,9 @@ impl SpectreConfig {
     /// # Panics
     ///
     /// Panics on zero instances, zero check frequency, zero scheduling
-    /// period, an out-of-range fixed probability or an invalid reorder
-    /// configuration. [`try_validate`](Self::try_validate) is the
+    /// period, zero ingest or hand-off batch, zero store shards, a zero
+    /// tree version cap, an out-of-range fixed probability or an invalid
+    /// reorder configuration. [`try_validate`](Self::try_validate) is the
     /// non-panicking equivalent.
     pub fn validate(&self) {
         if let Err(msg) = self.try_validate() {

@@ -435,7 +435,6 @@ impl SpectreEngineBuilder {
                 instances: (0..config.instances)
                     .map(|i| {
                         InstanceCore::new(i, config.consistency_check_freq)
-                            .with_checkpoints(config.checkpoint_freq)
                             .with_batch(config.batch_size)
                     })
                     .collect(),
@@ -1060,15 +1059,12 @@ fn spawn_workers(shared: &Arc<SharedState>, config: &SpectreConfig) -> Vec<JoinH
         .map(|i| {
             let shared = Arc::clone(shared);
             let check_freq = config.consistency_check_freq;
-            let checkpoint_freq = config.checkpoint_freq;
             let batch_size = config.batch_size;
             std::thread::spawn(move || {
                 // Register for unparking before the first step: the worker
                 // may enter the parking tier before ever doing useful work.
                 shared.register_worker(i);
-                let mut inst = InstanceCore::new(i, check_freq)
-                    .with_checkpoints(checkpoint_freq)
-                    .with_batch(batch_size);
+                let mut inst = InstanceCore::new(i, check_freq).with_batch(batch_size);
                 instance_worker(&mut inst, &shared);
             })
         })
@@ -1196,6 +1192,26 @@ mod tests {
             streamed_before_finish > 0,
             "outputs must be committed incrementally, not only at end of run"
         );
+    }
+
+    #[test]
+    fn zero_version_cap_is_rejected_at_build() {
+        // A zero cap back-pressures from the first event (every load is
+        // ≥ 0 and an empty tree has no root to finish), so ingest would
+        // spin forever; the builder must refuse it up front.
+        let (query, _) = fixture(0, 1);
+        let config = SpectreConfig {
+            max_tree_versions: 0,
+            ..SpectreConfig::with_instances(1)
+        };
+        match SpectreEngine::builder(&query)
+            .config(config)
+            .simulated()
+            .try_build()
+        {
+            Err(EngineError::InvalidConfig(msg)) => assert!(msg.contains("version cap")),
+            other => panic!("expected InvalidConfig, got {:?}", other.err()),
+        }
     }
 
     #[test]

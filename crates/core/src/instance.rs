@@ -57,7 +57,6 @@ pub enum StepOutcome {
 pub struct InstanceCore {
     index: usize,
     check_freq: u32,
-    checkpoint_freq: Option<u32>,
     batch: usize,
     current: Option<Arc<VersionState>>,
     /// Last observed publication sequence of this instance's scheduling
@@ -90,7 +89,6 @@ impl InstanceCore {
         InstanceCore {
             index,
             check_freq,
-            checkpoint_freq: None,
             batch: 1,
             current: None,
             slot_seq: 0,
@@ -104,18 +102,6 @@ impl InstanceCore {
             run_qmetrics: None,
             run_buf: None,
         }
-    }
-
-    /// Enables periodic checkpointing (the §3.3 ablation; the paper's final
-    /// design rolls back to the window start instead).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `freq` is `Some(0)`.
-    pub fn with_checkpoints(mut self, freq: Option<u32>) -> Self {
-        assert!(freq != Some(0), "checkpoint interval must be positive");
-        self.checkpoint_freq = freq;
-        self
     }
 
     /// Sets the maximum events processed per [`step`](Self::step) (the
@@ -267,7 +253,7 @@ impl InstanceCore {
     }
 
     /// Processes one event of `wv` (suppression, detection, consumption
-    /// groups, statistics, consistency check, checkpointing). Returns
+    /// groups, statistics, consistency check). Returns
     /// `false` when a consistency violation demands a rollback.
     fn process_event(
         &mut self,
@@ -351,9 +337,8 @@ impl InstanceCore {
                             wv.query_metrics()
                                 .cgs_completed
                                 .fetch_add(1, Ordering::Relaxed);
-                            // Remember the completion: checkpoint restores
-                            // re-assert these as suppression facts for the
-                            // rebuilt dependents.
+                            // Remember the completion: a rollback revokes
+                            // it from the dependency tree.
                             inner.completed_cells.push(cg);
                         }
                         if wv.query().selection() == SelectionPolicy::EachLast {
@@ -411,33 +396,6 @@ impl InstanceCore {
             inner.steps_since_check = 0;
             if !consistency_check(wv, inner) {
                 return false;
-            }
-        }
-
-        // Checkpoint at clean cuts (§3.3 ablation): no open partial match,
-        // so restoring never resurrects an already-resolved group.
-        if let Some(freq) = self.checkpoint_freq {
-            let due = inner
-                .checkpoint
-                .as_ref()
-                .map_or(inner.pos >= freq as u64, |cp| {
-                    inner.pos - cp.pos >= freq as u64
-                });
-            if due && inner.open_cgs.is_empty() && inner.needs_new_cg.is_empty() {
-                inner.checkpoint = Some(Box::new(crate::version::Checkpoint {
-                    detector: inner.detector.clone(),
-                    pos: inner.pos,
-                    outputs: inner.outputs.clone(),
-                    used: inner.used.clone(),
-                    completed_cells: inner.completed_cells.clone(),
-                }));
-                shared
-                    .metrics
-                    .checkpoints_taken
-                    .fetch_add(1, Ordering::Relaxed);
-                wv.query_metrics()
-                    .checkpoints_taken
-                    .fetch_add(1, Ordering::Relaxed);
             }
         }
         true
@@ -553,21 +511,12 @@ impl InstanceCore {
         use std::sync::atomic::Ordering;
         shared.metrics.rollbacks.fetch_add(1, Ordering::Relaxed);
         wv.query_metrics().rollbacks.fetch_add(1, Ordering::Relaxed);
-        let outcome = wv.rollback_state();
-        if outcome.restored_checkpoint {
-            shared
-                .metrics
-                .checkpoint_restores
-                .fetch_add(1, Ordering::Relaxed);
-            wv.query_metrics()
-                .checkpoint_restores
-                .fetch_add(1, Ordering::Relaxed);
-        }
+        let revoked = wv.rollback_state();
         self.ops_buf.push((
             wv.query_id(),
             TreeOp::WvRolledBack {
                 wv: wv.id(),
-                revoked: outcome.revoked,
+                revoked,
             },
         ));
     }
@@ -815,74 +764,6 @@ mod tests {
             count += 1;
         }
         assert_eq!(count, 1);
-    }
-
-    #[test]
-    fn checkpoint_taken_at_clean_cut() {
-        // 1 (A), 9, 9, 9 …: the match at event 0 never completes, so no
-        // clean cut happens until it is abandoned; a pure-noise stream
-        // checkpoints right away.
-        let events = [ev(0, 9.0), ev(1, 9.0), ev(2, 9.0), ev(3, 9.0)];
-        let (shared, wv, inst) = setup(ConsumptionPolicy::All, &events, vec![]);
-        let mut inst = InstanceCore::new(inst.index(), 2).with_checkpoints(Some(2));
-        inst.step(&shared);
-        inst.step(&shared);
-        assert_eq!(shared.metrics.snapshot().checkpoints_taken, 1);
-        assert_eq!(wv.lock().checkpoint.as_ref().unwrap().pos, 2);
-    }
-
-    #[test]
-    fn no_checkpoint_while_match_open() {
-        // Event 0 starts a match that never completes within the window:
-        // every position has an open group, so no snapshot is taken.
-        let events = [ev(0, 1.0), ev(1, 9.0), ev(2, 9.0), ev(3, 9.0)];
-        let (shared, wv, inst) = setup(ConsumptionPolicy::All, &events, vec![]);
-        let mut inst = InstanceCore::new(inst.index(), 2).with_checkpoints(Some(1));
-        for _ in 0..4 {
-            inst.step(&shared);
-        }
-        assert_eq!(shared.metrics.snapshot().checkpoints_taken, 0);
-        assert!(wv.lock().checkpoint.is_none());
-    }
-
-    #[test]
-    fn rollback_restores_consistent_checkpoint() {
-        // Process two noise events (checkpoint at pos 2), then an A whose
-        // event is later consumed by the suppressed group → rollback must
-        // resume from pos 2, not 0.
-        let cg = Arc::new(CgCell::new(CgId(99), 0, 1));
-        let events = [ev(0, 9.0), ev(1, 9.0), ev(2, 1.0), ev(3, 9.0)];
-        let (shared, wv, inst) = setup(ConsumptionPolicy::All, &events, vec![Arc::clone(&cg)]);
-        let mut inst = InstanceCore::new(inst.index(), 2).with_checkpoints(Some(2));
-        inst.step(&shared);
-        inst.step(&shared); // checkpoint at pos 2
-        inst.step(&shared); // processes the A at seq 2
-        cg.add_event(2, 0, 0); // group consumes it retroactively
-        let out = inst.step(&shared); // check detects → rollback
-        assert_eq!(out, StepOutcome::RolledBack);
-        let snap = shared.metrics.snapshot();
-        assert_eq!(snap.rollbacks, 1);
-        assert_eq!(snap.checkpoint_restores, 1);
-        assert_eq!(wv.lock().pos, 2, "resumed from the checkpoint");
-    }
-
-    #[test]
-    fn conflicting_checkpoint_falls_back_to_full_reset() {
-        // The suppressed group consumes an event *before* the checkpoint:
-        // the snapshot itself is invalid and the reset goes to the start.
-        let cg = Arc::new(CgCell::new(CgId(99), 0, 1));
-        let events = [ev(0, 9.0), ev(1, 9.0), ev(2, 9.0), ev(3, 9.0)];
-        let (shared, wv, inst) = setup(ConsumptionPolicy::All, &events, vec![Arc::clone(&cg)]);
-        let mut inst = InstanceCore::new(inst.index(), 2).with_checkpoints(Some(2));
-        inst.step(&shared);
-        inst.step(&shared); // checkpoint at pos 2 (used = [0, 1])
-        cg.add_event(1, 0, 0); // pre-checkpoint event consumed
-        inst.step(&shared);
-        let out = inst.step(&shared);
-        assert_eq!(out, StepOutcome::RolledBack);
-        let snap = shared.metrics.snapshot();
-        assert_eq!(snap.checkpoint_restores, 0, "checkpoint was inconsistent");
-        assert_eq!(wv.lock().pos, 0, "full reset");
     }
 
     #[test]

@@ -92,25 +92,23 @@
 //! ## The lazy dependency tree
 //!
 //! Creating a consumption group nominally doubles the creator's dependent
-//! subtree. With [`SpectreConfig::lazy_materialization`] on (the default)
-//! the completion branch is a single *lazy vertex* — a thunk over the
-//! sibling abandon edge — and group creation is O(1) in tree size. The
-//! branch's version state is cloned only when the top-k selection first
-//! schedules it or its group completes; branches dropped by an
-//! abandonment, a rollback or a losing outer branch cost nothing
+//! subtree. Instead the completion branch is a single *lazy vertex* — a
+//! thunk over the sibling abandon edge — and group creation is O(1) in
+//! tree size. The branch's version state is cloned only when the top-k
+//! selection first schedules it or its group completes; branches dropped
+//! by an abandonment, a rollback or a losing outer branch cost nothing
 //! (counted by [`MetricsSnapshot::lazy_versions_dropped`]). Window attach
-//! is deferred the same way ([`SpectreConfig::lazy_attach`], default on):
-//! the tree owns the sequence of live windows, a leaf lineage's
-//! unscheduled tail is one *pending-attach marker* (the id of its first
-//! pending window), and a fresh version is created only when the
-//! selection actually schedules the lineage — one version per pop. A
-//! completion, a rollback or a poisoned-version replacement likewise
-//! rebuilds one version and leaves the rest of the sequence pending, so
-//! no tree operation costs in proportion to the windows waiting behind
-//! the versions that hold processing state.
-//! `false` restores the eager behaviors for A/B runs; the output is
-//! identical either way (enforced by the lazy/attach on/off matrices in
-//! the same test suites).
+//! is deferred the same way: the tree owns the sequence of live windows,
+//! a leaf lineage's unscheduled tail is one *pending-attach marker* (the
+//! id of its first pending window), and a fresh version is created only
+//! when the selection actually schedules the lineage — one version per
+//! pop. A completion, a rollback or a poisoned-version replacement
+//! likewise rebuilds one version and leaves the rest of the sequence
+//! pending, so no tree operation costs in proportion to the windows
+//! waiting behind the versions that hold processing state. The eager
+//! tree of the paper's figures survives only as a test reference: the
+//! small-tree harness in `tree.rs` checks exhaustively that the lazy tree
+//! stands for exactly the versions the eager one holds.
 //!
 //! ## The sparse Markov predictor
 //!

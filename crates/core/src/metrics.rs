@@ -91,10 +91,6 @@ pub struct Metrics {
     pub idle_steps: AtomicU64,
     /// Stalled instance steps (version waiting for ingestion).
     pub stalled_steps: AtomicU64,
-    /// State snapshots taken (checkpointing ablation, §3.3).
-    pub checkpoints_taken: AtomicU64,
-    /// Rollbacks served from a checkpoint instead of the window start.
-    pub checkpoint_restores: AtomicU64,
     /// Complex events committed (appended to the output stream at window
     /// retirement).
     pub outputs_emitted: AtomicU64,
@@ -233,8 +229,6 @@ impl Metrics {
             windows_retired: self.windows_retired.load(Ordering::Relaxed),
             idle_steps,
             stalled_steps,
-            checkpoints_taken: self.checkpoints_taken.load(Ordering::Relaxed),
-            checkpoint_restores: self.checkpoint_restores.load(Ordering::Relaxed),
             outputs_emitted: self.outputs_emitted.load(Ordering::Relaxed),
             store_windows_opened: self.store_windows_opened.load(Ordering::Relaxed),
             windows_skipped: self.windows_skipped.load(Ordering::Relaxed),
@@ -267,8 +261,6 @@ pub struct MetricsSnapshot {
     pub windows_retired: u64,
     pub idle_steps: u64,
     pub stalled_steps: u64,
-    pub checkpoints_taken: u64,
-    pub checkpoint_restores: u64,
     pub outputs_emitted: u64,
     pub store_windows_opened: u64,
     pub windows_skipped: u64,
@@ -303,8 +295,6 @@ impl MetricsSnapshot {
             windows_retired,
             idle_steps,
             stalled_steps,
-            checkpoints_taken,
-            checkpoint_restores,
             outputs_emitted,
             store_windows_opened,
             windows_skipped,
@@ -330,8 +320,6 @@ impl MetricsSnapshot {
         self.windows_retired += windows_retired;
         self.idle_steps += idle_steps;
         self.stalled_steps += stalled_steps;
-        self.checkpoints_taken += checkpoints_taken;
-        self.checkpoint_restores += checkpoint_restores;
         self.outputs_emitted += outputs_emitted;
         self.store_windows_opened += store_windows_opened;
         self.windows_skipped += windows_skipped;

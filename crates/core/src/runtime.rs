@@ -6,11 +6,10 @@
 //! The output is identical to the sequential reference engine regardless of
 //! thread interleavings; the consistency checks and the final validation at
 //! retirement make speculation transparent. Consumption-heavy workloads
-//! lean on the lazy dependency tree
-//! ([`SpectreConfig::lazy_materialization`], on by default): the splitter
-//! thread creates consumption groups in O(1) and clones a completion
-//! branch only when it actually schedules it onto an instance, which is
-//! what lets million-event speculative streams sustain throughput.
+//! lean on the lazy dependency tree: the splitter thread creates
+//! consumption groups in O(1) and clones a completion branch only when it
+//! actually schedules it onto an instance, which is what lets
+//! million-event speculative streams sustain throughput.
 
 use std::sync::Arc;
 use std::time::Duration;

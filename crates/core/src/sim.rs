@@ -20,10 +20,10 @@
 //! faithfully because the *same* tree, predictor, scheduler and consistency
 //! machinery run underneath. Everything is single-threaded and seeded-free,
 //! so runs are bit-for-bit reproducible. Lazy branch materialization
-//! ([`SpectreConfig::lazy_materialization`]) happens inside the splitter's
-//! maintenance cycle, so the virtual-time model is unchanged; the
-//! `versions_materialized` / `lazy_versions_dropped` counters in the
-//! report expose how much cloning the predictor's ranking avoided.
+//! happens inside the splitter's maintenance cycle, so the virtual-time
+//! model is unchanged; the `versions_materialized` /
+//! `lazy_versions_dropped` counters in the report expose how much cloning
+//! the predictor's ranking avoided.
 
 use std::sync::Arc;
 use std::time::Duration;

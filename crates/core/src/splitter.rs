@@ -268,20 +268,14 @@ impl QueryState {
             TreeOp::WvRolledBack { wv, revoked } => {
                 // The version restarted; a previous finish ack is void.
                 self.finished_acked.remove(&wv);
-                if let Some(version) = self.tree.version(wv) {
-                    // Completions surviving the rollback (the restored
-                    // checkpoint's, if one was restored; empty otherwise)
-                    // stay facts for the rebuilt dependents.
-                    let carried = version.lock().completed_cells.clone();
-                    let dropped = self.tree.rollback_rebuild(wv, carried, factory) as u64;
-                    if dropped > 0 {
-                        global
-                            .versions_dropped
-                            .fetch_add(dropped, Ordering::Relaxed);
-                        self.metrics
-                            .versions_dropped
-                            .fetch_add(dropped, Ordering::Relaxed);
-                    }
+                let dropped = self.tree.rollback_rebuild(wv, factory) as u64;
+                if dropped > 0 {
+                    global
+                        .versions_dropped
+                        .fetch_add(dropped, Ordering::Relaxed);
+                    self.metrics
+                        .versions_dropped
+                        .fetch_add(dropped, Ordering::Relaxed);
                 }
                 // Even when the version itself is already gone (stale op),
                 // its discarded completions may survive in state copies
@@ -591,10 +585,7 @@ impl Splitter {
             query,
             group,
             offset,
-            tree: DependencyTree::with_modes(
-                self.config.lazy_materialization,
-                self.config.lazy_attach,
-            ),
+            tree: DependencyTree::new(),
             predictor,
             filter,
             deferred: VecDeque::new(),
@@ -1255,20 +1246,10 @@ impl Splitter {
             shared.metrics.rollbacks.fetch_add(1, Ordering::Relaxed);
             qs.metrics.rollbacks.fetch_add(1, Ordering::Relaxed);
             qs.finished_acked.remove(&root.id());
-            let outcome = root.rollback_state();
-            if outcome.restored_checkpoint {
-                shared
-                    .metrics
-                    .checkpoint_restores
-                    .fetch_add(1, Ordering::Relaxed);
-                qs.metrics
-                    .checkpoint_restores
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            let carried = root.lock().completed_cells.clone();
+            let revoked = root.rollback_state();
             let mut factory = SplitterFactory::for_query(&shared, qs);
-            let dropped = qs.tree.rollback_rebuild(root.id(), carried, &mut factory) as u64;
-            qs.revoke(&shared.metrics, &outcome.revoked, &mut factory);
+            let dropped = qs.tree.rollback_rebuild(root.id(), &mut factory) as u64;
+            qs.revoke(&shared.metrics, &revoked, &mut factory);
             qs.finished_acked.extend(factory.acked_clones);
             if dropped > 0 {
                 shared

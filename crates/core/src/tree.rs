@@ -24,10 +24,8 @@
 //! Creating a CG nominally *doubles* the creator's dependent subtree —
 //! O(tree) state cloning per group, which dominates consumption-heavy
 //! workloads (most cloned branches are dropped before ever being
-//! scheduled). When lazy materialization is on (the default,
-//! [`SpectreConfig::lazy_materialization`](crate::SpectreConfig::lazy_materialization)),
-//! [`cg_created`](DependencyTree::cg_created) instead installs a single
-//! `Lazy` vertex on the completion edge: a thunk whose
+//! scheduled). [`cg_created`](DependencyTree::cg_created) instead installs
+//! a single `Lazy` vertex on the completion edge: a thunk whose
 //! materialization source is the sibling abandon edge and whose
 //! suppressed-set delta is the owning CG's cell. The branch is
 //! [materialized](DependencyTree::top_k) — cloned from the *current*
@@ -42,9 +40,8 @@
 //! # The window sequence and pending tails
 //!
 //! The tree owns the ascending sequence of live windows, and every
-//! root-to-leaf lineage covers exactly that sequence. With lazy attach on
-//! (the default, [`SpectreConfig::lazy_attach`](crate::SpectreConfig::lazy_attach))
-//! a lineage's not-yet-scheduled tail is one `PendingAttach` marker holding
+//! root-to-leaf lineage covers exactly that sequence. A lineage's
+//! not-yet-scheduled tail is one `PendingAttach` marker holding
 //! only the id of its first pending window: opening a window is no work on
 //! a lineage that ends in a marker, and a completion, a rollback or a
 //! poisoned-version replacement rebuilds *one* fresh version with the rest
@@ -52,6 +49,14 @@
 //! its parent when it materializes, so the tail needs no state of its own,
 //! and no tree operation walks or copies the windows waiting behind the
 //! versions that hold processing state.
+//!
+//! # The eager reference
+//!
+//! Test builds can also construct the eager tree of the paper's figures
+//! (`with_modes`): completion branches copied at group creation, one fresh
+//! version per leaf per window. It is no runtime mode; the structural unit
+//! tests pin its shapes, and an exhaustive small-tree harness checks that
+//! the lazy tree stands for exactly the versions it holds.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -159,15 +164,14 @@ pub struct DependencyTree {
     version_vertex: HashMap<u64, NodeId>,
     cg_vertices: HashMap<CgId, Vec<NodeId>>,
     version_count: usize,
-    /// When set (the default), completion branches are created as lazy
-    /// vertices and cloned only on demand; when clear,
-    /// [`cg_created`](Self::cg_created) copies the dependent subtree
-    /// eagerly (the original behavior, kept for A/B comparison).
+    /// Completion branches are lazy vertices, cloned only on demand. Always
+    /// set outside tests; clear, [`cg_created`](Self::cg_created) copies
+    /// the dependent subtree eagerly (the test reference).
     lazy: bool,
-    /// When set (the default), newly opened windows are recorded on
-    /// pending-attach markers (one per leaf lineage) instead of eagerly
-    /// creating one fresh version per leaf; when clear,
-    /// [`new_window`](Self::new_window) attaches eagerly.
+    /// Newly opened windows are recorded on pending-attach markers (one
+    /// per leaf lineage). Always set outside tests; clear,
+    /// [`new_window`](Self::new_window) creates one fresh version per leaf
+    /// and rebuilds create whole chains (the test reference).
     lazy_attach: bool,
     /// Monotonic stamp source for thunk vertices (lazy branches and
     /// pending-attach markers).
@@ -194,29 +198,9 @@ impl Default for DependencyTree {
 }
 
 impl DependencyTree {
-    /// Creates an empty tree with lazy completion branches *and* lazy
-    /// window attach (the defaults).
+    /// Creates an empty tree with lazy completion branches and lazy window
+    /// attach.
     pub fn new() -> Self {
-        Self::with_modes(true, true)
-    }
-
-    /// Creates an empty tree that copies completion branches eagerly at
-    /// [`cg_created`](Self::cg_created) and attaches windows eagerly (the
-    /// fully pre-lazy behavior).
-    pub fn eager() -> Self {
-        Self::with_modes(false, false)
-    }
-
-    /// Creates an empty tree with the given completion-branch
-    /// materialization mode and *eager* window attach (the PR-3
-    /// configuration; the structural unit tests pin this shape).
-    pub fn with_lazy(lazy: bool) -> Self {
-        Self::with_modes(lazy, false)
-    }
-
-    /// Creates an empty tree with the given completion-branch and window-
-    /// attach materialization modes.
-    pub fn with_modes(lazy: bool, lazy_attach: bool) -> Self {
         DependencyTree {
             nodes: Vec::new(),
             free: Vec::new(),
@@ -225,13 +209,24 @@ impl DependencyTree {
             version_vertex: HashMap::new(),
             cg_vertices: HashMap::new(),
             version_count: 0,
-            lazy,
-            lazy_attach,
+            lazy: true,
+            lazy_attach: true,
             next_thunk_stamp: 0,
             marker_count: 0,
             pending_window_count: 0,
             versions_materialized: 0,
             lazy_versions_dropped: 0,
+        }
+    }
+
+    /// Creates an empty tree with the given completion-branch and window-
+    /// attach modes; `(false, false)` is the eager reference.
+    #[cfg(test)]
+    pub fn with_modes(lazy: bool, lazy_attach: bool) -> Self {
+        DependencyTree {
+            lazy,
+            lazy_attach,
+            ..Self::new()
         }
     }
 
@@ -639,8 +634,8 @@ impl DependencyTree {
     /// the head version is created and the tail stays pending below it —
     /// a marker derives its context from the parent version's suppressed
     /// set and facts, which is exactly `suppression` — so a rebuild costs
-    /// one version however many windows wait behind it. Eager attach
-    /// creates one version per window.
+    /// one version however many windows wait behind it. The eager
+    /// reference creates one version per window.
     fn fresh_chain(
         &mut self,
         from: usize,
@@ -1304,19 +1299,9 @@ impl DependencyTree {
     /// version: all consumption groups the invalid processing produced (and
     /// every version speculating on them) are discarded, and a fresh
     /// lineage over the newer live windows takes their place (see
-    /// DESIGN.md §6) — under lazy attach one version plus a marker,
-    /// whatever the backlog. Returns the number of versions dropped.
-    ///
-    /// `carried_facts` are completions that *survive* the rollback — empty
-    /// for a reset to the window start, or the completions preceding the
-    /// restored checkpoint (their events stay consumed in the restarted
-    /// world, so the rebuilt dependents must suppress them).
-    pub fn rollback_rebuild(
-        &mut self,
-        wv: WvId,
-        carried_facts: Vec<Arc<CgCell>>,
-        f: &mut dyn VersionFactory,
-    ) -> usize {
+    /// DESIGN.md §6) — one version plus a marker, whatever the backlog.
+    /// Returns the number of versions dropped.
+    pub fn rollback_rebuild(&mut self, wv: WvId, f: &mut dyn VersionFactory) -> usize {
         let Some(&vnode) = self.version_vertex.get(&wv.0) else {
             return 0;
         };
@@ -1324,21 +1309,19 @@ impl DependencyTree {
             unreachable!()
         };
         let (old_child, after) = (*child, self.window_index(state.window().id + 1));
-        let mut suppressed = state.suppressed().to_vec();
-        suppressed.extend(carried_facts.iter().cloned());
+        let suppressed = state.suppressed().to_vec();
         let mut dropped = 0;
         if let Some(c) = old_child {
             dropped += self.drop_subtree(c);
         }
         {
             // The version restarts: its previous completions (and any facts
-            // they recorded) came from processing that is now invalid —
-            // except the carried ones, which the restored state keeps.
+            // they recorded) came from processing that is now invalid.
             let Node::Version { child, facts, .. } = self.node_mut(vnode) else {
                 unreachable!()
             };
             *child = None;
-            *facts = carried_facts;
+            facts.clear();
         }
         if let Some(head) = self.fresh_chain(after, &suppressed, f) {
             self.set_parent(head, vnode);
@@ -2024,32 +2007,27 @@ mod tests {
     }
 
     impl Fixture {
-        /// Eager fixture: the pre-lazy behavior most structural tests
-        /// specify (copies made at `cg_created` time).
+        /// Eager fixture: the reference most structural tests specify
+        /// (copies made at `cg_created` time).
         fn new() -> Self {
-            Self::with_lazy(false)
+            Self::with_tree(DependencyTree::with_modes(false, false))
         }
 
         /// Lazy fixture: completion branches defer until scheduled
         /// (window attach stays eager, pinning the PR-3 shapes).
         fn lazy() -> Self {
-            Self::with_lazy(true)
+            Self::with_tree(DependencyTree::with_modes(true, false))
         }
 
-        /// All-lazy fixture: lazy completion branches *and* lazy window
-        /// attach.
+        /// All-lazy fixture: the runtime tree.
         fn all_lazy() -> Self {
-            Self::with_tree(DependencyTree::with_modes(true, true))
+            Self::with_tree(DependencyTree::new())
         }
 
         /// Eager completion-branch copies with lazy window attach (the
         /// odd quadrant: markers must survive subtree copies).
         fn eager_branches_lazy_attach() -> Self {
             Self::with_tree(DependencyTree::with_modes(false, true))
-        }
-
-        fn with_lazy(lazy: bool) -> Self {
-            Self::with_tree(DependencyTree::with_lazy(lazy))
         }
 
         fn with_tree(tree: DependencyTree) -> Self {
@@ -2154,10 +2132,9 @@ mod tests {
         assert_eq!(suppressor(&f.tree).id(), w1.id());
 
         // v0 rolls back: the completion is discarded and reported revoked.
-        let outcome = v0.rollback_state();
-        assert!(!outcome.restored_checkpoint);
-        assert!(outcome.revoked.iter().any(|c| c.id() == cell.id()));
-        let dropped = f.tree.revoke_completions(&outcome.revoked, &mut f.factory);
+        let revoked = v0.rollback_state();
+        assert!(revoked.iter().any(|c| c.id() == cell.id()));
+        let dropped = f.tree.revoke_completions(&revoked, &mut f.factory);
         assert_eq!(dropped, 1, "the poisoned w1 version is replaced");
         f.tree.assert_invariants();
         assert!(w1.is_dropped());
@@ -2437,7 +2414,7 @@ mod tests {
         let _w3 = f.open_window(2);
         let _cg = f.create_cg(&w1);
         assert_eq!(f.tree.version_count(), 5);
-        let dropped = f.tree.rollback_rebuild(w1.id(), Vec::new(), &mut f.factory);
+        let dropped = f.tree.rollback_rebuild(w1.id(), &mut f.factory);
         f.tree.assert_invariants();
         assert_eq!(dropped, 4);
         // fresh chain: w1 + one version each of w2, w3
@@ -2452,7 +2429,7 @@ mod tests {
         let w1 = f.open_window(0).remove(0);
         let w2 = f.open_window(1).remove(0);
         // Drop w2's subtree via rollback of w1 (w2 is rebuilt fresh).
-        f.tree.rollback_rebuild(w1.id(), Vec::new(), &mut f.factory);
+        f.tree.rollback_rebuild(w1.id(), &mut f.factory);
         assert!(w2.is_dropped());
         // An op from the dropped version arrives late: ignored.
         let cell = Arc::new(CgCell::new(CgId(99), 1, 1));
@@ -2560,7 +2537,7 @@ mod tests {
         let _w2 = f.open_window(1);
         let _cg = f.create_cg(&w1);
         assert_eq!(f.tree.lazy_count(), 1);
-        let dropped = f.tree.rollback_rebuild(w1.id(), Vec::new(), &mut f.factory);
+        let dropped = f.tree.rollback_rebuild(w1.id(), &mut f.factory);
         f.tree.assert_invariants();
         assert_eq!(dropped, 1, "only the materialized dependent version");
         assert_eq!(f.tree.lazy_count(), 0);
@@ -2595,9 +2572,9 @@ mod tests {
         assert!(poisoned.suppressed().iter().any(|c| c.id() == cg_a.id()));
 
         // v0 rolls back; its completion of a is void.
-        let outcome = v0.rollback_state();
-        assert!(outcome.revoked.iter().any(|c| c.id() == cg_a.id()));
-        let dropped = f.tree.revoke_completions(&outcome.revoked, &mut f.factory);
+        let revoked = v0.rollback_state();
+        assert!(revoked.iter().any(|c| c.id() == cg_a.id()));
+        let dropped = f.tree.revoke_completions(&revoked, &mut f.factory);
         f.tree.assert_invariants();
         assert_eq!(dropped, 1, "the poisoned w1 version is replaced");
         assert!(poisoned.is_dropped());
@@ -2866,7 +2843,7 @@ mod tests {
         let _ = f.open_window(1);
         let _ = f.open_window(2);
         assert_eq!(f.tree.pending_attach_windows(), 2);
-        let dropped = f.tree.rollback_rebuild(w1.id(), Vec::new(), &mut f.factory);
+        let dropped = f.tree.rollback_rebuild(w1.id(), &mut f.factory);
         f.tree.assert_invariants();
         assert_eq!(dropped, 0, "pending windows die free");
         assert_eq!(f.tree.version_count(), 2, "rollback rebuilds the head only");
@@ -2924,22 +2901,15 @@ mod tests {
     #[test]
     fn rollback_over_a_backlog_creates_the_head_only() {
         let (mut f, root) = backlog(1000);
-        // A completion that survives the rollback (restored checkpoint).
-        let carried = Arc::new(CgCell::new(CgId(77), 0, 1));
-        carried.complete();
         let before = f.factory.next_wv;
-        let dropped =
-            f.tree
-                .rollback_rebuild(root.id(), vec![Arc::clone(&carried)], &mut f.factory);
+        let dropped = f.tree.rollback_rebuild(root.id(), &mut f.factory);
         f.tree.assert_invariants();
         assert_eq!(dropped, 0);
         assert!(f.factory.next_wv - before <= 2, "one version, not 1000");
         assert!(f.tree.pending_attach_windows() >= 998);
         let versions = materialize_all(&mut f);
         assert_eq!(versions.len(), 1001);
-        for v in versions.iter().filter(|v| v.window().id > 0) {
-            assert_eq!(ids(v.suppressed()), vec![carried.id()]);
-        }
+        assert!(versions.iter().all(|v| v.suppressed().is_empty()));
     }
 
     #[test]
@@ -2957,9 +2927,9 @@ mod tests {
         assert_eq!(f.tree.version_count(), 2, "v0 + the w1 head suppressing cg");
         // v0 rolls back; only the sweep runs here, so the w1 version is an
         // escapee assuming the void completion.
-        let outcome = v0.rollback_state();
+        let revoked = v0.rollback_state();
         let before = f.factory.next_wv;
-        let dropped = f.tree.revoke_completions(&outcome.revoked, &mut f.factory);
+        let dropped = f.tree.revoke_completions(&revoked, &mut f.factory);
         f.tree.assert_invariants();
         assert_eq!(dropped, 1);
         assert!(
@@ -3092,11 +3062,10 @@ mod tests {
                     self.open = None;
                 }
                 (Op::Rollback, Some(root), _) => {
-                    let outcome = root.rollback_state();
-                    let carried = root.lock().completed_cells.clone();
+                    let revoked = root.rollback_state();
                     let (tree, factory) = (&mut self.f.tree, &mut self.f.factory);
-                    tree.rollback_rebuild(root.id(), carried, factory);
-                    tree.revoke_completions(&outcome.revoked, factory);
+                    tree.rollback_rebuild(root.id(), factory);
+                    tree.revoke_completions(&revoked, factory);
                     self.open = None;
                 }
                 // k = 2, not 1: the root alone fills k = 1 and nothing
@@ -3158,7 +3127,8 @@ mod tests {
         // The property that makes lazy tails output-invisible, checked
         // exhaustively where a counter-example is six ops long: whatever
         // the op history, the lazy-attach tree stands for exactly the
-        // versions the eager-attach reference holds.
+        // versions the eager-attach reference holds, and has created no
+        // more of them on the way.
         let mut checked = 0u32;
         for lazy_branches in [true, false] {
             for len in 1..=6u32 {
@@ -3179,13 +3149,18 @@ mod tests {
                             continue 'seq;
                         }
                     }
+                    let [created, eager_created] = walks.each_ref().map(|w| w.f.factory.next_wv);
+                    assert!(
+                        created <= eager_created,
+                        "{ops:?}: lazy attach created {created} versions, eager {eager_created}"
+                    );
                     let [lazy, eager] = walks.map(Walk::lineages);
                     assert_eq!(lazy, eager, "{ops:?} (lazy branches: {lazy_branches})");
                     checked += 1;
                 }
             }
         }
-        assert!(checked > 4_000, "only {checked} sequences applied");
+        assert_eq!(checked, 5_328, "sequences applied in both branch modes");
     }
 
     #[test]

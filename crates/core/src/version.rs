@@ -54,39 +54,8 @@ pub struct VersionInner {
     pub needs_new_cg: Vec<MatchId>,
     /// Events processed since the last consistency check.
     pub steps_since_check: u32,
-    /// Consumption groups this version has *completed* so far. Carried as
-    /// facts when the version rolls back to a checkpoint past their
-    /// completion (the rebuilt dependents must still suppress them).
-    pub completed_cells: Vec<Arc<CgCell>>,
-    /// Last snapshot taken at a clean cut (checkpointing ablation, §3.3).
-    pub checkpoint: Option<Box<Checkpoint>>,
-}
-
-/// Outcome of [`VersionState::rollback_state`].
-#[derive(Debug)]
-pub struct RollbackOutcome {
-    /// `true` when a checkpoint was restored rather than a full reset.
-    pub restored_checkpoint: bool,
-    /// Consumption groups the discarded processing had completed that the
-    /// rollback does not carry over; their completion is void and must be
-    /// revoked from the dependency tree.
-    pub revoked: Vec<Arc<CgCell>>,
-}
-
-/// A state snapshot taken at a *clean cut*: no partial match (and hence no
-/// open consumption group) was active, so restoring it never resurrects a
-/// group the dependency tree has already resolved.
-#[derive(Debug, Clone)]
-pub struct Checkpoint {
-    /// Detector state at the cut.
-    pub detector: WindowDetector,
-    /// Relative position at the cut.
-    pub pos: u64,
-    /// Buffered outputs at the cut.
-    pub outputs: Vec<ComplexEvent>,
-    /// Processed events at the cut (sorted).
-    pub used: Vec<Seq>,
-    /// Groups completed before the cut.
+    /// Consumption groups this version has *completed* so far. A rollback
+    /// reports them revoked; a speculative clone inherits them as facts.
     pub completed_cells: Vec<Arc<CgCell>>,
 }
 
@@ -102,7 +71,6 @@ impl VersionInner {
             needs_new_cg: Vec::new(),
             steps_since_check: 0,
             completed_cells: Vec::new(),
-            checkpoint: None,
         }
     }
 }
@@ -288,59 +256,17 @@ impl VersionState {
         self.finished.store(false, Ordering::Release);
     }
 
-    /// Rolls the version back: restores the latest checkpoint if one exists
-    /// and is still consistent with the suppressed groups, otherwise resets
-    /// to the window start.
-    ///
-    /// A checkpoint is consistent when none of its processed events belongs
-    /// to a currently suppressed group — the same criterion the periodic
-    /// consistency check applies to live state (paper Fig. 8).
-    ///
-    /// The outcome reports the consumption groups the discarded processing
-    /// had *completed* that do not survive the rollback. Their completion
-    /// was speculative output of processing that never happened in the
-    /// restarted timeline; the splitter must revoke them from the
-    /// dependency tree (versions elsewhere in the tree may still suppress
-    /// their events based on the void completion — see
+    /// Rolls the version back to the window start ([`reset`](Self::reset))
+    /// and returns the consumption groups the discarded processing had
+    /// *completed*. Their completion was speculative output of processing
+    /// that never happens in the restarted timeline; the splitter must
+    /// revoke them from the dependency tree (versions elsewhere in the tree
+    /// may still suppress their events based on the void completion — see
     /// [`DependencyTree::revoke_completions`](crate::tree::DependencyTree::revoke_completions)).
-    pub fn rollback_state(&self) -> RollbackOutcome {
-        let mut inner = self.inner.lock();
-        let before = inner.completed_cells.clone();
-        let restorable = inner.checkpoint.as_ref().is_some_and(|cp| {
-            self.suppressed
-                .iter()
-                .all(|cg| !cg.intersects_sorted(&cp.used))
-        });
-        if !restorable {
-            drop(inner);
-            self.reset();
-            return RollbackOutcome {
-                restored_checkpoint: false,
-                revoked: before,
-            };
-        }
-        for (_, cg) in inner.open_cgs.drain(..) {
-            cg.abandon();
-        }
-        let cp = inner.checkpoint.clone().expect("checked above");
-        inner.detector = cp.detector.clone();
-        inner.pos = cp.pos;
-        inner.outputs = cp.outputs.clone();
-        inner.used = cp.used.clone();
-        inner.completed_cells = cp.completed_cells.clone();
-        inner.needs_new_cg.clear();
-        inner.seen_versions = vec![0; self.suppressed.len()];
-        inner.steps_since_check = 0;
-        self.finished.store(false, Ordering::Release);
-        let surviving = &inner.completed_cells;
-        let revoked = before
-            .into_iter()
-            .filter(|c| !surviving.iter().any(|k| k.id() == c.id()))
-            .collect();
-        RollbackOutcome {
-            restored_checkpoint: true,
-            revoked,
-        }
+    pub fn rollback_state(&self) -> Vec<Arc<CgCell>> {
+        let revoked = std::mem::take(&mut self.inner.lock().completed_cells);
+        self.reset();
+        revoked
     }
 
     /// Clones this version's full processing state into a new speculative
@@ -486,6 +412,34 @@ mod tests {
         assert!(inner.outputs.is_empty());
         assert!(inner.open_cgs.is_empty());
         assert_eq!(cg.status(), crate::cg::CgStatus::Abandoned);
+    }
+
+    #[test]
+    fn rollback_resets_to_the_start_and_revokes_every_completion() {
+        let v = version(vec![]);
+        let done: Vec<_> = (0..2)
+            .map(|i| Arc::new(CgCell::new(CgId(i), 0, 1)))
+            .collect();
+        let open = Arc::new(CgCell::new(CgId(2), 0, 2));
+        {
+            let mut inner = v.lock();
+            inner.pos = 3;
+            inner.used = vec![0, 1, 2];
+            inner.completed_cells = done.clone();
+            inner.open_cgs.push((MatchId(0), Arc::clone(&open)));
+        }
+        v.mark_finished();
+        let revoked = v.rollback_state();
+        assert_eq!(
+            revoked.iter().map(|c| c.id()).collect::<Vec<_>>(),
+            vec![CgId(0), CgId(1)]
+        );
+        assert_eq!(open.status(), crate::cg::CgStatus::Abandoned);
+        assert!(!v.is_finished());
+        let inner = v.lock();
+        assert_eq!(inner.pos, 0);
+        assert!(inner.completed_cells.is_empty());
+        assert!(inner.open_cgs.is_empty());
     }
 
     #[test]

@@ -44,8 +44,6 @@ pub(crate) fn render(shared: &ServerShared) -> String {
         windows_retired,
         idle_steps,
         stalled_steps,
-        checkpoints_taken,
-        checkpoint_restores,
         outputs_emitted,
         store_windows_opened,
         windows_skipped,
@@ -107,16 +105,6 @@ pub(crate) fn render(shared: &ServerShared) -> String {
     counter(&mut out, "spectre_engine_windows_retired", windows_retired);
     counter(&mut out, "spectre_engine_idle_steps", idle_steps);
     counter(&mut out, "spectre_engine_stalled_steps", stalled_steps);
-    counter(
-        &mut out,
-        "spectre_engine_checkpoints_taken",
-        checkpoints_taken,
-    );
-    counter(
-        &mut out,
-        "spectre_engine_checkpoint_restores",
-        checkpoint_restores,
-    );
     counter(&mut out, "spectre_engine_outputs_emitted", outputs_emitted);
     counter(
         &mut out,

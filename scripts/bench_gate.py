@@ -6,7 +6,7 @@ Usage: bench_gate.py <baseline.json> <current.json> [--tolerance 0.30]
 The gate is deliberately generous (default ±30 %): it exists to catch
 wholesale hot-path regressions (a 2x slowdown, a tree-size explosion), not
 to chase machine noise. Gated cases cover the legacy Vec-fed threaded
-paths (batched/unbatched, consumption lazy/eager) and the generator-fed
+paths (batched/unbatched, consumption-heavy) and the generator-fed
 streaming engine session (`streaming_k2`), so both the one-shot wrappers
 and the incremental `SpectreEngine` surface are under the same trend
 tracking. Throughput may drop by at most `tolerance`;

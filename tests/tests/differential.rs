@@ -185,29 +185,6 @@ fn slow_ingestion_is_transparent() {
 }
 
 #[test]
-fn checkpointing_is_transparent() {
-    // §3.3 ablation: recovering from checkpoints instead of the window
-    // start must never change the output, whatever the interval.
-    let mut schema = Schema::new();
-    let events: Vec<_> = NyseGenerator::new(NyseConfig::small(1500, 59), &mut schema).collect();
-    let query = Arc::new(queries::q2(&mut schema, 60.0, 140.0, 300, 60));
-    let expected = spectre_baselines::run_sequential(&query, &events).complex_events;
-    for freq in [Some(8u32), Some(64), Some(1024), None] {
-        let config = SpectreConfig {
-            instances: 4,
-            checkpoint_freq: freq,
-            ..Default::default()
-        };
-        let report = run_simulated(&query, events.clone(), &config);
-        assert_same_output(
-            &format!("checkpoint_freq={freq:?}"),
-            &report.complex_events,
-            &expected,
-        );
-    }
-}
-
-#[test]
 fn empty_stream_produces_empty_output() {
     let mut schema = Schema::new();
     let query = Arc::new(queries::q1(&mut schema, 2, 100, Direction::Rising));

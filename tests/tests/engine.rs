@@ -2,7 +2,7 @@
 //! [`SpectreEngine`] — in chunks, or one pushed event at a time with
 //! back-pressure retries — must produce output bit-identical to the legacy
 //! one-shot `Vec` path, in both execution modes, across the seeded NYSE
-//! equivalence matrix (k × batch × lazy). Plus the socket-free wire-framing
+//! equivalence matrix (k × batch). Plus the socket-free wire-framing
 //! round trip: NYSE stream → length-prefixed frames → [`FramedSource`] →
 //! engine session.
 
@@ -85,26 +85,23 @@ fn stream_by_push(
 #[test]
 fn sim_streaming_matches_vec_path_across_the_matrix() {
     let (query, events) = fixture(2_000, 42);
-    for lazy in [true, false] {
-        for k in [1usize, 2, 4] {
-            for batch in [1usize, 64] {
-                let config =
-                    SpectreConfig::with_batching(k, batch, 8).with_lazy_materialization(lazy);
-                let expected = run_simulated(&query, events.clone(), &config).complex_events;
-                assert!(!expected.is_empty());
-                let chunked = stream_in_chunks(&query, &events, config.clone(), false, 97);
-                assert_same_output(
-                    &format!("sim chunked k={k} batch={batch} lazy={lazy}"),
-                    &chunked,
-                    &expected,
-                );
-                let pushed = stream_by_push(&query, &events, config, false);
-                assert_same_output(
-                    &format!("sim pushed k={k} batch={batch} lazy={lazy}"),
-                    &pushed,
-                    &expected,
-                );
-            }
+    for k in [1usize, 2, 4] {
+        for batch in [1usize, 64] {
+            let config = SpectreConfig::with_batching(k, batch, 8);
+            let expected = run_simulated(&query, events.clone(), &config).complex_events;
+            assert!(!expected.is_empty());
+            let chunked = stream_in_chunks(&query, &events, config.clone(), false, 97);
+            assert_same_output(
+                &format!("sim chunked k={k} batch={batch}"),
+                &chunked,
+                &expected,
+            );
+            let pushed = stream_by_push(&query, &events, config, false);
+            assert_same_output(
+                &format!("sim pushed k={k} batch={batch}"),
+                &pushed,
+                &expected,
+            );
         }
     }
 }
@@ -112,25 +109,22 @@ fn sim_streaming_matches_vec_path_across_the_matrix() {
 #[test]
 fn threaded_streaming_matches_vec_path_across_the_matrix() {
     let (query, events) = fixture(1_000, 83);
-    for lazy in [true, false] {
-        for k in [1usize, 2, 4] {
-            for batch in [1usize, 64] {
-                let config =
-                    SpectreConfig::with_batching(k, batch, 8).with_lazy_materialization(lazy);
-                let expected = run_threaded(&query, events.clone(), &config).complex_events;
-                let chunked = stream_in_chunks(&query, &events, config.clone(), true, 97);
-                assert_same_output(
-                    &format!("threaded chunked k={k} batch={batch} lazy={lazy}"),
-                    &chunked,
-                    &expected,
-                );
-                let pushed = stream_by_push(&query, &events, config, true);
-                assert_same_output(
-                    &format!("threaded pushed k={k} batch={batch} lazy={lazy}"),
-                    &pushed,
-                    &expected,
-                );
-            }
+    for k in [1usize, 2, 4] {
+        for batch in [1usize, 64] {
+            let config = SpectreConfig::with_batching(k, batch, 8);
+            let expected = run_threaded(&query, events.clone(), &config).complex_events;
+            let chunked = stream_in_chunks(&query, &events, config.clone(), true, 97);
+            assert_same_output(
+                &format!("threaded chunked k={k} batch={batch}"),
+                &chunked,
+                &expected,
+            );
+            let pushed = stream_by_push(&query, &events, config, true);
+            assert_same_output(
+                &format!("threaded pushed k={k} batch={batch}"),
+                &pushed,
+                &expected,
+            );
         }
     }
 }

@@ -1,6 +1,6 @@
 //! Multi-query engine sessions: N queries hosted in one [`SpectreEngine`]
 //! must each produce output bit-identical to a single-query session of
-//! their own — across the k × batch × lazy matrix, in both execution
+//! their own — across the k × batch matrix, in both execution
 //! modes — while same-spec queries share window buffers in the store
 //! (each window's events held exactly once). Deploying or retiring a
 //! query mid-stream must leave the other queries' outputs untouched, and
@@ -59,18 +59,15 @@ fn hosted_queries_match_solo_sessions_across_the_matrix() {
     let expected_a = run_sequential(&a, &events).complex_events;
     let expected_b = run_sequential(&b, &events).complex_events;
     assert!(!expected_a.is_empty() && !expected_b.is_empty());
-    for lazy in [true, false] {
-        for k in [1usize, 2, 4] {
-            for batch in [1usize, 64] {
-                let config =
-                    SpectreConfig::with_batching(k, batch, 8).with_lazy_materialization(lazy);
-                let (engine, ids) = multi_session(&[&a, &a, &b], config, false);
-                let report = engine.run(events.clone());
-                let tag = |q: &str| format!("sim {q} k={k} batch={batch} lazy={lazy}");
-                assert_same_output(&tag("a#0"), query_outputs(&report, ids[0]), &expected_a);
-                assert_same_output(&tag("a#1"), query_outputs(&report, ids[1]), &expected_a);
-                assert_same_output(&tag("b"), query_outputs(&report, ids[2]), &expected_b);
-            }
+    for k in [1usize, 2, 4] {
+        for batch in [1usize, 64] {
+            let config = SpectreConfig::with_batching(k, batch, 8);
+            let (engine, ids) = multi_session(&[&a, &a, &b], config, false);
+            let report = engine.run(events.clone());
+            let tag = |q: &str| format!("sim {q} k={k} batch={batch}");
+            assert_same_output(&tag("a#0"), query_outputs(&report, ids[0]), &expected_a);
+            assert_same_output(&tag("a#1"), query_outputs(&report, ids[1]), &expected_a);
+            assert_same_output(&tag("b"), query_outputs(&report, ids[2]), &expected_b);
         }
     }
 }
@@ -322,8 +319,6 @@ fn aggregate_metrics_are_the_sum_of_per_query_shares() {
         predictor_refresh_nanos,
         rollbacks,
         windows_retired,
-        checkpoints_taken,
-        checkpoint_restores,
         outputs_emitted,
         events_reordered,
         late_events_dropped,

@@ -1,7 +1,7 @@
 //! Shuffle-equivalence battery for the watermark-driven reorder stage: any
 //! stream whose disorder stays within the configured `max_delay` must
 //! produce output **bit-identical** to the in-order run — across the
-//! k × batch × lazy × {sim, threaded} matrix and under multi-query
+//! k × batch × {sim, threaded} matrix and under multi-query
 //! hosting — while streams that overrun the bound resolve deterministically
 //! through the late policy, with the drop count reported exactly.
 
@@ -49,8 +49,8 @@ fn run_reordered(
 fn bounded_shuffles_are_bit_identical_across_the_matrix() {
     // The tentpole theorem: for disorder within max_delay, the reordered
     // run equals the in-order run bit for bit — for every combination of
-    // parallelism degree, hand-off batch size, lazy toggle and execution
-    // mode, and for more than one disorder magnitude.
+    // parallelism degree, hand-off batch size and execution mode, and for
+    // more than one disorder magnitude.
     let (query, _, events) = fixture(1_200, 17);
     let expected = run_sequential(&query, &events).complex_events;
     assert!(!expected.is_empty());
@@ -61,25 +61,19 @@ fn bounded_shuffles_are_bit_identical_across_the_matrix() {
         for threaded in [false, true] {
             for k in [1usize, 2, 4] {
                 for batch in [1usize, 64] {
-                    for lazy in [true, false] {
-                        let config = SpectreConfig::with_batching(k, batch, 8)
-                            .with_lazy_materialization(lazy)
-                            .with_reorder(delay);
-                        let report = run_reordered(&query, shuffled.clone(), config, threaded);
-                        let tag = format!(
-                            "d={delay} threaded={threaded} k={k} batch={batch} lazy={lazy}"
-                        );
-                        assert_same_output(&tag, &report.complex_events, &expected);
-                        assert_eq!(report.input_events, 1_200, "{tag}");
-                        assert_eq!(
-                            report.metrics.late_events_dropped, 0,
-                            "{tag}: within-bound disorder must lose nothing"
-                        );
-                        assert!(
-                            report.metrics.events_reordered > 0,
-                            "{tag}: the stage must have repaired something"
-                        );
-                    }
+                    let config = SpectreConfig::with_batching(k, batch, 8).with_reorder(delay);
+                    let report = run_reordered(&query, shuffled.clone(), config, threaded);
+                    let tag = format!("d={delay} threaded={threaded} k={k} batch={batch}");
+                    assert_same_output(&tag, &report.complex_events, &expected);
+                    assert_eq!(report.input_events, 1_200, "{tag}");
+                    assert_eq!(
+                        report.metrics.late_events_dropped, 0,
+                        "{tag}: within-bound disorder must lose nothing"
+                    );
+                    assert!(
+                        report.metrics.events_reordered > 0,
+                        "{tag}: the stage must have repaired something"
+                    );
                 }
             }
         }

@@ -80,32 +80,25 @@ fn drain_and_join(handle: spectre_server::ServerHandle) -> ServerOutcome {
 fn strided_clients_merge_bit_identical_to_solo_across_the_matrix() {
     let (schema, a, b, events) = fixture(3_000, 17);
     let queries = vec![(TenantId(0), Arc::clone(&a)), (TenantId(3), Arc::clone(&b))];
-    for lazy in [true, false] {
-        for k in [1usize, 2] {
-            let config = SpectreConfig::with_instances(k).with_lazy_materialization(lazy);
-            let expected = solo_outputs(&queries, config.clone(), &events);
-            let cfg = ServerConfig {
-                engine: config,
-                order: IngestOrder::Seq,
-                ..ServerConfig::default()
-            };
-            let handle =
-                Server::start(cfg, schema.clone(), queries.clone()).expect("server starts");
-            let clients: Vec<_> = (0..3)
-                .map(|i| spawn_client(handle.ingest_addr(), 0, events.clone(), i, 3))
-                .collect();
-            let sent: u64 = clients.into_iter().map(|c| c.join().expect("client")).sum();
-            assert_eq!(sent, events.len() as u64);
-            let outcome = drain_and_join(handle);
-            assert_eq!(outcome.report.input_events, events.len() as u64);
-            for (qid, expected_outputs) in &expected {
-                let got = outcome.outputs.get(qid).map(Vec::as_slice).unwrap_or(&[]);
-                assert_same_output(
-                    &format!("server {qid} k={k} lazy={lazy}"),
-                    got,
-                    expected_outputs,
-                );
-            }
+    for k in [1usize, 2] {
+        let config = SpectreConfig::with_instances(k);
+        let expected = solo_outputs(&queries, config.clone(), &events);
+        let cfg = ServerConfig {
+            engine: config,
+            order: IngestOrder::Seq,
+            ..ServerConfig::default()
+        };
+        let handle = Server::start(cfg, schema.clone(), queries.clone()).expect("server starts");
+        let clients: Vec<_> = (0..3)
+            .map(|i| spawn_client(handle.ingest_addr(), 0, events.clone(), i, 3))
+            .collect();
+        let sent: u64 = clients.into_iter().map(|c| c.join().expect("client")).sum();
+        assert_eq!(sent, events.len() as u64);
+        let outcome = drain_and_join(handle);
+        assert_eq!(outcome.report.input_events, events.len() as u64);
+        for (qid, expected_outputs) in &expected {
+            let got = outcome.outputs.get(qid).map(Vec::as_slice).unwrap_or(&[]);
+            assert_same_output(&format!("server {qid} k={k}"), got, expected_outputs);
         }
     }
 }

@@ -1,6 +1,6 @@
 //! Tenant-aware sessions: tagging every query with the same tenant must
 //! change nothing — outputs *and* schedules bit-identical to the
-//! untenanted engine across the k × batch × lazy matrix — while
+//! untenanted engine across the k × batch matrix — while
 //! pattern-derived ingestion filters skip windows a query cannot match in
 //! without altering its output, quota violations surface as typed builder
 //! errors instead of panics, and per-tenant metric rollups sum exactly to
@@ -65,37 +65,34 @@ fn single_tenant_sessions_match_untenanted_bit_for_bit() {
     let (query, events) = nyse_fixture(1_200, 19);
     let expected = run_sequential(&query, &events).complex_events;
     assert!(!expected.is_empty());
-    for lazy in [true, false] {
-        for k in [1usize, 2, 4] {
-            for batch in [1usize, 64] {
-                let config =
-                    SpectreConfig::with_batching(k, batch, 8).with_lazy_materialization(lazy);
-                let plain = {
-                    let mut b = SpectreEngine::multi_builder().config(config.clone());
-                    let qid = b.add_query(&query);
-                    (b.build().run(events.clone()), qid)
-                };
-                let tagged = {
-                    let mut b = SpectreEngine::multi_builder().config(config);
-                    let qid = b.add_query_for(TenantId(5), &query);
-                    (b.build().run(events.clone()), qid)
-                };
-                let tag = format!("sim k={k} batch={batch} lazy={lazy}");
-                assert_same_output(&tag, query_outputs(&plain.0, plain.1), &expected);
-                assert_same_output(&tag, query_outputs(&tagged.0, tagged.1), &expected);
-                assert_eq!(
-                    plain.0.metrics, tagged.0.metrics,
-                    "{tag}: tenant tagging must not perturb the schedule"
-                );
-                // The single tenant's rollup IS its only query's share
-                // (engine-scoped counters like sched_cycles stay out of
-                // rollups by design).
-                assert_eq!(tagged.0.tenants.len(), 1);
-                assert_eq!(
-                    tagged.0.tenants[&TenantId(5)],
-                    tagged.0.queries[&tagged.1].metrics
-                );
-            }
+    for k in [1usize, 2, 4] {
+        for batch in [1usize, 64] {
+            let config = SpectreConfig::with_batching(k, batch, 8);
+            let plain = {
+                let mut b = SpectreEngine::multi_builder().config(config.clone());
+                let qid = b.add_query(&query);
+                (b.build().run(events.clone()), qid)
+            };
+            let tagged = {
+                let mut b = SpectreEngine::multi_builder().config(config);
+                let qid = b.add_query_for(TenantId(5), &query);
+                (b.build().run(events.clone()), qid)
+            };
+            let tag = format!("sim k={k} batch={batch}");
+            assert_same_output(&tag, query_outputs(&plain.0, plain.1), &expected);
+            assert_same_output(&tag, query_outputs(&tagged.0, tagged.1), &expected);
+            assert_eq!(
+                plain.0.metrics, tagged.0.metrics,
+                "{tag}: tenant tagging must not perturb the schedule"
+            );
+            // The single tenant's rollup IS its only query's share
+            // (engine-scoped counters like sched_cycles stay out of
+            // rollups by design).
+            assert_eq!(tagged.0.tenants.len(), 1);
+            assert_eq!(
+                tagged.0.tenants[&TenantId(5)],
+                tagged.0.queries[&tagged.1].metrics
+            );
         }
     }
 }
@@ -308,8 +305,6 @@ fn tenant_rollups_sum_to_the_aggregate() {
         rollbacks,
         windows_retired,
         windows_skipped,
-        checkpoints_taken,
-        checkpoint_restores,
         outputs_emitted,
         events_reordered,
         late_events_dropped,

@@ -65,28 +65,25 @@ fn threaded_repeated_runs_are_deterministic_in_output() {
 fn threaded_matches_sequential_across_batch_sizes_shard_counts_and_lazy_modes() {
     // Deterministic-equivalence matrix for the batched/sharded data path
     // and the lazy dependency tree under real threads: k ∈ {1,2,4,8} ×
-    // batch ∈ {1,64,1024} × shards ∈ {1,8} × lazy ∈ {on,off} all deliver
-    // the sequential output, on any machine and any interleaving. Lazy
-    // materialization is the racier half (clones are taken from *live*
-    // source state that instances mutate concurrently), which is exactly
-    // why it runs under real threads here.
+    // batch ∈ {1,64,1024} × shards ∈ {1,8} all deliver the sequential
+    // output, on any machine and any interleaving. Lazy materialization is
+    // the racy part (clones are taken from *live* source state that
+    // instances mutate concurrently), which is exactly why it runs under
+    // real threads here.
     let mut schema = Schema::new();
     let events: Vec<_> = NyseGenerator::new(NyseConfig::small(1000, 83), &mut schema).collect();
     let query = Arc::new(queries::q1(&mut schema, 3, 150, Direction::Rising));
     let expected = run_sequential(&query, &events).complex_events;
-    for lazy in [true, false] {
-        for k in [1usize, 2, 4, 8] {
-            for batch in [1usize, 64, 1024] {
-                for shards in [1usize, 8] {
-                    let config = SpectreConfig::with_batching(k, batch, shards)
-                        .with_lazy_materialization(lazy);
-                    let report = run_threaded(&query, events.clone(), &config);
-                    assert_same_output(
-                        &format!("threaded k={k} batch={batch} shards={shards} lazy={lazy}"),
-                        &report.complex_events,
-                        &expected,
-                    );
-                }
+    for k in [1usize, 2, 4, 8] {
+        for batch in [1usize, 64, 1024] {
+            for shards in [1usize, 8] {
+                let config = SpectreConfig::with_batching(k, batch, shards);
+                let report = run_threaded(&query, events.clone(), &config);
+                assert_same_output(
+                    &format!("threaded k={k} batch={batch} shards={shards}"),
+                    &report.complex_events,
+                    &expected,
+                );
             }
         }
     }
@@ -96,25 +93,26 @@ fn threaded_matches_sequential_across_batch_sizes_shard_counts_and_lazy_modes() 
 fn threaded_matches_sequential_across_lazy_attach_modes() {
     // Attach-thunk rows under real threads: pending-attach markers
     // materialize while instances concurrently mutate the live source
-    // state the fresh versions will read — any interleaving must still
-    // deliver the sequential output, with either branch mode.
+    // state the fresh versions will read. Pending windows count toward the
+    // speculative load, so a tight cap keeps materializing at the
+    // back-pressure edge while the default lets backlogs pend — any
+    // interleaving of either must deliver the sequential output.
     let mut schema = Schema::new();
     let events: Vec<_> = NyseGenerator::new(NyseConfig::small(1000, 83), &mut schema).collect();
     let query = Arc::new(queries::q1(&mut schema, 3, 150, Direction::Rising));
     let expected = run_sequential(&query, &events).complex_events;
-    for attach in [true, false] {
-        for lazy in [true, false] {
-            for k in [1usize, 2, 4, 8] {
-                let config = SpectreConfig::with_instances(k)
-                    .with_lazy_materialization(lazy)
-                    .with_lazy_attach(attach);
-                let report = run_threaded(&query, events.clone(), &config);
-                assert_same_output(
-                    &format!("threaded k={k} lazy={lazy} attach={attach}"),
-                    &report.complex_events,
-                    &expected,
-                );
-            }
+    for cap in [8usize, 1024] {
+        for k in [1usize, 2, 4, 8] {
+            let config = SpectreConfig {
+                max_tree_versions: cap,
+                ..SpectreConfig::with_instances(k)
+            };
+            let report = run_threaded(&query, events.clone(), &config);
+            assert_same_output(
+                &format!("threaded k={k} cap={cap}"),
+                &report.complex_events,
+                &expected,
+            );
         }
     }
 }
@@ -134,50 +132,44 @@ fn threaded_aggregate_metrics_equal_the_sum_of_per_worker_blocks() {
     let events: Vec<_> = NyseGenerator::new(NyseConfig::small(1000, 83), &mut schema).collect();
     let query = Arc::new(queries::q1(&mut schema, 3, 150, Direction::Rising));
     let expected = run_sequential(&query, &events).complex_events;
-    for lazy in [true, false] {
-        for k in [1usize, 2, 4, 8] {
-            let config = SpectreConfig::with_batching(k, 64, 8).with_lazy_materialization(lazy);
-            let mut engine = SpectreEngine::builder(&query)
-                .config(config)
-                .threaded()
-                .build();
-            engine.ingest(events.iter().cloned());
-            let report = engine.try_finish().expect("fresh session finishes once");
-            assert_same_output(
-                &format!("engine k={k} lazy={lazy}"),
-                &report.complex_events,
-                &expected,
-            );
-            // Workers are joined after finish, so the block snapshots are
-            // final and race-free.
-            let workers = engine.worker_metrics();
-            assert_eq!(workers.len(), k, "one counter block per instance");
-            let m = &report.metrics;
-            let sums = workers.iter().fold([0u64; 4], |acc, w| {
-                [
-                    acc[0] + w.events_processed,
-                    acc[1] + w.events_suppressed,
-                    acc[2] + w.idle_steps,
-                    acc[3] + w.stalled_steps,
-                ]
-            });
-            let label = format!("k={k} lazy={lazy}");
-            assert_eq!(sums[0], m.events_processed, "events_processed {label}");
-            assert_eq!(sums[1], m.events_suppressed, "events_suppressed {label}");
-            assert_eq!(sums[2], m.idle_steps, "idle_steps {label}");
-            assert_eq!(sums[3], m.stalled_steps, "stalled_steps {label}");
-            assert!(m.events_processed >= events.len() as u64);
-            // Single-query session: the query's share of the summable hot
-            // counters is the whole aggregate.
-            let (_, qm) = report
-                .queries
-                .iter()
-                .map(|(qid, qr)| (*qid, &qr.metrics))
-                .next()
-                .expect("one deployed query");
-            assert_eq!(qm.events_processed, m.events_processed, "{label}");
-            assert_eq!(qm.events_suppressed, m.events_suppressed, "{label}");
-        }
+    for k in [1usize, 2, 4, 8] {
+        let config = SpectreConfig::with_batching(k, 64, 8);
+        let mut engine = SpectreEngine::builder(&query)
+            .config(config)
+            .threaded()
+            .build();
+        engine.ingest(events.iter().cloned());
+        let report = engine.try_finish().expect("fresh session finishes once");
+        assert_same_output(&format!("engine k={k}"), &report.complex_events, &expected);
+        // Workers are joined after finish, so the block snapshots are
+        // final and race-free.
+        let workers = engine.worker_metrics();
+        assert_eq!(workers.len(), k, "one counter block per instance");
+        let m = &report.metrics;
+        let sums = workers.iter().fold([0u64; 4], |acc, w| {
+            [
+                acc[0] + w.events_processed,
+                acc[1] + w.events_suppressed,
+                acc[2] + w.idle_steps,
+                acc[3] + w.stalled_steps,
+            ]
+        });
+        let label = format!("k={k}");
+        assert_eq!(sums[0], m.events_processed, "events_processed {label}");
+        assert_eq!(sums[1], m.events_suppressed, "events_suppressed {label}");
+        assert_eq!(sums[2], m.idle_steps, "idle_steps {label}");
+        assert_eq!(sums[3], m.stalled_steps, "stalled_steps {label}");
+        assert!(m.events_processed >= events.len() as u64);
+        // Single-query session: the query's share of the summable hot
+        // counters is the whole aggregate.
+        let (_, qm) = report
+            .queries
+            .iter()
+            .map(|(qid, qr)| (*qid, &qr.metrics))
+            .next()
+            .expect("one deployed query");
+        assert_eq!(qm.events_processed, m.events_processed, "{label}");
+        assert_eq!(qm.events_suppressed, m.events_suppressed, "{label}");
     }
 }
 
