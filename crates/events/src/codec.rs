@@ -698,4 +698,189 @@ mod tests {
             Some(ServerFrame::Credit(99))
         );
     }
+
+    /// Streams 10 MB through a decoder in 16 KiB pieces, draining as it
+    /// goes: the consumed prefix must be reclaimed, not accumulated.
+    #[test]
+    fn streaming_decode_memory_stays_bounded() {
+        const PIECE: usize = 16 * 1024;
+        let block: Vec<u8> = encode_all(&(0..1000).map(sample).collect::<Vec<_>>()).to_vec();
+        let mut dec = Decoder::new();
+        let (mut fed, mut decoded, mut at) = (0usize, 0usize, 0usize);
+        let mut peak = 0;
+        while fed < 10_000_000 {
+            let piece: Vec<u8> = (0..PIECE).map(|i| block[(at + i) % block.len()]).collect();
+            at = (at + PIECE) % block.len();
+            dec.extend(&piece);
+            fed += PIECE;
+            peak = peak.max(dec.buf.capacity());
+            while dec.next_event().unwrap().is_some() {
+                decoded += 1;
+            }
+        }
+        assert!(decoded > 100_000);
+        assert!(
+            peak <= 2 * (PIECE + MAX_FRAME_LEN),
+            "decoder capacity reached {peak} bytes"
+        );
+    }
+
+    /// xorshift64: a seeded, dependency-free source for the byte fuzz.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, bound: usize) -> usize {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 % bound as u64) as usize
+        }
+    }
+
+    /// A valid client → server stream with frame-start offsets.
+    fn client_stream(rng: &mut Rng) -> (Vec<u8>, Vec<usize>) {
+        let mut buf = BytesMut::new();
+        let mut starts = Vec::new();
+        starts.push(buf.len());
+        encode_hello(rng.below(4) as u64, &mut buf);
+        for seq in 0..rng.below(60) as u64 {
+            starts.push(buf.len());
+            match rng.below(8) {
+                0 => encode_watermark(seq * 10, &mut buf),
+                1 => {
+                    let text = "x".repeat(rng.below(300));
+                    let ev = Event::builder(EventType::new(1))
+                        .seq(seq)
+                        .attr(AttrKey::new(0), Value::from(text.as_str()))
+                        .build();
+                    encode(&ev, &mut buf);
+                }
+                _ => encode(&sample(seq), &mut buf),
+            }
+        }
+        starts.push(buf.len());
+        encode_bye(&mut buf);
+        (buf.to_vec(), starts)
+    }
+
+    /// One of the mutations the fuzz applies, or none (`kind == 0`).
+    fn mutate(rng: &mut Rng, bytes: &mut Vec<u8>, starts: &[usize], kind: usize) {
+        match kind {
+            1 => {
+                for _ in 0..1 + rng.below(4) {
+                    let i = rng.below(bytes.len());
+                    bytes[i] ^= 1 << rng.below(8);
+                }
+            }
+            2 => bytes.truncate(rng.below(bytes.len())),
+            3 => {
+                let magic = [
+                    WATERMARK_MAGIC,
+                    CREDIT_MAGIC,
+                    THROTTLE_MAGIC,
+                    HELLO_MAGIC,
+                    BYE_MAGIC,
+                    SENTINEL_FLOOR - 1,
+                ][rng.below(6)];
+                let at = if rng.below(2) == 0 {
+                    starts[rng.below(starts.len())]
+                } else {
+                    rng.below(bytes.len() + 1)
+                };
+                bytes.splice(at..at, magic.to_le_bytes());
+            }
+            _ => {
+                let len = match rng.below(4) {
+                    0 => MAX_FRAME_LEN,
+                    1 => MAX_FRAME_LEN + 1,
+                    2 => MAX_FRAME_LEN + 1 + rng.below(1000),
+                    _ => rng.below(MAX_FRAME_LEN + 1),
+                } as u32;
+                let at = starts[rng.below(starts.len())];
+                bytes[at..at + 4].copy_from_slice(&len.to_le_bytes());
+                // Sometimes supply the whole declared frame.
+                if rng.below(3) == 0 {
+                    bytes.resize(bytes.len() + (len as usize).min(MAX_FRAME_LEN), 0);
+                }
+            }
+        }
+    }
+
+    /// The frames decoded from `bytes` fed in pieces from `piece`, each
+    /// re-encoded (so NaN payloads compare bitwise), and the error that
+    /// ended the stream, if any. Checks after every drain that the decoder
+    /// holds no complete frame and at most one partial one.
+    fn decode_in_pieces(
+        bytes: &[u8],
+        mut piece: impl FnMut() -> usize,
+    ) -> (Vec<Vec<u8>>, Option<DecodeError>) {
+        let mut dec = Decoder::new();
+        let mut frames = Vec::new();
+        let mut at = 0;
+        while at < bytes.len() {
+            let end = (at + piece()).min(bytes.len());
+            dec.extend(&bytes[at..end]);
+            at = end;
+            loop {
+                match dec.next_client_frame() {
+                    Ok(Some(frame)) => frames.push(reencode(&frame)),
+                    Ok(None) => break,
+                    Err(e) => return (frames, Some(e)),
+                }
+            }
+            let held = &dec.buf[..];
+            if held.len() >= 4 {
+                let len = u32::from_le_bytes(held[..4].try_into().unwrap());
+                let frame_len = match len {
+                    BYE_MAGIC => 4,
+                    HELLO_MAGIC.. => 12,
+                    _ => 4 + len as usize,
+                };
+                assert!(len as usize <= MAX_FRAME_LEN || len >= SENTINEL_FLOOR);
+                assert!(held.len() < frame_len, "a complete frame was left buffered");
+            }
+        }
+        (frames, None)
+    }
+
+    fn reencode(frame: &ClientFrame) -> Vec<u8> {
+        let mut buf = BytesMut::new();
+        match frame {
+            ClientFrame::Item(StreamItem::Event(ev)) => encode(ev, &mut buf),
+            ClientFrame::Item(StreamItem::Watermark(ts)) => encode_watermark(*ts, &mut buf),
+            ClientFrame::Hello(tenant) => encode_hello(*tenant, &mut buf),
+            ClientFrame::Bye => encode_bye(&mut buf),
+        }
+        buf.to_vec()
+    }
+
+    /// Deterministic byte fuzz of the client-direction decoder: mutated
+    /// streams fed in random pieces never panic, and fragmentation never
+    /// changes what is decoded or where decoding fails.
+    #[test]
+    fn fuzzed_client_streams_decode_like_the_whole_buffer() {
+        let mut rng = Rng(0x5eed_2023_c0de_cafe);
+        let mut errors = 0;
+        for case in 0..400 {
+            let (mut bytes, starts) = client_stream(&mut rng);
+            let kind = case % 5;
+            if kind != 0 {
+                mutate(&mut rng, &mut bytes, &starts, kind);
+            }
+            let whole = decode_in_pieces(&bytes, || usize::MAX);
+            let max_piece = [1, 7, 64, 1500, 16 * 1024][rng.below(5)];
+            let mut piece_rng = Rng(rng.0 | 1);
+            let pieces = decode_in_pieces(&bytes, || 1 + piece_rng.below(max_piece));
+            assert_eq!(
+                pieces, whole,
+                "case {case}: fragmentation changed the decode"
+            );
+            if kind == 0 {
+                assert_eq!(whole.1, None);
+                assert_eq!(whole.0.concat(), bytes, "case {case}");
+            }
+            errors += usize::from(whole.1.is_some());
+        }
+        assert!(errors > 50, "only {errors} mutated cases failed to decode");
+    }
 }

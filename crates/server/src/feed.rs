@@ -417,11 +417,12 @@ fn release_ready(
     gates: &HashMap<u64, Arc<ConnGate>>,
     counters: &ServerCounters,
 ) {
-    while let Some((&key, _)) = seq.pending.iter().next() {
+    while let Some(entry) = seq.pending.first_entry() {
+        let key = *entry.key();
         if key > seq.next {
             break;
         }
-        let (conn, event) = seq.pending.remove(&key).expect("key just observed");
+        let (conn, event) = entry.remove();
         seq.owe(conn);
         if key < seq.next {
             ServerCounters::bump(&counters.seq_stale_dropped);
@@ -443,12 +444,13 @@ fn flush_sequencer(
     counters: &ServerCounters,
 ) {
     let mut gaps = 0u64;
-    while let Some((&key, _)) = seq.pending.iter().next() {
+    while let Some(entry) = seq.pending.first_entry() {
+        let key = *entry.key();
         if key > seq.next {
             gaps += 1;
             seq.next = key;
         }
-        let (conn, event) = seq.pending.remove(&key).expect("key just observed");
+        let (conn, event) = entry.remove();
         seq.owe(conn);
         if key < seq.next {
             ServerCounters::bump(&counters.seq_stale_dropped);
