@@ -26,8 +26,8 @@ fn main() {
         .and_then(|v| v.parse().ok())
         .unwrap_or(4_000_000);
     let mut schema = Schema::new();
-    // Q1 *with* its consumption policy, in the high-ratio regime of the
-    // consumption bench (q = 110, ws = 200): speculation — and therefore
+    // Q1 *with* its consumption policy, in the high-ratio regime
+    // (q = 110, ws = 200): speculation — and therefore
     // the dependency tree the back-pressure must bound — actually runs,
     // and most partial matches abandon, which is where the tree grows.
     let query = Arc::new(queries::q1(&mut schema, 110, 200, Direction::Rising));

@@ -4,14 +4,13 @@
 //! Every figure has a binary in `src/bin/` (`fig10a` … `fig10f`, `fig11`,
 //! `trex_compare`) printing the same rows/series the paper plots. Absolute
 //! numbers depend on hardware; the *shape* — who wins, scaling factors,
-//! crossovers — is the reproduction target (see EXPERIMENTS.md).
+//! crossovers — is the reproduction target. Performance claims about the
+//! engine itself are measured by the separate `benchmark/` package.
 //!
 //! Scale knobs (environment variables):
 //!
-//! * `SPECTRE_BENCH_EVENTS` — input stream length (default 1 000 000 for
-//!   the figure binaries and the threaded end-to-end bench alike, now
-//!   that the lazy dependency tree makes consumption-group creation O(1);
-//!   the paper streams 24 M NYSE quotes),
+//! * `SPECTRE_BENCH_EVENTS` — input stream length (default 1 000 000; the
+//!   paper streams 24 M NYSE quotes),
 //! * `SPECTRE_BENCH_REPEATS` — repetitions per configuration (default 3;
 //!   paper: 10),
 //! * `SPECTRE_BENCH_KS` — comma-separated operator-instance counts
@@ -30,27 +29,16 @@ use spectre_query::Query;
 /// their ratios.
 pub const PER_INSTANCE_EVENT_RATE: f64 = 10_800.0;
 
-fn events_from_env(default: usize) -> usize {
+/// Reads the benchmark stream length for the simulator-driven figure
+/// binaries: 1 M events by default — the consumption-heavy figure
+/// workloads sustain it since group creation went O(1) (lazy dependency
+/// tree); use `SPECTRE_BENCH_EVENTS` to scale further toward the paper's
+/// 24 M.
+pub fn bench_events() -> usize {
     std::env::var("SPECTRE_BENCH_EVENTS")
         .ok()
         .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// Reads the benchmark stream length for the simulator-driven figure
-/// binaries. The default matches the threaded bench at 1 M events — the
-/// consumption-heavy figure workloads sustain it since group creation
-/// went O(1) (lazy dependency tree); use `SPECTRE_BENCH_EVENTS` to scale
-/// further toward the paper's 24 M.
-pub fn bench_events() -> usize {
-    events_from_env(1_000_000)
-}
-
-/// Reads the stream length for the threaded end-to-end bench (same
-/// environment variable, paper-scale default: the data-path-bound fixture
-/// sustains it in seconds).
-pub fn threaded_bench_events() -> usize {
-    events_from_env(1_000_000)
+        .unwrap_or(1_000_000)
 }
 
 /// Reads the per-configuration repetition count.
@@ -150,8 +138,7 @@ pub fn sim_throughput(query: &Arc<Query>, events: &[Event], config: &SpectreConf
 /// `batch_size` to 1 regardless of the passed configuration — a batched
 /// round would process up to `batch_size` events and inflate the
 /// calibrated events/s by that factor. The batched data path is a
-/// real-thread optimization; its win is measured by the threaded
-/// `end_to_end` bench.
+/// real-thread optimization; its win is measured by `benchmark/`.
 pub fn sim_report(query: &Arc<Query>, events: &[Event], config: &SpectreConfig) -> SimReport {
     let config = SpectreConfig {
         batch_size: 1,

@@ -4,8 +4,8 @@
 //! whole `Vec<Event>`" surface with a session the caller feeds
 //! incrementally — the standard source/engine split of streaming systems.
 //! A session is constructed with a builder, fed with
-//! [`push`](SpectreEngine::push) / [`push_batch`](SpectreEngine::push_batch)
-//! / [`ingest`](SpectreEngine::ingest), queried with
+//! [`push`](SpectreEngine::push) / [`ingest`](SpectreEngine::ingest),
+//! queried with
 //! [`drain_outputs`](SpectreEngine::drain_outputs) (complex events as they
 //! are committed, not only at end of run) and
 //! [`metrics`](SpectreEngine::metrics), and closed with
@@ -712,30 +712,27 @@ impl SpectreEngine {
         self.splitter.query_ids()
     }
 
-    /// Feeds a whole batch, blocking (i.e. running engine work) until
-    /// every event is accepted. Returns the number of events fed.
-    pub fn push_batch(&mut self, batch: impl IntoIterator<Item = Event>) -> u64 {
-        self.ingest(batch)
-    }
-
-    /// Feeds everything a source yields, blocking until every event is
-    /// accepted — the streaming replacement for handing the drivers a
-    /// `Vec`: any `Iterator<Item = Event>` (a dataset generator, a
-    /// `TcpSource`, a decoded file) plugs in directly and is consumed
-    /// incrementally, so memory stays bounded regardless of stream
-    /// length. Returns the number of events fed.
+    /// Feeds everything a source yields, blocking (i.e. running engine
+    /// work) until every event is accepted — the streaming replacement for
+    /// handing the drivers a `Vec`: any `Iterator<Item = Event>` (a batch,
+    /// a dataset generator, a `TcpSource`, a decoded file) plugs in
+    /// directly and is consumed incrementally, so memory stays bounded
+    /// regardless of stream length. Returns the number of events fed.
     pub fn ingest(&mut self, source: impl IntoIterator<Item = Event>) -> u64 {
         let mut fed = 0u64;
-        for mut event in source {
-            loop {
-                match self.push(event) {
-                    PushResult::Accepted => break,
-                    PushResult::Full(back) => event = back,
-                }
-            }
+        for event in source {
+            self.push_until_accepted(event);
             fed += 1;
         }
         fed
+    }
+
+    /// Retries [`push`](Self::push) until the event is accepted; every
+    /// retry runs another maintenance round, so the loop terminates.
+    fn push_until_accepted(&mut self, mut event: Event) {
+        while let PushResult::Full(back) = self.push(event) {
+            event = back;
+        }
     }
 
     /// [`ingest`](Self::ingest) for framed streams that interleave
@@ -749,13 +746,8 @@ impl SpectreEngine {
         let mut fed = 0u64;
         for item in source {
             match item {
-                StreamItem::Event(mut event) => {
-                    loop {
-                        match self.push(event) {
-                            PushResult::Accepted => break,
-                            PushResult::Full(back) => event = back,
-                        }
-                    }
+                StreamItem::Event(event) => {
+                    self.push_until_accepted(event);
                     fed += 1;
                 }
                 StreamItem::Watermark(ts) => self.advance_watermark(ts),
@@ -1181,7 +1173,7 @@ mod tests {
             .build();
         let mut collected = Vec::new();
         for chunk in events.chunks(97) {
-            engine.push_batch(chunk.to_vec());
+            engine.ingest(chunk.to_vec());
             collected.append(&mut engine.drain_events());
         }
         let streamed_before_finish = collected.len();
@@ -1292,7 +1284,7 @@ mod tests {
             })
             .simulated()
             .build();
-        engine.push_batch(events[..500].to_vec());
+        engine.ingest(events[..500].to_vec());
         assert_eq!(
             engine.events_ingested(),
             0,
@@ -1301,7 +1293,7 @@ mod tests {
         engine.advance_watermark(events[499].ts());
         engine.drain_outputs(); // run a maintenance round
         assert!(engine.events_ingested() > 0);
-        engine.push_batch(events[500..].to_vec());
+        engine.ingest(events[500..].to_vec());
         let report = engine.finish(); // final watermark releases the rest
         assert_eq!(report.complex_events, expected);
         assert_eq!(report.input_events, 600);
@@ -1364,7 +1356,7 @@ mod tests {
             .config(SpectreConfig::with_instances(2))
             .threaded()
             .build();
-        engine.push_batch(events);
+        engine.ingest(events);
         drop(engine); // must not hang or leave threads spinning
     }
 

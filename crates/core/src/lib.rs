@@ -20,7 +20,7 @@
 //!
 //! The runtime is an incremental **engine session**, [`SpectreEngine`]:
 //! built with a builder (`SpectreEngine::builder(&query).config(cfg)
-//! .threaded()/.simulated().build()`), fed with `push` / `push_batch` /
+//! .threaded()/.simulated().build()`), fed with `push` /
 //! `ingest` (any `Iterator<Item = Event>` — a dataset generator, a TCP
 //! source — streams in without ever being materialized), drained with
 //! `drain_outputs` (complex events as they are committed, tagged with the

@@ -7,7 +7,7 @@
 //! window-size estimate feeds the predictor under the same assumption. The
 //! paper's target feeds deliver late and out of order, so an opt-in
 //! [`ReorderBuffer`] sits between the session surface
-//! (`push`/`push_batch`/`ingest`) and [`Splitter::feed`]
+//! (`push`/`ingest`) and [`Splitter::feed`]
 //! (see [`SpectreConfig::reorder`](crate::SpectreConfig::reorder)):
 //!
 //! * arriving events are buffered keyed by `(timestamp, arrival)` — the

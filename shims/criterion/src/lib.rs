@@ -4,47 +4,20 @@
 //! [`Criterion::bench_function`], [`Criterion::benchmark_group`],
 //! [`Bencher::iter`], [`black_box`], and the [`criterion_group!`] /
 //! [`criterion_main!`] macros — as a plain wall-clock harness: each
-//! routine is warmed up once and then timed for `sample_size` samples.
-//! min/mean/median/max per iteration are printed *and retained* (see
-//! [`take_summaries`]), so bench targets can emit machine-readable
-//! summaries for trend tracking — the checked-in CI baseline diffs
-//! against these statistics. No statistics engine beyond that, no HTML
-//! reports; enough to keep the bench targets compiling, runnable and
-//! honest until the real crate can be pulled from the registry.
+//! routine is warmed up once and then timed for `sample_size` samples, and
+//! min/mean/median/max per iteration are printed. No statistics engine
+//! beyond that, no HTML reports; enough to keep the bench targets
+//! compiling, runnable and honest until the real crate can be pulled from
+//! the registry.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 pub use std::hint::black_box;
 
 const DEFAULT_SAMPLE_SIZE: usize = 100;
-
-/// Retained per-benchmark statistics over the timed samples.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Summary {
-    /// Benchmark id (`group/function`).
-    pub id: String,
-    /// Fastest sample.
-    pub min: Duration,
-    /// Arithmetic mean over all samples.
-    pub mean: Duration,
-    /// Slowest sample.
-    pub max: Duration,
-    /// Number of timed samples.
-    pub samples: usize,
-}
-
-static SUMMARIES: Mutex<Vec<Summary>> = Mutex::new(Vec::new());
-
-/// Drains the summaries of every benchmark run so far in this process, in
-/// execution order. Bench targets call this after their groups ran to
-/// write trend-tracking artifacts.
-pub fn take_summaries() -> Vec<Summary> {
-    std::mem::take(&mut SUMMARIES.lock().expect("summary registry poisoned"))
-}
 
 /// Entry point of a benchmark target, analogous to `criterion::Criterion`.
 #[derive(Debug, Clone)]
@@ -167,16 +140,6 @@ where
         samples[samples.len() - 1],
         samples.len()
     );
-    SUMMARIES
-        .lock()
-        .expect("summary registry poisoned")
-        .push(Summary {
-            id: id.to_string(),
-            min: samples[0],
-            mean,
-            max: *samples.last().expect("non-empty"),
-            samples: samples.len(),
-        });
 }
 
 /// Declares a function running the given bench targets, analogous to
@@ -208,23 +171,4 @@ macro_rules! criterion_main {
             $($group();)+
         }
     };
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn summaries_are_retained_with_ordered_statistics() {
-        let _ = take_summaries(); // isolate from any earlier bench
-        let mut c = Criterion::default().sample_size(5);
-        c.bench_function("shim_selftest", |b| b.iter(|| black_box(2 + 2)));
-        let summaries = take_summaries();
-        assert_eq!(summaries.len(), 1);
-        let s = &summaries[0];
-        assert_eq!(s.id, "shim_selftest");
-        assert_eq!(s.samples, 5);
-        assert!(s.min <= s.mean && s.mean <= s.max);
-        assert!(take_summaries().is_empty(), "drained");
-    }
 }

@@ -10,7 +10,8 @@ use std::sync::Arc;
 
 use spectre_baselines::run_sequential;
 use spectre_core::{
-    EngineError, QueryId, Report, SpectreConfig, SpectreEngine, TenantId, TenantQuota,
+    EngineError, QueryId, Report, SpectreConfig, SpectreEngine, SpectreEngineBuilder, TenantId,
+    TenantQuota,
 };
 use spectre_datasets::{NyseConfig, NyseGenerator};
 use spectre_events::{Event, Schema};
@@ -224,7 +225,7 @@ fn live_deploys_respect_the_query_quota() {
     let first = b.add_query_for(TenantId(3), &query);
     b.set_quota(TenantId(3), TenantQuota::default().with_max_queries(2));
     let mut engine = b.try_build().expect("one query is under the cap");
-    engine.push_batch(events[..300].to_vec());
+    engine.ingest(events[..300].to_vec());
     // Second deploy fills the quota; the third is rejected mid-stream and
     // leaves the session fully operational.
     let second = engine
@@ -238,7 +239,7 @@ fn live_deploys_respect_the_query_quota() {
     let other = engine
         .deploy_query_for(TenantId(4), &query)
         .expect("other tenants have their own caps");
-    engine.push_batch(events[300..].to_vec());
+    engine.ingest(events[300..].to_vec());
     let report = engine.try_finish().expect("finish");
     for qid in [first, second, other] {
         assert!(report.queries.contains_key(&qid));
@@ -274,9 +275,9 @@ fn tenant_rollups_sum_to_the_aggregate() {
     builder.add_query_for(TenantId(2), &b);
     builder.set_quota(TenantId(1), TenantQuota::default().with_weight(3));
     let mut engine = builder.try_build().expect("build");
-    engine.push_batch(events[..600].to_vec());
+    engine.ingest(events[..600].to_vec());
     engine.retire_query(retired).expect("retire mid-stream");
-    engine.push_batch(events[600..].to_vec());
+    engine.ingest(events[600..].to_vec());
     let report = engine.try_finish().expect("finish");
 
     assert_eq!(report.tenants.len(), 2, "both tenants report a rollup");
@@ -317,7 +318,7 @@ fn tenant_rollups_sum_to_the_aggregate() {
         .config(SpectreConfig::with_instances(2))
         .build();
     engine.deploy_query_for(TenantId(7), &a).expect("deploy");
-    engine.push_batch(events[..200].to_vec());
+    engine.ingest(events[..200].to_vec());
     let live = engine.tenant_metrics();
     assert_eq!(live.len(), 1);
     assert_eq!(live[0].0, TenantId(7));
@@ -350,5 +351,82 @@ fn weighted_tenants_still_produce_exact_outputs() {
         let tag = if threaded { "threaded" } else { "sim" };
         assert_same_output(&format!("{tag} a"), query_outputs(&report, qa), &expected_a);
         assert_same_output(&format!("{tag} b"), query_outputs(&report, qb), &expected_b);
+    }
+}
+
+#[test]
+fn a_light_tenant_keeps_its_outputs_and_its_share_beside_a_heavy_tenant() {
+    // A light data-path tenant (Q1 q = 3 without consumption) shares a
+    // k = 4 session with a speculation-heavy one (Q1 q = 110 with
+    // consumption), uncapped and with the heavy tenant's speculation
+    // capped. Both tenants' outputs stay exact. In the simulation the light
+    // tenant's share of the session is deterministic: the shared run must
+    // take at most ten times the rounds of the light tenant's solo run
+    // (about twice as many at this pairing).
+    let mut schema = Schema::new();
+    let config = NyseConfig {
+        symbols: 300,
+        leaders: 16,
+        events: 20_000,
+        seed: 42,
+        ..NyseConfig::default()
+    };
+    let events: Vec<_> = NyseGenerator::new(config, &mut schema).collect();
+    let base = queries::q1(&mut schema, 3, 200, Direction::Rising);
+    let light = Arc::new(
+        Query::builder("Q1-NC")
+            .pattern_arc(Arc::clone(base.pattern()))
+            .window(base.window().clone())
+            .selection(base.selection())
+            .consumption(ConsumptionPolicy::None)
+            .build()
+            .unwrap(),
+    );
+    let heavy = Arc::new(queries::q1(&mut schema, 110, 200, Direction::Rising));
+    let expected_light = run_sequential(&light, &events).complex_events;
+    let expected_heavy = run_sequential(&heavy, &events).complex_events;
+    assert!(!expected_light.is_empty() && !expected_heavy.is_empty());
+    let config = SpectreConfig::with_instances(4);
+    for threaded in [false, true] {
+        let tag = if threaded { "threaded" } else { "sim" };
+        let build = |b: SpectreEngineBuilder| {
+            if threaded {
+                b.threaded().build()
+            } else {
+                b.simulated().build()
+            }
+        };
+        let mut solo = SpectreEngine::multi_builder().config(config.clone());
+        let qs = solo.add_query(&light);
+        let solo = build(solo).run(events.clone());
+        assert_same_output(
+            &format!("{tag} solo"),
+            query_outputs(&solo, qs),
+            &expected_light,
+        );
+        for quota in [None, Some(TenantQuota::default().with_max_versions(64))] {
+            let tag = format!("{tag} capped={}", quota.is_some());
+            let mut shared = SpectreEngine::multi_builder().config(config.clone());
+            let ql = shared.add_query_for(TenantId(1), &light);
+            let qh = shared.add_query_for(TenantId(2), &heavy);
+            if let Some(quota) = quota {
+                shared.set_quota(TenantId(2), quota);
+            }
+            let shared = build(shared).run(events.clone());
+            assert_same_output(
+                &format!("{tag} light"),
+                query_outputs(&shared, ql),
+                &expected_light,
+            );
+            assert_same_output(
+                &format!("{tag} heavy"),
+                query_outputs(&shared, qh),
+                &expected_heavy,
+            );
+            if !threaded {
+                let ratio = solo.rounds.unwrap() as f64 / shared.rounds.unwrap() as f64;
+                assert!(ratio >= 0.10, "{tag}: light tenant share {ratio:.3}");
+            }
+        }
     }
 }

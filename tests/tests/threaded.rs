@@ -195,16 +195,7 @@ fn abandon_regime_matches_sequential_while_the_predictor_refreshes() {
     // completes, every completion branch is dropped, and the Markov
     // predictor refreshes throughout (the benchmark's `spec_abandon`
     // shape). The equivalence matrices above never leave the prior.
-    let mut schema = Schema::new();
-    let config = NyseConfig {
-        symbols: 300,
-        leaders: 16,
-        events: 50_000,
-        seed: 19,
-        ..NyseConfig::default()
-    };
-    let events: Vec<_> = NyseGenerator::new(config, &mut schema).collect();
-    let query = Arc::new(queries::q1(&mut schema, 130, 200, Direction::Rising));
+    let (query, events) = q1_regime(130, 19);
     let expected = run_sequential(&query, &events).complex_events;
     let check = |label: &str, got: &[_], metrics: &MetricsSnapshot| {
         assert_same_output(label, got, &expected);
@@ -225,20 +216,22 @@ fn abandon_regime_matches_sequential_while_the_predictor_refreshes() {
     check("threaded k=2", &report.complex_events, &report.metrics);
 }
 
-/// The benchmark's `spec_complete` shape: Q1 at q = 40 over ws = 200 with
-/// consumption on the seeded NYSE stream — groups mostly complete, so
-/// completion branches are rebuilt, materialized and rolled back.
-fn completion_regime() -> (Arc<spectre_query::Query>, Vec<spectre_events::Event>) {
+/// Q1 at pattern length `q` over ws = 200 with consumption, on 50 k
+/// seeded NYSE events (300 symbols, 16 leaders). The pattern/window ratio
+/// picks the regime: q = 40 is the benchmark's `spec_complete` shape
+/// (groups mostly complete, so completion branches are rebuilt,
+/// materialized and rolled back), q = 130 its `spec_abandon` shape.
+fn q1_regime(q: usize, seed: u64) -> (Arc<spectre_query::Query>, Vec<spectre_events::Event>) {
     let mut schema = Schema::new();
     let config = NyseConfig {
         symbols: 300,
         leaders: 16,
         events: 50_000,
-        seed: 23,
+        seed,
         ..NyseConfig::default()
     };
     let events: Vec<_> = NyseGenerator::new(config, &mut schema).collect();
-    let query = Arc::new(queries::q1(&mut schema, 40, 200, Direction::Rising));
+    let query = Arc::new(queries::q1(&mut schema, q, 200, Direction::Rising));
     (query, events)
 }
 
@@ -249,7 +242,7 @@ fn completion_regime_matches_sequential_without_rebuilding_the_backlog() {
     // backlog of pending windows, so the versions a run creates stay
     // within a small multiple of the windows it retires plus the groups
     // it opens (≈ 126 × before rebuilt tails became thunks).
-    let (query, events) = completion_regime();
+    let (query, events) = q1_regime(40, 23);
     let expected = run_sequential(&query, &events).complex_events;
     let check = |label: &str, got: &[_], m: &MetricsSnapshot| {
         assert_same_output(label, got, &expected);
@@ -284,7 +277,7 @@ fn versions_created_do_not_grow_with_the_backlog_cap() {
     // run ingests up to its `max_tree_versions` cap at once and works the
     // backlog off from there: the deepest backlog the cap allows. The
     // versions created must not depend on that depth.
-    let (query, events) = completion_regime();
+    let (query, events) = q1_regime(40, 23);
     let expected = run_sequential(&query, &events).complex_events;
     let created: Vec<u64> = [64usize, 256, 1024]
         .into_iter()
@@ -308,4 +301,24 @@ fn versions_created_do_not_grow_with_the_backlog_cap() {
         max as f64 <= 1.2 * min as f64,
         "versions created per cap: {created:?}"
     );
+}
+
+#[test]
+fn mixed_regime_matches_sequential_at_every_instance_count() {
+    // Q1 at q = 110 over ws = 200: most groups abandon, enough complete to
+    // keep the output non-trivial, so both halves of the tree run in one
+    // stream. Every k must deliver the sequential output under real
+    // threads; k = 8 oversubscribes a small host on purpose, which is where
+    // the worker interleavings are most varied. Rollbacks are not asserted:
+    // whether a run rolls back depends on the thread schedule.
+    let (query, events) = q1_regime(110, 42);
+    let expected = run_sequential(&query, &events).complex_events;
+    for k in [1usize, 2, 4, 8] {
+        let report = run_threaded(&query, events.clone(), &SpectreConfig::with_instances(k));
+        let m = &report.metrics;
+        let label = format!("threaded k={k}");
+        assert_same_output(&label, &report.complex_events, &expected);
+        assert!(m.cgs_completed > 0, "{label}: {m:?}");
+        assert!(m.cgs_abandoned > 0, "{label}: {m:?}");
+    }
 }
