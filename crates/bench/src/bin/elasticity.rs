@@ -59,12 +59,20 @@ fn main() {
         for &k in &ks {
             thr.insert(
                 k,
-                sim_throughput(&query, &events, &SpectreConfig::with_instances(k)),
+                sim_throughput(
+                    &query,
+                    events.iter().cloned(),
+                    &SpectreConfig::with_instances(k),
+                ),
             );
         }
         let rec = recommend_for(&config, gt);
         // Measure the recommendation (it may fall between swept ks).
-        let thr_rec = sim_throughput(&query, &events, &SpectreConfig::with_instances(rec));
+        let thr_rec = sim_throughput(
+            &query,
+            events.iter().cloned(),
+            &SpectreConfig::with_instances(rec),
+        );
         let (&best_k, &thr_best) = thr
             .iter()
             .max_by(|a, b| a.1.total_cmp(b.1))

@@ -10,8 +10,8 @@ use std::sync::Arc;
 
 use spectre_baselines::run_sequential;
 use spectre_bench::{
-    bench_events, bench_ks, bench_repeats, nyse_source, nyse_stream, print_row,
-    sim_throughput_streamed, Candlestick,
+    bench_events, bench_ks, bench_repeats, nyse_source, nyse_stream, print_row, sim_throughput,
+    Candlestick,
 };
 use spectre_core::SpectreConfig;
 use spectre_events::Schema;
@@ -57,7 +57,7 @@ fn main() {
                 let source = nyse_source(events_n, 42 + rep as u64, &mut schema);
                 let query = Arc::new(queries::q1(&mut schema, q, ws, Direction::Rising));
                 let config = SpectreConfig::with_instances(k);
-                samples.push(sim_throughput_streamed(&query, source, &config));
+                samples.push(sim_throughput(&query, source, &config));
             }
             cells.push(Candlestick::of(&samples).to_string());
         }

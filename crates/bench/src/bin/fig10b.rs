@@ -13,8 +13,8 @@ use std::sync::Arc;
 
 use spectre_baselines::run_sequential;
 use spectre_bench::{
-    bench_events, bench_ks, bench_repeats, nyse_source, nyse_stream, print_row,
-    sim_throughput_streamed, Candlestick,
+    bench_events, bench_ks, bench_repeats, nyse_source, nyse_stream, print_row, sim_throughput,
+    Candlestick,
 };
 use spectre_core::SpectreConfig;
 use spectre_events::Schema;
@@ -147,7 +147,7 @@ fn main() {
                 let mut schema = Schema::new();
                 let source = nyse_source(events_n, 42 + rep as u64, &mut schema);
                 let query = Arc::new(queries::q2(&mut schema, lower, upper, ws, slide));
-                samples.push(sim_throughput_streamed(
+                samples.push(sim_throughput(
                     &query,
                     source,
                     &SpectreConfig::with_instances(k),

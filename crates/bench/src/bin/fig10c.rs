@@ -9,7 +9,8 @@
 use std::sync::Arc;
 
 use spectre_bench::{
-    bench_events, bench_ks, bench_repeats, nyse_source, print_row, sim_report_streamed,
+    bench_events, bench_ks, bench_repeats, nyse_source, print_row, scheduling_cycles_per_sec,
+    sim_report,
 };
 use spectre_core::SpectreConfig;
 use spectre_events::Schema;
@@ -44,12 +45,12 @@ fn main() {
             let mut schema = Schema::new();
             let source = nyse_source(events_n, 42 + rep as u64, &mut schema);
             let query = Arc::new(queries::q1(&mut schema, q, ws, Direction::Rising));
-            let report = sim_report_streamed(&query, source, &SpectreConfig::with_instances(k));
-            let rate = report.scheduling_cycles_per_sec();
+            let report = sim_report(&query, source, &SpectreConfig::with_instances(k));
+            let rate = scheduling_cycles_per_sec(&report);
             if rate > best {
                 best = rate;
                 cycles = report.metrics.sched_cycles;
-                wall_ms = report.splitter_wall.as_secs_f64() * 1e3;
+                wall_ms = report.splitter_wall.map_or(0.0, |w| w.as_secs_f64() * 1e3);
             }
         }
         print_row(

@@ -6,9 +6,7 @@
 
 use std::sync::Arc;
 
-use spectre_bench::{
-    bench_events, bench_ks, bench_repeats, nyse_source, print_row, sim_report_streamed,
-};
+use spectre_bench::{bench_events, bench_ks, bench_repeats, nyse_source, print_row, sim_report};
 use spectre_core::SpectreConfig;
 use spectre_events::Schema;
 use spectre_query::queries::{self, Direction};
@@ -56,7 +54,7 @@ fn main() {
             let mut schema = Schema::new();
             let source = nyse_source(events_n, 42 + rep as u64, &mut schema);
             let query = Arc::new(queries::q1(&mut schema, q, ws, Direction::Rising));
-            let report = sim_report_streamed(&query, source, &SpectreConfig::with_instances(k));
+            let report = sim_report(&query, source, &SpectreConfig::with_instances(k));
             max_tree = max_tree.max(report.metrics.max_tree_versions);
             created = created.max(report.metrics.versions_created);
             dropped = dropped.max(report.metrics.versions_dropped);

@@ -11,8 +11,8 @@ use std::sync::Arc;
 
 use spectre_baselines::run_sequential;
 use spectre_bench::{
-    bench_events, bench_repeats, print_row, rand_source, rand_stream, sim_report_streamed,
-    Candlestick, PER_INSTANCE_EVENT_RATE,
+    bench_events, bench_repeats, calibrated_throughput, print_row, rand_source, rand_stream,
+    sim_report, Candlestick,
 };
 use spectre_core::{PredictorKind, SpectreConfig};
 use spectre_events::Schema;
@@ -91,8 +91,8 @@ fn main() {
                     predictor: predictor.clone(),
                     ..Default::default()
                 };
-                let report = sim_report_streamed(&query, source, &config);
-                samples.push(report.throughput(PER_INSTANCE_EVENT_RATE));
+                let report = sim_report(&query, source, &config);
+                samples.push(calibrated_throughput(&report));
                 refreshes = refreshes.max(report.metrics.predictor_refreshes);
                 refresh_nanos = refresh_nanos.max(report.metrics.predictor_refresh_nanos);
             }

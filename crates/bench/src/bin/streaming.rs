@@ -15,12 +15,12 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use spectre_core::{SpectreConfig, SpectreEngine};
+use spectre_core::{EngineError, SpectreConfig, SpectreEngine};
 use spectre_datasets::{NyseConfig, NyseGenerator};
 use spectre_events::Schema;
 use spectre_query::queries::{self, Direction};
 
-fn main() {
+fn main() -> Result<(), EngineError> {
     let events_n: usize = std::env::var("SPECTRE_BENCH_EVENTS")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -39,7 +39,7 @@ fn main() {
     let mut engine = SpectreEngine::builder(&query)
         .config(config)
         .threaded()
-        .build();
+        .try_build()?;
     let mut source = NyseGenerator::new(
         NyseConfig {
             symbols: 300,
@@ -54,8 +54,8 @@ fn main() {
     let report_every = 1_000_000u64;
     let mut next_report = report_every;
     loop {
-        let fed = engine.ingest(source.by_ref().take(65_536));
-        outputs += engine.drain_outputs().len();
+        let fed = engine.ingest(source.by_ref().take(65_536))?;
+        outputs += engine.try_drain_outputs()?.len();
         if engine.events_ingested() >= next_report {
             let m = engine.metrics();
             println!(
@@ -71,7 +71,7 @@ fn main() {
             break;
         }
     }
-    let report = engine.finish();
+    let report = engine.try_finish()?;
     outputs += report.complex_events.len();
 
     let peak = report.metrics.max_tree_versions;
@@ -92,4 +92,5 @@ fn main() {
         "peak tree size {peak} escaped the speculative-load bound {cap}"
     );
     println!("peak tree within the speculative-load bound ✔ (bounded memory)");
+    Ok(())
 }

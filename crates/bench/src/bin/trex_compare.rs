@@ -11,11 +11,11 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use spectre_baselines::{run_sequential, TrexEngine};
-use spectre_bench::{bench_events, nyse_stream, print_row, sim_report, PER_INSTANCE_EVENT_RATE};
-use spectre_core::{SpectreConfig, SpectreEngine};
+use spectre_bench::{bench_events, calibrated_throughput, nyse_stream, print_row, sim_report};
+use spectre_core::{EngineError, SpectreConfig, SpectreEngine};
 use spectre_query::queries::{self, Direction};
 
-fn main() {
+fn main() -> Result<(), EngineError> {
     let ws: u64 = std::env::var("SPECTRE_BENCH_WS")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -65,8 +65,8 @@ fn main() {
         let report = SpectreEngine::builder(&query)
             .config(SpectreConfig::with_instances(k))
             .threaded()
-            .build()
-            .run(events.iter().cloned());
+            .try_build()?
+            .run(events.iter().cloned())?;
         print_row(
             &[
                 format!("SPECTRE threaded k={k} (measured)"),
@@ -79,15 +79,20 @@ fn main() {
 
     // SPECTRE simulated multi-core scaling (calibrated).
     for k in [1usize, 8, 32] {
-        let report = sim_report(&query, &events, &SpectreConfig::with_instances(k));
+        let report = sim_report(
+            &query,
+            events.iter().cloned(),
+            &SpectreConfig::with_instances(k),
+        );
         print_row(
             &[
                 format!("SPECTRE simulated k={k} (calibrated)"),
-                format!("{:.0}", report.throughput(PER_INSTANCE_EVENT_RATE)),
+                format!("{:.0}", calibrated_throughput(&report)),
                 format!("{}", report.complex_events.len()),
             ],
             &widths,
         );
     }
     println!("# all engines must report identical complex-event counts");
+    Ok(())
 }

@@ -18,7 +18,7 @@
 
 use std::sync::Arc;
 
-use spectre_core::{run_simulated, SimReport, SpectreConfig, SpectreEngine};
+use spectre_core::{Report, SpectreConfig, SpectreEngine};
 use spectre_datasets::{NyseConfig, NyseGenerator, RandConfig, RandGenerator};
 use spectre_events::{Event, Schema, SymbolId};
 use spectre_query::Query;
@@ -28,6 +28,35 @@ use spectre_query::Query;
 /// (§4.2.1); only affects the absolute scale of reported throughputs, never
 /// their ratios.
 pub const PER_INSTANCE_EVENT_RATE: f64 = 10_800.0;
+
+/// Virtual throughput of a simulated run in events/second:
+/// `input_events / rounds × PER_INSTANCE_EVENT_RATE` (see
+/// `SpectreEngineBuilder::simulated` for the virtual-time model). Zero for
+/// a run without rounds (a threaded report, or an empty stream).
+///
+/// The calibration assumes one event per instance per round, i.e.
+/// `batch_size: 1` — a batched round handles up to `batch_size` events and
+/// would inflate this number by that factor; [`sim_report`] pins the batch
+/// size accordingly.
+pub fn calibrated_throughput(report: &Report) -> f64 {
+    match report.rounds {
+        Some(rounds) if rounds > 0 => {
+            report.input_events as f64 / rounds as f64 * PER_INSTANCE_EVENT_RATE
+        }
+        _ => 0.0,
+    }
+}
+
+/// Real scheduling cycles per second of splitter wall time in a simulated
+/// run (paper Fig. 10(c)). Zero for a threaded report.
+pub fn scheduling_cycles_per_sec(report: &Report) -> f64 {
+    let secs = report.splitter_wall.map_or(0.0, |w| w.as_secs_f64());
+    if secs == 0.0 {
+        0.0
+    } else {
+        report.metrics.sched_cycles as f64 / secs
+    }
+}
 
 /// Reads the benchmark stream length for the simulator-driven figure
 /// binaries: 1 M events by default — the consumption-heavy figure
@@ -125,70 +154,44 @@ pub fn rand_stream(events: usize, seed: u64) -> (Schema, Vec<Event>, Vec<SymbolI
     (schema, stream, symbols)
 }
 
-/// Runs SPECTRE in the virtual-time simulator and reports throughput in
-/// events/second (calibrated by [`PER_INSTANCE_EVENT_RATE`]).
-pub fn sim_throughput(query: &Arc<Query>, events: &[Event], config: &SpectreConfig) -> f64 {
-    sim_report(query, events, config).throughput(PER_INSTANCE_EVENT_RATE)
-}
-
-/// Runs SPECTRE in the simulator and returns the full report.
+/// Runs SPECTRE in a simulated session fed straight from `source` and
+/// returns the report — the figure binaries' measurement path, which must
+/// scale to the paper's 24 M-quote stream without materializing it.
 ///
 /// The virtual-time calibration defines a round as *one event per
-/// instance* ([`SimReport::throughput`]), so the figure harness pins
+/// instance* ([`calibrated_throughput`]), so the figure harness pins
 /// `batch_size` to 1 regardless of the passed configuration — a batched
 /// round would process up to `batch_size` events and inflate the
 /// calibrated events/s by that factor. The batched data path is a
 /// real-thread optimization; its win is measured by `benchmark/`.
-pub fn sim_report(query: &Arc<Query>, events: &[Event], config: &SpectreConfig) -> SimReport {
-    let config = SpectreConfig {
-        batch_size: 1,
-        ..config.clone()
-    };
-    // `run_simulated` is itself a thin wrapper over a `SpectreEngine`
-    // session; the figure harness wants exactly its `SimReport` shape
-    // (virtual rounds drive the calibrated throughput).
-    run_simulated(query, events.to_vec(), &config)
-}
-
-/// [`sim_report`] over a *streaming* source: the generator feeds the
-/// simulated engine session directly, with no `Vec` fixture at any point —
-/// the figure binaries' measurement path, which must scale to the paper's
-/// 24 M-quote stream without materializing it. Pins `batch_size` to 1 for
-/// the same calibration reason as [`sim_report`]; the virtual rounds and
-/// outputs are identical to the materialized path on the same stream.
-pub fn sim_report_streamed(
+///
+/// # Panics
+///
+/// Panics if the configuration or query is rejected by the engine.
+pub fn sim_report(
     query: &Arc<Query>,
     source: impl IntoIterator<Item = Event>,
     config: &SpectreConfig,
-) -> SimReport {
+) -> Report {
     let config = SpectreConfig {
         batch_size: 1,
         ..config.clone()
     };
-    let report = SpectreEngine::builder(query)
+    SpectreEngine::builder(query)
         .config(config)
         .simulated()
-        .build()
-        .run(source);
-    SimReport {
-        complex_events: report.complex_events,
-        metrics: report.metrics,
-        rounds: report.rounds.expect("simulated sessions report rounds"),
-        input_events: report.input_events,
-        splitter_wall: report
-            .splitter_wall
-            .expect("simulated sessions report splitter wall time"),
-        total_wall: report.wall,
-    }
+        .try_build()
+        .and_then(|engine| engine.run(source))
+        .unwrap_or_else(|e| panic!("simulated run failed: {e}"))
 }
 
-/// [`sim_throughput`] over a streaming source.
-pub fn sim_throughput_streamed(
+/// [`sim_report`]'s [`calibrated_throughput`] in events/second.
+pub fn sim_throughput(
     query: &Arc<Query>,
     source: impl IntoIterator<Item = Event>,
     config: &SpectreConfig,
 ) -> f64 {
-    sim_report_streamed(query, source, config).throughput(PER_INSTANCE_EVENT_RATE)
+    calibrated_throughput(&sim_report(query, source, config))
 }
 
 /// The paper's candlestick summary: 0th, 25th, 50th, 75th and 100th
@@ -322,12 +325,35 @@ mod tests {
         let (mut schema, events) = nyse_stream(2000, 11);
         let query = Arc::new(queries::q1(&mut schema, 3, 200, Direction::Rising));
         let config = SpectreConfig::with_instances(4);
-        let fixture = sim_report(&query, &events, &config);
+        let fixture = sim_report(&query, events, &config);
         let mut schema2 = Schema::new();
         let source = nyse_source(2000, 11, &mut schema2);
-        let streamed = sim_report_streamed(&query, source, &config);
+        let streamed = sim_report(&query, source, &config);
         assert_eq!(streamed.complex_events, fixture.complex_events);
         assert_eq!(streamed.rounds, fixture.rounds);
         assert_eq!(streamed.input_events, fixture.input_events);
+    }
+
+    #[test]
+    fn report_accessors() {
+        use spectre_query::queries::{self, Direction};
+        let (mut schema, events) = nyse_stream(500, 2);
+        let query = Arc::new(queries::q1(&mut schema, 2, 100, Direction::Rising));
+        let report = sim_report(&query, events, &SpectreConfig::with_instances(2));
+        assert_eq!(report.input_events, 500);
+        let rounds = report.rounds.expect("simulated runs report rounds");
+        assert_eq!(
+            calibrated_throughput(&report),
+            500.0 / rounds as f64 * PER_INSTANCE_EVENT_RATE
+        );
+        assert!(scheduling_cycles_per_sec(&report) >= 0.0);
+        assert!(report.metrics.sched_cycles > 0);
+        let threaded = Report {
+            rounds: None,
+            splitter_wall: None,
+            ..report
+        };
+        assert_eq!(calibrated_throughput(&threaded), 0.0);
+        assert_eq!(scheduling_cycles_per_sec(&threaded), 0.0);
     }
 }

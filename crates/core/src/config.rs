@@ -64,7 +64,7 @@ pub struct SpectreConfig {
     pub max_tree_versions: usize,
     /// Opt-in out-of-order ingestion: `Some` interposes a watermark-driven
     /// [`ReorderBuffer`](crate::reorder::ReorderBuffer) between the session
-    /// surface (`push`/`ingest`) and the splitter, so events
+    /// surface (`try_push`/`ingest`) and the splitter, so events
     /// may arrive up to [`ReorderConfig::max_delay`] timestamp ticks out
     /// of order and still produce the exact in-order output. Buffer-cap
     /// back-pressure surfaces as the existing `PushResult::Full`. `None`

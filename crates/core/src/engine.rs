@@ -1,16 +1,17 @@
 //! The incremental engine session: SPECTRE as a push/pull streaming engine.
 //!
-//! [`SpectreEngine`] replaces the one-shot `run_*` drivers' "hand me the
-//! whole `Vec<Event>`" surface with a session the caller feeds
-//! incrementally — the standard source/engine split of streaming systems.
-//! A session is constructed with a builder, fed with
-//! [`push`](SpectreEngine::push) / [`ingest`](SpectreEngine::ingest),
+//! [`SpectreEngine`] is the one way to run the engine: a session the
+//! caller feeds incrementally — the standard source/engine split of
+//! streaming systems. A session is constructed with a builder
+//! ([`try_build`](SpectreEngineBuilder::try_build)), fed with
+//! [`try_push`](SpectreEngine::try_push) / [`ingest`](SpectreEngine::ingest),
 //! queried with
-//! [`drain_outputs`](SpectreEngine::drain_outputs) (complex events as they
-//! are committed, not only at end of run) and
+//! [`try_drain_outputs`](SpectreEngine::try_drain_outputs) (complex events
+//! as they are committed, not only at end of run) and
 //! [`metrics`](SpectreEngine::metrics), and closed with
-//! [`finish`](SpectreEngine::finish), which signals end-of-stream, drives
-//! the run to completion and returns a unified [`Report`].
+//! [`try_finish`](SpectreEngine::try_finish), which signals end-of-stream,
+//! drives the run to completion and returns the [`Report`].
+//! [`run`](SpectreEngine::run) is `ingest` followed by `try_finish`.
 //!
 //! Two execution modes share the session surface:
 //!
@@ -26,13 +27,12 @@
 //! Back-pressure is part of the API: the splitter's speculative bound
 //! ([`SpectreConfig::max_tree_versions`] over
 //! `DependencyTree::speculative_load`) propagates to the caller —
-//! [`push`](SpectreEngine::push) returns [`PushResult::Full`] (handing the
-//! event back) instead of buffering without bound, so a source can throttle
-//! while total memory stays bounded by the engine's feed capacity plus the
-//! speculative load cap, never by the stream length. That is what opens
-//! the paper's 24 M-event workload: a generator or TCP source streams
-//! through a session in constant space, where the legacy drivers needed a
-//! ~2 GB materialized fixture.
+//! [`try_push`](SpectreEngine::try_push) returns [`PushResult::Full`]
+//! (handing the event back) instead of buffering without bound, so a source
+//! can throttle while total memory stays bounded by the engine's feed
+//! capacity plus the speculative load cap, never by the stream length.
+//! That is what opens the paper's 24 M-event workload: a generator or a
+//! socket streams through a session in constant space.
 //!
 //! # Multi-query sessions
 //!
@@ -42,24 +42,16 @@
 //! [`deploy_query`](SpectreEngine::deploy_query) (matching starts at the
 //! next window boundary) and [`retire_query`](SpectreEngine::retire_query)
 //! (in-flight state is freed; the other queries are untouched).
-//! [`drain_outputs`](SpectreEngine::drain_outputs) tags each complex event
-//! with its [`QueryId`] — single-query callers can use
-//! [`drain_events`](SpectreEngine::drain_events) for the untagged stream —
-//! and [`finish`](SpectreEngine::finish) reports both the aggregate and a
-//! per-query breakdown ([`Report::queries`]). Queries with equal window
+//! [`try_drain_outputs`](SpectreEngine::try_drain_outputs) tags each
+//! complex event with its [`QueryId`], and
+//! [`try_finish`](SpectreEngine::try_finish) reports both the aggregate and
+//! a per-query breakdown ([`Report::queries`]). Queries with equal window
 //! specs share their window buffers in the store: each window's events are
 //! stored once, no matter how many queries consume them.
 //!
-//! Misuse that was formerly a panic or a silent no-op is surfaced through
-//! the fallible surface ([`try_push`](SpectreEngine::try_push) /
-//! [`try_drain_outputs`](SpectreEngine::try_drain_outputs) /
-//! [`try_finish`](SpectreEngine::try_finish)) as [`EngineError`]; the
-//! legacy infallible methods remain panic-compatible wrappers.
-//!
-//! The legacy [`run_simulated`](crate::run_simulated) /
-//! [`run_threaded`](crate::run_threaded) entrypoints survive as thin
-//! wrappers over a session (feed everything, then finish) with unchanged
-//! signatures and identical results.
+//! Misuse of the session is a value, never a panic: every call that can
+//! meet a finished session, an unknown query or an invalid configuration
+//! returns [`EngineError`].
 //!
 //! # Multi-tenant sessions
 //!
@@ -83,20 +75,23 @@
 //! use spectre_events::Schema;
 //! use spectre_datasets::{NyseConfig, NyseGenerator};
 //! use spectre_query::queries;
-//! use spectre_core::{SpectreConfig, SpectreEngine};
+//! use spectre_core::{EngineError, SpectreConfig, SpectreEngine};
 //!
+//! # fn main() -> Result<(), EngineError> {
 //! let mut schema = Schema::new();
 //! let query = Arc::new(queries::q1(&mut schema, 2, 100, Default::default()));
 //! let mut engine = SpectreEngine::builder(&query)
 //!     .config(SpectreConfig::with_instances(4))
 //!     .simulated()
-//!     .build();
+//!     .try_build()?;
 //! // Feed the generator straight into the session — no Vec in between.
-//! engine.ingest(NyseGenerator::new(NyseConfig::small(500, 1), &mut schema));
-//! let early = engine.drain_events(); // whatever is committed so far
-//! let report = engine.finish();
+//! engine.ingest(NyseGenerator::new(NyseConfig::small(500, 1), &mut schema))?;
+//! let early = engine.try_drain_outputs()?; // whatever is committed so far
+//! let report = engine.try_finish()?;
 //! assert_eq!(report.input_events, 500);
 //! println!("{} + {} complex events", early.len(), report.complex_events.len());
+//! # Ok(())
+//! # }
 //! ```
 
 use std::collections::BTreeMap;
@@ -105,7 +100,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use spectre_events::{Event, StreamItem};
+use spectre_events::Event;
 use spectre_query::{ComplexEvent, Query};
 
 use crate::config::{SpectreConfig, TenantQuota};
@@ -115,15 +110,14 @@ use crate::reorder::{Offer, ReorderBuffer};
 use crate::shared::{QueryId, SharedState, TenantId};
 use crate::splitter::Splitter;
 
-/// A misuse of the engine session surface, reported by the `try_*` methods
-/// and the query-lifecycle calls. The legacy infallible methods panic with
-/// the [`Display`](std::fmt::Display) rendering of the same values.
+/// A misuse of the engine session surface, reported by every session call
+/// that can meet it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum EngineError {
     /// The session was already finished ([`SpectreEngine::try_finish`]):
-    /// no further events can be pushed, outputs drained or queries
-    /// deployed/retired.
+    /// no further events can be pushed or ingested, watermarks advanced,
+    /// outputs drained or queries deployed/retired.
     SessionFinished,
     /// The [`QueryId`] names no currently deployed query — it was never
     /// deployed in this session, or was already retired (ids are not
@@ -148,8 +142,7 @@ pub enum EngineError {
     },
     /// The session configuration or a tenant quota violates a constraint
     /// (the message is the constraint; see [`SpectreConfig::try_validate`]
-    /// and [`TenantQuota::try_validate`]). The infallible
-    /// [`SpectreEngineBuilder::build`] panics with the same message.
+    /// and [`TenantQuota::try_validate`]).
     InvalidConfig(String),
 }
 
@@ -183,7 +176,7 @@ impl std::fmt::Display for EngineError {
 
 impl std::error::Error for EngineError {}
 
-/// Outcome of a [`SpectreEngine::push`].
+/// Outcome of a [`SpectreEngine::try_push`].
 #[derive(Debug)]
 #[must_use = "a Full result hands the event back; dropping it loses the event"]
 pub enum PushResult {
@@ -192,9 +185,9 @@ pub enum PushResult {
     /// Speculative back-pressure: the feed is at capacity and the last
     /// maintenance round could not drain it (the dependency tree is at its
     /// [`SpectreConfig::max_tree_versions`] load bound). The event is
-    /// handed back; retry after more processing — e.g. another `push`
+    /// handed back; retry after more processing — e.g. another `try_push`
     /// (each attempt runs a maintenance round) or a
-    /// [`drain_outputs`](SpectreEngine::drain_outputs) call.
+    /// [`try_drain_outputs`](SpectreEngine::try_drain_outputs) call.
     Full(Event),
 }
 
@@ -211,7 +204,7 @@ pub struct QueryReport {
     /// The tenant that owned the query.
     pub tenant: TenantId,
     /// This query's complex events committed since the last
-    /// [`drain_outputs`](SpectreEngine::drain_outputs), in its window
+    /// [`try_drain_outputs`](SpectreEngine::try_drain_outputs), in its window
     /// order (detection order within a window).
     pub complex_events: Vec<ComplexEvent>,
     /// This query's share of the metric counters. Engine-scoped counters
@@ -221,16 +214,15 @@ pub struct QueryReport {
     pub metrics: MetricsSnapshot,
 }
 
-/// Unified end-of-run report of an engine session (both modes), returned
-/// by [`SpectreEngine::finish`]. The legacy `SimReport` / `ThreadedReport`
-/// are reconstructed from this by the wrapper entrypoints.
+/// End-of-run report of an engine session in either mode, returned by
+/// [`SpectreEngine::try_finish`].
 #[derive(Debug, Clone)]
 pub struct Report {
     /// Complex events committed since the last
-    /// [`drain_outputs`](SpectreEngine::drain_outputs) (all of them, if
-    /// the session never drained), across all queries in commit order.
-    /// With a single deployed query this is exactly that query's stream in
-    /// window order — the legacy flat accessor.
+    /// [`try_drain_outputs`](SpectreEngine::try_drain_outputs) (all of
+    /// them, if the session never drained), across all queries in commit
+    /// order. With a single deployed query this is exactly that query's
+    /// stream in window order.
     pub complex_events: Vec<ComplexEvent>,
     /// Final metric counters, aggregated over the whole session.
     pub metrics: MetricsSnapshot,
@@ -368,8 +360,9 @@ impl SpectreEngineBuilder {
     }
 
     /// Selects the threaded mode: `instances` worker threads are spawned
-    /// at [`build`](Self::build) and held by the session; the calling
-    /// thread runs splitter work inside `push`/`ingest`/`finish`.
+    /// at [`try_build`](Self::try_build) and held by the session; the
+    /// calling thread runs splitter work inside `try_push`/`ingest`/
+    /// `try_finish`.
     #[must_use]
     pub fn threaded(mut self) -> Self {
         self.threaded = true;
@@ -377,8 +370,33 @@ impl SpectreEngineBuilder {
     }
 
     /// Selects the deterministic virtual-time simulation mode (the
-    /// default): splitter cycles and instance steps interleave on the
-    /// calling thread exactly as in the legacy `run_simulated` loop.
+    /// default), which reproduces the paper's figures on arbitrary
+    /// hardware.
+    ///
+    /// The paper evaluates SPECTRE on a 2×10-core machine; this mode runs
+    /// the real splitter and instance logic under a virtual-time scheduler
+    /// on the calling thread: per round, the splitter runs one maintenance
+    /// cycle (every [`SpectreConfig::sched_period`] rounds) and each of the
+    /// k operator instances performs at most one step — one batch of up to
+    /// [`SpectreConfig::batch_size`] events (`batch_size: 1` gives the
+    /// original one-event-per-round model). A round therefore models the
+    /// time slice in which one instance handles one batch, and
+    ///
+    /// ```text
+    /// throughput(k) = input_events / rounds × per_instance_event_rate
+    /// ```
+    ///
+    /// Speculation waste — rounds spent on window versions that are later
+    /// dropped — and scheduling breadth/depth are exactly the effects the
+    /// paper's scalability curves measure (§4.2.1), and they are captured
+    /// faithfully because the *same* tree, predictor, scheduler and
+    /// consistency machinery run underneath. Everything is single-threaded
+    /// and seed-free, so runs are bit-for-bit reproducible. Lazy branch
+    /// materialization happens inside the splitter's maintenance cycle, so
+    /// the virtual-time model is unchanged; the `versions_materialized` /
+    /// `lazy_versions_dropped` counters expose how much cloning the
+    /// predictor's ranking avoided. [`Report::rounds`] and
+    /// [`Report::splitter_wall`] are set in this mode only.
     #[must_use]
     pub fn simulated(mut self) -> Self {
         self.threaded = false;
@@ -386,19 +404,6 @@ impl SpectreEngineBuilder {
     }
 
     /// Builds the session (threaded mode spawns the worker threads here).
-    ///
-    /// # Panics
-    ///
-    /// Panics on any [`try_build`](Self::try_build) error: invalid
-    /// configuration or quota, a query not runnable on the speculative
-    /// runtime, or a tenant over its query quota.
-    pub fn build(self) -> SpectreEngine {
-        self.try_build().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Builds the session, reporting configuration and quota problems as
-    /// values instead of panicking (threaded mode spawns the worker
-    /// threads here).
     ///
     /// # Errors
     ///
@@ -443,9 +448,9 @@ impl SpectreEngineBuilder {
             }
         };
         // One maintenance cycle consumes at most `ingest_per_cycle` events,
-        // so a feed of that size never starves a cycle — the session
-        // behaves exactly like the legacy drivers, which ingested from a
-        // fully materialized Vec. Anything beyond it is pure buffering.
+        // so a feed of that size never starves a cycle: a session fed
+        // incrementally cycles exactly like one handed the whole stream.
+        // Anything beyond it is pure buffering.
         let capacity = config.ingest_per_cycle.max(config.batch_size);
         let reorder = config
             .reorder
@@ -469,8 +474,9 @@ impl SpectreEngineBuilder {
 
 /// Mode-specific execution state of a session.
 enum Driver {
-    /// Virtual-time scheduler state (the legacy `run_simulated` loop,
-    /// suspended between calls into the session).
+    /// Virtual-time scheduler state (see
+    /// [`SpectreEngineBuilder::simulated`]), suspended between calls into
+    /// the session.
     Simulated {
         instances: Vec<InstanceCore>,
         rounds: u64,
@@ -512,8 +518,8 @@ impl std::fmt::Debug for SpectreEngine {
 
 impl SpectreEngine {
     /// Starts building a session over the single query `query` (deployed
-    /// as `QueryId(0)`) — the original single-query entrypoint, now a thin
-    /// wrapper over [`multi_builder`](Self::multi_builder).
+    /// as `QueryId(0)`): [`multi_builder`](Self::multi_builder) plus one
+    /// [`add_query`](SpectreEngineBuilder::add_query).
     pub fn builder(query: &Arc<Query>) -> SpectreEngineBuilder {
         let mut builder = Self::multi_builder();
         builder.add_query(query);
@@ -522,7 +528,7 @@ impl SpectreEngine {
 
     /// Starts building a session hosting any number of queries: add them
     /// with [`SpectreEngineBuilder::add_query`] before
-    /// [`build`](SpectreEngineBuilder::build), or deploy onto the live
+    /// [`try_build`](SpectreEngineBuilder::try_build), or deploy onto the live
     /// session with [`deploy_query`](Self::deploy_query).
     pub fn multi_builder() -> SpectreEngineBuilder {
         SpectreEngineBuilder {
@@ -546,16 +552,9 @@ impl SpectreEngine {
     /// back-pressure); every retry runs another round, so a plain retry
     /// loop always terminates.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the session was already finished; use
-    /// [`try_push`](Self::try_push) to handle that as an error.
-    pub fn push(&mut self, event: Event) -> PushResult {
-        self.try_push(event).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`push`](Self::push): offering an event to a finished
-    /// session is [`EngineError::SessionFinished`] instead of a panic.
+    /// [`EngineError::SessionFinished`] if the session already finished.
     pub fn try_push(&mut self, event: Event) -> Result<PushResult, EngineError> {
         if self.finished {
             return Err(EngineError::SessionFinished);
@@ -635,16 +634,19 @@ impl SpectreEngine {
     /// ahead of the
     /// per-arrival cadence. No-op without a reorder stage.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the session was already finished.
-    pub fn advance_watermark(&mut self, stream_ts: u64) {
-        assert!(!self.finished, "session already finished");
+    /// [`EngineError::SessionFinished`] if the session already finished.
+    pub fn advance_watermark(&mut self, stream_ts: u64) -> Result<(), EngineError> {
+        if self.finished {
+            return Err(EngineError::SessionFinished);
+        }
         if let Some(rb) = self.reorder.as_mut() {
             rb.advance_watermark(stream_ts);
             self.flush_reorder_stats();
             self.drain_reorder();
         }
+        Ok(())
     }
 
     /// Deploys an additional query onto the live session. The query starts
@@ -713,47 +715,28 @@ impl SpectreEngine {
     }
 
     /// Feeds everything a source yields, blocking (i.e. running engine
-    /// work) until every event is accepted — the streaming replacement for
-    /// handing the drivers a `Vec`: any `Iterator<Item = Event>` (a batch,
-    /// a dataset generator, a `TcpSource`, a decoded file) plugs in
-    /// directly and is consumed incrementally, so memory stays bounded
-    /// regardless of stream length. Returns the number of events fed.
-    pub fn ingest(&mut self, source: impl IntoIterator<Item = Event>) -> u64 {
+    /// work) until every event is accepted: any `Iterator<Item = Event>`
+    /// (a batch, a dataset generator, a decoded file) plugs in directly and
+    /// is consumed incrementally, so memory stays bounded regardless of
+    /// stream length. Returns the number of events fed.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::SessionFinished`] if the session already finished.
+    pub fn ingest(&mut self, source: impl IntoIterator<Item = Event>) -> Result<u64, EngineError> {
+        if self.finished {
+            return Err(EngineError::SessionFinished);
+        }
         let mut fed = 0u64;
-        for event in source {
-            self.push_until_accepted(event);
+        for mut event in source {
+            // Every retry runs another maintenance round, so this
+            // terminates.
+            while let PushResult::Full(back) = self.try_push(event)? {
+                event = back;
+            }
             fed += 1;
         }
-        fed
-    }
-
-    /// Retries [`push`](Self::push) until the event is accepted; every
-    /// retry runs another maintenance round, so the loop terminates.
-    fn push_until_accepted(&mut self, mut event: Event) {
-        while let PushResult::Full(back) = self.push(event) {
-            event = back;
-        }
-    }
-
-    /// [`ingest`](Self::ingest) for framed streams that interleave
-    /// watermark punctuations with events
-    /// ([`StreamItem`], as produced by
-    /// `spectre_datasets::FramedSource::items`): events are retry-pushed
-    /// like `ingest`, watermarks advance the reorder stage via
-    /// [`advance_watermark`](Self::advance_watermark). Returns the number
-    /// of *events* fed (watermarks are not counted).
-    pub fn ingest_items(&mut self, source: impl IntoIterator<Item = StreamItem>) -> u64 {
-        let mut fed = 0u64;
-        for item in source {
-            match item {
-                StreamItem::Event(event) => {
-                    self.push_until_accepted(event);
-                    fed += 1;
-                }
-                StreamItem::Watermark(ts) => self.advance_watermark(ts),
-            }
-        }
-        fed
+        Ok(fed)
     }
 
     /// Takes the complex events committed since the last call, each tagged
@@ -762,32 +745,16 @@ impl SpectreEngine {
     /// order within a window). Runs one maintenance round first, so
     /// repeated calls make progress even without further pushes.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the session was already finished; use
-    /// [`try_drain_outputs`](Self::try_drain_outputs) to handle that as an
-    /// error.
-    pub fn drain_outputs(&mut self) -> Vec<(QueryId, ComplexEvent)> {
-        self.try_drain_outputs().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`drain_outputs`](Self::drain_outputs): draining a
-    /// finished session is [`EngineError::SessionFinished`] instead of a
-    /// panic (a finished session's remaining outputs are in its
-    /// [`Report`]).
+    /// [`EngineError::SessionFinished`] if the session already finished
+    /// (a finished session's remaining outputs are in its [`Report`]).
     pub fn try_drain_outputs(&mut self) -> Result<Vec<(QueryId, ComplexEvent)>, EngineError> {
         if self.finished {
             return Err(EngineError::SessionFinished);
         }
         self.pump();
         Ok(self.splitter.take_outputs())
-    }
-
-    /// [`drain_outputs`](Self::drain_outputs) without the query tags — the
-    /// convenience for single-query sessions (the common case), where the
-    /// tag is always `QueryId(0)`.
-    pub fn drain_events(&mut self) -> Vec<ComplexEvent> {
-        self.drain_outputs().into_iter().map(|(_, ce)| ce).collect()
     }
 
     /// A live snapshot of the shared metric counters, aggregated over all
@@ -846,21 +813,18 @@ impl SpectreEngine {
 
     /// Signals end-of-stream, drives the run to completion, shuts the
     /// session down (threaded mode joins its workers) and returns the
-    /// unified [`Report`].
+    /// [`Report`]. After `Ok`, every further session call errors; dropping
+    /// the session is then a no-op.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::SessionFinished`] if the session already finished.
     ///
     /// # Panics
     ///
     /// Simulated mode panics if the run exceeds
     /// `200 × input_events + 1_000_000` virtual rounds — a liveness guard;
     /// a correct configuration always terminates far below it.
-    pub fn finish(mut self) -> Report {
-        self.try_finish().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`finish`](Self::finish), usable on a borrowed session:
-    /// finishing twice is [`EngineError::SessionFinished`] instead of a
-    /// panic. After `Ok`, every further session call errors; dropping the
-    /// session is then a no-op.
     pub fn try_finish(&mut self) -> Result<Report, EngineError> {
         if self.finished {
             return Err(EngineError::SessionFinished);
@@ -961,11 +925,15 @@ impl SpectreEngine {
         })
     }
 
-    /// Convenience one-shot: feed everything, then [`finish`](Self::finish)
-    /// — what the legacy wrapper entrypoints do.
-    pub fn run(mut self, source: impl IntoIterator<Item = Event>) -> Report {
-        self.ingest(source);
-        self.finish()
+    /// One-shot run: [`ingest`](Self::ingest) everything, then
+    /// [`try_finish`](Self::try_finish).
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::SessionFinished`] if the session already finished.
+    pub fn run(mut self, source: impl IntoIterator<Item = Event>) -> Result<Report, EngineError> {
+        self.ingest(source)?;
+        self.try_finish()
     }
 
     /// One unit of engine work on the calling thread: a virtual-time round
@@ -984,10 +952,9 @@ impl SpectreEngine {
         }
     }
 
-    /// One round of the legacy `run_simulated` loop: a splitter cycle
-    /// every `sched_period` rounds, then one step per instance. The final
-    /// cycle (run complete) ends the round early, exactly as the legacy
-    /// loop broke before stepping.
+    /// One virtual-time round: a splitter cycle every `sched_period`
+    /// rounds, then one step per instance. The final cycle (run complete)
+    /// ends the round early, before any instance steps.
     fn sim_round(&mut self) -> bool {
         let Driver::Simulated {
             instances,
@@ -1063,9 +1030,8 @@ fn spawn_workers(shared: &Arc<SharedState>, config: &SpectreConfig) -> Vec<JoinH
         .collect()
 }
 
-/// The operator-instance worker loop — the single implementation of the
-/// idle back-off policy shared by the engine session and (through it) the
-/// legacy `run_threaded` wrapper. Three tiers on idle/stalled steps:
+/// The operator-instance worker loop of a threaded session and its idle
+/// back-off policy. Three tiers on idle/stalled steps:
 ///
 /// 1. **Spin** (first 32 fruitless steps): a new assignment or fresh
 ///    ingestion usually lands within microseconds mid-stream.
@@ -1124,6 +1090,17 @@ mod tests {
     use spectre_events::Schema;
     use spectre_query::queries::{self, Direction};
 
+    /// A single-query session in either mode.
+    fn session(query: &Arc<Query>, config: SpectreConfig, threaded: bool) -> SpectreEngine {
+        let builder = SpectreEngine::builder(query).config(config);
+        let builder = if threaded {
+            builder.threaded()
+        } else {
+            builder.simulated()
+        };
+        builder.try_build().unwrap()
+    }
+
     fn fixture(events: usize, seed: u64) -> (Arc<Query>, Vec<Event>) {
         let mut schema = Schema::new();
         let events: Vec<_> =
@@ -1136,11 +1113,9 @@ mod tests {
     fn simulated_session_matches_sequential() {
         let (query, events) = fixture(1500, 17);
         let expected = run_sequential(&query, &events).complex_events;
-        let report = SpectreEngine::builder(&query)
-            .config(SpectreConfig::with_instances(4))
-            .simulated()
-            .build()
-            .run(events);
+        let report = session(&query, SpectreConfig::with_instances(4), false)
+            .run(events)
+            .unwrap();
         assert_eq!(report.complex_events, expected);
         assert_eq!(report.input_events, 1500);
         assert!(report.rounds.is_some(), "simulated mode reports rounds");
@@ -1151,11 +1126,9 @@ mod tests {
     fn threaded_session_matches_sequential() {
         let (query, events) = fixture(1500, 17);
         let expected = run_sequential(&query, &events).complex_events;
-        let report = SpectreEngine::builder(&query)
-            .config(SpectreConfig::with_instances(2))
-            .threaded()
-            .build()
-            .run(events);
+        let report = session(&query, SpectreConfig::with_instances(2), true)
+            .run(events)
+            .unwrap();
         assert_eq!(report.complex_events, expected);
         assert_eq!(report.input_events, 1500);
         assert!(report.rounds.is_none(), "threaded mode has no rounds");
@@ -1167,17 +1140,15 @@ mod tests {
         let (query, events) = fixture(2000, 23);
         let expected = run_sequential(&query, &events).complex_events;
         assert!(!expected.is_empty());
-        let mut engine = SpectreEngine::builder(&query)
-            .config(SpectreConfig::with_instances(2))
-            .simulated()
-            .build();
+        let mut engine = session(&query, SpectreConfig::with_instances(2), false);
         let mut collected = Vec::new();
         for chunk in events.chunks(97) {
-            engine.ingest(chunk.to_vec());
-            collected.append(&mut engine.drain_events());
+            engine.ingest(chunk.to_vec()).unwrap();
+            let drained = engine.try_drain_outputs().unwrap();
+            collected.extend(drained.into_iter().map(|(_, ce)| ce));
         }
         let streamed_before_finish = collected.len();
-        let report = engine.finish();
+        let report = engine.try_finish().unwrap();
         collected.extend(report.complex_events);
         assert_eq!(collected, expected);
         assert!(
@@ -1217,14 +1188,11 @@ mod tests {
             max_tree_versions: 2,
             ..SpectreConfig::with_instances(1)
         };
-        let mut engine = SpectreEngine::builder(&query)
-            .config(config)
-            .simulated()
-            .build();
+        let mut engine = session(&query, config, false);
         let mut rejected = 0u64;
         for mut event in events {
             loop {
-                match engine.push(event) {
+                match engine.try_push(event).unwrap() {
                     PushResult::Accepted => break,
                     PushResult::Full(back) => {
                         rejected += 1;
@@ -1233,7 +1201,7 @@ mod tests {
                 }
             }
         }
-        let report = engine.finish();
+        let report = engine.try_finish().unwrap();
         assert_eq!(report.complex_events, expected);
         assert!(
             rejected > 0,
@@ -1253,14 +1221,10 @@ mod tests {
         }
         let expected = run_sequential(&query, &events).complex_events;
         for threaded in [false, true] {
-            let builder = SpectreEngine::builder(&query)
-                .config(SpectreConfig::with_instances(2).with_reorder(3 * step));
-            let engine = if threaded {
-                builder.threaded().build()
-            } else {
-                builder.simulated().build()
-            };
-            let report = engine.run(shuffled.clone());
+            let config = SpectreConfig::with_instances(2).with_reorder(3 * step);
+            let report = session(&query, config, threaded)
+                .run(shuffled.clone())
+                .unwrap();
             assert_eq!(report.complex_events, expected);
             assert_eq!(report.input_events, 1500);
             assert_eq!(report.metrics.late_events_dropped, 0);
@@ -1277,24 +1241,25 @@ mod tests {
             .with_watermark(crate::reorder::WatermarkPolicy::Punctuated)
             .with_capacity(1024);
         let expected = run_sequential(&query, &events).complex_events;
-        let mut engine = SpectreEngine::builder(&query)
-            .config(SpectreConfig {
+        let mut engine = session(
+            &query,
+            SpectreConfig {
                 reorder: Some(reorder),
                 ..config
-            })
-            .simulated()
-            .build();
-        engine.ingest(events[..500].to_vec());
+            },
+            false,
+        );
+        engine.ingest(events[..500].to_vec()).unwrap();
         assert_eq!(
             engine.events_ingested(),
             0,
             "without a punctuation nothing may pass the reorder stage"
         );
-        engine.advance_watermark(events[499].ts());
-        engine.drain_outputs(); // run a maintenance round
+        engine.advance_watermark(events[499].ts()).unwrap();
+        engine.try_drain_outputs().unwrap(); // run a maintenance round
         assert!(engine.events_ingested() > 0);
-        engine.ingest(events[500..].to_vec());
-        let report = engine.finish(); // final watermark releases the rest
+        engine.ingest(events[500..].to_vec()).unwrap();
+        let report = engine.try_finish().unwrap(); // final watermark releases the rest
         assert_eq!(report.complex_events, expected);
         assert_eq!(report.input_events, 600);
     }
@@ -1305,17 +1270,18 @@ mod tests {
         let reorder = crate::reorder::ReorderConfig::bounded(0)
             .with_watermark(crate::reorder::WatermarkPolicy::Punctuated)
             .with_capacity(4);
-        let mut engine = SpectreEngine::builder(&query)
-            .config(SpectreConfig {
+        let mut engine = session(
+            &query,
+            SpectreConfig {
                 reorder: Some(reorder),
                 ..SpectreConfig::with_instances(1)
-            })
-            .simulated()
-            .build();
+            },
+            false,
+        );
         let mut accepted = 0usize;
         let mut rejected = None;
         for event in events {
-            match engine.push(event) {
+            match engine.try_push(event).unwrap() {
                 PushResult::Accepted => accepted += 1,
                 PushResult::Full(back) => {
                     rejected = Some(back);
@@ -1327,9 +1293,12 @@ mod tests {
         let back = rejected.expect("the fifth push must be rejected");
         // A watermark at the rejected event's own timestamp unblocks the
         // stream without making the re-offer late, so nothing is lost.
-        engine.advance_watermark(back.ts());
-        assert!(matches!(engine.push(back), PushResult::Accepted));
-        let report = engine.finish();
+        engine.advance_watermark(back.ts()).unwrap();
+        assert!(matches!(
+            engine.try_push(back).unwrap(),
+            PushResult::Accepted
+        ));
+        let report = engine.try_finish().unwrap();
         assert_eq!(report.input_events, 5);
     }
 
@@ -1337,13 +1306,8 @@ mod tests {
     fn empty_session_finishes_cleanly_in_both_modes() {
         let (query, _) = fixture(1, 1);
         for threaded in [false, true] {
-            let builder = SpectreEngine::builder(&query).config(SpectreConfig::with_instances(2));
-            let engine = if threaded {
-                builder.threaded().build()
-            } else {
-                builder.build()
-            };
-            let report = engine.finish();
+            let mut engine = session(&query, SpectreConfig::with_instances(2), threaded);
+            let report = engine.try_finish().unwrap();
             assert!(report.complex_events.is_empty());
             assert_eq!(report.input_events, 0);
         }
@@ -1352,22 +1316,16 @@ mod tests {
     #[test]
     fn dropping_an_unfinished_threaded_session_joins_workers() {
         let (query, events) = fixture(300, 31);
-        let mut engine = SpectreEngine::builder(&query)
-            .config(SpectreConfig::with_instances(2))
-            .threaded()
-            .build();
-        engine.ingest(events);
+        let mut engine = session(&query, SpectreConfig::with_instances(2), true);
+        engine.ingest(events).unwrap();
         drop(engine); // must not hang or leave threads spinning
     }
 
     #[test]
     fn finished_session_surfaces_errors_instead_of_panicking() {
         let (query, events) = fixture(200, 41);
-        let mut engine = SpectreEngine::builder(&query)
-            .config(SpectreConfig::with_instances(1))
-            .simulated()
-            .build();
-        engine.ingest(events.clone());
+        let mut engine = session(&query, SpectreConfig::with_instances(1), false);
+        engine.ingest(events.clone()).unwrap();
         let report = engine.try_finish().expect("first finish succeeds");
         assert_eq!(report.input_events, 200);
         assert_eq!(report.queries.len(), 1);
@@ -1397,12 +1355,41 @@ mod tests {
     }
 
     #[test]
+    fn finished_session_rejects_watermarks_ingest_and_run() {
+        // A finished session is an error for these three as for every
+        // other session call — ingest of an empty source included.
+        let (query, events) = fixture(200, 41);
+        let reorder = crate::reorder::ReorderConfig::bounded(0)
+            .with_watermark(crate::reorder::WatermarkPolicy::Punctuated);
+        let mut engine = session(
+            &query,
+            SpectreConfig {
+                reorder: Some(reorder),
+                ..SpectreConfig::with_instances(1)
+            },
+            false,
+        );
+        engine.ingest(events.clone()).unwrap();
+        engine.try_finish().unwrap();
+        assert_eq!(
+            engine.advance_watermark(events[0].ts()),
+            Err(EngineError::SessionFinished)
+        );
+        assert_eq!(
+            engine.ingest(events.clone()),
+            Err(EngineError::SessionFinished)
+        );
+        assert_eq!(engine.ingest(None), Err(EngineError::SessionFinished));
+        assert_eq!(
+            engine.run(events).unwrap_err(),
+            EngineError::SessionFinished
+        );
+    }
+
+    #[test]
     fn retiring_an_unknown_query_is_an_error() {
         let (query, _) = fixture(1, 1);
-        let mut engine = SpectreEngine::builder(&query)
-            .config(SpectreConfig::with_instances(1))
-            .simulated()
-            .build();
+        let mut engine = session(&query, SpectreConfig::with_instances(1), false);
         assert_eq!(
             engine.retire_query(QueryId(9)).unwrap_err(),
             EngineError::UnknownQuery(QueryId(9))
@@ -1414,21 +1401,18 @@ mod tests {
             engine.retire_query(QueryId(0)).unwrap_err(),
             EngineError::UnknownQuery(QueryId(0))
         );
-        let report = engine.finish();
+        let report = engine.try_finish().unwrap();
         assert!(report.queries.is_empty());
     }
 
     #[test]
     fn maintain_and_report_summary_support_a_server_driver() {
         let (query, events) = fixture(400, 19);
-        let mut engine = SpectreEngine::builder(&query)
-            .config(SpectreConfig::with_instances(1))
-            .simulated()
-            .build();
+        let mut engine = session(&query, SpectreConfig::with_instances(1), false);
         assert_eq!(engine.query_tenant(QueryId(0)), Some(TenantId::DEFAULT));
         assert_eq!(engine.query_tenant(QueryId(7)), None);
         assert!(!engine.is_finished());
-        engine.ingest(events);
+        engine.ingest(events).unwrap();
         // Idle maintenance (no pushes) still makes engine progress.
         let before = engine.metrics().sched_cycles;
         for _ in 0..64 {
@@ -1450,14 +1434,11 @@ mod tests {
     #[test]
     fn live_metrics_reflect_progress() {
         let (query, events) = fixture(800, 37);
-        let mut engine = SpectreEngine::builder(&query)
-            .config(SpectreConfig::with_instances(2))
-            .simulated()
-            .build();
-        engine.ingest(events);
+        let mut engine = session(&query, SpectreConfig::with_instances(2), false);
+        engine.ingest(events).unwrap();
         let mid = engine.metrics();
         assert!(mid.sched_cycles > 0, "cycles ran during ingestion");
-        let report = engine.finish();
+        let report = engine.try_finish().unwrap();
         assert!(report.metrics.sched_cycles >= mid.sched_cycles);
         assert!(report.metrics.windows_retired > 0);
     }

@@ -18,21 +18,19 @@
 //!   speculative outputs and roll back on consistency violations
 //!   (paper §3.3).
 //!
-//! The runtime is an incremental **engine session**, [`SpectreEngine`]:
+//! The runtime is one incremental **engine session**, [`SpectreEngine`]:
 //! built with a builder (`SpectreEngine::builder(&query).config(cfg)
-//! .threaded()/.simulated().build()`), fed with `push` /
-//! `ingest` (any `Iterator<Item = Event>` — a dataset generator, a TCP
-//! source — streams in without ever being materialized), drained with
-//! `drain_outputs` (complex events as they are committed, tagged with the
-//! producing query; `drain_events` for the untagged single-query stream),
-//! observed with `metrics`, and closed with `finish() -> Report`.
-//! Back-pressure is part of the surface: `push` returns `Full(event)`
-//! instead of buffering without bound, so memory stays bounded by the
-//! speculative-load cap regardless of stream length. Two execution modes
-//! share the session: deterministic virtual-time simulation (used for the
-//! paper's scalability figures) and real OS threads. The legacy one-shot
-//! drivers [`run_simulated`] and [`run_threaded`] survive as thin wrappers
-//! over a session. Every mode delivers exactly the sequential-semantics
+//! .threaded()/.simulated().try_build()`), fed with `try_push` /
+//! `ingest` (any `Iterator<Item = Event>` — a dataset generator, a decoded
+//! file — streams in without ever being materialized), drained with
+//! `try_drain_outputs` (complex events as they are committed, tagged with
+//! the producing query), observed with `metrics`, and closed with
+//! `try_finish() -> Report`. Back-pressure is part of the surface:
+//! `try_push` returns `Full(event)` instead of buffering without bound, so
+//! memory stays bounded by the speculative-load cap regardless of stream
+//! length. Two execution modes share the session: deterministic
+//! virtual-time simulation (used for the paper's scalability figures) and
+//! real OS threads. Every mode delivers exactly the sequential-semantics
 //! output: no false positives, no false negatives, in window order.
 //!
 //! Streams need not arrive in timestamp order: the opt-in
@@ -50,9 +48,8 @@
 //! `retire_query`). Queries with equal window specs share their window
 //! buffers — each window's events are stored once — and every query's
 //! output stream is bit-identical to what it would produce in a session
-//! of its own. Misuse of the session surface is reported as
-//! [`engine::EngineError`] through the fallible `try_*` methods; the
-//! legacy infallible methods stay panic-compatible.
+//! of its own. Misuse of the session surface is reported as an
+//! [`engine::EngineError`] value, never as a panic.
 //!
 //! Sessions are **tenant-aware**: each query belongs to a
 //! [`shared::TenantId`] (the default tenant unless deployed with
@@ -138,19 +135,21 @@
 //! use spectre_events::Schema;
 //! use spectre_datasets::{NyseConfig, NyseGenerator};
 //! use spectre_query::queries;
-//! use spectre_core::{SpectreConfig, SpectreEngine};
+//! use spectre_core::{EngineError, SpectreConfig, SpectreEngine};
 //!
+//! # fn main() -> Result<(), EngineError> {
 //! let mut schema = Schema::new();
 //! let query = Arc::new(queries::q1(&mut schema, 3, 100, Default::default()));
-//! let mut engine = SpectreEngine::builder(&query)
+//! // The generator streams straight into the session — no Vec fixture.
+//! let report = SpectreEngine::builder(&query)
 //!     .config(SpectreConfig::with_instances(8))
 //!     .simulated()
-//!     .build();
-//! // The generator streams straight into the session — no Vec fixture.
-//! engine.ingest(NyseGenerator::new(NyseConfig::small(1000, 42), &mut schema));
-//! let report = engine.finish();
+//!     .try_build()?
+//!     .run(NyseGenerator::new(NyseConfig::small(1000, 42), &mut schema))?;
 //! println!("{} complex events from {} input events",
 //!          report.complex_events.len(), report.input_events);
+//! # Ok(())
+//! # }
 //! ```
 
 #![forbid(unsafe_code)]
@@ -166,9 +165,7 @@ pub mod matrix;
 pub mod metrics;
 pub mod predictor;
 pub mod reorder;
-pub mod runtime;
 pub mod shared;
-pub mod sim;
 pub mod splitter;
 pub mod store;
 pub mod tree;
@@ -180,8 +177,6 @@ pub use engine::{
 };
 pub use metrics::{MetricsSnapshot, WorkerSnapshot};
 pub use reorder::{LatePolicy, ReorderConfig, WatermarkPolicy};
-pub use runtime::{run_threaded, ThreadedReport};
 pub use shared::{QueryId, TenantId};
-pub use sim::{run_simulated, SimReport};
 pub use splitter::{EventBatch, Splitter};
 pub use store::WindowStore;

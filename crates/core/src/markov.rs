@@ -35,7 +35,8 @@
 //! Deviation from the paper: the state space is capped at
 //! [`MarkovConfig::state_cap`] states (δ values above the cap saturate).
 //! The paper's examples use δ ≤ 3; query Q1 at q = 2560 would otherwise
-//! need a 2561² matrix with thousands of precomputed powers (see DESIGN.md).
+//! need a 2561² matrix with thousands of precomputed powers (see "The Markov
+//! predictor" in `docs/ARCHITECTURE.md` for what the cap costs per refresh).
 
 use std::cell::RefCell;
 

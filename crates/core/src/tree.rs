@@ -411,8 +411,9 @@ impl DependencyTree {
         match self.root {
             None => {
                 // Independent window: single version, no suppression (an
-                // empty tree implies no live overlapping window; see the
-                // retirement argument in DESIGN.md).
+                // empty tree implies no live overlapping window: every
+                // earlier window has retired; see "Retirement acks" under
+                // "Correctness anchors" in `docs/ARCHITECTURE.md`).
                 let state = f.fresh(window, Vec::new());
                 let id = self.alloc_version(None, Arc::clone(&state));
                 self.root = Some(id);
@@ -1298,8 +1299,9 @@ impl DependencyTree {
     /// Tears down and rebuilds the dependent subtree of a rolled-back
     /// version: all consumption groups the invalid processing produced (and
     /// every version speculating on them) are discarded, and a fresh
-    /// lineage over the newer live windows takes their place (see
-    /// DESIGN.md §6) — one version plus a marker, whatever the backlog.
+    /// lineage over the newer live windows takes their place (see "The lazy
+    /// dependency tree" in `docs/ARCHITECTURE.md`) — one version plus a
+    /// marker, whatever the backlog.
     /// Returns the number of versions dropped.
     pub fn rollback_rebuild(&mut self, wv: WvId, f: &mut dyn VersionFactory) -> usize {
         let Some(&vnode) = self.version_vertex.get(&wv.0) else {

@@ -9,26 +9,26 @@
 //!   one quote per minute, with 16 designated blue-chip "leading" symbols.
 //!   The evaluation's independent variable — the ratio of pattern size to
 //!   window size, which sets the consumption-group completion probability —
-//!   is fully reproducible on this substitute (see DESIGN.md §5).
+//!   is fully reproducible on this substitute: it depends on the pattern
+//!   and window parameters and on the rising/falling mix of the walks, not
+//!   on the real prices.
 //!
 //! * **RAND** — a random sequence of events over 300 equally likely symbols
 //!   ([`rand_stream`]).
 //!
-//! [`csv`] persists streams to disk and [`replay`] feeds them to engines,
-//! optionally through the binary codec to mimic the paper's TCP client.
+//! [`csv`] persists streams to disk and loads real traces; [`disorder`]
+//! shuffles a stream within a bounded lateness for the reorder stage. The
+//! paper's TCP client, which sends a stream over the binary codec, is
+//! `spectre_server::FeedClient`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod csv;
 pub mod disorder;
-pub mod net;
 pub mod nyse;
 pub mod rand_stream;
-pub mod replay;
 
 pub use disorder::{bounded_shuffle, max_disorder};
-pub use net::{FramedItems, FramedSource, StreamServer, TcpSource};
 pub use nyse::{NyseConfig, NyseGenerator};
 pub use rand_stream::{RandConfig, RandGenerator};
-pub use replay::ReplaySource;

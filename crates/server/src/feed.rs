@@ -366,10 +366,9 @@ fn handle_msg(
         Msg::Watermark(ts) => {
             // Watermarks are punctuation, not payload: they bypass the
             // sequencer (which orders events by seq) and advance the
-            // reorder stage directly.
-            if !engine.is_finished() {
-                engine.advance_watermark(ts);
-            }
+            // reorder stage directly. A finished session has no stage
+            // left to advance, so its `SessionFinished` is dropped.
+            let _ = engine.advance_watermark(ts);
         }
         Msg::Closed { conn, clean } => {
             *open_conns = open_conns.saturating_sub(1);
@@ -625,7 +624,10 @@ mod tests {
             let events: Vec<Event> =
                 NyseGenerator::new(NyseConfig::small(402, 5), &mut schema).collect();
             let query = Arc::new(queries::q1(&mut schema, 3, 150, Direction::Rising));
-            let mut engine = SpectreEngine::builder(&query).simulated().build();
+            let mut engine = SpectreEngine::builder(&query)
+                .simulated()
+                .try_build()
+                .unwrap();
             let counters = Arc::new(ServerCounters::default());
             let survivor = wire(WINDOW, None, &counters);
             let doomed = wire(WINDOW, Some(kind), &counters);

@@ -10,12 +10,12 @@
 use std::sync::Arc;
 
 use spectre_baselines::{run_sequential, run_waitful};
-use spectre_core::{SpectreConfig, SpectreEngine};
+use spectre_core::{EngineError, SpectreConfig, SpectreEngine};
 use spectre_datasets::{NyseConfig, NyseGenerator};
 use spectre_events::Schema;
 use spectre_query::queries::{self, Direction};
 
-fn main() {
+fn main() -> Result<(), EngineError> {
     let ws = 400u64;
     println!("Q1: first q rising quotes within {ws} events of a rising leader quote\n");
 
@@ -40,11 +40,11 @@ fn main() {
             SpectreEngine::builder(&query)
                 .config(SpectreConfig::with_instances(k))
                 .simulated()
-                .build()
+                .try_build()?
                 .run(events.iter().cloned())
         };
-        let r1 = sim(1);
-        let r8 = sim(8);
+        let r1 = sim(1)?;
+        let r8 = sim(8)?;
         let wait8 = run_waitful(&query, &events, 8);
 
         assert_eq!(r1.complex_events, seq.complex_events);
@@ -72,4 +72,5 @@ fn main() {
         "speculation exploits parallelism where waiting cannot: overlapping\n\
          windows with consumption serialize the wait-based baseline."
     );
+    Ok(())
 }

@@ -10,12 +10,12 @@
 use std::sync::Arc;
 
 use spectre_baselines::{run_sequential, TrexEngine};
-use spectre_core::{SpectreConfig, SpectreEngine};
+use spectre_core::{EngineError, SpectreConfig, SpectreEngine};
 use spectre_datasets::{NyseConfig, NyseGenerator};
 use spectre_events::Schema;
 use spectre_query::queries::{self, StockVocab};
 
-fn main() {
+fn main() -> Result<(), EngineError> {
     let mut schema = Schema::new();
     let events: Vec<_> = NyseGenerator::new(
         NyseConfig {
@@ -77,8 +77,8 @@ fn main() {
         let report = SpectreEngine::builder(&query)
             .config(SpectreConfig::with_instances(k))
             .simulated()
-            .build()
-            .run(events.iter().cloned());
+            .try_build()?
+            .run(events.iter().cloned())?;
         assert_eq!(report.complex_events, seq.complex_events);
         println!(
             "SPECTRE k={k:<2}: {:>9} rounds, {:>5} versions dropped, {:>3} rollbacks",
@@ -88,4 +88,5 @@ fn main() {
         );
     }
     println!("\nall engines emit identical complex events ✔");
+    Ok(())
 }

@@ -8,12 +8,12 @@
 use std::sync::Arc;
 
 use spectre_baselines::run_sequential;
-use spectre_core::{SpectreConfig, SpectreEngine};
+use spectre_core::{EngineError, SpectreConfig, SpectreEngine};
 use spectre_events::{Event, Schema, Value};
 use spectre_query::queries::{self, StockVocab};
 use spectre_query::{ComplexEvent, ConsumptionPolicy, Query};
 
-fn main() {
+fn main() -> Result<(), EngineError> {
     let mut schema = Schema::new();
     let vocab = StockVocab::install(&mut schema);
     let sym_a = schema.symbol("A");
@@ -74,11 +74,11 @@ fn main() {
         SpectreEngine::builder(query)
             .config(config.clone())
             .simulated()
-            .build()
+            .try_build()?
             .run(events.iter().cloned())
     };
-    let none = sim(&qe_none);
-    let selected = sim(&qe);
+    let none = sim(&qe_none)?;
+    let selected = sim(&qe)?;
 
     println!(
         "consumption policy NONE       → {:?}",
@@ -110,4 +110,5 @@ fn main() {
         run_sequential(&qe, &events).complex_events
     );
     println!("reproduces paper Fig. 1 exactly ✔");
+    Ok(())
 }

@@ -15,12 +15,12 @@ use std::sync::Arc;
 
 use spectre_baselines::run_sequential;
 use spectre_core::elastic::{ElasticConfig, ElasticController};
-use spectre_core::{SpectreConfig, SpectreEngine};
+use spectre_core::{EngineError, SpectreConfig, SpectreEngine};
 use spectre_datasets::{NyseConfig, NyseGenerator};
 use spectre_events::Schema;
 use spectre_query::queries::{self, Direction};
 
-fn main() {
+fn main() -> Result<(), EngineError> {
     let mut schema = Schema::new();
     let events: Vec<_> = NyseGenerator::new(
         NyseConfig {
@@ -55,8 +55,8 @@ fn main() {
         let report = SpectreEngine::builder(&query)
             .config(SpectreConfig::with_instances(k))
             .simulated()
-            .build()
-            .run(events.iter().cloned());
+            .try_build()?
+            .run(events.iter().cloned())?;
         println!("phase: {phase}");
         println!(
             "  completion probability : {:.0}%",
@@ -75,4 +75,5 @@ fn main() {
             report.metrics.events_processed as f64 / report.rounds.unwrap_or(1).max(1) as f64
         );
     }
+    Ok(())
 }

@@ -11,12 +11,12 @@
 use std::sync::Arc;
 
 use spectre_baselines::run_sequential;
-use spectre_core::{PredictorKind, SpectreConfig, SpectreEngine};
+use spectre_core::{EngineError, PredictorKind, SpectreConfig, SpectreEngine};
 use spectre_datasets::{RandConfig, RandGenerator};
 use spectre_events::Schema;
 use spectre_query::queries;
 
-fn main() {
+fn main() -> Result<(), EngineError> {
     let mut schema = Schema::new();
     let gen = RandGenerator::new(
         RandConfig {
@@ -68,8 +68,8 @@ fn main() {
         let report = SpectreEngine::builder(&query)
             .config(config)
             .simulated()
-            .build()
-            .run(events.iter().cloned());
+            .try_build()?
+            .run(events.iter().cloned())?;
         let rounds = report.rounds.unwrap_or(0);
         assert_eq!(report.complex_events, seq.complex_events);
         println!(
@@ -83,4 +83,5 @@ fn main() {
     let (winner, _) = best.expect("at least one predictor");
     println!("\nfastest predictor on this workload: {winner}");
     println!("(all predictors produce identical, sequential-exact output)");
+    Ok(())
 }

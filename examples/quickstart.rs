@@ -9,17 +9,17 @@
 use std::sync::Arc;
 
 use spectre_baselines::run_sequential;
-use spectre_core::{SpectreConfig, SpectreEngine};
+use spectre_core::{EngineError, SpectreConfig, SpectreEngine};
 use spectre_datasets::{NyseConfig, NyseGenerator};
 use spectre_events::Schema;
 use spectre_query::parse_query;
 
-fn main() {
+fn main() -> Result<(), EngineError> {
     // 1. A schema interns attribute / type / symbol names.
     let mut schema = Schema::new();
 
     // 2. A synthetic NYSE-like quote stream (the real trace the paper
-    //    uses is not redistributable; see DESIGN.md §5). The generator is
+    //    uses is not redistributable; see `spectre_datasets`). The generator is
     //    a plain `Iterator<Item = Event>` and will be fed straight into
     //    the engine — it is materialized here only so step 6 can verify
     //    the output against the sequential reference.
@@ -52,24 +52,25 @@ fn main() {
     // 4. Open an engine session: 8 speculative operator instances under
     //    the deterministic virtual-time scheduler (swap `.simulated()` for
     //    `.threaded()` to run on real OS threads — same API, same output).
+    //    Every session call reports misuse as an `EngineError` value.
     let mut engine = SpectreEngine::builder(&query)
         .config(SpectreConfig::with_instances(8))
         .simulated()
-        .build();
+        .try_build()?;
 
     // 5. Stream the generator straight into the session — no Vec fixture —
     //    draining complex events incrementally as their windows commit.
     let mut source = NyseGenerator::new(nyse, &mut schema);
     let mut complex_events = Vec::new();
     loop {
-        let fed = engine.ingest(source.by_ref().take(4_096));
-        complex_events.extend(engine.drain_events());
+        let fed = engine.ingest(source.by_ref().take(4_096))?;
+        complex_events.extend(engine.try_drain_outputs()?.into_iter().map(|(_, ce)| ce));
         if fed < 4_096 {
             break;
         }
     }
     let streamed_early = complex_events.len();
-    let report = engine.finish();
+    let report = engine.try_finish()?;
     complex_events.extend(report.complex_events);
 
     println!("complex events : {}", complex_events.len());
@@ -88,4 +89,5 @@ fn main() {
     let reference = run_sequential(&query, &events);
     assert_eq!(complex_events, reference.complex_events);
     println!("output matches the sequential reference ✔");
+    Ok(())
 }

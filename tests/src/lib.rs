@@ -8,9 +8,37 @@
 
 use std::sync::Arc;
 
-use spectre_core::{run_simulated, SpectreConfig};
+use spectre_core::{Report, SpectreConfig, SpectreEngine};
 use spectre_events::Event;
 use spectre_query::{ComplexEvent, Query};
+
+/// The execution mode of an engine session under test.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Mode {
+    /// The deterministic virtual-time scheduler.
+    Simulated,
+    /// Real OS threads: one splitter plus `instances` worker threads.
+    Threaded,
+}
+
+/// Runs one single-query engine session over `events` in `mode` and
+/// returns its report, panicking on any engine error.
+pub fn run(
+    query: &Arc<Query>,
+    events: impl IntoIterator<Item = Event>,
+    config: &SpectreConfig,
+    mode: Mode,
+) -> Report {
+    let builder = SpectreEngine::builder(query).config(config.clone());
+    let builder = match mode {
+        Mode::Simulated => builder.simulated(),
+        Mode::Threaded => builder.threaded(),
+    };
+    builder
+        .try_build()
+        .and_then(|engine| engine.run(events))
+        .unwrap_or_else(|e| panic!("{mode:?} run failed: {e}"))
+}
 
 /// Renders a complex event compactly for assertion diffs.
 pub fn fmt_complex(ce: &ComplexEvent) -> String {
@@ -37,7 +65,8 @@ pub fn assert_same_output(label: &str, got: &[ComplexEvent], expected: &[Complex
 pub fn assert_sim_matches_sequential(query: &Arc<Query>, events: &[Event], ks: &[usize]) {
     let expected = spectre_baselines::run_sequential(query, events).complex_events;
     for &k in ks {
-        let report = run_simulated(query, events.to_vec(), &SpectreConfig::with_instances(k));
+        let config = SpectreConfig::with_instances(k);
+        let report = run(query, events.to_vec(), &config, Mode::Simulated);
         assert_same_output(&format!("sim k={k}"), &report.complex_events, &expected);
     }
 }

@@ -6,9 +6,9 @@
 use std::sync::Arc;
 
 use spectre_baselines::run_sequential;
-use spectre_core::{run_simulated, SpectreConfig};
+use spectre_core::SpectreConfig;
 use spectre_events::{Event, Schema, Value};
-use spectre_integration::fmt_all;
+use spectre_integration::{fmt_all, run, Mode};
 use spectre_query::queries::StockVocab;
 use spectre_query::{ConsumptionPolicy, Expr, Pattern, Query, SelectionPolicy, WindowSpec};
 
@@ -158,7 +158,8 @@ fn fig1b_speculative_runtime_reproduces_selected_b() {
     ));
     let expected = run_sequential(&query, &events).complex_events;
     for k in [1usize, 2, 4] {
-        let report = run_simulated(&query, events.clone(), &SpectreConfig::with_instances(k));
+        let config = SpectreConfig::with_instances(k);
+        let report = run(&query, events.clone(), &config, Mode::Simulated);
         assert_eq!(
             fmt_all(&report.complex_events),
             fmt_all(&expected),

@@ -1,12 +1,10 @@
-//! Dataset, CSV and replay-path integration: generators are deterministic,
-//! CSV round-trips losslessly, and the framed (codec) ingestion path feeds
-//! engines identically to direct replay.
+//! Dataset and CSV integration: generators are deterministic and CSV
+//! round-trips losslessly.
 
 use std::sync::Arc;
 
 use spectre_baselines::run_sequential;
-use spectre_core::{run_simulated, SpectreConfig};
-use spectre_datasets::{csv, NyseConfig, NyseGenerator, RandConfig, RandGenerator, ReplaySource};
+use spectre_datasets::{csv, NyseConfig, NyseGenerator, RandConfig, RandGenerator};
 use spectre_events::Schema;
 use spectre_integration::fmt_all;
 use spectre_query::queries::{self, Direction};
@@ -92,28 +90,4 @@ fn csv_read_rejects_malformed_lines() {
     let err = csv::read_quotes(&path, &mut schema);
     assert!(err.is_err());
     std::fs::remove_file(&path).ok();
-}
-
-#[test]
-fn framed_replay_equals_direct_replay() {
-    let mut schema = Schema::new();
-    let events: Vec<_> = NyseGenerator::new(NyseConfig::small(600, 15), &mut schema).collect();
-    for chunk in [1usize, 7, 64, 1024] {
-        let direct: Vec<_> = ReplaySource::direct(events.clone()).collect();
-        let framed: Vec<_> = ReplaySource::framed(events.clone(), chunk).collect();
-        assert_eq!(direct, framed, "chunk = {chunk}");
-    }
-}
-
-#[test]
-fn engine_output_identical_through_codec_path() {
-    // End-to-end: NYSE stream → binary frames → decoder → SPECTRE, as the
-    // paper's TCP client would feed it.
-    let mut schema = Schema::new();
-    let events: Vec<_> = NyseGenerator::new(NyseConfig::small(1200, 19), &mut schema).collect();
-    let query = Arc::new(queries::q1(&mut schema, 3, 150, Direction::Rising));
-    let expected = run_sequential(&query, &events).complex_events;
-    let framed: Vec<_> = ReplaySource::framed(events, 128).collect();
-    let report = run_simulated(&query, framed, &SpectreConfig::with_instances(4));
-    assert_eq!(fmt_all(&report.complex_events), fmt_all(&expected));
 }

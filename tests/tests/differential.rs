@@ -7,11 +7,12 @@
 
 use std::sync::Arc;
 
-use spectre_core::{run_simulated, PredictorKind, SpectreConfig};
+use spectre_core::{PredictorKind, SpectreConfig};
 use spectre_datasets::{NyseConfig, NyseGenerator, RandConfig, RandGenerator};
 use spectre_events::Schema;
-use spectre_integration::{assert_same_output, assert_sim_matches_sequential};
+use spectre_integration::{assert_same_output, assert_sim_matches_sequential, run, Mode};
 use spectre_query::queries::{self, Direction};
+use spectre_query::{ConsumptionPolicy, Pattern, Query, SelectionPolicy, WindowSpec};
 
 #[test]
 fn q1_on_nyse_matches_sequential_for_all_k() {
@@ -102,6 +103,79 @@ fn qe_on_rand_matches_sequential() {
 }
 
 #[test]
+fn qe_over_two_rand_symbols_matches_sequential() {
+    // QE's shape — a window opened on every A quote with a 30 s time
+    // scope, B consumed on match — over a two-symbol RAND stream, so
+    // windows open on about half the events and overlap densely.
+    let mut schema = Schema::new();
+    let cfg = RandConfig {
+        symbols: 2,
+        leaders: 0,
+        events: 1500,
+        seed: 3,
+        price: (1.0, 10.0),
+        tick_ms: 1000,
+    };
+    let events: Vec<_> = RandGenerator::new(cfg, &mut schema).collect();
+    let vocab = queries::StockVocab::install(&mut schema);
+    let sym_a = schema.lookup_symbol("RND000").unwrap();
+    let sym_b = schema.lookup_symbol("RND001").unwrap();
+    let pattern = Pattern::builder()
+        .one("A", vocab.symbol_is(sym_a))
+        .one("B", vocab.symbol_is(sym_b))
+        .build()
+        .unwrap();
+    let query = Arc::new(
+        Query::builder("QE")
+            .pattern(pattern)
+            .window(
+                WindowSpec::on_match_time(Some(vocab.quote), vocab.symbol_is(sym_a), 30_000)
+                    .unwrap(),
+            )
+            .selection(SelectionPolicy::EachLast)
+            .consumption(ConsumptionPolicy::Selected(vec!["B".into()]))
+            .build()
+            .unwrap(),
+    );
+    let expected = spectre_baselines::run_sequential(&query, &events).complex_events;
+    assert!(!expected.is_empty(), "fixture must produce matches");
+    assert_sim_matches_sequential(&query, &events, &[4]);
+}
+
+#[test]
+fn more_instances_do_not_slow_down_high_completion_workloads() {
+    // All quotes rising → every partial match completes (probability 1):
+    // speculation always picks the right branch and scaling is near
+    // linear (paper §4.2.1, ratio 0.005 case).
+    let mut schema = Schema::new();
+    let config = NyseConfig {
+        symbols: 20,
+        leaders: 4,
+        events: 3000,
+        drift: 1.0, // strongly positive: always rising
+        volatility: 0.0,
+        ..NyseConfig::default()
+    };
+    let events: Vec<_> = NyseGenerator::new(config, &mut schema).collect();
+    let query = Arc::new(queries::q1(&mut schema, 4, 100, Direction::Rising));
+    let sim = |k| {
+        run(
+            &query,
+            events.clone(),
+            &SpectreConfig::with_instances(k),
+            Mode::Simulated,
+        )
+    };
+    let (r1, r8) = (sim(1), sim(8));
+    assert_eq!(r1.complex_events, r8.complex_events);
+    let (rounds1, rounds8) = (r1.rounds.unwrap(), r8.rounds.unwrap());
+    assert!(
+        rounds8 * 2 < rounds1,
+        "8 instances should be much faster: {rounds8} vs {rounds1}"
+    );
+}
+
+#[test]
 fn fixed_predictors_do_not_change_output() {
     // Wrong probability predictions cost throughput, never correctness
     // (paper §4.2.2).
@@ -115,7 +189,7 @@ fn fixed_predictors_do_not_change_output() {
             predictor: PredictorKind::Fixed(p),
             ..Default::default()
         };
-        let report = run_simulated(&query, events.clone(), &config);
+        let report = run(&query, events.clone(), &config, Mode::Simulated);
         assert_same_output(&format!("fixed p={p}"), &report.complex_events, &expected);
     }
 }
@@ -132,7 +206,7 @@ fn aggressive_consistency_check_frequency_is_transparent() {
             consistency_check_freq: freq,
             ..Default::default()
         };
-        let report = run_simulated(&query, events.clone(), &config);
+        let report = run(&query, events.clone(), &config, Mode::Simulated);
         assert_same_output(
             &format!("check_freq={freq}"),
             &report.complex_events,
@@ -154,7 +228,7 @@ fn tiny_tree_budget_is_transparent() {
             max_tree_versions: budget,
             ..Default::default()
         };
-        let report = run_simulated(&query, events.clone(), &config);
+        let report = run(&query, events.clone(), &config, Mode::Simulated);
         assert_same_output(
             &format!("max_tree_versions={budget}"),
             &report.complex_events,
@@ -175,7 +249,7 @@ fn slow_ingestion_is_transparent() {
             ingest_per_cycle: ingest,
             ..Default::default()
         };
-        let report = run_simulated(&query, events.clone(), &config);
+        let report = run(&query, events.clone(), &config, Mode::Simulated);
         assert_same_output(
             &format!("ingest_per_cycle={ingest}"),
             &report.complex_events,
@@ -188,7 +262,8 @@ fn slow_ingestion_is_transparent() {
 fn empty_stream_produces_empty_output() {
     let mut schema = Schema::new();
     let query = Arc::new(queries::q1(&mut schema, 2, 100, Direction::Rising));
-    let report = run_simulated(&query, vec![], &SpectreConfig::with_instances(4));
+    let config = SpectreConfig::with_instances(4);
+    let report = run(&query, vec![], &config, Mode::Simulated);
     assert!(report.complex_events.is_empty());
 }
 

@@ -7,9 +7,10 @@ use std::sync::Arc;
 
 use spectre_baselines::run_sequential;
 use spectre_core::elastic::{recommend_for, speculative_efficiency, ElasticConfig};
-use spectre_core::{run_simulated, SpectreConfig};
+use spectre_core::SpectreConfig;
 use spectre_datasets::{NyseConfig, NyseGenerator};
 use spectre_events::Schema;
+use spectre_integration::{run, Mode};
 use spectre_query::queries::{self, Direction};
 
 fn throughput(
@@ -17,11 +18,11 @@ fn throughput(
     events: &[spectre_events::Event],
     k: usize,
 ) -> f64 {
-    let report = run_simulated(query, events.to_vec(), &SpectreConfig::with_instances(k));
-    if report.rounds == 0 {
-        0.0
-    } else {
-        report.input_events as f64 / report.rounds as f64
+    let config = SpectreConfig::with_instances(k);
+    let report = run(query, events.to_vec(), &config, Mode::Simulated);
+    match report.rounds {
+        Some(rounds) if rounds > 0 => report.input_events as f64 / rounds as f64,
+        _ => 0.0,
     }
 }
 

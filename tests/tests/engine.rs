@@ -1,18 +1,14 @@
 //! Engine-session streaming equivalence: feeding the incremental
 //! [`SpectreEngine`] — in chunks, or one pushed event at a time with
-//! back-pressure retries — must produce output bit-identical to the legacy
-//! one-shot `Vec` path, in both execution modes, across the seeded NYSE
-//! equivalence matrix (k × batch). Plus the socket-free wire-framing
-//! round trip: NYSE stream → length-prefixed frames → [`FramedSource`] →
-//! engine session.
+//! back-pressure retries — must produce output bit-identical to the
+//! sequential reference, in both execution modes, across the seeded NYSE
+//! equivalence matrix (k × batch).
 
 use std::sync::Arc;
 
 use spectre_baselines::run_sequential;
-use spectre_core::{run_simulated, run_threaded, PushResult, SpectreConfig, SpectreEngine};
-use spectre_datasets::net::{FramedSource, StreamServer, TcpSource};
+use spectre_core::{PushResult, SpectreConfig, SpectreEngine};
 use spectre_datasets::{NyseConfig, NyseGenerator};
-use spectre_events::codec::encode_all;
 use spectre_events::{Event, Schema};
 use spectre_integration::assert_same_output;
 use spectre_query::queries::{self, Direction};
@@ -34,24 +30,19 @@ fn stream_in_chunks(
     threaded: bool,
     chunk: usize,
 ) -> Vec<ComplexEvent> {
-    let builder = SpectreEngine::builder(query).config(config);
-    let mut engine = if threaded {
-        builder.threaded().build()
-    } else {
-        builder.simulated().build()
-    };
+    let mut engine = build(query, config, threaded);
     let mut out = Vec::new();
     for chunk in events.chunks(chunk) {
-        engine.ingest(chunk.iter().cloned());
-        out.append(&mut engine.drain_events());
+        engine.ingest(chunk.iter().cloned()).unwrap();
+        out.extend(drain(&mut engine));
     }
-    let report = engine.finish();
+    let report = engine.try_finish().unwrap();
     out.extend(report.complex_events);
     assert_eq!(report.input_events, events.len() as u64);
     out
 }
 
-/// Streams `events` through an engine session one `push` at a time,
+/// Streams `events` through an engine session one `try_push` at a time,
 /// retrying on back-pressure; returns all outputs.
 fn stream_by_push(
     query: &Arc<Query>,
@@ -59,37 +50,51 @@ fn stream_by_push(
     config: SpectreConfig,
     threaded: bool,
 ) -> Vec<ComplexEvent> {
-    let builder = SpectreEngine::builder(query).config(config);
-    let mut engine = if threaded {
-        builder.threaded().build()
-    } else {
-        builder.simulated().build()
-    };
+    let mut engine = build(query, config, threaded);
     let mut out = Vec::new();
     for (i, event) in events.iter().enumerate() {
         let mut event = event.clone();
         loop {
-            match engine.push(event) {
+            match engine.try_push(event).unwrap() {
                 PushResult::Accepted => break,
                 PushResult::Full(back) => event = back,
             }
         }
         if i % 500 == 499 {
-            out.append(&mut engine.drain_events());
+            out.extend(drain(&mut engine));
         }
     }
-    out.extend(engine.finish().complex_events);
+    out.extend(engine.try_finish().unwrap().complex_events);
     out
 }
 
+fn build(query: &Arc<Query>, config: SpectreConfig, threaded: bool) -> SpectreEngine {
+    let builder = SpectreEngine::builder(query).config(config);
+    let builder = if threaded {
+        builder.threaded()
+    } else {
+        builder.simulated()
+    };
+    builder.try_build().unwrap()
+}
+
+/// The committed outputs of a single-query session, without the query tag.
+fn drain(engine: &mut SpectreEngine) -> impl Iterator<Item = ComplexEvent> {
+    engine
+        .try_drain_outputs()
+        .unwrap()
+        .into_iter()
+        .map(|(_, ce)| ce)
+}
+
 #[test]
-fn sim_streaming_matches_vec_path_across_the_matrix() {
+fn sim_streaming_matches_sequential_across_the_matrix() {
     let (query, events) = fixture(2_000, 42);
+    let expected = run_sequential(&query, &events).complex_events;
+    assert!(!expected.is_empty());
     for k in [1usize, 2, 4] {
         for batch in [1usize, 64] {
             let config = SpectreConfig::with_batching(k, batch, 8);
-            let expected = run_simulated(&query, events.clone(), &config).complex_events;
-            assert!(!expected.is_empty());
             let chunked = stream_in_chunks(&query, &events, config.clone(), false, 97);
             assert_same_output(
                 &format!("sim chunked k={k} batch={batch}"),
@@ -107,12 +112,13 @@ fn sim_streaming_matches_vec_path_across_the_matrix() {
 }
 
 #[test]
-fn threaded_streaming_matches_vec_path_across_the_matrix() {
+fn threaded_streaming_matches_sequential_across_the_matrix() {
     let (query, events) = fixture(1_000, 83);
+    let expected = run_sequential(&query, &events).complex_events;
+    assert!(!expected.is_empty());
     for k in [1usize, 2, 4] {
         for batch in [1usize, 64] {
             let config = SpectreConfig::with_batching(k, batch, 8);
-            let expected = run_threaded(&query, events.clone(), &config).complex_events;
             let chunked = stream_in_chunks(&query, &events, config.clone(), true, 97);
             assert_same_output(
                 &format!("threaded chunked k={k} batch={batch}"),
@@ -133,63 +139,21 @@ fn threaded_streaming_matches_vec_path_across_the_matrix() {
 fn outputs_are_committed_incrementally() {
     // The windows of the first half of the stream retire long before the
     // stream ends: draining between chunks must surface outputs before
-    // finish() — the session is a streaming engine, not a deferred batch.
+    // try_finish() — the session is a streaming engine, not a deferred batch.
     let (query, events) = fixture(3_000, 7);
     let expected = run_sequential(&query, &events).complex_events;
     assert!(expected.len() >= 4, "fixture must produce several outputs");
-    let mut engine = SpectreEngine::builder(&query)
-        .config(SpectreConfig::with_instances(2))
-        .simulated()
-        .build();
+    let mut engine = build(&query, SpectreConfig::with_instances(2), false);
     let mut streamed = Vec::new();
     for chunk in events.chunks(200) {
-        engine.ingest(chunk.iter().cloned());
-        streamed.append(&mut engine.drain_events());
+        engine.ingest(chunk.iter().cloned()).unwrap();
+        streamed.extend(drain(&mut engine));
     }
     let before_finish = streamed.len();
-    streamed.extend(engine.finish().complex_events);
+    streamed.extend(engine.try_finish().unwrap().complex_events);
     assert_same_output("incremental drain", &streamed, &expected);
     assert!(
         before_finish > 0,
         "no output committed before end-of-stream"
     );
-}
-
-#[test]
-fn framed_wire_roundtrip_feeds_engine_without_sockets() {
-    // NYSE stream → length-prefixed wire frames → FramedSource decode →
-    // engine session, entirely in memory: the exact TcpSource framing path
-    // with the socket replaced by a Cursor.
-    let (query, events) = fixture(1_200, 19);
-    let expected = run_sequential(&query, &events).complex_events;
-    assert!(!expected.is_empty());
-    let wire = encode_all(&events);
-    let source = FramedSource::new(std::io::Cursor::new(wire.to_vec()));
-    let mut engine = SpectreEngine::builder(&query)
-        .config(SpectreConfig::with_instances(4))
-        .simulated()
-        .build();
-    let fed = engine.ingest(source);
-    assert_eq!(fed, events.len() as u64);
-    let report = engine.finish();
-    assert_same_output("framed roundtrip", &report.complex_events, &expected);
-}
-
-#[test]
-fn tcp_source_streams_into_threaded_engine() {
-    // The paper's deployment shape end to end: a TCP peer streams framed
-    // events, TcpSource decodes them, and a threaded engine session
-    // processes them incrementally — no Vec materialization engine-side.
-    let (query, events) = fixture(800, 67);
-    let expected = run_sequential(&query, &events).complex_events;
-    let server = StreamServer::spawn(events.clone()).unwrap();
-    let source = TcpSource::connect(server.addr()).unwrap();
-    let report = SpectreEngine::builder(&query)
-        .config(SpectreConfig::with_instances(2))
-        .threaded()
-        .build()
-        .run(source);
-    assert_eq!(server.join(), events.len() as u64);
-    assert_eq!(report.input_events, events.len() as u64);
-    assert_same_output("tcp source", &report.complex_events, &expected);
 }

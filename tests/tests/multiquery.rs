@@ -35,9 +35,9 @@ fn multi_session(
     let mut builder = SpectreEngine::multi_builder().config(config);
     let ids: Vec<QueryId> = queries.iter().map(|q| builder.add_query(q)).collect();
     let engine = if threaded {
-        builder.threaded().build()
+        builder.threaded().try_build().unwrap()
     } else {
-        builder.build()
+        builder.try_build().unwrap()
     };
     (engine, ids)
 }
@@ -63,7 +63,7 @@ fn hosted_queries_match_solo_sessions_across_the_matrix() {
         for batch in [1usize, 64] {
             let config = SpectreConfig::with_batching(k, batch, 8);
             let (engine, ids) = multi_session(&[&a, &a, &b], config, false);
-            let report = engine.run(events.clone());
+            let report = engine.run(events.clone()).unwrap();
             let tag = |q: &str| format!("sim {q} k={k} batch={batch}");
             assert_same_output(&tag("a#0"), query_outputs(&report, ids[0]), &expected_a);
             assert_same_output(&tag("a#1"), query_outputs(&report, ids[1]), &expected_a);
@@ -86,12 +86,14 @@ fn threaded_four_same_spec_queries_share_windows_and_match_solo() {
     let solo = SpectreEngine::builder(&a)
         .config(config.clone())
         .threaded()
-        .build()
-        .run(events.clone());
+        .try_build()
+        .unwrap()
+        .run(events.clone())
+        .unwrap();
     assert_same_output("solo threaded", &solo.complex_events, &expected);
 
     let (engine, ids) = multi_session(&[&a, &a, &a, &a], config, true);
-    let report = engine.run(events);
+    let report = engine.run(events).unwrap();
     for (i, qid) in ids.iter().enumerate() {
         assert_same_output(
             &format!("hosted a#{i}"),
@@ -125,11 +127,11 @@ fn deploying_mid_stream_leaves_running_queries_unchanged() {
 
     let run_once = || {
         let (mut engine, ids) = multi_session(&[&a], SpectreConfig::with_instances(2), false);
-        engine.ingest(events[..750].to_vec());
+        engine.ingest(events[..750].to_vec()).unwrap();
         let late_same = engine.deploy_query(&a).expect("deploy same-spec");
         let late_diff = engine.deploy_query(&b).expect("deploy different-spec");
         assert_eq!(engine.query_ids(), vec![ids[0], late_same, late_diff]);
-        engine.ingest(events[750..].to_vec());
+        engine.ingest(events[750..].to_vec()).unwrap();
         let report = engine.try_finish().expect("finish");
         (ids[0], late_same, late_diff, report)
     };
@@ -186,7 +188,7 @@ fn deploying_during_a_disordered_burst_matches_solo_runs() {
         ..SpectreConfig::with_instances(2)
     };
     let (mut engine, ids) = multi_session(&[&a], config, false);
-    engine.ingest(shuffled[..750].to_vec());
+    engine.ingest(shuffled[..750].to_vec()).unwrap();
     assert_eq!(
         engine.events_ingested(),
         0,
@@ -194,7 +196,7 @@ fn deploying_during_a_disordered_burst_matches_solo_runs() {
     );
     let late_same = engine.deploy_query(&a).expect("deploy same-spec");
     let late_diff = engine.deploy_query(&b).expect("deploy different-spec");
-    engine.ingest(shuffled[750..].to_vec());
+    engine.ingest(shuffled[750..].to_vec()).unwrap();
     let report = engine.try_finish().expect("finish");
     assert_same_output("original a", query_outputs(&report, ids[0]), &expected_a);
     assert_same_output(
@@ -233,7 +235,7 @@ fn retiring_during_a_disordered_burst_matches_solo_runs() {
         ..SpectreConfig::with_instances(2)
     };
     let (mut engine, ids) = multi_session(&[&a, &a, &b], config, false);
-    engine.ingest(shuffled[..750].to_vec());
+    engine.ingest(shuffled[..750].to_vec()).unwrap();
     assert_eq!(
         engine.events_ingested(),
         0,
@@ -244,7 +246,7 @@ fn retiring_during_a_disordered_burst_matches_solo_runs() {
         drained.is_empty(),
         "nothing was ingested, so the retired query had committed nothing"
     );
-    engine.ingest(shuffled[750..].to_vec());
+    engine.ingest(shuffled[750..].to_vec()).unwrap();
     let report = engine.try_finish().expect("finish");
     assert_same_output("survivor a", query_outputs(&report, ids[0]), &expected_a);
     assert_same_output("survivor b", query_outputs(&report, ids[2]), &expected_b);
@@ -263,7 +265,7 @@ fn retiring_mid_stream_leaves_surviving_queries_unchanged() {
     assert!(!expected.is_empty());
 
     let (mut engine, ids) = multi_session(&[&a, &a], SpectreConfig::with_instances(2), false);
-    engine.ingest(events[..750].to_vec());
+    engine.ingest(events[..750].to_vec()).unwrap();
     let drained = engine.retire_query(ids[1]).expect("retire deployed query");
     // What the retired query had committed by then is a clean prefix of
     // its (= the solo) output stream — retirement loses nothing that was
@@ -272,7 +274,7 @@ fn retiring_mid_stream_leaves_surviving_queries_unchanged() {
         expected.starts_with(&drained),
         "retired query's drained outputs are a prefix of its solo stream"
     );
-    engine.ingest(events[750..].to_vec());
+    engine.ingest(events[750..].to_vec()).unwrap();
     let report = engine.try_finish().expect("finish");
     assert_same_output("survivor", query_outputs(&report, ids[0]), &expected);
     assert!(
@@ -288,7 +290,7 @@ fn retiring_mid_stream_leaves_surviving_queries_unchanged() {
 fn aggregate_metrics_are_the_sum_of_per_query_shares() {
     let (a, b, events) = fixture(1_200, 37);
     let (engine, ids) = multi_session(&[&a, &a, &b], SpectreConfig::with_instances(3), false);
-    let report = engine.run(events);
+    let report = engine.run(events).unwrap();
     assert_eq!(report.queries.len(), ids.len());
     let total = report.metrics;
     // Every logically-per-query counter must decompose exactly: the

@@ -5,10 +5,10 @@
 use std::sync::Arc;
 
 use spectre_baselines::run_sequential;
-use spectre_core::{run_simulated, SpectreConfig};
+use spectre_core::SpectreConfig;
 use spectre_datasets::{NyseConfig, NyseGenerator};
 use spectre_events::Schema;
-use spectre_integration::fmt_all;
+use spectre_integration::{fmt_all, run, Mode};
 use spectre_query::{parse_query, queries, ConsumptionPolicy};
 
 fn q1_text(q: usize, ws: u64) -> String {
@@ -82,7 +82,8 @@ fn parsed_query_runs_under_speculation() {
     let events: Vec<_> = NyseGenerator::new(NyseConfig::small(1500, 97), &mut schema).collect();
     let parsed = Arc::new(parse_query(&q1_text(3, 150), &mut schema).unwrap());
     let expected = run_sequential(&parsed, &events).complex_events;
-    let report = run_simulated(&parsed, events, &SpectreConfig::with_instances(4));
+    let config = SpectreConfig::with_instances(4);
+    let report = run(&parsed, events, &config, Mode::Simulated);
     assert_eq!(fmt_all(&report.complex_events), fmt_all(&expected));
 }
 

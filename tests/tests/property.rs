@@ -7,9 +7,9 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use spectre_baselines::{run_sequential, run_waitful, TrexEngine};
-use spectre_core::{run_simulated, PredictorKind, SpectreConfig};
+use spectre_core::{PredictorKind, SpectreConfig};
 use spectre_events::{AttrKey, Event, Schema};
-use spectre_integration::fmt_all;
+use spectre_integration::{fmt_all, run, Mode};
 use spectre_query::{ConsumptionPolicy, Expr, Pattern, Query, WindowSpec};
 
 /// Builds a stream over a small value alphabet.
@@ -79,7 +79,7 @@ proptest! {
         let events = stream(&xs);
         let query = seq_query(len, ws, slide, cp);
         let expected = run_sequential(&query, &events).complex_events;
-        let report = run_simulated(&query, events, &SpectreConfig::with_instances(k));
+        let report = run(&query, events, &SpectreConfig::with_instances(k), Mode::Simulated);
         prop_assert_eq!(fmt_all(&report.complex_events), fmt_all(&expected));
     }
 
@@ -98,7 +98,7 @@ proptest! {
             predictor: PredictorKind::Fixed(p),
             ..Default::default()
         };
-        let report = run_simulated(&query, events, &config);
+        let report = run(&query, events, &config, Mode::Simulated);
         prop_assert_eq!(fmt_all(&report.complex_events), fmt_all(&expected));
     }
 
@@ -165,7 +165,7 @@ proptest! {
     ) {
         let events = stream(&xs);
         let query = seq_query(2, ws, (ws / 2).max(1), ConsumptionPolicy::All);
-        let report = run_simulated(&query, events, &SpectreConfig::with_instances(k));
+        let report = run(&query, events, &SpectreConfig::with_instances(k), Mode::Simulated);
         let ids: Vec<u64> = report.complex_events.iter().map(|c| c.window_id).collect();
         prop_assert!(ids.windows(2).all(|w| w[0] <= w[1]));
     }

@@ -38,11 +38,11 @@ fn run_reordered(
 ) -> Report {
     let builder = SpectreEngine::builder(query).config(config);
     let engine = if threaded {
-        builder.threaded().build()
+        builder.threaded().try_build().unwrap()
     } else {
-        builder.simulated().build()
+        builder.simulated().try_build().unwrap()
     };
-    engine.run(events)
+    engine.run(events).unwrap()
 }
 
 #[test]
@@ -125,7 +125,7 @@ fn multi_query_hosting_survives_a_bounded_shuffle() {
     let mut builder =
         SpectreEngine::multi_builder().config(SpectreConfig::with_instances(2).with_reorder(delay));
     let ids: Vec<QueryId> = [&a, &a, &b].iter().map(|q| builder.add_query(q)).collect();
-    let report = builder.build().run(shuffled);
+    let report = builder.try_build().unwrap().run(shuffled).unwrap();
     let outputs = |qid: QueryId| -> &[ComplexEvent] { &report.queries[&qid].complex_events };
     assert_same_output("hosted a#0", outputs(ids[0]), &expected_a);
     assert_same_output("hosted a#1", outputs(ids[1]), &expected_a);

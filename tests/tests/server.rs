@@ -1,7 +1,8 @@
 //! End-to-end tests of the spectre-server front-end: N loopback clients
 //! streaming strided slices of one seeded stream must merge back into a
 //! session bit-identical to a solo engine fed the ordered stream; a
-//! client dying mid-stream must leave the survivors undisturbed; the
+//! client dying mid-stream must leave the survivors undisturbed; watermark
+//! frames must drive the engine's reorder stage; the
 //! rate limiter, panic isolation, `/metrics` sidecar, and control plane
 //! must all hold up under real sockets.
 
@@ -11,8 +12,11 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use spectre_core::{QueryId, SpectreConfig, SpectreEngine, TenantId};
-use spectre_datasets::{NyseConfig, NyseGenerator};
+use spectre_baselines::run_sequential;
+use spectre_core::{
+    QueryId, ReorderConfig, SpectreConfig, SpectreEngine, TenantId, WatermarkPolicy,
+};
+use spectre_datasets::{bounded_shuffle, max_disorder, NyseConfig, NyseGenerator};
 use spectre_events::{Event, Schema};
 use spectre_integration::assert_same_output;
 use spectre_query::queries::{self, Direction};
@@ -40,7 +44,12 @@ fn solo_outputs(
     for (tenant, query) in queries {
         builder.add_query_for(*tenant, query);
     }
-    let report = builder.config(config).build().run(events.to_vec());
+    let report = builder
+        .config(config)
+        .try_build()
+        .unwrap()
+        .run(events.to_vec())
+        .unwrap();
     report
         .queries
         .into_iter()
@@ -142,6 +151,66 @@ fn a_spent_credit_window_never_waits_for_a_read_tick() {
         assert_eq!(counters.credit_starved_ticks.load(load), 0, "{order:?}");
         assert!(counters.credit_frames.load(load) > sent / 64, "{order:?}");
     }
+}
+
+#[test]
+fn punctuated_watermarks_over_the_socket_reorder_a_shuffled_stream() {
+    // The paper's client shape for an out-of-order source: one connection
+    // sends a boundedly shuffled stream with WATERMARK frames interleaved,
+    // the server ingests in arrival order, and only those punctuations
+    // advance the engine's reorder stage. The output must equal the
+    // sequential reference on the ordered stream.
+    let (schema, a, _, events) = fixture(3_000, 17);
+    let step = events[1].ts() - events[0].ts();
+    let delay = 8 * step;
+    let shuffled = bounded_shuffle(&events, delay, 5);
+    assert!(
+        max_disorder(&shuffled) > 0,
+        "the fixture must be out of order"
+    );
+    let expected = run_sequential(&a, &events).complex_events;
+    assert!(!expected.is_empty());
+
+    let reorder = ReorderConfig::bounded(delay).with_watermark(WatermarkPolicy::Punctuated);
+    let cfg = ServerConfig {
+        engine: SpectreConfig {
+            reorder: Some(reorder),
+            ..SpectreConfig::with_instances(2)
+        },
+        order: IngestOrder::Arrival,
+        ..ServerConfig::default()
+    };
+    let handle = Server::start(cfg, schema, vec![(TenantId(0), a)]).expect("server starts");
+    let mut client = FeedClient::connect(handle.ingest_addr(), 0).expect("connect");
+    // Every 50 events, punctuate at the largest timestamp sent so far:
+    // under a disorder bound of `delay`, no later event falls below
+    // `max_ts - delay`, the watermark this advances the stage to.
+    let (mut max_ts, mut watermarks) = (0u64, 0u64);
+    for (i, event) in shuffled.iter().enumerate() {
+        client.send_event(event).expect("send");
+        max_ts = max_ts.max(event.ts());
+        if i % 50 == 49 {
+            client.send_watermark(max_ts).expect("send watermark");
+            watermarks += 1;
+        }
+    }
+    client.finish().expect("finish");
+    let outcome = drain_and_join(handle);
+
+    let m = &outcome.report.metrics;
+    assert_eq!(outcome.report.input_events, events.len() as u64);
+    assert_eq!(m.late_events_dropped, 0, "{m:?}");
+    assert!(m.events_reordered > 0, "{m:?}");
+    // End-of-stream releases the rest without counting an advance, so
+    // every counted advance came from a frame on the socket.
+    assert!(m.watermarks_advanced > 0, "{m:?}");
+    assert!(m.watermarks_advanced <= watermarks, "{m:?}");
+    let got = outcome
+        .outputs
+        .get(&QueryId(0))
+        .map(Vec::as_slice)
+        .unwrap_or(&[]);
+    assert_same_output("punctuated over the socket", got, &expected);
 }
 
 #[test]

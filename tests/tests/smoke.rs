@@ -7,10 +7,10 @@
 use std::sync::Arc;
 
 use spectre_baselines::run_sequential;
-use spectre_core::{run_simulated, SpectreConfig};
+use spectre_core::SpectreConfig;
 use spectre_datasets::{NyseConfig, NyseGenerator};
 use spectre_events::{Event, Schema};
-use spectre_integration::{assert_same_output, assert_sim_matches_sequential};
+use spectre_integration::{assert_same_output, assert_sim_matches_sequential, run, Mode};
 use spectre_query::queries::{self, Direction};
 use spectre_query::{ComplexEvent, Query};
 
@@ -32,13 +32,11 @@ fn sim_matches_sequential_on_small_nyse() {
 }
 
 #[test]
-fn sim_matches_sequential_across_batch_sizes_shard_counts_and_lazy_modes() {
+fn sim_matches_sequential_across_batch_sizes_and_shard_counts() {
     // The batched splitter hand-off and the sharded window store are pure
     // mechanics: k ∈ {1,2,4,8} × batch ∈ {1,64,1024} × shards ∈ {1,8}
     // all reproduce the sequential reference exactly (batch 1 / shards 1
-    // is the original event-at-a-time, single-lock engine). The lazy tree
-    // is checked against the eager reference by the exhaustive small-tree
-    // harness in `core/tree.rs`.
+    // is the original event-at-a-time, single-lock engine).
     let mut schema = Schema::new();
     let events: Vec<_> = NyseGenerator::new(NyseConfig::small(2_000, 42), &mut schema).collect();
     let query = Arc::new(queries::q1(&mut schema, 4, 120, Direction::Rising));
@@ -49,7 +47,7 @@ fn sim_matches_sequential_across_batch_sizes_shard_counts_and_lazy_modes() {
         for batch in [1usize, 64, 1024] {
             for shards in [1usize, 8] {
                 let config = SpectreConfig::with_batching(k, batch, shards);
-                let report = run_simulated(&query, events.clone(), &config);
+                let report = run(&query, events.clone(), &config, Mode::Simulated);
                 assert_same_output(
                     &format!("sim k={k} batch={batch} shards={shards}"),
                     &report.complex_events,
@@ -78,7 +76,8 @@ fn lazy_tree_clones_only_scheduled_branches() {
     // abandoned groups drop their thunks for free and are accounted in
     // `lazy_versions_dropped`.
     let (query, events, expected) = abandon_regime();
-    let report = run_simulated(&query, events, &SpectreConfig::with_instances(1));
+    let config = SpectreConfig::with_instances(1);
+    let report = run(&query, events, &config, Mode::Simulated);
     assert_same_output("sim k=1", &report.complex_events, &expected);
     let m = &report.metrics;
     assert!(
@@ -92,15 +91,14 @@ fn lazy_tree_clones_only_scheduled_branches() {
 }
 
 #[test]
-fn lazy_attach_creates_fewer_versions_than_eager_attach() {
-    // The attach-thunk win, observed end to end: most lineages are never
-    // scheduled, so deferring their fresh versions keeps creation within
-    // a small multiple of the windows retired plus the groups opened (the
-    // bound from PR 20, which eager attach exceeds on this stream at
-    // k ≥ 2).
+fn versions_created_stay_within_four_per_retired_window_or_group() {
+    // Attach thunks, observed end to end: most lineages are never
+    // scheduled, so their fresh versions are never created and creation
+    // stays within 4 × (windows retired + groups opened) at every k.
     let (query, events, expected) = abandon_regime();
     for k in [1usize, 2, 4] {
-        let report = run_simulated(&query, events.clone(), &SpectreConfig::with_instances(k));
+        let config = SpectreConfig::with_instances(k);
+        let report = run(&query, events.clone(), &config, Mode::Simulated);
         assert_same_output(&format!("sim k={k}"), &report.complex_events, &expected);
         let m = &report.metrics;
         assert!(
@@ -115,12 +113,13 @@ fn lazy_attach_creates_fewer_versions_than_eager_attach() {
 }
 
 #[test]
-fn sim_matches_sequential_across_lazy_attach_modes() {
-    // The attach-thunk rows of the equivalence matrix: pending windows
-    // count toward the speculative load, so the cap decides how long the
-    // tails behind the markers grow — a tight cap keeps materializing and
-    // retiring at the back-pressure edge, the default lets whole backlogs
-    // pend. Both reproduce the sequential reference at every k.
+fn sim_matches_sequential_across_version_caps() {
+    // The `max_tree_versions` rows of the equivalence matrix: pending
+    // windows count toward the speculative load, so the cap decides how
+    // long the tails behind the pending-attach markers grow — a tight cap
+    // keeps materializing and retiring at the back-pressure edge, a loose
+    // one lets whole backlogs pend. Both reproduce the sequential
+    // reference at every k.
     let mut schema = Schema::new();
     let events: Vec<_> = NyseGenerator::new(NyseConfig::small(2_000, 42), &mut schema).collect();
     let query = Arc::new(queries::q1(&mut schema, 4, 120, Direction::Rising));
@@ -133,7 +132,7 @@ fn sim_matches_sequential_across_lazy_attach_modes() {
                 max_tree_versions: cap,
                 ..SpectreConfig::with_instances(k)
             };
-            let report = run_simulated(&query, events.clone(), &config);
+            let report = run(&query, events.clone(), &config, Mode::Simulated);
             assert_same_output(
                 &format!("sim k={k} cap={cap}"),
                 &report.complex_events,
@@ -157,7 +156,7 @@ fn splitter_feeds_identical_event_runs_for_every_batch_size() {
     let mut baseline: Option<Vec<String>> = None;
     for batch in [1usize, 7, 64, 1024] {
         let config = SpectreConfig::with_batching(2, batch, 8);
-        let report = run_simulated(&query, events.clone(), &config);
+        let report = run(&query, events.clone(), &config, Mode::Simulated);
         assert_same_output(&format!("batch={batch}"), &report.complex_events, &expected);
         let rendered = spectre_integration::fmt_all(&report.complex_events);
         match &baseline {

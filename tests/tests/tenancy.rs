@@ -72,12 +72,12 @@ fn single_tenant_sessions_match_untenanted_bit_for_bit() {
             let plain = {
                 let mut b = SpectreEngine::multi_builder().config(config.clone());
                 let qid = b.add_query(&query);
-                (b.build().run(events.clone()), qid)
+                (b.try_build().unwrap().run(events.clone()).unwrap(), qid)
             };
             let tagged = {
                 let mut b = SpectreEngine::multi_builder().config(config);
                 let qid = b.add_query_for(TenantId(5), &query);
-                (b.build().run(events.clone()), qid)
+                (b.try_build().unwrap().run(events.clone()).unwrap(), qid)
             };
             let tag = format!("sim k={k} batch={batch}");
             assert_same_output(&tag, query_outputs(&plain.0, plain.1), &expected);
@@ -106,7 +106,7 @@ fn threaded_single_tenant_matches_untenanted_outputs() {
     let config = SpectreConfig::with_instances(2);
     let mut b = SpectreEngine::multi_builder().config(config);
     let qid = b.add_query_for(TenantId(9), &query);
-    let report = b.threaded().build().run(events);
+    let report = b.threaded().try_build().unwrap().run(events).unwrap();
     assert_same_output("threaded tagged", query_outputs(&report, qid), &expected);
     assert_eq!(report.queries[&qid].tenant, TenantId(9));
 }
@@ -133,11 +133,11 @@ fn filters_skip_irrelevant_windows_without_changing_output() {
         let mut b = SpectreEngine::multi_builder().config(SpectreConfig::with_instances(2));
         let qid = b.add_query(&query);
         let engine = if threaded {
-            b.threaded().build()
+            b.threaded().try_build().unwrap()
         } else {
-            b.build()
+            b.try_build().unwrap()
         };
-        let report = engine.run(events.clone());
+        let report = engine.run(events.clone()).unwrap();
         let tag = if threaded { "threaded" } else { "sim" };
         assert_same_output(tag, query_outputs(&report, qid), &expected);
         assert!(
@@ -225,7 +225,7 @@ fn live_deploys_respect_the_query_quota() {
     let first = b.add_query_for(TenantId(3), &query);
     b.set_quota(TenantId(3), TenantQuota::default().with_max_queries(2));
     let mut engine = b.try_build().expect("one query is under the cap");
-    engine.ingest(events[..300].to_vec());
+    engine.ingest(events[..300].to_vec()).unwrap();
     // Second deploy fills the quota; the third is rejected mid-stream and
     // leaves the session fully operational.
     let second = engine
@@ -239,23 +239,13 @@ fn live_deploys_respect_the_query_quota() {
     let other = engine
         .deploy_query_for(TenantId(4), &query)
         .expect("other tenants have their own caps");
-    engine.ingest(events[300..].to_vec());
+    engine.ingest(events[300..].to_vec()).unwrap();
     let report = engine.try_finish().expect("finish");
     for qid in [first, second, other] {
         assert!(report.queries.contains_key(&qid));
     }
     assert_eq!(report.queries[&first].tenant, TenantId(3));
     assert_eq!(report.queries[&other].tenant, TenantId(4));
-}
-
-#[test]
-#[should_panic(expected = "tenant weight must be positive")]
-fn infallible_build_panics_with_the_validation_message() {
-    let (query, _) = nyse_fixture(16, 5);
-    let mut b = SpectreEngine::multi_builder().config(SpectreConfig::with_instances(2));
-    b.add_query_for(TenantId(1), &query);
-    b.set_quota(TenantId(1), TenantQuota::default().with_weight(0));
-    b.build();
 }
 
 #[test]
@@ -275,9 +265,9 @@ fn tenant_rollups_sum_to_the_aggregate() {
     builder.add_query_for(TenantId(2), &b);
     builder.set_quota(TenantId(1), TenantQuota::default().with_weight(3));
     let mut engine = builder.try_build().expect("build");
-    engine.ingest(events[..600].to_vec());
+    engine.ingest(events[..600].to_vec()).unwrap();
     engine.retire_query(retired).expect("retire mid-stream");
-    engine.ingest(events[600..].to_vec());
+    engine.ingest(events[600..].to_vec()).unwrap();
     let report = engine.try_finish().expect("finish");
 
     assert_eq!(report.tenants.len(), 2, "both tenants report a rollup");
@@ -316,9 +306,10 @@ fn tenant_rollups_sum_to_the_aggregate() {
     // The live session exposes the same rollups before finish().
     let mut engine = SpectreEngine::multi_builder()
         .config(SpectreConfig::with_instances(2))
-        .build();
+        .try_build()
+        .unwrap();
     engine.deploy_query_for(TenantId(7), &a).expect("deploy");
-    engine.ingest(events[..200].to_vec());
+    engine.ingest(events[..200].to_vec()).unwrap();
     let live = engine.tenant_metrics();
     assert_eq!(live.len(), 1);
     assert_eq!(live[0].0, TenantId(7));
@@ -343,11 +334,11 @@ fn weighted_tenants_still_produce_exact_outputs() {
         builder.set_quota(TenantId(1), TenantQuota::default().with_weight(4));
         builder.set_quota(TenantId(2), TenantQuota::default().with_max_versions(64));
         let engine = if threaded {
-            builder.threaded().build()
+            builder.threaded().try_build().unwrap()
         } else {
-            builder.build()
+            builder.try_build().unwrap()
         };
-        let report = engine.run(events.clone());
+        let report = engine.run(events.clone()).unwrap();
         let tag = if threaded { "threaded" } else { "sim" };
         assert_same_output(&format!("{tag} a"), query_outputs(&report, qa), &expected_a);
         assert_same_output(&format!("{tag} b"), query_outputs(&report, qb), &expected_b);
@@ -391,14 +382,14 @@ fn a_light_tenant_keeps_its_outputs_and_its_share_beside_a_heavy_tenant() {
         let tag = if threaded { "threaded" } else { "sim" };
         let build = |b: SpectreEngineBuilder| {
             if threaded {
-                b.threaded().build()
+                b.threaded().try_build().unwrap()
             } else {
-                b.simulated().build()
+                b.simulated().try_build().unwrap()
             }
         };
         let mut solo = SpectreEngine::multi_builder().config(config.clone());
         let qs = solo.add_query(&light);
-        let solo = build(solo).run(events.clone());
+        let solo = build(solo).run(events.clone()).unwrap();
         assert_same_output(
             &format!("{tag} solo"),
             query_outputs(&solo, qs),
@@ -412,7 +403,7 @@ fn a_light_tenant_keeps_its_outputs_and_its_share_beside_a_heavy_tenant() {
             if let Some(quota) = quota {
                 shared.set_quota(TenantId(2), quota);
             }
-            let shared = build(shared).run(events.clone());
+            let shared = build(shared).run(events.clone()).unwrap();
             assert_same_output(
                 &format!("{tag} light"),
                 query_outputs(&shared, ql),

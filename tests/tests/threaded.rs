@@ -6,10 +6,10 @@
 use std::sync::Arc;
 
 use spectre_baselines::run_sequential;
-use spectre_core::{run_simulated, run_threaded, MetricsSnapshot, SpectreConfig, SpectreEngine};
+use spectre_core::{MetricsSnapshot, SpectreConfig, SpectreEngine};
 use spectre_datasets::{NyseConfig, NyseGenerator, RandConfig, RandGenerator};
 use spectre_events::Schema;
-use spectre_integration::assert_same_output;
+use spectre_integration::{assert_same_output, run, Mode};
 use spectre_query::queries::{self, Direction};
 
 #[test]
@@ -19,7 +19,8 @@ fn threaded_q1_matches_sequential() {
     let query = Arc::new(queries::q1(&mut schema, 3, 150, Direction::Rising));
     let expected = run_sequential(&query, &events).complex_events;
     for k in [1usize, 2, 3] {
-        let report = run_threaded(&query, events.clone(), &SpectreConfig::with_instances(k));
+        let config = SpectreConfig::with_instances(k);
+        let report = run(&query, events.clone(), &config, Mode::Threaded);
         assert_same_output(
             &format!("threaded q1 k={k}"),
             &report.complex_events,
@@ -43,7 +44,8 @@ fn threaded_q3_matches_sequential() {
         40,
     ));
     let expected = run_sequential(&query, &events).complex_events;
-    let report = run_threaded(&query, events, &SpectreConfig::with_instances(2));
+    let config = SpectreConfig::with_instances(2);
+    let report = run(&query, events, &config, Mode::Threaded);
     assert_same_output("threaded q3", &report.complex_events, &expected);
 }
 
@@ -54,15 +56,16 @@ fn threaded_repeated_runs_are_deterministic_in_output() {
     let events: Vec<_> = NyseGenerator::new(NyseConfig::small(700, 71), &mut schema).collect();
     let query = Arc::new(queries::q2(&mut schema, 60.0, 140.0, 200, 40));
     let expected = run_sequential(&query, &events).complex_events;
-    for run in 0..3 {
-        let report = run_threaded(&query, events.clone(), &SpectreConfig::with_instances(2));
-        eprintln!("run {run}: metrics = {:?}", report.metrics);
-        assert_same_output(&format!("run {run}"), &report.complex_events, &expected);
+    for attempt in 0..3 {
+        let config = SpectreConfig::with_instances(2);
+        let report = run(&query, events.clone(), &config, Mode::Threaded);
+        eprintln!("run {attempt}: metrics = {:?}", report.metrics);
+        assert_same_output(&format!("run {attempt}"), &report.complex_events, &expected);
     }
 }
 
 #[test]
-fn threaded_matches_sequential_across_batch_sizes_shard_counts_and_lazy_modes() {
+fn threaded_matches_sequential_across_batch_sizes_and_shard_counts() {
     // Deterministic-equivalence matrix for the batched/sharded data path
     // and the lazy dependency tree under real threads: k ∈ {1,2,4,8} ×
     // batch ∈ {1,64,1024} × shards ∈ {1,8} all deliver the sequential
@@ -78,7 +81,7 @@ fn threaded_matches_sequential_across_batch_sizes_shard_counts_and_lazy_modes() 
         for batch in [1usize, 64, 1024] {
             for shards in [1usize, 8] {
                 let config = SpectreConfig::with_batching(k, batch, shards);
-                let report = run_threaded(&query, events.clone(), &config);
+                let report = run(&query, events.clone(), &config, Mode::Threaded);
                 assert_same_output(
                     &format!("threaded k={k} batch={batch} shards={shards}"),
                     &report.complex_events,
@@ -90,12 +93,12 @@ fn threaded_matches_sequential_across_batch_sizes_shard_counts_and_lazy_modes() 
 }
 
 #[test]
-fn threaded_matches_sequential_across_lazy_attach_modes() {
-    // Attach-thunk rows under real threads: pending-attach markers
-    // materialize while instances concurrently mutate the live source
-    // state the fresh versions will read. Pending windows count toward the
-    // speculative load, so a tight cap keeps materializing at the
-    // back-pressure edge while the default lets backlogs pend — any
+fn threaded_matches_sequential_across_version_caps() {
+    // The `max_tree_versions` rows under real threads: pending-attach
+    // markers materialize while instances concurrently mutate the live
+    // source state the fresh versions will read. Pending windows count
+    // toward the speculative load, so a tight cap keeps materializing at
+    // the back-pressure edge while a loose one lets backlogs pend — any
     // interleaving of either must deliver the sequential output.
     let mut schema = Schema::new();
     let events: Vec<_> = NyseGenerator::new(NyseConfig::small(1000, 83), &mut schema).collect();
@@ -107,7 +110,7 @@ fn threaded_matches_sequential_across_lazy_attach_modes() {
                 max_tree_versions: cap,
                 ..SpectreConfig::with_instances(k)
             };
-            let report = run_threaded(&query, events.clone(), &config);
+            let report = run(&query, events.clone(), &config, Mode::Threaded);
             assert_same_output(
                 &format!("threaded k={k} cap={cap}"),
                 &report.complex_events,
@@ -137,8 +140,9 @@ fn threaded_aggregate_metrics_equal_the_sum_of_per_worker_blocks() {
         let mut engine = SpectreEngine::builder(&query)
             .config(config)
             .threaded()
-            .build();
-        engine.ingest(events.iter().cloned());
+            .try_build()
+            .unwrap();
+        engine.ingest(events.iter().cloned()).unwrap();
         let report = engine.try_finish().expect("fresh session finishes once");
         assert_same_output(&format!("engine k={k}"), &report.complex_events, &expected);
         // Workers are joined after finish, so the block snapshots are
@@ -178,7 +182,8 @@ fn threaded_reports_plausible_metrics() {
     let mut schema = Schema::new();
     let events: Vec<_> = NyseGenerator::new(NyseConfig::small(500, 73), &mut schema).collect();
     let query = Arc::new(queries::q1(&mut schema, 2, 100, Direction::Rising));
-    let report = run_threaded(&query, events, &SpectreConfig::with_instances(2));
+    let config = SpectreConfig::with_instances(2);
+    let report = run(&query, events, &config, Mode::Threaded);
     let m = &report.metrics;
     assert!(
         m.events_processed >= 500,
@@ -205,14 +210,15 @@ fn abandon_regime_matches_sequential_while_the_predictor_refreshes() {
     };
     for k in [1usize, 2] {
         let config = SpectreConfig::with_instances(k);
-        let report = run_simulated(&query, events.clone(), &config);
+        let report = run(&query, events.clone(), &config, Mode::Simulated);
         check(
             &format!("sim k={k}"),
             &report.complex_events,
             &report.metrics,
         );
     }
-    let report = run_threaded(&query, events, &SpectreConfig::with_instances(2));
+    let config = SpectreConfig::with_instances(2);
+    let report = run(&query, events, &config, Mode::Threaded);
     check("threaded k=2", &report.complex_events, &report.metrics);
 }
 
@@ -255,7 +261,7 @@ fn completion_regime_matches_sequential_without_rebuilding_the_backlog() {
     let mut rollbacks = 0;
     for k in [1usize, 2, 4] {
         let config = SpectreConfig::with_instances(k);
-        let report = run_simulated(&query, events.clone(), &config);
+        let report = run(&query, events.clone(), &config, Mode::Simulated);
         check(
             &format!("sim k={k}"),
             &report.complex_events,
@@ -267,7 +273,8 @@ fn completion_regime_matches_sequential_without_rebuilding_the_backlog() {
     // trail the splitter; the simulated schedules are deterministic and
     // k = 4 speculates deep enough to be wrong.
     assert!(rollbacks > 0, "no simulated run rolled back");
-    let report = run_threaded(&query, events, &SpectreConfig::with_instances(2));
+    let config = SpectreConfig::with_instances(2);
+    let report = run(&query, events, &config, Mode::Threaded);
     check("threaded k=2", &report.complex_events, &report.metrics);
 }
 
@@ -287,7 +294,7 @@ fn versions_created_do_not_grow_with_the_backlog_cap() {
                 ingest_per_cycle: events.len(),
                 ..SpectreConfig::with_instances(2)
             };
-            let report = run_simulated(&query, events.clone(), &config);
+            let report = run(&query, events.clone(), &config, Mode::Simulated);
             assert_same_output(&format!("cap={cap}"), &report.complex_events, &expected);
             assert!(report.metrics.cgs_completed > 0);
             report.metrics.versions_created
@@ -314,7 +321,8 @@ fn mixed_regime_matches_sequential_at_every_instance_count() {
     let (query, events) = q1_regime(110, 42);
     let expected = run_sequential(&query, &events).complex_events;
     for k in [1usize, 2, 4, 8] {
-        let report = run_threaded(&query, events.clone(), &SpectreConfig::with_instances(k));
+        let config = SpectreConfig::with_instances(k);
+        let report = run(&query, events.clone(), &config, Mode::Threaded);
         let m = &report.metrics;
         let label = format!("threaded k={k}");
         assert_same_output(&label, &report.complex_events, &expected);
