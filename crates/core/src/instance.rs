@@ -18,6 +18,15 @@
 //! amortized lock and queue traffic. The output is identical for every
 //! batch size.
 //!
+//! Each step works on the slot's scheduled *head* while the head can make
+//! progress. When the head is finished, absent or stalled on ingestion,
+//! the step instead takes the front of the slot's run-ahead FIFO (see
+//! [`SlotCell`](crate::shared::SlotCell)): final versions of
+//! consumption-free queries the splitter queued there, which the instance
+//! works through on its own — a finished window no longer waits for the
+//! next splitter cycle to be replaced. The head is re-checked first at
+//! every step, so it resumes as soon as it has events again.
+//!
 //! Instances are oblivious to lazy branch materialization: the splitter's
 //! top-k selection materializes an unmaterialized completion branch
 //! *before* writing it to a scheduling slot, so a slot only ever holds a
@@ -59,6 +68,10 @@ pub struct InstanceCore {
     check_freq: u32,
     batch: usize,
     current: Option<Arc<VersionState>>,
+    /// The run-ahead version being worked through: the front of this
+    /// instance's FIFO, cached so the FIFO lock is taken only when the
+    /// front changes.
+    ahead: Option<Arc<VersionState>>,
     /// Last observed publication sequence of this instance's scheduling
     /// slot; lets the per-step pickup skip the slot lock while the
     /// assignment is unchanged (see [`SlotCell`](crate::shared::SlotCell)).
@@ -79,6 +92,9 @@ pub struct InstanceCore {
     /// Cleared whenever the assignment changes or goes idle, so a retired
     /// window's buffer is not pinned while the instance waits.
     run_buf: Option<(u64, Arc<WindowBuf>)>,
+    /// [`run_buf`](Self::run_buf)'s counterpart for the run-ahead version,
+    /// so alternating between head and FIFO front keeps both cached.
+    ahead_buf: Option<(u64, Arc<WindowBuf>)>,
 }
 
 impl InstanceCore {
@@ -91,6 +107,7 @@ impl InstanceCore {
             check_freq,
             batch: 1,
             current: None,
+            ahead: None,
             slot_seq: 0,
             actions: Vec::new(),
             stats: Vec::new(),
@@ -101,6 +118,7 @@ impl InstanceCore {
             run_suppressed: 0,
             run_qmetrics: None,
             run_buf: None,
+            ahead_buf: None,
         }
     }
 
@@ -123,10 +141,16 @@ impl InstanceCore {
     }
 
     /// Performs one processing step — up to [`with_batch`](Self::with_batch)
-    /// events of the scheduled window version, fetched as one run and
-    /// processed under one version-lock acquisition — per paper Fig. 8.
+    /// events of the scheduled window version (or, when it cannot progress,
+    /// of the run-ahead FIFO's front), fetched as one run and processed
+    /// under one version-lock acquisition — per paper Fig. 8.
     pub fn step(&mut self, shared: &SharedState) -> StepOutcome {
         let outcome = self.step_inner(shared);
+        match outcome {
+            StepOutcome::Idle => shared.metrics.add_idle_step(self.index),
+            StepOutcome::Stalled => shared.metrics.add_stalled_step(self.index),
+            _ => {}
+        }
         self.flush_ops(shared);
         self.flush_run_counters(shared);
         outcome
@@ -165,25 +189,76 @@ impl InstanceCore {
             self.current = update;
             self.run_buf = None;
         }
-        let Some(wv) = self.current.clone() else {
-            self.run_buf = None;
-            shared.metrics.add_idle_step(self.index);
-            return StepOutcome::Idle;
+        // The head goes first while it can make progress. It is taken out
+        // of `current` for the step rather than cloned, so a stalled step
+        // writes to no reference count the splitter shares.
+        let head = match self.current.take() {
+            Some(wv) if !wv.is_dropped() && !wv.is_finished() => {
+                let outcome = self.process(&wv, false, shared);
+                self.current = Some(wv);
+                match outcome {
+                    StepOutcome::Idle | StepOutcome::Stalled => outcome,
+                    _ => return outcome,
+                }
+            }
+            other => {
+                self.current = other;
+                self.run_buf = None;
+                StepOutcome::Idle
+            }
         };
-        if wv.is_dropped() || wv.is_finished() {
-            self.run_buf = None;
-            shared.metrics.add_idle_step(self.index);
+        // Head finished, absent or stalled: run ahead on the FIFO front.
+        let Some(wv) = self.ahead_version(shared) else {
+            return head;
+        };
+        let outcome = self.process(&wv, true, shared);
+        if outcome == StepOutcome::Finished {
+            // The head may keep this instance busy for a while; do not pin
+            // the finished window's buffer meanwhile.
+            self.ahead_buf = None;
+        }
+        outcome
+    }
+
+    /// The run-ahead version to work on: the cached FIFO front while it is
+    /// live, else the slot's next live front (counted as a version run
+    /// ahead). Lock-free while the FIFO is empty.
+    fn ahead_version(&mut self, shared: &SharedState) -> Option<Arc<VersionState>> {
+        if let Some(wv) = &self.ahead {
+            if !wv.is_finished() && !wv.is_dropped() {
+                return Some(Arc::clone(wv));
+            }
+            self.ahead = None;
+            self.ahead_buf = None;
+        }
+        let wv = shared.slots[self.index].ahead_front()?;
+        shared.metrics.add_version_run_ahead(self.index);
+        wv.query_metrics().add_version_run_ahead(self.index);
+        self.ahead = Some(Arc::clone(&wv));
+        Some(wv)
+    }
+
+    /// Processes the next run of `wv` — the head, or with `ahead` the
+    /// run-ahead version, each with its own cached store buffer.
+    fn process(
+        &mut self,
+        wv: &Arc<VersionState>,
+        ahead: bool,
+        shared: &SharedState,
+    ) -> StepOutcome {
+        let window = wv.window();
+        let mut inner = wv.lock();
+        // Re-checked under the version lock (which `finish` holds): a
+        // version another instance finished meanwhile is never finished
+        // twice.
+        if wv.is_finished() {
             return StepOutcome::Idle;
         }
-
-        let window = Arc::clone(wv.window());
-        self.run_qmetrics = Some(Arc::clone(wv.query_metrics()));
-        let mut inner = wv.lock();
 
         // Window end already reached?
         if let Some(end) = window.end_pos() {
             if window.start_pos + inner.pos >= end {
-                self.finish(&wv, &mut inner, shared);
+                self.finish(wv, &mut inner, shared);
                 return StepOutcome::Finished;
             }
         }
@@ -193,17 +268,18 @@ impl InstanceCore {
         // the same window. The per-window buffer only ever holds the
         // window's own events, so the run can never overshoot the window
         // end.
-        let buf = match &self.run_buf {
-            Some((id, buf)) if *id == window.store_id => Arc::clone(buf),
+        let cache = if ahead {
+            &mut self.ahead_buf
+        } else {
+            &mut self.run_buf
+        };
+        let buf = match cache {
+            Some((id, buf)) if *id == window.store_id => buf,
             _ => match shared.store.window_buf(window.store_id) {
-                Some(buf) => {
-                    self.run_buf = Some((window.store_id, Arc::clone(&buf)));
-                    buf
-                }
+                Some(buf) => &cache.insert((window.store_id, buf)).1,
                 None => {
                     // Unknown buffer: the window is racing retirement; the
                     // dropped flag resolves it at a later step.
-                    shared.metrics.add_stalled_step(self.index);
                     return StepOutcome::Stalled;
                 }
             },
@@ -213,9 +289,9 @@ impl InstanceCore {
         if n == 0 {
             // Not yet ingested (or the window is racing retirement, which a
             // later step resolves via the dropped flag): stall.
-            shared.metrics.add_stalled_step(self.index);
             return StepOutcome::Stalled;
         }
+        self.run_qmetrics = Some(Arc::clone(wv.query_metrics()));
         let runs = std::mem::take(&mut self.fetch);
         let mut inconsistent = false;
         'runs: for run in &runs {
@@ -225,7 +301,7 @@ impl InstanceCore {
                 if wv.is_dropped() {
                     break 'runs;
                 }
-                if !self.process_event(&wv, &mut inner, shared, ev) {
+                if !self.process_event(wv, &mut inner, shared, ev) {
                     inconsistent = true;
                     break 'runs;
                 }
@@ -238,14 +314,14 @@ impl InstanceCore {
         self.fetch.clear();
         if inconsistent {
             drop(inner);
-            self.rollback(&wv, shared);
+            self.rollback(wv, shared);
             return StepOutcome::RolledBack;
         }
 
         // Finish immediately when the run consumed the window's last event.
         if let Some(end) = window.end_pos() {
             if window.start_pos + inner.pos >= end {
-                self.finish(&wv, &mut inner, shared);
+                self.finish(wv, &mut inner, shared);
                 return StepOutcome::Finished;
             }
         }
@@ -798,6 +874,64 @@ mod tests {
         assert_eq!(inst.step(&shared), StepOutcome::RolledBack);
         assert_eq!(wv.lock().pos, 0, "reset to the window start");
         assert_eq!(shared.metrics.snapshot().rollbacks, 1);
+    }
+
+    #[test]
+    fn stalled_head_runs_ahead_on_the_fifo_front_and_resumes_when_fed() {
+        // Head: window 0, open and not yet ingested. FIFO front: window 1,
+        // closed and fully ingested (a final version).
+        let shared = SharedState::new(1);
+        shared.store.open_window(0, 0);
+        let head_window = Arc::new(WindowInfo::new(0, 0, 0, 0));
+        let head = VersionState::new(WvId(0), head_window, query(ConsumptionPolicy::None), vec![]);
+        shared.store.open_window(1, 0);
+        let mut batch = crate::splitter::EventBatch::with_capacity(0, 4);
+        for e in [ev(0, 1.0), ev(1, 9.0), ev(2, 2.0), ev(3, 9.0)] {
+            batch.push(e);
+        }
+        shared.store.extend(1, &Arc::new(batch), 0..4);
+        let ahead_window = Arc::new(WindowInfo::new(1, 0, 0, 0));
+        ahead_window.set_end_pos(4);
+        let ahead = VersionState::new(
+            WvId(1),
+            ahead_window,
+            query(ConsumptionPolicy::None),
+            vec![],
+        );
+        shared.slots[0].publish(Some(Arc::clone(&head)));
+        shared.slots[0].enqueue_ahead([Arc::clone(&ahead)]);
+        let mut inst = InstanceCore::new(0, 2).with_batch(2);
+
+        // The head is stalled, so the step processes the FIFO front.
+        assert_eq!(inst.step(&shared), StepOutcome::Worked);
+        assert_eq!(ahead.lock().pos, 2);
+        assert_eq!(head.lock().pos, 0);
+        let snap = shared.metrics.snapshot();
+        assert_eq!(snap.versions_run_ahead, 1);
+        assert_eq!(
+            snap.stalled_steps, 0,
+            "a step that ran ahead is not stalled"
+        );
+
+        // The head has events again: the next step returns to it.
+        let mut batch = crate::splitter::EventBatch::with_capacity(0, 1);
+        batch.push(ev(0, 1.0));
+        shared.store.extend(0, &Arc::new(batch), 0..1);
+        assert_eq!(inst.step(&shared), StepOutcome::Worked);
+        assert_eq!(head.lock().pos, 1);
+        assert_eq!(ahead.lock().pos, 2);
+
+        // Stalled again: the front resumes where it left off and finishes,
+        // counted once as a version run ahead.
+        assert_eq!(inst.step(&shared), StepOutcome::Finished);
+        assert!(ahead.is_finished());
+        assert_eq!(ahead.lock().outputs.len(), 1);
+        assert_eq!(shared.metrics.snapshot().versions_run_ahead, 1);
+        // Nothing left to run ahead on: the stalled head is the outcome,
+        // and the finished front has left the FIFO.
+        assert_eq!(inst.step(&shared), StepOutcome::Stalled);
+        assert_eq!(shared.slots[0].ahead_len(), 0);
+        assert_eq!(shared.metrics.snapshot().stalled_steps, 1);
     }
 
     #[test]

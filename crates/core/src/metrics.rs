@@ -3,7 +3,7 @@
 //! accounting.
 //!
 //! The instance-hot counters (events processed/suppressed, idle and stalled
-//! steps) are split into per-worker [`CachePadded`] blocks when the metrics
+//! steps, versions run ahead) are split into per-worker [`CachePadded`] blocks when the metrics
 //! are built with [`Metrics::with_workers`]: each operator instance then
 //! increments its own cache line instead of ping-ponging one shared line
 //! between cores, and [`Metrics::snapshot`] folds the blocks back into the
@@ -25,6 +25,8 @@ pub struct WorkerCounters {
     pub idle_steps: AtomicU64,
     /// Stalled steps taken by this worker (version waiting for ingestion).
     pub stalled_steps: AtomicU64,
+    /// Versions this worker started from its run-ahead FIFO.
+    pub versions_run_ahead: AtomicU64,
 }
 
 impl WorkerCounters {
@@ -35,6 +37,7 @@ impl WorkerCounters {
             events_suppressed: self.events_suppressed.load(Ordering::Relaxed),
             idle_steps: self.idle_steps.load(Ordering::Relaxed),
             stalled_steps: self.stalled_steps.load(Ordering::Relaxed),
+            versions_run_ahead: self.versions_run_ahead.load(Ordering::Relaxed),
         }
     }
 }
@@ -47,6 +50,7 @@ pub struct WorkerSnapshot {
     pub events_suppressed: u64,
     pub idle_steps: u64,
     pub stalled_steps: u64,
+    pub versions_run_ahead: u64,
 }
 
 /// Shared atomic counters, updated by splitter and instances.
@@ -91,6 +95,11 @@ pub struct Metrics {
     pub idle_steps: AtomicU64,
     /// Stalled instance steps (version waiting for ingestion).
     pub stalled_steps: AtomicU64,
+    /// Window versions an instance started from its run-ahead FIFO instead
+    /// of as its scheduled head (see
+    /// [`SlotCell`](crate::shared::SlotCell)). Only versions of queries
+    /// without a consumption policy are ever queued there.
+    pub versions_run_ahead: AtomicU64,
     /// Complex events committed (appended to the output stream at window
     /// retirement).
     pub outputs_emitted: AtomicU64,
@@ -192,6 +201,15 @@ impl Metrics {
         };
     }
 
+    /// Counts one version worker `index` started from its run-ahead FIFO
+    /// (base counter when no block exists).
+    pub fn add_version_run_ahead(&self, index: usize) {
+        match self.worker(index) {
+            Some(w) => w.versions_run_ahead.fetch_add(1, Ordering::Relaxed),
+            None => self.versions_run_ahead.fetch_add(1, Ordering::Relaxed),
+        };
+    }
+
     /// Records a tree-size observation, keeping the maximum.
     pub fn observe_tree_size(&self, size: u64) {
         self.max_tree_versions.fetch_max(size, Ordering::Relaxed);
@@ -205,11 +223,13 @@ impl Metrics {
         let mut events_suppressed = self.events_suppressed.load(Ordering::Relaxed);
         let mut idle_steps = self.idle_steps.load(Ordering::Relaxed);
         let mut stalled_steps = self.stalled_steps.load(Ordering::Relaxed);
+        let mut versions_run_ahead = self.versions_run_ahead.load(Ordering::Relaxed);
         for w in &self.workers {
             events_processed += w.events_processed.load(Ordering::Relaxed);
             events_suppressed += w.events_suppressed.load(Ordering::Relaxed);
             idle_steps += w.idle_steps.load(Ordering::Relaxed);
             stalled_steps += w.stalled_steps.load(Ordering::Relaxed);
+            versions_run_ahead += w.versions_run_ahead.load(Ordering::Relaxed);
         }
         MetricsSnapshot {
             events_processed,
@@ -229,6 +249,7 @@ impl Metrics {
             windows_retired: self.windows_retired.load(Ordering::Relaxed),
             idle_steps,
             stalled_steps,
+            versions_run_ahead,
             outputs_emitted: self.outputs_emitted.load(Ordering::Relaxed),
             store_windows_opened: self.store_windows_opened.load(Ordering::Relaxed),
             windows_skipped: self.windows_skipped.load(Ordering::Relaxed),
@@ -261,6 +282,7 @@ pub struct MetricsSnapshot {
     pub windows_retired: u64,
     pub idle_steps: u64,
     pub stalled_steps: u64,
+    pub versions_run_ahead: u64,
     pub outputs_emitted: u64,
     pub store_windows_opened: u64,
     pub windows_skipped: u64,
@@ -295,6 +317,7 @@ impl MetricsSnapshot {
             windows_retired,
             idle_steps,
             stalled_steps,
+            versions_run_ahead,
             outputs_emitted,
             store_windows_opened,
             windows_skipped,
@@ -320,6 +343,7 @@ impl MetricsSnapshot {
         self.windows_retired += windows_retired;
         self.idle_steps += idle_steps;
         self.stalled_steps += stalled_steps;
+        self.versions_run_ahead += versions_run_ahead;
         self.outputs_emitted += outputs_emitted;
         self.store_windows_opened += store_windows_opened;
         self.windows_skipped += windows_skipped;
@@ -365,6 +389,8 @@ mod tests {
         m.add_events_suppressed(1, 2);
         m.add_idle_step(1);
         m.add_stalled_step(2);
+        m.add_version_run_ahead(0);
+        m.add_version_run_ahead(2);
         // Out-of-range worker indices land on the base atomics.
         m.add_events_processed(9, 11);
         let s = m.snapshot();
@@ -372,6 +398,7 @@ mod tests {
         assert_eq!(s.events_suppressed, 2);
         assert_eq!(s.idle_steps, 1);
         assert_eq!(s.stalled_steps, 1);
+        assert_eq!(s.versions_run_ahead, 2);
         // The aggregate is exactly the base residual plus the block sums.
         let per: Vec<WorkerSnapshot> = m.worker_snapshots();
         let block_sum: u64 = per.iter().map(|w| w.events_processed).sum();

@@ -13,6 +13,7 @@
 //! acquisition per batch), and the `ingested` watermark is published once
 //! per batch rather than once per event.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::Thread;
@@ -111,7 +112,25 @@ pub struct StatsBatch {
     pub transitions: Vec<(u32, u32)>,
 }
 
-/// One instance's scheduling slot with seq-numbered publication.
+/// Capacity of each instance's run-ahead FIFO (see [`SlotCell`]): how many
+/// final window versions the splitter may queue behind one scheduled head.
+/// A consumption-free query therefore nominates up to
+/// `k·(1 + RUN_AHEAD_DEPTH)` versions per scheduling cycle.
+pub const RUN_AHEAD_DEPTH: usize = 4;
+
+/// The mutex-guarded contents of a [`SlotCell`].
+#[derive(Debug, Default)]
+struct Slot {
+    /// The scheduled head version (the top-k assignment).
+    head: Option<Arc<VersionState>>,
+    /// Final versions queued behind the head, oldest first. The front
+    /// stays queued while the instance processes it and leaves once it is
+    /// finished (or dropped).
+    ahead: VecDeque<Arc<VersionState>>,
+}
+
+/// One instance's scheduling slot with seq-numbered publication, plus the
+/// instance's run-ahead FIFO.
 ///
 /// The splitter [`publish`](SlotCell::publish)es assignments rarely (only
 /// when the top-k schedule actually moves a version), while every instance
@@ -120,20 +139,65 @@ pub struct StatsBatch {
 /// atomic against the caller's cached value and touches the mutex only when
 /// a new assignment was published, so a polling instance no longer bounces
 /// the slot's lock line against the splitter's scheduling pass.
+///
+/// Behind the head sits a FIFO of up to [`RUN_AHEAD_DEPTH`] **final**
+/// versions — of a query without a consumption policy, over a window that
+/// is closed and fully ingested — which the instance takes itself whenever
+/// the head is finished, idle or stalled, instead of waiting for the next
+/// splitter cycle. Final versions can neither stall nor be suppressed,
+/// rolled back or replaced, so running them in any order is safe. The
+/// FIFO shares the slot's mutex; its length is mirrored in an atomic so an
+/// instance with nothing queued checks it without locking.
 #[derive(Debug, Default)]
 pub struct SlotCell {
     seq: AtomicU64,
-    value: Mutex<Option<Arc<VersionState>>>,
+    ahead_len: AtomicUsize,
+    value: Mutex<Slot>,
 }
 
 impl SlotCell {
     /// Publishes a new assignment and bumps the publication sequence.
     pub fn publish(&self, v: Option<Arc<VersionState>>) {
         let mut guard = self.value.lock();
-        *guard = v;
+        guard.head = v;
         // Bumped under the lock, so an observer that wins the lock after
         // seeing the new sequence is guaranteed to read the new value.
         self.seq.fetch_add(1, Ordering::Release);
+    }
+
+    /// Appends final versions to the run-ahead FIFO (splitter side),
+    /// dropping queued entries that are already finished or dropped. The
+    /// caller keeps the FIFO within [`RUN_AHEAD_DEPTH`] live entries.
+    pub fn enqueue_ahead(&self, versions: impl IntoIterator<Item = Arc<VersionState>>) {
+        let mut guard = self.value.lock();
+        guard.ahead.retain(|v| !v.is_finished() && !v.is_dropped());
+        guard.ahead.extend(versions);
+        self.ahead_len.store(guard.ahead.len(), Ordering::Release);
+    }
+
+    /// The run-ahead FIFO's front version (instance side): pops finished or
+    /// dropped fronts first and returns the first live one, which stays
+    /// queued until it finishes. Lock-free when the FIFO is empty.
+    pub fn ahead_front(&self) -> Option<Arc<VersionState>> {
+        if self.ahead_len.load(Ordering::Acquire) == 0 {
+            return None;
+        }
+        let mut guard = self.value.lock();
+        while guard
+            .ahead
+            .front()
+            .is_some_and(|v| v.is_finished() || v.is_dropped())
+        {
+            guard.ahead.pop_front();
+        }
+        self.ahead_len.store(guard.ahead.len(), Ordering::Release);
+        guard.ahead.front().cloned()
+    }
+
+    /// Number of queued run-ahead versions, including finished ones the
+    /// instance has not popped yet (diagnostics and tests).
+    pub fn ahead_len(&self) -> usize {
+        self.ahead_len.load(Ordering::Acquire)
     }
 
     /// Checks for a publication newer than `last_seen`.
@@ -148,12 +212,12 @@ impl SlotCell {
         }
         let guard = self.value.lock();
         *last_seen = self.seq.load(Ordering::Acquire);
-        Some(guard.clone())
+        Some(guard.head.clone())
     }
 
     /// Clones the current assignment (test/diagnostic path; takes the lock).
     pub fn load(&self) -> Option<Arc<VersionState>> {
-        self.value.lock().clone()
+        self.value.lock().head.clone()
     }
 }
 
@@ -320,6 +384,52 @@ mod tests {
         // A second observer with its own cursor still sees it.
         let mut other = 0;
         assert!(matches!(cell.observe(&mut other), Some(None)));
+    }
+
+    #[test]
+    fn run_ahead_front_stays_queued_until_finished() {
+        use crate::store::WindowInfo;
+        use spectre_query::{Expr, Pattern, Query, WindowSpec};
+        let x = spectre_events::AttrKey::new(0);
+        let query = Arc::new(
+            Query::builder("t")
+                .pattern(
+                    Pattern::builder()
+                        .one("A", Expr::current(x).eq_(Expr::value(1.0)))
+                        .build()
+                        .unwrap(),
+                )
+                .window(WindowSpec::count_sliding(4, 4).unwrap())
+                .build()
+                .unwrap(),
+        );
+        let version = |id: u64| {
+            VersionState::new(
+                WvId(id),
+                Arc::new(WindowInfo::new(id, id, 0, 0)),
+                Arc::clone(&query),
+                vec![],
+            )
+        };
+        let cell = SlotCell::default();
+        // Empty FIFO: no front, and no lock taken to find that out.
+        assert_eq!(cell.ahead_len(), 0);
+        assert!(cell.ahead_front().is_none());
+        let (a, b) = (version(0), version(1));
+        cell.enqueue_ahead([Arc::clone(&a), Arc::clone(&b)]);
+        assert_eq!(cell.ahead_len(), 2);
+        // The front is handed out but stays queued while it runs.
+        assert!(Arc::ptr_eq(&cell.ahead_front().unwrap(), &a));
+        assert!(Arc::ptr_eq(&cell.ahead_front().unwrap(), &a));
+        a.mark_finished();
+        assert!(Arc::ptr_eq(&cell.ahead_front().unwrap(), &b));
+        assert_eq!(cell.ahead_len(), 1);
+        // A dropped entry (its query retired) leaves like a finished one.
+        b.mark_dropped();
+        assert!(cell.ahead_front().is_none());
+        assert_eq!(cell.ahead_len(), 0);
+        // The head is untouched by FIFO traffic.
+        assert!(cell.load().is_none());
     }
 
     #[test]

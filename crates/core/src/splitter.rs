@@ -66,7 +66,7 @@ use crate::engine::EngineError;
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::predictor::{CompletionPredictor, FixedPredictor, MarkovPredictor};
 use crate::reorder::ReorderStats;
-use crate::shared::{QueryId, SharedState, TenantId, TreeOp};
+use crate::shared::{QueryId, SharedState, TenantId, TreeOp, RUN_AHEAD_DEPTH};
 use crate::store::WindowInfo;
 use crate::tree::{DependencyTree, VersionFactory};
 use crate::version::{VersionState, WvId};
@@ -401,7 +401,17 @@ pub struct Splitter {
     /// shared [`SlotCell`](crate::shared::SlotCell)s, and a slot is only
     /// published (and its watchers woken) when its assignment changes.
     sched_shadow: Vec<Option<Arc<VersionState>>>,
+    /// Splitter-local mirror of the instances' run-ahead FIFOs: the
+    /// versions queued per slot that are not finished yet. Only the
+    /// splitter enqueues and entries leave only once finished or dropped,
+    /// so after pruning those this is exactly the set of versions the
+    /// FIFOs still hold — which head placement skips.
+    ahead_shadow: Vec<Vec<Arc<VersionState>>>,
 }
+
+/// Dead retirement acks tolerated beyond twice the live version count
+/// before [`Splitter`] sweeps a query's ack set (see `retire_root_of`).
+const ACK_PRUNE_SLACK: usize = 16;
 
 /// Spec-derived warm-up window-size estimate, used by the prediction input
 /// `events_left` until the query's first window closes: exact for count
@@ -425,6 +435,7 @@ impl Splitter {
         config.validate();
         let batch = EventBatch::with_capacity(0, config.batch_size);
         let sched_shadow = (0..shared.instance_count()).map(|_| None).collect();
+        let ahead_shadow = (0..shared.instance_count()).map(|_| Vec::new()).collect();
         Splitter {
             config,
             shared,
@@ -448,6 +459,7 @@ impl Splitter {
             ingest_done: false,
             progress: false,
             sched_shadow,
+            ahead_shadow,
         }
     }
 
@@ -621,7 +633,8 @@ impl Splitter {
         tenant.queries.retain(|m| *m != qid);
         tenant.retired.accumulate(&qs.metrics.snapshot());
         // Speculative work in flight is discarded: instances observe the
-        // dropped flag at the next step/run boundary and go idle.
+        // dropped flag at the next step/run boundary and go idle. Queued
+        // run-ahead versions leave their FIFO the same way.
         for v in qs.tree.versions() {
             v.mark_dropped();
         }
@@ -1274,10 +1287,15 @@ impl Splitter {
         let retired = qs.tree.retire_root(&mut factory);
         qs.finished_acked.extend(factory.acked_clones);
         qs.finished_acked.remove(&retired.id());
-        // Acks of versions dropped from the tree are dead; prune them here
-        // (retirement is rare relative to cycles).
+        // Acks of versions dropped from the tree are dead. They are harmless
+        // — version ids come from a monotone counter and are never reused,
+        // so a stale ack can never match — and are pruned only once they
+        // outnumber the live versions twice over, which keeps the sweep
+        // amortized O(1) per retirement.
         let tree = &qs.tree;
-        qs.finished_acked.retain(|id| tree.version(*id).is_some());
+        if qs.finished_acked.len() > 2 * tree.version_count() + ACK_PRUNE_SLACK {
+            qs.finished_acked.retain(|id| tree.version(*id).is_some());
+        }
         shared
             .metrics
             .windows_retired
@@ -1394,23 +1412,37 @@ impl Splitter {
     /// time to the highest-credit tenant with nominations left — lowest
     /// tenant id on ties. The chosen versions are then ranked on
     /// probability again so slot assignment stays probability-ordered.
+    ///
+    /// Versions already queued in a run-ahead FIFO are not head
+    /// candidates. After the heads are placed, the nominations that did
+    /// not make the cut fill the FIFOs (see
+    /// [`fill_run_ahead`](Self::fill_run_ahead)); only consumption-free
+    /// queries nominate beyond k, so only they ever get FIFO entries.
     fn schedule(&mut self) {
         let k = self.config.instances;
         let shared = Arc::clone(&self.shared);
+        // Entries leave a FIFO once finished (or dropped).
+        for queued in &mut self.ahead_shadow {
+            queued.retain(|v| !v.is_finished() && !v.is_dropped());
+        }
         let mut active: Vec<usize> = (0..self.tenants.len())
             .filter(|&ti| !self.tenants[ti].queries.is_empty())
             .collect();
         active.sort_by_key(|&ti| self.tenants[ti].id);
         let mut cands: Vec<(f64, Arc<VersionState>)> = Vec::new();
+        // Nominations that did not make the head cut, in schedule order.
+        let mut spare: Vec<(f64, Arc<VersionState>)> = Vec::new();
         if active.len() <= 1 {
             let mut budget = active
                 .first()
                 .map_or(usize::MAX, |&ti| self.tenant_budget(ti));
             for qi in 0..self.queries.len() {
-                self.nominate(qi, k, &mut budget, &mut cands, &shared);
+                let width = self.nomination_width(qi, k);
+                self.nominate(qi, width, &mut budget, &mut cands, &shared);
             }
+            self.drop_queued(&mut cands);
             cands.sort_by(|a, b| b.0.total_cmp(&a.0));
-            cands.truncate(k);
+            spare = cands.split_off(k.min(cands.len()));
         } else {
             // Per-tenant ranked nomination lists, each under its own
             // speculation budget.
@@ -1424,10 +1456,11 @@ impl Splitter {
                         .query_index
                         .get(&qid)
                         .expect("tenant member is registered");
-                    self.nominate(qi, k, &mut budget, &mut list, &shared);
+                    let width = self.nomination_width(qi, k);
+                    self.nominate(qi, width, &mut budget, &mut list, &shared);
                 }
+                self.drop_queued(&mut list);
                 list.sort_by(|a, b| b.0.total_cmp(&a.0));
-                list.truncate(k);
                 lists.push((ti, list));
             }
             // Credit accrual: only tenants with nominations share the
@@ -1473,6 +1506,9 @@ impl Splitter {
                 taken[li] += 1;
                 self.tenants[*ti].credit -= 1.0;
             }
+            for ((_, list), &taken) in lists.iter_mut().zip(&taken) {
+                spare.extend(list.drain(taken..));
+            }
             cands.sort_by(|a, b| b.0.total_cmp(&a.0));
         }
 
@@ -1495,6 +1531,9 @@ impl Splitter {
             to_place.push(Arc::clone(v));
         }
         let mut to_place = to_place.into_iter();
+        // Heads replaced this cycle: their instance may still be inside a
+        // step on them, so they wait a cycle before they may be queued.
+        let mut unseated: Vec<Arc<VersionState>> = Vec::new();
         for (i, kept) in kept.iter().enumerate() {
             if *kept {
                 continue;
@@ -1507,7 +1546,74 @@ impl Splitter {
             };
             if !unchanged {
                 self.shared.slots[i].publish(next.clone());
-                self.sched_shadow[i] = next;
+                unseated.extend(std::mem::replace(&mut self.sched_shadow[i], next));
+            }
+        }
+        self.fill_run_ahead(spare, &unseated);
+    }
+
+    /// How many versions query `qi` nominates per cycle: k under a
+    /// consumption policy, k·(1 + [`RUN_AHEAD_DEPTH`]) without one — enough
+    /// for every head plus a full run-ahead FIFO per instance, since queued
+    /// versions are nominated again until they finish.
+    fn nomination_width(&self, qi: usize, k: usize) -> usize {
+        if self.queries[qi].query.consumption().is_none() {
+            k * (1 + RUN_AHEAD_DEPTH)
+        } else {
+            k
+        }
+    }
+
+    /// Removes the versions already queued in a run-ahead FIFO from a
+    /// nomination list: each version is in exactly one place.
+    fn drop_queued(&self, list: &mut RankedNominations) {
+        if self.ahead_shadow.iter().all(Vec::is_empty) {
+            return;
+        }
+        list.retain(|(_, v)| {
+            !self
+                .ahead_shadow
+                .iter()
+                .flatten()
+                .any(|q| Arc::ptr_eq(q, v))
+        });
+    }
+
+    /// Queues the **final** versions among `spare` (nominations that did
+    /// not become heads, in schedule order) into the instances' run-ahead
+    /// FIFOs, each to the shortest FIFO with room (lowest slot on ties).
+    ///
+    /// Final means the query has no consumption policy — no group can ever
+    /// suppress, roll back or replace the version — and its window is
+    /// closed and fully ingested, so a queued version can never stall. The
+    /// second half is a liveness condition: an unclosed window queued
+    /// behind a stalled head could be the root that back-pressured
+    /// ingestion waits for. Consumption queries are excluded because
+    /// "certain now" is not final for them: an older window can still
+    /// open a group that suppresses events of this one.
+    fn fill_run_ahead(&mut self, spare: RankedNominations, unseated: &[Arc<VersionState>]) {
+        if spare.is_empty() {
+            return;
+        }
+        let ingested = self.shared.ingested.load(Ordering::Acquire);
+        let before: Vec<usize> = self.ahead_shadow.iter().map(Vec::len).collect();
+        for (_, v) in spare {
+            let is_final = v.query().consumption().is_none()
+                && v.window().end_pos().is_some_and(|end| end <= ingested);
+            if !is_final || unseated.iter().any(|u| Arc::ptr_eq(u, &v)) {
+                continue;
+            }
+            let Some(i) = (0..self.ahead_shadow.len())
+                .filter(|&i| self.ahead_shadow[i].len() < RUN_AHEAD_DEPTH)
+                .min_by_key(|&i| self.ahead_shadow[i].len())
+            else {
+                break;
+            };
+            self.ahead_shadow[i].push(v);
+        }
+        for (i, &from) in before.iter().enumerate() {
+            if self.ahead_shadow[i].len() > from {
+                self.shared.slots[i].enqueue_ahead(self.ahead_shadow[i][from..].iter().cloned());
             }
         }
     }
@@ -1781,6 +1887,75 @@ mod tests {
         let expected = spectre_baselines::run_sequential(&query, &events).complex_events;
         let got = drive(query, events, 1);
         assert_eq!(got, expected);
+    }
+
+    /// Checks the run-ahead invariants after a cycle and returns how many
+    /// versions are queued: every queued version is final (consumption-free
+    /// query, closed and fully ingested window), no FIFO is over capacity,
+    /// and every version is in exactly one place.
+    fn check_run_ahead(splitter: &Splitter) -> usize {
+        let ingested = splitter.shared.ingested.load(Ordering::Acquire);
+        let mut seen: Vec<&Arc<VersionState>> = Vec::new();
+        for (i, queued) in splitter.ahead_shadow.iter().enumerate() {
+            assert!(queued.len() <= RUN_AHEAD_DEPTH);
+            assert!(splitter.shared.slots[i].ahead_len() >= queued.len());
+            for v in queued {
+                assert!(v.query().consumption().is_none());
+                assert!(v.window().end_pos().is_some_and(|end| end <= ingested));
+                let head = splitter.sched_shadow.iter().flatten();
+                assert!(!head.chain(seen.iter().copied()).any(|h| Arc::ptr_eq(h, v)));
+                seen.push(v);
+            }
+        }
+        seen.len()
+    }
+
+    #[test]
+    fn run_ahead_queues_only_final_versions_each_in_one_place() {
+        let events: Vec<Event> = (0..240)
+            .map(|i| ev(i, [1.0, 9.0, 2.0, 1.0, 2.0, 9.0][i as usize % 6]))
+            .collect();
+        let consuming = ab_query();
+        let free = Arc::new(
+            Query::builder("t-nc")
+                .pattern_arc(Arc::clone(consuming.pattern()))
+                .window(consuming.window().clone())
+                .consumption(ConsumptionPolicy::None)
+                .build()
+                .unwrap(),
+        );
+        for query in [free, consuming] {
+            let expected = spectre_baselines::run_sequential(&query, &events).complex_events;
+            let config = SpectreConfig {
+                ingest_per_cycle: 16,
+                ..SpectreConfig::with_instances(2)
+            };
+            let shared = SharedState::for_config(&config);
+            let mut splitter = Splitter::new(Arc::clone(&query), config, Arc::clone(&shared));
+            for event in events.iter().cloned() {
+                splitter.feed(event);
+            }
+            splitter.end_of_stream();
+            let mut instances: Vec<_> = (0..2).map(|i| InstanceCore::new(i, 4)).collect();
+            let mut peak_queued = 0;
+            while !splitter.cycle() {
+                peak_queued = peak_queued.max(check_run_ahead(&splitter));
+                for inst in &mut instances {
+                    let _ = inst.step(&shared);
+                }
+            }
+            assert_eq!(untag(splitter.into_outputs()), expected);
+            let m = shared.metrics.snapshot();
+            if query.consumption().is_none() {
+                assert_eq!(
+                    m.versions_created, m.windows_retired,
+                    "one version per window"
+                );
+                assert!(peak_queued > 0 && m.versions_run_ahead > 0, "{m:?}");
+            } else {
+                assert_eq!((peak_queued, m.versions_run_ahead), (0, 0));
+            }
+        }
     }
 
     #[test]

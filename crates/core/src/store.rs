@@ -160,7 +160,6 @@ struct Seg {
 /// The mutable part of a window's buffer, behind the per-window lock.
 #[derive(Debug, Default)]
 struct BufState {
-    len: u64,
     segs: Vec<Seg>,
 }
 
@@ -174,9 +173,15 @@ struct BufState {
 /// with its own readers. Instances hold a clone of the buffer's `Arc`
 /// (via [`WindowStore::window_buf`]) across steps of the same window, so
 /// the per-step shard-map lookup disappears from the run-read hot path.
+///
+/// The buffered length is also published in an atomic, so a reader that
+/// is ahead of ingestion (a stalled instance polling for its next event)
+/// finds out without touching the lock the splitter appends under.
 #[derive(Debug)]
 pub struct WindowBuf {
     start_pos: u64,
+    /// Events buffered, stored under the write lock after each append.
+    len: AtomicU64,
     state: RwLock<BufState>,
 }
 
@@ -184,6 +189,7 @@ impl WindowBuf {
     fn new(start_pos: u64) -> Self {
         WindowBuf {
             start_pos,
+            len: AtomicU64::new(0),
             state: RwLock::new(BufState::default()),
         }
     }
@@ -195,7 +201,7 @@ impl WindowBuf {
 
     /// Number of events currently buffered.
     pub fn len(&self) -> u64 {
-        self.state.read().len
+        self.len.load(Ordering::Acquire)
     }
 
     /// `true` while nothing has been ingested into the buffer.
@@ -205,13 +211,14 @@ impl WindowBuf {
 
     fn extend(&self, batch: &Arc<EventBatch>, range: Range<usize>) {
         let mut st = self.state.write();
-        let first = st.len;
-        st.len += range.len() as u64;
+        let first = self.len.load(Ordering::Relaxed);
+        let len = first + range.len() as u64;
         st.segs.push(Seg {
             first,
             batch: Arc::clone(batch),
             range,
         });
+        self.len.store(len, Ordering::Release);
     }
 
     /// Collects up to `max` events starting at window-relative index `from`
@@ -219,10 +226,10 @@ impl WindowBuf {
     /// cleared). Returns the number of events covered — `0` when the events
     /// are not yet ingested.
     pub fn read_run(&self, from: u64, max: usize, out: &mut Vec<EventRun>) -> usize {
-        let st = self.state.read();
-        if from >= st.len {
+        if from >= self.len() {
             return 0;
         }
+        let st = self.state.read();
         let mut idx = st
             .segs
             .partition_point(|s| s.first + s.range.len() as u64 <= from);

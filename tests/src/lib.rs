@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use spectre_core::{Report, SpectreConfig, SpectreEngine};
 use spectre_events::Event;
-use spectre_query::{ComplexEvent, Query};
+use spectre_query::{ComplexEvent, ConsumptionPolicy, Query};
 
 /// The execution mode of an engine session under test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,6 +38,21 @@ pub fn run(
         .try_build()
         .and_then(|engine| engine.run(events))
         .unwrap_or_else(|e| panic!("{mode:?} run failed: {e}"))
+}
+
+/// `query`'s pattern, window and selection without its consumption
+/// policy: no consumption groups, so no speculation — the query shape
+/// whose closed windows instances run ahead on.
+pub fn without_consumption(query: &Query) -> Arc<Query> {
+    Arc::new(
+        Query::builder(&format!("{}-NC", query.name()))
+            .pattern_arc(Arc::clone(query.pattern()))
+            .window(query.window().clone())
+            .selection(query.selection())
+            .consumption(ConsumptionPolicy::None)
+            .build()
+            .expect("a query without consumption is valid"),
+    )
 }
 
 /// Renders a complex event compactly for assertion diffs.

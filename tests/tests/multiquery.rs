@@ -13,7 +13,7 @@ use spectre_baselines::run_sequential;
 use spectre_core::{QueryId, ReorderConfig, Report, SpectreConfig, SpectreEngine, WatermarkPolicy};
 use spectre_datasets::{bounded_shuffle, NyseConfig, NyseGenerator};
 use spectre_events::{Event, Schema};
-use spectre_integration::assert_same_output;
+use spectre_integration::{assert_same_output, without_consumption};
 use spectre_query::queries::{self, Direction};
 use spectre_query::{ComplexEvent, Query};
 
@@ -260,36 +260,45 @@ fn retiring_during_a_disordered_burst_matches_solo_runs() {
 
 #[test]
 fn retiring_mid_stream_leaves_surviving_queries_unchanged() {
-    let (a, _, events) = fixture(1_500, 31);
-    let expected = run_sequential(&a, &events).complex_events;
-    assert!(!expected.is_empty());
+    let (q1, _, events) = fixture(1_500, 31);
+    // The consumption-free copy retires with versions queued for run-ahead.
+    for a in [Arc::clone(&q1), without_consumption(&q1)] {
+        let expected = run_sequential(&a, &events).complex_events;
+        assert!(!expected.is_empty());
 
-    let (mut engine, ids) = multi_session(&[&a, &a], SpectreConfig::with_instances(2), false);
-    engine.ingest(events[..750].to_vec()).unwrap();
-    let drained = engine.retire_query(ids[1]).expect("retire deployed query");
-    // What the retired query had committed by then is a clean prefix of
-    // its (= the solo) output stream — retirement loses nothing that was
-    // already confirmed, and invents nothing.
-    assert!(
-        expected.starts_with(&drained),
-        "retired query's drained outputs are a prefix of its solo stream"
-    );
-    engine.ingest(events[750..].to_vec()).unwrap();
-    let report = engine.try_finish().expect("finish");
-    assert_same_output("survivor", query_outputs(&report, ids[0]), &expected);
-    assert!(
-        !report.queries.contains_key(&ids[1]),
-        "retired queries do not reappear in the report"
-    );
-    // The survivor alone holds every remaining window: each store buffer
-    // was released exactly once by the retire and once by the survivor.
-    assert!(report.metrics.windows_retired > 0);
+        let (mut engine, ids) = multi_session(&[&a, &a], SpectreConfig::with_instances(2), false);
+        engine.ingest(events[..750].to_vec()).unwrap();
+        let drained = engine.retire_query(ids[1]).expect("retire deployed query");
+        // What the retired query had committed by then is a clean prefix of
+        // its (= the solo) output stream — retirement loses nothing that was
+        // already confirmed, and invents nothing.
+        assert!(
+            expected.starts_with(&drained),
+            "retired query's drained outputs are a prefix of its solo stream"
+        );
+        engine.ingest(events[750..].to_vec()).unwrap();
+        let report = engine.try_finish().expect("finish");
+        assert_same_output("survivor", query_outputs(&report, ids[0]), &expected);
+        assert!(
+            !report.queries.contains_key(&ids[1]),
+            "retired queries do not reappear in the report"
+        );
+        // The survivor alone holds every remaining window: each store buffer
+        // was released exactly once by the retire and once by the survivor.
+        assert!(report.metrics.windows_retired > 0);
+    }
 }
 
 #[test]
 fn aggregate_metrics_are_the_sum_of_per_query_shares() {
     let (a, b, events) = fixture(1_200, 37);
-    let (engine, ids) = multi_session(&[&a, &a, &b], SpectreConfig::with_instances(3), false);
+    // A consumption-free copy of `a` is the query whose versions run ahead.
+    let free = without_consumption(&a);
+    let (engine, ids) = multi_session(
+        &[&a, &a, &b, &free],
+        SpectreConfig::with_instances(3),
+        false,
+    );
     let report = engine.run(events).unwrap();
     assert_eq!(report.queries.len(), ids.len());
     let total = report.metrics;
@@ -320,6 +329,7 @@ fn aggregate_metrics_are_the_sum_of_per_query_shares() {
         predictor_refreshes,
         predictor_refresh_nanos,
         rollbacks,
+        versions_run_ahead,
         windows_retired,
         outputs_emitted,
         events_reordered,

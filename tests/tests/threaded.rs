@@ -9,7 +9,7 @@ use spectre_baselines::run_sequential;
 use spectre_core::{MetricsSnapshot, SpectreConfig, SpectreEngine};
 use spectre_datasets::{NyseConfig, NyseGenerator, RandConfig, RandGenerator};
 use spectre_events::Schema;
-use spectre_integration::{assert_same_output, run, Mode};
+use spectre_integration::{assert_same_output, run, without_consumption, Mode};
 use spectre_query::queries::{self, Direction};
 
 #[test]
@@ -123,19 +123,25 @@ fn threaded_matches_sequential_across_version_caps() {
 #[test]
 fn threaded_aggregate_metrics_equal_the_sum_of_per_worker_blocks() {
     // Each instance owns a cache-padded counter block for the hot metrics
-    // (events processed/suppressed, idle and stalled steps) so k workers
+    // (events processed/suppressed, idle and stalled steps, versions run
+    // ahead) so k workers
     // never contend on one cache line. The decomposition must stay exact
     // at every instance count: instances route every increment through
     // their own block, so the aggregate snapshot — base residual plus the
     // block sums — equals the plain block sums here, and the per-query
     // share of a single-query session equals the aggregate. Runs under
     // real threads, where a lost or double-counted increment would be a
-    // race, not an arithmetic slip.
+    // race, not an arithmetic slip. The consumption-free variant of the
+    // query is the one whose workers run ahead.
     let mut schema = Schema::new();
     let events: Vec<_> = NyseGenerator::new(NyseConfig::small(1000, 83), &mut schema).collect();
-    let query = Arc::new(queries::q1(&mut schema, 3, 150, Direction::Rising));
-    let expected = run_sequential(&query, &events).complex_events;
-    for k in [1usize, 2, 4, 8] {
+    let q1 = Arc::new(queries::q1(&mut schema, 3, 150, Direction::Rising));
+    let free = without_consumption(&q1);
+    for (query, k) in [q1, free]
+        .into_iter()
+        .flat_map(|q| [1usize, 2, 4, 8].map(|k| (Arc::clone(&q), k)))
+    {
+        let expected = run_sequential(&query, &events).complex_events;
         let config = SpectreConfig::with_batching(k, 64, 8);
         let mut engine = SpectreEngine::builder(&query)
             .config(config)
@@ -150,19 +156,21 @@ fn threaded_aggregate_metrics_equal_the_sum_of_per_worker_blocks() {
         let workers = engine.worker_metrics();
         assert_eq!(workers.len(), k, "one counter block per instance");
         let m = &report.metrics;
-        let sums = workers.iter().fold([0u64; 4], |acc, w| {
+        let sums = workers.iter().fold([0u64; 5], |acc, w| {
             [
                 acc[0] + w.events_processed,
                 acc[1] + w.events_suppressed,
                 acc[2] + w.idle_steps,
                 acc[3] + w.stalled_steps,
+                acc[4] + w.versions_run_ahead,
             ]
         });
-        let label = format!("k={k}");
+        let label = format!("{} k={k}", query.name());
         assert_eq!(sums[0], m.events_processed, "events_processed {label}");
         assert_eq!(sums[1], m.events_suppressed, "events_suppressed {label}");
         assert_eq!(sums[2], m.idle_steps, "idle_steps {label}");
         assert_eq!(sums[3], m.stalled_steps, "stalled_steps {label}");
+        assert_eq!(sums[4], m.versions_run_ahead, "versions_run_ahead {label}");
         assert!(m.events_processed >= events.len() as u64);
         // Single-query session: the query's share of the summable hot
         // counters is the whole aggregate.
@@ -174,6 +182,7 @@ fn threaded_aggregate_metrics_equal_the_sum_of_per_worker_blocks() {
             .expect("one deployed query");
         assert_eq!(qm.events_processed, m.events_processed, "{label}");
         assert_eq!(qm.events_suppressed, m.events_suppressed, "{label}");
+        assert_eq!(qm.versions_run_ahead, m.versions_run_ahead, "{label}");
     }
 }
 
