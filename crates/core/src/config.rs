@@ -205,13 +205,14 @@ impl SpectreConfig {
 /// how the splitter divides the k instance slots and the speculation
 /// budget between tenants (see the "Multi-tenancy" section of
 /// `docs/ARCHITECTURE.md`). The default quota (weight 1, no caps) for
-/// every tenant reproduces the pre-tenancy schedule exactly.
+/// every tenant gives every tenant an equal share.
 #[derive(Debug, Clone)]
 pub struct TenantQuota {
     /// Relative share of the k instance slots in each scheduling cycle.
     /// Shares are proportional to weight over the sum of the weights of
     /// tenants that have schedulable work, so an idle tenant's share
-    /// flows to the busy ones (deficit-round-robin carryover).
+    /// flows to the busy ones (deficit-round-robin carryover); a tenant's
+    /// queries with work split its share evenly.
     pub weight: u32,
     /// Cap on the tenant's total speculative load (live window versions
     /// across all its queries' dependency trees). Once a tenant is at its

@@ -61,9 +61,10 @@
 //! [`TenantQuota`]s (scheduling weight, speculation cap, query cap) set via
 //! [`set_quota`](SpectreEngineBuilder::set_quota) /
 //! [`set_tenant_quota`](SpectreEngine::set_tenant_quota). The splitter
-//! splits instance slots between tenants by weighted fair share (see
-//! [`Splitter::schedule`](crate::splitter::Splitter)); sessions that never
-//! name a tenant run entirely under [`TenantId::DEFAULT`] and behave
+//! splits instance slots between tenants by weighted fair share, and a
+//! tenant's share evenly among its queries with work (see [`Splitter`]);
+//! sessions that never name a tenant run entirely under
+//! [`TenantId::DEFAULT`] and behave
 //! bit-identically to the untenanted engine. Rollups per tenant come from
 //! [`tenant_metrics`](SpectreEngine::tenant_metrics) and
 //! [`Report::tenants`].

@@ -8,9 +8,12 @@
 //! consumption group contains it, otherwise fed to the version's pattern
 //! detector, with the feedback translated into consumption-group updates
 //! and dependency-tree operations. The tree operations are buffered locally
-//! and flushed to the shared queue in one `push_many` per step. Periodic
-//! consistency checks (still per event) detect late consumption-group
-//! updates and roll the version back.
+//! and flushed to the shared queue in one `push_many` per step, *before*
+//! the version lock is released: the splitter may move a version to
+//! another instance at any step boundary, and the lock is what keeps the
+//! queue's order of one version's ops equal to the order of its
+//! processing. Periodic consistency checks (still per event) detect late
+//! consumption-group updates and roll the version back.
 //!
 //! Scheduling granularity is the step: a slot change or version drop takes
 //! effect at the next step (drops are additionally honoured between the
@@ -151,7 +154,6 @@ impl InstanceCore {
             StepOutcome::Stalled => shared.metrics.add_stalled_step(self.index),
             _ => {}
         }
-        self.flush_ops(shared);
         self.flush_run_counters(shared);
         outcome
     }
@@ -312,20 +314,22 @@ impl InstanceCore {
         // while the instance sits idle or unscheduled.
         self.fetch = runs;
         self.fetch.clear();
-        if inconsistent {
-            drop(inner);
-            self.rollback(wv, shared);
-            return StepOutcome::RolledBack;
-        }
-
-        // Finish immediately when the run consumed the window's last event.
-        if let Some(end) = window.end_pos() {
-            if window.start_pos + inner.pos >= end {
-                self.finish(wv, &mut inner, shared);
-                return StepOutcome::Finished;
-            }
-        }
-        StepOutcome::Worked
+        let outcome = if inconsistent {
+            self.rollback(wv, &mut inner, shared);
+            StepOutcome::RolledBack
+        } else if window
+            .end_pos()
+            .is_some_and(|end| window.start_pos + inner.pos >= end)
+        {
+            // The run consumed the window's last event.
+            self.finish(wv, &mut inner, shared);
+            StepOutcome::Finished
+        } else {
+            StepOutcome::Worked
+        };
+        // Still under the version lock (see the module docs).
+        self.flush_ops(shared);
+        outcome
     }
 
     /// Processes one event of `wv` (suppression, detection, consumption
@@ -531,10 +535,11 @@ impl InstanceCore {
     }
 
     /// Flushes buffered dependency-tree operations to the shared queue in
-    /// one lock acquisition, preserving their order ([`step`](Self::step)
-    /// does this automatically on every return path; the FIFO op order per
-    /// instance is what retirement acks rely on).
-    pub fn flush_ops(&mut self, shared: &SharedState) {
+    /// one lock acquisition, preserving their order. Called with the
+    /// version lock held, so one version's ops reach the queue in
+    /// processing order whichever instances ran it — what retirement acks
+    /// rely on.
+    fn flush_ops(&mut self, shared: &SharedState) {
         if !self.ops_buf.is_empty() {
             shared.ops.push_many(self.ops_buf.drain(..));
         }
@@ -580,14 +585,15 @@ impl InstanceCore {
         wv.mark_finished();
         self.ops_buf
             .push((wv.query_id(), TreeOp::WvFinished { wv: wv.id() }));
+        self.flush_ops(shared);
         self.flush_stats(shared);
     }
 
-    fn rollback(&mut self, wv: &Arc<VersionState>, shared: &SharedState) {
+    fn rollback(&mut self, wv: &Arc<VersionState>, inner: &mut VersionInner, shared: &SharedState) {
         use std::sync::atomic::Ordering;
         shared.metrics.rollbacks.fetch_add(1, Ordering::Relaxed);
         wv.query_metrics().rollbacks.fetch_add(1, Ordering::Relaxed);
-        let revoked = wv.rollback_state();
+        let revoked = wv.rollback_locked(inner);
         self.ops_buf.push((
             wv.query_id(),
             TreeOp::WvRolledBack {

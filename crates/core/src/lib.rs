@@ -59,9 +59,11 @@
 //! cap (`max_versions`) and a query cap. Queries also derive a
 //! conservative per-event prefilter from their pattern
 //! ([`spectre_query::EventFilter`]): windows containing no relevant event
-//! are skipped outright ([`MetricsSnapshot::windows_skipped`]). Sessions
-//! with at most one tenant schedule bit-identically to the untenanted
-//! engine, and per-tenant rollups ([`SpectreEngine::tenant_metrics`],
+//! are skipped outright ([`MetricsSnapshot::windows_skipped`]). A
+//! tenant's share is split evenly among its queries with work, so
+//! queries of one tenant take turns; tagging every query with one tenant
+//! schedules bit-identically to the untenanted engine, and per-tenant
+//! rollups ([`SpectreEngine::tenant_metrics`],
 //! [`engine::Report::tenants`]) sum exactly to the aggregate counters.
 //!
 //! ## The batched, sharded data path

@@ -50,8 +50,7 @@ impl std::fmt::Display for QueryId {
 /// the splitter's top-k schedule divides the instance slots and the
 /// speculation budget between tenants by their
 /// [`TenantQuota`](crate::config::TenantQuota) weights. Sessions that
-/// never mention tenants run everything under [`TenantId::DEFAULT`] and
-/// behave bit-identically to the pre-tenancy engine.
+/// never mention tenants run everything under [`TenantId::DEFAULT`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TenantId(pub u32);
 

@@ -39,10 +39,10 @@
 //! through [`deploy_query`](Splitter::deploy_query)). Tenancy is pure
 //! policy on top of the mechanisms above:
 //!
-//! * **Scheduling** — the scheduling cycle splits the k
-//!   instance slots between tenants by weighted fair share with
-//!   deficit-round-robin carryover; a session with at most one active
-//!   tenant reduces bit-identically to the untenanted merge.
+//! * **Scheduling** — one deficit round robin per cycle grants the k
+//!   instance slots query by query: each tenant's weighted fair share is
+//!   split evenly among its queries with work, and unspent share carries
+//!   over, so no query starves behind a sibling of its own tenant.
 //! * **Speculation** — a tenant's [`TenantQuota::max_versions`] caps how
 //!   many window versions its queries may materialize, so one speculative
 //!   tenant cannot monopolize the shared version budget.
@@ -71,8 +71,8 @@ use crate::store::WindowInfo;
 use crate::tree::{DependencyTree, VersionFactory};
 use crate::version::{VersionState, WvId};
 
-/// A probability-ranked nomination list, as produced per tenant by the
-/// quota-aware schedule.
+/// A probability-ranked nomination list, as produced per query by the
+/// schedule.
 type RankedNominations = Vec<(f64, Arc<VersionState>)>;
 
 /// One splitter→store hand-off unit: a run of consecutive stream events
@@ -184,19 +184,14 @@ struct SpecGroup {
 }
 
 /// Per-tenant policy and bookkeeping (see the [module docs](self)):
-/// quota, owned queries, scheduler carryover credit, and the metric
-/// residual of retired queries that keeps
-/// [`tenant_metrics`](Splitter::tenant_metrics) summing exactly to the
-/// aggregate across the tenant's whole lifetime.
+/// quota, owned queries, and the metric residual of retired queries that
+/// keeps [`tenant_metrics`](Splitter::tenant_metrics) summing exactly to
+/// the aggregate across the tenant's whole lifetime.
 struct TenantState {
     id: TenantId,
     quota: TenantQuota,
     /// Queries owned by this tenant (deployment order).
     queries: Vec<QueryId>,
-    /// Deficit-round-robin carryover, in instance slots: the fractional
-    /// share a tenant was owed but not granted in earlier cycles. Bounded
-    /// by k and reset to zero whenever the tenant has nothing to schedule.
-    credit: f64,
     /// Accumulated snapshots of this tenant's retired queries.
     retired: MetricsSnapshot,
 }
@@ -229,11 +224,12 @@ struct QueryState {
     /// close is skipped entirely.
     deferred: VecDeque<Arc<WindowInfo>>,
     /// Versions whose `WvFinished` op has been applied. Retirement requires
-    /// the ack: the op queue is FIFO per instance and an instance pushes all
-    /// of a version's consumption-group ops *before* its `WvFinished` (the
-    /// tagged queue preserves each query's subsequence order), so the ack
-    /// guarantees the dependency tree reflects every group the version
-    /// created or resolved.
+    /// the ack: an instance pushes every op about a version while it holds
+    /// the version's lock, so the shared queue orders each version's ops
+    /// as its processing happened, even when the splitter moved the
+    /// version between instances; `WvFinished` comes after all of them,
+    /// so the ack guarantees the dependency tree reflects every group the
+    /// version created or resolved.
     finished_acked: HashSet<WvId>,
     /// Running average window length (events), for the prediction input `n`.
     avg_window_size: f64,
@@ -242,6 +238,15 @@ struct QueryState {
     /// [`MetricsSnapshot`]); the engine-global aggregate is updated at the
     /// same sites.
     metrics: Arc<Metrics>,
+    /// This cycle's ranked nominations (see [`Splitter::schedule`]).
+    nominations: RankedNominations,
+    /// How many of [`nominations`](Self::nominations), a prefix, got a
+    /// head slot this cycle.
+    granted: usize,
+    /// Deficit-round-robin carryover, in instance slots: the fractional
+    /// share the query was owed but not granted in earlier cycles. Bounded
+    /// by k and reset to zero whenever the query has nothing to schedule.
+    credit: f64,
 }
 
 impl QueryState {
@@ -407,7 +412,13 @@ pub struct Splitter {
     /// so after pruning those this is exactly the set of versions the
     /// FIFOs still hold — which head placement skips.
     ahead_shadow: Vec<Vec<Arc<VersionState>>>,
+    /// Reusable schedule order: (owning tenant, registry index) of every
+    /// query, ascending — tenant id first, then deployment order.
+    sched_order: Vec<(TenantId, usize)>,
 }
+
+/// Scheduler credit resolution, in steps per instance slot.
+const CREDIT_GRID: f64 = (1u64 << 32) as f64;
 
 /// Dead retirement acks tolerated beyond twice the live version count
 /// before [`Splitter`] sweeps a query's ack set (see `retire_root_of`).
@@ -460,6 +471,7 @@ impl Splitter {
             progress: false,
             sched_shadow,
             ahead_shadow,
+            sched_order: Vec::new(),
         }
     }
 
@@ -499,7 +511,6 @@ impl Splitter {
                     id: tenant,
                     quota: TenantQuota::default(),
                     queries: Vec::new(),
-                    credit: 0.0,
                     retired: MetricsSnapshot::default(),
                 });
                 self.tenant_index.insert(tenant, ti);
@@ -608,6 +619,9 @@ impl Splitter {
             // run counters into them, so without the split the per-query
             // lines would ping-pong between cores just like the aggregate.
             metrics: Arc::new(Metrics::with_workers(self.shared.instance_count())),
+            nominations: Vec::new(),
+            granted: 0,
+            credit: 0.0,
         });
         Ok(id)
     }
@@ -913,8 +927,9 @@ impl Splitter {
     fn apply_ops(&mut self) {
         // One lock acquisition drains everything queued up to this point;
         // ops pushed while we process land in the next cycle's drain. The
-        // drain order preserves each instance's FIFO — and therefore each
-        // query's subsequence order, which retirement acks rely on.
+        // drain order is push order, and instances push a version's ops
+        // under its lock, so each version's ops arrive in processing order
+        // — which retirement acks rely on.
         let mut ops = std::mem::take(&mut self.ops_scratch);
         self.shared.ops.pop_many(&mut ops, usize::MAX);
         let shared = Arc::clone(&self.shared);
@@ -1346,33 +1361,44 @@ impl Splitter {
         (avg_window_size as i64 - pos_in_window as i64).max(1)
     }
 
-    /// Query `qi`'s tree nominates its top `k` versions with survival
+    /// Query `qi`'s tree nominates its top versions with survival
     /// probabilities (materializing lazy branches on first schedule) into
-    /// `out`, decrementing `budget` by every version the nomination
-    /// materialized — the per-tenant speculation budget's enforcement
-    /// point (an exhausted budget leaves lazy branches unmaterialized
-    /// instead of creating version state).
-    fn nominate(
-        &mut self,
-        qi: usize,
-        k: usize,
-        budget: &mut usize,
-        out: &mut Vec<(f64, Arc<VersionState>)>,
-        shared: &Arc<SharedState>,
-    ) {
+    /// the query's ranked [`nominations`](QueryState::nominations),
+    /// decrementing `budget` by every version the nomination materialized
+    /// — the per-tenant speculation budget's enforcement point (an
+    /// exhausted budget leaves lazy branches unmaterialized instead of
+    /// creating version state).
+    ///
+    /// The width is k under a consumption policy and k·(1 +
+    /// [`RUN_AHEAD_DEPTH`]) without one — enough for every head plus a full
+    /// run-ahead FIFO per instance, since queued versions are nominated
+    /// again until they finish. Versions already queued in a run-ahead FIFO
+    /// are left out: each version is in exactly one place.
+    fn nominate(&mut self, qi: usize, k: usize, budget: &mut usize) {
         let qs = &mut self.queries[qi];
-        let mut factory = SplitterFactory::for_query(shared, qs);
+        let mut factory = SplitterFactory::for_query(&self.shared, qs);
+        let width = if qs.query.consumption().is_none() {
+            k * (1 + RUN_AHEAD_DEPTH)
+        } else {
+            k
+        };
         let avg = qs.avg_window_size;
         let predictor = &*qs.predictor;
         let prob = move |cell: &CgCell| -> f64 {
             let events_left = Self::events_left(avg, cell.pos_in_window());
             predictor.predict(cell.delta(), events_left)
         };
-        out.extend(
-            qs.tree
-                .top_k_scored_budgeted(k, &prob, &mut factory, budget),
-        );
+        qs.nominations = qs
+            .tree
+            .top_k_scored_budgeted(width, &prob, &mut factory, budget);
         qs.finished_acked.extend(factory.acked_clones);
+        if self.ahead_shadow.iter().any(|q| !q.is_empty()) {
+            let queued = self.ahead_shadow.iter().flatten();
+            qs.nominations
+                .retain(|(_, v)| !queued.clone().any(|q| Arc::ptr_eq(q, v)));
+        }
+        qs.nominations.sort_by(|a, b| b.0.total_cmp(&a.0));
+        qs.granted = 0;
     }
 
     /// Remaining per-cycle speculation budget of tenant `ti`: its
@@ -1392,125 +1418,105 @@ impl Splitter {
         cap.saturating_sub(used)
     }
 
+    /// The weight of the tenant owning a run of [`schedule`](Self::schedule)
+    /// order, and how many of the run's queries have nominations.
+    fn busy_weight(&self, run: &[(TenantId, usize)]) -> (f64, usize) {
+        let weight = self.tenants[self.tenant_index[&run[0].0]].quota.weight;
+        let busy = run
+            .iter()
+            .filter(|&&(_, qi)| !self.queries[qi].nominations.is_empty())
+            .count();
+        (f64::from(weight), busy)
+    }
+
     /// Selects and schedules the top-k window versions across all deployed
-    /// queries.
+    /// queries by one deficit round robin (DRR) over per-query lists.
     ///
-    /// With at most one active tenant (the untenanted and single-tenant
-    /// cases): each query's tree nominates its own top k, the nominations
-    /// merge on probability (stable, so each tree's internal order — and
-    /// query order on exact ties — is preserved), and the best k overall
-    /// take the instance slots via the usual two-pass assignment (paper
-    /// Fig. 7). With one deployed query this reduces exactly to the
-    /// single-query schedule.
-    ///
-    /// With several active tenants, the k slots are split by weighted
-    /// fair share with deficit-round-robin carryover: each tenant merges
-    /// its own nominations into a ranked list (of at most k, under its
-    /// speculation budget), tenants with work accrue
-    /// `k · weight / Σ weights` credit per cycle (clamped to k; reset
-    /// when idle, so the share is work-conserving), and slots go one at a
-    /// time to the highest-credit tenant with nominations left — lowest
-    /// tenant id on ties. The chosen versions are then ranked on
-    /// probability again so slot assignment stays probability-ordered.
+    /// Every query nominates its own ranked list
+    /// ([`nominate`](Self::nominate)) in schedule order — ascending tenant
+    /// id, then deployment order — and a tenant's members draw on the
+    /// tenant's one speculation budget. A query with nominations accrues
+    /// `k · w_t / Σ w / n_t` credit per cycle: its tenant's weighted fair
+    /// share (Σ over the tenants with nominations), split evenly among the
+    /// tenant's `n_t` members with nominations, clamped to k. A query
+    /// without nominations resets to zero, so the share is
+    /// work-conserving and idle stretches bank no debt. Slots then go one
+    /// at a time to the highest-credit query with nominations left —
+    /// earliest in schedule order on ties — each grant costing one credit,
+    /// so among n busy peers none waits more than ⌈n/k⌉ cycles for a
+    /// slot. With one query this is the plain probability top-k (paper
+    /// Fig. 7); with one query per tenant, the weighted tenant split. The
+    /// granted versions are ranked on probability again so slot
+    /// assignment stays probability-ordered.
     ///
     /// Versions already queued in a run-ahead FIFO are not head
-    /// candidates. After the heads are placed, the nominations that did
-    /// not make the cut fill the FIFOs (see
-    /// [`fill_run_ahead`](Self::fill_run_ahead)); only consumption-free
-    /// queries nominate beyond k, so only they ever get FIFO entries.
+    /// candidates. After the heads are placed, each list's ungranted tail
+    /// fills the FIFOs (see [`fill_run_ahead`](Self::fill_run_ahead)); only
+    /// consumption-free queries nominate beyond k, so only they ever get
+    /// FIFO entries.
     fn schedule(&mut self) {
         let k = self.config.instances;
-        let shared = Arc::clone(&self.shared);
         // Entries leave a FIFO once finished (or dropped).
         for queued in &mut self.ahead_shadow {
             queued.retain(|v| !v.is_finished() && !v.is_dropped());
         }
-        let mut active: Vec<usize> = (0..self.tenants.len())
-            .filter(|&ti| !self.tenants[ti].queries.is_empty())
-            .collect();
-        active.sort_by_key(|&ti| self.tenants[ti].id);
-        let mut cands: Vec<(f64, Arc<VersionState>)> = Vec::new();
-        // Nominations that did not make the head cut, in schedule order.
-        let mut spare: Vec<(f64, Arc<VersionState>)> = Vec::new();
-        if active.len() <= 1 {
-            let mut budget = active
-                .first()
-                .map_or(usize::MAX, |&ti| self.tenant_budget(ti));
-            for qi in 0..self.queries.len() {
-                let width = self.nomination_width(qi, k);
-                self.nominate(qi, width, &mut budget, &mut cands, &shared);
-            }
-            self.drop_queued(&mut cands);
-            cands.sort_by(|a, b| b.0.total_cmp(&a.0));
-            spare = cands.split_off(k.min(cands.len()));
-        } else {
-            // Per-tenant ranked nomination lists, each under its own
-            // speculation budget.
-            let mut lists: Vec<(usize, RankedNominations)> = Vec::new();
-            for &ti in &active {
-                let mut budget = self.tenant_budget(ti);
-                let mut list = Vec::new();
-                let members = self.tenants[ti].queries.clone();
-                for qid in members {
-                    let qi = *self
-                        .query_index
-                        .get(&qid)
-                        .expect("tenant member is registered");
-                    let width = self.nomination_width(qi, k);
-                    self.nominate(qi, width, &mut budget, &mut list, &shared);
-                }
-                self.drop_queued(&mut list);
-                list.sort_by(|a, b| b.0.total_cmp(&a.0));
-                lists.push((ti, list));
-            }
-            // Credit accrual: only tenants with nominations share the
-            // cycle (work-conserving); everyone else resets to zero so
-            // idle stretches cannot bank scheduling debt.
-            let total_weight: f64 = lists
+        let mut order = std::mem::take(&mut self.sched_order);
+        order.clear();
+        order.extend(
+            self.queries
                 .iter()
-                .filter(|(_, l)| !l.is_empty())
-                .map(|&(ti, _)| f64::from(self.tenants[ti].quota.weight))
-                .sum();
-            let mut has_work = vec![false; self.tenants.len()];
-            for (ti, list) in &lists {
-                has_work[*ti] = !list.is_empty();
+                .enumerate()
+                .map(|(qi, q)| (q.tenant, qi)),
+        );
+        order.sort_unstable();
+        // One run of `order` per tenant.
+        let runs = || order.chunk_by(|a, b| a.0 == b.0);
+        for run in runs() {
+            let mut budget = self.tenant_budget(self.tenant_index[&run[0].0]);
+            for &(_, qi) in run {
+                self.nominate(qi, k, &mut budget);
             }
-            for (ti, t) in self.tenants.iter_mut().enumerate() {
-                if has_work[ti] {
-                    let share = k as f64 * f64::from(t.quota.weight) / total_weight;
-                    t.credit = (t.credit + share).min(k as f64);
-                } else {
-                    t.credit = 0.0;
-                }
-            }
-            // Grant loop: one slot at a time to the highest-credit tenant
-            // with nominations left (lists are in ascending tenant-id
-            // order, and strict comparison keeps the earliest on ties).
-            let mut taken = vec![0usize; lists.len()];
-            while cands.len() < k {
-                let mut best: Option<(usize, f64)> = None;
-                for (li, (ti, list)) in lists.iter().enumerate() {
-                    if taken[li] >= list.len() {
-                        continue;
-                    }
-                    let credit = self.tenants[*ti].credit;
-                    if best.is_none_or(|(_, c)| credit > c) {
-                        best = Some((li, credit));
-                    }
-                }
-                let Some((li, _)) = best else {
-                    break;
-                };
-                let (ti, list) = &lists[li];
-                cands.push(list[taken[li]].clone());
-                taken[li] += 1;
-                self.tenants[*ti].credit -= 1.0;
-            }
-            for ((_, list), &taken) in lists.iter_mut().zip(&taken) {
-                spare.extend(list.drain(taken..));
-            }
-            cands.sort_by(|a, b| b.0.total_cmp(&a.0));
         }
+        let total_weight: f64 = runs()
+            .map(|run| self.busy_weight(run))
+            .filter(|&(_, busy)| busy > 0)
+            .map(|(weight, _)| weight)
+            .sum();
+        for run in runs() {
+            let (weight, busy) = self.busy_weight(run);
+            for &(_, qi) in run {
+                let qs = &mut self.queries[qi];
+                qs.credit = if qs.nominations.is_empty() {
+                    0.0
+                } else {
+                    // On a 2^-32 grid, so credit sums are exact and equal
+                    // peers tie exactly (and break ties by order).
+                    let share = k as f64 * weight / total_weight / busy as f64;
+                    let share = (share * CREDIT_GRID).round() / CREDIT_GRID;
+                    (qs.credit + share).min(k as f64)
+                };
+            }
+        }
+        // Grant loop: one slot at a time to the highest-credit query with
+        // nominations left (strict comparison keeps the earliest on ties).
+        let mut cands: RankedNominations = Vec::with_capacity(k);
+        while cands.len() < k {
+            let mut best: Option<(usize, f64)> = None;
+            for &(_, qi) in &order {
+                let qs = &self.queries[qi];
+                if qs.granted < qs.nominations.len() && best.is_none_or(|(_, c)| qs.credit > c) {
+                    best = Some((qi, qs.credit));
+                }
+            }
+            let Some((qi, _)) = best else {
+                break;
+            };
+            let qs = &mut self.queries[qi];
+            cands.push(qs.nominations[qs.granted].clone());
+            qs.granted += 1;
+            qs.credit -= 1.0;
+        }
+        cands.sort_by(|a, b| b.0.total_cmp(&a.0));
 
         // Two-pass assignment (paper Fig. 7): keep already-placed versions,
         // hand the rest to free instances. Both passes run against the
@@ -1549,39 +1555,14 @@ impl Splitter {
                 unseated.extend(std::mem::replace(&mut self.sched_shadow[i], next));
             }
         }
-        self.fill_run_ahead(spare, &unseated);
+        self.fill_run_ahead(&order, &unseated);
+        self.sched_order = order;
     }
 
-    /// How many versions query `qi` nominates per cycle: k under a
-    /// consumption policy, k·(1 + [`RUN_AHEAD_DEPTH`]) without one — enough
-    /// for every head plus a full run-ahead FIFO per instance, since queued
-    /// versions are nominated again until they finish.
-    fn nomination_width(&self, qi: usize, k: usize) -> usize {
-        if self.queries[qi].query.consumption().is_none() {
-            k * (1 + RUN_AHEAD_DEPTH)
-        } else {
-            k
-        }
-    }
-
-    /// Removes the versions already queued in a run-ahead FIFO from a
-    /// nomination list: each version is in exactly one place.
-    fn drop_queued(&self, list: &mut RankedNominations) {
-        if self.ahead_shadow.iter().all(Vec::is_empty) {
-            return;
-        }
-        list.retain(|(_, v)| {
-            !self
-                .ahead_shadow
-                .iter()
-                .flatten()
-                .any(|q| Arc::ptr_eq(q, v))
-        });
-    }
-
-    /// Queues the **final** versions among `spare` (nominations that did
-    /// not become heads, in schedule order) into the instances' run-ahead
-    /// FIFOs, each to the shortest FIFO with room (lowest slot on ties).
+    /// Queues the **final** versions among the nominations that did not
+    /// become heads (each query's ungranted tail, in schedule order) into
+    /// the instances' run-ahead FIFOs, each to the shortest FIFO with room
+    /// (lowest slot on ties).
     ///
     /// Final means the query has no consumption policy — no group can ever
     /// suppress, roll back or replace the version — and its window is
@@ -1591,8 +1572,15 @@ impl Splitter {
     /// ingestion waits for. Consumption queries are excluded because
     /// "certain now" is not final for them: an older window can still
     /// open a group that suppresses events of this one.
-    fn fill_run_ahead(&mut self, spare: RankedNominations, unseated: &[Arc<VersionState>]) {
-        if spare.is_empty() {
+    fn fill_run_ahead(&mut self, order: &[(TenantId, usize)], unseated: &[Arc<VersionState>]) {
+        let mut spare = order
+            .iter()
+            .flat_map(|&(_, qi)| {
+                let qs = &self.queries[qi];
+                &qs.nominations[qs.granted..]
+            })
+            .peekable();
+        if spare.peek().is_none() {
             return;
         }
         let ingested = self.shared.ingested.load(Ordering::Acquire);
@@ -1600,7 +1588,7 @@ impl Splitter {
         for (_, v) in spare {
             let is_final = v.query().consumption().is_none()
                 && v.window().end_pos().is_some_and(|end| end <= ingested);
-            if !is_final || unseated.iter().any(|u| Arc::ptr_eq(u, &v)) {
+            if !is_final || unseated.iter().any(|u| Arc::ptr_eq(u, v)) {
                 continue;
             }
             let Some(i) = (0..self.ahead_shadow.len())
@@ -1609,7 +1597,7 @@ impl Splitter {
             else {
                 break;
             };
-            self.ahead_shadow[i].push(v);
+            self.ahead_shadow[i].push(Arc::clone(v));
         }
         for (i, &from) in before.iter().enumerate() {
             if self.ahead_shadow[i].len() > from {
@@ -1955,6 +1943,83 @@ mod tests {
             } else {
                 assert_eq!((peak_queued, m.versions_run_ahead), (0, 0));
             }
+        }
+    }
+
+    /// Runs `cycles` scheduling cycles of a splitter hosting, per
+    /// `(tenant weight, query count)` entry, a tenant with that many
+    /// `ab_query` deployments, and returns each cycle's slot holders. No
+    /// instance ever steps, so no version finishes: every query keeps
+    /// nominations, and who holds the slots is pure scheduler policy.
+    fn slot_holders(
+        k: usize,
+        tenants: &[(u32, usize)],
+        cycles: usize,
+    ) -> (Splitter, Vec<Vec<QueryId>>) {
+        let config = SpectreConfig::with_instances(k);
+        let shared = SharedState::for_config(&config);
+        let mut splitter = Splitter::multi(config, shared);
+        for (t, &(weight, members)) in (0u32..).zip(tenants) {
+            let quota = TenantQuota::default().with_weight(weight);
+            splitter.set_tenant_quota(TenantId(t), quota).unwrap();
+            for _ in 0..members {
+                splitter.deploy_query_for(TenantId(t), ab_query()).unwrap();
+            }
+        }
+        for i in 0..40 {
+            splitter.feed(ev(i, 1.0));
+        }
+        let holders = (0..cycles)
+            .map(|_| {
+                splitter.cycle();
+                let slots = splitter.sched_shadow.iter().flatten();
+                slots.map(|v| v.query_id()).collect()
+            })
+            .collect();
+        (splitter, holders)
+    }
+
+    #[test]
+    fn every_query_of_one_tenant_gets_a_slot_within_n_over_k_cycles() {
+        // In every run of ⌈n/k⌉ consecutive cycles, not only the first.
+        for n in 1..=6usize {
+            for k in 1..=4usize {
+                let (splitter, holders) = slot_holders(k, &[(1, n)], 60);
+                let wait = n.div_ceil(k);
+                for (c, window) in holders.windows(wait).enumerate() {
+                    assert!(window.iter().all(|h| h.len() == k), "every slot is granted");
+                    for qid in splitter.query_ids() {
+                        assert!(
+                            window.iter().any(|h| h.contains(&qid)),
+                            "n={n} k={k}: {qid} had no slot in cycles {c}..{}",
+                            c + wait,
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tenant_weights_split_slots_across_a_tenants_queries() {
+        // Tenant 0 (weight 3) hosts two queries, tenant 1 (weight 1) one.
+        for k in [2usize, 4] {
+            let (splitter, holders) = slot_holders(k, &[(3, 2), (1, 1)], 40);
+            let mut per_query: HashMap<QueryId, usize> = HashMap::new();
+            for qid in holders.iter().flatten() {
+                *per_query.entry(*qid).or_default() += 1;
+            }
+            let per_tenant = |t: u32| -> usize {
+                per_query
+                    .iter()
+                    .filter(|(q, _)| splitter.query_tenant(**q) == Some(TenantId(t)))
+                    .map(|(_, n)| n)
+                    .sum()
+            };
+            assert_eq!(per_tenant(0) + per_tenant(1), 40 * k);
+            assert_eq!(per_tenant(0), 3 * per_tenant(1), "k={k}: {per_query:?}");
+            let ids = splitter.query_ids();
+            assert_eq!(per_query[&ids[0]], per_query[&ids[1]], "k={k}");
         }
     }
 

@@ -244,7 +244,10 @@ impl VersionState {
     /// marked abandoned; the caller must also rebuild the dependency-tree
     /// subtree (see [`DependencyTree::rollback_rebuild`](crate::tree::DependencyTree::rollback_rebuild)).
     pub fn reset(&self) {
-        let mut inner = self.inner.lock();
+        self.reset_locked(&mut self.inner.lock());
+    }
+
+    fn reset_locked(&self, inner: &mut VersionInner) {
         for (_, cg) in inner.open_cgs.drain(..) {
             cg.abandon();
         }
@@ -264,8 +267,16 @@ impl VersionState {
     /// may still suppress their events based on the void completion — see
     /// [`DependencyTree::revoke_completions`](crate::tree::DependencyTree::revoke_completions)).
     pub fn rollback_state(&self) -> Vec<Arc<CgCell>> {
-        let revoked = std::mem::take(&mut self.inner.lock().completed_cells);
-        self.reset();
+        self.rollback_locked(&mut self.inner.lock())
+    }
+
+    /// [`rollback_state`](Self::rollback_state) under a lock the caller
+    /// already holds: `inner` is this version's guarded state (from
+    /// [`lock`](Self::lock)). An instance rolls back without releasing the
+    /// lock, so no op about the restarted version can overtake its own.
+    pub(crate) fn rollback_locked(&self, inner: &mut VersionInner) -> Vec<Arc<CgCell>> {
+        let revoked = std::mem::take(&mut inner.completed_cells);
+        self.reset_locked(inner);
         revoked
     }
 

@@ -5,12 +5,18 @@
 //! (each window's events held exactly once). Deploying or retiring a
 //! query mid-stream must leave the other queries' outputs untouched, and
 //! the aggregate metric counters must equal the sum of the per-query
-//! shares for every logically-per-query counter.
+//! shares for every logically-per-query counter. Sessions must also end:
+//! queries sharing one tenant all get instance slots, and threaded
+//! sessions stay exact however the splitter moves versions between
+//! instances.
 
 use std::sync::Arc;
 
 use spectre_baselines::run_sequential;
-use spectre_core::{QueryId, ReorderConfig, Report, SpectreConfig, SpectreEngine, WatermarkPolicy};
+use spectre_core::{
+    PushResult, QueryId, ReorderConfig, Report, SpectreConfig, SpectreEngine, TenantId,
+    WatermarkPolicy,
+};
 use spectre_datasets::{bounded_shuffle, NyseConfig, NyseGenerator};
 use spectre_events::{Event, Schema};
 use spectre_integration::{assert_same_output, without_consumption};
@@ -343,4 +349,115 @@ fn aggregate_metrics_are_the_sum_of_per_query_shares() {
         report.complex_events.len(),
         "nothing was drained, so emitted == reported"
     );
+}
+
+/// Consecutive `Full` results after which a push counts as stalled. A
+/// healthy session accepts within a few thousand retries; a stalled one
+/// returns `Full` forever.
+const STALL_RETRIES: u32 = 200_000;
+
+/// Runs `queries` in one session — all under the default tenant, or with
+/// `tenant_each` one tenant per query — pushing through `try_push` with a
+/// bounded retry count, so a session whose scheduler stalls fails the test
+/// instead of hanging it. Returns the report and the query ids.
+fn run_bounded(
+    queries: &[&Arc<Query>],
+    tenant_each: bool,
+    config: SpectreConfig,
+    threaded: bool,
+    events: &[Event],
+) -> (Report, Vec<QueryId>) {
+    let mut builder = SpectreEngine::multi_builder().config(config);
+    let ids: Vec<QueryId> = (0u32..)
+        .zip(queries)
+        .map(|(t, q)| {
+            if tenant_each {
+                builder.add_query_for(TenantId(t), q)
+            } else {
+                builder.add_query(q)
+            }
+        })
+        .collect();
+    let mut engine = if threaded {
+        builder.threaded().try_build().unwrap()
+    } else {
+        builder.try_build().unwrap()
+    };
+    for (pushed, event) in events.iter().enumerate() {
+        let mut event = event.clone();
+        let mut retries = 0u32;
+        while let PushResult::Full(back) = engine.try_push(event).unwrap() {
+            retries += 1;
+            let m = engine.metrics();
+            assert!(
+                retries < STALL_RETRIES,
+                "session stalled: {pushed} events pushed, {} ingested, {} windows retired",
+                engine.events_ingested(),
+                m.windows_retired,
+            );
+            event = back;
+        }
+    }
+    (engine.try_finish().expect("finish"), ids)
+}
+
+#[test]
+fn queries_of_one_tenant_all_get_slots_and_finish() {
+    // Consumption queries under one tenant compete for the same slots.
+    // Each must be granted slots often enough for its root to retire:
+    // a query that never runs fills its tree, back-pressures ingestion,
+    // and the whole session stalls.
+    let (a, b, events) = fixture(60_000, 7);
+    let expected_a = run_sequential(&a, &events).complex_events;
+    let expected_b = run_sequential(&b, &events).complex_events;
+    assert!(!expected_a.is_empty() && !expected_b.is_empty());
+    let shapes: [(&str, Vec<&Arc<Query>>); 4] = [
+        ("2 same", vec![&a, &a]),
+        ("2 mixed", vec![&a, &b]),
+        ("4 same", vec![&a, &a, &a, &a]),
+        ("4 mixed", vec![&a, &b, &a, &b]),
+    ];
+    let modes = [(false, 1usize), (false, 2), (true, 2), (true, 4)];
+    for (shape, hosted) in &shapes {
+        for &(threaded, k) in &modes {
+            let config = SpectreConfig::with_instances(k);
+            let (report, ids) = run_bounded(hosted, false, config, threaded, &events);
+            for (q, qid) in hosted.iter().zip(&ids) {
+                let expected = if Arc::ptr_eq(q, &a) {
+                    &expected_a
+                } else {
+                    &expected_b
+                };
+                let tag = format!("{shape} threaded={threaded} k={k} {qid}");
+                assert_same_output(&tag, query_outputs(&report, *qid), expected);
+            }
+        }
+    }
+}
+
+#[test]
+fn threaded_mixed_spec_tenants_match_sequential_across_runs() {
+    // Three consumption queries, one tenant each, on two workers: the
+    // splitter moves versions between instances at every cycle. Whichever
+    // instance ran a version, its tree ops must reach the splitter in
+    // processing order, or a window commits against a consumption group
+    // its tree never saw and emits complex events the sequential engine
+    // does not.
+    let (a, b, events) = fixture(60_000, 7);
+    let expected_a = run_sequential(&a, &events).complex_events;
+    let expected_b = run_sequential(&b, &events).complex_events;
+    let hosted = [&a, &b, &a];
+    for run in 0..5 {
+        let config = SpectreConfig::with_instances(2);
+        let (report, ids) = run_bounded(&hosted, true, config, true, &events);
+        for (q, qid) in hosted.iter().zip(&ids) {
+            let expected = if Arc::ptr_eq(q, &a) {
+                &expected_a
+            } else {
+                &expected_b
+            };
+            let tag = format!("run {run} {qid}");
+            assert_same_output(&tag, query_outputs(&report, *qid), expected);
+        }
+    }
 }
