@@ -126,8 +126,9 @@ fn populated_tree(windows: usize, cgs: usize) -> (DependencyTree, BenchFactory) 
         let window = Arc::new(WindowInfo::new(w, w * 10, w * 10, w * 10));
         tree.new_window(&window, &mut factory);
     }
-    let creators = tree.top_k(windows, &|_c| 0.5, &mut factory);
-    for (i, creator) in creators.iter().take(cgs).enumerate() {
+    let mut unbounded = usize::MAX;
+    let creators = tree.top_k_scored_budgeted(windows, &|_c| 0.5, &mut factory, &mut unbounded);
+    for (i, (_, creator)) in creators.iter().take(cgs).enumerate() {
         let cell = Arc::new(CgCell::new(CgId(i as u64), creator.window().id, 2));
         tree.cg_created(creator.id(), cell, &mut factory);
     }
@@ -144,7 +145,13 @@ fn bench_tree(c: &mut Criterion) {
     // The first selection materializes the branches it schedules; steady
     // state measures the selection walk itself.
     c.bench_function("tree_top_k_16", |b| {
-        b.iter(|| black_box(tree.top_k(16, &|_c| 0.5, &mut factory).len()))
+        b.iter(|| {
+            let mut unbounded = usize::MAX;
+            black_box(
+                tree.top_k_scored_budgeted(16, &|_c| 0.5, &mut factory, &mut unbounded)
+                    .len(),
+            )
+        })
     });
 }
 

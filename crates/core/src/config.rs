@@ -29,9 +29,6 @@ pub struct SpectreConfig {
     /// Events between consistency checks (`consistencyCheckFreq`,
     /// paper Fig. 8).
     pub consistency_check_freq: u32,
-    /// Splitter maintenance cycles happen every `sched_period` simulation
-    /// rounds (the threaded splitter cycles continuously).
-    pub sched_period: u32,
     /// Maximum events the splitter ingests per maintenance cycle.
     pub ingest_per_cycle: usize,
     /// Size of one [`EventBatch`](crate::splitter::EventBatch): how many
@@ -79,7 +76,6 @@ impl Default for SpectreConfig {
             instances: 4,
             predictor: PredictorKind::default(),
             consistency_check_freq: 64,
-            sched_period: 1,
             ingest_per_cycle: 64,
             batch_size: 64,
             store_shards: 8,
@@ -155,9 +151,6 @@ impl SpectreConfig {
         }
         if self.consistency_check_freq == 0 {
             return Err("consistency check frequency must be positive".into());
-        }
-        if self.sched_period == 0 {
-            return Err("scheduling period must be positive".into());
         }
         if self.ingest_per_cycle == 0 {
             return Err("ingest batch must be positive".into());

@@ -377,11 +377,11 @@ impl SpectreEngineBuilder {
     /// The paper evaluates SPECTRE on a 2×10-core machine; this mode runs
     /// the real splitter and instance logic under a virtual-time scheduler
     /// on the calling thread: per round, the splitter runs one maintenance
-    /// cycle (every [`SpectreConfig::sched_period`] rounds) and each of the
-    /// k operator instances performs at most one step — one batch of up to
-    /// [`SpectreConfig::batch_size`] events (`batch_size: 1` gives the
-    /// original one-event-per-round model). A round therefore models the
-    /// time slice in which one instance handles one batch, and
+    /// cycle and each of the k operator instances performs at most one
+    /// step — one batch of up to [`SpectreConfig::batch_size`] events
+    /// (`batch_size: 1` gives the original one-event-per-round model). A
+    /// round therefore models the time slice in which one instance handles
+    /// one batch, and
     ///
     /// ```text
     /// throughput(k) = input_events / rounds × per_instance_event_rate
@@ -953,9 +953,9 @@ impl SpectreEngine {
         }
     }
 
-    /// One virtual-time round: a splitter cycle every `sched_period`
-    /// rounds, then one step per instance. The final cycle (run complete)
-    /// ends the round early, before any instance steps.
+    /// One virtual-time round: a splitter cycle, then one step per
+    /// instance. The final cycle (run complete) ends the round early,
+    /// before any instance steps.
     fn sim_round(&mut self) -> bool {
         let Driver::Simulated {
             instances,
@@ -965,13 +965,11 @@ impl SpectreEngine {
         else {
             unreachable!("sim_round on a threaded session");
         };
-        if rounds.is_multiple_of(self.config.sched_period as u64) {
-            let t = Instant::now();
-            let done = self.splitter.cycle();
-            *splitter_wall += t.elapsed();
-            if done {
-                return true;
-            }
+        let t = Instant::now();
+        let done = self.splitter.cycle();
+        *splitter_wall += t.elapsed();
+        if done {
+            return true;
         }
         for inst in instances.iter_mut() {
             let _ = inst.step(&self.shared);

@@ -342,7 +342,6 @@ impl InstanceCore {
         shared: &SharedState,
         ev: &Event,
     ) -> bool {
-        use std::sync::atomic::Ordering;
         inner.pos += 1;
 
         // Suppression (Fig. 8 line 13).
@@ -413,10 +412,9 @@ impl InstanceCore {
                                     completed: true,
                                 },
                             ));
-                            shared.metrics.cgs_completed.fetch_add(1, Ordering::Relaxed);
-                            wv.query_metrics()
-                                .cgs_completed
-                                .fetch_add(1, Ordering::Relaxed);
+                            shared
+                                .metrics
+                                .add_shared(wv.query_metrics(), |m| &m.cgs_completed, 1);
                             // Remember the completion: a rollback revokes
                             // it from the dependency tree.
                             inner.completed_cells.push(cg);
@@ -440,10 +438,9 @@ impl InstanceCore {
                                     completed: false,
                                 },
                             ));
-                            shared.metrics.cgs_abandoned.fetch_add(1, Ordering::Relaxed);
-                            wv.query_metrics()
-                                .cgs_abandoned
-                                .fetch_add(1, Ordering::Relaxed);
+                            shared
+                                .metrics
+                                .add_shared(wv.query_metrics(), |m| &m.cgs_abandoned, 1);
                         }
                         if let Some(i) = inner.needs_new_cg.iter().position(|m| *m == match_id) {
                             inner.needs_new_cg.swap_remove(i);
@@ -489,7 +486,6 @@ impl InstanceCore {
         match_id: MatchId,
         initial_delta: usize,
     ) {
-        use std::sync::atomic::Ordering;
         let cell = Arc::new(CgCell::new(
             shared.alloc_cg_id(),
             wv.window().id,
@@ -503,10 +499,9 @@ impl InstanceCore {
                 cell,
             },
         ));
-        shared.metrics.cgs_created.fetch_add(1, Ordering::Relaxed);
-        wv.query_metrics()
-            .cgs_created
-            .fetch_add(1, Ordering::Relaxed);
+        shared
+            .metrics
+            .add_shared(wv.query_metrics(), |m| &m.cgs_created, 1);
     }
 
     fn record(&mut self, shared: &SharedState, qid: QueryId, from: usize, to: usize) {
@@ -546,7 +541,6 @@ impl InstanceCore {
     }
 
     fn finish(&mut self, wv: &Arc<VersionState>, inner: &mut VersionInner, shared: &SharedState) {
-        use std::sync::atomic::Ordering;
         self.actions.clear();
         let mut actions = std::mem::take(&mut self.actions);
         inner.detector.on_window_end(&mut actions);
@@ -562,10 +556,9 @@ impl InstanceCore {
                             completed: false,
                         },
                     ));
-                    shared.metrics.cgs_abandoned.fetch_add(1, Ordering::Relaxed);
-                    wv.query_metrics()
-                        .cgs_abandoned
-                        .fetch_add(1, Ordering::Relaxed);
+                    shared
+                        .metrics
+                        .add_shared(wv.query_metrics(), |m| &m.cgs_abandoned, 1);
                 }
             }
         }
@@ -590,9 +583,9 @@ impl InstanceCore {
     }
 
     fn rollback(&mut self, wv: &Arc<VersionState>, inner: &mut VersionInner, shared: &SharedState) {
-        use std::sync::atomic::Ordering;
-        shared.metrics.rollbacks.fetch_add(1, Ordering::Relaxed);
-        wv.query_metrics().rollbacks.fetch_add(1, Ordering::Relaxed);
+        shared
+            .metrics
+            .add_shared(wv.query_metrics(), |m| &m.rollbacks, 1);
         let revoked = wv.rollback_locked(inner);
         self.ops_buf.push((
             wv.query_id(),

@@ -106,7 +106,7 @@
 //! pending, so no tree operation costs in proportion to the windows
 //! waiting behind the versions that hold processing state. The eager
 //! tree of the paper's figures survives only as a test reference: the
-//! small-tree harness in `tree.rs` checks exhaustively that the lazy tree
+//! small-tree harness in `tree/tests.rs` checks exhaustively that the lazy tree
 //! stands for exactly the versions the eager one holds.
 //!
 //! ## The sparse Markov predictor

@@ -210,6 +210,16 @@ impl Metrics {
         };
     }
 
+    /// Adds `n` to the `counter` field of both this session aggregate and
+    /// `query`'s share of it, so the two are always written together.
+    /// Writes nothing when `n` is zero.
+    pub(crate) fn add_shared(&self, query: &Metrics, counter: fn(&Metrics) -> &AtomicU64, n: u64) {
+        if n > 0 {
+            counter(self).fetch_add(n, Ordering::Relaxed);
+            counter(query).fetch_add(n, Ordering::Relaxed);
+        }
+    }
+
     /// Records a tree-size observation, keeping the maximum.
     pub fn observe_tree_size(&self, size: u64) {
         self.max_tree_versions.fetch_max(size, Ordering::Relaxed);

@@ -98,6 +98,8 @@ pub struct VersionState {
     stats_eligible: bool,
     dropped: AtomicBool,
     finished: AtomicBool,
+    /// See [`is_acked`](Self::is_acked).
+    acked: AtomicBool,
     inner: Mutex<VersionInner>,
 }
 
@@ -158,6 +160,7 @@ impl VersionState {
             stats_eligible,
             dropped: AtomicBool::new(false),
             finished: AtomicBool::new(false),
+            acked: AtomicBool::new(false),
             inner: Mutex::new(inner),
         })
     }
@@ -232,6 +235,20 @@ impl VersionState {
         self.finished.store(true, Ordering::Release);
     }
 
+    /// `true` once the splitter applied this version's `WvFinished` op —
+    /// the *retirement ack*. An instance pushes every op about a version
+    /// while it holds the version's lock, and `WvFinished` last, so the ack
+    /// means the dependency tree reflects every group this run of the
+    /// version created or resolved. A reset clears it.
+    pub(crate) fn is_acked(&self) -> bool {
+        self.acked.load(Ordering::Acquire)
+    }
+
+    /// Records the retirement ack (see [`is_acked`](Self::is_acked)).
+    pub(crate) fn mark_acked(&self) {
+        self.acked.store(true, Ordering::Release);
+    }
+
     /// Locks the processing state.
     pub fn lock(&self) -> MutexGuard<'_, VersionInner> {
         self.inner.lock()
@@ -257,6 +274,7 @@ impl VersionState {
             self.suppressed.len(),
         );
         self.finished.store(false, Ordering::Release);
+        self.acked.store(false, Ordering::Release);
     }
 
     /// Rolls the version back to the window start ([`reset`](Self::reset))
@@ -350,6 +368,9 @@ impl VersionState {
             stats_eligible: false,
             dropped: AtomicBool::new(false),
             finished: AtomicBool::new(finished),
+            // A finished clone never runs, so no `WvFinished` op will ever
+            // ack it; its groups are those of the source the tree copied.
+            acked: AtomicBool::new(finished),
             inner: Mutex::new(inner),
         });
         Some((version, twins))
@@ -451,6 +472,29 @@ mod tests {
         assert_eq!(inner.pos, 0);
         assert!(inner.completed_cells.is_empty());
         assert!(inner.open_cgs.is_empty());
+    }
+
+    #[test]
+    fn finished_clones_start_acked_and_every_reset_clears_the_ack() {
+        let v = version(vec![]);
+        let mut no_twin = |_: &CgCell| -> Arc<CgCell> { unreachable!("no open groups") };
+        let mut clone_of = |v: &Arc<VersionState>, id| {
+            VersionState::clone_speculative(v, WvId(id), vec![], &[], &mut no_twin)
+                .unwrap()
+                .0
+        };
+        assert!(
+            !clone_of(&v, 2).is_acked(),
+            "an unfinished clone acks itself"
+        );
+        v.mark_finished();
+        let clone = clone_of(&v, 3);
+        assert!(clone.is_finished() && clone.is_acked());
+        clone.reset();
+        assert!(!clone.is_acked());
+        v.mark_acked();
+        v.rollback_state();
+        assert!(!v.is_acked());
     }
 
     #[test]

@@ -8,9 +8,7 @@
 //!   dense numeric ids ([`AttrKey`], [`EventType`], [`SymbolId`]),
 //! * [`Event`] — a timestamped, totally ordered attribute–value record,
 //! * [`codec`] — a length-prefixed binary framing for events (the paper feeds
-//!   SPECTRE over TCP; we keep the serialization path without the socket),
-//! * [`merge`] — deterministic k-way merging of several event streams into the
-//!   single totally ordered stream an operator consumes (paper §2.1).
+//!   SPECTRE over TCP; we keep the serialization path without the socket).
 //!
 //! # Example
 //!
@@ -36,7 +34,6 @@ mod schema;
 mod value;
 
 pub mod codec;
-pub mod merge;
 
 pub use codec::StreamItem;
 pub use event::{Event, EventBuilder};
@@ -46,8 +43,9 @@ pub use value::Value;
 /// The position of an event in the totally ordered input stream of an
 /// operator.
 ///
-/// Sequence numbers are assigned by the ingestion layer (see
-/// [`merge::MergedStream`]) and are unique and dense per operator. All window
+/// Sequence numbers are assigned by the ingestion layer (the server's
+/// sequencer merges its clients' streams) and are unique and dense per
+/// operator. All window
 /// boundaries, consumption groups and suppression sets in SPECTRE identify
 /// events by their sequence number.
 pub type Seq = u64;
