@@ -179,9 +179,8 @@ impl SpectreConfig {
     ///
     /// # Panics
     ///
-    /// Panics on zero instances, zero check frequency, zero scheduling
-    /// period, zero ingest or hand-off batch, zero store shards, a zero
-    /// tree version cap, an out-of-range fixed probability or an invalid
+    /// Panics on zero instances, zero check frequency, zero ingest or
+    /// hand-off batch, zero store shards, a zero tree version cap, an out-of-range fixed probability or an invalid
     /// reorder configuration. [`try_validate`](Self::try_validate) is the
     /// non-panicking equivalent.
     pub fn validate(&self) {

@@ -1,5 +1,6 @@
-//! The per-connection read loop: framed decode, middleware chain, forward
-//! to the feed thread a read's worth of events at a time.
+//! The per-connection read loop: framed decode, the idle timeout, the
+//! rate limit and the frame counters, then forward to the feed thread a
+//! read's worth of events at a time.
 //!
 //! Credit protocol: the server grants an initial window of
 //! `credit_window` events and replenishes as the feed thread releases
@@ -11,7 +12,7 @@
 
 use std::fmt::Display;
 use std::io::Read;
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::mpsc::SyncSender;
 use std::sync::Arc;
 
@@ -20,9 +21,8 @@ use spectre_events::codec::{encode_throttle, ClientFrame, Decoder};
 use spectre_events::{Event, StreamItem};
 
 use crate::feed::{ConnGate, Msg};
-use crate::middleware::{ConnInfo, Decision};
 use crate::stats::ServerCounters;
-use crate::ServerShared;
+use crate::{OverLimitPolicy, ServerShared};
 
 /// Most bytes taken off the socket per read. Every read's decoded events go
 /// to the feed thread as one `Msg::Events`, so this is the conn → feed
@@ -32,12 +32,13 @@ use crate::ServerShared;
 /// throughput within noise on 2 cores.
 const READ_BYTES: usize = 16 * 1024;
 
-/// Runs one connection to completion. Returns `true` for a clean close
+/// Runs connection `id` to completion. Returns `true` for a clean close
 /// (BYE then EOF). The caller (listener) wraps this in `catch_unwind` and
-/// reports the close to the stack and the feed thread.
+/// reports the close to the counters and the feed thread.
 pub(crate) fn serve_conn(
     stream: &TcpStream,
-    conn: &ConnInfo,
+    id: u64,
+    peer: SocketAddr,
     gate: &ConnGate,
     shared: &Arc<ServerShared>,
     tx: &SyncSender<Msg>,
@@ -47,11 +48,18 @@ pub(crate) fn serve_conn(
     {
         return false;
     }
-    if shared.stack.on_accept(conn) != Decision::Forward {
-        return false;
-    }
+    let counters = &shared.counters;
+    // Tenant declared by the `HELLO` frame (0, the default tenant, until
+    // one arrives) and the clock of the last read that brought bytes.
+    let mut tenant = 0u32;
+    let mut last_activity_ms = shared.now_ms();
+    // This connection's own bucket; only the tenant buckets are shared.
+    let mut limit = shared
+        .rate_limit
+        .as_ref()
+        .map(|limiter| (limiter, limiter.conn_bucket(last_activity_ms)));
     let mut seen = 0u64; // event frames decoded: forwarded or dropped
-    let mut dropped = 0u64; // event frames discarded by the chain
+    let mut dropped = 0u64; // event frames discarded by the rate limiter
     let mut saw_bye = false;
     let mut decoder = Decoder::new();
     let mut read_buf = vec![0u8; READ_BYTES];
@@ -65,51 +73,57 @@ pub(crate) fn serve_conn(
             Ok(n) => {
                 decoder.extend(&read_buf[..n]);
                 let now_ms = shared.now_ms();
-                conn.touch(now_ms);
-                let close = loop {
+                last_activity_ms = now_ms;
+                let decode_failed = loop {
                     let frame = match decoder.next_client_frame() {
                         Ok(Some(frame)) => frame,
                         Ok(None) => break false,
                         Err(e) => {
-                            ServerCounters::bump(&shared.counters.decode_errors);
-                            log_close(conn, e);
+                            ServerCounters::bump(&counters.decode_errors);
+                            log_close(id, peer, e);
                             break true;
                         }
                     };
-                    match shared.stack.on_frame(conn, &frame, now_ms) {
-                        Decision::Forward => {}
-                        Decision::Drop => {
-                            if matches!(frame, ClientFrame::Item(StreamItem::Event(_))) {
+                    // Only event frames spend tokens; a dropped frame is
+                    // not counted below as served traffic.
+                    if let (Some((limiter, bucket)), ClientFrame::Item(StreamItem::Event(_))) =
+                        (&mut limit, &frame)
+                    {
+                        if let Err(wait_nanos) = limiter.admit(bucket, tenant, now_ms) {
+                            if limiter.cfg.policy == OverLimitPolicy::Drop {
+                                ServerCounters::bump(&counters.rate_dropped);
                                 seen += 1;
                                 dropped += 1;
+                                continue;
                             }
-                            continue;
+                            ServerCounters::bump(&counters.rate_throttled);
+                            encode_throttle(wait_nanos, &mut throttles);
                         }
-                        Decision::Throttle(nanos) => encode_throttle(nanos, &mut throttles),
-                        Decision::Close => break true,
                     }
+                    ServerCounters::bump(&counters.frames);
                     match frame {
-                        ClientFrame::Hello(tenant) => {
-                            conn.set_tenant(u32::try_from(tenant).unwrap_or(u32::MAX));
+                        ClientFrame::Hello(declared) => {
+                            tenant = u32::try_from(declared).unwrap_or(u32::MAX);
                         }
                         ClientFrame::Bye => saw_bye = true,
                         ClientFrame::Item(StreamItem::Event(event)) => {
+                            ServerCounters::bump(&counters.events);
                             // The chaos hook: a poisoned tenant's events
                             // blow up the connection thread, exercising
-                            // the panic layer end to end.
+                            // the listener's panic containment end to end.
                             if let Some(poison) = shared.cfg.chaos_panic_tenant {
                                 assert!(
-                                    conn.tenant() != poison,
-                                    "chaos: poisoned tenant {poison} on connection {}",
-                                    conn.id
+                                    tenant != poison,
+                                    "chaos: poisoned tenant {poison} on connection {id}"
                                 );
                             }
                             seen += 1;
                             batch.push(event);
                         }
                         ClientFrame::Item(StreamItem::Watermark(ts)) => {
+                            ServerCounters::bump(&counters.watermarks);
                             // The events ahead of it on the wire go first.
-                            if !forward(tx, gate, conn.id, &mut batch, seen, dropped)
+                            if !forward(tx, gate, id, &mut batch, seen, dropped)
                                 || tx.send(Msg::Watermark(ts)).is_err()
                             {
                                 return false;
@@ -117,11 +131,11 @@ pub(crate) fn serve_conn(
                         }
                     }
                 };
-                if !forward(tx, gate, conn.id, &mut batch, seen, dropped) {
+                if !forward(tx, gate, id, &mut batch, seen, dropped) {
                     return false;
                 }
                 gate.top_up(&mut throttles);
-                if close {
+                if decode_failed {
                     return false;
                 }
             }
@@ -130,15 +144,18 @@ pub(crate) fn serve_conn(
                     || e.kind() == std::io::ErrorKind::TimedOut =>
             {
                 let now_ms = shared.now_ms();
-                if shared.stack.on_tick(conn, now_ms) == Decision::Close {
+                if now_ms.saturating_sub(last_activity_ms) > shared.cfg.idle_timeout_ms {
+                    ServerCounters::bump(&counters.idle_closed);
+                    let idle_ms = shared.cfg.idle_timeout_ms;
+                    log_close(id, peer, format_args!("idle for over {idle_ms}ms"));
                     return false;
                 }
                 if shared.past_drain_deadline(now_ms) {
-                    log_close(conn, "still open past the drain grace period");
+                    log_close(id, peer, "still open past the drain grace period");
                     return false;
                 }
                 if gate.remaining() == 0 {
-                    ServerCounters::bump(&shared.counters.credit_starved_ticks);
+                    ServerCounters::bump(&counters.credit_starved_ticks);
                 }
             }
             Err(_) => return false,
@@ -166,9 +183,6 @@ fn forward(
 }
 
 /// The one place a connection's abnormal end is logged.
-fn log_close(conn: &ConnInfo, why: impl Display) {
-    eprintln!(
-        "spectre-server: connection {} ({}): {why}; closing",
-        conn.id, conn.peer
-    );
+fn log_close(id: u64, peer: SocketAddr, why: impl Display) {
+    eprintln!("spectre-server: connection {id} ({peer}): {why}; closing");
 }

@@ -8,7 +8,7 @@ use spectre_events::codec::DecodeError;
 
 /// Any failure of the server front-end: socket I/O, a malformed frame, an
 /// engine misuse, a bad control command, or an invalid configuration
-/// (e.g. a middleware stack declared out of order).
+/// (e.g. a rate limit no event could ever pass).
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum ServerError {
@@ -20,8 +20,8 @@ pub enum ServerError {
     Decode(DecodeError),
     /// A control command was malformed or referenced something unknown.
     Control(String),
-    /// The server configuration is invalid — including a middleware stack
-    /// whose layers are declared in a conflicting order.
+    /// The server configuration is invalid: one under which the server
+    /// would refuse every connection or every event.
     Config(String),
 }
 

@@ -28,7 +28,7 @@ use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use bytes::BytesMut;
 use spectre_core::{PushResult, QueryId, Report, SpectreEngine, TenantId, TenantQuota};
@@ -40,6 +40,10 @@ use spectre_query::ComplexEvent;
 use crate::error::ServerError;
 use crate::stats::{PublishedStats, ServerCounters};
 use crate::{IngestOrder, ServerShared};
+
+/// How often the feed thread publishes engine stats for `/metrics` and
+/// `STATS`.
+const PUBLISH_EVERY: Duration = Duration::from_millis(100);
 
 /// A connection's write half as its gate sees it: the socket in service, a
 /// fake in tests.
@@ -68,7 +72,7 @@ pub(crate) struct ConnGate {
     /// Event frames the connection thread has decoded (forwarded or
     /// dropped: the client spent a credit either way).
     seen: AtomicU64,
-    /// Event frames the middleware chain discarded.
+    /// Event frames the rate limiter discarded.
     dropped: AtomicU64,
     out: Mutex<GateOut>,
 }
@@ -301,7 +305,7 @@ pub(crate) fn feed_loop(
                 outputs.entry(qid).or_default().push(ce);
             }
         }
-        if last_publish.elapsed() >= shared.cfg.publish_every {
+        if last_publish.elapsed() >= PUBLISH_EVERY {
             publish(&engine, &shared, outputs_total, false);
             last_publish = Instant::now();
         }

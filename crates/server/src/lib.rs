@@ -13,10 +13,12 @@
 //! * a **control** socket speaking a line protocol (`DEPLOY`, `RETIRE`,
 //!   `QUOTA`, `QUERIES`, `STATS`, `DRAIN`, `PING`) for live operations.
 //!
-//! Every frame a connection reads passes through an ordered
-//! [`middleware`] chain — panic isolation, token-bucket rate limiting,
-//! idle timeouts, counters — whose layer order is declared (and conflict
-//! checked) in one place.
+//! Each connection's thread makes the front-end's checks itself, in its
+//! read loop: the idle timeout, optional token-bucket rate limiting (per
+//! connection and per tenant, see [`RateLimitConfig`]) and the frame
+//! counters of [`ServerCounters`]. The accept thread runs every connection
+//! under `catch_unwind`, so a panicking connection is counted and closed
+//! while the server keeps serving.
 //!
 //! ```no_run
 //! use std::sync::Arc;
@@ -61,19 +63,25 @@ mod error;
 mod feed;
 mod http;
 mod listener;
-pub mod middleware;
 mod prom;
+mod rate_limit;
 mod stats;
 
 pub use client::FeedClient;
 pub use error::ServerError;
 pub use feed::ServerOutcome;
-pub use middleware::{OverLimitPolicy, RateLimitConfig};
+pub use rate_limit::{OverLimitPolicy, RateLimitConfig};
 pub use stats::ServerCounters;
 
 use feed::Msg;
-use middleware::MiddlewareStack;
+use rate_limit::RateLimiter;
 use stats::StatsSlot;
+
+/// Bound of the connections→feed channel, in messages.
+const FEED_QUEUE: usize = 1024;
+
+/// How long a drain waits for open connections before force-closing them.
+const DRAIN_GRACE: Duration = Duration::from_secs(5);
 
 /// In which order the feed thread releases multi-client events into the
 /// engine.
@@ -109,21 +117,14 @@ pub struct ServerConfig {
     /// Per-connection credit window: the most events one client may have
     /// in flight between its socket and the engine (default 8192).
     pub credit_window: u64,
-    /// Bound of the connections→feed channel, in messages (default 1024).
-    pub feed_queue: usize,
-    /// Socket read timeout; also the cadence of middleware ticks and the
-    /// feed thread's idle maintenance (default 50 ms).
+    /// Socket read timeout; also the cadence of the idle-timeout check and
+    /// the feed thread's idle maintenance (default 50 ms; must be
+    /// positive).
     pub read_tick: Duration,
     /// Close connections idle longer than this (default 30 s).
     pub idle_timeout: Duration,
     /// Optional token-bucket rate limiting (default off).
     pub rate_limit: Option<RateLimitConfig>,
-    /// How long a drain waits for open connections before force-closing
-    /// them (default 5 s).
-    pub drain_grace: Duration,
-    /// How often the feed thread publishes engine stats for `/metrics`
-    /// (default 100 ms).
-    pub publish_every: Duration,
     /// Chaos hook for panic-containment tests: event frames from this
     /// tenant panic their connection thread (default off).
     pub chaos_panic_tenant: Option<u32>,
@@ -142,12 +143,9 @@ impl Default for ServerConfig {
             http_addr: loopback,
             control_addr: loopback,
             credit_window: 8192,
-            feed_queue: 1024,
             read_tick: Duration::from_millis(50),
             idle_timeout: Duration::from_secs(30),
             rate_limit: None,
-            drain_grace: Duration::from_secs(5),
-            publish_every: Duration::from_millis(100),
             chaos_panic_tenant: None,
             quotas: Vec::new(),
         }
@@ -160,16 +158,15 @@ pub(crate) struct RuntimeCfg {
     pub order: IngestOrder,
     pub credit_window: u64,
     pub read_tick: Duration,
-    pub publish_every: Duration,
+    pub idle_timeout_ms: u64,
     pub chaos_panic_tenant: Option<u32>,
-    pub drain_grace: Duration,
 }
 
 /// State shared by every server thread.
 pub(crate) struct ServerShared {
     pub cfg: RuntimeCfg,
     pub counters: Arc<ServerCounters>,
-    pub stack: MiddlewareStack,
+    pub rate_limit: Option<RateLimiter>,
     pub stats: StatsSlot,
     /// New ingestion connections are admitted.
     pub accepting: AtomicBool,
@@ -187,7 +184,7 @@ pub(crate) struct ServerShared {
 }
 
 impl ServerShared {
-    /// Milliseconds since server start — the clock every middleware and
+    /// Milliseconds since server start — the clock every rate-limit and
     /// timeout decision uses.
     pub fn now_ms(&self) -> u64 {
         u64::try_from(self.start.elapsed().as_millis()).unwrap_or(u64::MAX)
@@ -215,8 +212,12 @@ impl Server {
         if cfg.credit_window == 0 {
             return Err(ServerError::Config("credit window must be positive".into()));
         }
-        if cfg.feed_queue == 0 {
-            return Err(ServerError::Config("feed queue must be positive".into()));
+        if cfg.read_tick.is_zero() {
+            // Sockets reject a zero timeout, so every connection would fail.
+            return Err(ServerError::Config("read tick must be positive".into()));
+        }
+        if let Some(rate) = &cfg.rate_limit {
+            rate.check()?;
         }
         let ingest_listener = TcpListener::bind(cfg.ingest_addr)?;
         let http_listener = TcpListener::bind(cfg.http_addr)?;
@@ -240,23 +241,16 @@ impl Server {
         };
         let engine = builder.try_build()?;
 
-        let counters = Arc::new(ServerCounters::default());
-        let stack = MiddlewareStack::standard(
-            cfg.rate_limit.clone(),
-            u64::try_from(cfg.idle_timeout.as_millis()).unwrap_or(u64::MAX),
-            Arc::clone(&counters),
-        );
         let shared = Arc::new(ServerShared {
             cfg: RuntimeCfg {
                 order: cfg.order,
                 credit_window: cfg.credit_window,
                 read_tick: cfg.read_tick,
-                publish_every: cfg.publish_every,
+                idle_timeout_ms: u64::try_from(cfg.idle_timeout.as_millis()).unwrap_or(u64::MAX),
                 chaos_panic_tenant: cfg.chaos_panic_tenant,
-                drain_grace: cfg.drain_grace,
             },
-            counters,
-            stack,
+            counters: Arc::new(ServerCounters::default()),
+            rate_limit: cfg.rate_limit.map(RateLimiter::new),
             stats: StatsSlot::default(),
             accepting: AtomicBool::new(true),
             draining: AtomicBool::new(false),
@@ -266,7 +260,7 @@ impl Server {
             ingest_addr,
         });
 
-        let (tx, rx) = sync_channel::<Msg>(cfg.feed_queue);
+        let (tx, rx) = sync_channel::<Msg>(FEED_QUEUE);
         let feed = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
@@ -315,7 +309,7 @@ pub(crate) fn initiate_drain(shared: &Arc<ServerShared>, tx: &SyncSender<Msg>) {
         return;
     }
     shared.accepting.store(false, Ordering::Release);
-    let grace = u64::try_from(shared.cfg.drain_grace.as_millis()).unwrap_or(u64::MAX);
+    let grace = u64::try_from(DRAIN_GRACE.as_millis()).unwrap_or(u64::MAX);
     shared
         .drain_deadline_ms
         .store(shared.now_ms().saturating_add(grace), Ordering::Release);
@@ -418,6 +412,60 @@ impl Drop for ServerHandle {
             if let Some(feed) = self.feed.take() {
                 let _ = feed.join();
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Starts a server with no queries and returns its configuration error.
+    fn config_error(cfg: ServerConfig) -> String {
+        match Server::start(cfg, Schema::new(), Vec::new()) {
+            Err(ServerError::Config(msg)) => msg,
+            Err(other) => panic!("expected a configuration error, got {other}"),
+            Ok(_) => panic!("expected a configuration error, the server started"),
+        }
+    }
+
+    fn rate_limited(rate: RateLimitConfig) -> ServerConfig {
+        ServerConfig {
+            rate_limit: Some(rate),
+            ..ServerConfig::default()
+        }
+    }
+
+    #[test]
+    fn a_zero_read_tick_is_a_config_error() {
+        let msg = config_error(ServerConfig {
+            read_tick: Duration::ZERO,
+            ..ServerConfig::default()
+        });
+        assert!(msg.contains("read tick"), "{msg}");
+    }
+
+    #[test]
+    fn a_rate_that_is_not_finite_and_positive_is_a_config_error() {
+        for eps in [0.0, -5.0, f64::NAN, f64::INFINITY] {
+            let per_conn = RateLimitConfig::per_conn(eps, 10.0, OverLimitPolicy::Drop);
+            let msg = config_error(rate_limited(per_conn));
+            assert!(msg.contains("events per second"), "{eps}: {msg}");
+            let per_tenant = RateLimitConfig {
+                per_tenant_eps: Some(eps),
+                ..RateLimitConfig::per_conn(100.0, 10.0, OverLimitPolicy::Drop)
+            };
+            let msg = config_error(rate_limited(per_tenant));
+            assert!(msg.contains("events per second"), "tenant {eps}: {msg}");
+        }
+    }
+
+    #[test]
+    fn a_burst_below_one_event_is_a_config_error() {
+        for burst in [0.5, 0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let rate = RateLimitConfig::per_conn(100.0, burst, OverLimitPolicy::Throttle);
+            let msg = config_error(rate_limited(rate));
+            assert!(msg.contains("burst"), "{burst}: {msg}");
         }
     }
 }

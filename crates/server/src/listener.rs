@@ -1,10 +1,9 @@
 //! The accept loop: thread per connection, panics contained.
 //!
 //! Every connection handler runs under `catch_unwind` inside its own
-//! thread — a panicking connection (a decode bug, a poisoned middleware,
-//! the chaos hook) is caught, reported to the panic layer, and closed
-//! abnormally; the accept loop and every other connection continue
-//! untouched.
+//! thread — a panicking connection (a decode bug, the chaos hook) is
+//! caught, counted in `panics_caught`, logged, and closed abnormally; the
+//! accept loop and every other connection continue untouched.
 
 use std::net::TcpListener;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -14,7 +13,7 @@ use std::sync::Arc;
 
 use crate::conn::serve_conn;
 use crate::feed::{ConnGate, Msg};
-use crate::middleware::ConnInfo;
+use crate::stats::ServerCounters;
 use crate::ServerShared;
 
 /// Accepts connections until draining starts. Connection threads outlive
@@ -35,7 +34,6 @@ pub(crate) fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>, tx: 
                 let shared = Arc::clone(&shared);
                 let tx = tx.clone();
                 std::thread::spawn(move || {
-                    let conn = ConnInfo::new(id, peer, shared.now_ms());
                     // The gate owns the write half. The write timeout keeps
                     // a client that stopped reading from parking the feed
                     // thread in a credit write.
@@ -62,18 +60,27 @@ pub(crate) fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>, tx: 
                     {
                         return;
                     }
+                    let counters = &shared.counters;
+                    ServerCounters::bump(&counters.accepted);
+                    ServerCounters::bump(&counters.active);
                     let result = catch_unwind(AssertUnwindSafe(|| {
-                        serve_conn(&stream, &conn, &gate, &shared, &tx)
+                        serve_conn(&stream, id, peer, &gate, &shared, &tx)
                     }));
-                    let clean = match result {
-                        Ok(clean) => clean,
-                        Err(_) => {
-                            shared.stack.on_panic(&conn);
-                            false
-                        }
-                    };
+                    let clean = result.unwrap_or_else(|_| {
+                        ServerCounters::bump(&counters.panics_caught);
+                        eprintln!(
+                            "spectre-server: connection {id} ({peer}) panicked; \
+                             connection dropped, server continues"
+                        );
+                        false
+                    });
                     gate.kill();
-                    shared.stack.on_close(&conn, clean);
+                    counters.active.fetch_sub(1, Ordering::Relaxed);
+                    ServerCounters::bump(if clean {
+                        &counters.closed_clean
+                    } else {
+                        &counters.closed_abnormal
+                    });
                     let _ = tx.send(Msg::Closed { conn: id, clean });
                 });
             }

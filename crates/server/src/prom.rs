@@ -173,22 +173,6 @@ pub(crate) fn render(shared: &ServerShared) -> String {
     }
 
     server_counters(&mut out, &shared.counters);
-
-    // Per-middleware-layer outcome counters.
-    let _ = writeln!(out, "# TYPE spectre_server_layer_outcomes counter");
-    for (layer, forwarded, dropped, throttled, closed) in shared.stack.layer_counters() {
-        for (outcome, v) in [
-            ("forwarded", forwarded),
-            ("dropped", dropped),
-            ("throttled", throttled),
-            ("closed", closed),
-        ] {
-            let _ = writeln!(
-                out,
-                "spectre_server_layer_outcomes{{layer=\"{layer}\",outcome=\"{outcome}\"}} {v}"
-            );
-        }
-    }
     out
 }
 

@@ -24,11 +24,14 @@ pub struct ServerCounters {
     pub closed_clean: AtomicU64,
     /// Connections that ended without one — disconnect, error, timeout.
     pub closed_abnormal: AtomicU64,
-    /// Connection-thread panics caught by the panic layer.
+    /// Connection-thread panics caught by the accept thread's
+    /// `catch_unwind`.
     pub panics_caught: AtomicU64,
-    /// Client frames of any kind decoded.
+    /// Client frames of any kind decoded, minus event frames the rate
+    /// limiter dropped.
     pub frames: AtomicU64,
-    /// Event frames forwarded to the feed thread.
+    /// Event frames forwarded to the feed thread (rate-dropped ones are
+    /// not).
     pub events: AtomicU64,
     /// Watermark frames forwarded.
     pub watermarks: AtomicU64,
@@ -36,7 +39,8 @@ pub struct ServerCounters {
     pub rate_dropped: AtomicU64,
     /// Throttle frames sent to over-limit clients.
     pub rate_throttled: AtomicU64,
-    /// Connections closed by the idle-timeout layer.
+    /// Connections closed for sending nothing for longer than
+    /// `idle_timeout`.
     pub idle_closed: AtomicU64,
     /// Frame decode errors (each ends its connection abnormally).
     pub decode_errors: AtomicU64,

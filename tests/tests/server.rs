@@ -3,8 +3,8 @@
 //! session bit-identical to a solo engine fed the ordered stream; a
 //! client dying mid-stream must leave the survivors undisturbed; watermark
 //! frames must drive the engine's reorder stage; the
-//! rate limiter, panic isolation, `/metrics` sidecar, and control plane
-//! must all hold up under real sockets.
+//! rate limiter, idle timeout, panic isolation, `/metrics` sidecar, and
+//! control plane must all hold up under real sockets.
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -358,6 +358,65 @@ fn throttle_and_credit_frames_share_one_connection_without_tearing() {
         events.len() as u64,
         "throttled events are still forwarded"
     );
+}
+
+#[test]
+fn an_idle_client_is_closed_once_and_the_server_keeps_serving() {
+    const IDLE: Duration = Duration::from_millis(250);
+    let (schema, a, _, events) = fixture(1_000, 17);
+    let cfg = ServerConfig {
+        order: IngestOrder::Arrival,
+        read_tick: Duration::from_millis(20),
+        idle_timeout: IDLE,
+        ..ServerConfig::default()
+    };
+    let handle = Server::start(cfg, schema, vec![(TenantId(0), a)]).expect("server starts");
+    let counters = handle.counters();
+    let load = std::sync::atomic::Ordering::Relaxed;
+
+    // A client that connects and never sends a byte: the server grants it
+    // credit, then closes it once the idle budget has passed.
+    let opened = Instant::now();
+    let mut idle = TcpStream::connect(handle.ingest_addr()).expect("connect");
+    idle.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let mut credit = Vec::new();
+    idle.read_to_end(&mut credit)
+        .expect("the server closes the idle connection");
+    assert!(
+        opened.elapsed() >= IDLE,
+        "closed after {:?}",
+        opened.elapsed()
+    );
+    assert!(!credit.is_empty(), "the initial credit grant came first");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while counters.active.load(load) > 0 {
+        assert!(Instant::now() < deadline, "the idle close was not counted");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(counters.idle_closed.load(load), 1);
+    assert_eq!(counters.closed_abnormal.load(load), 1);
+
+    // A fresh client is served in full, and every frame it sends is
+    // counted once: HELLO, the events, one watermark and BYE.
+    let mut fresh = FeedClient::connect(handle.ingest_addr(), 0).expect("connect");
+    for event in &events {
+        fresh.send_event(event).expect("send");
+    }
+    fresh
+        .send_watermark(events.last().expect("events").ts())
+        .expect("send watermark");
+    fresh.finish().expect("finish");
+    let outcome = drain_and_join(handle);
+    assert_eq!(outcome.report.input_events, events.len() as u64);
+    assert_eq!(counters.idle_closed.load(load), 1);
+    assert_eq!(counters.closed_abnormal.load(load), 1);
+    assert_eq!(counters.closed_clean.load(load), 1);
+    assert_eq!(counters.accepted.load(load), 2);
+    assert_eq!(counters.active.load(load), 0);
+    assert_eq!(counters.events.load(load), events.len() as u64);
+    assert_eq!(counters.watermarks.load(load), 1);
+    assert_eq!(counters.frames.load(load), events.len() as u64 + 3);
 }
 
 #[test]
