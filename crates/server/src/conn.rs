@@ -21,6 +21,7 @@ use spectre_events::codec::{encode_throttle, ClientFrame, Decoder};
 use spectre_events::{Event, StreamItem};
 
 use crate::feed::{ConnGate, Msg};
+use crate::middleware::{metrics, timeout};
 use crate::stats::ServerCounters;
 use crate::{OverLimitPolicy, ServerShared};
 
@@ -100,14 +101,13 @@ pub(crate) fn serve_conn(
                             encode_throttle(wait_nanos, &mut throttles);
                         }
                     }
-                    ServerCounters::bump(&counters.frames);
+                    metrics::admitted(counters, &frame);
                     match frame {
                         ClientFrame::Hello(declared) => {
                             tenant = u32::try_from(declared).unwrap_or(u32::MAX);
                         }
                         ClientFrame::Bye => saw_bye = true,
                         ClientFrame::Item(StreamItem::Event(event)) => {
-                            ServerCounters::bump(&counters.events);
                             // The chaos hook: a poisoned tenant's events
                             // blow up the connection thread, exercising
                             // the listener's panic containment end to end.
@@ -121,7 +121,6 @@ pub(crate) fn serve_conn(
                             batch.push(event);
                         }
                         ClientFrame::Item(StreamItem::Watermark(ts)) => {
-                            ServerCounters::bump(&counters.watermarks);
                             // The events ahead of it on the wire go first.
                             if !forward(tx, gate, id, &mut batch, seen, dropped)
                                 || tx.send(Msg::Watermark(ts)).is_err()
@@ -144,9 +143,8 @@ pub(crate) fn serve_conn(
                     || e.kind() == std::io::ErrorKind::TimedOut =>
             {
                 let now_ms = shared.now_ms();
-                if now_ms.saturating_sub(last_activity_ms) > shared.cfg.idle_timeout_ms {
-                    ServerCounters::bump(&counters.idle_closed);
-                    let idle_ms = shared.cfg.idle_timeout_ms;
+                let idle_ms = shared.cfg.idle_timeout_ms;
+                if timeout::expired(counters, last_activity_ms, now_ms, idle_ms) {
                     log_close(id, peer, format_args!("idle for over {idle_ms}ms"));
                     return false;
                 }

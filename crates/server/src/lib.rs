@@ -63,6 +63,7 @@ mod error;
 mod feed;
 mod http;
 mod listener;
+mod middleware;
 mod prom;
 mod rate_limit;
 mod stats;

@@ -13,6 +13,7 @@ use std::sync::Arc;
 
 use crate::conn::serve_conn;
 use crate::feed::{ConnGate, Msg};
+use crate::middleware::metrics;
 use crate::stats::ServerCounters;
 use crate::ServerShared;
 
@@ -61,8 +62,7 @@ pub(crate) fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>, tx: 
                         return;
                     }
                     let counters = &shared.counters;
-                    ServerCounters::bump(&counters.accepted);
-                    ServerCounters::bump(&counters.active);
+                    metrics::opened(counters);
                     let result = catch_unwind(AssertUnwindSafe(|| {
                         serve_conn(&stream, id, peer, &gate, &shared, &tx)
                     }));
@@ -75,12 +75,7 @@ pub(crate) fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>, tx: 
                         false
                     });
                     gate.kill();
-                    counters.active.fetch_sub(1, Ordering::Relaxed);
-                    ServerCounters::bump(if clean {
-                        &counters.closed_clean
-                    } else {
-                        &counters.closed_abnormal
-                    });
+                    metrics::closed(counters, clean);
                     let _ = tx.send(Msg::Closed { conn: id, clean });
                 });
             }
