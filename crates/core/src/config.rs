@@ -48,16 +48,12 @@ pub struct SpectreConfig {
     pub store_shards: usize,
     /// Soft cap on a query's speculative load — live window versions plus
     /// the windows pending on attach markers (see
-    /// [`DependencyTree::speculative_load`](crate::tree::DependencyTree::speculative_load)):
-    /// ingestion stalls (once the root window is fully ingested) while any
-    /// tree carries more, bounding speculative fan-out. Completion branches
-    /// and pending tails hold no version state until scheduled, but the
-    /// cap still matters: per-cycle tree work (selection walks, subtree
-    /// drops) scales with the load. Measured on the 1 M-event consumption
-    /// bench (k = 2), the engine runs ~343 k events/s at 1024, ~252 k at
-    /// 2048 and ~50 k at 8192, so the default stays at 1024; raise it only
-    /// with enough instances to actually process the extra breadth. Must be
-    /// positive: a zero cap back-pressures every event forever.
+    /// [`DependencyTree::speculative_load`](crate::tree::DependencyTree::speculative_load)),
+    /// or a lane query's unretired windows. Ingestion stalls while any
+    /// query carries more and its oldest unretired window is closed (so
+    /// that window can still finish), bounding speculative fan-out,
+    /// per-cycle tree work and buffered events. Must be positive: a zero
+    /// cap back-pressures every event forever.
     pub max_tree_versions: usize,
     /// Opt-in out-of-order ingestion: `Some` interposes a watermark-driven
     /// [`ReorderBuffer`](crate::reorder::ReorderBuffer) between the session

@@ -1030,11 +1030,11 @@ fn spawn_workers(shared: &Arc<SharedState>, config: &SpectreConfig) -> Vec<JoinH
 }
 
 /// The operator-instance worker loop of a threaded session and its idle
-/// back-off policy. A step only reports idle or stalled when the worker's
-/// run-ahead FIFO is empty too: with final windows queued behind its head
-/// (see [`SlotCell`](crate::shared::SlotCell)), a worker that finishes a
-/// window starts the next one itself instead of waiting out these tiers
-/// for the splitter's next cycle. Three tiers on idle/stalled steps:
+/// back-off policy. A step only reports idle or stalled when the worker
+/// has no lane window to work or claim either: under a lane grant (see
+/// [`Lane`](crate::shared::Lane)) a worker that finishes a window claims
+/// the next one itself instead of waiting out these tiers for the
+/// splitter's next cycle. Three tiers on idle/stalled steps:
 ///
 /// 1. **Spin** (first 32 fruitless steps): a new assignment or fresh
 ///    ingestion usually lands within microseconds mid-stream.

@@ -21,14 +21,14 @@
 //! amortized lock and queue traffic. The output is identical for every
 //! batch size.
 //!
-//! Each step works on the slot's scheduled *head* while the head can make
-//! progress. When the head is finished, absent or stalled on ingestion,
-//! the step instead takes the front of the slot's run-ahead FIFO (see
-//! [`SlotCell`](crate::shared::SlotCell)): final versions of
-//! consumption-free queries the splitter queued there, which the instance
-//! works through on its own — a finished window no longer waits for the
-//! next splitter cycle to be replaced. The head is re-checked first at
-//! every step, so it resumes as soon as it has events again.
+//! A slot grants a tree *head* (one window version), worked first while it
+//! progresses, or the [`Lane`] of a query without a consumption policy,
+//! whose windows the instance claims in open order: an open one is worked
+//! up to the ingestion frontier like a head, and while it stalls only a
+//! closed, fully ingested one may be taken (see [`Lane::claim`]). Claimed
+//! windows keep their detector state here until finished; the finisher
+//! hands the outputs to the [`LaneCell`](crate::shared::LaneCell) and
+//! releases the store subscription, so events are freed off the splitter.
 //!
 //! Instances are oblivious to lazy branch materialization: the splitter's
 //! top-k selection materializes an unmaterialized completion branch
@@ -37,15 +37,16 @@
 //! processing the new suppression invalidates is caught here by the same
 //! periodic consistency check that catches late group updates.
 
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use spectre_events::Event;
-use spectre_query::{DetectorAction, MatchId, SelectionPolicy};
+use spectre_query::{ComplexEvent, DetectorAction, MatchId, SelectionPolicy, WindowDetector};
 
 use crate::cg::CgCell;
 use crate::metrics::Metrics;
-use crate::shared::{QueryId, SharedState, StatsBatch, TreeOp};
-use crate::store::{EventRun, WindowBuf};
+use crate::shared::{Grant, Lane, LaneCell, QueryId, SharedState, StatsBatch, TreeOp};
+use crate::store::{EventRun, WindowBuf, WindowInfo};
 use crate::version::{VersionInner, VersionState};
 
 /// Outcome of one instance step (used by the drivers for accounting and
@@ -64,17 +65,28 @@ pub enum StepOutcome {
     RolledBack,
 }
 
+/// A claimed lane window and the detector state of the work on it.
+#[derive(Debug)]
+struct LaneWork {
+    lane: Arc<Lane>,
+    cell: Arc<LaneCell>,
+    detector: WindowDetector,
+    /// Window events looked at so far.
+    pos: u64,
+    outputs: Vec<ComplexEvent>,
+    buf: Option<(u64, Arc<WindowBuf>)>,
+}
+
 /// One operator instance's local state.
 #[derive(Debug)]
 pub struct InstanceCore {
     index: usize,
     check_freq: u32,
     batch: usize,
-    current: Option<Arc<VersionState>>,
-    /// The run-ahead version being worked through: the front of this
-    /// instance's FIFO, cached so the FIFO lock is taken only when the
-    /// front changes.
-    ahead: Option<Arc<VersionState>>,
+    current: Option<Grant>,
+    /// Claimed lane windows: `[0]` is worked up to the ingestion frontier,
+    /// `[1]` is a closed, fully ingested one claimed while `[0]` stalled.
+    lane: [Option<LaneWork>; 2],
     /// Last observed publication sequence of this instance's scheduling
     /// slot; lets the per-step pickup skip the slot lock while the
     /// assignment is unchanged (see [`SlotCell`](crate::shared::SlotCell)).
@@ -95,9 +107,6 @@ pub struct InstanceCore {
     /// Cleared whenever the assignment changes or goes idle, so a retired
     /// window's buffer is not pinned while the instance waits.
     run_buf: Option<(u64, Arc<WindowBuf>)>,
-    /// [`run_buf`](Self::run_buf)'s counterpart for the run-ahead version,
-    /// so alternating between head and FIFO front keeps both cached.
-    ahead_buf: Option<(u64, Arc<WindowBuf>)>,
 }
 
 impl InstanceCore {
@@ -110,7 +119,7 @@ impl InstanceCore {
             check_freq,
             batch: 1,
             current: None,
-            ahead: None,
+            lane: [None, None],
             slot_seq: 0,
             actions: Vec::new(),
             stats: Vec::new(),
@@ -121,7 +130,6 @@ impl InstanceCore {
             run_suppressed: 0,
             run_qmetrics: None,
             run_buf: None,
-            ahead_buf: None,
         }
     }
 
@@ -145,8 +153,8 @@ impl InstanceCore {
 
     /// Performs one processing step — up to [`with_batch`](Self::with_batch)
     /// events of the scheduled window version (or, when it cannot progress,
-    /// of the run-ahead FIFO's front), fetched as one run and processed
-    /// under one version-lock acquisition — per paper Fig. 8.
+    /// of a lane window), fetched as one run and processed under one
+    /// version-lock acquisition — per paper Fig. 8.
     pub fn step(&mut self, shared: &SharedState) -> StepOutcome {
         let outcome = self.step_inner(shared);
         match outcome {
@@ -195,9 +203,9 @@ impl InstanceCore {
         // of `current` for the step rather than cloned, so a stalled step
         // writes to no reference count the splitter shares.
         let head = match self.current.take() {
-            Some(wv) if !wv.is_dropped() && !wv.is_finished() => {
-                let outcome = self.process(&wv, false, shared);
-                self.current = Some(wv);
+            Some(Grant::Version(wv)) if !wv.is_dropped() && !wv.is_finished() => {
+                let outcome = self.process(&wv, shared);
+                self.current = Some(Grant::Version(wv));
                 match outcome {
                     StepOutcome::Idle | StepOutcome::Stalled => outcome,
                     _ => return outcome,
@@ -209,45 +217,92 @@ impl InstanceCore {
                 StepOutcome::Idle
             }
         };
-        // Head finished, absent or stalled: run ahead on the FIFO front.
-        let Some(wv) = self.ahead_version(shared) else {
-            return head;
+        // Then the lane: the open window while it progresses, else a
+        // closed one, else a fresh claim.
+        let idle = match self.work_lane(0, shared) {
+            Some(StepOutcome::Stalled) => StepOutcome::Stalled,
+            Some(outcome) => return outcome,
+            None => head,
         };
-        let outcome = self.process(&wv, true, shared);
-        if outcome == StepOutcome::Finished {
-            // The head may keep this instance busy for a while; do not pin
-            // the finished window's buffer meanwhile.
-            self.ahead_buf = None;
+        if let Some(outcome) = self.work_lane(1, shared) {
+            return outcome;
         }
-        outcome
+        let Some(Grant::Lane(lane)) = &self.current else {
+            return idle;
+        };
+        let open = self.lane[0].as_ref();
+        // Windows close in open order, so while this lane's own open window
+        // stalls, none of its younger unclaimed ones is closed and ingested
+        // either: skip the claim and its lock.
+        if open.is_some_and(|w| Arc::ptr_eq(&w.lane, lane)) {
+            return idle;
+        }
+        let closed_by = open.map(|_| shared.ingested.load(Ordering::Acquire));
+        let Some(cell) = lane.claim(closed_by) else {
+            return idle;
+        };
+        let i = usize::from(open.is_some());
+        self.lane[i] = Some(LaneWork {
+            lane: Arc::clone(lane),
+            detector: WindowDetector::new(Arc::clone(&lane.query), cell.window.id),
+            cell,
+            pos: 0,
+            outputs: Vec::new(),
+            buf: None,
+        });
+        self.work_lane(i, shared).unwrap_or(idle)
     }
 
-    /// The run-ahead version to work on: the cached FIFO front while it is
-    /// live, else the slot's next live front (counted as a version run
-    /// ahead). Lock-free while the FIFO is empty.
-    fn ahead_version(&mut self, shared: &SharedState) -> Option<Arc<VersionState>> {
-        if let Some(wv) = &self.ahead {
-            if !wv.is_finished() && !wv.is_dropped() {
-                return Some(Arc::clone(wv));
+    /// Works the next run of held lane window `i`; `None` when none is held
+    /// (a window whose query retired is done already and dropped).
+    fn work_lane(&mut self, i: usize, shared: &SharedState) -> Option<StepOutcome> {
+        let mut work = self.lane[i].take().filter(|w| !w.cell.is_done())?;
+        let outcome = self.process_lane(&mut work, shared);
+        if outcome != StepOutcome::Finished {
+            self.lane[i] = Some(work);
+        }
+        Some(outcome)
+    }
+
+    /// [`process`](Self::process) for a lane window: no suppression,
+    /// groups, statistics or consistency checks, since nothing is assumed.
+    fn process_lane(&mut self, work: &mut LaneWork, shared: &SharedState) -> StepOutcome {
+        let window = Arc::clone(&work.cell.window);
+        if !window.ends_at(work.pos) {
+            let (cache, fetch) = (&mut work.buf, &mut self.fetch);
+            let n = read_run(cache, shared, &window, work.pos, self.batch, fetch);
+            if n == 0 {
+                return StepOutcome::Stalled;
             }
-            self.ahead = None;
-            self.ahead_buf = None;
+            for run in self.fetch.drain(..) {
+                for ev in run.events() {
+                    work.detector.on_event(ev, &mut self.actions);
+                    for action in self.actions.drain(..) {
+                        if let DetectorAction::Completed { complex, .. } = action {
+                            work.outputs.push(complex);
+                        }
+                    }
+                }
+            }
+            work.pos += n as u64;
+            self.run_processed += n as u64;
+            self.run_qmetrics = Some(Arc::clone(&work.lane.qmetrics));
+            if !window.ends_at(work.pos) {
+                return StepOutcome::Worked;
+            }
         }
-        let wv = shared.slots[self.index].ahead_front()?;
-        shared.metrics.add_version_run_ahead(self.index);
-        wv.query_metrics().add_version_run_ahead(self.index);
-        self.ahead = Some(Arc::clone(&wv));
-        Some(wv)
+        // Done: the outputs go to the cell, the buffer to its last subscriber.
+        work.buf = None;
+        if work.cell.finish(std::mem::take(&mut work.outputs)) {
+            shared.store.release(window.store_id);
+            shared.metrics.add_lane_window(self.index);
+            work.lane.qmetrics.add_lane_window(self.index);
+        }
+        StepOutcome::Finished
     }
 
-    /// Processes the next run of `wv` — the head, or with `ahead` the
-    /// run-ahead version, each with its own cached store buffer.
-    fn process(
-        &mut self,
-        wv: &Arc<VersionState>,
-        ahead: bool,
-        shared: &SharedState,
-    ) -> StepOutcome {
+    /// Processes the next run of the head `wv`.
+    fn process(&mut self, wv: &Arc<VersionState>, shared: &SharedState) -> StepOutcome {
         let window = wv.window();
         let mut inner = wv.lock();
         // Re-checked under the version lock (which `finish` holds): a
@@ -258,36 +313,20 @@ impl InstanceCore {
         }
 
         // Window end already reached?
-        if let Some(end) = window.end_pos() {
-            if window.start_pos + inner.pos >= end {
-                self.finish(wv, &mut inner, shared);
-                return StepOutcome::Finished;
-            }
+        if window.ends_at(inner.pos) {
+            self.finish(wv, &mut inner, shared);
+            return StepOutcome::Finished;
         }
 
-        // Fetch the next run under one window-buffer lock acquisition,
-        // through the cached buffer handle when the instance is still on
-        // the same window. The per-window buffer only ever holds the
-        // window's own events, so the run can never overshoot the window
-        // end.
-        let cache = if ahead {
-            &mut self.ahead_buf
-        } else {
-            &mut self.run_buf
-        };
-        let buf = match cache {
-            Some((id, buf)) if *id == window.store_id => buf,
-            _ => match shared.store.window_buf(window.store_id) {
-                Some(buf) => &cache.insert((window.store_id, buf)).1,
-                None => {
-                    // Unknown buffer: the window is racing retirement; the
-                    // dropped flag resolves it at a later step.
-                    return StepOutcome::Stalled;
-                }
-            },
-        };
-        self.fetch.clear();
-        let n = buf.read_run(inner.pos, self.batch, &mut self.fetch);
+        let cache = &mut self.run_buf;
+        let n = read_run(
+            cache,
+            shared,
+            window,
+            inner.pos,
+            self.batch,
+            &mut self.fetch,
+        );
         if n == 0 {
             // Not yet ingested (or the window is racing retirement, which a
             // later step resolves via the dropped flag): stall.
@@ -317,10 +356,7 @@ impl InstanceCore {
         let outcome = if inconsistent {
             self.rollback(wv, &mut inner, shared);
             StepOutcome::RolledBack
-        } else if window
-            .end_pos()
-            .is_some_and(|end| window.start_pos + inner.pos >= end)
-        {
+        } else if window.ends_at(inner.pos) {
             // The run consumed the window's last event.
             self.finish(wv, &mut inner, shared);
             StepOutcome::Finished
@@ -597,6 +633,31 @@ impl InstanceCore {
     }
 }
 
+/// Fetches the next run of `window` from window-relative index `from`
+/// into `out` under one window-buffer lock acquisition, through the
+/// buffer handle `cache` keeps while the instance stays on the window.
+/// The per-window buffer only ever holds the window's own events, so the
+/// run can never overshoot the window end. Returns 0 when nothing is
+/// readable: not yet ingested, or an unknown buffer racing retirement.
+fn read_run(
+    cache: &mut Option<(u64, Arc<WindowBuf>)>,
+    shared: &SharedState,
+    window: &WindowInfo,
+    from: u64,
+    max: usize,
+    out: &mut Vec<EventRun>,
+) -> usize {
+    let buf = match cache {
+        Some((id, buf)) if *id == window.store_id => buf,
+        cache => match shared.store.window_buf(window.store_id) {
+            Some(buf) => &cache.insert((window.store_id, buf)).1,
+            None => return 0,
+        },
+    };
+    out.clear();
+    buf.read_run(from, max, out)
+}
+
 /// The consistency check of paper Fig. 8 (lines 31–45): for every suppressed
 /// group whose event set changed since the last check, verify none of its
 /// events were erroneously processed. Returns `false` on inconsistency.
@@ -659,15 +720,15 @@ mod tests {
             batch.push(e.clone());
         }
         let n = batch.len();
-        shared.store.open_window(0, 0);
+        shared.store.open_window(0, 1);
         shared.store.extend(0, &Arc::new(batch), 0..n);
         shared
             .ingested
-            .store(events.len() as u64, std::sync::atomic::Ordering::Release);
+            .store(events.len() as u64, Ordering::Release);
         let window = Arc::new(WindowInfo::new(0, 0, 0, 0));
         window.set_end_pos(events.len() as u64);
         let wv = VersionState::new(WvId(0), window, query(consumption), suppressed);
-        shared.slots[0].publish(Some(Arc::clone(&wv)));
+        shared.slots[0].publish(Some(Grant::Version(Arc::clone(&wv))));
         let inst = InstanceCore::new(0, 2);
         (shared, wv, inst)
     }
@@ -713,11 +774,11 @@ mod tests {
         // Build the version by hand with an *empty* window buffer: the
         // instance must stall until the splitter flushes events into it.
         let shared = SharedState::new(1);
-        shared.store.open_window(0, 0);
+        shared.store.open_window(0, 1);
         let window = Arc::new(WindowInfo::new(0, 0, 0, 0));
         window.set_end_pos(1);
         let wv = VersionState::new(WvId(0), window, query(ConsumptionPolicy::All), vec![]);
-        shared.slots[0].publish(Some(Arc::clone(&wv)));
+        shared.slots[0].publish(Some(Grant::Version(Arc::clone(&wv))));
         let mut inst = InstanceCore::new(0, 2);
         assert_eq!(inst.step(&shared), StepOutcome::Stalled);
         let mut batch = crate::splitter::EventBatch::with_capacity(0, 1);
@@ -876,61 +937,64 @@ mod tests {
     }
 
     #[test]
-    fn stalled_head_runs_ahead_on_the_fifo_front_and_resumes_when_fed() {
-        // Head: window 0, open and not yet ingested. FIFO front: window 1,
-        // closed and fully ingested (a final version).
+    fn stalled_lane_window_yields_to_a_closed_one_and_resumes_when_fed() {
+        // Lane `a`'s window is open and not yet ingested; lane `b`'s (of a
+        // second consumption-free query) is closed and fully ingested.
         let shared = SharedState::new(1);
-        shared.store.open_window(0, 0);
-        let head_window = Arc::new(WindowInfo::new(0, 0, 0, 0));
-        let head = VersionState::new(WvId(0), head_window, query(ConsumptionPolicy::None), vec![]);
-        shared.store.open_window(1, 0);
+        shared.store.open_window(0, 1);
+        shared.store.open_window(1, 1);
         let mut batch = crate::splitter::EventBatch::with_capacity(0, 4);
         for e in [ev(0, 1.0), ev(1, 9.0), ev(2, 2.0), ev(3, 9.0)] {
             batch.push(e);
         }
         shared.store.extend(1, &Arc::new(batch), 0..4);
-        let ahead_window = Arc::new(WindowInfo::new(1, 0, 0, 0));
-        ahead_window.set_end_pos(4);
-        let ahead = VersionState::new(
-            WvId(1),
-            ahead_window,
-            query(ConsumptionPolicy::None),
-            vec![],
-        );
-        shared.slots[0].publish(Some(Arc::clone(&head)));
-        shared.slots[0].enqueue_ahead([Arc::clone(&ahead)]);
+        shared.ingested.store(4, Ordering::Release);
+        let lane = |id| {
+            Lane::new(
+                QueryId(id),
+                query(ConsumptionPolicy::None),
+                Default::default(),
+            )
+        };
+        let (a, b) = (lane(0), lane(1));
+        let open = LaneCell::new(&Arc::new(WindowInfo::new(0, 0, 0, 0)));
+        let closed = LaneCell::new(&Arc::new(WindowInfo::with_store(0, 1, 0, 0, 0)));
+        closed.window.set_end_pos(4);
+        a.push(Arc::clone(&open));
+        b.push(Arc::clone(&closed));
         let mut inst = InstanceCore::new(0, 2).with_batch(2);
 
-        // The head is stalled, so the step processes the FIFO front.
+        // `a`'s window is claimed and stalls; once the slot grants `b`, the
+        // closed window is claimed and worked while the open one waits.
+        shared.slots[0].publish(Some(Grant::Lane(Arc::clone(&a))));
+        assert_eq!(inst.step(&shared), StepOutcome::Stalled);
+        shared.slots[0].publish(Some(Grant::Lane(Arc::clone(&b))));
         assert_eq!(inst.step(&shared), StepOutcome::Worked);
-        assert_eq!(ahead.lock().pos, 2);
-        assert_eq!(head.lock().pos, 0);
-        let snap = shared.metrics.snapshot();
-        assert_eq!(snap.versions_run_ahead, 1);
-        assert_eq!(
-            snap.stalled_steps, 0,
-            "a step that ran ahead is not stalled"
-        );
+        assert_eq!(a.unclaimed() + b.unclaimed(), 0);
+        assert_eq!(shared.metrics.snapshot().stalled_steps, 1);
 
-        // The head has events again: the next step returns to it.
+        // The open window has events again: the next step returns to it.
         let mut batch = crate::splitter::EventBatch::with_capacity(0, 1);
         batch.push(ev(0, 1.0));
         shared.store.extend(0, &Arc::new(batch), 0..1);
         assert_eq!(inst.step(&shared), StepOutcome::Worked);
-        assert_eq!(head.lock().pos, 1);
-        assert_eq!(ahead.lock().pos, 2);
+        assert_eq!(shared.metrics.snapshot().events_processed, 3);
 
-        // Stalled again: the front resumes where it left off and finishes,
-        // counted once as a version run ahead.
+        // Stalled again: the closed window resumes and finishes, hands
+        // over its outputs and frees its buffer.
         assert_eq!(inst.step(&shared), StepOutcome::Finished);
-        assert!(ahead.is_finished());
-        assert_eq!(ahead.lock().outputs.len(), 1);
-        assert_eq!(shared.metrics.snapshot().versions_run_ahead, 1);
-        // Nothing left to run ahead on: the stalled head is the outcome,
-        // and the finished front has left the FIFO.
+        assert!(closed.is_done() && !open.is_done());
+        assert_eq!(closed.take_outputs().len(), 1);
+        assert_eq!(shared.store.window_len(1), None, "released by its finisher");
+        assert_eq!(shared.metrics.snapshot().lane_windows, 1);
         assert_eq!(inst.step(&shared), StepOutcome::Stalled);
-        assert_eq!(shared.slots[0].ahead_len(), 0);
-        assert_eq!(shared.metrics.snapshot().stalled_steps, 1);
+
+        // Closing the open window finishes it on the next step.
+        open.window.set_end_pos(1);
+        assert_eq!(inst.step(&shared), StepOutcome::Finished);
+        assert!(open.is_done());
+        assert_eq!(shared.metrics.snapshot().lane_windows, 2);
+        assert_eq!(shared.store.live_windows(), 0);
     }
 
     #[test]

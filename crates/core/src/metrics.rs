@@ -3,8 +3,8 @@
 //! accounting.
 //!
 //! The instance-hot counters (events processed/suppressed, idle and stalled
-//! steps, versions run ahead) are split into per-worker [`CachePadded`] blocks when the metrics
-//! are built with [`Metrics::with_workers`]: each operator instance then
+//! steps, lane windows) are split into per-worker [`CachePadded`] blocks
+//! when the metrics are built with [`Metrics::with_workers`]: each operator instance then
 //! increments its own cache line instead of ping-ponging one shared line
 //! between cores, and [`Metrics::snapshot`] folds the blocks back into the
 //! aggregate. Metrics built without worker blocks (`new`/`default`, e.g.
@@ -25,8 +25,8 @@ pub struct WorkerCounters {
     pub idle_steps: AtomicU64,
     /// Stalled steps taken by this worker (version waiting for ingestion).
     pub stalled_steps: AtomicU64,
-    /// Versions this worker started from its run-ahead FIFO.
-    pub versions_run_ahead: AtomicU64,
+    /// Windows this worker finished through a query's lane.
+    pub lane_windows: AtomicU64,
 }
 
 impl WorkerCounters {
@@ -37,7 +37,7 @@ impl WorkerCounters {
             events_suppressed: self.events_suppressed.load(Ordering::Relaxed),
             idle_steps: self.idle_steps.load(Ordering::Relaxed),
             stalled_steps: self.stalled_steps.load(Ordering::Relaxed),
-            versions_run_ahead: self.versions_run_ahead.load(Ordering::Relaxed),
+            lane_windows: self.lane_windows.load(Ordering::Relaxed),
         }
     }
 }
@@ -50,7 +50,7 @@ pub struct WorkerSnapshot {
     pub events_suppressed: u64,
     pub idle_steps: u64,
     pub stalled_steps: u64,
-    pub versions_run_ahead: u64,
+    pub lane_windows: u64,
 }
 
 /// Shared atomic counters, updated by splitter and instances.
@@ -95,11 +95,10 @@ pub struct Metrics {
     pub idle_steps: AtomicU64,
     /// Stalled instance steps (version waiting for ingestion).
     pub stalled_steps: AtomicU64,
-    /// Window versions an instance started from its run-ahead FIFO instead
-    /// of as its scheduled head (see
-    /// [`SlotCell`](crate::shared::SlotCell)). Only versions of queries
-    /// without a consumption policy are ever queued there.
-    pub versions_run_ahead: AtomicU64,
+    /// Windows finished through the speculation-free lane of a query
+    /// without a consumption policy (see [`Lane`](crate::shared::Lane)):
+    /// no tree, no versions.
+    pub lane_windows: AtomicU64,
     /// Complex events committed (appended to the output stream at window
     /// retirement).
     pub outputs_emitted: AtomicU64,
@@ -154,60 +153,49 @@ impl Metrics {
         self.workers.get(index).map(|w| &**w)
     }
 
-    /// Number of per-worker blocks (0 for `new`/`default` metrics).
-    pub fn worker_count(&self) -> usize {
-        self.workers.len()
-    }
-
     /// Per-worker snapshots, in worker-index order (empty for metrics built
     /// without worker blocks).
     pub fn worker_snapshots(&self) -> Vec<WorkerSnapshot> {
         self.workers.iter().map(|w| w.snapshot()).collect()
     }
 
-    /// Adds `n` processed events to worker `index`'s block, or to the base
-    /// counter when no block exists.
+    /// Adds `n` to an instance-hot counter: `block`'s field in worker
+    /// `index`'s block, or `base`, its same-named base field, when the
+    /// metrics have no such block.
+    fn add_hot(
+        &self,
+        index: usize,
+        n: u64,
+        block: fn(&WorkerCounters) -> &AtomicU64,
+        base: fn(&Metrics) -> &AtomicU64,
+    ) {
+        let counter = self.worker(index).map_or_else(|| base(self), block);
+        counter.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Adds `n` processed events to worker `index`'s block.
     pub fn add_events_processed(&self, index: usize, n: u64) {
-        match self.worker(index) {
-            Some(w) => w.events_processed.fetch_add(n, Ordering::Relaxed),
-            None => self.events_processed.fetch_add(n, Ordering::Relaxed),
-        };
+        self.add_hot(index, n, |w| &w.events_processed, |m| &m.events_processed);
     }
 
-    /// Adds `n` suppressed events to worker `index`'s block, or to the base
-    /// counter when no block exists.
+    /// Adds `n` suppressed events to worker `index`'s block.
     pub fn add_events_suppressed(&self, index: usize, n: u64) {
-        match self.worker(index) {
-            Some(w) => w.events_suppressed.fetch_add(n, Ordering::Relaxed),
-            None => self.events_suppressed.fetch_add(n, Ordering::Relaxed),
-        };
+        self.add_hot(index, n, |w| &w.events_suppressed, |m| &m.events_suppressed);
     }
 
-    /// Counts one idle step for worker `index` (base counter when no block
-    /// exists).
+    /// Counts one idle step for worker `index`.
     pub fn add_idle_step(&self, index: usize) {
-        match self.worker(index) {
-            Some(w) => w.idle_steps.fetch_add(1, Ordering::Relaxed),
-            None => self.idle_steps.fetch_add(1, Ordering::Relaxed),
-        };
+        self.add_hot(index, 1, |w| &w.idle_steps, |m| &m.idle_steps);
     }
 
-    /// Counts one stalled step for worker `index` (base counter when no
-    /// block exists).
+    /// Counts one stalled step for worker `index`.
     pub fn add_stalled_step(&self, index: usize) {
-        match self.worker(index) {
-            Some(w) => w.stalled_steps.fetch_add(1, Ordering::Relaxed),
-            None => self.stalled_steps.fetch_add(1, Ordering::Relaxed),
-        };
+        self.add_hot(index, 1, |w| &w.stalled_steps, |m| &m.stalled_steps);
     }
 
-    /// Counts one version worker `index` started from its run-ahead FIFO
-    /// (base counter when no block exists).
-    pub fn add_version_run_ahead(&self, index: usize) {
-        match self.worker(index) {
-            Some(w) => w.versions_run_ahead.fetch_add(1, Ordering::Relaxed),
-            None => self.versions_run_ahead.fetch_add(1, Ordering::Relaxed),
-        };
+    /// Counts one window worker `index` finished through a lane.
+    pub fn add_lane_window(&self, index: usize) {
+        self.add_hot(index, 1, |w| &w.lane_windows, |m| &m.lane_windows);
     }
 
     /// Adds `n` to the `counter` field of both this session aggregate and
@@ -233,13 +221,13 @@ impl Metrics {
         let mut events_suppressed = self.events_suppressed.load(Ordering::Relaxed);
         let mut idle_steps = self.idle_steps.load(Ordering::Relaxed);
         let mut stalled_steps = self.stalled_steps.load(Ordering::Relaxed);
-        let mut versions_run_ahead = self.versions_run_ahead.load(Ordering::Relaxed);
+        let mut lane_windows = self.lane_windows.load(Ordering::Relaxed);
         for w in &self.workers {
             events_processed += w.events_processed.load(Ordering::Relaxed);
             events_suppressed += w.events_suppressed.load(Ordering::Relaxed);
             idle_steps += w.idle_steps.load(Ordering::Relaxed);
             stalled_steps += w.stalled_steps.load(Ordering::Relaxed);
-            versions_run_ahead += w.versions_run_ahead.load(Ordering::Relaxed);
+            lane_windows += w.lane_windows.load(Ordering::Relaxed);
         }
         MetricsSnapshot {
             events_processed,
@@ -259,7 +247,7 @@ impl Metrics {
             windows_retired: self.windows_retired.load(Ordering::Relaxed),
             idle_steps,
             stalled_steps,
-            versions_run_ahead,
+            lane_windows,
             outputs_emitted: self.outputs_emitted.load(Ordering::Relaxed),
             store_windows_opened: self.store_windows_opened.load(Ordering::Relaxed),
             windows_skipped: self.windows_skipped.load(Ordering::Relaxed),
@@ -292,7 +280,7 @@ pub struct MetricsSnapshot {
     pub windows_retired: u64,
     pub idle_steps: u64,
     pub stalled_steps: u64,
-    pub versions_run_ahead: u64,
+    pub lane_windows: u64,
     pub outputs_emitted: u64,
     pub store_windows_opened: u64,
     pub windows_skipped: u64,
@@ -327,7 +315,7 @@ impl MetricsSnapshot {
             windows_retired,
             idle_steps,
             stalled_steps,
-            versions_run_ahead,
+            lane_windows,
             outputs_emitted,
             store_windows_opened,
             windows_skipped,
@@ -353,7 +341,7 @@ impl MetricsSnapshot {
         self.windows_retired += windows_retired;
         self.idle_steps += idle_steps;
         self.stalled_steps += stalled_steps;
-        self.versions_run_ahead += versions_run_ahead;
+        self.lane_windows += lane_windows;
         self.outputs_emitted += outputs_emitted;
         self.store_windows_opened += store_windows_opened;
         self.windows_skipped += windows_skipped;
@@ -393,14 +381,14 @@ mod tests {
     #[test]
     fn worker_blocks_fold_into_the_snapshot() {
         let m = Metrics::with_workers(3);
-        assert_eq!(m.worker_count(), 3);
+        assert_eq!(m.worker_snapshots().len(), 3);
         m.add_events_processed(0, 5);
         m.add_events_processed(2, 7);
         m.add_events_suppressed(1, 2);
         m.add_idle_step(1);
         m.add_stalled_step(2);
-        m.add_version_run_ahead(0);
-        m.add_version_run_ahead(2);
+        m.add_lane_window(0);
+        m.add_lane_window(2);
         // Out-of-range worker indices land on the base atomics.
         m.add_events_processed(9, 11);
         let s = m.snapshot();
@@ -408,7 +396,7 @@ mod tests {
         assert_eq!(s.events_suppressed, 2);
         assert_eq!(s.idle_steps, 1);
         assert_eq!(s.stalled_steps, 1);
-        assert_eq!(s.versions_run_ahead, 2);
+        assert_eq!(s.lane_windows, 2);
         // The aggregate is exactly the base residual plus the block sums.
         let per: Vec<WorkerSnapshot> = m.worker_snapshots();
         let block_sum: u64 = per.iter().map(|w| w.events_processed).sum();
@@ -421,7 +409,7 @@ mod tests {
     #[test]
     fn workerless_metrics_fall_back_to_base_atomics() {
         let m = Metrics::new();
-        assert_eq!(m.worker_count(), 0);
+        assert_eq!(m.worker_snapshots().len(), 0);
         assert!(m.worker(0).is_none());
         m.add_events_processed(0, 4);
         m.add_idle_step(3);

@@ -21,10 +21,12 @@ use std::thread::Thread;
 use crossbeam::queue::SegQueue;
 use parking_lot::Mutex;
 
+use spectre_query::{ComplexEvent, Query};
+
 use crate::cg::{CgCell, CgId};
 use crate::config::SpectreConfig;
 use crate::metrics::Metrics;
-use crate::store::WindowStore;
+use crate::store::{WindowInfo, WindowStore};
 use crate::version::{VersionState, WvId};
 
 /// Identifies one deployed query within an engine session.
@@ -111,112 +113,166 @@ pub struct StatsBatch {
     pub transitions: Vec<(u32, u32)>,
 }
 
-/// Capacity of each instance's run-ahead FIFO (see [`SlotCell`]): how many
-/// final window versions the splitter may queue behind one scheduled head.
-/// A consumption-free query therefore nominates up to
-/// `k·(1 + RUN_AHEAD_DEPTH)` versions per scheduling cycle.
-pub const RUN_AHEAD_DEPTH: usize = 4;
-
-/// The mutex-guarded contents of a [`SlotCell`].
-#[derive(Debug, Default)]
-struct Slot {
-    /// The scheduled head version (the top-k assignment).
-    head: Option<Arc<VersionState>>,
-    /// Final versions queued behind the head, oldest first. The front
-    /// stays queued while the instance processes it and leaves once it is
-    /// finished (or dropped).
-    ahead: VecDeque<Arc<VersionState>>,
+/// What a scheduling slot grants its instance.
+#[derive(Debug, Clone)]
+pub enum Grant {
+    /// A window version of a dependency-tree query: the instance's head.
+    Version(Arc<VersionState>),
+    /// A consumption-free query's lane: the instance claims its windows.
+    Lane(Arc<Lane>),
 }
 
-/// One instance's scheduling slot with seq-numbered publication, plus the
-/// instance's run-ahead FIFO.
+impl Grant {
+    /// The query the grant belongs to.
+    pub fn query_id(&self) -> QueryId {
+        match self {
+            Grant::Version(v) => v.query_id(),
+            Grant::Lane(l) => l.query_id,
+        }
+    }
+
+    /// `true` when both grant the same version or the same lane.
+    pub fn same(&self, other: &Grant) -> bool {
+        match (self, other) {
+            (Grant::Version(a), Grant::Version(b)) => Arc::ptr_eq(a, b),
+            (Grant::Lane(a), Grant::Lane(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
+    }
+}
+
+/// One window of a lane query, with a done flag and its outputs.
+#[derive(Debug)]
+pub struct LaneCell {
+    /// The window.
+    pub window: Arc<WindowInfo>,
+    done: AtomicBool,
+    outputs: Mutex<Vec<ComplexEvent>>,
+}
+
+impl LaneCell {
+    /// A cell for `window`, not done.
+    pub(crate) fn new(window: &Arc<WindowInfo>) -> Arc<Self> {
+        Arc::new(LaneCell {
+            window: Arc::clone(window),
+            done: AtomicBool::new(false),
+            outputs: Mutex::new(Vec::new()),
+        })
+    }
+
+    /// `true` once the window is finished or its query retired.
+    pub fn is_done(&self) -> bool {
+        self.done.load(Ordering::Acquire)
+    }
+
+    /// Stores the outputs and marks the cell done. Only the first call —
+    /// the finishing instance, or the splitter retiring the query — gets
+    /// `true` and owes the window's store release.
+    pub(crate) fn finish(&self, outputs: Vec<ComplexEvent>) -> bool {
+        *self.outputs.lock() = outputs;
+        !self.done.swap(true, Ordering::AcqRel)
+    }
+
+    /// Takes the outputs of a done cell (at retirement).
+    pub(crate) fn take_outputs(&self) -> Vec<ComplexEvent> {
+        std::mem::take(&mut *self.outputs.lock())
+    }
+}
+
+/// The speculation-free lane of a query without a consumption policy: no
+/// window depends on another, so there is no tree, no version and no
+/// prediction. Each window is a [`LaneCell`] that instances holding the
+/// lane's [`Grant`] claim in open order; the splitter keeps the unretired
+/// cells in its own in-order deque and retires the done front.
+#[derive(Debug)]
+pub struct Lane {
+    pub(crate) query_id: QueryId,
+    pub(crate) query: Arc<Query>,
+    pub(crate) qmetrics: Arc<Metrics>,
+    unclaimed: Mutex<VecDeque<Arc<LaneCell>>>,
+    /// `unclaimed`'s length, read without the lock.
+    unclaimed_len: AtomicUsize,
+}
+
+impl Lane {
+    /// An empty lane for `query`, deployed as `query_id`.
+    pub(crate) fn new(query_id: QueryId, query: Arc<Query>, qmetrics: Arc<Metrics>) -> Arc<Self> {
+        Arc::new(Lane {
+            query_id,
+            query,
+            qmetrics,
+            unclaimed: Mutex::new(VecDeque::new()),
+            unclaimed_len: AtomicUsize::new(0),
+        })
+    }
+
+    /// Appends a newly attached window (splitter side).
+    pub(crate) fn push(&self, cell: Arc<LaneCell>) {
+        let mut q = self.unclaimed.lock();
+        q.push_back(cell);
+        self.unclaimed_len.store(q.len(), Ordering::Release);
+    }
+
+    /// Number of windows no instance has claimed yet.
+    pub fn unclaimed(&self) -> usize {
+        self.unclaimed_len.load(Ordering::Acquire)
+    }
+
+    /// Claims the oldest unclaimed window (instance side). An instance
+    /// still working an open window passes the ingestion frontier as
+    /// `closed_by` and gets the window only if it is closed and fully
+    /// ingested by then: an open window behind a stalled one could be the
+    /// oldest unretired window that back-pressured ingestion waits for.
+    pub(crate) fn claim(&self, closed_by: Option<u64>) -> Option<Arc<LaneCell>> {
+        if self.unclaimed() == 0 {
+            return None;
+        }
+        let mut q = self.unclaimed.lock();
+        let ready = |c: &LaneCell, i: u64| c.window.end_pos().is_some_and(|e| e <= i);
+        let cell = q.pop_front_if(|c| closed_by.is_none_or(|i| ready(c, i)));
+        self.unclaimed_len.store(q.len(), Ordering::Release);
+        cell
+    }
+}
+
+/// One instance's scheduling slot with seq-numbered publication.
 ///
-/// The splitter [`publish`](SlotCell::publish)es assignments rarely (only
-/// when the top-k schedule actually moves a version), while every instance
-/// step starts by checking its slot. The sequence number makes the common
-/// unchanged case lock-free: [`observe`](SlotCell::observe) compares one
-/// atomic against the caller's cached value and touches the mutex only when
-/// a new assignment was published, so a polling instance no longer bounces
-/// the slot's lock line against the splitter's scheduling pass.
-///
-/// Behind the head sits a FIFO of up to [`RUN_AHEAD_DEPTH`] **final**
-/// versions — of a query without a consumption policy, over a window that
-/// is closed and fully ingested — which the instance takes itself whenever
-/// the head is finished, idle or stalled, instead of waiting for the next
-/// splitter cycle. Final versions can neither stall nor be suppressed,
-/// rolled back or replaced, so running them in any order is safe. The
-/// FIFO shares the slot's mutex; its length is mirrored in an atomic so an
-/// instance with nothing queued checks it without locking.
+/// The splitter [`publish`](SlotCell::publish)es grants rarely (only when
+/// the schedule actually moves one), while every instance step starts by
+/// checking its slot. The sequence number makes the common unchanged case
+/// lock-free: [`observe`](SlotCell::observe) compares one atomic against
+/// the caller's cached value and touches the mutex only when a new grant
+/// was published, so a polling instance does not bounce the slot's lock
+/// line against the splitter's scheduling pass.
 #[derive(Debug, Default)]
 pub struct SlotCell {
     seq: AtomicU64,
-    ahead_len: AtomicUsize,
-    value: Mutex<Slot>,
+    value: Mutex<Option<Grant>>,
 }
 
 impl SlotCell {
-    /// Publishes a new assignment and bumps the publication sequence.
-    pub fn publish(&self, v: Option<Arc<VersionState>>) {
+    /// Publishes a new grant and bumps the publication sequence.
+    pub fn publish(&self, grant: Option<Grant>) {
         let mut guard = self.value.lock();
-        guard.head = v;
+        *guard = grant;
         // Bumped under the lock, so an observer that wins the lock after
         // seeing the new sequence is guaranteed to read the new value.
         self.seq.fetch_add(1, Ordering::Release);
-    }
-
-    /// Appends final versions to the run-ahead FIFO (splitter side),
-    /// dropping queued entries that are already finished or dropped. The
-    /// caller keeps the FIFO within [`RUN_AHEAD_DEPTH`] live entries.
-    pub fn enqueue_ahead(&self, versions: impl IntoIterator<Item = Arc<VersionState>>) {
-        let mut guard = self.value.lock();
-        guard.ahead.retain(|v| !v.is_finished() && !v.is_dropped());
-        guard.ahead.extend(versions);
-        self.ahead_len.store(guard.ahead.len(), Ordering::Release);
-    }
-
-    /// The run-ahead FIFO's front version (instance side): pops finished or
-    /// dropped fronts first and returns the first live one, which stays
-    /// queued until it finishes. Lock-free when the FIFO is empty.
-    pub fn ahead_front(&self) -> Option<Arc<VersionState>> {
-        if self.ahead_len.load(Ordering::Acquire) == 0 {
-            return None;
-        }
-        let mut guard = self.value.lock();
-        while guard
-            .ahead
-            .front()
-            .is_some_and(|v| v.is_finished() || v.is_dropped())
-        {
-            guard.ahead.pop_front();
-        }
-        self.ahead_len.store(guard.ahead.len(), Ordering::Release);
-        guard.ahead.front().cloned()
-    }
-
-    /// Number of queued run-ahead versions, including finished ones the
-    /// instance has not popped yet (diagnostics and tests).
-    pub fn ahead_len(&self) -> usize {
-        self.ahead_len.load(Ordering::Acquire)
     }
 
     /// Checks for a publication newer than `last_seen`.
     ///
     /// Returns `None` without locking when nothing was published since the
     /// caller's previous observation (the per-step common case). Otherwise
-    /// advances `last_seen` and returns the current assignment — possibly
+    /// advances `last_seen` and returns the current grant — possibly
     /// `Some(None)` when the slot was cleared.
-    pub fn observe(&self, last_seen: &mut u64) -> Option<Option<Arc<VersionState>>> {
+    pub fn observe(&self, last_seen: &mut u64) -> Option<Option<Grant>> {
         if self.seq.load(Ordering::Acquire) == *last_seen {
             return None;
         }
         let guard = self.value.lock();
         *last_seen = self.seq.load(Ordering::Acquire);
-        Some(guard.head.clone())
-    }
-
-    /// Clones the current assignment (test/diagnostic path; takes the lock).
-    pub fn load(&self) -> Option<Arc<VersionState>> {
-        self.value.lock().head.clone()
+        Some(guard.clone())
     }
 }
 
@@ -235,12 +291,10 @@ pub struct SharedState {
     /// query whose predictor they feed.
     pub stats: SegQueue<(QueryId, StatsBatch)>,
     /// Number of events ingested so far, published once per
-    /// [`EventBatch`](crate::splitter::EventBatch) flush. Diagnostics /
-    /// monitoring watermark only: instances detect readable events through
-    /// the window store's buffers, not this counter.
+    /// [`EventBatch`](crate::splitter::EventBatch) flush, after the batch's
+    /// store writes: a window whose end is at most this is fully readable
+    /// ([`Lane::claim`]). Instances read events through the store buffers.
     pub ingested: AtomicU64,
-    /// Set once the input stream is exhausted.
-    pub ingest_done: AtomicBool,
     /// Set once all windows retired; instances shut down.
     pub done: AtomicBool,
     /// Shared counters (built with one per-worker block per instance, so
@@ -261,25 +315,19 @@ impl SharedState {
     /// Creates shared state for `instances` operator instances with the
     /// default window-store shard count.
     pub fn new(instances: usize) -> Arc<Self> {
-        Self::with_shards(instances, SpectreConfig::default().store_shards)
+        Self::for_config(&SpectreConfig::with_instances(instances))
     }
 
     /// Creates shared state for a configuration (instance count and
     /// window-store shard count).
     pub fn for_config(config: &SpectreConfig) -> Arc<Self> {
-        Self::with_shards(config.instances, config.store_shards)
-    }
-
-    /// Creates shared state for `instances` operator instances and a
-    /// window store with `shards` shards.
-    pub fn with_shards(instances: usize, shards: usize) -> Arc<Self> {
+        let instances = config.instances;
         Arc::new(SharedState {
-            store: WindowStore::new(shards),
+            store: WindowStore::new(config.store_shards),
             slots: (0..instances).map(|_| SlotCell::default()).collect(),
             ops: SegQueue::new(),
             stats: SegQueue::new(),
             ingested: AtomicU64::new(0),
-            ingest_done: AtomicBool::new(false),
             done: AtomicBool::new(false),
             metrics: Metrics::with_workers(instances),
             next_cg: AtomicU64::new(0),
@@ -386,49 +434,43 @@ mod tests {
     }
 
     #[test]
-    fn run_ahead_front_stays_queued_until_finished() {
-        use crate::store::WindowInfo;
-        use spectre_query::{Expr, Pattern, Query, WindowSpec};
+    fn lane_claims_follow_open_order_and_the_liveness_rule() {
+        use spectre_query::{Expr, Pattern, WindowSpec};
         let x = spectre_events::AttrKey::new(0);
-        let query = Arc::new(
-            Query::builder("t")
-                .pattern(
-                    Pattern::builder()
-                        .one("A", Expr::current(x).eq_(Expr::value(1.0)))
-                        .build()
-                        .unwrap(),
-                )
-                .window(WindowSpec::count_sliding(4, 4).unwrap())
-                .build()
-                .unwrap(),
-        );
-        let version = |id: u64| {
-            VersionState::new(
-                WvId(id),
-                Arc::new(WindowInfo::new(id, id, 0, 0)),
-                Arc::clone(&query),
-                vec![],
+        let query = Query::builder("t")
+            .pattern(
+                Pattern::builder()
+                    .one("A", Expr::current(x).eq_(Expr::value(1.0)))
+                    .build()
+                    .unwrap(),
             )
-        };
-        let cell = SlotCell::default();
-        // Empty FIFO: no front, and no lock taken to find that out.
-        assert_eq!(cell.ahead_len(), 0);
-        assert!(cell.ahead_front().is_none());
-        let (a, b) = (version(0), version(1));
-        cell.enqueue_ahead([Arc::clone(&a), Arc::clone(&b)]);
-        assert_eq!(cell.ahead_len(), 2);
-        // The front is handed out but stays queued while it runs.
-        assert!(Arc::ptr_eq(&cell.ahead_front().unwrap(), &a));
-        assert!(Arc::ptr_eq(&cell.ahead_front().unwrap(), &a));
-        a.mark_finished();
-        assert!(Arc::ptr_eq(&cell.ahead_front().unwrap(), &b));
-        assert_eq!(cell.ahead_len(), 1);
-        // A dropped entry (its query retired) leaves like a finished one.
-        b.mark_dropped();
-        assert!(cell.ahead_front().is_none());
-        assert_eq!(cell.ahead_len(), 0);
-        // The head is untouched by FIFO traffic.
-        assert!(cell.load().is_none());
+            .window(WindowSpec::count_sliding(4, 2).unwrap())
+            .build()
+            .unwrap();
+        let lane = Lane::new(QueryId(3), Arc::new(query), Arc::new(Metrics::new()));
+        let cell = |id: u64| LaneCell::new(&Arc::new(WindowInfo::new(id, id * 2, 0, 0)));
+        let (a, b) = (cell(0), cell(1));
+        lane.push(Arc::clone(&a));
+        lane.push(Arc::clone(&b));
+        assert_eq!(lane.unclaimed(), 2);
+        // An instance still on an open window takes only a window that is
+        // closed and fully ingested; `a` is open, then closed but not yet
+        // ingested, then both.
+        assert!(lane.claim(Some(10)).is_none());
+        a.window.set_end_pos(4);
+        assert!(lane.claim(Some(3)).is_none());
+        assert!(Arc::ptr_eq(&lane.claim(Some(4)).unwrap(), &a));
+        // Without an open window the front is taken whatever its state.
+        assert!(Arc::ptr_eq(&lane.claim(None).unwrap(), &b));
+        assert!(lane.claim(None).is_none());
+        assert_eq!(lane.unclaimed(), 0);
+        // Exactly one `finish` owes the store release.
+        assert!(a.finish(vec![]));
+        assert!(!a.finish(vec![]));
+        assert!(a.is_done() && !b.is_done());
+        let grant = Grant::Lane(Arc::clone(&lane));
+        assert!(grant.same(&grant.clone()));
+        assert_eq!(grant.query_id(), QueryId(3));
     }
 
     #[test]

@@ -2,17 +2,15 @@
 //! units; each spec group opens and closes its windows, and each batch is
 //! flushed to the window store with one write per touched buffer.
 
-use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use spectre_events::Event;
 use spectre_query::window::{WindowAssigner, WindowBounds};
 
-use super::registry::SplitterFactory;
 use super::Splitter;
 use crate::shared::QueryId;
-use crate::store::{WindowInfo, WindowStore};
+use crate::store::WindowInfo;
 
 /// One splitter→store hand-off unit: a run of consecutive stream events
 /// starting at stream position [`first_pos`](Self::first_pos).
@@ -102,9 +100,9 @@ pub(super) struct GroupOpenWindow {
 }
 
 /// One window-spec equivalence class: the queries whose specs compare
-/// equal, the single assigner driving their shared window boundaries, and
-/// the reference counts that keep each shared store buffer alive until its
-/// last subscriber retires the window.
+/// equal and the single assigner driving their shared window boundaries.
+/// Each shared store buffer counts its subscribers itself (see
+/// [`WindowStore::release`](crate::store::WindowStore::release)).
 pub(super) struct SpecGroup {
     pub(super) assigner: WindowAssigner,
     /// Stream position at group creation; the assigner's positions are
@@ -117,25 +115,8 @@ pub(super) struct SpecGroup {
     pub(super) members: Vec<QueryId>,
     /// Not-yet-closed windows, mirroring the assigner's open set.
     pub(super) open: Vec<GroupOpenWindow>,
-    /// Live subscriber count per store buffer; the buffer is removed from
-    /// the store when the count hits zero.
-    pub(super) refs: HashMap<u64, usize>,
-}
-
-impl SpecGroup {
-    /// Drops one subscriber's reference to store buffer `store_id`; the
-    /// last one removes the buffer from `store`. A batch slice may still be
-    /// queued for a removed buffer: `WindowStore::extend` drops slices for
-    /// removed windows, so the next flush stays correct.
-    pub(super) fn release(&mut self, store_id: u64, store: &WindowStore) {
-        if let Some(r) = self.refs.get_mut(&store_id) {
-            *r -= 1;
-            if *r == 0 {
-                self.refs.remove(&store_id);
-                store.remove_window(store_id);
-            }
-        }
-    }
+    /// Deferred windows across the members (`QueryState::deferred`).
+    pub(super) deferred: usize,
 }
 
 /// Why [`Splitter::fill_batch`] stopped collecting events.
@@ -175,15 +156,18 @@ impl Splitter {
     }
 
     /// Speculative back-pressure (paper §3.2.2): stall ingestion while any
-    /// query's tree is oversized — but never starve a root window of its
-    /// remaining events (it must be able to finish so the tree can shrink).
-    /// One slow query therefore throttles the whole shared feed; that is
-    /// the deliberate semantics of a shared-stream session (all queries see
-    /// the same prefix).
+    /// query's tree — or lane of unretired windows — is oversized, but
+    /// never starve the oldest window of its remaining events (it must be
+    /// able to finish so the load can shrink). One slow query therefore
+    /// throttles the whole shared feed; that is the deliberate semantics of
+    /// a shared-stream session (all queries see the same prefix).
     fn backpressured(&self) -> bool {
         self.queries.iter().any(|q| {
-            q.tree.speculative_load() >= self.config.max_tree_versions
-                && q.tree.oldest_window().is_none_or(|w| w.end_pos().is_some())
+            let (load, oldest) = match q.lane {
+                Some(_) => (q.cells.len(), q.cells.front().map(|c| &c.window)),
+                None => (q.tree.speculative_load(), q.tree.oldest_window()),
+            };
+            load >= self.config.max_tree_versions && oldest.is_none_or(|w| w.end_pos().is_some())
         })
     }
 
@@ -246,9 +230,11 @@ impl Splitter {
     /// `event` is relevant. Deferral is all-or-nothing per query: the
     /// event is in every open window, so one relevant event attaches the
     /// query's whole deferred suffix (oldest first, keeping the tree's
-    /// window ids ascending). The per-query fast path is one
-    /// `VecDeque::is_empty` check.
+    /// window ids ascending). Free while no member defers a window.
     fn flush_deferred(&mut self, gi: usize, event: &Event) {
+        if self.groups[gi].deferred == 0 {
+            return;
+        }
         let shared = Arc::clone(&self.shared);
         for mi in 0..self.groups[gi].members.len() {
             let qid = self.groups[gi].members[mi];
@@ -263,9 +249,9 @@ impl Splitter {
             if qs.filter.as_ref().is_some_and(|f| !f.relevant(event)) {
                 continue;
             }
-            let mut factory = SplitterFactory::for_query(&shared, qs);
+            self.groups[gi].deferred -= qs.deferred.len();
             while let Some(info) = qs.deferred.pop_front() {
-                qs.tree.new_window(&info, &mut factory);
+                qs.attach(&info, &shared);
             }
         }
     }
@@ -285,7 +271,6 @@ impl Splitter {
         self.next_store_id += 1;
         let start_pos = g.base_pos + bounds.start_pos;
         let members = g.members.clone();
-        g.refs.insert(store_id, members.len());
         g.open.push(GroupOpenWindow {
             group_id: bounds.id,
             store_id,
@@ -293,7 +278,7 @@ impl Splitter {
             infos: Vec::with_capacity(members.len()),
         });
         let ow = g.open.len() - 1;
-        self.shared.store.open_window(store_id, start_pos);
+        self.shared.store.open_window(store_id, members.len());
         self.shared
             .metrics
             .store_windows_opened
@@ -317,9 +302,9 @@ impl Splitter {
                 // attach until a relevant event arrives (or skip the
                 // window outright if none does before it closes).
                 qs.deferred.push_back(Arc::clone(&info));
+                self.groups[gi].deferred += 1;
             } else {
-                let mut factory = SplitterFactory::for_query(&shared, qs);
-                qs.tree.new_window(&info, &mut factory);
+                qs.attach(&info, &shared);
             }
             self.groups[gi].open[ow].infos.push((qid, info));
         }
@@ -355,10 +340,11 @@ impl Splitter {
             // entirely (no versions, no retirement, buffer ref released).
             if let Some(di) = qs.deferred.iter().position(|w| Arc::ptr_eq(w, info)) {
                 qs.deferred.remove(di);
+                self.groups[gi].deferred -= 1;
                 self.shared
                     .metrics
                     .add_shared(&qs.metrics, |m| &m.windows_skipped, 1);
-                self.groups[gi].release(ow.store_id, &self.shared.store);
+                self.shared.store.release(ow.store_id);
             }
         }
     }
@@ -398,6 +384,5 @@ impl Splitter {
             }
         }
         self.ingest_done = true;
-        self.shared.ingest_done.store(true, Ordering::Release);
     }
 }

@@ -11,15 +11,19 @@
 //! events in window order — and (e) select and schedule the top-k window
 //! versions across all queries.
 //!
+//! A query without a consumption policy skips the tree and the predictor:
+//! its windows are cells of its [`Lane`](crate::shared::Lane), which
+//! instances claim themselves, and (d) pops the done ones in order.
+//!
 //! # Multi-query sessions
 //!
 //! The splitter hosts any number of concurrently deployed queries over the
 //! one shared feed, store and instance pool. The split of state is strict:
 //!
 //! * **Per query** (`QueryState`, keyed by [`QueryId`]): window assigner
-//!   membership, dependency tree, completion predictor, live-window
-//!   bookkeeping, running window-size average, metric counters and
-//!   committed outputs.
+//!   membership, dependency tree and completion predictor (or lane),
+//!   live-window bookkeeping, running window-size average, metric
+//!   counters and committed outputs.
 //! * **Shared** ([`SharedState`]): the feed queue, the sharded
 //!   [`WindowStore`](crate::store::WindowStore), the scheduling slots, the
 //!   op/stats queues and the aggregate metrics.
@@ -28,10 +32,11 @@
 //! assigner drives their (identical) window boundaries, and each window's
 //! events are stored **once** under a group-allocated `store_id` while every
 //! member query gets its own [`WindowInfo`](crate::store::WindowInfo) cell
-//! (query-local `id`, shared `store_id`). Deploying a query mid-stream subscribes it to windows from
-//! the next boundary on; retiring one drops its versions, releases its
-//! window references (buffers free when the last subscriber goes) and
-//! leaves the other queries untouched.
+//! (query-local `id`, shared `store_id`). Deploying a query mid-stream
+//! subscribes it to windows from the next boundary on; retiring one drops
+//! its versions, releases its window subscriptions (the store frees a
+//! buffer when its last subscriber goes) and leaves the other queries
+//! untouched.
 //!
 //! # Multi-tenant sessions
 //!
@@ -67,8 +72,7 @@ use spectre_query::window::WindowBounds;
 use spectre_query::ComplexEvent;
 
 use crate::config::SpectreConfig;
-use crate::shared::{QueryId, SharedState, TenantId, TreeOp};
-use crate::version::VersionState;
+use crate::shared::{Grant, QueryId, SharedState, TenantId, TreeOp};
 
 mod ingest;
 mod registry;
@@ -145,14 +149,8 @@ pub struct Splitter {
     /// check in [`schedule`](Self::schedule) and the slot sweep in
     /// [`retire_query`](Self::retire_query) read it instead of locking the
     /// shared [`SlotCell`](crate::shared::SlotCell)s, and a slot is only
-    /// published (and its watchers woken) when its assignment changes.
-    sched_shadow: Vec<Option<Arc<VersionState>>>,
-    /// Splitter-local mirror of the instances' run-ahead FIFOs: the
-    /// versions queued per slot that are not finished yet. Only the
-    /// splitter enqueues and entries leave only once finished or dropped,
-    /// so after pruning those this is exactly the set of versions the
-    /// FIFOs still hold — which head placement skips.
-    ahead_shadow: Vec<Vec<Arc<VersionState>>>,
+    /// published (and its watchers woken) when its grant changes.
+    sched_shadow: Vec<Option<Grant>>,
     /// Reusable schedule order: (owning tenant, registry index) of every
     /// query, ascending — tenant id first, then deployment order.
     sched_order: Vec<(TenantId, usize)>,
@@ -169,7 +167,6 @@ impl Splitter {
         config.validate();
         let batch = EventBatch::with_capacity(0, config.batch_size);
         let sched_shadow = (0..shared.instance_count()).map(|_| None).collect();
-        let ahead_shadow = (0..shared.instance_count()).map(|_| Vec::new()).collect();
         Splitter {
             config,
             shared,
@@ -193,7 +190,6 @@ impl Splitter {
             ingest_done: false,
             progress: false,
             sched_shadow,
-            ahead_shadow,
             sched_order: Vec::new(),
         }
     }
@@ -298,7 +294,12 @@ impl Splitter {
         }
         metrics.sched_cycles.fetch_add(1, Ordering::Relaxed);
         metrics.observe_tree_size(total_versions);
-        let finished = if self.ingest_done && self.queries.iter().all(|q| q.tree.is_empty()) {
+        let finished = if self.ingest_done
+            && self
+                .queries
+                .iter()
+                .all(|q| q.tree.is_empty() && q.cells.is_empty())
+        {
             self.shared.done.store(true, Ordering::Release);
             true
         } else {

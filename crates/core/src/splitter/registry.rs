@@ -2,7 +2,7 @@
 //! cycle phases (a) and (b) — applying the instances' tree ops and feeding
 //! each query's Markov model.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use spectre_query::window::WindowAssigner;
@@ -16,7 +16,7 @@ use crate::engine::EngineError;
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::predictor::{CompletionPredictor, FixedPredictor, MarkovPredictor};
 use crate::reorder::ReorderStats;
-use crate::shared::{QueryId, SharedState, TenantId, TreeOp};
+use crate::shared::{Lane, LaneCell, QueryId, SharedState, TenantId, TreeOp};
 use crate::store::WindowInfo;
 use crate::tree::{DependencyTree, VersionFactory};
 use crate::version::VersionState;
@@ -47,15 +47,21 @@ pub(super) struct QueryState {
     /// `group_id - offset`, so a query deployed mid-stream numbers its own
     /// windows 0, 1, 2, … exactly like a freshly started session would.
     pub(super) offset: u64,
+    /// Empty for a lane query, as is the predictor's input.
     pub(super) tree: DependencyTree,
     pub(super) predictor: Box<dyn CompletionPredictor>,
+    /// The query's speculation-free lane — `Some` exactly when it has no
+    /// consumption policy (see the [module docs](super)).
+    pub(super) lane: Option<Arc<Lane>>,
+    /// A lane query's attached, unretired windows, oldest first.
+    pub(super) cells: VecDeque<Arc<LaneCell>>,
     /// Pattern-derived event prefilter, or `None` when the pattern admits
     /// unconstrained events (then every window attaches eagerly, exactly
     /// the pre-filter behavior).
     pub(super) filter: Option<EventFilter>,
-    /// Open windows not yet attached to the tree (which owns the sequence
-    /// of attached, unretired ones — [`DependencyTree::windows`]): no
-    /// event of theirs has passed the filter. Always a suffix of the
+    /// Open windows not yet attached to the tree or lane (which own the
+    /// sequence of attached, unretired ones): no event of theirs has
+    /// passed the filter. Always a suffix of the
     /// window sequence (a relevant event attaches *all* deferred windows
     /// at once — it is in every open window — so attached windows are
     /// strictly older than deferred ones). A window still deferred at
@@ -80,6 +86,18 @@ pub(super) struct QueryState {
 }
 
 impl QueryState {
+    /// Attaches a window: a lane cell, or the tree's versions of it.
+    pub(super) fn attach(&mut self, info: &Arc<WindowInfo>, shared: &Arc<SharedState>) {
+        if let Some(lane) = &self.lane {
+            let cell = LaneCell::new(info);
+            lane.push(Arc::clone(&cell));
+            self.cells.push_back(cell);
+        } else {
+            let mut factory = SplitterFactory::for_query(shared, self);
+            self.tree.new_window(info, &mut factory);
+        }
+    }
+
     /// Applies one buffered instance op to this query's tree.
     fn apply_op(&mut self, global: &Metrics, op: TreeOp, factory: &mut SplitterFactory) {
         let dropped = match op {
@@ -238,7 +256,7 @@ impl Splitter {
                     base_pos: self.next_pos,
                     members: Vec::new(),
                     open: Vec::new(),
-                    refs: HashMap::new(),
+                    deferred: 0,
                 });
                 self.groups.len() - 1
             }
@@ -255,6 +273,14 @@ impl Splitter {
         };
         let avg_window_size = warmup_window_size(&query);
         let filter = EventFilter::for_query(&query);
+        // Per-query views get worker blocks too: instances flush their
+        // run counters into them, so without the split the per-query
+        // lines would ping-pong between cores just like the aggregate.
+        let metrics = Arc::new(Metrics::with_workers(self.shared.instance_count()));
+        let lane = query
+            .consumption()
+            .is_none()
+            .then(|| Lane::new(id, Arc::clone(&query), Arc::clone(&metrics)));
         self.query_index.insert(id, self.queries.len());
         self.tenants[ti].queries.push(id);
         self.queries.push(QueryState {
@@ -265,14 +291,13 @@ impl Splitter {
             offset,
             tree: DependencyTree::new(),
             predictor,
+            lane,
+            cells: VecDeque::new(),
             filter,
             deferred: VecDeque::new(),
             avg_window_size,
             closed_windows: 0,
-            // Per-query views get worker blocks too: instances flush their
-            // run counters into them, so without the split the per-query
-            // lines would ping-pong between cores just like the aggregate.
-            metrics: Arc::new(Metrics::with_workers(self.shared.instance_count())),
+            metrics,
             nominations: Vec::new(),
             granted: 0,
             credit: 0.0,
@@ -300,14 +325,14 @@ impl Splitter {
         let tenant = &mut self.tenants[ti];
         tenant.queries.retain(|m| *m != qid);
         tenant.retired.accumulate(&qs.metrics.snapshot());
-        // Speculative work in flight is discarded: instances observe the
-        // dropped flag at the next step/run boundary and go idle. Queued
-        // run-ahead versions leave their FIFO the same way.
+        // Work in flight is discarded: instances observe the dropped flag
+        // (or a lane window marked done) at the next step/run boundary and
+        // go idle.
         for v in qs.tree.versions() {
             v.mark_dropped();
         }
         for (i, cur) in self.sched_shadow.iter_mut().enumerate() {
-            if cur.as_ref().is_some_and(|v| v.query_id() == qid) {
+            if cur.as_ref().is_some_and(|g| g.query_id() == qid) {
                 *cur = None;
                 self.shared.slots[i].publish(None);
             }
@@ -319,8 +344,12 @@ impl Splitter {
         for ow in &mut g.open {
             ow.infos.retain(|(m, _)| *m != qid);
         }
-        for w in qs.tree.windows().chain(qs.deferred.iter()) {
-            g.release(w.store_id, &self.shared.store);
+        g.deferred -= qs.deferred.len();
+        // A lane window an instance already finished was released there.
+        let unfinished = qs.cells.iter().filter(|c| c.finish(Vec::new()));
+        let windows = qs.tree.windows().chain(&qs.deferred);
+        for w in windows.chain(unfinished.map(|c| &c.window)) {
+            self.shared.store.release(w.store_id);
         }
         // Queued ops/stats still tagged with this id are dropped as stale
         // when drained. Hand back the outputs the session has not drained.

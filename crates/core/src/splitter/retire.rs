@@ -1,6 +1,7 @@
 //! Cycle phase (d): retirement. Each query's finished, confirmed root
 //! version passes the final validation, emits its buffered complex events
-//! in window order and hands its child the root.
+//! in window order and hands its child the root; a lane query's done
+//! windows leave the front of its deque the same way.
 
 use std::sync::Arc;
 
@@ -12,8 +13,28 @@ impl Splitter {
     /// order (the deterministic commit order of one cycle).
     pub(super) fn retire(&mut self) {
         for qi in 0..self.queries.len() {
-            while self.retire_root_of(qi) {}
+            if self.queries[qi].lane.is_some() {
+                self.retire_lane_of(qi);
+            } else {
+                while self.retire_root_of(qi) {}
+            }
         }
+    }
+
+    /// Retires lane query `qi`'s done windows off the front of its deque
+    /// (their finishers released the store subscriptions).
+    fn retire_lane_of(&mut self, qi: usize) {
+        let (qs, global) = (&mut self.queries[qi], &self.shared.metrics);
+        let mut retired = 0;
+        while let Some(cell) = qs.cells.pop_front_if(|c| c.is_done()) {
+            let outputs = cell.take_outputs();
+            global.add_shared(&qs.metrics, |m| &m.outputs_emitted, outputs.len() as u64);
+            self.outputs
+                .extend(outputs.into_iter().map(|ce| (qs.id, ce)));
+            retired += 1;
+        }
+        global.add_shared(&qs.metrics, |m| &m.windows_retired, retired);
+        self.progress |= retired > 0;
     }
 
     /// Tries to retire query `qi`'s root window. Returns `true` when a
@@ -56,7 +77,7 @@ impl Splitter {
         global.add_shared(&qs.metrics, |m| &m.outputs_emitted, emitted.len() as u64);
         // The buffer dies with its last subscriber (payloads shared with
         // younger windows stay alive through their own buffers).
-        self.groups[qs.group].release(retired.window().store_id, &shared.store);
+        shared.store.release(retired.window().store_id);
         let qid = qs.id;
         self.outputs.extend(emitted.into_iter().map(|ce| (qid, ce)));
         true

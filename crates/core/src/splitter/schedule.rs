@@ -1,20 +1,18 @@
-//! Cycle phase (e): scheduling. Each query nominates its top versions,
-//! one deficit round robin (DRR) over the queries grants the k instance
-//! slots, and final versions of consumption-free queries fill the
-//! instances' run-ahead FIFOs.
+//! Cycle phase (e): scheduling. Each tree query nominates its top
+//! versions and each lane query with unclaimed windows its lane, and one
+//! deficit round robin (DRR) over the queries grants the k instance
+//! slots.
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use super::registry::SplitterFactory;
 use super::Splitter;
 use crate::cg::CgCell;
-use crate::shared::{TenantId, RUN_AHEAD_DEPTH};
-use crate::version::VersionState;
+use crate::shared::{Grant, TenantId};
 
 /// A probability-ranked nomination list, as produced per query by the
 /// schedule.
-pub(super) type RankedNominations = Vec<(f64, Arc<VersionState>)>;
+pub(super) type RankedNominations = Vec<(f64, Grant)>;
 
 /// Scheduler credit resolution, in steps per instance slot.
 const CREDIT_GRID: f64 = (1u64 << 32) as f64;
@@ -29,7 +27,7 @@ impl Splitter {
         (avg_window_size as i64 - pos_in_window as i64).max(1)
     }
 
-    /// Query `qi`'s tree nominates its top versions with survival
+    /// Query `qi`'s tree nominates its top k versions with survival
     /// probabilities (materializing lazy branches on first schedule) into
     /// the query's ranked [`nominations`](super::QueryState::nominations),
     /// decrementing `budget` by every version the nomination materialized
@@ -37,35 +35,32 @@ impl Splitter {
     /// exhausted budget leaves lazy branches unmaterialized instead of
     /// creating version state).
     ///
-    /// The width is k under a consumption policy and k·(1 +
-    /// [`RUN_AHEAD_DEPTH`]) without one — enough for every head plus a full
-    /// run-ahead FIFO per instance, since queued versions are nominated
-    /// again until they finish. Versions already queued in a run-ahead FIFO
-    /// are left out: each version is in exactly one place.
+    /// A lane query instead nominates its lane once per unclaimed window,
+    /// up to k times, at probability 1: its windows are certain.
     fn nominate(&mut self, qi: usize, k: usize, budget: &mut usize) {
         let qs = &mut self.queries[qi];
+        qs.granted = 0;
+        if let Some(lane) = &qs.lane {
+            let n = lane.unclaimed().min(k);
+            qs.nominations.clear();
+            qs.nominations
+                .resize(n, (1.0, Grant::Lane(Arc::clone(lane))));
+            return;
+        }
         let mut factory = SplitterFactory::for_query(&self.shared, qs);
-        let width = if qs.query.consumption().is_none() {
-            k * (1 + RUN_AHEAD_DEPTH)
-        } else {
-            k
-        };
         let avg = qs.avg_window_size;
         let predictor = &*qs.predictor;
         let prob = move |cell: &CgCell| -> f64 {
             let events_left = Self::events_left(avg, cell.pos_in_window());
             predictor.predict(cell.delta(), events_left)
         };
-        qs.nominations = qs
+        let top = qs
             .tree
-            .top_k_scored_budgeted(width, &prob, &mut factory, budget);
-        if self.ahead_shadow.iter().any(|q| !q.is_empty()) {
-            let queued = self.ahead_shadow.iter().flatten();
-            qs.nominations
-                .retain(|(_, v)| !queued.clone().any(|q| Arc::ptr_eq(q, v)));
-        }
+            .top_k_scored_budgeted(k, &prob, &mut factory, budget);
+        qs.nominations.clear();
+        let versions = top.into_iter().map(|(p, v)| (p, Grant::Version(v)));
+        qs.nominations.extend(versions);
         qs.nominations.sort_by(|a, b| b.0.total_cmp(&a.0));
-        qs.granted = 0;
     }
 
     /// Remaining per-cycle speculation budget of tenant `ti`: its
@@ -97,8 +92,8 @@ impl Splitter {
         (f64::from(weight), busy)
     }
 
-    /// Selects and schedules the top-k window versions across all deployed
-    /// queries by one deficit round robin (DRR) over per-query lists.
+    /// Selects and schedules the top-k grants across all deployed queries
+    /// by one deficit round robin (DRR) over per-query lists.
     ///
     /// Every query nominates its own ranked list
     /// ([`nominate`](Self::nominate)) in schedule order — ascending tenant
@@ -115,19 +110,10 @@ impl Splitter {
     /// slot. With one query this is the plain probability top-k (paper
     /// Fig. 7); with one query per tenant, the weighted tenant split. The
     /// granted versions are ranked on probability again so slot
-    /// assignment stays probability-ordered.
-    ///
-    /// Versions already queued in a run-ahead FIFO are not head
-    /// candidates. After the heads are placed, each list's ungranted tail
-    /// fills the FIFOs (see [`fill_run_ahead`](Self::fill_run_ahead)); only
-    /// consumption-free queries nominate beyond k, so only they ever get
-    /// FIFO entries.
+    /// assignment stays probability-ordered. A lane grant stays on its
+    /// slot for as long as it is granted again.
     pub(super) fn schedule(&mut self) {
         let k = self.config.instances;
-        // Entries leave a FIFO once finished (or dropped).
-        for queued in &mut self.ahead_shadow {
-            queued.retain(|v| !v.is_finished() && !v.is_dropped());
-        }
         let mut order = std::mem::take(&mut self.sched_order);
         order.clear();
         order.extend(
@@ -186,91 +172,37 @@ impl Splitter {
         }
         cands.sort_by(|a, b| b.0.total_cmp(&a.0));
 
-        // Two-pass assignment (paper Fig. 7): keep already-placed versions,
+        // Two-pass assignment (paper Fig. 7): keep already-placed grants,
         // hand the rest to free instances. Both passes run against the
         // splitter-local shadow — no slot locks — and only slots whose
-        // assignment actually changes are published.
-        let mut to_place: Vec<Arc<VersionState>> = Vec::new();
+        // grant actually changes are published.
+        let mut to_place: Vec<Grant> = Vec::new();
         let mut kept: Vec<bool> = vec![false; self.sched_shadow.len()];
-        'version: for (_, v) in &cands {
+        'grant: for (_, g) in cands {
             for (i, cur) in self.sched_shadow.iter().enumerate() {
-                if kept[i] {
-                    continue;
-                }
-                if cur.as_ref().is_some_and(|s| Arc::ptr_eq(s, v)) {
+                if !kept[i] && cur.as_ref().is_some_and(|s| s.same(&g)) {
                     kept[i] = true;
-                    continue 'version;
+                    continue 'grant;
                 }
             }
-            to_place.push(Arc::clone(v));
+            to_place.push(g);
         }
         let mut to_place = to_place.into_iter();
-        // Heads replaced this cycle: their instance may still be inside a
-        // step on them, so they wait a cycle before they may be queued.
-        let mut unseated: Vec<Arc<VersionState>> = Vec::new();
         for (i, kept) in kept.iter().enumerate() {
             if *kept {
                 continue;
             }
             let next = to_place.next();
             let unchanged = match (&self.sched_shadow[i], &next) {
-                (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+                (Some(a), Some(b)) => a.same(b),
                 (None, None) => true,
                 _ => false,
             };
             if !unchanged {
                 self.shared.slots[i].publish(next.clone());
-                unseated.extend(std::mem::replace(&mut self.sched_shadow[i], next));
+                self.sched_shadow[i] = next;
             }
         }
-        self.fill_run_ahead(&order, &unseated);
         self.sched_order = order;
-    }
-
-    /// Queues the **final** versions among the nominations that did not
-    /// become heads (each query's ungranted tail, in schedule order) into
-    /// the instances' run-ahead FIFOs, each to the shortest FIFO with room
-    /// (lowest slot on ties).
-    ///
-    /// Final means the query has no consumption policy — no group can ever
-    /// suppress, roll back or replace the version — and its window is
-    /// closed and fully ingested, so a queued version can never stall. The
-    /// second half is a liveness condition: an unclosed window queued
-    /// behind a stalled head could be the root that back-pressured
-    /// ingestion waits for. Consumption queries are excluded because
-    /// "certain now" is not final for them: an older window can still
-    /// open a group that suppresses events of this one.
-    fn fill_run_ahead(&mut self, order: &[(TenantId, usize)], unseated: &[Arc<VersionState>]) {
-        let mut spare = order
-            .iter()
-            .flat_map(|&(_, qi)| {
-                let qs = &self.queries[qi];
-                &qs.nominations[qs.granted..]
-            })
-            .peekable();
-        if spare.peek().is_none() {
-            return;
-        }
-        let ingested = self.shared.ingested.load(Ordering::Acquire);
-        let before: Vec<usize> = self.ahead_shadow.iter().map(Vec::len).collect();
-        for (_, v) in spare {
-            let is_final = v.query().consumption().is_none()
-                && v.window().end_pos().is_some_and(|end| end <= ingested);
-            if !is_final || unseated.iter().any(|u| Arc::ptr_eq(u, v)) {
-                continue;
-            }
-            let Some(i) = (0..self.ahead_shadow.len())
-                .filter(|&i| self.ahead_shadow[i].len() < RUN_AHEAD_DEPTH)
-                .min_by_key(|&i| self.ahead_shadow[i].len())
-            else {
-                break;
-            };
-            self.ahead_shadow[i].push(Arc::clone(v));
-        }
-        for (i, &from) in before.iter().enumerate() {
-            if self.ahead_shadow[i].len() > from {
-                self.shared.slots[i].enqueue_ahead(self.ahead_shadow[i][from..].iter().cloned());
-            }
-        }
     }
 }

@@ -3,7 +3,6 @@
 use super::*;
 use crate::config::TenantQuota;
 use crate::instance::{InstanceCore, StepOutcome};
-use crate::shared::RUN_AHEAD_DEPTH;
 use spectre_events::{AttrKey, EventType, Schema};
 use spectre_query::{ConsumptionPolicy, Expr, Pattern, Query, WindowSpec};
 
@@ -200,29 +199,8 @@ fn single_instance_behaves_like_sequential() {
     assert_eq!(got, expected);
 }
 
-/// Checks the run-ahead invariants after a cycle and returns how many
-/// versions are queued: every queued version is final (consumption-free
-/// query, closed and fully ingested window), no FIFO is over capacity,
-/// and every version is in exactly one place.
-fn check_run_ahead(splitter: &Splitter) -> usize {
-    let ingested = splitter.shared.ingested.load(Ordering::Acquire);
-    let mut seen: Vec<&Arc<VersionState>> = Vec::new();
-    for (i, queued) in splitter.ahead_shadow.iter().enumerate() {
-        assert!(queued.len() <= RUN_AHEAD_DEPTH);
-        assert!(splitter.shared.slots[i].ahead_len() >= queued.len());
-        for v in queued {
-            assert!(v.query().consumption().is_none());
-            assert!(v.window().end_pos().is_some_and(|end| end <= ingested));
-            let head = splitter.sched_shadow.iter().flatten();
-            assert!(!head.chain(seen.iter().copied()).any(|h| Arc::ptr_eq(h, v)));
-            seen.push(v);
-        }
-    }
-    seen.len()
-}
-
 #[test]
-fn run_ahead_queues_only_final_versions_each_in_one_place() {
+fn lane_queries_skip_the_tree_and_retire_in_order() {
     let events: Vec<Event> = (0..240)
         .map(|i| ev(i, [1.0, 9.0, 2.0, 1.0, 2.0, 9.0][i as usize % 6]))
         .collect();
@@ -248,23 +226,34 @@ fn run_ahead_queues_only_final_versions_each_in_one_place() {
         }
         splitter.end_of_stream();
         let mut instances: Vec<_> = (0..2).map(|i| InstanceCore::new(i, 4)).collect();
-        let mut peak_queued = 0;
+        let mut lane_grants = 0;
         while !splitter.cycle() {
-            peak_queued = peak_queued.max(check_run_ahead(&splitter));
+            let qs = &splitter.queries[0];
+            if qs.lane.is_some() {
+                // No tree; every unretired window waits in order, and
+                // slots hold lane grants only.
+                assert!(qs.tree.is_empty() && qs.nominations.len() <= 2);
+                let ids: Vec<u64> = qs.cells.iter().map(|c| c.window.id).collect();
+                assert!(ids.windows(2).all(|w| w[0] < w[1]), "{ids:?}");
+                for grant in splitter.sched_shadow.iter().flatten() {
+                    assert!(matches!(grant, Grant::Lane(_)));
+                    lane_grants += 1;
+                }
+            }
             for inst in &mut instances {
                 let _ = inst.step(&shared);
             }
         }
         assert_eq!(untag(splitter.take_outputs()), expected);
         let m = shared.metrics.snapshot();
+        assert_eq!(shared.store.live_windows(), 0, "every buffer released");
         if query.consumption().is_none() {
-            assert_eq!(
-                m.versions_created, m.windows_retired,
-                "one version per window"
-            );
-            assert!(peak_queued > 0 && m.versions_run_ahead > 0, "{m:?}");
+            assert_eq!((m.versions_created, m.max_tree_versions), (0, 0));
+            assert_eq!(m.lane_windows, m.windows_retired);
+            assert!(lane_grants > 0 && m.windows_retired > 0, "{m:?}");
         } else {
-            assert_eq!((peak_queued, m.versions_run_ahead), (0, 0));
+            assert!(m.versions_created >= m.windows_retired, "{m:?}");
+            assert_eq!(m.lane_windows, 0);
         }
     }
 }
@@ -296,7 +285,7 @@ fn slot_holders(
         .map(|_| {
             splitter.cycle();
             let slots = splitter.sched_shadow.iter().flatten();
-            slots.map(|v| v.query_id()).collect()
+            slots.map(|g| g.query_id()).collect()
         })
         .collect();
     (splitter, holders)

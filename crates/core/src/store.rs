@@ -28,20 +28,21 @@
 //!
 //! A window's buffer is a list of *segments*, each a sub-range of one
 //! shared hand-off batch. Writers ([`WindowStore::extend`]) append one
-//! segment per (window, batch); readers ([`WindowStore::read_run`]) fetch
+//! segment per (window, batch); readers ([`WindowBuf::read_run`]) fetch
 //! up to a whole batch of events under a single buffer-lock acquisition.
 //! Event payloads live inside the batches and are shared by every
 //! overlapping window — per-event allocation and reference counting are
 //! gone from the hot path entirely.
 //!
 //! Because every window's buffer references exactly the window's own
-//! events, pruning is trivial: retiring a window removes its buffer
-//! ([`WindowStore::remove_window`]), and a batch is freed when the last
-//! window referencing it retires.
+//! events, pruning is trivial: each buffer counts its subscribers (the
+//! queries whose windows read it), the last [`WindowStore::release`]
+//! removes it — on whichever thread makes that call — and a batch is freed
+//! when the last window referencing it goes.
 
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
@@ -110,14 +111,15 @@ impl WindowInfo {
         }
     }
 
+    /// `true` once window-relative index `pos` is at or past the known end.
+    pub fn ends_at(&self, pos: u64) -> bool {
+        self.end_pos()
+            .is_some_and(|end| self.start_pos + pos >= end)
+    }
+
     /// Publishes the end position (idempotent; called by the splitter).
     pub fn set_end_pos(&self, end: u64) {
         self.end_pos.store(end, Ordering::Release);
-    }
-
-    /// `true` if `pos` lies inside the window (given current knowledge).
-    pub fn contains_pos(&self, pos: u64) -> bool {
-        pos >= self.start_pos && self.end_pos().is_none_or(|e| pos < e)
     }
 }
 
@@ -135,16 +137,6 @@ impl EventRun {
     /// The run's events, in stream order.
     pub fn events(&self) -> &[Event] {
         &self.batch.events()[self.range.clone()]
-    }
-
-    /// Number of events in the run.
-    pub fn len(&self) -> usize {
-        self.range.len()
-    }
-
-    /// `true` for an empty run (the store never produces one).
-    pub fn is_empty(&self) -> bool {
-        self.range.is_empty()
     }
 }
 
@@ -179,24 +171,20 @@ struct BufState {
 /// finds out without touching the lock the splitter appends under.
 #[derive(Debug)]
 pub struct WindowBuf {
-    start_pos: u64,
     /// Events buffered, stored under the write lock after each append.
     len: AtomicU64,
+    /// Subscribers not yet released (see [`WindowStore::release`]).
+    subscribers: AtomicUsize,
     state: RwLock<BufState>,
 }
 
 impl WindowBuf {
-    fn new(start_pos: u64) -> Self {
+    fn new(subscribers: usize) -> Self {
         WindowBuf {
-            start_pos,
             len: AtomicU64::new(0),
+            subscribers: AtomicUsize::new(subscribers),
             state: RwLock::new(BufState::default()),
         }
-    }
-
-    /// The stream position of the window's first event.
-    pub fn start_pos(&self) -> u64 {
-        self.start_pos
     }
 
     /// Number of events currently buffered.
@@ -253,16 +241,6 @@ impl WindowBuf {
         }
         covered
     }
-
-    fn get(&self, idx: u64) -> Option<Event> {
-        let st = self.state.read();
-        let si = st
-            .segs
-            .partition_point(|s| s.first + s.range.len() as u64 <= idx);
-        let seg = st.segs.get(si)?;
-        let off = idx.checked_sub(seg.first)? as usize;
-        seg.batch.events().get(seg.range.start + off).cloned()
-    }
 }
 
 /// One shard: the buffers of all live windows hashing to it. The map holds
@@ -284,7 +262,7 @@ struct Shard {
 /// use spectre_events::{Event, EventType};
 ///
 /// let store = WindowStore::new(8);
-/// store.open_window(0, 0);
+/// store.open_window(0, 1); // one subscriber
 /// let mut batch = EventBatch::with_capacity(0, 3);
 /// for seq in 0..3 {
 ///     batch.push(Event::builder(EventType::new(0)).seq(seq).ts(seq).build());
@@ -292,13 +270,13 @@ struct Shard {
 /// let batch = Arc::new(batch);
 /// store.extend(0, &batch, 0..3); // one lock + one Arc clone for the run
 ///
+/// let buf = store.window_buf(0).unwrap(); // instances cache this handle
 /// let mut runs = Vec::new();
-/// assert_eq!(store.read_run(0, 1, 16, &mut runs), 2); // events 1 and 2
+/// assert_eq!(buf.read_run(1, 16, &mut runs), 2); // events 1 and 2
 /// assert_eq!(runs[0].events()[0].seq(), 1);
 ///
-/// store.remove_window(0); // retirement frees the buffer
-/// runs.clear();
-/// assert_eq!(store.read_run(0, 0, 16, &mut runs), 0);
+/// assert!(store.release(0)); // the last subscriber frees the buffer
+/// assert!(store.window_buf(0).is_none());
 /// ```
 #[derive(Debug)]
 pub struct WindowStore {
@@ -330,15 +308,29 @@ impl WindowStore {
         &self.shards[(window_id % self.shards.len() as u64) as usize]
     }
 
-    /// Registers a window that starts at stream position `start_pos`; its
-    /// buffer starts empty. Idempotent: re-opening an existing window is a
-    /// no-op.
-    pub fn open_window(&self, window_id: u64, start_pos: u64) {
+    /// Registers a window read by `subscribers` queries; its buffer starts
+    /// empty. Idempotent: re-opening an existing window is a no-op.
+    pub fn open_window(&self, window_id: u64, subscribers: usize) {
         let mut shard = self.shard(window_id).write();
         shard
             .windows
             .entry(window_id)
-            .or_insert_with(|| Arc::new(WindowBuf::new(start_pos)));
+            .or_insert_with(|| Arc::new(WindowBuf::new(subscribers)));
+    }
+
+    /// Drops one subscriber of `window_id`'s buffer; the last one removes
+    /// the buffer and returns `true`. A batch slice may still be queued
+    /// for a removed buffer: [`extend`](Self::extend) drops slices for
+    /// removed windows.
+    pub fn release(&self, window_id: u64) -> bool {
+        let Some(buf) = self.window_buf(window_id) else {
+            return false;
+        };
+        let last = buf.subscribers.fetch_sub(1, Ordering::AcqRel) == 1;
+        if last {
+            self.remove_window(window_id);
+        }
+        last
     }
 
     /// Hands out `window_id`'s buffer, or `None` for an unknown (already
@@ -366,70 +358,13 @@ impl WindowStore {
         }
     }
 
-    /// Collects up to `max` events of `window_id` starting at
-    /// window-relative index `from` into `out` as [`EventRun`] slices
-    /// (appended; `out` is *not* cleared). Returns the number of events
-    /// covered — `0` when the events are not yet ingested or the window is
-    /// unknown. (Map lookup + [`WindowBuf::read_run`]; hot-path callers
-    /// cache the buffer via [`window_buf`](Self::window_buf) instead.)
-    pub fn read_run(
-        &self,
-        window_id: u64,
-        from: u64,
-        max: usize,
-        out: &mut Vec<EventRun>,
-    ) -> usize {
-        match self.window_buf(window_id) {
-            Some(buf) => buf.read_run(from, max, out),
-            None => 0,
-        }
-    }
-
-    /// Fetches a copy of the event at window-relative index `idx` of
-    /// `window_id` (test/diagnostic convenience; the hot path uses
-    /// [`read_run`](Self::read_run)).
-    pub fn get(&self, window_id: u64, idx: u64) -> Option<Event> {
-        self.window_buf(window_id)?.get(idx)
-    }
-
-    /// Number of events currently buffered for `window_id`, or `None` if
-    /// the window is unknown.
-    pub fn window_len(&self, window_id: u64) -> Option<u64> {
-        self.window_buf(window_id).map(|b| b.len())
-    }
-
-    /// The stream position of `window_id`'s first event, or `None` if the
-    /// window is unknown.
-    pub fn window_start(&self, window_id: u64) -> Option<u64> {
-        self.window_buf(window_id).map(|b| b.start_pos())
-    }
-
-    /// Drops `window_id`'s buffer (called at retirement; hand-off batches
-    /// shared with other live windows stay alive through their segments).
+    /// Drops `window_id`'s buffer whatever its subscribers (hand-off
+    /// batches shared with other live windows stay alive through their
+    /// segments).
     pub fn remove_window(&self, window_id: u64) {
-        let mut shard = self.shard(window_id).write();
-        shard.windows.remove(&window_id);
-    }
-
-    /// Number of live window buffers.
-    pub fn live_windows(&self) -> usize {
-        self.shards.iter().map(|s| s.read().windows.len()).sum()
-    }
-
-    /// Total buffered events across all windows. Overlapping windows each
-    /// count the events of their own segments (the payloads behind them
-    /// live once, inside the shared batches).
-    pub fn resident(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.read()
-                    .windows
-                    .values()
-                    .map(|b| b.len() as usize)
-                    .sum::<usize>()
-            })
-            .sum()
+        let removed = self.shard(window_id).write().windows.remove(&window_id);
+        // Freed outside the shard lock, which the splitter's appends read.
+        drop(removed);
     }
 }
 
@@ -437,6 +372,55 @@ impl WindowStore {
 mod tests {
     use super::*;
     use spectre_events::EventType;
+
+    impl WindowInfo {
+        fn contains_pos(&self, pos: u64) -> bool {
+            pos >= self.start_pos && self.end_pos().is_none_or(|e| pos < e)
+        }
+    }
+
+    /// Test conveniences: lookups by window id that the hot path, which
+    /// caches [`WindowBuf`] handles, does without.
+    impl WindowStore {
+        pub(crate) fn window_len(&self, window_id: u64) -> Option<u64> {
+            self.window_buf(window_id).map(|b| b.len())
+        }
+
+        pub(crate) fn live_windows(&self) -> usize {
+            self.shards.iter().map(|s| s.read().windows.len()).sum()
+        }
+
+        fn read_run(
+            &self,
+            window_id: u64,
+            from: u64,
+            max: usize,
+            out: &mut Vec<EventRun>,
+        ) -> usize {
+            self.window_buf(window_id)
+                .map_or(0, |buf| buf.read_run(from, max, out))
+        }
+
+        fn get(&self, window_id: u64, idx: u64) -> Option<Event> {
+            let mut runs = Vec::new();
+            self.read_run(window_id, idx, 1, &mut runs);
+            runs.first().map(|run| run.events()[0].clone())
+        }
+
+        /// Buffered events summed over all windows.
+        fn resident(&self) -> usize {
+            let shards = self.shards.iter();
+            shards
+                .map(|s| {
+                    s.read()
+                        .windows
+                        .values()
+                        .map(|b| b.len() as usize)
+                        .sum::<usize>()
+                })
+                .sum()
+        }
+    }
 
     fn batch(first_pos: u64, seqs: Range<u64>) -> Arc<EventBatch> {
         let mut b = EventBatch::with_capacity(first_pos, (seqs.end - seqs.start) as usize);
@@ -457,8 +441,7 @@ mod tests {
     #[test]
     fn extend_and_read_runs() {
         let store = WindowStore::new(4);
-        store.open_window(7, 10);
-        assert_eq!(store.window_start(7), Some(10));
+        store.open_window(7, 1);
         store.extend(7, &batch(10, 10..14), 0..4);
         store.extend(7, &batch(14, 14..20), 0..6);
         assert_eq!(store.window_len(7), Some(10));
@@ -480,7 +463,7 @@ mod tests {
     fn partial_batch_ranges_are_respected() {
         // A window that opened mid-batch owns only its slice.
         let store = WindowStore::new(2);
-        store.open_window(3, 12);
+        store.open_window(3, 1);
         let b = batch(10, 10..16);
         store.extend(3, &b, 2..6); // events 12..16
         assert_eq!(store.window_len(3), Some(4));
@@ -503,8 +486,8 @@ mod tests {
     #[test]
     fn overlapping_windows_share_batches() {
         let store = WindowStore::new(3);
-        store.open_window(0, 0);
-        store.open_window(1, 2);
+        store.open_window(0, 1);
+        store.open_window(1, 1);
         let b = batch(0, 0..4);
         store.extend(0, &b, 0..4);
         store.extend(1, &b, 2..4); // w1 starts at event 2
@@ -522,6 +505,28 @@ mod tests {
     }
 
     #[test]
+    fn a_lane_and_a_tree_subscriber_released_from_two_threads_remove_once() {
+        // One buffer shared by a lane query (released by the instance that
+        // finished the window) and a tree query (released by the splitter
+        // at retirement): whichever release comes last removes it, once.
+        let store = Arc::new(WindowStore::new(2));
+        for round in 0..200u64 {
+            store.open_window(round, 2);
+            store.extend(round, &batch(round, round..round + 2), 0..2);
+            let lane = {
+                let store = Arc::clone(&store);
+                std::thread::spawn(move || store.release(round))
+            };
+            let tree = store.release(round);
+            let lane = lane.join().unwrap();
+            assert!(lane != tree, "round {round}: exactly one release removes");
+            assert_eq!(store.window_len(round), None);
+            assert!(!store.release(round), "a removed buffer stays removed");
+        }
+        assert_eq!(store.live_windows(), 0);
+    }
+
+    #[test]
     fn single_shard_behaves_identically() {
         // The shard count is pure placement: the same call sequence gives
         // the same observable state for 1 and many shards.
@@ -529,7 +534,7 @@ mod tests {
             let store = WindowStore::new(shards);
             assert_eq!(store.shard_count(), shards);
             for w in 0..10u64 {
-                store.open_window(w, w * 2);
+                store.open_window(w, 1);
                 store.extend(w, &batch(w * 2, w * 2..w * 2 + 4), 0..4);
             }
             for w in 0..10u64 {
@@ -554,9 +559,9 @@ mod tests {
     #[test]
     fn open_window_is_idempotent() {
         let store = WindowStore::new(2);
-        store.open_window(1, 5);
+        store.open_window(1, 1);
         store.extend(1, &batch(5, 5..6), 0..1);
-        store.open_window(1, 5); // must not clear the buffer
+        store.open_window(1, 1); // must not clear the buffer
         assert_eq!(store.window_len(1), Some(1));
     }
 

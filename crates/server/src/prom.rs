@@ -44,7 +44,7 @@ pub(crate) fn render(shared: &ServerShared) -> String {
         windows_retired,
         idle_steps,
         stalled_steps,
-        versions_run_ahead,
+        lane_windows,
         outputs_emitted,
         store_windows_opened,
         windows_skipped,
@@ -106,11 +106,7 @@ pub(crate) fn render(shared: &ServerShared) -> String {
     counter(&mut out, "spectre_engine_windows_retired", windows_retired);
     counter(&mut out, "spectre_engine_idle_steps", idle_steps);
     counter(&mut out, "spectre_engine_stalled_steps", stalled_steps);
-    counter(
-        &mut out,
-        "spectre_engine_versions_run_ahead",
-        versions_run_ahead,
-    );
+    counter(&mut out, "spectre_engine_lane_windows", lane_windows);
     counter(&mut out, "spectre_engine_outputs_emitted", outputs_emitted);
     counter(
         &mut out,

@@ -42,7 +42,7 @@ pub fn run(
 
 /// `query`'s pattern, window and selection without its consumption
 /// policy: no consumption groups, so no speculation — the query shape
-/// whose closed windows instances run ahead on.
+/// that runs on the speculation-free lane.
 pub fn without_consumption(query: &Query) -> Arc<Query> {
     Arc::new(
         Query::builder(&format!("{}-NC", query.name()))

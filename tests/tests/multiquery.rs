@@ -267,7 +267,7 @@ fn retiring_during_a_disordered_burst_matches_solo_runs() {
 #[test]
 fn retiring_mid_stream_leaves_surviving_queries_unchanged() {
     let (q1, _, events) = fixture(1_500, 31);
-    // The consumption-free copy retires with versions queued for run-ahead.
+    // The consumption-free copy retires with lane windows still claimed.
     for a in [Arc::clone(&q1), without_consumption(&q1)] {
         let expected = run_sequential(&a, &events).complex_events;
         assert!(!expected.is_empty());
@@ -298,7 +298,7 @@ fn retiring_mid_stream_leaves_surviving_queries_unchanged() {
 #[test]
 fn aggregate_metrics_are_the_sum_of_per_query_shares() {
     let (a, b, events) = fixture(1_200, 37);
-    // A consumption-free copy of `a` is the query whose versions run ahead.
+    // A consumption-free copy of `a` is the query on the lane.
     let free = without_consumption(&a);
     let (engine, ids) = multi_session(
         &[&a, &a, &b, &free],
@@ -335,7 +335,7 @@ fn aggregate_metrics_are_the_sum_of_per_query_shares() {
         predictor_refreshes,
         predictor_refresh_nanos,
         rollbacks,
-        versions_run_ahead,
+        lane_windows,
         windows_retired,
         outputs_emitted,
         events_reordered,

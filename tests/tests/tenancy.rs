@@ -294,7 +294,7 @@ fn tenant_rollups_sum_to_the_aggregate() {
         predictor_refreshes,
         predictor_refresh_nanos,
         rollbacks,
-        versions_run_ahead,
+        lane_windows,
         windows_retired,
         windows_skipped,
         outputs_emitted,

@@ -123,16 +123,15 @@ fn threaded_matches_sequential_across_version_caps() {
 #[test]
 fn threaded_aggregate_metrics_equal_the_sum_of_per_worker_blocks() {
     // Each instance owns a cache-padded counter block for the hot metrics
-    // (events processed/suppressed, idle and stalled steps, versions run
-    // ahead) so k workers
-    // never contend on one cache line. The decomposition must stay exact
+    // (events processed/suppressed, idle and stalled steps, lane windows)
+    // so k workers never contend on one cache line. The decomposition must stay exact
     // at every instance count: instances route every increment through
     // their own block, so the aggregate snapshot — base residual plus the
     // block sums — equals the plain block sums here, and the per-query
     // share of a single-query session equals the aggregate. Runs under
     // real threads, where a lost or double-counted increment would be a
     // race, not an arithmetic slip. The consumption-free variant of the
-    // query is the one whose workers run ahead.
+    // query is the one whose windows go through the lane.
     let mut schema = Schema::new();
     let events: Vec<_> = NyseGenerator::new(NyseConfig::small(1000, 83), &mut schema).collect();
     let q1 = Arc::new(queries::q1(&mut schema, 3, 150, Direction::Rising));
@@ -162,7 +161,7 @@ fn threaded_aggregate_metrics_equal_the_sum_of_per_worker_blocks() {
                 acc[1] + w.events_suppressed,
                 acc[2] + w.idle_steps,
                 acc[3] + w.stalled_steps,
-                acc[4] + w.versions_run_ahead,
+                acc[4] + w.lane_windows,
             ]
         });
         let label = format!("{} k={k}", query.name());
@@ -170,7 +169,7 @@ fn threaded_aggregate_metrics_equal_the_sum_of_per_worker_blocks() {
         assert_eq!(sums[1], m.events_suppressed, "events_suppressed {label}");
         assert_eq!(sums[2], m.idle_steps, "idle_steps {label}");
         assert_eq!(sums[3], m.stalled_steps, "stalled_steps {label}");
-        assert_eq!(sums[4], m.versions_run_ahead, "versions_run_ahead {label}");
+        assert_eq!(sums[4], m.lane_windows, "lane_windows {label}");
         assert!(m.events_processed >= events.len() as u64);
         // Single-query session: the query's share of the summable hot
         // counters is the whole aggregate.
@@ -182,7 +181,7 @@ fn threaded_aggregate_metrics_equal_the_sum_of_per_worker_blocks() {
             .expect("one deployed query");
         assert_eq!(qm.events_processed, m.events_processed, "{label}");
         assert_eq!(qm.events_suppressed, m.events_suppressed, "{label}");
-        assert_eq!(qm.versions_run_ahead, m.versions_run_ahead, "{label}");
+        assert_eq!(qm.lane_windows, m.lane_windows, "{label}");
     }
 }
 
