@@ -7,7 +7,7 @@ use std::sync::Arc;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use spectre_core::cg::{CgCell, CgId};
 use spectre_core::markov::{MarkovConfig, MarkovModel};
-use spectre_core::store::WindowInfo;
+use spectre_core::store::{WindowBuf, WindowInfo};
 use spectre_core::tree::{DependencyTree, VersionFactory};
 use spectre_core::version::{VersionState, WvId};
 use spectre_datasets::{NyseConfig, NyseGenerator};
@@ -123,7 +123,8 @@ fn populated_tree(windows: usize, cgs: usize) -> (DependencyTree, BenchFactory) 
     let mut tree = DependencyTree::new();
     let mut factory = bench_factory();
     for w in 0..windows as u64 {
-        let window = Arc::new(WindowInfo::new(w, w * 10, w * 10, w * 10));
+        let buf = Arc::new(WindowBuf::new(1));
+        let window = Arc::new(WindowInfo::new(w, buf, w * 10, w * 10, w * 10));
         tree.new_window(&window, &mut factory);
     }
     let mut unbounded = usize::MAX;

@@ -31,7 +31,7 @@ fn main() -> Result<(), EngineError> {
     // the dependency tree the back-pressure must bound — actually runs,
     // and most partial matches abandon, which is where the tree grows.
     let query = Arc::new(queries::q1(&mut schema, 110, 200, Direction::Rising));
-    let config = SpectreConfig::with_batching(2, 64, 8);
+    let config = SpectreConfig::with_batching(2, 64);
     let cap = config.max_tree_versions;
 
     println!("streaming {events_n} events through an engine session (k = 2, load cap {cap})");

@@ -33,19 +33,13 @@ pub struct SpectreConfig {
     pub ingest_per_cycle: usize,
     /// Size of one [`EventBatch`](crate::splitter::EventBatch): how many
     /// events the splitter accumulates before flushing them to the window
-    /// store in one write per touched window, and how many events an
+    /// buffers in one write per touched window, and how many events an
     /// operator instance fetches and processes per scheduling step. Larger
     /// batches amortize lock and queue traffic on the hot path; smaller
     /// batches tighten scheduling granularity. `1` reproduces the original
     /// event-at-a-time hand-off exactly. Output is identical for every
     /// batch size (see `tests/tests/smoke.rs`).
     pub batch_size: usize,
-    /// Number of shards in the [`WindowStore`](crate::store::WindowStore).
-    /// Windows are mapped to shards by window-id hash, so instances working
-    /// on different windows take different locks instead of serializing on
-    /// one. `1` degenerates to the original single-lock store. Output is
-    /// identical for every shard count.
-    pub store_shards: usize,
     /// Soft cap on a query's speculative load — live window versions plus
     /// the windows pending on attach markers (see
     /// [`DependencyTree::speculative_load`](crate::tree::DependencyTree::speculative_load)),
@@ -74,7 +68,6 @@ impl Default for SpectreConfig {
             consistency_check_freq: 64,
             ingest_per_cycle: 64,
             batch_size: 64,
-            store_shards: 8,
             max_tree_versions: 1024,
             reorder: None,
         }
@@ -90,26 +83,23 @@ impl SpectreConfig {
         }
     }
 
-    /// Convenience constructor for the batching/sharding sweep: `k`
-    /// instances, the given hand-off batch size and window-store shard
-    /// count, defaults otherwise.
+    /// Convenience constructor for the batching sweep: `k` instances and
+    /// the given hand-off batch size, defaults otherwise.
     ///
     /// # Example
     ///
     /// ```
     /// use spectre_core::SpectreConfig;
     ///
-    /// let unbatched = SpectreConfig::with_batching(4, 1, 1);
-    /// let batched = SpectreConfig::with_batching(4, 1024, 8);
+    /// let unbatched = SpectreConfig::with_batching(4, 1);
+    /// let batched = SpectreConfig::with_batching(4, 1024);
     /// assert_eq!(unbatched.instances, batched.instances);
     /// assert_eq!(batched.batch_size, 1024);
-    /// assert_eq!(batched.store_shards, 8);
     /// ```
-    pub fn with_batching(instances: usize, batch_size: usize, store_shards: usize) -> Self {
+    pub fn with_batching(instances: usize, batch_size: usize) -> Self {
         SpectreConfig {
             instances,
             batch_size,
-            store_shards,
             ..Default::default()
         }
     }
@@ -154,9 +144,6 @@ impl SpectreConfig {
         if self.batch_size == 0 {
             return Err("hand-off batch size must be positive".into());
         }
-        if self.store_shards == 0 {
-            return Err("store shard count must be positive".into());
-        }
         if self.max_tree_versions == 0 {
             return Err("tree version cap must be positive".into());
         }
@@ -176,9 +163,9 @@ impl SpectreConfig {
     /// # Panics
     ///
     /// Panics on zero instances, zero check frequency, zero ingest or
-    /// hand-off batch, zero store shards, a zero tree version cap, an out-of-range fixed probability or an invalid
-    /// reorder configuration. [`try_validate`](Self::try_validate) is the
-    /// non-panicking equivalent.
+    /// hand-off batch, a zero tree version cap, an out-of-range fixed
+    /// probability or an invalid reorder configuration.
+    /// [`try_validate`](Self::try_validate) is the non-panicking equivalent.
     pub fn validate(&self) {
         if let Err(msg) = self.try_validate() {
             panic!("{msg}");
@@ -290,19 +277,13 @@ mod tests {
     fn defaults_validate() {
         SpectreConfig::default().validate();
         SpectreConfig::with_instances(32).validate();
-        SpectreConfig::with_batching(4, 1024, 16).validate();
+        SpectreConfig::with_batching(4, 1024).validate();
     }
 
     #[test]
     #[should_panic(expected = "hand-off batch size must be positive")]
     fn zero_batch_rejected() {
-        SpectreConfig::with_batching(1, 0, 1).validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "store shard count must be positive")]
-    fn zero_shards_rejected() {
-        SpectreConfig::with_batching(1, 1, 0).validate();
+        SpectreConfig::with_batching(1, 0).validate();
     }
 
     #[test]
@@ -334,7 +315,7 @@ mod tests {
         assert!(SpectreConfig::default().try_validate().is_ok());
         let err = SpectreConfig::with_instances(0).try_validate().unwrap_err();
         assert!(err.contains("at least one operator instance"));
-        let err = SpectreConfig::with_batching(1, 0, 1)
+        let err = SpectreConfig::with_batching(1, 0)
             .try_validate()
             .unwrap_err();
         assert!(err.contains("hand-off batch size"));

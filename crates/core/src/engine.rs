@@ -46,8 +46,8 @@
 //! complex event with its [`QueryId`], and
 //! [`try_finish`](SpectreEngine::try_finish) reports both the aggregate and
 //! a per-query breakdown ([`Report::queries`]). Queries with equal window
-//! specs share their window buffers in the store: each window's events are
-//! stored once, no matter how many queries consume them.
+//! specs share their window buffers: each window's events are stored once,
+//! no matter how many queries consume them.
 //!
 //! Misuse of the session is a value, never a panic: every call that can
 //! meet a finished session, an unknown query or an invalid configuration
@@ -654,7 +654,7 @@ impl SpectreEngine {
     /// matching at the next window boundary its spec group opens — events
     /// already ingested (and windows already open) are not its. If an
     /// already-deployed query has an equal window spec, the new query
-    /// shares its window buffers in the store from the start.
+    /// shares its window buffers from the start.
     pub fn deploy_query(&mut self, query: &Arc<Query>) -> Result<QueryId, EngineError> {
         self.deploy_query_for(TenantId::DEFAULT, query)
     }

@@ -1,9 +1,9 @@
 //! Operator-instance event processing (paper Fig. 8).
 //!
 //! Each instance repeatedly: checks its scheduling slot, fetches a *run* of
-//! its current window version's next events from the sharded window store
+//! its current window version's next events from the window's own buffer
 //! (up to [`SpectreConfig::batch_size`](crate::SpectreConfig::batch_size)
-//! under one shard-lock acquisition), and processes the run while holding
+//! under one buffer-lock acquisition), and processes the run while holding
 //! the version lock once: each event is suppressed if an assumed-completed
 //! consumption group contains it, otherwise fed to the version's pattern
 //! detector, with the feedback translated into consumption-group updates
@@ -25,10 +25,10 @@
 //! progresses, or the [`Lane`] of a query without a consumption policy,
 //! whose windows the instance claims in open order: an open one is worked
 //! up to the ingestion frontier like a head, and while it stalls only a
-//! closed, fully ingested one may be taken (see [`Lane::claim`]). Claimed
+//! closed, fully ingested one may be taken (see `Lane::claim`). Claimed
 //! windows keep their detector state here until finished; the finisher
-//! hands the outputs to the [`LaneCell`](crate::shared::LaneCell) and
-//! releases the store subscription, so events are freed off the splitter.
+//! hands the outputs to the [`LaneCell`] and releases the buffer
+//! subscription, so events are freed off the splitter.
 //!
 //! Instances are oblivious to lazy branch materialization: the splitter's
 //! top-k selection materializes an unmaterialized completion branch
@@ -46,7 +46,7 @@ use spectre_query::{ComplexEvent, DetectorAction, MatchId, SelectionPolicy, Wind
 use crate::cg::CgCell;
 use crate::metrics::Metrics;
 use crate::shared::{Grant, Lane, LaneCell, QueryId, SharedState, StatsBatch, TreeOp};
-use crate::store::{EventRun, WindowBuf, WindowInfo};
+use crate::store::EventRun;
 use crate::version::{VersionInner, VersionState};
 
 /// Outcome of one instance step (used by the drivers for accounting and
@@ -74,7 +74,6 @@ struct LaneWork {
     /// Window events looked at so far.
     pos: u64,
     outputs: Vec<ComplexEvent>,
-    buf: Option<(u64, Arc<WindowBuf>)>,
 }
 
 /// One operator instance's local state.
@@ -102,11 +101,6 @@ pub struct InstanceCore {
     run_suppressed: u64,
     /// Per-query counters of the version the run counters belong to.
     run_qmetrics: Option<Arc<Metrics>>,
-    /// The scheduled window's store buffer, cached by `store_id` across
-    /// steps so the run-read path skips the store's shard-map lookup.
-    /// Cleared whenever the assignment changes or goes idle, so a retired
-    /// window's buffer is not pinned while the instance waits.
-    run_buf: Option<(u64, Arc<WindowBuf>)>,
 }
 
 impl InstanceCore {
@@ -129,7 +123,6 @@ impl InstanceCore {
             run_processed: 0,
             run_suppressed: 0,
             run_qmetrics: None,
-            run_buf: None,
         }
     }
 
@@ -197,7 +190,6 @@ impl InstanceCore {
         // atomic load and the lock is never touched.
         if let Some(update) = shared.slots[self.index].observe(&mut self.slot_seq) {
             self.current = update;
-            self.run_buf = None;
         }
         // The head goes first while it can make progress. It is taken out
         // of `current` for the step rather than cloned, so a stalled step
@@ -213,7 +205,6 @@ impl InstanceCore {
             }
             other => {
                 self.current = other;
-                self.run_buf = None;
                 StepOutcome::Idle
             }
         };
@@ -248,7 +239,6 @@ impl InstanceCore {
             cell,
             pos: 0,
             outputs: Vec::new(),
-            buf: None,
         });
         self.work_lane(i, shared).unwrap_or(idle)
     }
@@ -269,8 +259,7 @@ impl InstanceCore {
     fn process_lane(&mut self, work: &mut LaneWork, shared: &SharedState) -> StepOutcome {
         let window = Arc::clone(&work.cell.window);
         if !window.ends_at(work.pos) {
-            let (cache, fetch) = (&mut work.buf, &mut self.fetch);
-            let n = read_run(cache, shared, &window, work.pos, self.batch, fetch);
+            let n = window.buf.read_run(work.pos, self.batch, &mut self.fetch);
             if n == 0 {
                 return StepOutcome::Stalled;
             }
@@ -292,9 +281,8 @@ impl InstanceCore {
             }
         }
         // Done: the outputs go to the cell, the buffer to its last subscriber.
-        work.buf = None;
         if work.cell.finish(std::mem::take(&mut work.outputs)) {
-            shared.store.release(window.store_id);
+            window.buf.release();
             shared.metrics.add_lane_window(self.index);
             work.lane.qmetrics.add_lane_window(self.index);
         }
@@ -318,18 +306,10 @@ impl InstanceCore {
             return StepOutcome::Finished;
         }
 
-        let cache = &mut self.run_buf;
-        let n = read_run(
-            cache,
-            shared,
-            window,
-            inner.pos,
-            self.batch,
-            &mut self.fetch,
-        );
+        let n = window.buf.read_run(inner.pos, self.batch, &mut self.fetch);
         if n == 0 {
-            // Not yet ingested (or the window is racing retirement, which a
-            // later step resolves via the dropped flag): stall.
+            // Not yet ingested (or the query retired and released the
+            // buffer; its dropped flag ends the version next step): stall.
             return StepOutcome::Stalled;
         }
         self.run_qmetrics = Some(Arc::clone(wv.query_metrics()));
@@ -397,16 +377,13 @@ impl InstanceCore {
             self.actions.clear();
             let mut actions = std::mem::take(&mut self.actions);
             inner.detector.on_event(ev, &mut actions);
-            let consuming = !wv.query().consumption().is_none();
             let mut abandoned_any = false;
             let mut started_any = false;
             for action in actions.drain(..) {
                 match action {
                     DetectorAction::MatchStarted { match_id } => {
                         started_any = true;
-                        if consuming {
-                            self.create_cg(wv, inner, shared, match_id, max_delta);
-                        }
+                        self.create_cg(wv, inner, shared, match_id, max_delta);
                     }
                     DetectorAction::EventAdded {
                         match_id,
@@ -414,9 +391,6 @@ impl InstanceCore {
                         consumable,
                         delta,
                     } => {
-                        if !consuming {
-                            continue;
-                        }
                         // EachLast: a completed match keeps matching; its
                         // next event opens a new consumption group.
                         if let Some(i) = inner.needs_new_cg.iter().position(|m| *m == match_id) {
@@ -435,9 +409,6 @@ impl InstanceCore {
                         match_id, complex, ..
                     } => {
                         inner.outputs.push(complex);
-                        if !consuming {
-                            continue;
-                        }
                         if let Some(i) = inner.open_cgs.iter().position(|(m, _)| *m == match_id) {
                             let (_, cg) = inner.open_cgs.swap_remove(i);
                             cg.complete();
@@ -461,9 +432,6 @@ impl InstanceCore {
                     }
                     DetectorAction::Abandoned { match_id } => {
                         abandoned_any = true;
-                        if !consuming {
-                            continue;
-                        }
                         if let Some(i) = inner.open_cgs.iter().position(|(m, _)| *m == match_id) {
                             let (_, cg) = inner.open_cgs.swap_remove(i);
                             cg.abandon();
@@ -633,31 +601,6 @@ impl InstanceCore {
     }
 }
 
-/// Fetches the next run of `window` from window-relative index `from`
-/// into `out` under one window-buffer lock acquisition, through the
-/// buffer handle `cache` keeps while the instance stays on the window.
-/// The per-window buffer only ever holds the window's own events, so the
-/// run can never overshoot the window end. Returns 0 when nothing is
-/// readable: not yet ingested, or an unknown buffer racing retirement.
-fn read_run(
-    cache: &mut Option<(u64, Arc<WindowBuf>)>,
-    shared: &SharedState,
-    window: &WindowInfo,
-    from: u64,
-    max: usize,
-    out: &mut Vec<EventRun>,
-) -> usize {
-    let buf = match cache {
-        Some((id, buf)) if *id == window.store_id => buf,
-        cache => match shared.store.window_buf(window.store_id) {
-            Some(buf) => &cache.insert((window.store_id, buf)).1,
-            None => return 0,
-        },
-    };
-    out.clear();
-    buf.read_run(from, max, out)
-}
-
 /// The consistency check of paper Fig. 8 (lines 31–45): for every suppressed
 /// group whose event set changed since the last check, verify none of its
 /// events were erroneously processed. Returns `false` on inconsistency.
@@ -678,7 +621,8 @@ fn consistency_check(wv: &VersionState, inner: &mut VersionInner) -> bool {
 mod tests {
     use super::*;
     use crate::cg::CgId;
-    use crate::store::WindowInfo;
+    use crate::splitter::EventBatch;
+    use crate::store::{WindowBuf, WindowInfo};
     use crate::version::WvId;
     use spectre_events::{AttrKey, Event, EventType, Seq};
     use spectre_query::{ConsumptionPolicy, Expr, Pattern, Query, WindowSpec};
@@ -709,25 +653,29 @@ mod tests {
             .build()
     }
 
+    /// A buffer holding `events` (stream positions from 0).
+    fn filled(events: &[Event]) -> Arc<WindowBuf> {
+        let mut batch = EventBatch::with_capacity(0, events.len());
+        for e in events {
+            batch.push(e.clone());
+        }
+        let buf = Arc::new(WindowBuf::new(1));
+        buf.extend(&Arc::new(batch), 0..events.len());
+        buf
+    }
+
     fn setup(
-        consumption: ConsumptionPolicy,
         events: &[Event],
         suppressed: Vec<Arc<CgCell>>,
     ) -> (Arc<SharedState>, Arc<VersionState>, InstanceCore) {
         let shared = SharedState::new(1);
-        let mut batch = crate::splitter::EventBatch::with_capacity(0, events.len());
-        for e in events {
-            batch.push(e.clone());
-        }
-        let n = batch.len();
-        shared.store.open_window(0, 1);
-        shared.store.extend(0, &Arc::new(batch), 0..n);
         shared
             .ingested
             .store(events.len() as u64, Ordering::Release);
-        let window = Arc::new(WindowInfo::new(0, 0, 0, 0));
+        let window = Arc::new(WindowInfo::new(0, filled(events), 0, 0, 0));
         window.set_end_pos(events.len() as u64);
-        let wv = VersionState::new(WvId(0), window, query(consumption), suppressed);
+        let query = query(ConsumptionPolicy::All);
+        let wv = VersionState::new(WvId(0), window, query, suppressed);
         shared.slots[0].publish(Some(Grant::Version(Arc::clone(&wv))));
         let inst = InstanceCore::new(0, 2);
         (shared, wv, inst)
@@ -736,7 +684,7 @@ mod tests {
     #[test]
     fn processes_window_and_buffers_outputs() {
         let events = [ev(0, 1.0), ev(1, 9.0), ev(2, 2.0), ev(3, 9.0)];
-        let (shared, wv, mut inst) = setup(ConsumptionPolicy::All, &events, vec![]);
+        let (shared, wv, mut inst) = setup(&events, vec![]);
         for _ in 0..3 {
             assert_eq!(inst.step(&shared), StepOutcome::Worked);
         }
@@ -756,7 +704,7 @@ mod tests {
     #[test]
     fn finished_version_goes_idle() {
         let events = [ev(0, 9.0)];
-        let (shared, _wv, mut inst) = setup(ConsumptionPolicy::All, &events, vec![]);
+        let (shared, _wv, mut inst) = setup(&events, vec![]);
         assert_eq!(inst.step(&shared), StepOutcome::Finished);
         assert_eq!(inst.step(&shared), StepOutcome::Idle);
     }
@@ -774,16 +722,15 @@ mod tests {
         // Build the version by hand with an *empty* window buffer: the
         // instance must stall until the splitter flushes events into it.
         let shared = SharedState::new(1);
-        shared.store.open_window(0, 1);
-        let window = Arc::new(WindowInfo::new(0, 0, 0, 0));
+        let window = Arc::new(WindowInfo::new(0, filled(&[]), 0, 0, 0));
         window.set_end_pos(1);
         let wv = VersionState::new(WvId(0), window, query(ConsumptionPolicy::All), vec![]);
         shared.slots[0].publish(Some(Grant::Version(Arc::clone(&wv))));
         let mut inst = InstanceCore::new(0, 2);
         assert_eq!(inst.step(&shared), StepOutcome::Stalled);
-        let mut batch = crate::splitter::EventBatch::with_capacity(0, 1);
+        let mut batch = EventBatch::with_capacity(0, 1);
         batch.push(ev(0, 1.0));
-        shared.store.extend(0, &Arc::new(batch), 0..1);
+        wv.window().buf.extend(&Arc::new(batch), 0..1);
         assert_eq!(inst.step(&shared), StepOutcome::Finished);
     }
 
@@ -793,7 +740,7 @@ mod tests {
         let cg = Arc::new(CgCell::new(CgId(99), 0, 1));
         cg.add_event(0, 1, 0);
         let events = [ev(0, 1.0), ev(1, 2.0)];
-        let (shared, wv, mut inst) = setup(ConsumptionPolicy::All, &events, vec![Arc::clone(&cg)]);
+        let (shared, wv, mut inst) = setup(&events, vec![Arc::clone(&cg)]);
         inst.step(&shared);
         inst.step(&shared);
         inst.step(&shared);
@@ -808,7 +755,7 @@ mod tests {
     fn late_cg_update_triggers_rollback() {
         let cg = Arc::new(CgCell::new(CgId(99), 0, 1));
         let events = [ev(0, 1.0), ev(1, 9.0), ev(2, 2.0), ev(3, 9.0)];
-        let (shared, wv, mut inst) = setup(ConsumptionPolicy::All, &events, vec![Arc::clone(&cg)]);
+        let (shared, wv, mut inst) = setup(&events, vec![Arc::clone(&cg)]);
         // process events 0 and 1 (check_freq = 2 → check after step 2, no
         // violation yet)
         assert_eq!(inst.step(&shared), StepOutcome::Worked);
@@ -839,7 +786,7 @@ mod tests {
     fn rollback_reprocesses_correctly() {
         let cg = Arc::new(CgCell::new(CgId(99), 0, 1));
         let events = [ev(0, 1.0), ev(1, 1.0), ev(2, 2.0), ev(3, 9.0)];
-        let (shared, wv, mut inst) = setup(ConsumptionPolicy::All, &events, vec![Arc::clone(&cg)]);
+        let (shared, wv, mut inst) = setup(&events, vec![Arc::clone(&cg)]);
         inst.step(&shared);
         inst.step(&shared);
         // suppress event 0 after it was processed → rollback at next check
@@ -873,7 +820,7 @@ mod tests {
     #[test]
     fn window_end_abandons_open_groups() {
         let events = [ev(0, 1.0), ev(1, 9.0)];
-        let (shared, wv, mut inst) = setup(ConsumptionPolicy::All, &events, vec![]);
+        let (shared, wv, mut inst) = setup(&events, vec![]);
         inst.step(&shared);
         assert_eq!(inst.step(&shared), StepOutcome::Finished);
         assert!(wv.lock().open_cgs.is_empty());
@@ -883,32 +830,12 @@ mod tests {
     }
 
     #[test]
-    fn no_consumption_skips_cg_machinery() {
-        let events = [ev(0, 1.0), ev(1, 2.0)];
-        let (shared, wv, mut inst) = setup(ConsumptionPolicy::None, &events, vec![]);
-        inst.step(&shared);
-        inst.step(&shared);
-        inst.step(&shared);
-        assert!(wv.is_finished());
-        assert_eq!(wv.lock().outputs.len(), 1);
-        let snap = shared.metrics.snapshot();
-        assert_eq!(snap.cgs_created, 0);
-        // only the WvFinished op was queued
-        let mut count = 0;
-        while let Some((_, op)) = shared.ops.pop() {
-            assert!(matches!(op, TreeOp::WvFinished { .. }));
-            count += 1;
-        }
-        assert_eq!(count, 1);
-    }
-
-    #[test]
     fn batched_step_processes_whole_run_and_finishes() {
         // With a batch larger than the window, one step consumes the whole
         // window under a single version-lock acquisition and finishes it —
         // with the same outputs the event-at-a-time path produces.
         let events = [ev(0, 1.0), ev(1, 9.0), ev(2, 2.0), ev(3, 9.0)];
-        let (shared, wv, inst) = setup(ConsumptionPolicy::All, &events, vec![]);
+        let (shared, wv, inst) = setup(&events, vec![]);
         let mut inst = InstanceCore::new(inst.index(), 2).with_batch(1024);
         assert_eq!(inst.step(&shared), StepOutcome::Finished);
         assert!(wv.is_finished());
@@ -927,7 +854,7 @@ mod tests {
         // inside a batched run, aborting the step with a rollback.
         let cg = Arc::new(CgCell::new(CgId(99), 0, 1));
         let events = [ev(0, 1.0), ev(1, 9.0), ev(2, 2.0), ev(3, 9.0)];
-        let (shared, wv, inst) = setup(ConsumptionPolicy::All, &events, vec![Arc::clone(&cg)]);
+        let (shared, wv, inst) = setup(&events, vec![Arc::clone(&cg)]);
         let mut inst = InstanceCore::new(inst.index(), 2).with_batch(2);
         assert_eq!(inst.step(&shared), StepOutcome::Worked); // events 0, 1
         cg.add_event(0, 0, 0); // seq 0 consumed *after* it was processed
@@ -941,13 +868,7 @@ mod tests {
         // Lane `a`'s window is open and not yet ingested; lane `b`'s (of a
         // second consumption-free query) is closed and fully ingested.
         let shared = SharedState::new(1);
-        shared.store.open_window(0, 1);
-        shared.store.open_window(1, 1);
-        let mut batch = crate::splitter::EventBatch::with_capacity(0, 4);
-        for e in [ev(0, 1.0), ev(1, 9.0), ev(2, 2.0), ev(3, 9.0)] {
-            batch.push(e);
-        }
-        shared.store.extend(1, &Arc::new(batch), 0..4);
+        let closed_buf = filled(&[ev(0, 1.0), ev(1, 9.0), ev(2, 2.0), ev(3, 9.0)]);
         shared.ingested.store(4, Ordering::Release);
         let lane = |id| {
             Lane::new(
@@ -957,8 +878,8 @@ mod tests {
             )
         };
         let (a, b) = (lane(0), lane(1));
-        let open = LaneCell::new(&Arc::new(WindowInfo::new(0, 0, 0, 0)));
-        let closed = LaneCell::new(&Arc::new(WindowInfo::with_store(0, 1, 0, 0, 0)));
+        let open = LaneCell::new(&Arc::new(WindowInfo::new(0, filled(&[]), 0, 0, 0)));
+        let closed = LaneCell::new(&Arc::new(WindowInfo::new(0, closed_buf, 0, 0, 0)));
         closed.window.set_end_pos(4);
         a.push(Arc::clone(&open));
         b.push(Arc::clone(&closed));
@@ -974,9 +895,9 @@ mod tests {
         assert_eq!(shared.metrics.snapshot().stalled_steps, 1);
 
         // The open window has events again: the next step returns to it.
-        let mut batch = crate::splitter::EventBatch::with_capacity(0, 1);
+        let mut batch = EventBatch::with_capacity(0, 1);
         batch.push(ev(0, 1.0));
-        shared.store.extend(0, &Arc::new(batch), 0..1);
+        open.window.buf.extend(&Arc::new(batch), 0..1);
         assert_eq!(inst.step(&shared), StepOutcome::Worked);
         assert_eq!(shared.metrics.snapshot().events_processed, 3);
 
@@ -985,7 +906,8 @@ mod tests {
         assert_eq!(inst.step(&shared), StepOutcome::Finished);
         assert!(closed.is_done() && !open.is_done());
         assert_eq!(closed.take_outputs().len(), 1);
-        assert_eq!(shared.store.window_len(1), None, "released by its finisher");
+        assert!(closed.window.buf.is_empty(), "released by its finisher");
+        assert!(!closed.window.buf.release());
         assert_eq!(shared.metrics.snapshot().lane_windows, 1);
         assert_eq!(inst.step(&shared), StepOutcome::Stalled);
 
@@ -994,13 +916,13 @@ mod tests {
         assert_eq!(inst.step(&shared), StepOutcome::Finished);
         assert!(open.is_done());
         assert_eq!(shared.metrics.snapshot().lane_windows, 2);
-        assert_eq!(shared.store.live_windows(), 0);
+        assert!(open.window.buf.is_empty() && !open.window.buf.release());
     }
 
     #[test]
     fn stats_flushed_on_finish() {
         let events = [ev(0, 1.0), ev(1, 9.0), ev(2, 2.0)];
-        let (shared, _wv, mut inst) = setup(ConsumptionPolicy::All, &events, vec![]);
+        let (shared, _wv, mut inst) = setup(&events, vec![]);
         for _ in 0..4 {
             inst.step(&shared);
         }

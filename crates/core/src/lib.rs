@@ -66,27 +66,26 @@
 //! rollups ([`SpectreEngine::tenant_metrics`],
 //! [`engine::Report::tenants`]) sum exactly to the aggregate counters.
 //!
-//! ## The batched, sharded data path
+//! ## The batched data path
 //!
 //! The hot path moves data in batches end to end (see
 //! `docs/ARCHITECTURE.md` at the repository root for the full map):
 //!
 //! * the splitter accumulates ingested events into an
 //!   [`EventBatch`] of up to
-//!   [`SpectreConfig::batch_size`] events and flushes each batch to the
-//!   [`store::WindowStore`] with one write per touched window,
-//! * the window store is sharded by window-id hash
-//!   ([`SpectreConfig::store_shards`]), so instances working on different
-//!   windows take different locks,
+//!   [`SpectreConfig::batch_size`] events and flushes each batch with one
+//!   write per touched window buffer ([`store::WindowBuf`]),
+//! * every window owns its buffer and lock: a window's
+//!   [`store::WindowInfo`] carries the buffer, so instances working on
+//!   different windows take different locks and nobody looks a window up,
 //! * instances fetch and process events in runs of up to `batch_size`
-//!   under one shard read-lock plus one version-lock acquisition, and
+//!   under one buffer read-lock plus one version-lock acquisition, and
 //!   flush their buffered dependency-tree operations with one queue
 //!   operation per step.
 //!
-//! `batch_size: 1` together with `store_shards: 1` reproduces the original
-//! event-at-a-time, single-lock data path; the output is bit-identical for
-//! every combination (enforced by `tests/tests/smoke.rs` and
-//! `tests/tests/threaded.rs`).
+//! `batch_size: 1` reproduces the original event-at-a-time data path; the
+//! output is bit-identical for every batch size (enforced by
+//! `tests/tests/smoke.rs` and `tests/tests/threaded.rs`).
 //!
 //! ## The lazy dependency tree
 //!
@@ -181,4 +180,3 @@ pub use metrics::{MetricsSnapshot, WorkerSnapshot};
 pub use reorder::{LatePolicy, ReorderConfig, WatermarkPolicy};
 pub use shared::{QueryId, TenantId};
 pub use splitter::{EventBatch, Splitter};
-pub use store::WindowStore;

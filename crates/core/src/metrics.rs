@@ -102,7 +102,7 @@ pub struct Metrics {
     /// Complex events committed (appended to the output stream at window
     /// retirement).
     pub outputs_emitted: AtomicU64,
-    /// Event buffers opened in the shared window store. Engine-global:
+    /// Window buffers opened, one per spec-group window. Engine-global:
     /// same-spec windows of different queries share one buffer, so in a
     /// multi-query session this stays below the per-query window counts.
     pub store_windows_opened: AtomicU64,

@@ -7,11 +7,11 @@
 //! writes and instances poll (paper Fig. 8 lines 7–9).
 //!
 //! Every hot-path structure here moves data in batches: events travel
-//! through the sharded [`WindowStore`] in runs (see
-//! [`EventBatch`](crate::splitter::EventBatch)), tree ops are flushed with
-//! `SegQueue::push_many` / drained with `SegQueue::pop_many` (one lock
-//! acquisition per batch), and the `ingested` watermark is published once
-//! per batch rather than once per event.
+//! through each window's own [`WindowBuf`](crate::store::WindowBuf) in
+//! runs (see [`EventBatch`](crate::splitter::EventBatch)), tree ops are
+//! flushed with `SegQueue::push_many` / drained with `SegQueue::pop_many`
+//! (one lock acquisition per batch), and the `ingested` watermark is
+//! published once per batch rather than once per event.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -26,7 +26,7 @@ use spectre_query::{ComplexEvent, Query};
 use crate::cg::{CgCell, CgId};
 use crate::config::SpectreConfig;
 use crate::metrics::Metrics;
-use crate::store::{WindowInfo, WindowStore};
+use crate::store::WindowInfo;
 use crate::version::{VersionState, WvId};
 
 /// Identifies one deployed query within an engine session.
@@ -48,9 +48,9 @@ impl std::fmt::Display for QueryId {
 /// engine session.
 ///
 /// Tenancy is a pure policy layer over the shared mechanism (splitter,
-/// store, instance pool): every query belongs to exactly one tenant, and
-/// the splitter's top-k schedule divides the instance slots and the
-/// speculation budget between tenants by their
+/// window buffers, instance pool): every query belongs to exactly one
+/// tenant, and the splitter's top-k schedule divides the instance slots
+/// and the speculation budget between tenants by their
 /// [`TenantQuota`](crate::config::TenantQuota) weights. Sessions that
 /// never mention tenants run everything under [`TenantId::DEFAULT`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -167,7 +167,7 @@ impl LaneCell {
 
     /// Stores the outputs and marks the cell done. Only the first call —
     /// the finishing instance, or the splitter retiring the query — gets
-    /// `true` and owes the window's store release.
+    /// `true` and owes the window's buffer release.
     pub(crate) fn finish(&self, outputs: Vec<ComplexEvent>) -> bool {
         *self.outputs.lock() = outputs;
         !self.done.swap(true, Ordering::AcqRel)
@@ -279,8 +279,6 @@ impl SlotCell {
 /// Everything splitter and instances share.
 #[derive(Debug)]
 pub struct SharedState {
-    /// The sharded per-window event buffers.
-    pub store: WindowStore,
     /// Per-instance scheduling slot.
     pub slots: Vec<SlotCell>,
     /// Buffered tree updates (instances → splitter), tagged with the query
@@ -292,8 +290,8 @@ pub struct SharedState {
     pub stats: SegQueue<(QueryId, StatsBatch)>,
     /// Number of events ingested so far, published once per
     /// [`EventBatch`](crate::splitter::EventBatch) flush, after the batch's
-    /// store writes: a window whose end is at most this is fully readable
-    /// ([`Lane::claim`]). Instances read events through the store buffers.
+    /// buffer writes: a window whose end is at most this is fully readable
+    /// (`Lane::claim`). Instances read events through the window buffers.
     pub ingested: AtomicU64,
     /// Set once all windows retired; instances shut down.
     pub done: AtomicBool,
@@ -312,18 +310,15 @@ pub struct SharedState {
 }
 
 impl SharedState {
-    /// Creates shared state for `instances` operator instances with the
-    /// default window-store shard count.
+    /// Creates shared state for `instances` operator instances.
     pub fn new(instances: usize) -> Arc<Self> {
         Self::for_config(&SpectreConfig::with_instances(instances))
     }
 
-    /// Creates shared state for a configuration (instance count and
-    /// window-store shard count).
+    /// Creates shared state for a configuration (its instance count).
     pub fn for_config(config: &SpectreConfig) -> Arc<Self> {
         let instances = config.instances;
         Arc::new(SharedState {
-            store: WindowStore::new(config.store_shards),
             slots: (0..instances).map(|_| SlotCell::default()).collect(),
             ops: SegQueue::new(),
             stats: SegQueue::new(),
@@ -397,6 +392,7 @@ impl SharedState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::WindowBuf;
 
     #[test]
     fn id_allocation_is_unique() {
@@ -412,10 +408,10 @@ mod tests {
 
     #[test]
     fn for_config_sizes_store_and_slots() {
-        let config = SpectreConfig::with_batching(3, 16, 4);
+        let config = SpectreConfig::with_batching(3, 16);
         let s = SharedState::for_config(&config);
         assert_eq!(s.instance_count(), 3);
-        assert_eq!(s.store.shard_count(), 4);
+        assert_eq!(s.metrics.worker_snapshots().len(), 3);
     }
 
     #[test]
@@ -448,7 +444,10 @@ mod tests {
             .build()
             .unwrap();
         let lane = Lane::new(QueryId(3), Arc::new(query), Arc::new(Metrics::new()));
-        let cell = |id: u64| LaneCell::new(&Arc::new(WindowInfo::new(id, id * 2, 0, 0)));
+        let cell = |id: u64| {
+            let buf = Arc::new(WindowBuf::new(1));
+            LaneCell::new(&Arc::new(WindowInfo::new(id, buf, id * 2, 0, 0)))
+        };
         let (a, b) = (cell(0), cell(1));
         lane.push(Arc::clone(&a));
         lane.push(Arc::clone(&b));
@@ -464,7 +463,7 @@ mod tests {
         assert!(Arc::ptr_eq(&lane.claim(None).unwrap(), &b));
         assert!(lane.claim(None).is_none());
         assert_eq!(lane.unclaimed(), 0);
-        // Exactly one `finish` owes the store release.
+        // Exactly one `finish` owes the buffer release.
         assert!(a.finish(vec![]));
         assert!(!a.finish(vec![]));
         assert!(a.is_done() && !b.is_done());

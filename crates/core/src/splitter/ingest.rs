@@ -1,6 +1,6 @@
 //! Cycle phase (c): ingestion. Events leave the feed in [`EventBatch`]
 //! units; each spec group opens and closes its windows, and each batch is
-//! flushed to the window store with one write per touched buffer.
+//! flushed with one write per touched window buffer.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -10,16 +10,16 @@ use spectre_query::window::{WindowAssigner, WindowBounds};
 
 use super::Splitter;
 use crate::shared::QueryId;
-use crate::store::WindowInfo;
+use crate::store::{WindowBuf, WindowInfo};
 
-/// One splitter→store hand-off unit: a run of consecutive stream events
+/// One splitter→window hand-off unit: a run of consecutive stream events
 /// starting at stream position [`first_pos`](Self::first_pos).
 ///
 /// The splitter accumulates up to
 /// [`SpectreConfig::batch_size`](crate::SpectreConfig::batch_size) events
 /// per batch, wraps the batch in *one* `Arc`, and hands each window its
 /// slice of it with a single
-/// [`WindowStore::extend`](crate::store::WindowStore::extend) call — so
+/// [`WindowBuf::extend`](crate::store::WindowBuf::extend) call — so
 /// allocation, reference-count and lock traffic all scale with batches,
 /// not events, and overlapping windows share the event payloads through
 /// the batch. A batch size of 1 reproduces the original event-at-a-time
@@ -84,14 +84,14 @@ impl EventBatch {
     }
 }
 
-/// A not-yet-closed window of one spec group: the shared store buffer, the
-/// batch-relative index of its first pending event, and the subscribed
+/// A not-yet-closed window of one spec group: the shared window buffer,
+/// the batch-relative index of its first pending event, and the subscribed
 /// members' window cells.
 pub(super) struct GroupOpenWindow {
     /// Group-local window id (the assigner's numbering), for close matching.
     group_id: u64,
-    /// Shared store buffer id.
-    store_id: u64,
+    /// The buffer every member's cell shares.
+    buf: Arc<WindowBuf>,
     /// Batch-relative index of the first batch event belonging to the
     /// window (reset to 0 at each flush).
     pending: usize,
@@ -101,8 +101,8 @@ pub(super) struct GroupOpenWindow {
 
 /// One window-spec equivalence class: the queries whose specs compare
 /// equal and the single assigner driving their shared window boundaries.
-/// Each shared store buffer counts its subscribers itself (see
-/// [`WindowStore::release`](crate::store::WindowStore::release)).
+/// Each shared window buffer counts its subscribers itself (see
+/// [`WindowBuf::release`](crate::store::WindowBuf::release)).
 pub(super) struct SpecGroup {
     pub(super) assigner: WindowAssigner,
     /// Stream position at group creation; the assigner's positions are
@@ -173,7 +173,7 @@ impl Splitter {
 
     /// Collects up to `cap` source events into the hand-off batch, applying
     /// window opens/closes of every spec group as they are discovered. The
-    /// batch's event slices are distributed to their store buffers by
+    /// batch's event slices are distributed to their window buffers by
     /// [`flush_batch`](Self::flush_batch).
     fn fill_batch(&mut self, cap: usize) -> FillOutcome {
         debug_assert_eq!(
@@ -256,7 +256,7 @@ impl Splitter {
         }
     }
 
-    /// Opens group `gi`'s next window: allocates the shared store buffer
+    /// Opens group `gi`'s next window: creates the shared window buffer
     /// (once) and subscribes every current member with its own
     /// query-local [`WindowInfo`] cell. A group without members opens
     /// nothing — no buffer, no subscriptions. `event` is the window's
@@ -267,18 +267,16 @@ impl Splitter {
         if g.members.is_empty() {
             return;
         }
-        let store_id = self.next_store_id;
-        self.next_store_id += 1;
         let start_pos = g.base_pos + bounds.start_pos;
         let members = g.members.clone();
+        let buf = Arc::new(WindowBuf::new(members.len()));
         g.open.push(GroupOpenWindow {
             group_id: bounds.id,
-            store_id,
+            buf: Arc::clone(&buf),
             pending: self.batch.len(),
             infos: Vec::with_capacity(members.len()),
         });
         let ow = g.open.len() - 1;
-        self.shared.store.open_window(store_id, members.len());
         self.shared
             .metrics
             .store_windows_opened
@@ -290,9 +288,9 @@ impl Splitter {
                 .get(&qid)
                 .expect("group member is registered");
             let qs = &mut self.queries[qi];
-            let info = Arc::new(WindowInfo::with_store(
+            let info = Arc::new(WindowInfo::new(
                 bounds.id - qs.offset,
-                store_id,
+                Arc::clone(&buf),
                 start_pos,
                 bounds.start_seq,
                 bounds.start_ts,
@@ -323,7 +321,8 @@ impl Splitter {
         };
         let ow = g.open.remove(i);
         if ow.pending < batch_len {
-            self.batch_closed.push((ow.store_id, ow.pending..batch_len));
+            self.batch_closed
+                .push((Arc::clone(&ow.buf), ow.pending..batch_len));
         }
         for (qid, info) in &ow.infos {
             info.set_end_pos(end_pos);
@@ -344,13 +343,13 @@ impl Splitter {
                 self.shared
                     .metrics
                     .add_shared(&qs.metrics, |m| &m.windows_skipped, 1);
-                self.shared.store.release(ow.store_id);
+                ow.buf.release();
             }
         }
     }
 
-    /// Seals the batch into one shared `Arc`, hands every touched store
-    /// buffer its slice (one store write and one `Arc` clone per buffer —
+    /// Seals the batch into one shared `Arc`, hands every touched window
+    /// buffer its slice (one buffer write and one `Arc` clone per buffer —
     /// not per subscribing query), and publishes the ingestion watermark
     /// once.
     fn flush_batch(&mut self) {
@@ -361,14 +360,12 @@ impl Splitter {
         }
         let next = EventBatch::with_capacity(self.next_pos, self.config.batch_size);
         let sealed = Arc::new(std::mem::replace(&mut self.batch, next));
-        for (store_id, range) in self.batch_closed.drain(..) {
-            self.shared.store.extend(store_id, &sealed, range);
+        for (buf, range) in self.batch_closed.drain(..) {
+            buf.extend(&sealed, range);
         }
         for g in &mut self.groups {
             for ow in &mut g.open {
-                self.shared
-                    .store
-                    .extend(ow.store_id, &sealed, ow.pending..len);
+                ow.buf.extend(&sealed, ow.pending..len);
                 ow.pending = 0; // relative to the next batch
             }
         }

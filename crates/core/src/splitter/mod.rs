@@ -5,8 +5,8 @@
 //! (a) apply all buffered dependency-tree updates from the instances
 //! (drained in one batch and routed to the owning query), (b) feed each
 //! query's Markov model, (c) ingest input events in [`EventBatch`] units
-//! (opening and closing windows, flushing each batch to the window store
-//! with one write per touched window buffer), (d) retire finished,
+//! (opening and closing windows, flushing each batch with one write per
+//! touched window buffer), (d) retire finished,
 //! confirmed root versions per query — emitting their buffered complex
 //! events in window order — and (e) select and schedule the top-k window
 //! versions across all queries.
@@ -18,25 +18,24 @@
 //! # Multi-query sessions
 //!
 //! The splitter hosts any number of concurrently deployed queries over the
-//! one shared feed, store and instance pool. The split of state is strict:
+//! one shared feed, window buffers and instance pool. The split of state is strict:
 //!
 //! * **Per query** (`QueryState`, keyed by [`QueryId`]): window assigner
 //!   membership, dependency tree and completion predictor (or lane),
 //!   live-window bookkeeping, running window-size average, metric
 //!   counters and committed outputs.
-//! * **Shared** ([`SharedState`]): the feed queue, the sharded
-//!   [`WindowStore`](crate::store::WindowStore), the scheduling slots, the
-//!   op/stats queues and the aggregate metrics.
+//! * **Shared** ([`SharedState`]): the feed queue, the scheduling slots,
+//!   the op/stats queues and the aggregate metrics.
 //!
 //! Queries whose `WindowSpec`s compare equal share a `SpecGroup`: one
 //! assigner drives their (identical) window boundaries, and each window's
-//! events are stored **once** under a group-allocated `store_id` while every
-//! member query gets its own [`WindowInfo`](crate::store::WindowInfo) cell
-//! (query-local `id`, shared `store_id`). Deploying a query mid-stream
-//! subscribes it to windows from the next boundary on; retiring one drops
-//! its versions, releases its window subscriptions (the store frees a
-//! buffer when its last subscriber goes) and leaves the other queries
-//! untouched.
+//! events are buffered **once**, in a [`WindowBuf`] the group creates
+//! when the window opens, while every member query gets its own
+//! [`WindowInfo`](crate::store::WindowInfo) cell (query-local `id`, shared
+//! buffer). Deploying a query mid-stream subscribes it to windows from the
+//! next boundary on; retiring one drops its versions, releases its window
+//! subscriptions (a buffer frees its events when its last subscriber goes)
+//! and leaves the other queries untouched.
 //!
 //! # Multi-tenant sessions
 //!
@@ -56,7 +55,7 @@
 //!   [`EventFilter`](spectre_query::EventFilter) from its pattern at deploy
 //!   time; windows whose events the filter all rejects are never attached
 //!   to the query's tree
-//!   (counted as `windows_skipped`), while the shared store buffers stay
+//!   (counted as `windows_skipped`), while the shared window buffers stay
 //!   byte-identical for every other subscriber.
 //!
 //! The phases live in files of their own: `registry.rs` holds the tenants
@@ -73,6 +72,7 @@ use spectre_query::ComplexEvent;
 
 use crate::config::SpectreConfig;
 use crate::shared::{Grant, QueryId, SharedState, TenantId, TreeOp};
+use crate::store::WindowBuf;
 
 mod ingest;
 mod registry;
@@ -104,7 +104,7 @@ pub struct Splitter {
     feed: VecDeque<Event>,
     /// `true` once the session signalled end-of-stream.
     eos: bool,
-    /// Window-spec equivalence classes (shared assigners + store buffers).
+    /// Window-spec equivalence classes (shared assigners + window buffers).
     groups: Vec<SpecGroup>,
     /// The query registry, ascending by id (commit order is id order).
     queries: Vec<QueryState>,
@@ -117,14 +117,11 @@ pub struct Splitter {
     /// Tenant id → position in [`tenants`](Self::tenants).
     tenant_index: HashMap<TenantId, usize>,
     next_query: u32,
-    /// Next shared store-buffer id (engine-global, never reused).
-    next_store_id: u64,
     /// The in-flight hand-off batch (sealed into an `Arc` at flush).
     batch: EventBatch,
-    /// Store buffers whose window closed while the current batch was
-    /// filling, with the batch-relative ranges they own (distributed at
-    /// flush).
-    batch_closed: Vec<(u64, std::ops::Range<usize>)>,
+    /// Buffers whose window closed while the current batch was filling,
+    /// with the batch-relative ranges they own (distributed at flush).
+    batch_closed: Vec<(Arc<WindowBuf>, std::ops::Range<usize>)>,
     /// Reusable buffer for per-event window closes.
     closed_buf: Vec<WindowBounds>,
     /// Reusable buffer for draining the shared op queue.
@@ -178,7 +175,6 @@ impl Splitter {
             tenants: Vec::new(),
             tenant_index: HashMap::new(),
             next_query: 0,
-            next_store_id: 0,
             batch,
             batch_closed: Vec::new(),
             closed_buf: Vec::new(),
@@ -306,7 +302,7 @@ impl Splitter {
             false
         };
         // Wake parked workers: this cycle may have published slots, flushed
-        // fresh events into the store, or set the done flag. Free when
+        // fresh events into window buffers, or set the done flag. Free when
         // nobody is parked (one atomic load).
         self.shared.unpark_workers();
         finished

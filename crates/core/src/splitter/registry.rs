@@ -307,8 +307,8 @@ impl Splitter {
 
     /// Retires a deployed query mid-session: drops its in-flight versions
     /// (instances abort them at the next run boundary), clears its
-    /// scheduling slots, releases its window references (shared store
-    /// buffers are freed when their last subscriber goes) and removes its
+    /// scheduling slots, releases its window references (shared window
+    /// buffers free their events when their last subscriber goes) and removes its
     /// registry entry. Returns the query's committed-but-undrained outputs,
     /// or `None` for an unknown (never deployed or already retired) id.
     /// The other queries are untouched.
@@ -349,7 +349,7 @@ impl Splitter {
         let unfinished = qs.cells.iter().filter(|c| c.finish(Vec::new()));
         let windows = qs.tree.windows().chain(&qs.deferred);
         for w in windows.chain(unfinished.map(|c| &c.window)) {
-            self.shared.store.release(w.store_id);
+            w.buf.release();
         }
         // Queued ops/stats still tagged with this id are dropped as stale
         // when drained. Hand back the outputs the session has not drained.

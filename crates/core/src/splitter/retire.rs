@@ -22,7 +22,7 @@ impl Splitter {
     }
 
     /// Retires lane query `qi`'s done windows off the front of its deque
-    /// (their finishers released the store subscriptions).
+    /// (their finishers released the buffer subscriptions).
     fn retire_lane_of(&mut self, qi: usize) {
         let (qs, global) = (&mut self.queries[qi], &self.shared.metrics);
         let mut retired = 0;
@@ -77,7 +77,7 @@ impl Splitter {
         global.add_shared(&qs.metrics, |m| &m.outputs_emitted, emitted.len() as u64);
         // The buffer dies with its last subscriber (payloads shared with
         // younger windows stay alive through their own buffers).
-        shared.store.release(retired.window().store_id);
+        retired.window().buf.release();
         let qid = qs.id;
         self.outputs.extend(emitted.into_iter().map(|ce| (qid, ce)));
         true

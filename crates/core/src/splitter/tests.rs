@@ -5,6 +5,7 @@ use crate::config::TenantQuota;
 use crate::instance::{InstanceCore, StepOutcome};
 use spectre_events::{AttrKey, EventType, Schema};
 use spectre_query::{ConsumptionPolicy, Expr, Pattern, Query, WindowSpec};
+use std::collections::BTreeMap;
 
 /// A splitter hosting `query` alone, in the default tenant.
 pub(super) fn single(
@@ -168,11 +169,10 @@ fn stream_without_matches_terminates() {
 }
 
 #[test]
-fn outputs_identical_across_batch_sizes_and_shard_counts() {
-    // The batched hand-off and store sharding are pure mechanics: for
-    // any batch size (including the degenerate 1 = the original
-    // event-at-a-time path) and any shard count, the emitted complex
-    // events are identical.
+fn outputs_identical_across_batch_sizes() {
+    // The batched hand-off is pure mechanics: for any batch size
+    // (including the degenerate 1 = the original event-at-a-time path),
+    // the emitted complex events are identical.
     let query = ab_query();
     let events: Vec<Event> = (0..200)
         .map(|i| ev(i, [1.0, 9.0, 2.0, 1.0, 2.0, 9.0][i as usize % 6]))
@@ -180,11 +180,9 @@ fn outputs_identical_across_batch_sizes_and_shard_counts() {
     let expected = spectre_baselines::run_sequential(&query, &events).complex_events;
     assert!(!expected.is_empty());
     for batch in [1usize, 7, 64, 1024] {
-        for shards in [1usize, 8] {
-            let config = SpectreConfig::with_batching(3, batch, shards);
-            let got = drive_config(Arc::clone(&query), events.clone(), config);
-            assert_eq!(got, expected, "batch = {batch}, shards = {shards}");
-        }
+        let config = SpectreConfig::with_batching(3, batch);
+        let got = drive_config(Arc::clone(&query), events.clone(), config);
+        assert_eq!(got, expected, "batch = {batch}");
     }
 }
 
@@ -227,8 +225,13 @@ fn lane_queries_skip_the_tree_and_retire_in_order() {
         splitter.end_of_stream();
         let mut instances: Vec<_> = (0..2).map(|i| InstanceCore::new(i, 4)).collect();
         let mut lane_grants = 0;
+        // Every window's buffer, kept past retirement: only a release
+        // empties it while a handle lives.
+        let mut bufs = BTreeMap::new();
         while !splitter.cycle() {
             let qs = &splitter.queries[0];
+            let windows = qs.tree.windows().chain(qs.cells.iter().map(|c| &c.window));
+            bufs.extend(windows.map(|w| (w.id, Arc::clone(&w.buf))));
             if qs.lane.is_some() {
                 // No tree; every unretired window waits in order, and
                 // slots hold lane grants only.
@@ -246,7 +249,10 @@ fn lane_queries_skip_the_tree_and_retire_in_order() {
         }
         assert_eq!(untag(splitter.take_outputs()), expected);
         let m = shared.metrics.snapshot();
-        assert_eq!(shared.store.live_windows(), 0, "every buffer released");
+        assert_eq!(bufs.len() as u64, m.windows_retired, "every window seen");
+        for (id, buf) in &bufs {
+            assert!(buf.is_empty() && !buf.release(), "window {id} released");
+        }
         if query.consumption().is_none() {
             assert_eq!((m.versions_created, m.max_tree_versions), (0, 0));
             assert_eq!(m.lane_windows, m.windows_retired);
@@ -256,6 +262,48 @@ fn lane_queries_skip_the_tree_and_retire_in_order() {
             assert_eq!(m.lane_windows, 0);
         }
     }
+}
+
+#[test]
+fn released_buffers_take_no_later_slices() {
+    // A filter-skipped window is released at its close while its final
+    // slice still waits in `batch_closed`; a retired query's window is
+    // released while its group keeps it open. The flushes after either
+    // release must not refill the buffer.
+    let config = SpectreConfig::with_instances(1);
+    let shared = SharedState::for_config(&config);
+    let mut splitter = single(ab_query(), config, Arc::clone(&shared));
+    let newest_buf = |s: &Splitter| Arc::clone(&s.groups[0].open.last().unwrap().infos[0].1.buf);
+
+    // Events 0 and 1 are irrelevant to the query: window 0 is deferred.
+    for seq in 0..2 {
+        splitter.feed(ev(seq, 9.0));
+    }
+    splitter.ingest();
+    let skipped = newest_buf(&splitter);
+    assert_eq!(skipped.len(), 2);
+    // Event 4 closes window 0 in the batch that also holds its events 2
+    // and 3: the skip releases the buffer before that batch is flushed.
+    for seq in 2..5 {
+        splitter.feed(ev(seq, 9.0));
+    }
+    splitter.ingest();
+    assert_eq!(shared.metrics.snapshot().windows_skipped, 1);
+    assert!(skipped.is_empty() && !skipped.release());
+
+    // Event 5 is relevant and attaches windows 1 and 2; retiring the
+    // query releases them while both are still open.
+    splitter.feed(ev(5, 1.0));
+    splitter.ingest();
+    let open = newest_buf(&splitter);
+    assert_eq!(open.len(), 2);
+    splitter.retire_query(splitter.query_ids()[0]).unwrap();
+    assert!(open.is_empty());
+    for seq in 6..10 {
+        splitter.feed(ev(seq, 9.0));
+    }
+    splitter.ingest();
+    assert!(open.is_empty() && !open.release());
 }
 
 /// Runs `cycles` scheduling cycles of a splitter hosting, per
@@ -338,7 +386,7 @@ fn tenant_weights_split_slots_across_a_tenants_queries() {
 #[test]
 fn two_same_spec_queries_share_store_buffers() {
     // Two queries with equal window specs: every window is stored once
-    // (one store buffer per group window), each query still gets its
+    // (one buffer per group window), each query still gets its
     // own outputs with its own local window ids.
     let query_a = ab_query();
     let query_b = ab_query();
@@ -376,7 +424,7 @@ fn two_same_spec_queries_share_store_buffers() {
                 .collect();
             assert_eq!(a, expected, "query A");
             assert_eq!(b, expected, "query B");
-            // Dedup: the session opened exactly as many store buffers
+            // Dedup: the session opened exactly as many window buffers
             // as one query alone would have (windows stored once).
             let snap = shared.metrics.snapshot();
             assert_eq!(snap.store_windows_opened * 2, snap.windows_retired);

@@ -1,7 +1,7 @@
-//! Sharded window store and window bookkeeping.
+//! Window buffers and window bookkeeping.
 //!
 //! The splitter hands each sealed [`EventBatch`] to every window that
-//! overlaps it — one `Arc` clone and one shard-lock acquisition per
+//! overlaps it — one `Arc` clone and one buffer-lock acquisition per
 //! (window, batch), never per event — and operator instances read their
 //! scheduled window's events back by *window-relative index* as
 //! [`EventRun`] slices of those shared batches. Window boundaries are
@@ -9,38 +9,34 @@
 //! discovers the end position during ingestion) and all versions of the
 //! window (paper §2.2: window boundaries are kept in shared memory).
 //!
-//! # Sharding and per-window locking
+//! # Ownership and locking
 //!
-//! Buffers live in [`WindowStore`], which is sharded by window-id hash:
-//! window `w` belongs to shard `w mod shards`. Window ids are allocated
-//! sequentially, so consecutive — and therefore concurrently live — windows
-//! land on *different* shards. The shard lock guards only the window *map*
-//! (open/remove take it for writing; lookups read it); each buffer carries
-//! its own lock ([`WindowBuf`]), so the splitter appending to one window
-//! never blocks instances reading any other window — not even one on the
-//! same shard — and instances cache the buffer `Arc` across steps
-//! ([`WindowStore::window_buf`]) to skip the map lookup entirely. With
-//! `shards = 1` the store degenerates to a single map lock; the output is
-//! identical for every shard count (the shard map is pure placement, never
-//! ordering).
+//! Every holder of a window holds its buffer: a [`WindowInfo`] carries the
+//! window's [`WindowBuf`], so the splitter appends to it and instances read
+//! from it without looking it up. Each buffer has its own lock, so the
+//! splitter appending to one window never blocks an instance reading
+//! another.
 //!
 //! # Batching
 //!
 //! A window's buffer is a list of *segments*, each a sub-range of one
-//! shared hand-off batch. Writers ([`WindowStore::extend`]) append one
+//! shared hand-off batch. Writers ([`WindowBuf::extend`]) append one
 //! segment per (window, batch); readers ([`WindowBuf::read_run`]) fetch
 //! up to a whole batch of events under a single buffer-lock acquisition.
 //! Event payloads live inside the batches and are shared by every
 //! overlapping window — per-event allocation and reference counting are
 //! gone from the hot path entirely.
 //!
-//! Because every window's buffer references exactly the window's own
-//! events, pruning is trivial: each buffer counts its subscribers (the
-//! queries whose windows read it), the last [`WindowStore::release`]
-//! removes it — on whichever thread makes that call — and a batch is freed
-//! when the last window referencing it goes.
+//! # Release
+//!
+//! Each buffer counts its subscribers (the queries whose windows read it).
+//! The last [`WindowBuf::release`] — on whichever thread makes it — takes
+//! the segments out, so a batch is freed when the last window referencing
+//! it goes, even while `WindowInfo` cells of the window live on in
+//! versions or scheduling slots. A released buffer reads as empty and
+//! drops the slices still queued for it.
 
-use std::collections::HashMap;
+use std::fmt;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -61,11 +57,10 @@ pub struct WindowInfo {
     /// retirement order all compare these, so they restart at 0 for each
     /// deployed query.
     pub id: u64,
-    /// Id of the event buffer in the shared [`WindowStore`]. Engine-global:
-    /// same-spec windows of different queries carry *distinct* `WindowInfo`
-    /// cells (their local `id`s differ) but the *same* `store_id`, so the
-    /// events are buffered once. In a single-query session `store_id == id`.
-    pub store_id: u64,
+    /// The window's event buffer. Same-spec windows of different queries
+    /// carry *distinct* `WindowInfo` cells (their local `id`s differ) but
+    /// the *same* buffer, so the events are buffered once.
+    pub buf: Arc<WindowBuf>,
     /// Position of the window's start event.
     pub start_pos: u64,
     /// Sequence number of the start event.
@@ -78,24 +73,18 @@ pub struct WindowInfo {
 }
 
 impl WindowInfo {
-    /// Creates a window whose end is not yet known, with `store_id == id`
-    /// (the single-query layout).
-    pub fn new(id: u64, start_pos: u64, start_seq: Seq, start_ts: Timestamp) -> Self {
-        Self::with_store(id, id, start_pos, start_seq, start_ts)
-    }
-
     /// Creates a window whose end is not yet known, reading its events from
-    /// the shared buffer `store_id` (which other queries' windows may share).
-    pub fn with_store(
+    /// `buf` (which other queries' windows may share).
+    pub fn new(
         id: u64,
-        store_id: u64,
+        buf: Arc<WindowBuf>,
         start_pos: u64,
         start_seq: Seq,
         start_ts: Timestamp,
     ) -> Self {
         WindowInfo {
             id,
-            store_id,
+            buf,
             start_pos,
             start_seq,
             start_ts,
@@ -149,82 +138,116 @@ struct Seg {
     range: Range<usize>,
 }
 
-/// The mutable part of a window's buffer, behind the per-window lock.
-#[derive(Debug, Default)]
-struct BufState {
-    segs: Vec<Seg>,
-}
-
 /// One window's event buffer: the segments covering window-relative
-/// indices `[0, len)`, ascending, behind a *per-window* lock.
-///
-/// Shard locks only guard the window map (open/remove); appends and reads
-/// synchronize here, per window. The splitter extending window `w` therefore
-/// never blocks an instance reading window `w'` on the same shard — shard
-/// traffic is read-mostly, and the write path of one window contends only
-/// with its own readers. Instances hold a clone of the buffer's `Arc`
-/// (via [`WindowStore::window_buf`]) across steps of the same window, so
-/// the per-step shard-map lookup disappears from the run-read hot path.
+/// indices `[0, len)`, ascending, behind a *per-window* lock, plus the
+/// count of subscribers that have not released it yet.
 ///
 /// The buffered length is also published in an atomic, so a reader that
 /// is ahead of ingestion (a stalled instance polling for its next event)
 /// finds out without touching the lock the splitter appends under.
-#[derive(Debug)]
+///
+/// # Example
+///
+/// ```
+/// use std::sync::Arc;
+/// use spectre_core::splitter::EventBatch;
+/// use spectre_core::store::WindowBuf;
+/// use spectre_events::{Event, EventType};
+///
+/// let buf = WindowBuf::new(1); // one subscriber
+/// let mut batch = EventBatch::with_capacity(0, 3);
+/// for seq in 0..3 {
+///     batch.push(Event::builder(EventType::new(0)).seq(seq).ts(seq).build());
+/// }
+/// let batch = Arc::new(batch);
+/// buf.extend(&batch, 0..3); // one lock + one Arc clone for the run
+///
+/// let mut runs = Vec::new();
+/// assert_eq!(buf.read_run(1, 16, &mut runs), 2); // events 1 and 2
+/// assert_eq!(runs[0].events()[0].seq(), 1);
+///
+/// assert!(buf.release()); // the last subscriber frees the events
+/// assert!(buf.is_empty());
+/// assert!(!buf.release(), "a released buffer stays released");
+/// ```
 pub struct WindowBuf {
     /// Events buffered, stored under the write lock after each append.
     len: AtomicU64,
-    /// Subscribers not yet released (see [`WindowStore::release`]).
+    /// Subscribers not yet released; 0 once released.
     subscribers: AtomicUsize,
-    state: RwLock<BufState>,
+    segs: RwLock<Vec<Seg>>,
+}
+
+/// Leaves the segments out: every version and slot that prints its window
+/// would otherwise print the window's events.
+impl fmt::Debug for WindowBuf {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("WindowBuf")
+            .field("len", &self.len())
+            .field("subscribers", &self.subscribers.load(Ordering::Relaxed))
+            .finish_non_exhaustive()
+    }
 }
 
 impl WindowBuf {
-    fn new(subscribers: usize) -> Self {
+    /// Creates an empty buffer read by `subscribers` queries.
+    pub fn new(subscribers: usize) -> Self {
         WindowBuf {
             len: AtomicU64::new(0),
             subscribers: AtomicUsize::new(subscribers),
-            state: RwLock::new(BufState::default()),
+            segs: RwLock::new(Vec::new()),
         }
     }
 
-    /// Number of events currently buffered.
+    /// Number of events currently buffered (0 once released).
     pub fn len(&self) -> u64 {
         self.len.load(Ordering::Acquire)
     }
 
-    /// `true` while nothing has been ingested into the buffer.
+    /// `true` while nothing has been ingested into the buffer, and once it
+    /// is released.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    fn extend(&self, batch: &Arc<EventBatch>, range: Range<usize>) {
-        let mut st = self.state.write();
+    /// Appends `batch[range]` as one segment, under the buffer's own lock
+    /// and one `Arc` clone. The segment continues the window's event
+    /// sequence. An empty range, or a released buffer, drops the slice.
+    pub fn extend(&self, batch: &Arc<EventBatch>, range: Range<usize>) {
+        if range.is_empty() {
+            return;
+        }
+        debug_assert!(range.end <= batch.len(), "segment range out of batch");
+        let mut segs = self.segs.write();
+        // Checked under the lock the last release empties the buffer
+        // under: once that release is done, no slice gets in again.
+        if self.subscribers.load(Ordering::Acquire) == 0 {
+            return;
+        }
         let first = self.len.load(Ordering::Relaxed);
-        let len = first + range.len() as u64;
-        st.segs.push(Seg {
+        segs.push(Seg {
             first,
             batch: Arc::clone(batch),
-            range,
+            range: range.clone(),
         });
-        self.len.store(len, Ordering::Release);
+        self.len
+            .store(first + range.len() as u64, Ordering::Release);
     }
 
     /// Collects up to `max` events starting at window-relative index `from`
     /// into `out` as [`EventRun`] slices (appended; `out` is *not*
     /// cleared). Returns the number of events covered — `0` when the events
-    /// are not yet ingested.
+    /// are not yet ingested or the buffer is released.
     pub fn read_run(&self, from: u64, max: usize, out: &mut Vec<EventRun>) -> usize {
         if from >= self.len() {
             return 0;
         }
-        let st = self.state.read();
-        let mut idx = st
-            .segs
-            .partition_point(|s| s.first + s.range.len() as u64 <= from);
+        let segs = self.segs.read();
+        let mut idx = segs.partition_point(|s| s.first + s.range.len() as u64 <= from);
         let mut remaining = max;
         let mut covered = 0usize;
         while remaining > 0 {
-            let Some(seg) = st.segs.get(idx) else { break };
+            let Some(seg) = segs.get(idx) else { break };
             let skip = (from.max(seg.first) - seg.first) as usize;
             let take = (seg.range.len() - skip).min(remaining);
             if take == 0 {
@@ -241,130 +264,26 @@ impl WindowBuf {
         }
         covered
     }
-}
 
-/// One shard: the buffers of all live windows hashing to it. The map holds
-/// `Arc`s so lookups can hand the buffer out and drop the shard lock
-/// immediately.
-#[derive(Debug, Default)]
-struct Shard {
-    windows: HashMap<u64, Arc<WindowBuf>>,
-}
-
-/// Sharded per-window event store (see the [module docs](self)).
-///
-/// # Example
-///
-/// ```
-/// use std::sync::Arc;
-/// use spectre_core::splitter::EventBatch;
-/// use spectre_core::store::WindowStore;
-/// use spectre_events::{Event, EventType};
-///
-/// let store = WindowStore::new(8);
-/// store.open_window(0, 1); // one subscriber
-/// let mut batch = EventBatch::with_capacity(0, 3);
-/// for seq in 0..3 {
-///     batch.push(Event::builder(EventType::new(0)).seq(seq).ts(seq).build());
-/// }
-/// let batch = Arc::new(batch);
-/// store.extend(0, &batch, 0..3); // one lock + one Arc clone for the run
-///
-/// let buf = store.window_buf(0).unwrap(); // instances cache this handle
-/// let mut runs = Vec::new();
-/// assert_eq!(buf.read_run(1, 16, &mut runs), 2); // events 1 and 2
-/// assert_eq!(runs[0].events()[0].seq(), 1);
-///
-/// assert!(store.release(0)); // the last subscriber frees the buffer
-/// assert!(store.window_buf(0).is_none());
-/// ```
-#[derive(Debug)]
-pub struct WindowStore {
-    shards: Box<[RwLock<Shard>]>,
-}
-
-impl WindowStore {
-    /// Creates a store with the given number of shards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    pub fn new(shards: usize) -> Self {
-        assert!(shards > 0, "store shard count must be positive");
-        WindowStore {
-            shards: (0..shards).map(|_| RwLock::new(Shard::default())).collect(),
-        }
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn shard(&self, window_id: u64) -> &RwLock<Shard> {
-        // Window ids are dense and sequential, so modulo is a perfect hash
-        // here: consecutive (concurrently live) windows map to distinct
-        // shards.
-        &self.shards[(window_id % self.shards.len() as u64) as usize]
-    }
-
-    /// Registers a window read by `subscribers` queries; its buffer starts
-    /// empty. Idempotent: re-opening an existing window is a no-op.
-    pub fn open_window(&self, window_id: u64, subscribers: usize) {
-        let mut shard = self.shard(window_id).write();
-        shard
-            .windows
-            .entry(window_id)
-            .or_insert_with(|| Arc::new(WindowBuf::new(subscribers)));
-    }
-
-    /// Drops one subscriber of `window_id`'s buffer; the last one removes
-    /// the buffer and returns `true`. A batch slice may still be queued
-    /// for a removed buffer: [`extend`](Self::extend) drops slices for
-    /// removed windows.
-    pub fn release(&self, window_id: u64) -> bool {
-        let Some(buf) = self.window_buf(window_id) else {
-            return false;
-        };
-        let last = buf.subscribers.fetch_sub(1, Ordering::AcqRel) == 1;
+    /// Drops one subscriber. The last one takes the segments out (hand-off
+    /// batches shared with other live windows stay alive through their
+    /// segments) and returns `true`; exactly one call does. Releasing a
+    /// released buffer is a no-op that returns `false`.
+    pub fn release(&self) -> bool {
+        let last = self
+            .subscribers
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| n.checked_sub(1))
+            == Ok(1);
         if last {
-            self.remove_window(window_id);
+            let segs = {
+                let mut segs = self.segs.write();
+                self.len.store(0, Ordering::Release);
+                std::mem::take(&mut *segs)
+            };
+            // Freed outside the buffer lock, which readers take.
+            drop(segs);
         }
         last
-    }
-
-    /// Hands out `window_id`'s buffer, or `None` for an unknown (already
-    /// retired) window. Instances cache the `Arc` across the steps of one
-    /// scheduled window, skipping the shard-map lookup on every subsequent
-    /// run read.
-    pub fn window_buf(&self, window_id: u64) -> Option<Arc<WindowBuf>> {
-        let shard = self.shard(window_id).read();
-        shard.windows.get(&window_id).cloned()
-    }
-
-    /// Appends `batch[range]` to `window_id`'s buffer as one segment, under
-    /// the window's own lock and one `Arc` clone (the shard lock is only
-    /// read to find the buffer). The segment continues the window's event
-    /// sequence. Appending to an unknown (already retired) window or an
-    /// empty range is a no-op.
-    pub fn extend(&self, window_id: u64, batch: &Arc<EventBatch>, range: Range<usize>) {
-        if range.is_empty() {
-            return;
-        }
-        debug_assert!(range.end <= batch.len(), "segment range out of batch");
-        let buf = self.window_buf(window_id);
-        if let Some(buf) = buf {
-            buf.extend(batch, range);
-        }
-    }
-
-    /// Drops `window_id`'s buffer whatever its subscribers (hand-off
-    /// batches shared with other live windows stay alive through their
-    /// segments).
-    pub fn remove_window(&self, window_id: u64) {
-        let removed = self.shard(window_id).write().windows.remove(&window_id);
-        // Freed outside the shard lock, which the splitter's appends read.
-        drop(removed);
     }
 }
 
@@ -372,53 +291,11 @@ impl WindowStore {
 mod tests {
     use super::*;
     use spectre_events::EventType;
+    use std::sync::Barrier;
 
     impl WindowInfo {
         fn contains_pos(&self, pos: u64) -> bool {
             pos >= self.start_pos && self.end_pos().is_none_or(|e| pos < e)
-        }
-    }
-
-    /// Test conveniences: lookups by window id that the hot path, which
-    /// caches [`WindowBuf`] handles, does without.
-    impl WindowStore {
-        pub(crate) fn window_len(&self, window_id: u64) -> Option<u64> {
-            self.window_buf(window_id).map(|b| b.len())
-        }
-
-        pub(crate) fn live_windows(&self) -> usize {
-            self.shards.iter().map(|s| s.read().windows.len()).sum()
-        }
-
-        fn read_run(
-            &self,
-            window_id: u64,
-            from: u64,
-            max: usize,
-            out: &mut Vec<EventRun>,
-        ) -> usize {
-            self.window_buf(window_id)
-                .map_or(0, |buf| buf.read_run(from, max, out))
-        }
-
-        fn get(&self, window_id: u64, idx: u64) -> Option<Event> {
-            let mut runs = Vec::new();
-            self.read_run(window_id, idx, 1, &mut runs);
-            runs.first().map(|run| run.events()[0].clone())
-        }
-
-        /// Buffered events summed over all windows.
-        fn resident(&self) -> usize {
-            let shards = self.shards.iter();
-            shards
-                .map(|s| {
-                    s.read()
-                        .windows
-                        .values()
-                        .map(|b| b.len() as usize)
-                        .sum::<usize>()
-                })
-                .sum()
         }
     }
 
@@ -430,77 +307,77 @@ mod tests {
         Arc::new(b)
     }
 
-    fn read_seqs(store: &WindowStore, w: u64, from: u64, max: usize) -> Vec<Seq> {
+    fn read_seqs(buf: &WindowBuf, from: u64, max: usize) -> Vec<Seq> {
         let mut runs = Vec::new();
-        store.read_run(w, from, max, &mut runs);
+        buf.read_run(from, max, &mut runs);
         runs.iter()
             .flat_map(|r| r.events().iter().map(|e| e.seq()))
             .collect()
     }
 
+    fn get(buf: &WindowBuf, idx: u64) -> Option<Seq> {
+        read_seqs(buf, idx, 1).first().copied()
+    }
+
     #[test]
     fn extend_and_read_runs() {
-        let store = WindowStore::new(4);
-        store.open_window(7, 1);
-        store.extend(7, &batch(10, 10..14), 0..4);
-        store.extend(7, &batch(14, 14..20), 0..6);
-        assert_eq!(store.window_len(7), Some(10));
-        assert_eq!(store.get(7, 3).unwrap().seq(), 13);
-        assert!(store.get(7, 10).is_none());
+        let buf = WindowBuf::new(1);
+        buf.extend(&batch(10, 10..14), 0..4);
+        buf.extend(&batch(14, 14..20), 0..6);
+        assert_eq!(buf.len(), 10);
+        assert_eq!(get(&buf, 3), Some(13));
+        assert_eq!(get(&buf, 10), None);
 
         // Runs can start inside a segment and span segment boundaries.
-        assert_eq!(read_seqs(&store, 7, 0, 3), vec![10, 11, 12]);
-        assert_eq!(
-            read_seqs(&store, 7, 3, usize::MAX),
-            (13..20).collect::<Vec<_>>()
-        );
-        assert_eq!(read_seqs(&store, 7, 5, 3), vec![15, 16, 17]);
+        assert_eq!(read_seqs(&buf, 0, 3), vec![10, 11, 12]);
+        assert_eq!(read_seqs(&buf, 3, usize::MAX), (13..20).collect::<Vec<_>>());
+        assert_eq!(read_seqs(&buf, 5, 3), vec![15, 16, 17]);
         let mut out = Vec::new();
-        assert_eq!(store.read_run(7, 10, 16, &mut out), 0, "past the buffer");
+        assert_eq!(buf.read_run(10, 16, &mut out), 0, "past the buffer");
     }
 
     #[test]
     fn partial_batch_ranges_are_respected() {
         // A window that opened mid-batch owns only its slice.
-        let store = WindowStore::new(2);
-        store.open_window(3, 1);
+        let buf = WindowBuf::new(1);
         let b = batch(10, 10..16);
-        store.extend(3, &b, 2..6); // events 12..16
-        assert_eq!(store.window_len(3), Some(4));
-        assert_eq!(read_seqs(&store, 3, 0, 16), vec![12, 13, 14, 15]);
-        assert_eq!(store.get(3, 1).unwrap().seq(), 13);
+        buf.extend(&b, 2..6); // events 12..16
+        assert_eq!(buf.len(), 4);
+        assert_eq!(read_seqs(&buf, 0, 16), vec![12, 13, 14, 15]);
+        assert_eq!(get(&buf, 1), Some(13));
     }
 
     #[test]
     fn unknown_windows_are_inert() {
-        let store = WindowStore::new(2);
+        // Once every subscriber released a window, none knows it: reads
+        // find nothing, late slices are dropped, releases are no-ops.
+        let buf = WindowBuf::new(1);
+        let b = batch(0, 0..2);
+        buf.extend(&b, 0..1);
+        assert!(buf.release());
         let mut out = Vec::new();
-        assert_eq!(store.read_run(5, 0, 8, &mut out), 0);
-        assert!(store.get(5, 0).is_none());
-        assert_eq!(store.window_len(5), None);
-        store.extend(5, &batch(0, 0..1), 0..1); // no-op, not a panic
-        store.remove_window(5); // idempotent
-        assert_eq!(store.resident(), 0);
+        assert_eq!(buf.read_run(0, 8, &mut out), 0);
+        buf.extend(&b, 1..2); // dropped, not kept
+        assert!(buf.is_empty());
+        assert_eq!(Arc::strong_count(&b), 1, "no segment holds the batch");
+        assert!(!buf.release());
     }
 
     #[test]
     fn overlapping_windows_share_batches() {
-        let store = WindowStore::new(3);
-        store.open_window(0, 1);
-        store.open_window(1, 1);
+        let (w0, w1) = (WindowBuf::new(1), WindowBuf::new(1));
         let b = batch(0, 0..4);
-        store.extend(0, &b, 0..4);
-        store.extend(1, &b, 2..4); // w1 starts at event 2
-        assert_eq!(store.resident(), 6, "six referenced slots, one batch");
+        w0.extend(&b, 0..4);
+        w1.extend(&b, 2..4); // w1 starts at event 2
+        assert_eq!(w0.len() + w1.len(), 6, "six referenced slots, one batch");
         assert_eq!(
             Arc::strong_count(&b),
             3,
             "one Arc per window, not per event"
         );
-        store.remove_window(0);
-        assert_eq!(store.live_windows(), 1);
-        assert_eq!(store.get(1, 0).unwrap().seq(), 2, "still alive via w1");
-        store.remove_window(1);
+        assert!(w0.release());
+        assert_eq!(get(&w1, 0), Some(2), "still alive via w1");
+        assert!(w1.release());
         assert_eq!(Arc::strong_count(&b), 1, "batch freed with its windows");
     }
 
@@ -509,65 +386,59 @@ mod tests {
         // One buffer shared by a lane query (released by the instance that
         // finished the window) and a tree query (released by the splitter
         // at retirement): whichever release comes last removes it, once.
-        let store = Arc::new(WindowStore::new(2));
+        let start = Barrier::new(2);
         for round in 0..200u64 {
-            store.open_window(round, 2);
-            store.extend(round, &batch(round, round..round + 2), 0..2);
-            let lane = {
-                let store = Arc::clone(&store);
-                std::thread::spawn(move || store.release(round))
-            };
-            let tree = store.release(round);
-            let lane = lane.join().unwrap();
+            let buf = WindowBuf::new(2);
+            buf.extend(&batch(round, round..round + 2), 0..2);
+            let (lane, tree) = std::thread::scope(|s| {
+                let lane = s.spawn(|| {
+                    start.wait();
+                    buf.release()
+                });
+                start.wait();
+                let tree = buf.release();
+                (lane.join().unwrap(), tree)
+            });
             assert!(lane != tree, "round {round}: exactly one release removes");
-            assert_eq!(store.window_len(round), None);
-            assert!(!store.release(round), "a removed buffer stays removed");
-        }
-        assert_eq!(store.live_windows(), 0);
-    }
-
-    #[test]
-    fn single_shard_behaves_identically() {
-        // The shard count is pure placement: the same call sequence gives
-        // the same observable state for 1 and many shards.
-        for shards in [1usize, 2, 8] {
-            let store = WindowStore::new(shards);
-            assert_eq!(store.shard_count(), shards);
-            for w in 0..10u64 {
-                store.open_window(w, 1);
-                store.extend(w, &batch(w * 2, w * 2..w * 2 + 4), 0..4);
-            }
-            for w in 0..10u64 {
-                assert_eq!(
-                    read_seqs(&store, w, 1, 2),
-                    vec![w * 2 + 1, w * 2 + 2],
-                    "shards = {shards}"
-                );
-            }
-            assert_eq!(store.resident(), 40);
-            store.remove_window(3);
-            assert_eq!(store.live_windows(), 9);
+            assert!(buf.is_empty());
+            assert!(!buf.release(), "a removed buffer stays removed");
         }
     }
 
     #[test]
-    #[should_panic(expected = "store shard count must be positive")]
-    fn zero_shards_rejected() {
-        let _ = WindowStore::new(0);
-    }
-
-    #[test]
-    fn open_window_is_idempotent() {
-        let store = WindowStore::new(2);
-        store.open_window(1, 1);
-        store.extend(1, &batch(5, 5..6), 0..1);
-        store.open_window(1, 1); // must not clear the buffer
-        assert_eq!(store.window_len(1), Some(1));
+    fn a_reader_racing_the_last_release_gets_a_whole_run_or_nothing() {
+        let start = Barrier::new(2);
+        for round in 0..200u64 {
+            let buf = WindowBuf::new(1);
+            buf.extend(&batch(round, round..round + 3), 0..3);
+            buf.extend(&batch(round + 3, round + 3..round + 8), 0..5);
+            let reads = std::thread::scope(|s| {
+                let reader = s.spawn(|| {
+                    start.wait();
+                    let mut reads = Vec::new();
+                    loop {
+                        let seqs = read_seqs(&buf, 1, usize::MAX);
+                        let done = seqs.is_empty();
+                        reads.push(seqs);
+                        if done {
+                            return reads;
+                        }
+                    }
+                });
+                start.wait();
+                assert!(buf.release());
+                reader.join().unwrap()
+            });
+            let whole: Vec<Seq> = (round + 1..round + 8).collect();
+            for seqs in &reads {
+                assert!(seqs.is_empty() || *seqs == whole, "round {round}: {seqs:?}");
+            }
+        }
     }
 
     #[test]
     fn window_info_end_publishing() {
-        let w = WindowInfo::new(3, 10, 10, 1000);
+        let w = WindowInfo::new(3, Arc::new(WindowBuf::new(1)), 10, 10, 1000);
         assert_eq!(w.end_pos(), None);
         assert!(w.contains_pos(10));
         assert!(w.contains_pos(1_000_000)); // end unknown: optimistic

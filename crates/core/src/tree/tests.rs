@@ -2,6 +2,7 @@
 
 use super::*;
 use crate::cg::CgStatus;
+use crate::store::WindowBuf;
 use spectre_query::{Expr, MatchId, Pattern, Query, WindowSpec};
 
 /// Test factory: sequential ids, no metrics.
@@ -93,7 +94,8 @@ impl Fixture {
     }
 
     fn open_window(&mut self, id: u64) -> Vec<Arc<VersionState>> {
-        let window = Arc::new(WindowInfo::new(id, id * 2, id * 2, id * 2));
+        let buf = Arc::new(WindowBuf::new(1));
+        let window = Arc::new(WindowInfo::new(id, buf, id * 2, id * 2, id * 2));
         let out = self.tree.new_window(&window, &mut self.factory);
         self.tree.assert_invariants();
         out
@@ -866,7 +868,8 @@ fn backlog(n: u64) -> (Fixture, Arc<VersionState>) {
     let mut f = Fixture::all_lazy();
     let root = f.open_window(0).remove(0);
     for id in 1..=n {
-        let window = Arc::new(WindowInfo::new(id, id * 2, id * 2, id * 2));
+        let buf = Arc::new(WindowBuf::new(1));
+        let window = Arc::new(WindowInfo::new(id, buf, id * 2, id * 2, id * 2));
         f.tree.new_window(&window, &mut f.factory);
     }
     f.tree.assert_invariants();

@@ -391,6 +391,7 @@ impl VersionState {
 mod tests {
     use super::*;
     use crate::cg::CgId;
+    use crate::store::WindowBuf;
     use spectre_query::{Expr, Pattern, WindowSpec};
 
     fn query() -> Arc<Query> {
@@ -406,7 +407,7 @@ mod tests {
     fn version(suppressed: Vec<Arc<CgCell>>) -> Arc<VersionState> {
         VersionState::new(
             WvId(1),
-            Arc::new(WindowInfo::new(0, 0, 0, 0)),
+            Arc::new(WindowInfo::new(0, Arc::new(WindowBuf::new(1)), 0, 0, 0)),
             query(),
             suppressed,
         )

@@ -94,7 +94,7 @@ fn sim_streaming_matches_sequential_across_the_matrix() {
     assert!(!expected.is_empty());
     for k in [1usize, 2, 4] {
         for batch in [1usize, 64] {
-            let config = SpectreConfig::with_batching(k, batch, 8);
+            let config = SpectreConfig::with_batching(k, batch);
             let chunked = stream_in_chunks(&query, &events, config.clone(), false, 97);
             assert_same_output(
                 &format!("sim chunked k={k} batch={batch}"),
@@ -118,7 +118,7 @@ fn threaded_streaming_matches_sequential_across_the_matrix() {
     assert!(!expected.is_empty());
     for k in [1usize, 2, 4] {
         for batch in [1usize, 64] {
-            let config = SpectreConfig::with_batching(k, batch, 8);
+            let config = SpectreConfig::with_batching(k, batch);
             let chunked = stream_in_chunks(&query, &events, config.clone(), true, 97);
             assert_same_output(
                 &format!("threaded chunked k={k} batch={batch}"),

@@ -3,7 +3,7 @@
 //! in open order — while queries with a consumption policy keep the tree
 //! path unchanged. Outputs must not change, the lane must never wedge a
 //! back-pressured run, and a lane query beside a tree query of the same
-//! window spec shares its store buffers with it.
+//! window spec shares its window buffers with it.
 
 use std::sync::Arc;
 
@@ -45,7 +45,7 @@ fn consumption_free_q1_matches_sequential_on_the_lane() {
                 for cap in [8usize, 1024] {
                     let config = SpectreConfig {
                         max_tree_versions: cap,
-                        ..SpectreConfig::with_batching(k, batch, 8)
+                        ..SpectreConfig::with_batching(k, batch)
                     };
                     let label = format!("{mode:?} k={k} batch={batch} cap={cap}");
                     let report = run(&query, events.clone(), &config, mode);
@@ -93,7 +93,7 @@ fn outputs_of(report: &spectre_core::Report, qid: QueryId) -> &[ComplexEvent] {
 
 #[test]
 fn a_lane_query_beside_a_tree_query_of_the_same_spec_matches_sequential() {
-    // The two queries share every store buffer: the lane's instances and
+    // The two queries share every window buffer: the lane's instances and
     // the tree's retirement release each one through the same count.
     let mut schema = Schema::new();
     let events = nyse(&mut schema, 8_000, 11);

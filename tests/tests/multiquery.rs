@@ -1,8 +1,8 @@
 //! Multi-query engine sessions: N queries hosted in one [`SpectreEngine`]
 //! must each produce output bit-identical to a single-query session of
 //! their own — across the k × batch matrix, in both execution
-//! modes — while same-spec queries share window buffers in the store
-//! (each window's events held exactly once). Deploying or retiring a
+//! modes — while same-spec queries share window buffers (each window's
+//! events held exactly once). Deploying or retiring a
 //! query mid-stream must leave the other queries' outputs untouched, and
 //! the aggregate metric counters must equal the sum of the per-query
 //! shares for every logically-per-query counter. Sessions must also end:
@@ -67,7 +67,7 @@ fn hosted_queries_match_solo_sessions_across_the_matrix() {
     assert!(!expected_a.is_empty() && !expected_b.is_empty());
     for k in [1usize, 2, 4] {
         for batch in [1usize, 64] {
-            let config = SpectreConfig::with_batching(k, batch, 8);
+            let config = SpectreConfig::with_batching(k, batch);
             let (engine, ids) = multi_session(&[&a, &a, &b], config, false);
             let report = engine.run(events.clone()).unwrap();
             let tag = |q: &str| format!("sim {q} k={k} batch={batch}");
@@ -107,7 +107,7 @@ fn threaded_four_same_spec_queries_share_windows_and_match_solo() {
             &expected,
         );
     }
-    // Window dedup, observed through the store counters.
+    // Window dedup, observed through the buffer counters.
     assert_eq!(
         report.metrics.store_windows_opened, solo.metrics.store_windows_opened,
         "four same-spec queries must open no more store windows than one"
@@ -289,7 +289,7 @@ fn retiring_mid_stream_leaves_surviving_queries_unchanged() {
             !report.queries.contains_key(&ids[1]),
             "retired queries do not reappear in the report"
         );
-        // The survivor alone holds every remaining window: each store buffer
+        // The survivor alone holds every remaining window: each buffer
         // was released exactly once by the retire and once by the survivor.
         assert!(report.metrics.windows_retired > 0);
     }

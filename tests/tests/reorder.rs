@@ -61,7 +61,7 @@ fn bounded_shuffles_are_bit_identical_across_the_matrix() {
         for threaded in [false, true] {
             for k in [1usize, 2, 4] {
                 for batch in [1usize, 64] {
-                    let config = SpectreConfig::with_batching(k, batch, 8).with_reorder(delay);
+                    let config = SpectreConfig::with_batching(k, batch).with_reorder(delay);
                     let report = run_reordered(&query, shuffled.clone(), config, threaded);
                     let tag = format!("d={delay} threaded={threaded} k={k} batch={batch}");
                     assert_same_output(&tag, &report.complex_events, &expected);

@@ -32,11 +32,10 @@ fn sim_matches_sequential_on_small_nyse() {
 }
 
 #[test]
-fn sim_matches_sequential_across_batch_sizes_and_shard_counts() {
-    // The batched splitter hand-off and the sharded window store are pure
-    // mechanics: k ∈ {1,2,4,8} × batch ∈ {1,64,1024} × shards ∈ {1,8}
-    // all reproduce the sequential reference exactly (batch 1 / shards 1
-    // is the original event-at-a-time, single-lock engine).
+fn sim_matches_sequential_across_batch_sizes() {
+    // The batched splitter hand-off is pure mechanics: k ∈ {1,2,4,8} ×
+    // batch ∈ {1,64,1024} all reproduce the sequential reference exactly
+    // (batch 1 is the original event-at-a-time engine).
     let mut schema = Schema::new();
     let events: Vec<_> = NyseGenerator::new(NyseConfig::small(2_000, 42), &mut schema).collect();
     let query = Arc::new(queries::q1(&mut schema, 4, 120, Direction::Rising));
@@ -45,15 +44,13 @@ fn sim_matches_sequential_across_batch_sizes_and_shard_counts() {
 
     for k in [1usize, 2, 4, 8] {
         for batch in [1usize, 64, 1024] {
-            for shards in [1usize, 8] {
-                let config = SpectreConfig::with_batching(k, batch, shards);
-                let report = run(&query, events.clone(), &config, Mode::Simulated);
-                assert_same_output(
-                    &format!("sim k={k} batch={batch} shards={shards}"),
-                    &report.complex_events,
-                    &expected,
-                );
-            }
+            let config = SpectreConfig::with_batching(k, batch);
+            let report = run(&query, events.clone(), &config, Mode::Simulated);
+            assert_same_output(
+                &format!("sim k={k} batch={batch}"),
+                &report.complex_events,
+                &expected,
+            );
         }
     }
 }
@@ -155,7 +152,7 @@ fn splitter_feeds_identical_event_runs_for_every_batch_size() {
 
     let mut baseline: Option<Vec<String>> = None;
     for batch in [1usize, 7, 64, 1024] {
-        let config = SpectreConfig::with_batching(2, batch, 8);
+        let config = SpectreConfig::with_batching(2, batch);
         let report = run(&query, events.clone(), &config, Mode::Simulated);
         assert_same_output(&format!("batch={batch}"), &report.complex_events, &expected);
         let rendered = spectre_integration::fmt_all(&report.complex_events);

@@ -68,7 +68,7 @@ fn single_tenant_sessions_match_untenanted_bit_for_bit() {
     assert!(!expected.is_empty());
     for k in [1usize, 2, 4] {
         for batch in [1usize, 64] {
-            let config = SpectreConfig::with_batching(k, batch, 8);
+            let config = SpectreConfig::with_batching(k, batch);
             let plain = {
                 let mut b = SpectreEngine::multi_builder().config(config.clone());
                 let qid = b.add_query(&query);

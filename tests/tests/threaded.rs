@@ -65,11 +65,10 @@ fn threaded_repeated_runs_are_deterministic_in_output() {
 }
 
 #[test]
-fn threaded_matches_sequential_across_batch_sizes_and_shard_counts() {
-    // Deterministic-equivalence matrix for the batched/sharded data path
-    // and the lazy dependency tree under real threads: k ∈ {1,2,4,8} ×
-    // batch ∈ {1,64,1024} × shards ∈ {1,8} all deliver the sequential
-    // output, on any machine and any interleaving. Lazy materialization is
+fn threaded_matches_sequential_across_batch_sizes() {
+    // Deterministic-equivalence matrix for the batched data path and the
+    // lazy dependency tree under real threads: k ∈ {1,2,4,8} ×
+    // batch ∈ {1,64,1024} all deliver the sequential output, on any machine and any interleaving. Lazy materialization is
     // the racy part (clones are taken from *live* source state that
     // instances mutate concurrently), which is exactly why it runs under
     // real threads here.
@@ -79,15 +78,13 @@ fn threaded_matches_sequential_across_batch_sizes_and_shard_counts() {
     let expected = run_sequential(&query, &events).complex_events;
     for k in [1usize, 2, 4, 8] {
         for batch in [1usize, 64, 1024] {
-            for shards in [1usize, 8] {
-                let config = SpectreConfig::with_batching(k, batch, shards);
-                let report = run(&query, events.clone(), &config, Mode::Threaded);
-                assert_same_output(
-                    &format!("threaded k={k} batch={batch} shards={shards}"),
-                    &report.complex_events,
-                    &expected,
-                );
-            }
+            let config = SpectreConfig::with_batching(k, batch);
+            let report = run(&query, events.clone(), &config, Mode::Threaded);
+            assert_same_output(
+                &format!("threaded k={k} batch={batch}"),
+                &report.complex_events,
+                &expected,
+            );
         }
     }
 }
@@ -141,7 +138,7 @@ fn threaded_aggregate_metrics_equal_the_sum_of_per_worker_blocks() {
         .flat_map(|q| [1usize, 2, 4, 8].map(|k| (Arc::clone(&q), k)))
     {
         let expected = run_sequential(&query, &events).complex_events;
-        let config = SpectreConfig::with_batching(k, 64, 8);
+        let config = SpectreConfig::with_batching(k, 64);
         let mut engine = SpectreEngine::builder(&query)
             .config(config)
             .threaded()
