@@ -10,8 +10,10 @@
 //! (`try_push`/`ingest`) and [`Splitter::feed`]
 //! (see [`SpectreConfig::reorder`](crate::SpectreConfig::reorder)):
 //!
-//! * arriving events are buffered keyed by `(timestamp, arrival)` — the
-//!   arrival counter keeps duplicate timestamps stable,
+//! * arriving events are buffered in a binary min-heap keyed by
+//!   `(timestamp, arrival)` — the arrival counter keeps duplicate
+//!   timestamps stable and makes every key unique, so the heap pops in
+//!   exactly key order,
 //! * a **watermark** tracks event-time progress under a fixed
 //!   bounded-lateness assumption: no event arrives more than
 //!   [`ReorderConfig::max_delay`] timestamp ticks after a later-stamped
@@ -36,7 +38,8 @@
 //!
 //! [`Splitter::feed`]: crate::splitter::Splitter::feed
 
-use std::collections::BTreeMap;
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 
 use spectre_events::Event;
 
@@ -222,6 +225,33 @@ pub enum Offer {
     Rejected(Event),
 }
 
+/// A buffered event, ordered by its `(timestamp, arrival)` key alone.
+#[derive(Debug)]
+struct Held {
+    key: (u64, u64),
+    event: Event,
+}
+
+impl PartialEq for Held {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
+    }
+}
+
+impl Eq for Held {}
+
+impl PartialOrd for Held {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Held {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.key.cmp(&other.key)
+    }
+}
+
 /// The bounded reorder buffer — see the [module docs](self) for the
 /// semantics.
 ///
@@ -246,9 +276,13 @@ pub enum Offer {
 #[derive(Debug)]
 pub struct ReorderBuffer {
     config: ReorderConfig,
-    /// Buffered events keyed by `(timestamp, arrival)` — the arrival
-    /// counter makes duplicate timestamps drain in arrival order.
-    buf: BTreeMap<(u64, u64), Event>,
+    /// Buffered events in a min-heap keyed by `(timestamp, arrival)` —
+    /// the arrival counter makes duplicate timestamps drain in arrival
+    /// order. One flat `Vec`: an offer is a sift-up and a release a
+    /// sift-down, with no per-event node allocation. It holds at most
+    /// [`ReorderConfig::capacity`] events and grows on demand, so building
+    /// a buffer allocates nothing.
+    buf: BinaryHeap<Reverse<Held>>,
     /// Monotone arrival counter (tie-breaker for duplicate timestamps).
     arrivals: u64,
     /// Arrivals since the last periodic watermark re-evaluation.
@@ -271,7 +305,7 @@ impl ReorderBuffer {
         config.validate();
         ReorderBuffer {
             config,
-            buf: BTreeMap::new(),
+            buf: BinaryHeap::new(),
             arrivals: 0,
             since_eval: 0,
             max_ts: None,
@@ -331,7 +365,10 @@ impl ReorderBuffer {
         } else {
             self.max_ts = Some(ts);
         }
-        self.buf.insert((ts, self.arrivals), event);
+        self.buf.push(Reverse(Held {
+            key: (ts, self.arrivals),
+            event,
+        }));
         self.arrivals += 1;
         if let WatermarkPolicy::Periodic { period } = self.config.watermark {
             self.since_eval += 1;
@@ -368,9 +405,8 @@ impl ReorderBuffer {
     /// ready. The released sequence is timestamp-monotone by construction.
     pub fn pop_ready(&mut self) -> Option<Event> {
         let w = self.watermark?;
-        let (&key, _) = self.buf.first_key_value()?;
-        if key.0 <= w {
-            self.buf.remove(&key)
+        if self.buf.peek()?.0.key.0 <= w {
+            self.buf.pop().map(|Reverse(held)| held.event)
         } else {
             None
         }
@@ -552,6 +588,227 @@ mod tests {
         buf.advance_watermark(50);
         assert_eq!(buf.watermark(), Some(100));
         assert_eq!(buf.take_stats().watermarks, 1, "the regression was ignored");
+    }
+
+    /// The reference the heap is checked against: a plain `Vec` of held
+    /// `(ts, arrival, seq)` triples, released by sorting the ones at or
+    /// below the watermark.
+    struct Model {
+        config: ReorderConfig,
+        held: Vec<(u64, u64, u64)>,
+        arrivals: u64,
+        since_eval: u64,
+        max_ts: Option<u64>,
+        watermark: Option<u64>,
+        stats: ReorderStats,
+    }
+
+    /// What an offer did, with the handed-back event's seq.
+    #[derive(Debug, PartialEq, Eq)]
+    enum Outcome {
+        Buffered,
+        AdmittedLate(u64),
+        DroppedLate,
+        Rejected(u64),
+    }
+
+    impl From<Offer> for Outcome {
+        fn from(offer: Offer) -> Self {
+            match offer {
+                Offer::Buffered => Outcome::Buffered,
+                Offer::AdmittedLate(e) => Outcome::AdmittedLate(e.seq()),
+                Offer::DroppedLate => Outcome::DroppedLate,
+                Offer::Rejected(e) => Outcome::Rejected(e.seq()),
+            }
+        }
+    }
+
+    impl Model {
+        fn new(config: ReorderConfig) -> Self {
+            Model {
+                config,
+                held: Vec::new(),
+                arrivals: 0,
+                since_eval: 0,
+                max_ts: None,
+                watermark: None,
+                stats: ReorderStats::default(),
+            }
+        }
+
+        fn advance_to(&mut self, candidate: u64) {
+            if self.watermark.is_none_or(|w| candidate > w) {
+                self.watermark = Some(candidate);
+                self.stats.watermarks += 1;
+            }
+        }
+
+        fn offer(&mut self, seq: u64, ts: u64) -> Outcome {
+            if self.watermark.is_some_and(|w| ts < w) {
+                return match self.config.late_policy {
+                    LatePolicy::Drop => {
+                        self.stats.late_dropped += 1;
+                        Outcome::DroppedLate
+                    }
+                    LatePolicy::Admit => {
+                        self.stats.late_admitted += 1;
+                        Outcome::AdmittedLate(seq)
+                    }
+                };
+            }
+            if self.held.len() >= self.config.capacity {
+                return Outcome::Rejected(seq);
+            }
+            match self.max_ts {
+                Some(m) if ts < m => self.stats.reordered += 1,
+                _ => self.max_ts = Some(ts),
+            }
+            self.held.push((ts, self.arrivals, seq));
+            self.arrivals += 1;
+            if let WatermarkPolicy::Periodic { period } = self.config.watermark {
+                self.since_eval += 1;
+                if self.since_eval >= period {
+                    self.since_eval = 0;
+                    let max = self.max_ts.unwrap();
+                    self.advance_to(max.saturating_sub(self.config.max_delay));
+                }
+            }
+            Outcome::Buffered
+        }
+
+        /// Releases up to `n` ready events, smallest `(ts, arrival)` first.
+        fn pop(&mut self, n: usize) -> Vec<u64> {
+            let Some(w) = self.watermark else {
+                return Vec::new();
+            };
+            let mut ready: Vec<_> = self.held.iter().copied().filter(|e| e.0 <= w).collect();
+            ready.sort_unstable();
+            ready.truncate(n);
+            self.held.retain(|e| !ready.contains(e));
+            ready.into_iter().map(|e| e.2).collect()
+        }
+    }
+
+    /// xorshift64: a seeded, dependency-free source for the model test.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0 % n
+        }
+    }
+
+    /// How often each case the model test must cover came up.
+    #[derive(Debug, Default, Clone, Copy)]
+    struct Seen {
+        dup_ts: u64,
+        dropped: u64,
+        admitted: u64,
+        rejected: u64,
+        punctuated: u64,
+        finished: u64,
+    }
+
+    #[test]
+    fn the_heap_releases_like_a_sorted_vec_model() {
+        // How often each case the model must cover came up, over all runs.
+        let mut seen = Seen::default();
+        for seed in 1..=240u64 {
+            let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
+            let max_delay = [0, 3, 16, 64][rng.below(4) as usize];
+            let watermark = match rng.below(3) {
+                0 => WatermarkPolicy::Punctuated,
+                _ => WatermarkPolicy::Periodic {
+                    period: 1 + rng.below(4),
+                },
+            };
+            let late_policy = [LatePolicy::Drop, LatePolicy::Admit][rng.below(2) as usize];
+            let config = ReorderConfig::bounded(max_delay)
+                .with_watermark(watermark)
+                .with_late_policy(late_policy)
+                .with_capacity([1, 4, 16, 256][rng.below(4) as usize]);
+            let mut buf = ReorderBuffer::new(config.clone());
+            let mut model = Model::new(config);
+            let mut stream_ts = 0u64;
+            for seq in 0..300u64 {
+                let step = format!("seed {seed} step {seq}");
+                match rng.below(20) {
+                    0 => {
+                        stream_ts += rng.below(8);
+                        buf.advance_watermark(stream_ts);
+                        model.advance_to(stream_ts.saturating_sub(max_delay));
+                        seen.punctuated += 1;
+                    }
+                    1 if rng.below(8) == 0 => {
+                        buf.finish();
+                        model.watermark = Some(u64::MAX);
+                        seen.finished += 1;
+                    }
+                    2..=5 => {
+                        let n = rng.below(6) as usize;
+                        let got: Vec<u64> = std::iter::from_fn(|| buf.pop_ready())
+                            .take(n)
+                            .map(|e| e.seq())
+                            .collect();
+                        assert_eq!(got, model.pop(n), "{step}: partial release");
+                    }
+                    _ => {
+                        // A small jittered range makes equal timestamps
+                        // common; the occasional deep dip is late.
+                        stream_ts += rng.below(3);
+                        let back = match rng.below(10) {
+                            0 => rng.below(4 * max_delay + 8),
+                            _ => rng.below(max_delay + 2),
+                        };
+                        let ts = stream_ts.saturating_sub(back);
+                        if model.held.iter().any(|e| e.0 == ts) {
+                            seen.dup_ts += 1;
+                        }
+                        let got = Outcome::from(buf.offer(ev(seq, ts)));
+                        let want = model.offer(seq, ts);
+                        match want {
+                            Outcome::DroppedLate => seen.dropped += 1,
+                            Outcome::AdmittedLate(_) => seen.admitted += 1,
+                            Outcome::Rejected(_) => seen.rejected += 1,
+                            Outcome::Buffered => {}
+                        }
+                        assert_eq!(got, want, "{step}: offer of ts {ts}");
+                    }
+                }
+                assert_eq!(buf.len(), model.held.len(), "{step}");
+                assert_eq!(buf.is_full(), model.held.len() >= model.config.capacity);
+                assert_eq!(buf.watermark(), model.watermark, "{step}");
+                if rng.below(16) == 0 {
+                    assert_eq!(buf.take_stats(), std::mem::take(&mut model.stats), "{step}");
+                }
+            }
+            buf.finish();
+            model.watermark = Some(u64::MAX);
+            assert_eq!(
+                drain(&mut buf),
+                model.pop(usize::MAX),
+                "seed {seed}: final drain"
+            );
+            assert!(buf.is_empty());
+            assert_eq!(buf.take_stats(), model.stats, "seed {seed}: final stats");
+        }
+        let Seen {
+            dup_ts,
+            dropped,
+            admitted,
+            rejected,
+            punctuated,
+            finished,
+        } = seen;
+        assert!(
+            [dup_ts, dropped, admitted, rejected, punctuated, finished]
+                .iter()
+                .all(|&n| n > 0),
+            "every case came up: {seen:?}"
+        );
     }
 
     #[test]

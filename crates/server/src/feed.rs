@@ -13,8 +13,9 @@
 //! in dense sequence-number order, which makes the merged multi-client
 //! stream deterministic (bit-identical to a solo session fed the ordered
 //! stream). Credit is released only when an event leaves the sequencer,
-//! so the reorder buffer is bounded by the sum of the per-connection
-//! credit windows.
+//! so it holds at most the sum of the per-connection credit windows —
+//! duplicate sequence numbers included, since each copy is held until it
+//! leaves.
 //!
 //! Credit is *release-driven*: each connection's [`ConnGate`] holds the
 //! credit state and the socket's write half, and this thread writes the
@@ -22,7 +23,9 @@
 //! `granted − (released + dropped) ≤ window`: a client never has more than
 //! one window of events in flight between its socket and the engine.
 
-use std::collections::{BTreeMap, HashMap};
+use std::cmp::{Ordering as KeyOrdering, Reverse};
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::io::Write;
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -218,17 +221,98 @@ pub struct ServerOutcome {
     pub summary_json: String,
 }
 
-/// Sequence-order release buffer for [`IngestOrder::Seq`].
+/// An event the sequencer holds, ordered by its `(seq, arrival)` key alone.
+struct Pending {
+    key: (u64, u64),
+    conn: u64,
+    event: Event,
+}
+
+impl PartialEq for Pending {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
+    }
+}
+
+impl Eq for Pending {}
+
+impl PartialOrd for Pending {
+    fn partial_cmp(&self, other: &Self) -> Option<KeyOrdering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Pending {
+    fn cmp(&self, other: &Self) -> KeyOrdering {
+        self.key.cmp(&other.key)
+    }
+}
+
+/// Sequence-order release buffer for [`IngestOrder::Seq`]: a binary
+/// min-heap keyed by `(seq, arrival)`. The arrival counter makes every key
+/// unique, so a second event with an already-held `seq` is held beside the
+/// first instead of replacing it; the later copy pops after the first is
+/// released and is dropped as stale, with its credit returned and counted.
+/// Credit comes back only when an event leaves, so the heap holds at most
+/// the sum of the connections' credit windows.
 #[derive(Default)]
 struct Sequencer {
+    /// The next sequence number due for release.
     next: u64,
-    pending: BTreeMap<u64, (u64, Event)>,
+    /// Events received so far (the key's tie-breaker).
+    arrivals: u64,
+    pending: BinaryHeap<Reverse<Pending>>,
     /// Releases of the current run per connection, settled with one
     /// [`ConnGate::release`] each when the run ends.
     owed: Vec<(u64, u64)>,
 }
 
 impl Sequencer {
+    fn hold(&mut self, conn: u64, event: Event) {
+        self.pending.push(Reverse(Pending {
+            key: (event.seq(), self.arrivals),
+            conn,
+            event,
+        }));
+        self.arrivals += 1;
+    }
+
+    /// Hands the dense prefix it holds to `push` in seq order, dropping
+    /// stale duplicates below the release point (their credit is still
+    /// owed, or the sender would stall). With `skip_gaps` it releases
+    /// everything it holds, jumping over missing numbers, and returns how
+    /// many gaps it skipped.
+    fn release(
+        &mut self,
+        skip_gaps: bool,
+        mut push: impl FnMut(Event),
+        counters: &ServerCounters,
+    ) -> u64 {
+        let mut gaps = 0u64;
+        loop {
+            let Some(top) = self.pending.peek_mut() else {
+                break;
+            };
+            let seq = top.0.key.0;
+            if seq > self.next {
+                if !skip_gaps {
+                    break;
+                }
+                gaps += 1;
+                self.next = seq;
+            }
+            let Reverse(Pending { conn, event, .. }) = PeekMut::pop(top);
+            self.owe(conn);
+            if seq < self.next {
+                ServerCounters::bump(&counters.seq_stale_dropped);
+                continue;
+            }
+            push(event);
+            self.next += 1;
+        }
+        gaps
+    }
+
     fn owe(&mut self, conn: u64) {
         match self.owed.iter_mut().find(|(c, _)| *c == conn) {
             Some((_, n)) => *n += 1,
@@ -355,9 +439,10 @@ fn handle_msg(
         Msg::Events { conn, events } => match sequencer {
             Some(seq) => {
                 for event in events {
-                    seq.pending.insert(event.seq(), (conn, event));
+                    seq.hold(conn, event);
                 }
-                release_ready(seq, engine, gates, counters);
+                seq.release(false, |event| push_blocking(engine, event), counters);
+                seq.settle(gates);
             }
             None => {
                 let n = events.len() as u64;
@@ -411,32 +496,6 @@ fn release_credit(gates: &HashMap<u64, Arc<ConnGate>>, conn: u64, n: u64) {
     }
 }
 
-/// Releases the dense prefix the sequencer now holds as one run; drops
-/// stale duplicates below the release point (their credit is still
-/// returned, or the sender would stall).
-fn release_ready(
-    seq: &mut Sequencer,
-    engine: &mut SpectreEngine,
-    gates: &HashMap<u64, Arc<ConnGate>>,
-    counters: &ServerCounters,
-) {
-    while let Some(entry) = seq.pending.first_entry() {
-        let key = *entry.key();
-        if key > seq.next {
-            break;
-        }
-        let (conn, event) = entry.remove();
-        seq.owe(conn);
-        if key < seq.next {
-            ServerCounters::bump(&counters.seq_stale_dropped);
-            continue;
-        }
-        push_blocking(engine, event);
-        seq.next += 1;
-    }
-    seq.settle(gates);
-}
-
 /// Releases everything the sequencer holds, in order, skipping gaps —
 /// used when a disconnect or drain guarantees the missing numbers can
 /// never arrive.
@@ -446,22 +505,7 @@ fn flush_sequencer(
     gates: &HashMap<u64, Arc<ConnGate>>,
     counters: &ServerCounters,
 ) {
-    let mut gaps = 0u64;
-    while let Some(entry) = seq.pending.first_entry() {
-        let key = *entry.key();
-        if key > seq.next {
-            gaps += 1;
-            seq.next = key;
-        }
-        let (conn, event) = entry.remove();
-        seq.owe(conn);
-        if key < seq.next {
-            ServerCounters::bump(&counters.seq_stale_dropped);
-            continue;
-        }
-        push_blocking(engine, event);
-        seq.next += 1;
-    }
+    let gaps = seq.release(true, |event| push_blocking(engine, event), counters);
     seq.settle(gates);
     ServerCounters::add(&counters.seq_gaps_skipped, gaps);
 }
@@ -624,14 +668,7 @@ mod tests {
             (IngestOrder::Seq, std::io::ErrorKind::WouldBlock),
             (IngestOrder::Arrival, std::io::ErrorKind::BrokenPipe),
         ] {
-            let mut schema = Schema::new();
-            let events: Vec<Event> =
-                NyseGenerator::new(NyseConfig::small(402, 5), &mut schema).collect();
-            let query = Arc::new(queries::q1(&mut schema, 3, 150, Direction::Rising));
-            let mut engine = SpectreEngine::builder(&query)
-                .simulated()
-                .try_build()
-                .unwrap();
+            let (mut engine, mut schema, events) = session(402, 5);
             let counters = Arc::new(ServerCounters::default());
             let survivor = wire(WINDOW, None, &counters);
             let doomed = wire(WINDOW, Some(kind), &counters);
@@ -712,5 +749,143 @@ mod tests {
             assert_eq!(credit_on_wire(&survivor.written), seen + WINDOW);
             assert!(doomed.written.lock().unwrap().is_empty());
         }
+    }
+
+    /// A simulated single-query session and a seeded stream whose seq
+    /// order is its timestamp order.
+    fn session(events: usize, seed: u64) -> (SpectreEngine, Schema, Vec<Event>) {
+        let mut schema = Schema::new();
+        let events: Vec<Event> =
+            NyseGenerator::new(NyseConfig::small(events, seed), &mut schema).collect();
+        let query = Arc::new(queries::q1(&mut schema, 3, 150, Direction::Rising));
+        let engine = SpectreEngine::builder(&query)
+            .simulated()
+            .try_build()
+            .unwrap();
+        (engine, schema, events)
+    }
+
+    #[test]
+    fn sequencer_releases_interleaved_runs_in_seq_order_and_owes_each_conn_its_credit() {
+        const N: usize = 60;
+        let (mut engine, _, events) = session(80, 403);
+        let counters = Arc::new(ServerCounters::default());
+        let wires = [
+            wire(1 << 10, None, &counters),
+            wire(1 << 10, None, &counters),
+        ];
+        let gates: HashMap<u64, Arc<ConnGate>> = (0u64..)
+            .zip(&wires)
+            .map(|(conn, w)| (conn, Arc::clone(&w.gate)))
+            .collect();
+        let mut seq = Sequencer::default();
+        let mut released = Vec::new();
+        let mut owed = [0u64; 2];
+        // Connection `s % 2` owns seq `s`. Each sends its numbers in runs of
+        // three, every run reversed, the two interleaved with connection 1
+        // first — so each run lands above a gap the other one fills.
+        let runs = |conn: u64| -> Vec<Vec<u64>> {
+            let mine: Vec<u64> = (conn..N as u64).step_by(2).collect();
+            mine.chunks(3)
+                .map(|run| run.iter().rev().copied().collect())
+                .collect()
+        };
+        for (i, (even, odd)) in runs(0).into_iter().zip(runs(1)).enumerate() {
+            for (conn, mut run) in [(1usize, odd), (0, even)] {
+                if conn == 0 && i == 2 {
+                    // A resent number already released: stale.
+                    run.push(0);
+                }
+                for &s in &run {
+                    seq.hold(conn as u64, events[s as usize].clone());
+                    owed[conn] += 1;
+                }
+                seq.release(false, |e| released.push(e.seq()), &counters);
+                seq.settle(&gates);
+                // Connection 1's run waits on connection 0's; connection
+                // 0's completes both.
+                let dense = 6 * i as u64 + if conn == 0 { 6 } else { 0 };
+                assert_eq!(
+                    released,
+                    (0..dense).collect::<Vec<_>>(),
+                    "run {i} of conn {conn}"
+                );
+            }
+        }
+        assert_eq!(released.len(), N, "the whole stream came out");
+        assert!(seq.pending.is_empty());
+        assert_eq!(ServerCounters::get(&counters.seq_stale_dropped), 1);
+        for (conn, w) in wires.iter().enumerate() {
+            assert_eq!(
+                w.gate.released.load(Ordering::Acquire),
+                owed[conn],
+                "conn {conn}: credit back for every released and stale event"
+            );
+        }
+
+        // Connection 0 dies holding N + 2, N + 3 and N + 6: the flush skips
+        // the two gaps below them and releases all three in order.
+        for s in [N + 6, N + 2, N + 3] {
+            seq.hold(0, events[s].clone());
+        }
+        seq.release(false, |_| panic!("nothing is dense yet"), &counters);
+        flush_sequencer(&mut seq, &mut engine, &gates, &counters);
+        assert_eq!(engine.try_finish().unwrap().input_events, 3);
+        assert_eq!(seq.next, N as u64 + 7);
+        assert!(seq.pending.is_empty());
+        assert_eq!(ServerCounters::get(&counters.seq_gaps_skipped), 2);
+        assert_eq!(wires[0].gate.released.load(Ordering::Acquire), owed[0] + 3);
+    }
+
+    #[test]
+    fn a_duplicate_seq_held_above_the_release_point_is_dropped_once_and_credited() {
+        let (mut engine, mut schema, events) = session(16, 404);
+        let counters = Arc::new(ServerCounters::default());
+        let wires = [wire(64, None, &counters), wire(64, None, &counters)];
+        let mut gates = HashMap::new();
+        let (mut open_conns, mut draining) = (0usize, false);
+        let mut sequencer = Some(Sequencer::default());
+        let mut feed = |msg: Msg| {
+            handle_msg(
+                msg,
+                &mut engine,
+                &mut schema,
+                &counters,
+                &mut gates,
+                &mut open_conns,
+                &mut draining,
+                &mut sequencer,
+            );
+        };
+        for (conn, w) in (0u64..).zip(&wires) {
+            feed(Msg::Opened {
+                conn,
+                gate: Arc::clone(&w.gate),
+            });
+        }
+        // Seq 5 arrives twice, once from each client, before 0..=4.
+        for conn in [0, 1] {
+            feed(Msg::Events {
+                conn,
+                events: vec![events[5].clone()],
+            });
+        }
+        feed(Msg::Events {
+            conn: 0,
+            events: events[..5].to_vec(),
+        });
+        assert_eq!(ServerCounters::get(&counters.seq_stale_dropped), 1);
+        let sent = [6, 1];
+        for (conn, w) in wires.iter().enumerate() {
+            assert_eq!(
+                w.gate.released.load(Ordering::Acquire),
+                sent[conn],
+                "conn {conn} got back the credit of every event it sent"
+            );
+        }
+        let pending = sequencer.as_ref().map(|s| s.pending.len());
+        assert_eq!(pending, Some(0));
+        let report = engine.try_finish().unwrap();
+        assert_eq!(report.input_events, 6, "seq 5 reached the engine once");
     }
 }
