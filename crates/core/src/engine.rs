@@ -209,9 +209,10 @@ pub struct QueryReport {
     /// order (detection order within a window).
     pub complex_events: Vec<ComplexEvent>,
     /// This query's share of the metric counters. Engine-scoped counters
-    /// (`sched_cycles`, `idle_steps`, `stalled_steps`,
-    /// `store_windows_opened`) are zero here; for the summable counters the
-    /// aggregate [`Report::metrics`] equals the sum over queries.
+    /// (`sched_cycles`, `idle_steps`, `stalled_steps`, `worker_parks`,
+    /// `worker_unparks`, `store_windows_opened`) are zero here; for the
+    /// summable counters the aggregate [`Report::metrics`] equals the sum
+    /// over queries.
     pub metrics: MetricsSnapshot,
 }
 
@@ -765,7 +766,8 @@ impl SpectreEngine {
     }
 
     /// Live per-worker snapshots of the instance-hot counters (events
-    /// processed/suppressed, idle and stalled steps), in instance order.
+    /// processed/suppressed, idle and stalled steps, lane windows, parks
+    /// and unparks), in instance order.
     /// The aggregate [`metrics`](Self::metrics) equals the base residual
     /// plus the sum of these blocks — see
     /// [`Metrics::with_workers`](crate::metrics::Metrics::with_workers).
@@ -1069,6 +1071,7 @@ fn instance_worker(inst: &mut InstanceCore, shared: &SharedState) {
                     // sees parked, so the order here (count up, re-check,
                     // park) closes the race with a concurrent `done`.
                     shared.note_parked();
+                    shared.metrics.add_worker_park(inst.index());
                     if !shared.is_done() {
                         std::thread::park_timeout(park_for);
                     }

@@ -26,7 +26,8 @@
 //! whose windows the instance claims in open order: an open one is worked
 //! up to the ingestion frontier like a head, and while it stalls only a
 //! closed, fully ingested one may be taken (see `Lane::claim`). Claimed
-//! windows keep their detector state here until finished; the finisher
+//! windows keep their detector state here until finished — at the
+//! window's end, or earlier once the detector is spent; the finisher
 //! hands the outputs to the [`LaneCell`] and releases the buffer
 //! subscription, so events are freed off the splitter.
 //!
@@ -256,31 +257,42 @@ impl InstanceCore {
 
     /// [`process`](Self::process) for a lane window: no suppression,
     /// groups, statistics or consistency checks, since nothing is assumed.
+    /// The window finishes at its end or as soon as its detector is spent
+    /// (no match active and none can start), even mid-run and before the
+    /// window closes: no later event can change its output. Only the
+    /// events actually fed count as processed. The cell then holds the
+    /// outputs until the window closes (see `Splitter::retire_lane_of`).
     fn process_lane(&mut self, work: &mut LaneWork, shared: &SharedState) -> StepOutcome {
         let window = Arc::clone(&work.cell.window);
+        // A detector spent in an earlier step finished its window there.
         if !window.ends_at(work.pos) {
-            let n = window.buf.read_run(work.pos, self.batch, &mut self.fetch);
-            if n == 0 {
+            if window.buf.read_run(work.pos, self.batch, &mut self.fetch) == 0 {
                 return StepOutcome::Stalled;
             }
-            for run in self.fetch.drain(..) {
+            let mut fed = 0;
+            'runs: for run in self.fetch.drain(..) {
                 for ev in run.events() {
                     work.detector.on_event(ev, &mut self.actions);
+                    fed += 1;
                     for action in self.actions.drain(..) {
                         if let DetectorAction::Completed { complex, .. } = action {
                             work.outputs.push(complex);
                         }
                     }
+                    if work.detector.is_spent() {
+                        break 'runs;
+                    }
                 }
             }
-            work.pos += n as u64;
-            self.run_processed += n as u64;
+            work.pos += fed;
+            self.run_processed += fed;
             self.run_qmetrics = Some(Arc::clone(&work.lane.qmetrics));
-            if !window.ends_at(work.pos) {
+            if !window.ends_at(work.pos) && !work.detector.is_spent() {
                 return StepOutcome::Worked;
             }
         }
-        // Done: the outputs go to the cell, the buffer to its last subscriber.
+        // Done: the outputs go to the cell, the buffer to its last
+        // subscriber (a released buffer drops the window's later slices).
         if work.cell.finish(std::mem::take(&mut work.outputs)) {
             window.buf.release();
             shared.metrics.add_lane_window(self.index);

@@ -3,8 +3,9 @@
 //! accounting.
 //!
 //! The instance-hot counters (events processed/suppressed, idle and stalled
-//! steps, lane windows) are split into per-worker [`CachePadded`] blocks
-//! when the metrics are built with [`Metrics::with_workers`]: each operator instance then
+//! steps, lane windows, parks and unparks) are split into per-worker
+//! [`CachePadded`] blocks when the metrics are built with
+//! [`Metrics::with_workers`]: each operator instance then
 //! increments its own cache line instead of ping-ponging one shared line
 //! between cores, and [`Metrics::snapshot`] folds the blocks back into the
 //! aggregate. Metrics built without worker blocks (`new`/`default`, e.g.
@@ -27,6 +28,10 @@ pub struct WorkerCounters {
     pub stalled_steps: AtomicU64,
     /// Windows this worker finished through a query's lane.
     pub lane_windows: AtomicU64,
+    /// Times this worker entered the park tier of its idle back-off.
+    pub worker_parks: AtomicU64,
+    /// Times `SharedState::unpark_workers` unparked this worker's thread.
+    pub worker_unparks: AtomicU64,
 }
 
 impl WorkerCounters {
@@ -38,6 +43,8 @@ impl WorkerCounters {
             idle_steps: self.idle_steps.load(Ordering::Relaxed),
             stalled_steps: self.stalled_steps.load(Ordering::Relaxed),
             lane_windows: self.lane_windows.load(Ordering::Relaxed),
+            worker_parks: self.worker_parks.load(Ordering::Relaxed),
+            worker_unparks: self.worker_unparks.load(Ordering::Relaxed),
         }
     }
 }
@@ -51,6 +58,8 @@ pub struct WorkerSnapshot {
     pub idle_steps: u64,
     pub stalled_steps: u64,
     pub lane_windows: u64,
+    pub worker_parks: u64,
+    pub worker_unparks: u64,
 }
 
 /// Shared atomic counters, updated by splitter and instances.
@@ -99,6 +108,13 @@ pub struct Metrics {
     /// without a consumption policy (see [`Lane`](crate::shared::Lane)):
     /// no tree, no versions.
     pub lane_windows: AtomicU64,
+    /// Park-tier entries of the threaded workers' idle back-off (see
+    /// `SharedState::note_parked`).
+    pub worker_parks: AtomicU64,
+    /// Worker threads the splitter unparked: each
+    /// [`unpark_workers`](crate::shared::SharedState::unpark_workers) call
+    /// that finds a worker parked counts every registered thread it wakes.
+    pub worker_unparks: AtomicU64,
     /// Complex events committed (appended to the output stream at window
     /// retirement).
     pub outputs_emitted: AtomicU64,
@@ -198,6 +214,16 @@ impl Metrics {
         self.add_hot(index, 1, |w| &w.lane_windows, |m| &m.lane_windows);
     }
 
+    /// Counts one park-tier entry of worker `index`.
+    pub fn add_worker_park(&self, index: usize) {
+        self.add_hot(index, 1, |w| &w.worker_parks, |m| &m.worker_parks);
+    }
+
+    /// Counts one unpark of worker `index`'s thread.
+    pub fn add_worker_unpark(&self, index: usize) {
+        self.add_hot(index, 1, |w| &w.worker_unparks, |m| &m.worker_unparks);
+    }
+
     /// Adds `n` to the `counter` field of both this session aggregate and
     /// `query`'s share of it, so the two are always written together.
     /// Writes nothing when `n` is zero.
@@ -222,12 +248,16 @@ impl Metrics {
         let mut idle_steps = self.idle_steps.load(Ordering::Relaxed);
         let mut stalled_steps = self.stalled_steps.load(Ordering::Relaxed);
         let mut lane_windows = self.lane_windows.load(Ordering::Relaxed);
+        let mut worker_parks = self.worker_parks.load(Ordering::Relaxed);
+        let mut worker_unparks = self.worker_unparks.load(Ordering::Relaxed);
         for w in &self.workers {
             events_processed += w.events_processed.load(Ordering::Relaxed);
             events_suppressed += w.events_suppressed.load(Ordering::Relaxed);
             idle_steps += w.idle_steps.load(Ordering::Relaxed);
             stalled_steps += w.stalled_steps.load(Ordering::Relaxed);
             lane_windows += w.lane_windows.load(Ordering::Relaxed);
+            worker_parks += w.worker_parks.load(Ordering::Relaxed);
+            worker_unparks += w.worker_unparks.load(Ordering::Relaxed);
         }
         MetricsSnapshot {
             events_processed,
@@ -248,6 +278,8 @@ impl Metrics {
             idle_steps,
             stalled_steps,
             lane_windows,
+            worker_parks,
+            worker_unparks,
             outputs_emitted: self.outputs_emitted.load(Ordering::Relaxed),
             store_windows_opened: self.store_windows_opened.load(Ordering::Relaxed),
             windows_skipped: self.windows_skipped.load(Ordering::Relaxed),
@@ -281,6 +313,8 @@ pub struct MetricsSnapshot {
     pub idle_steps: u64,
     pub stalled_steps: u64,
     pub lane_windows: u64,
+    pub worker_parks: u64,
+    pub worker_unparks: u64,
     pub outputs_emitted: u64,
     pub store_windows_opened: u64,
     pub windows_skipped: u64,
@@ -316,6 +350,8 @@ impl MetricsSnapshot {
             idle_steps,
             stalled_steps,
             lane_windows,
+            worker_parks,
+            worker_unparks,
             outputs_emitted,
             store_windows_opened,
             windows_skipped,
@@ -342,6 +378,8 @@ impl MetricsSnapshot {
         self.idle_steps += idle_steps;
         self.stalled_steps += stalled_steps;
         self.lane_windows += lane_windows;
+        self.worker_parks += worker_parks;
+        self.worker_unparks += worker_unparks;
         self.outputs_emitted += outputs_emitted;
         self.store_windows_opened += store_windows_opened;
         self.windows_skipped += windows_skipped;
@@ -389,6 +427,9 @@ mod tests {
         m.add_stalled_step(2);
         m.add_lane_window(0);
         m.add_lane_window(2);
+        m.add_worker_park(1);
+        m.add_worker_park(1);
+        m.add_worker_unpark(0);
         // Out-of-range worker indices land on the base atomics.
         m.add_events_processed(9, 11);
         let s = m.snapshot();
@@ -397,6 +438,8 @@ mod tests {
         assert_eq!(s.idle_steps, 1);
         assert_eq!(s.stalled_steps, 1);
         assert_eq!(s.lane_windows, 2);
+        assert_eq!((s.worker_parks, s.worker_unparks), (2, 1));
+        assert_eq!(m.worker_snapshots()[1].worker_parks, 2);
         // The aggregate is exactly the base residual plus the block sums.
         let per: Vec<WorkerSnapshot> = m.worker_snapshots();
         let block_sum: u64 = per.iter().map(|w| w.events_processed).sum();

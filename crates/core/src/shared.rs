@@ -363,13 +363,17 @@ impl SharedState {
     /// Wakes every parked worker. Cheap when nobody is parked (one atomic
     /// load); otherwise unparks all registered worker threads — unpark
     /// tokens are sticky, so racing with a worker about to park is safe.
+    /// Each thread woken counts in its worker's `worker_unparks`.
     pub fn unpark_workers(&self) {
         if self.parked.load(Ordering::SeqCst) == 0 {
             return;
         }
         let threads = self.worker_threads.lock();
-        for t in threads.iter().flatten() {
-            t.unpark();
+        for (i, t) in threads.iter().enumerate() {
+            if let Some(t) = t {
+                t.unpark();
+                self.metrics.add_worker_unpark(i);
+            }
         }
     }
 
@@ -476,10 +480,14 @@ mod tests {
     fn unpark_workers_without_parked_workers_is_a_noop() {
         let s = SharedState::new(2);
         s.unpark_workers(); // fast path: nobody parked, no registry access
+        assert_eq!(s.metrics.snapshot().worker_unparks, 0);
         s.register_worker(0);
         s.note_parked();
         s.unpark_workers(); // slow path: delivers a (sticky) unpark token
         s.note_unparked();
+        // Only the registered thread was woken, and counted as worker 0.
+        assert_eq!(s.metrics.worker_snapshots()[0].worker_unparks, 1);
+        assert_eq!(s.metrics.snapshot().worker_unparks, 1);
         std::thread::park_timeout(std::time::Duration::from_secs(5));
         // The token from unpark_workers makes the park return immediately;
         // reaching this line (well before the 5 s timeout) is the assertion.

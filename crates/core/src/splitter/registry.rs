@@ -420,9 +420,9 @@ impl Splitter {
 
     /// Per-query metric snapshots (deployment order). Engine-scoped
     /// counters (`sched_cycles`, `idle_steps`, `stalled_steps`,
-    /// `store_windows_opened`) are zero here — they have no per-query
-    /// attribution; `max_tree_versions` is each query's own tree high-water
-    /// mark, not a share of the aggregate.
+    /// `worker_parks`, `worker_unparks`, `store_windows_opened`) are zero
+    /// here — they have no per-query attribution; `max_tree_versions` is
+    /// each query's own tree high-water mark, not a share of the aggregate.
     pub fn per_query_metrics(&self) -> Vec<(QueryId, MetricsSnapshot)> {
         self.queries
             .iter()

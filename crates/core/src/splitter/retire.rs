@@ -22,11 +22,17 @@ impl Splitter {
     }
 
     /// Retires lane query `qi`'s done windows off the front of its deque
-    /// (their finishers released the buffer subscriptions).
+    /// (their finishers released the buffer subscriptions). A window whose
+    /// detector was spent early is done before it closes; it still commits
+    /// only once closed, so commits stay in window order and never precede
+    /// the window's closing event.
     fn retire_lane_of(&mut self, qi: usize) {
         let (qs, global) = (&mut self.queries[qi], &self.shared.metrics);
         let mut retired = 0;
-        while let Some(cell) = qs.cells.pop_front_if(|c| c.is_done()) {
+        while let Some(cell) = qs
+            .cells
+            .pop_front_if(|c| c.is_done() && c.window.end_pos().is_some())
+        {
             let outputs = cell.take_outputs();
             global.add_shared(&qs.metrics, |m| &m.outputs_emitted, outputs.len() as u64);
             self.outputs

@@ -265,6 +265,72 @@ fn lane_queries_skip_the_tree_and_retire_in_order() {
 }
 
 #[test]
+fn a_spent_lane_window_finishes_early_and_commits_at_its_close() {
+    // Windows of 8 events open on x = 1; the pattern A B C D completes on
+    // a window's 4th event, after which the anchored window can match
+    // nothing more.
+    let x = AttrKey::new(0);
+    let is = |v: f64| Expr::current(x).eq_(Expr::value(v));
+    let query = Arc::new(
+        Query::builder("abcd")
+            .pattern(
+                Pattern::builder()
+                    .one("A", is(1.0))
+                    .one("B", is(2.0))
+                    .one("C", is(3.0))
+                    .one("D", is(4.0))
+                    .build()
+                    .unwrap(),
+            )
+            .window(WindowSpec::on_match_count(None, is(1.0), 8).unwrap())
+            .consumption(ConsumptionPolicy::None)
+            .build()
+            .unwrap(),
+    );
+    let config = SpectreConfig::with_batching(1, 64);
+    let shared = SharedState::for_config(&config);
+    let mut splitter = single(query, config, Arc::clone(&shared));
+    for (seq, x) in [(0, 1.0), (1, 2.0), (2, 3.0), (3, 4.0), (4, 9.0), (5, 9.0)] {
+        splitter.feed(ev(seq, x));
+    }
+    assert!(!splitter.cycle());
+    let cell = Arc::clone(splitter.queries[0].cells.front().unwrap());
+
+    // One step reads all six events but feeds only the four the match
+    // needs, then finishes the still open window and releases its buffer.
+    let mut inst = InstanceCore::new(0, 64).with_batch(64);
+    assert_eq!(inst.step(&shared), StepOutcome::Finished);
+    assert!(cell.is_done() && cell.window.end_pos().is_none());
+    let m = shared.metrics.snapshot();
+    assert_eq!((m.events_processed, m.lane_windows), (4, 1));
+    assert!(cell.window.buf.is_empty() && !cell.window.buf.release());
+
+    // Done but open: retirement leaves the cell where it is.
+    splitter.retire();
+    assert_eq!(splitter.queries[0].cells.len(), 1);
+    assert!(splitter.take_outputs().is_empty());
+    assert_eq!(shared.metrics.snapshot().windows_retired, 0);
+
+    // Event 8 closes the window; the flush that carries its last slice
+    // leaves the released buffer empty, and the window commits once.
+    for seq in 6..9 {
+        splitter.feed(ev(seq, 9.0));
+    }
+    splitter.ingest();
+    assert_eq!(cell.window.end_pos(), Some(8));
+    assert!(cell.window.buf.is_empty());
+    splitter.retire();
+    let outputs = untag(splitter.take_outputs());
+    assert_eq!(outputs.len(), 1);
+    assert_eq!(outputs[0].constituents, vec![0, 1, 2, 3]);
+    assert!(splitter.queries[0].cells.is_empty());
+    splitter.retire();
+    assert!(splitter.take_outputs().is_empty());
+    let m = shared.metrics.snapshot();
+    assert_eq!((m.windows_retired, m.outputs_emitted), (1, 1));
+}
+
+#[test]
 fn released_buffers_take_no_later_slices() {
     // A filter-skipped window is released at its close while its final
     // slice still waits in `batch_closed`; a retired query's window is

@@ -115,12 +115,20 @@ pub struct WindowDetector {
     events_seen: u64,
     completed: u64,
     started: u64,
+    /// The window *opens on* the pattern's start element
+    /// (`WITHIN … FROM <elem>`): only its first event may start a match.
+    anchored: bool,
 }
 
 impl WindowDetector {
     /// Creates a detector for one window.
     pub fn new(query: Arc<Query>, window_id: u64) -> Self {
+        let anchored = matches!(
+            query.window().open(),
+            crate::window::WindowOpen::OnMatch { .. }
+        );
         WindowDetector {
+            anchored,
             query,
             window_id,
             active: Vec::new(),
@@ -129,6 +137,15 @@ impl WindowDetector {
             completed: 0,
             started: 0,
         }
+    }
+
+    /// `true` once nothing later in the window can change its output: no
+    /// match is active and none can start — the window is anchored and its
+    /// first event has been seen. The converse of paper §3.1's rule that
+    /// groups resolve at the latest when the window finishes: a spent
+    /// window may finish before its last event.
+    pub fn is_spent(&self) -> bool {
+        self.anchored && self.events_seen > 0 && self.active.is_empty()
     }
 
     /// The window this detector works on.
@@ -240,15 +257,7 @@ impl WindowDetector {
         // only that event may start the (single) match — the paper's Q1/QE
         // shape and its evaluation setting of one consumption group per
         // window version (§4.2).
-        let anchored = matches!(
-            self.query.window().open(),
-            crate::window::WindowOpen::OnMatch { .. }
-        );
-        let may_start = if anchored {
-            self.events_seen == 1
-        } else {
-            true
-        };
+        let may_start = !self.anchored || self.events_seen == 1;
         if !ev_consumed
             && may_start
             && !absorbed_by_any
@@ -583,6 +592,53 @@ mod tests {
             .filter(|a| matches!(a, DetectorAction::Abandoned { .. }))
             .count();
         assert_eq!(abandoned, 1);
+    }
+
+    /// `query`'s pattern on a window that opens on `A` (anchored).
+    fn anchored(selection: SelectionPolicy) -> Arc<Query> {
+        let q = query(ConsumptionPolicy::None, selection);
+        Arc::new(
+            Query::builder("anchored")
+                .pattern_arc(Arc::clone(q.pattern()))
+                .window(WindowSpec::on_match_count(None, x_is(1.0), 100).unwrap())
+                .selection(selection)
+                .build()
+                .unwrap(),
+        )
+    }
+
+    #[test]
+    fn an_anchored_window_is_spent_once_its_single_match_resolves() {
+        let mut det = WindowDetector::new(anchored(SelectionPolicy::Once), 0);
+        assert!(!det.is_spent(), "no event seen yet");
+        run(&mut det, &[ev(1, 1.0), ev(2, 0.0)]);
+        assert!(!det.is_spent(), "the match is still active");
+        let actions = run(&mut det, &[ev(3, 2.0)]);
+        assert_eq!(completions(&actions).len(), 1);
+        assert!(det.is_spent());
+        // Nothing later starts a match: the window's output is final.
+        assert!(run(&mut det, &[ev(4, 1.0), ev(5, 2.0)]).is_empty());
+        assert!(det.is_spent());
+
+        // A first event that starts nothing spends the window at once.
+        let mut det = WindowDetector::new(anchored(SelectionPolicy::Once), 1);
+        run(&mut det, &[ev(1, 0.0)]);
+        assert!(det.is_spent());
+    }
+
+    #[test]
+    fn rearmed_and_unanchored_matches_are_never_spent() {
+        // `EachLast` keeps the completed match active for later B events.
+        let mut det = WindowDetector::new(anchored(SelectionPolicy::EachLast), 0);
+        run(&mut det, &[ev(1, 1.0), ev(2, 2.0)]);
+        assert_eq!(det.completed_count(), 1);
+        assert!(!det.is_spent());
+        // A sliding window may start a match on any event.
+        let q = query(ConsumptionPolicy::None, SelectionPolicy::Once);
+        let mut det = WindowDetector::new(q, 0);
+        run(&mut det, &[ev(1, 1.0), ev(2, 2.0)]);
+        assert_eq!(det.completed_count(), 1);
+        assert!(!det.is_spent());
     }
 
     #[test]

@@ -45,6 +45,8 @@ pub(crate) fn render(shared: &ServerShared) -> String {
         idle_steps,
         stalled_steps,
         lane_windows,
+        worker_parks,
+        worker_unparks,
         outputs_emitted,
         store_windows_opened,
         windows_skipped,
@@ -107,6 +109,8 @@ pub(crate) fn render(shared: &ServerShared) -> String {
     counter(&mut out, "spectre_engine_idle_steps", idle_steps);
     counter(&mut out, "spectre_engine_stalled_steps", stalled_steps);
     counter(&mut out, "spectre_engine_lane_windows", lane_windows);
+    counter(&mut out, "spectre_engine_worker_parks", worker_parks);
+    counter(&mut out, "spectre_engine_worker_unparks", worker_unparks);
     counter(&mut out, "spectre_engine_outputs_emitted", outputs_emitted);
     counter(
         &mut out,

@@ -4,7 +4,7 @@
 //! consumption-group completion probability.
 //!
 //! ```sh
-//! cargo run --release -p spectre-examples --bin algorithmic_trading
+//! cargo run --release -p spectre-bench --example algorithmic_trading
 //! ```
 
 use std::sync::Arc;

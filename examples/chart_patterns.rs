@@ -4,7 +4,7 @@
 //! and inspect how the variable pattern length drives speculation.
 //!
 //! ```sh
-//! cargo run --release -p spectre-examples --bin chart_patterns
+//! cargo run --release -p spectre-bench --example chart_patterns
 //! ```
 
 use std::sync::Arc;

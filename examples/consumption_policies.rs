@@ -2,7 +2,7 @@
 //! stream A1 A2 B1 B2 B3 with consumption policy *none* vs *selected B*.
 //!
 //! ```sh
-//! cargo run -p spectre-examples --bin consumption_policies
+//! cargo run -p spectre-bench --example consumption_policies
 //! ```
 
 use std::sync::Arc;

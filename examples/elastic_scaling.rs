@@ -8,7 +8,7 @@
 //! recommendation between them.
 //!
 //! ```sh
-//! cargo run -p spectre-examples --bin elastic_scaling
+//! cargo run -p spectre-bench --example elastic_scaling
 //! ```
 
 use std::sync::Arc;

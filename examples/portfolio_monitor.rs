@@ -5,7 +5,7 @@
 //! (the paper's Fig. 11 experiment, in miniature).
 //!
 //! ```sh
-//! cargo run --release -p spectre-examples --bin portfolio_monitor
+//! cargo run --release -p spectre-bench --example portfolio_monitor
 //! ```
 
 use std::sync::Arc;

@@ -3,7 +3,7 @@
 //! sequential reference engine.
 //!
 //! ```sh
-//! cargo run -p spectre-examples --bin quickstart
+//! cargo run -p spectre-bench --example quickstart
 //! ```
 
 use std::sync::Arc;

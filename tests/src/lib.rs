@@ -10,7 +10,8 @@ use std::sync::Arc;
 
 use spectre_core::{Report, SpectreConfig, SpectreEngine};
 use spectre_events::Event;
-use spectre_query::{ComplexEvent, ConsumptionPolicy, Query};
+use spectre_query::window::compute_ranges;
+use spectre_query::{ComplexEvent, ConsumptionPolicy, Query, WindowDetector};
 
 /// The execution mode of an engine session under test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,6 +54,29 @@ pub fn without_consumption(query: &Query) -> Arc<Query> {
             .build()
             .expect("a query without consumption is valid"),
     )
+}
+
+/// The exact `events_processed` of a consumption-free `query` over
+/// `events` on the lane: each window is fed to a fresh detector until the
+/// detector is spent or the window ends. Windows an ingestion prefilter
+/// skips are counted too, so the count is exact only for queries whose
+/// windows all attach (a window that opens on the pattern's start element
+/// always does).
+pub fn lane_events_processed(query: &Arc<Query>, events: &[Event]) -> u64 {
+    let mut actions = Vec::new();
+    let mut fed = 0;
+    for range in compute_ranges(query.window(), events) {
+        let mut detector = WindowDetector::new(Arc::clone(query), range.bounds.id);
+        for ev in &events[range.bounds.start_pos as usize..range.end_pos as usize] {
+            detector.on_event(ev, &mut actions);
+            actions.clear();
+            fed += 1;
+            if detector.is_spent() {
+                break;
+            }
+        }
+    }
+    fed
 }
 
 /// Renders a complex event compactly for assertion diffs.

@@ -11,7 +11,9 @@ use spectre_baselines::run_sequential;
 use spectre_core::{QueryId, SpectreConfig, SpectreEngine, TenantId};
 use spectre_datasets::{NyseConfig, NyseGenerator};
 use spectre_events::{Event, Schema};
-use spectre_integration::{assert_same_output, run, without_consumption, Mode};
+use spectre_integration::{
+    assert_same_output, lane_events_processed, run, without_consumption, Mode,
+};
 use spectre_query::queries::{self, Direction};
 use spectre_query::ComplexEvent;
 
@@ -39,6 +41,10 @@ fn consumption_free_q1_matches_sequential_on_the_lane() {
     let query = without_consumption(&queries::q1(&mut schema, 3, 200, Direction::Rising));
     let expected = run_sequential(&query, &events).complex_events;
     assert!(!expected.is_empty());
+    // Each window stops once its detector is spent: far fewer events are
+    // fed than the windows span.
+    let processed = lane_events_processed(&query, &events);
+    assert!(processed < events.len() as u64, "{processed}");
     for mode in [Mode::Simulated, Mode::Threaded] {
         for k in [1usize, 2, 4] {
             for batch in [1usize, 64] {
@@ -54,6 +60,7 @@ fn consumption_free_q1_matches_sequential_on_the_lane() {
                     assert_eq!(m.versions_created, 0, "{label}: no tree");
                     assert!(m.windows_retired > 0, "{label}");
                     assert_eq!(m.lane_windows, m.windows_retired, "{label}: {m:?}");
+                    assert_eq!(m.events_processed, processed, "{label}");
                 }
             }
         }

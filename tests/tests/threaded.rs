@@ -9,7 +9,9 @@ use spectre_baselines::run_sequential;
 use spectre_core::{MetricsSnapshot, SpectreConfig, SpectreEngine};
 use spectre_datasets::{NyseConfig, NyseGenerator, RandConfig, RandGenerator};
 use spectre_events::Schema;
-use spectre_integration::{assert_same_output, run, without_consumption, Mode};
+use spectre_integration::{
+    assert_same_output, lane_events_processed, run, without_consumption, Mode,
+};
 use spectre_query::queries::{self, Direction};
 
 #[test]
@@ -120,9 +122,9 @@ fn threaded_matches_sequential_across_version_caps() {
 #[test]
 fn threaded_aggregate_metrics_equal_the_sum_of_per_worker_blocks() {
     // Each instance owns a cache-padded counter block for the hot metrics
-    // (events processed/suppressed, idle and stalled steps, lane windows)
-    // so k workers never contend on one cache line. The decomposition must stay exact
-    // at every instance count: instances route every increment through
+    // (events processed/suppressed, idle and stalled steps, lane windows,
+    // parks and unparks) so k workers never contend on one cache line.
+    // The decomposition must stay exact at every instance count: instances route every increment through
     // their own block, so the aggregate snapshot — base residual plus the
     // block sums — equals the plain block sums here, and the per-query
     // share of a single-query session equals the aggregate. Runs under
@@ -152,13 +154,15 @@ fn threaded_aggregate_metrics_equal_the_sum_of_per_worker_blocks() {
         let workers = engine.worker_metrics();
         assert_eq!(workers.len(), k, "one counter block per instance");
         let m = &report.metrics;
-        let sums = workers.iter().fold([0u64; 5], |acc, w| {
+        let sums = workers.iter().fold([0u64; 7], |acc, w| {
             [
                 acc[0] + w.events_processed,
                 acc[1] + w.events_suppressed,
                 acc[2] + w.idle_steps,
                 acc[3] + w.stalled_steps,
                 acc[4] + w.lane_windows,
+                acc[5] + w.worker_parks,
+                acc[6] + w.worker_unparks,
             ]
         });
         let label = format!("{} k={k}", query.name());
@@ -167,7 +171,18 @@ fn threaded_aggregate_metrics_equal_the_sum_of_per_worker_blocks() {
         assert_eq!(sums[2], m.idle_steps, "idle_steps {label}");
         assert_eq!(sums[3], m.stalled_steps, "stalled_steps {label}");
         assert_eq!(sums[4], m.lane_windows, "lane_windows {label}");
-        assert!(m.events_processed >= events.len() as u64);
+        assert_eq!(sums[5], m.worker_parks, "worker_parks {label}");
+        assert_eq!(sums[6], m.worker_unparks, "worker_unparks {label}");
+        // A lane window stops at its end or once its detector is spent,
+        // so the lane query processes exactly what a fresh detector per
+        // window consumes; the tree path still reads every window to its
+        // end (and re-reads rolled-back ones).
+        if query.consumption().is_none() {
+            let exact = lane_events_processed(&query, &events);
+            assert_eq!(m.events_processed, exact, "events_processed {label}");
+        } else {
+            assert!(m.events_processed >= events.len() as u64, "{label}");
+        }
         // Single-query session: the query's share of the summable hot
         // counters is the whole aggregate.
         let (_, qm) = report
