@@ -1,5 +1,5 @@
 //! Prints the paper's evaluation tables (§4): Fig. 10(a)–(f), both panels
-//! of Fig. 11, the T-REX comparison and the elasticity ablation.
+//! of Fig. 11 and the T-REX comparison.
 //!
 //! ```sh
 //! SPECTRE_BENCH_EVENTS=20000 SPECTRE_BENCH_KS=1,2,4,8 SPECTRE_BENCH_REPEATS=1 \

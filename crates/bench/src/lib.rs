@@ -1,17 +1,17 @@
 //! The paper's evaluation (§4) as one checked harness.
 //!
-//! The `figures` binary prints the ten tables of the evaluation: Fig. 10(a)
-//! … 10(f), the two panels of Fig. 11, the T-REX comparison (§4.2.3) and
-//! the elasticity ablation (§4.2.1). Absolute numbers depend on hardware;
-//! the *shape* — who wins, scaling factors, crossovers — is the
-//! reproduction target. Performance claims about the engine itself are
-//! measured by the separate `benchmark/` package.
+//! The `figures` binary prints the nine tables of the evaluation: Fig. 10(a)
+//! … 10(f), the two panels of Fig. 11 and the T-REX comparison (§4.2.3).
+//! Absolute numbers depend on hardware; the *shape* — who wins, scaling
+//! factors, crossovers — is the reproduction target. Performance claims
+//! about the engine itself are measured by the separate `benchmark/`
+//! package.
 //!
 //! The tables share their runs ([`Figures`]): the Q1 ratio pass feeds
-//! 10(a), 10(d) and the elasticity table, and its q = 1 % row also 10(c)
-//! and 10(f); one set of Q2 price bands feeds 10(b) and 10(e). Every engine
-//! run on seed 42 is checked against the sequential reference output of
-//! the same stream, and a mismatch panics with the row's label.
+//! 10(a) and 10(d), and its q = 1 % row also 10(c) and 10(f); one set of
+//! Q2 price bands feeds 10(b) and 10(e). Every engine run on seed 42 is
+//! checked against the sequential reference output of the same stream,
+//! and a mismatch panics with the row's label.
 //!
 //! Scale knobs ([`Scale::from_env`]):
 //!
@@ -29,7 +29,6 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use spectre_baselines::{run_sequential, SequentialResult, TrexEngine};
-use spectre_core::elastic::{recommend_for, speculative_efficiency, ElasticConfig};
 use spectre_core::{PredictorKind, Report, SpectreConfig, SpectreEngine};
 use spectre_datasets::{NyseConfig, NyseGenerator, RandConfig, RandGenerator};
 use spectre_events::{Event, Schema, SymbolId};
@@ -48,7 +47,7 @@ pub type Tables = fn(&Figures) -> Vec<Table>;
 /// The tables `figures` prints, by the names it accepts and in the order
 /// it prints them; `fig11` is both panels of Fig. 11. Each table panics if
 /// an engine run's output differs from the sequential reference.
-pub const FIGURES: [(&str, Tables); 9] = [
+pub const FIGURES: [(&str, Tables); 8] = [
     ("fig10a", |f| vec![f.fig10a()]),
     ("fig10b", |f| vec![f.fig10b()]),
     ("fig10c", |f| vec![f.fig10c()]),
@@ -57,7 +56,6 @@ pub const FIGURES: [(&str, Tables); 9] = [
     ("fig10f", |f| vec![f.fig10f()]),
     ("fig11", Figures::fig11),
     ("trex", |f| vec![f.trex()]),
-    ("elasticity", |f| vec![f.elasticity()]),
 ];
 
 /// Q1 pattern-size/window-size ratios of Fig. 10(a) and 10(d) (paper:
@@ -67,9 +65,6 @@ const RATIOS: [f64; 7] = [0.005, 0.01, 0.02, 0.04, 0.08, 0.16, 0.32];
 /// The index in [`RATIOS`] of the Q1 that Fig. 10(c), 10(f) and the T-REX
 /// comparison run: q = 1 % of the window (paper: q = 80 at ws = 8000).
 const ONE_PERCENT: usize = 1;
-
-/// The subset of [`RATIOS`] the elasticity table lists.
-const ELASTICITY_RATIOS: [f64; 5] = [0.005, 0.02, 0.08, 0.16, 0.32];
 
 /// Lower price percentiles of the Q2 bands, narrowest band first: narrow
 /// bands → frequent limit crossings → small patterns; wide bands → large
@@ -241,38 +236,6 @@ enum Dataset {
 /// A figure configuration and the name a failed check reports it by.
 type Config = (String, SpectreConfig);
 
-/// `repeats` simulated runs of `build`'s query per configuration, on
-/// `events`-long streams of seed `42 + r`; each seed-42 run must reproduce
-/// `truth`'s output. The runs' complex events are dropped once checked.
-fn sim_runs(
-    label: &str,
-    truth: &SequentialResult,
-    (dataset, events, repeats): (Dataset, usize, usize),
-    configs: &[Config],
-    build: &dyn Fn(&mut Schema) -> Query,
-) -> Vec<Vec<Report>> {
-    let run = |(name, config): &Config, seed: u64| {
-        let mut schema = Schema::new();
-        let source: Box<dyn Iterator<Item = Event>> = match dataset {
-            Dataset::Nyse => Box::new(nyse_source(events, seed, &mut schema)),
-            Dataset::Rand => Box::new(rand_source(events, seed, &mut schema)),
-        };
-        let query = Arc::new(build(&mut schema));
-        let mut report = sim_report(&query, source, config);
-        if seed == 42 {
-            let label = format!("{} {label}, {name}", query.name());
-            check(&label, &report.complex_events, &truth.complex_events);
-        }
-        report.complex_events = Vec::new();
-        report.queries.clear();
-        report
-    };
-    let seeds = 42..42 + repeats as u64;
-    (configs.iter())
-        .map(|config| seeds.clone().map(|seed| run(config, seed)).collect())
-        .collect()
-}
-
 /// One swept value of a figure: the sequential pass over seed 42, and the
 /// simulated runs of the same query.
 struct Row {
@@ -288,7 +251,10 @@ struct Row {
 
 impl Row {
     /// Runs `build`'s query sequentially over `reference` (seed 42), then
-    /// in the simulator ([`sim_runs`]).
+    /// `repeats` simulated runs per configuration on streams of the same
+    /// length and seed `42 + r`; each seed-42 run must reproduce the
+    /// sequential output. The runs' complex events are dropped once
+    /// checked.
     fn run(
         lead: Vec<String>,
         reference: &(Schema, Vec<Event>),
@@ -297,14 +263,28 @@ impl Row {
         build: &dyn Fn(&mut Schema) -> Query,
     ) -> Row {
         let truth = run_sequential(&Arc::new(build(&mut reference.0.clone())), &reference.1);
-        let scale = (dataset, reference.1.len(), repeats);
-        let runs = sim_runs(&lead[0], &truth, scale, configs, build);
+        let events = reference.1.len();
+        let run = |(name, config): &Config, seed: u64| {
+            let mut schema = Schema::new();
+            let source: Box<dyn Iterator<Item = Event>> = match dataset {
+                Dataset::Nyse => Box::new(nyse_source(events, seed, &mut schema)),
+                Dataset::Rand => Box::new(rand_source(events, seed, &mut schema)),
+            };
+            let query = Arc::new(build(&mut schema));
+            let mut report = sim_report(&query, source, config);
+            if seed == 42 {
+                let label = format!("{} {}, {name}", query.name(), lead[0]);
+                check(&label, &report.complex_events, &truth.complex_events);
+            }
+            report.complex_events = Vec::new();
+            report.queries.clear();
+            report
+        };
+        let seeds = 42..42 + repeats as u64;
+        let runs = (configs.iter())
+            .map(|config| seeds.clone().map(|seed| run(config, seed)).collect())
+            .collect();
         Row { lead, truth, runs }
-    }
-
-    /// Virtual throughput of configuration `i`'s seed-42 run.
-    fn virtual_eps(&self, i: usize) -> f64 {
-        calibrated_throughput(&self.runs[i][0])
     }
 
     /// The candlestick of configuration `i`'s virtual throughputs.
@@ -702,60 +682,6 @@ impl Figures {
             format!("§4.2.3: SPECTRE vs T-REX-style engine (Q1, q = {q}, ws = {ws}, {n} events)");
         Table::new(notes, "engine events/s complex", rows)
     }
-
-    /// Elasticity ablation (§4.2.1, discussion): the paper proposes sizing
-    /// the instance pool by the *completion probability* of partial matches
-    /// rather than by event rates or CPU load. Per Q1 ratio this compares
-    /// the largest swept k, the speculative-efficiency model's
-    /// recommendation and the best swept k (seed-42 runs). The
-    /// recommendation should reach the plateau at uncertain probabilities
-    /// with a fraction of the instances, and waste no throughput at the
-    /// certain extremes.
-    fn elasticity(&self) -> Table {
-        let (ws, max_k, ks) = (self.ws(), self.scale.max_k(), &self.scale.ks);
-        let config = ElasticConfig {
-            max_instances: max_k,
-            ..Default::default()
-        };
-        let ratios = (0..RATIOS.len()).filter(|&i| ELASTICITY_RATIOS.contains(&RATIOS[i]));
-        let rows = ratios.map(|i| {
-            let row = self.q1(i);
-            let gt = row.truth.completion_probability();
-            let rec = recommend_for(&config, gt);
-            let thr = |k: usize| ks.iter().position(|&x| x == k).map(|i| row.virtual_eps(i));
-            // The recommendation may fall between the swept ks.
-            let thr_rec = thr(rec).unwrap_or_else(|| {
-                let q = q1_size(RATIOS[i], ws);
-                let build = |s: &mut Schema| queries::q1(s, q, ws, Direction::Rising);
-                let configs = [(format!("k={rec}"), SpectreConfig::with_instances(rec))];
-                let data = (Dataset::Nyse, self.scale.events, 1);
-                let runs = sim_runs(&row.lead[0], &row.truth, data, &configs, &build);
-                calibrated_throughput(&runs[0][0])
-            });
-            let best = (0..ks.len())
-                .max_by(|&a, &b| row.virtual_eps(a).total_cmp(&row.virtual_eps(b)))
-                .expect("ks is non-empty");
-            vec![
-                row.lead[0].clone(),
-                format!("{gt:.2}"),
-                rec.to_string(),
-                format!("{thr_rec:.0}"),
-                ks[best].to_string(),
-                format!("{:.0}", row.virtual_eps(best)),
-                format!("{:.0}", thr(max_k).expect("the largest k is swept")),
-                format!("{:.2}", speculative_efficiency(gt, rec)),
-            ]
-        });
-        let notes = format!(
-            "Elasticity: completion-probability-driven instance recommendation\n\
-             Q1 on NYSE, ws = {ws}, events = {}",
-            self.scale.events
-        );
-        let header = format!(
-            "ratio gt_prob rec_k thr(rec_k) best_k thr(best_k) thr(k={max_k}) efficiency(rec_k)"
-        );
-        Table::new(notes, &header, rows)
-    }
 }
 
 /// Q1's pattern size at `ratio` of the window.
@@ -941,7 +867,7 @@ mod tests {
             .flat_map(|(_, tables)| tables(&figures))
             .collect();
         let rows: Vec<usize> = tables.iter().map(|t| t.rows.len()).collect();
-        assert_eq!(rows, [7, 9, 3, 7, 9, 3, 7, 7, 8, 5]);
+        assert_eq!(rows, [7, 9, 3, 7, 9, 3, 7, 7, 8]);
         for table in &tables {
             assert!(table.rows.iter().all(|r| r.len() == table.header.len()));
         }
@@ -957,13 +883,15 @@ mod tests {
             "10(d) lists 10(a)'s ratios"
         );
 
+        // Virtual throughput of a row's configuration `i`, seed-42 run.
+        let eps = |row: &Row, i: usize| calibrated_throughput(&row.runs[i][0]);
         let certain: Vec<&Row> = (figures.q1_rows().chain(figures.q2()))
             .filter(|row| row.truth.completion_probability() == 1.0)
             .collect();
         assert!(certain.len() >= 2 && certain.iter().any(|r| r.lead[0] == "0cplx"));
         for row in certain {
             for (i, &k) in scale.ks.iter().enumerate() {
-                let speedup = row.virtual_eps(i) / row.virtual_eps(0);
+                let speedup = eps(row, i) / eps(row, 0);
                 assert!(
                     speedup >= 0.9 * k as f64,
                     "{}: virtual speedup {speedup:.2} at k = {k}",
@@ -976,7 +904,7 @@ mod tests {
         // the calibrated per-instance rate.
         let free = figures.q2().last().expect("the 0cplx band");
         assert_eq!(free.truth.consumed_events, 0);
-        let per_instance = free.virtual_eps(0) * free.truth.events_processed as f64 / 1500.0;
+        let per_instance = eps(free, 0) * free.truth.events_processed as f64 / 1500.0;
         assert!((per_instance / PER_INSTANCE_EVENT_RATE - 1.0).abs() < 1e-9);
     }
 }

@@ -157,20 +157,6 @@ impl SpectreConfig {
         }
         Ok(())
     }
-
-    /// Validates the configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics on zero instances, zero check frequency, zero ingest or
-    /// hand-off batch, a zero tree version cap, an out-of-range fixed
-    /// probability or an invalid reorder configuration.
-    /// [`try_validate`](Self::try_validate) is the non-panicking equivalent.
-    pub fn validate(&self) {
-        if let Err(msg) = self.try_validate() {
-            panic!("{msg}");
-        }
-    }
 }
 
 /// Resource policy for one tenant: how much of the shared session a
@@ -275,21 +261,23 @@ mod tests {
 
     #[test]
     fn defaults_validate() {
-        SpectreConfig::default().validate();
-        SpectreConfig::with_instances(32).validate();
-        SpectreConfig::with_batching(4, 1024).validate();
+        SpectreConfig::default().try_validate().unwrap();
+        SpectreConfig::with_instances(32).try_validate().unwrap();
+        SpectreConfig::with_batching(4, 1024)
+            .try_validate()
+            .unwrap();
     }
 
     #[test]
     #[should_panic(expected = "hand-off batch size must be positive")]
     fn zero_batch_rejected() {
-        SpectreConfig::with_batching(1, 0).validate();
+        SpectreConfig::with_batching(1, 0).try_validate().unwrap();
     }
 
     #[test]
     #[should_panic(expected = "at least one operator instance")]
     fn zero_instances_rejected() {
-        SpectreConfig::with_instances(0).validate();
+        SpectreConfig::with_instances(0).try_validate().unwrap();
     }
 
     #[test]
@@ -297,7 +285,7 @@ mod tests {
     fn zero_reorder_capacity_rejected() {
         let mut config = SpectreConfig::with_instances(1).with_reorder(64);
         config.reorder.as_mut().unwrap().capacity = 0;
-        config.validate();
+        config.try_validate().unwrap();
     }
 
     #[test]
@@ -307,7 +295,8 @@ mod tests {
             predictor: PredictorKind::Fixed(2.0),
             ..Default::default()
         }
-        .validate();
+        .try_validate()
+        .unwrap();
     }
 
     #[test]

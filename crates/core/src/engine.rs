@@ -592,10 +592,6 @@ impl SpectreEngine {
             .offer(event);
         let result = match offer {
             Offer::Buffered | Offer::DroppedLate => PushResult::Accepted,
-            Offer::AdmittedLate(late) => {
-                self.splitter.feed_late(late);
-                PushResult::Accepted
-            }
             Offer::Rejected(back) => PushResult::Full(back),
         };
         self.flush_reorder_stats();

@@ -37,9 +37,8 @@
 //! [`SpectreConfig::reorder`] knob interposes a watermark-driven
 //! [`reorder::ReorderBuffer`] ahead of the splitter — events arriving up
 //! to a bounded lateness out of order are buffered and released in
-//! timestamp order, later ones are resolved by a pluggable
-//! [`reorder::LatePolicy`], and the output stays bit-identical to the
-//! in-order run.
+//! timestamp order, later ones are counted and dropped, and the output
+//! stays bit-identical to the in-order run.
 //!
 //! One session hosts any number of **concurrent queries** over the shared
 //! splitter, store and instance pool ([`shared::QueryId`] keys the
@@ -158,7 +157,6 @@
 
 pub mod cg;
 pub mod config;
-pub mod elastic;
 pub mod engine;
 pub mod instance;
 pub mod markov;
@@ -177,6 +175,6 @@ pub use engine::{
     EngineError, PushResult, QueryReport, Report, SpectreEngine, SpectreEngineBuilder,
 };
 pub use metrics::{MetricsSnapshot, WorkerSnapshot};
-pub use reorder::{LatePolicy, ReorderConfig, WatermarkPolicy};
+pub use reorder::{ReorderConfig, WatermarkPolicy};
 pub use shared::{QueryId, TenantId};
 pub use splitter::{EventBatch, Splitter};

@@ -132,12 +132,9 @@ pub struct Metrics {
     /// view, like `windows_retired`: every deployed query records the
     /// shared stage's delta, and the aggregate is the sum of the shares.
     pub events_reordered: AtomicU64,
-    /// Late events (below the watermark) discarded under
-    /// `LatePolicy::Drop`. Per query view, like `events_reordered`.
+    /// Late events (below the watermark) the reorder stage discarded. Per
+    /// query view, like `events_reordered`.
     pub late_events_dropped: AtomicU64,
-    /// Late events routed to still-open windows under `LatePolicy::Admit`.
-    /// Per query view, like `events_reordered`.
-    pub late_events_admitted: AtomicU64,
     /// Watermark advances emitted by the reorder stage. Per query view,
     /// like `events_reordered`.
     pub watermarks_advanced: AtomicU64,
@@ -285,7 +282,6 @@ impl Metrics {
             windows_skipped: self.windows_skipped.load(Ordering::Relaxed),
             events_reordered: self.events_reordered.load(Ordering::Relaxed),
             late_events_dropped: self.late_events_dropped.load(Ordering::Relaxed),
-            late_events_admitted: self.late_events_admitted.load(Ordering::Relaxed),
             watermarks_advanced: self.watermarks_advanced.load(Ordering::Relaxed),
         }
     }
@@ -320,7 +316,6 @@ pub struct MetricsSnapshot {
     pub windows_skipped: u64,
     pub events_reordered: u64,
     pub late_events_dropped: u64,
-    pub late_events_admitted: u64,
     pub watermarks_advanced: u64,
 }
 
@@ -357,7 +352,6 @@ impl MetricsSnapshot {
             windows_skipped,
             events_reordered,
             late_events_dropped,
-            late_events_admitted,
             watermarks_advanced,
         } = *other;
         self.events_processed += events_processed;
@@ -385,7 +379,6 @@ impl MetricsSnapshot {
         self.windows_skipped += windows_skipped;
         self.events_reordered += events_reordered;
         self.late_events_dropped += late_events_dropped;
-        self.late_events_admitted += late_events_admitted;
         self.watermarks_advanced += watermarks_advanced;
     }
 

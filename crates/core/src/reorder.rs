@@ -18,23 +18,22 @@
 //!   bounded-lateness assumption: no event arrives more than
 //!   [`ReorderConfig::max_delay`] timestamp ticks after a later-stamped
 //!   event already seen ([`WatermarkPolicy::Periodic`] re-derives it from
-//!   the maximum seen timestamp; [`WatermarkPolicy::Punctuated`] advances
-//!   it only on explicit punctuation, e.g. a decoded watermark frame),
+//!   the maximum seen timestamp on every arrival;
+//!   [`WatermarkPolicy::Punctuated`] advances it only on explicit
+//!   punctuation, e.g. a decoded watermark frame),
 //! * events at or below the watermark are **released** in timestamp order
 //!   ([`pop_ready`](ReorderBuffer::pop_ready)) — anything still buffered is
 //!   strictly above it, so the released stream is timestamp-monotone,
-//! * an event arriving *below* the watermark is **late**: the violation of
-//!   the lateness bound is handled by the configured [`LatePolicy`] —
-//!   counted and dropped, or admitted for best-effort routing to
-//!   still-open windows,
+//! * an event arriving *below* the watermark is **late**: it violated the
+//!   lateness bound, so it is counted and dropped
+//!   ([`ReorderStats::late_dropped`]) and the output stays exactly the
+//!   in-order output of the on-time stream,
 //! * the buffer is **bounded** ([`ReorderConfig::capacity`]): an offer
 //!   beyond the cap hands the event back intact, which the engine surfaces
 //!   as the existing `PushResult::Full` back-pressure.
 //!
 //! The structure follows the event-time window managers of dataflow
-//! systems (allocate on watermark advance, emit on watermark pass); the
-//! lateness handling is a pluggable policy rather than a baked-in
-//! constant.
+//! systems (allocate on watermark advance, emit on watermark pass).
 //!
 //! [`Splitter::feed`]: crate::splitter::Splitter::feed
 
@@ -43,46 +42,19 @@ use std::collections::BinaryHeap;
 
 use spectre_events::Event;
 
-/// What to do with a late event — one whose timestamp is already below the
-/// watermark, i.e. the bounded-lateness assumption
-/// ([`ReorderConfig::max_delay`]) was violated.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum LatePolicy {
-    /// Count the event ([`ReorderStats::late_dropped`]) and discard it —
-    /// the default: downstream output stays exactly the in-order output of
-    /// the on-time stream.
-    #[default]
-    Drop,
-    /// Hand the event back for best-effort routing straight to still-open
-    /// windows ([`Offer::AdmittedLate`]); the engine feeds it past the
-    /// monotonicity check. Windows that already closed stay closed — an
-    /// admitted event can only reach windows still accumulating.
-    Admit,
-}
-
 /// How the watermark advances.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum WatermarkPolicy {
-    /// Re-derive the watermark as `max_seen_ts − max_delay` every `period`
-    /// arrivals (`period = 1` re-evaluates on every event — the tightest,
-    /// default cadence; larger periods trade latency for fewer
-    /// re-evaluations).
-    Periodic {
-        /// Arrivals between watermark re-evaluations (must be positive).
-        period: u64,
-    },
+    /// Re-derive the watermark as `max_seen_ts − max_delay` on every
+    /// arrival (the default).
+    #[default]
+    Periodic,
     /// The watermark advances only on explicit punctuation
     /// ([`ReorderBuffer::advance_watermark`] — fed by watermark frames on
     /// the wire, see `spectre_events::codec::encode_watermark`). Without
     /// punctuation nothing is ever released, so a full buffer
     /// back-pressures until the source emits one.
     Punctuated,
-}
-
-impl Default for WatermarkPolicy {
-    fn default() -> Self {
-        WatermarkPolicy::Periodic { period: 1 }
-    }
 }
 
 /// Configuration of the reorder stage (see
@@ -96,8 +68,6 @@ pub struct ReorderConfig {
     pub max_delay: u64,
     /// Watermark emission cadence.
     pub watermark: WatermarkPolicy,
-    /// Policy for events that violate the lateness bound.
-    pub late_policy: LatePolicy,
     /// Maximum buffered events; offers beyond it are handed back
     /// ([`Offer::Rejected`]), which the engine surfaces as
     /// `PushResult::Full`.
@@ -105,33 +75,15 @@ pub struct ReorderConfig {
 }
 
 impl ReorderConfig {
-    /// The standard bounded-lateness configuration: periodic per-event
-    /// watermarks at `max_delay` ticks of slack, late events dropped,
-    /// a 4096-event buffer.
+    /// The standard bounded-lateness configuration: per-event watermarks
+    /// at `max_delay` ticks of slack, late events dropped, a 4096-event
+    /// buffer.
     pub fn bounded(max_delay: u64) -> Self {
         ReorderConfig {
             max_delay,
             watermark: WatermarkPolicy::default(),
-            late_policy: LatePolicy::default(),
             capacity: 4096,
         }
-    }
-
-    /// Returns the configuration with the late policy replaced.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use spectre_core::reorder::{LatePolicy, ReorderConfig};
-    ///
-    /// let admit = ReorderConfig::bounded(64).with_late_policy(LatePolicy::Admit);
-    /// assert_eq!(admit.late_policy, LatePolicy::Admit);
-    /// assert_eq!(ReorderConfig::bounded(64).late_policy, LatePolicy::Drop);
-    /// ```
-    #[must_use]
-    pub fn with_late_policy(mut self, policy: LatePolicy) -> Self {
-        self.late_policy = policy;
-        self
     }
 
     /// Returns the configuration with the watermark policy replaced.
@@ -154,25 +106,7 @@ impl ReorderConfig {
         if self.capacity == 0 {
             return Err("reorder buffer capacity must be positive".into());
         }
-        if let WatermarkPolicy::Periodic { period } = self.watermark {
-            if period == 0 {
-                return Err("watermark period must be positive".into());
-            }
-        }
         Ok(())
-    }
-
-    /// Validates the configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a zero buffer capacity or a zero periodic watermark
-    /// period. [`try_validate`](Self::try_validate) is the non-panicking
-    /// equivalent.
-    pub fn validate(&self) {
-        if let Err(msg) = self.try_validate() {
-            panic!("{msg}");
-        }
     }
 }
 
@@ -191,10 +125,8 @@ pub struct ReorderStats {
     /// Events that arrived with a timestamp below the maximum already seen
     /// (the disorder the buffer repaired).
     pub reordered: u64,
-    /// Late events discarded under [`LatePolicy::Drop`].
+    /// Late events discarded.
     pub late_dropped: u64,
-    /// Late events handed through under [`LatePolicy::Admit`].
-    pub late_admitted: u64,
     /// Watermark advances (initial emission included).
     pub watermarks: u64,
 }
@@ -208,15 +140,12 @@ impl ReorderStats {
 
 /// Outcome of offering one event to a [`ReorderBuffer`].
 #[derive(Debug)]
-#[must_use = "AdmittedLate and Rejected hand the event back; dropping them loses it"]
+#[must_use = "Rejected hands the event back; dropping it loses it"]
 pub enum Offer {
     /// The event was buffered; it will be released once the watermark
     /// passes its timestamp.
     Buffered,
-    /// The event is late and [`LatePolicy::Admit`] hands it back for
-    /// direct routing to still-open windows.
-    AdmittedLate(Event),
-    /// The event is late and [`LatePolicy::Drop`] discarded it (counted in
+    /// The event is late and was discarded (counted in
     /// [`ReorderStats::late_dropped`]).
     DroppedLate,
     /// The buffer is at [`ReorderConfig::capacity`]; the event is handed
@@ -285,8 +214,6 @@ pub struct ReorderBuffer {
     buf: BinaryHeap<Reverse<Held>>,
     /// Monotone arrival counter (tie-breaker for duplicate timestamps).
     arrivals: u64,
-    /// Arrivals since the last periodic watermark re-evaluation.
-    since_eval: u64,
     /// Maximum timestamp seen so far (`None` before the first event).
     max_ts: Option<u64>,
     /// Current watermark (`None` until first emitted — nothing is released
@@ -300,14 +227,16 @@ impl ReorderBuffer {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is invalid ([`ReorderConfig::validate`]).
+    /// Panics with [`ReorderConfig::try_validate`]'s message if the
+    /// configuration is invalid.
     pub fn new(config: ReorderConfig) -> Self {
-        config.validate();
+        if let Err(msg) = config.try_validate() {
+            panic!("{msg}");
+        }
         ReorderBuffer {
             config,
             buf: BinaryHeap::new(),
             arrivals: 0,
-            since_eval: 0,
             max_ts: None,
             watermark: None,
             stats: ReorderStats::default(),
@@ -341,21 +270,13 @@ impl ReorderBuffer {
     }
 
     /// Offers one event. Late events (timestamp below the watermark) are
-    /// resolved by the [`LatePolicy`] without consuming buffer space; a
-    /// full buffer hands the event back ([`Offer::Rejected`]).
+    /// dropped without consuming buffer space; a full buffer hands the
+    /// event back ([`Offer::Rejected`]).
     pub fn offer(&mut self, event: Event) -> Offer {
         let ts = event.ts();
         if self.watermark.is_some_and(|w| ts < w) {
-            return match self.config.late_policy {
-                LatePolicy::Drop => {
-                    self.stats.late_dropped += 1;
-                    Offer::DroppedLate
-                }
-                LatePolicy::Admit => {
-                    self.stats.late_admitted += 1;
-                    Offer::AdmittedLate(event)
-                }
-            };
+            self.stats.late_dropped += 1;
+            return Offer::DroppedLate;
         }
         if self.is_full() {
             return Offer::Rejected(event);
@@ -370,13 +291,9 @@ impl ReorderBuffer {
             event,
         }));
         self.arrivals += 1;
-        if let WatermarkPolicy::Periodic { period } = self.config.watermark {
-            self.since_eval += 1;
-            if self.since_eval >= period {
-                self.since_eval = 0;
-                let max = self.max_ts.expect("an event was just offered");
-                self.advance_to(max.saturating_sub(self.config.max_delay));
-            }
+        if self.config.watermark == WatermarkPolicy::Periodic {
+            let max = self.max_ts.expect("an event was just offered");
+            self.advance_to(max.saturating_sub(self.config.max_delay));
         }
         Offer::Buffered
     }
@@ -536,19 +453,6 @@ mod tests {
     }
 
     #[test]
-    fn late_event_is_admitted_under_admit_policy() {
-        let mut buf =
-            ReorderBuffer::new(ReorderConfig::bounded(10).with_late_policy(LatePolicy::Admit));
-        assert!(matches!(buf.offer(ev(0, 100)), Offer::Buffered));
-        let late = ev(1, 50);
-        match buf.offer(late.clone()) {
-            Offer::AdmittedLate(back) => assert_eq!(back, late),
-            other => panic!("expected AdmittedLate, got {other:?}"),
-        }
-        assert_eq!(buf.take_stats().late_admitted, 1);
-    }
-
-    #[test]
     fn punctuated_buffer_releases_nothing_without_punctuation() {
         let mut buf = ReorderBuffer::new(
             ReorderConfig::bounded(0).with_watermark(WatermarkPolicy::Punctuated),
@@ -563,20 +467,6 @@ mod tests {
         assert_eq!(buf.len(), 10);
         let stats = buf.take_stats();
         assert_eq!(stats.watermarks, 1);
-    }
-
-    #[test]
-    fn periodic_watermark_respects_the_period() {
-        let mut buf = ReorderBuffer::new(
-            ReorderConfig::bounded(0).with_watermark(WatermarkPolicy::Periodic { period: 4 }),
-        );
-        for seq in 0..3u64 {
-            assert!(matches!(buf.offer(ev(seq, seq * 10)), Offer::Buffered));
-        }
-        assert_eq!(buf.watermark(), None, "period not reached");
-        assert!(matches!(buf.offer(ev(3, 30)), Offer::Buffered));
-        assert_eq!(buf.watermark(), Some(30), "fourth arrival re-evaluates");
-        assert_eq!(drain(&mut buf).len(), 4);
     }
 
     #[test]
@@ -597,7 +487,6 @@ mod tests {
         config: ReorderConfig,
         held: Vec<(u64, u64, u64)>,
         arrivals: u64,
-        since_eval: u64,
         max_ts: Option<u64>,
         watermark: Option<u64>,
         stats: ReorderStats,
@@ -607,7 +496,6 @@ mod tests {
     #[derive(Debug, PartialEq, Eq)]
     enum Outcome {
         Buffered,
-        AdmittedLate(u64),
         DroppedLate,
         Rejected(u64),
     }
@@ -616,7 +504,6 @@ mod tests {
         fn from(offer: Offer) -> Self {
             match offer {
                 Offer::Buffered => Outcome::Buffered,
-                Offer::AdmittedLate(e) => Outcome::AdmittedLate(e.seq()),
                 Offer::DroppedLate => Outcome::DroppedLate,
                 Offer::Rejected(e) => Outcome::Rejected(e.seq()),
             }
@@ -629,7 +516,6 @@ mod tests {
                 config,
                 held: Vec::new(),
                 arrivals: 0,
-                since_eval: 0,
                 max_ts: None,
                 watermark: None,
                 stats: ReorderStats::default(),
@@ -645,16 +531,8 @@ mod tests {
 
         fn offer(&mut self, seq: u64, ts: u64) -> Outcome {
             if self.watermark.is_some_and(|w| ts < w) {
-                return match self.config.late_policy {
-                    LatePolicy::Drop => {
-                        self.stats.late_dropped += 1;
-                        Outcome::DroppedLate
-                    }
-                    LatePolicy::Admit => {
-                        self.stats.late_admitted += 1;
-                        Outcome::AdmittedLate(seq)
-                    }
-                };
+                self.stats.late_dropped += 1;
+                return Outcome::DroppedLate;
             }
             if self.held.len() >= self.config.capacity {
                 return Outcome::Rejected(seq);
@@ -665,13 +543,9 @@ mod tests {
             }
             self.held.push((ts, self.arrivals, seq));
             self.arrivals += 1;
-            if let WatermarkPolicy::Periodic { period } = self.config.watermark {
-                self.since_eval += 1;
-                if self.since_eval >= period {
-                    self.since_eval = 0;
-                    let max = self.max_ts.unwrap();
-                    self.advance_to(max.saturating_sub(self.config.max_delay));
-                }
+            if self.config.watermark == WatermarkPolicy::Periodic {
+                let max = self.max_ts.unwrap();
+                self.advance_to(max.saturating_sub(self.config.max_delay));
             }
             Outcome::Buffered
         }
@@ -706,7 +580,6 @@ mod tests {
     struct Seen {
         dup_ts: u64,
         dropped: u64,
-        admitted: u64,
         rejected: u64,
         punctuated: u64,
         finished: u64,
@@ -721,14 +594,10 @@ mod tests {
             let max_delay = [0, 3, 16, 64][rng.below(4) as usize];
             let watermark = match rng.below(3) {
                 0 => WatermarkPolicy::Punctuated,
-                _ => WatermarkPolicy::Periodic {
-                    period: 1 + rng.below(4),
-                },
+                _ => WatermarkPolicy::Periodic,
             };
-            let late_policy = [LatePolicy::Drop, LatePolicy::Admit][rng.below(2) as usize];
             let config = ReorderConfig::bounded(max_delay)
                 .with_watermark(watermark)
-                .with_late_policy(late_policy)
                 .with_capacity([1, 4, 16, 256][rng.below(4) as usize]);
             let mut buf = ReorderBuffer::new(config.clone());
             let mut model = Model::new(config);
@@ -771,7 +640,6 @@ mod tests {
                         let want = model.offer(seq, ts);
                         match want {
                             Outcome::DroppedLate => seen.dropped += 1,
-                            Outcome::AdmittedLate(_) => seen.admitted += 1,
                             Outcome::Rejected(_) => seen.rejected += 1,
                             Outcome::Buffered => {}
                         }
@@ -798,13 +666,12 @@ mod tests {
         let Seen {
             dup_ts,
             dropped,
-            admitted,
             rejected,
             punctuated,
             finished,
         } = seen;
         assert!(
-            [dup_ts, dropped, admitted, rejected, punctuated, finished]
+            [dup_ts, dropped, rejected, punctuated, finished]
                 .iter()
                 .all(|&n| n > 0),
             "every case came up: {seen:?}"
@@ -815,13 +682,5 @@ mod tests {
     #[should_panic(expected = "reorder buffer capacity must be positive")]
     fn zero_capacity_rejected() {
         ReorderBuffer::new(ReorderConfig::bounded(0).with_capacity(0));
-    }
-
-    #[test]
-    #[should_panic(expected = "watermark period must be positive")]
-    fn zero_period_rejected() {
-        ReorderBuffer::new(
-            ReorderConfig::bounded(0).with_watermark(WatermarkPolicy::Periodic { period: 0 }),
-        );
     }
 }

@@ -131,10 +131,9 @@ pub struct Splitter {
     /// `true` when a reorder stage feeds this splitter: the feed is then
     /// contractually timestamp-monotone (the window assigners and the
     /// warm-up window sizing assume it), and [`feed`](Self::feed) verifies
-    /// the contract in debug builds. Admitted late events enter through
-    /// [`feed_late`](Self::feed_late), which bypasses the check.
+    /// the contract in debug builds.
     expect_monotone: bool,
-    /// Timestamp of the last regularly fed event (tracked only under
+    /// Timestamp of the last fed event (tracked only under
     /// `expect_monotone`).
     last_fed_ts: Option<u64>,
     /// Committed complex events, tagged with their query, in commit order.
@@ -159,9 +158,12 @@ impl Splitter {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is invalid.
+    /// Panics with [`SpectreConfig::try_validate`]'s message if the
+    /// configuration is invalid.
     pub fn multi(config: SpectreConfig, shared: Arc<SharedState>) -> Self {
-        config.validate();
+        if let Err(msg) = config.try_validate() {
+            panic!("{msg}");
+        }
         let batch = EventBatch::with_capacity(0, config.batch_size);
         let sched_shadow = (0..shared.instance_count()).map(|_| None).collect();
         Splitter {
@@ -208,20 +210,6 @@ impl Splitter {
             );
             self.last_fed_ts = Some(event.ts());
         }
-        self.feed.push_back(event);
-    }
-
-    /// Queues an *admitted late* event — one the reorder stage's
-    /// `LatePolicy::Admit` routed past the watermark. It enters the feed
-    /// like any other event (reaching exactly the windows still open when
-    /// it is ingested) but is exempt from the timestamp-monotonicity
-    /// contract of [`feed`](Self::feed).
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`end_of_stream`](Self::end_of_stream) was already called.
-    pub fn feed_late(&mut self, event: Event) {
-        assert!(!self.eos, "event fed after end_of_stream");
         self.feed.push_back(event);
     }
 

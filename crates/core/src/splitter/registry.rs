@@ -378,11 +378,6 @@ impl Splitter {
         for qs in &self.queries {
             global.add_shared(&qs.metrics, |m| &m.events_reordered, stats.reordered);
             global.add_shared(&qs.metrics, |m| &m.late_events_dropped, stats.late_dropped);
-            global.add_shared(
-                &qs.metrics,
-                |m| &m.late_events_admitted,
-                stats.late_admitted,
-            );
             global.add_shared(&qs.metrics, |m| &m.watermarks_advanced, stats.watermarks);
         }
     }

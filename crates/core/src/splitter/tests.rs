@@ -62,17 +62,6 @@ fn non_monotone_feed_is_caught_behind_a_reorder_stage() {
 }
 
 #[test]
-fn feed_late_bypasses_the_monotone_contract() {
-    let config = SpectreConfig::with_instances(1);
-    let shared = SharedState::for_config(&config);
-    let mut splitter = single(ab_query(), config, shared);
-    splitter.expect_monotone(true);
-    splitter.feed(ev(5, 1.0));
-    splitter.feed_late(ev(3, 2.0)); // admitted late: exempt
-    splitter.feed(ev(5, 1.0)); // equal ts is fine
-}
-
-#[test]
 fn reorder_stats_decompose_over_deployed_queries() {
     let config = SpectreConfig::with_instances(1);
     let shared = SharedState::for_config(&config);
@@ -80,7 +69,6 @@ fn reorder_stats_decompose_over_deployed_queries() {
     let stats = crate::reorder::ReorderStats {
         reordered: 3,
         late_dropped: 2,
-        late_admitted: 1,
         watermarks: 7,
     };
     // No queries deployed: nothing to attribute the delta to.
@@ -92,12 +80,10 @@ fn reorder_stats_decompose_over_deployed_queries() {
     let global = shared.metrics.snapshot();
     assert_eq!(global.events_reordered, 6);
     assert_eq!(global.late_events_dropped, 4);
-    assert_eq!(global.late_events_admitted, 2);
     assert_eq!(global.watermarks_advanced, 14);
     for (_, per) in splitter.per_query_metrics() {
         assert_eq!(per.events_reordered, 3);
         assert_eq!(per.late_events_dropped, 2);
-        assert_eq!(per.late_events_admitted, 1);
         assert_eq!(per.watermarks_advanced, 7);
     }
 }

@@ -52,7 +52,6 @@ pub(crate) fn render(shared: &ServerShared) -> String {
         windows_skipped,
         events_reordered,
         late_events_dropped,
-        late_events_admitted,
         watermarks_advanced,
     } = stats.snapshot;
     counter(
@@ -127,11 +126,6 @@ pub(crate) fn render(shared: &ServerShared) -> String {
         &mut out,
         "spectre_engine_late_events_dropped",
         late_events_dropped,
-    );
-    counter(
-        &mut out,
-        "spectre_engine_late_events_admitted",
-        late_events_admitted,
     );
     counter(
         &mut out,

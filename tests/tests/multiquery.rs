@@ -340,7 +340,6 @@ fn aggregate_metrics_are_the_sum_of_per_query_shares() {
         outputs_emitted,
         events_reordered,
         late_events_dropped,
-        late_events_admitted,
         watermarks_advanced,
     );
     assert!(total.outputs_emitted > 0, "the run produced outputs");

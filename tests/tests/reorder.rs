@@ -2,17 +2,15 @@
 //! stream whose disorder stays within the configured `max_delay` must
 //! produce output **bit-identical** to the in-order run — across the
 //! k × batch × {sim, threaded} matrix and under multi-query
-//! hosting — while streams that overrun the bound resolve deterministically
-//! through the late policy, with the drop count reported exactly.
+//! hosting — while streams that overrun the bound drop their late events
+//! deterministically, with the drop count reported exactly.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use spectre_baselines::run_sequential;
 use spectre_core::reorder::{Offer, ReorderBuffer};
-use spectre_core::{
-    LatePolicy, QueryId, ReorderConfig, Report, SpectreConfig, SpectreEngine, WatermarkPolicy,
-};
+use spectre_core::{QueryId, ReorderConfig, Report, SpectreConfig, SpectreEngine, WatermarkPolicy};
 use spectre_datasets::{bounded_shuffle, max_disorder, NyseConfig, NyseGenerator};
 use spectre_events::{AttrKey, Event, EventType, Schema};
 use spectre_integration::assert_same_output;
@@ -133,10 +131,9 @@ fn multi_query_hosting_survives_a_bounded_shuffle() {
 
     let shares: Vec<_> = report.queries.values().map(|q| q.metrics).collect();
     type FieldFn = fn(&spectre_core::MetricsSnapshot) -> u64;
-    let fields: [FieldFn; 4] = [
+    let fields: [FieldFn; 3] = [
         |m| m.events_reordered,
         |m| m.late_events_dropped,
-        |m| m.late_events_admitted,
         |m| m.watermarks_advanced,
     ];
     for field in fields {
@@ -233,8 +230,7 @@ proptest! {
         prop_assert_eq!(report.input_events, events.len() as u64);
     }
 
-    /// Satellite property 1b: beyond-delay disorder under `LatePolicy::Drop`
-    /// loses exactly the events a scalar watermark oracle predicts — and
+    /// Satellite property 1b: beyond-delay disorder loses exactly the events a scalar watermark oracle predicts — and
     /// the survivors still produce the in-order output over themselves.
     #[test]
     fn beyond_delay_drops_are_counted_exactly(
@@ -246,7 +242,7 @@ proptest! {
         let query = alphabet_query();
         let shuffled = offset_shuffle(&events, &offsets[..events.len()]);
 
-        // Scalar oracle for the period-1 watermark: an arrival is late iff
+        // Scalar oracle for the per-arrival watermark: an arrival is late iff
         // its timestamp is below (max accepted timestamp so far - delay);
         // late arrivals never advance the watermark.
         let mut max_seen: Option<u64> = None;
@@ -279,24 +275,29 @@ proptest! {
 
     /// Satellite property: buffer invariants under arbitrary drive — the
     /// buffer never emits below a passed watermark, never emits out of
-    /// timestamp order, never exceeds its capacity, and rejects exactly
-    /// when full.
+    /// timestamp order, never exceeds its capacity, rejects exactly when
+    /// full, and accounts for every arrival as released, rejected or
+    /// dropped late. Punctuated buffers get a punctuation every
+    /// `punctuate` arrivals.
     #[test]
     fn buffer_never_violates_watermark_capacity_or_order(
         arrivals in proptest::collection::vec(0u64..200, 1..120),
         delay in 0u64..30,
         capacity in 1usize..16,
-        period in 1u64..4,
-        admit in prop_oneof![Just(false), Just(true)],
+        punctuate in 0usize..4,
     ) {
-        let late_policy = if admit { LatePolicy::Admit } else { LatePolicy::Drop };
+        let watermark = if punctuate == 0 {
+            WatermarkPolicy::Periodic
+        } else {
+            WatermarkPolicy::Punctuated
+        };
         let config = ReorderConfig::bounded(delay)
-            .with_watermark(WatermarkPolicy::Periodic { period })
-            .with_late_policy(late_policy)
+            .with_watermark(watermark)
             .with_capacity(capacity);
         let mut buf = ReorderBuffer::new(config);
         let mut last_released: Option<u64> = None;
-        let release = |buf: &mut ReorderBuffer, last: &mut Option<u64>| {
+        let (mut released, mut rejected) = (0u64, 0u64);
+        let release = |buf: &mut ReorderBuffer, last: &mut Option<u64>, n: &mut u64| {
             while let Some(ev) = buf.pop_ready() {
                 let w = buf.watermark().expect("a release implies a watermark");
                 prop_assert!(ev.ts() <= w, "released ts {} above watermark {w}", ev.ts());
@@ -304,6 +305,7 @@ proptest! {
                     prop_assert!(ev.ts() >= prev, "release order regressed");
                 }
                 *last = Some(ev.ts());
+                *n += 1;
             }
             Ok(())
         };
@@ -311,20 +313,22 @@ proptest! {
             let ev = Event::builder(EventType::new(0)).seq(seq as u64).ts(*ts).build();
             let was_full = buf.is_full();
             match buf.offer(ev) {
-                Offer::Rejected(_) => prop_assert!(was_full, "rejects only when full"),
-                Offer::Buffered | Offer::DroppedLate | Offer::AdmittedLate(_) => {}
+                Offer::Rejected(_) => {
+                    prop_assert!(was_full, "rejects only when full");
+                    rejected += 1;
+                }
+                Offer::Buffered | Offer::DroppedLate => {}
             }
             prop_assert!(buf.len() <= capacity, "capacity exceeded");
-            release(&mut buf, &mut last_released)?;
+            if punctuate > 0 && seq % punctuate == 0 {
+                buf.advance_watermark(*ts);
+            }
+            release(&mut buf, &mut last_released, &mut released)?;
         }
         buf.finish();
-        release(&mut buf, &mut last_released)?;
+        release(&mut buf, &mut last_released, &mut released)?;
         prop_assert!(buf.is_empty(), "finish must flush everything");
-        let stats = buf.take_stats();
-        if !admit {
-            prop_assert_eq!(stats.late_admitted, 0);
-        } else {
-            prop_assert_eq!(stats.late_dropped, 0);
-        }
+        let dropped = buf.take_stats().late_dropped;
+        prop_assert_eq!(released + rejected + dropped, arrivals.len() as u64);
     }
 }

@@ -596,3 +596,40 @@ fn control_plane_and_metrics_sidecar_drive_a_live_session() {
     assert_eq!(outcome.report.input_events, 2_000);
     assert!(outcome.summary_json.contains("\"input_events\":2000"));
 }
+
+/// A control line longer than the server's 64 KiB cap is answered with
+/// `ERR line too long` and its connection closed, without waiting for a
+/// newline that never comes; the control socket keeps serving fresh
+/// connections. The client reads with a timeout, so a server that buffers
+/// the line forever fails the test instead of hanging it.
+#[test]
+fn an_overlong_control_line_is_refused_and_its_connection_closed() {
+    let (schema, a, _, _) = fixture(100, 3);
+    let handle = Server::start(ServerConfig::default(), schema, vec![(TenantId(0), a)])
+        .expect("server starts");
+    let stream = TcpStream::connect(handle.control_addr()).expect("control connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    // The server stops reading once the cap is passed, so the write may
+    // block or fail: it runs beside the read, and its result is ignored.
+    let mut writer = stream.try_clone().expect("clone");
+    let flood = std::thread::spawn(move || {
+        let _ = writer.write_all(&vec![b'x'; 1 << 20]);
+    });
+    let mut reader = BufReader::new(stream);
+    let mut reply = String::new();
+    reader
+        .read_line(&mut reply)
+        .expect("a reply before the timeout");
+    assert_eq!(reply, "ERR line too long\n");
+    let mut rest = Vec::new();
+    // A close with unread bytes may reach the client as a reset.
+    match reader.read_to_end(&mut rest) {
+        Ok(_) => assert!(rest.is_empty(), "nothing follows the refusal"),
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::ConnectionReset, "{e}"),
+    }
+    flood.join().expect("flood thread");
+    assert_eq!(control(handle.control_addr(), "PING"), "OK pong");
+    drain_and_join(handle);
+}

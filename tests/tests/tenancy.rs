@@ -300,7 +300,6 @@ fn tenant_rollups_sum_to_the_aggregate() {
         outputs_emitted,
         events_reordered,
         late_events_dropped,
-        late_events_admitted,
         watermarks_advanced,
     );
     assert!(total.outputs_emitted > 0, "the run produced outputs");
