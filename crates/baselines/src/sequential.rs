@@ -3,7 +3,9 @@
 //!
 //! Windows are processed strictly in window order; each window's events are
 //! fed to a fresh [`WindowDetector`], skipping events already consumed by
-//! earlier windows. Completions consume their events globally, excluding
+//! earlier windows, until the window ends or the detector is spent
+//! ([`WindowDetector::is_spent`]: no later event can change the window's
+//! output). Completions consume their events globally, excluding
 //! them from all later windows (paper §1: "the constituent events of a
 //! pattern instance detected in one window are excluded from all other
 //! windows as well").
@@ -89,6 +91,11 @@ pub fn run_sequential(query: &Arc<Query>, events: &[Event]) -> SequentialResult 
         let mut window_processed = 0u64;
         let mut detector = WindowDetector::new(Arc::clone(query), range.bounds.id);
         for ev in &events[range.bounds.start_pos as usize..range.end_pos as usize] {
+            // A spent window's output is final: no later event can start
+            // or extend a match.
+            if detector.is_spent() {
+                break;
+            }
             if consumed.contains(&ev.seq()) {
                 detector.on_suppressed();
                 continue;

@@ -1183,8 +1183,13 @@ mod tests {
     fn push_retry_loop_survives_backpressure() {
         // A tiny speculative-load cap forces Full results mid-stream; a
         // plain retry loop (each push attempt runs a maintenance round)
-        // must still terminate with the exact output.
-        let (query, events) = fixture(1200, 29);
+        // must still terminate with the exact output. Q1 with q = 75 in
+        // windows of 150 mostly abandons: most windows are read to their
+        // end rather than spent early, so the tree stays full and the cap
+        // is reached.
+        let mut schema = Schema::new();
+        let events: Vec<_> = NyseGenerator::new(NyseConfig::small(1200, 29), &mut schema).collect();
+        let query = Arc::new(queries::q1(&mut schema, 75, 150, Direction::Rising));
         let expected = run_sequential(&query, &events).complex_events;
         let config = SpectreConfig {
             max_tree_versions: 2,
@@ -1205,6 +1210,7 @@ mod tests {
         }
         let report = engine.try_finish().unwrap();
         assert_eq!(report.complex_events, expected);
+        assert!(!expected.is_empty() && report.metrics.cgs_abandoned > 0);
         assert!(
             rejected > 0,
             "a cap of 2 versions must exert visible back-pressure"

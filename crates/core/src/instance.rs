@@ -31,6 +31,14 @@
 //! hands the outputs to the [`LaneCell`] and releases the buffer
 //! subscription, so events are freed off the splitter.
 //!
+//! A tree version obeys the same rule as a lane window: it finishes at its
+//! window's end or as soon as its detector is spent, even mid-run. Its
+//! groups are all resolved then, so it pushes `WvFinished` as at the end.
+//! Finishing early does not make it final: a group it suppresses may
+//! still take an event it fed, and the final validation at retirement
+//! rolls it back then (see `Splitter::retire_root_of`, which also holds
+//! its commit until the window closes).
+//!
 //! Instances are oblivious to lazy branch materialization: the splitter's
 //! top-k selection materializes an unmaterialized completion branch
 //! *before* writing it to a scheduling slot, so a slot only ever holds a
@@ -312,8 +320,8 @@ impl InstanceCore {
             return StepOutcome::Idle;
         }
 
-        // Window end already reached?
-        if window.ends_at(inner.pos) {
+        // Window end reached, or the detector already spent?
+        if window.ends_at(inner.pos) || inner.detector.is_spent() {
             self.finish(wv, &mut inner, shared);
             return StepOutcome::Finished;
         }
@@ -338,6 +346,9 @@ impl InstanceCore {
                     inconsistent = true;
                     break 'runs;
                 }
+                if inner.detector.is_spent() {
+                    break 'runs;
+                }
             }
         }
         // Reclaim the vec's allocation but drop the runs now: holding them
@@ -348,8 +359,9 @@ impl InstanceCore {
         let outcome = if inconsistent {
             self.rollback(wv, &mut inner, shared);
             StepOutcome::RolledBack
-        } else if window.ends_at(inner.pos) {
-            // The run consumed the window's last event.
+        } else if window.ends_at(inner.pos) || inner.detector.is_spent() {
+            // The run consumed the window's last event, or the one that
+            // spent the detector: no later event can change the output.
             self.finish(wv, &mut inner, shared);
             StepOutcome::Finished
         } else {
@@ -827,6 +839,59 @@ mod tests {
         // Note: is_consistent locks the version state internally, so the
         // guard above must be released first.
         assert!(wv.is_consistent());
+    }
+
+    #[test]
+    fn a_spent_version_finishes_mid_run_and_reports_it() {
+        // Windows open on x = 1: the A B match is the window's only one,
+        // so once it completes on event 1 no later event can change the
+        // window's output.
+        let x = AttrKey::new(0);
+        let is = |v: f64| Expr::current(x).eq_(Expr::value(v));
+        let query = Arc::new(
+            Query::builder("anchored")
+                .pattern_arc(Arc::clone(query(ConsumptionPolicy::All).pattern()))
+                .window(WindowSpec::on_match_count(None, is(1.0), 4).unwrap())
+                .consumption(ConsumptionPolicy::All)
+                .build()
+                .unwrap(),
+        );
+        let shared = SharedState::new(1);
+        let events = [ev(0, 1.0), ev(1, 2.0), ev(2, 1.0), ev(3, 2.0)];
+        let window = Arc::new(WindowInfo::new(0, filled(&events), 0, 0, 0));
+        let wv = VersionState::new(WvId(1), window, query, vec![]);
+        shared.slots[0].publish(Some(Grant::Version(Arc::clone(&wv))));
+        let mut inst = InstanceCore::new(0, 2).with_batch(64);
+
+        // One run holds all four events, but the step feeds only two and
+        // finishes the version although its window has not closed.
+        assert_eq!(inst.step(&shared), StepOutcome::Finished);
+        assert!(wv.is_finished() && wv.window().end_pos().is_none());
+        {
+            let inner = wv.lock();
+            assert_eq!(inner.pos, 2);
+            assert_eq!(inner.used, vec![0, 1]);
+            assert_eq!(inner.outputs.len(), 1);
+            assert_eq!(inner.outputs[0].constituents, vec![0, 1]);
+        }
+        let snap = shared.metrics.snapshot();
+        assert_eq!((snap.events_processed, snap.cgs_completed), (2, 1));
+        let mut ops = Vec::new();
+        while let Some((_, op)) = shared.ops.pop() {
+            ops.push(op);
+        }
+        assert!(matches!(
+            ops[..],
+            [
+                TreeOp::CgCreated { .. },
+                TreeOp::CgResolved {
+                    completed: true,
+                    ..
+                },
+                TreeOp::WvFinished { wv: WvId(1) },
+            ]
+        ));
+        assert_eq!(inst.step(&shared), StepOutcome::Idle);
     }
 
     #[test]

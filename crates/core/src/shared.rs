@@ -88,7 +88,8 @@ pub enum TreeOp {
         /// `true` for completion.
         completed: bool,
     },
-    /// A version processed its whole window.
+    /// A version processed its whole window, or stopped early because its
+    /// detector was spent.
     WvFinished {
         /// The finished version.
         wv: WvId,

@@ -57,7 +57,13 @@ impl Splitter {
         let Some(root) = qs.tree.root_version() else {
             return false;
         };
-        if !root.is_finished() || !root.is_acked() || qs.tree.root_blocked_by_cg() {
+        // A root spent early finishes before its window closes; like a
+        // lane window it commits only once closed.
+        if !root.is_finished()
+            || !root.is_acked()
+            || root.window().end_pos().is_none()
+            || qs.tree.root_blocked_by_cg()
+        {
             return false;
         }
         let root = Arc::clone(root);

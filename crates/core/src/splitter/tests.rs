@@ -317,6 +317,67 @@ fn a_spent_lane_window_finishes_early_and_commits_at_its_close() {
 }
 
 #[test]
+fn a_spent_tree_version_finishes_early_and_commits_at_its_close() {
+    // The lane test's query with consumption: its windows go through the
+    // dependency tree, and the root version obeys the same rule.
+    let x = AttrKey::new(0);
+    let is = |v: f64| Expr::current(x).eq_(Expr::value(v));
+    let query = Arc::new(
+        Query::builder("abcd")
+            .pattern(
+                Pattern::builder()
+                    .one("A", is(1.0))
+                    .one("B", is(2.0))
+                    .one("C", is(3.0))
+                    .one("D", is(4.0))
+                    .build()
+                    .unwrap(),
+            )
+            .window(WindowSpec::on_match_count(None, is(1.0), 8).unwrap())
+            .consumption(ConsumptionPolicy::All)
+            .build()
+            .unwrap(),
+    );
+    let config = SpectreConfig::with_batching(1, 64);
+    let shared = SharedState::for_config(&config);
+    let mut splitter = single(query, config, Arc::clone(&shared));
+    for (seq, x) in [(0, 1.0), (1, 2.0), (2, 3.0), (3, 4.0), (4, 9.0), (5, 9.0)] {
+        splitter.feed(ev(seq, x));
+    }
+    assert!(!splitter.cycle());
+    let root = Arc::clone(splitter.queries[0].tree.root_version().unwrap());
+
+    // One step reads all six events but feeds only the four the match
+    // needs, then finishes the root while its window is still open.
+    let mut inst = InstanceCore::new(0, 64).with_batch(64);
+    assert_eq!(inst.step(&shared), StepOutcome::Finished);
+    assert!(root.is_finished() && root.window().end_pos().is_none());
+    assert_eq!(shared.metrics.snapshot().events_processed, 4);
+
+    // Finished, acked and unblocked, but open: the root stays.
+    splitter.apply_ops();
+    assert!(root.is_acked() && !splitter.queries[0].tree.root_blocked_by_cg());
+    splitter.retire();
+    assert!(splitter.take_outputs().is_empty());
+    assert_eq!(shared.metrics.snapshot().windows_retired, 0);
+
+    // Event 8 closes the window, and it commits once.
+    for seq in 6..9 {
+        splitter.feed(ev(seq, 9.0));
+    }
+    splitter.ingest();
+    assert_eq!(root.window().end_pos(), Some(8));
+    splitter.retire();
+    let outputs = untag(splitter.take_outputs());
+    assert_eq!(outputs.len(), 1);
+    assert_eq!(outputs[0].constituents, vec![0, 1, 2, 3]);
+    assert!(splitter.queries[0].tree.root_version().is_none());
+    let m = shared.metrics.snapshot();
+    assert_eq!((m.windows_retired, m.outputs_emitted), (1, 1));
+    assert_eq!(m.events_processed, 4, "the closing events are not fed");
+}
+
+#[test]
 fn released_buffers_take_no_later_slices() {
     // A filter-skipped window is released at its close while its final
     // slice still waits in `batch_closed`; a retired query's window is

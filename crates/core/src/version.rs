@@ -225,7 +225,8 @@ impl VersionState {
         self.dropped.store(true, Ordering::Release);
     }
 
-    /// `true` once the version processed its whole window.
+    /// `true` once the version processed its whole window, or stopped
+    /// early because its detector was spent.
     pub fn is_finished(&self) -> bool {
         self.finished.load(Ordering::Acquire)
     }

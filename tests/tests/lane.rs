@@ -71,25 +71,34 @@ fn consumption_free_q1_matches_sequential_on_the_lane() {
 fn consumption_regimes_keep_the_tree_path() {
     // Q1 with consumption at q = 40 (groups complete) and q = 130 (every
     // group abandons): nothing goes through the lane, and the simulated
-    // runs create exactly the versions the tree path always created.
-    for (q, created) in [(40usize, [105u64, 107, 133]), (130, [105, 105, 105])] {
+    // runs create exactly these versions. At q = 40 a version finishes
+    // once its detector is spent, so at k > 1 the tree moves on to later
+    // windows sooner and speculates on more of them; at q = 130 no window
+    // is ever spent.
+    for (q, created) in [(40usize, [105u64, 119, 210]), (130, [105, 105, 105])] {
         let mut schema = Schema::new();
         let events = nyse(&mut schema, 4_000, 7);
         let query = Arc::new(queries::q1(&mut schema, q, 200, Direction::Rising));
-        let expected = run_sequential(&query, &events).complex_events;
+        let sequential = run_sequential(&query, &events);
+        let expected = &sequential.complex_events;
         for (k, created) in [1usize, 2, 4].into_iter().zip(created) {
             let config = SpectreConfig::with_instances(k);
             let label = format!("q={q} sim k={k}");
             let report = run(&query, events.clone(), &config, Mode::Simulated);
-            assert_same_output(&label, &report.complex_events, &expected);
+            assert_same_output(&label, &report.complex_events, expected);
             let m = &report.metrics;
             assert_eq!(m.lane_windows, 0, "{label}");
             assert_eq!(m.versions_created, created, "{label}: {m:?}");
+            if k == 1 {
+                // One instance feeds exactly what the oracle feeds: each
+                // window up to its end or until its detector is spent.
+                assert_eq!(m.events_processed, sequential.events_processed, "{label}");
+            }
         }
         let config = SpectreConfig::with_instances(2);
         let report = run(&query, events, &config, Mode::Threaded);
         let label = format!("q={q} threaded k=2");
-        assert_same_output(&label, &report.complex_events, &expected);
+        assert_same_output(&label, &report.complex_events, expected);
         assert_eq!(report.metrics.lane_windows, 0, "{label}");
     }
 }
