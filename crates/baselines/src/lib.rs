@@ -11,17 +11,12 @@
 //!   bytecode VM (paper §4.2.3: "T-REX … automatically translates queries
 //!   into state machines"). Single-threaded, no parallel consumption
 //!   support.
-//! * [`waitful`] — the "standard procedure" baseline of paper §2.3: windows
-//!   are processed in parallel but a window may only start once every window
-//!   it depends on has finished. Used as the no-speculation ablation.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod sequential;
 pub mod trex;
-pub mod waitful;
 
 pub use sequential::{run_sequential, SequentialResult};
 pub use trex::TrexEngine;
-pub use waitful::{run_waitful, WaitfulResult};

@@ -39,9 +39,6 @@ pub struct SequentialResult {
     pub consumed_events: u64,
     /// Total detector feeds (events actually processed, after suppression).
     pub events_processed: u64,
-    /// Events processed per window, indexed by window id — the per-window
-    /// work profile used by the wait-based parallel model.
-    pub per_window_processed: Vec<u64>,
 }
 
 impl SequentialResult {
@@ -84,11 +81,9 @@ pub fn run_sequential(query: &Arc<Query>, events: &[Event]) -> SequentialResult 
         cgs_completed: 0,
         consumed_events: 0,
         events_processed: 0,
-        per_window_processed: Vec::with_capacity(ranges.len()),
     };
     let mut actions = Vec::new();
     for range in &ranges {
-        let mut window_processed = 0u64;
         let mut detector = WindowDetector::new(Arc::clone(query), range.bounds.id);
         for ev in &events[range.bounds.start_pos as usize..range.end_pos as usize] {
             // A spent window's output is final: no later event can start
@@ -103,7 +98,6 @@ pub fn run_sequential(query: &Arc<Query>, events: &[Event]) -> SequentialResult 
             actions.clear();
             detector.on_event(ev, &mut actions);
             result.events_processed += 1;
-            window_processed += 1;
             for action in &actions {
                 if let DetectorAction::Completed {
                     complex,
@@ -124,7 +118,6 @@ pub fn run_sequential(query: &Arc<Query>, events: &[Event]) -> SequentialResult 
         detector.on_window_end(&mut actions);
         result.cgs_created += detector.started_count();
         result.cgs_completed += detector.completed_count();
-        result.per_window_processed.push(window_processed);
     }
     result
 }

@@ -7,9 +7,10 @@
 //! ```
 //!
 //! With no argument it prints every table. The scale comes from the
-//! `SPECTRE_BENCH_*` variables (see `spectre_bench::Scale::from_env`); each
-//! sweep runs once however many of the named tables read it. A run whose
-//! output differs from the sequential reference panics with its row.
+//! `SPECTRE_BENCH_*` variables (see `spectre_bench::Scale::from_env`); a
+//! malformed value exits 2 and names its variable. Each sweep runs once
+//! however many of the named tables read it. A run whose output differs
+//! from the sequential reference panics with its row.
 
 use spectre_bench::{Figures, Scale, FIGURES};
 
@@ -24,7 +25,11 @@ fn main() {
         );
         std::process::exit(2);
     }
-    let figures = Figures::new(Scale::from_env());
+    let scale = Scale::from_env().unwrap_or_else(|err| {
+        eprintln!("figures: {err}");
+        std::process::exit(2);
+    });
+    let figures = Figures::new(scale);
     for (name, tables) in FIGURES {
         if names.is_empty() || names.iter().any(|n| n == name) {
             for table in tables(&figures) {

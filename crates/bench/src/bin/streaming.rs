@@ -1,11 +1,12 @@
 //! Bounded-memory streaming smoke: feed a paper-scale NYSE stream (default
 //! 4 M events, `SPECTRE_BENCH_EVENTS` to override — the paper's full
-//! workload is 24 M) straight from the generator into a threaded
-//! [`SpectreEngine`] session. No `Vec<Event>` fixture ever exists: the
-//! generator is consumed incrementally under the engine's back-pressure,
-//! outputs are drained as they commit, and at the end the run *asserts*
-//! that the peak dependency-tree size stayed within the speculative-load
-//! bound — the property that makes stream length irrelevant to memory.
+//! workload is 24 M; a malformed value exits 2) straight from the generator
+//! into a threaded [`SpectreEngine`] session. No `Vec<Event>` fixture ever
+//! exists: the generator is consumed incrementally under the engine's
+//! back-pressure, outputs are drained as they commit, and at the end the
+//! run *asserts* that the peak dependency-tree size stayed within the
+//! speculative-load bound — the property that makes stream length
+//! irrelevant to memory.
 //!
 //! ```sh
 //! SPECTRE_BENCH_EVENTS=4000000 \
@@ -21,10 +22,13 @@ use spectre_events::Schema;
 use spectre_query::queries::{self, Direction};
 
 fn main() -> Result<(), EngineError> {
-    let events_n: usize = std::env::var("SPECTRE_BENCH_EVENTS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4_000_000);
+    let events_n: usize = match std::env::var("SPECTRE_BENCH_EVENTS") {
+        Ok(v) => spectre_bench::parse_positive("SPECTRE_BENCH_EVENTS", &v).unwrap_or_else(|err| {
+            eprintln!("streaming: {err}");
+            std::process::exit(2);
+        }),
+        Err(_) => 4_000_000,
+    };
     let mut schema = Schema::new();
     // Q1 *with* its consumption policy, in the high-ratio regime
     // (q = 110, ws = 200): speculation — and therefore

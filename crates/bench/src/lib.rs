@@ -116,28 +116,63 @@ pub struct Scale {
 }
 
 impl Scale {
-    /// Reads the four `SPECTRE_BENCH_*` variables. A missing or invalid
-    /// value falls back to the default; `SPECTRE_BENCH_KS` drops entries
-    /// that are not positive integers.
-    pub fn from_env() -> Scale {
-        fn var<T: std::str::FromStr>(name: &str) -> Option<T> {
-            std::env::var(name).ok()?.parse().ok()
+    /// Reads the four `SPECTRE_BENCH_*` variables (see [`Scale::parse`]).
+    ///
+    /// # Errors
+    ///
+    /// Names the first variable whose value is malformed.
+    pub fn from_env() -> Result<Scale, String> {
+        Scale::parse(|name| std::env::var(name).ok())
+    }
+
+    /// Builds a scale from `var`, which maps each `SPECTRE_BENCH_*` name to
+    /// its value (`None` when unset). An unset variable keeps its default.
+    ///
+    /// # Errors
+    ///
+    /// Names the first variable that is set but is not a positive integer
+    /// (for `SPECTRE_BENCH_KS`: a comma-separated list of them).
+    pub fn parse(var: impl Fn(&str) -> Option<String>) -> Result<Scale, String> {
+        fn get<T: std::str::FromStr + Default + PartialEq>(
+            var: &impl Fn(&str) -> Option<String>,
+            name: &str,
+        ) -> Result<Option<T>, String> {
+            var(name).map(|v| parse_positive(name, &v)).transpose()
         }
-        let ks = std::env::var("SPECTRE_BENCH_KS").ok().map(|v| {
-            let ks = v.split(',').filter_map(|s| s.trim().parse().ok());
-            ks.filter(|&k| k > 0).collect::<Vec<usize>>()
+        const KS: &str = "SPECTRE_BENCH_KS";
+        let ks = var(KS).map(|v| {
+            let ks: Result<Vec<usize>, String> =
+                v.split(',').map(|k| parse_positive(KS, k)).collect();
+            ks.map_err(|_| format!("{KS}={v:?} is not a comma-separated list of positive integers"))
         });
-        Scale {
-            events: var("SPECTRE_BENCH_EVENTS").unwrap_or(1_000_000),
-            repeats: var("SPECTRE_BENCH_REPEATS").unwrap_or(3).max(1),
-            ks: (ks.filter(|ks| !ks.is_empty())).unwrap_or_else(|| vec![1, 2, 4, 8, 16, 32]),
-            ws: var("SPECTRE_BENCH_WS"),
-        }
+        Ok(Scale {
+            events: get(&var, "SPECTRE_BENCH_EVENTS")?.unwrap_or(1_000_000),
+            repeats: get(&var, "SPECTRE_BENCH_REPEATS")?.unwrap_or(3),
+            ks: ks.transpose()?.unwrap_or_else(|| vec![1, 2, 4, 8, 16, 32]),
+            ws: get(&var, "SPECTRE_BENCH_WS")?,
+        })
     }
 
     fn max_k(&self) -> usize {
         self.ks.iter().copied().max().expect("ks is non-empty")
     }
+}
+
+/// Parses `value`, set for the variable `name`, as a positive integer.
+///
+/// # Errors
+///
+/// Names the variable and the value when the value is not one.
+pub fn parse_positive<T: std::str::FromStr + Default + PartialEq>(
+    name: &str,
+    value: &str,
+) -> Result<T, String> {
+    value
+        .trim()
+        .parse()
+        .ok()
+        .filter(|v| *v != T::default())
+        .ok_or_else(|| format!("{name}={value:?} is not a positive integer"))
 }
 
 /// The NYSE event *source* of the Q1/Q2 experiments: an owned generator
@@ -777,13 +812,52 @@ mod tests {
         assert_eq!(c.max, 9.0);
     }
 
+    /// `parse` over a fixed set of variables, as if the rest were unset.
+    fn parse_vars(vars: &[(&str, &str)]) -> Result<Scale, String> {
+        Scale::parse(|name| {
+            let value = vars.iter().find(|(n, _)| *n == name)?.1;
+            Some(value.to_string())
+        })
+    }
+
     #[test]
     fn env_defaults() {
-        let scale = Scale::from_env();
-        assert!(scale.events > 0);
-        assert!(scale.repeats >= 1);
-        assert!(!scale.ks.is_empty());
-        assert!(scale.ks.iter().all(|&k| k > 0));
+        let defaults = Scale {
+            events: 1_000_000,
+            repeats: 3,
+            ks: vec![1, 2, 4, 8, 16, 32],
+            ws: None,
+        };
+        assert_eq!(parse_vars(&[]), Ok(defaults));
+        let scale = parse_vars(&[
+            ("SPECTRE_BENCH_EVENTS", "2000"),
+            ("SPECTRE_BENCH_REPEATS", "1"),
+            ("SPECTRE_BENCH_KS", "1, 4"),
+            ("SPECTRE_BENCH_WS", "200"),
+        ]);
+        let want = Scale {
+            events: 2000,
+            repeats: 1,
+            ks: vec![1, 4],
+            ws: Some(200),
+        };
+        assert_eq!(scale, Ok(want));
+    }
+
+    #[test]
+    fn malformed_values_name_their_variable() {
+        for (name, value) in [
+            ("SPECTRE_BENCH_EVENTS", "2k"),
+            ("SPECTRE_BENCH_REPEATS", "0"),
+            ("SPECTRE_BENCH_WS", "-5"),
+            ("SPECTRE_BENCH_KS", "0,x"),
+            ("SPECTRE_BENCH_KS", "1,x"),
+            ("SPECTRE_BENCH_KS", ""),
+        ] {
+            let err = parse_vars(&[(name, value)]).unwrap_err();
+            assert!(err.contains(name), "{err}");
+            assert!(err.contains(&format!("{value:?}")), "{err}");
+        }
     }
 
     #[test]

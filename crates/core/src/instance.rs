@@ -433,19 +433,7 @@ impl InstanceCore {
                         match_id, complex, ..
                     } => {
                         inner.outputs.push(complex);
-                        if let Some(i) = inner.open_cgs.iter().position(|(m, _)| *m == match_id) {
-                            let (_, cg) = inner.open_cgs.swap_remove(i);
-                            cg.complete();
-                            self.ops_buf.push((
-                                wv.query_id(),
-                                TreeOp::CgResolved {
-                                    cg: cg.id(),
-                                    completed: true,
-                                },
-                            ));
-                            shared
-                                .metrics
-                                .add_shared(wv.query_metrics(), |m| &m.cgs_completed, 1);
+                        if let Some(cg) = self.resolve_cg(wv, inner, shared, match_id, true) {
                             // Remember the completion: a rollback revokes
                             // it from the dependency tree.
                             inner.completed_cells.push(cg);
@@ -456,20 +444,7 @@ impl InstanceCore {
                     }
                     DetectorAction::Abandoned { match_id } => {
                         abandoned_any = true;
-                        if let Some(i) = inner.open_cgs.iter().position(|(m, _)| *m == match_id) {
-                            let (_, cg) = inner.open_cgs.swap_remove(i);
-                            cg.abandon();
-                            self.ops_buf.push((
-                                wv.query_id(),
-                                TreeOp::CgResolved {
-                                    cg: cg.id(),
-                                    completed: false,
-                                },
-                            ));
-                            shared
-                                .metrics
-                                .add_shared(wv.query_metrics(), |m| &m.cgs_abandoned, 1);
-                        }
+                        self.resolve_cg(wv, inner, shared, match_id, false);
                         if let Some(i) = inner.needs_new_cg.iter().position(|m| *m == match_id) {
                             inner.needs_new_cg.swap_remove(i);
                         }
@@ -532,6 +507,37 @@ impl InstanceCore {
             .add_shared(wv.query_metrics(), |m| &m.cgs_created, 1);
     }
 
+    /// Resolves the open group of `match_id`, if there is one: takes it out
+    /// of `open_cgs`, completes or abandons it, reports the resolution to
+    /// the tree and counts it. Returns the resolved group.
+    fn resolve_cg(
+        &mut self,
+        wv: &Arc<VersionState>,
+        inner: &mut VersionInner,
+        shared: &SharedState,
+        match_id: MatchId,
+        completed: bool,
+    ) -> Option<Arc<CgCell>> {
+        let i = inner.open_cgs.iter().position(|(m, _)| *m == match_id)?;
+        let (_, cg) = inner.open_cgs.swap_remove(i);
+        let metrics = &shared.metrics;
+        if completed {
+            cg.complete();
+            metrics.add_shared(wv.query_metrics(), |m| &m.cgs_completed, 1);
+        } else {
+            cg.abandon();
+            metrics.add_shared(wv.query_metrics(), |m| &m.cgs_abandoned, 1);
+        }
+        self.ops_buf.push((
+            wv.query_id(),
+            TreeOp::CgResolved {
+                cg: cg.id(),
+                completed,
+            },
+        ));
+        Some(cg)
+    }
+
     fn record(&mut self, shared: &SharedState, qid: QueryId, from: usize, to: usize) {
         if self.stats_query != Some(qid) {
             self.flush_stats(shared);
@@ -574,33 +580,13 @@ impl InstanceCore {
         inner.detector.on_window_end(&mut actions);
         for action in actions.drain(..) {
             if let DetectorAction::Abandoned { match_id } = action {
-                if let Some(i) = inner.open_cgs.iter().position(|(m, _)| *m == match_id) {
-                    let (_, cg) = inner.open_cgs.swap_remove(i);
-                    cg.abandon();
-                    self.ops_buf.push((
-                        wv.query_id(),
-                        TreeOp::CgResolved {
-                            cg: cg.id(),
-                            completed: false,
-                        },
-                    ));
-                    shared
-                        .metrics
-                        .add_shared(wv.query_metrics(), |m| &m.cgs_abandoned, 1);
-                }
+                self.resolve_cg(wv, inner, shared, match_id, false);
             }
         }
         self.actions = actions;
         // Defensive: no group may stay open past its window (paper §3.1).
-        for (_, cg) in inner.open_cgs.drain(..) {
-            cg.abandon();
-            self.ops_buf.push((
-                wv.query_id(),
-                TreeOp::CgResolved {
-                    cg: cg.id(),
-                    completed: false,
-                },
-            ));
+        while let Some(&(match_id, _)) = inner.open_cgs.first() {
+            self.resolve_cg(wv, inner, shared, match_id, false);
         }
         inner.needs_new_cg.clear();
         wv.mark_finished();

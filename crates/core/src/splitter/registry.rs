@@ -11,10 +11,10 @@ use spectre_query::{ComplexEvent, EventFilter, Query, WindowClose};
 use super::schedule::RankedNominations;
 use super::{SpecGroup, Splitter};
 use crate::cg::{CgCell, CgId};
-use crate::config::{PredictorKind, TenantQuota};
+use crate::config::TenantQuota;
 use crate::engine::EngineError;
 use crate::metrics::{Metrics, MetricsSnapshot};
-use crate::predictor::{CompletionPredictor, FixedPredictor, MarkovPredictor};
+use crate::predictor::Predictor;
 use crate::reorder::ReorderStats;
 use crate::shared::{Lane, LaneCell, QueryId, SharedState, TenantId, TreeOp};
 use crate::store::WindowInfo;
@@ -49,7 +49,7 @@ pub(super) struct QueryState {
     pub(super) offset: u64,
     /// Empty for a lane query, as is the predictor's input.
     pub(super) tree: DependencyTree,
-    pub(super) predictor: Box<dyn CompletionPredictor>,
+    pub(super) predictor: Predictor,
     /// The query's speculation-free lane — `Some` exactly when it has no
     /// consumption policy (see the [module docs](super)).
     pub(super) lane: Option<Arc<Lane>>,
@@ -264,13 +264,7 @@ impl Splitter {
         let g = &mut self.groups[group];
         g.members.push(id);
         let offset = g.assigner.windows_opened();
-        let predictor: Box<dyn CompletionPredictor> = match &self.config.predictor {
-            PredictorKind::Markov(mc) => Box::new(MarkovPredictor::new(
-                query.pattern().max_delta(),
-                mc.clone(),
-            )),
-            PredictorKind::Fixed(p) => Box::new(FixedPredictor::new(*p)),
-        };
+        let predictor = Predictor::new(&self.config.predictor, query.pattern().max_delta());
         let avg_window_size = warmup_window_size(&query);
         let filter = EventFilter::for_query(&query);
         // Per-query views get worker blocks too: instances flush their

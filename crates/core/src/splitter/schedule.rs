@@ -49,7 +49,7 @@ impl Splitter {
         }
         let mut factory = SplitterFactory::for_query(&self.shared, qs);
         let avg = qs.avg_window_size;
-        let predictor = &*qs.predictor;
+        let predictor = &qs.predictor;
         let prob = move |cell: &CgCell| -> f64 {
             let events_left = Self::events_left(avg, cell.pos_in_window());
             predictor.predict(cell.delta(), events_left)

@@ -24,10 +24,7 @@
 //! streams: the length field holds the sentinel [`WATERMARK_MAGIC`]
 //! (`u32::MAX`, unreachable as a real length since frames are capped at
 //! [`MAX_FRAME_LEN`]), followed by the `u64` stream timestamp — a fixed
-//! 12-byte frame. [`Decoder::next_item`] yields both kinds as
-//! [`StreamItem`]s; [`Decoder::next_event`] transparently skips
-//! watermarks, so event-only consumers are unaffected by punctuated
-//! streams.
+//! 12-byte frame. Both kinds are [`StreamItem`]s.
 //!
 //! The server front-end (`spectre-server`) adds four more length-sentinel
 //! frames, split by direction. Client → server: [`HELLO_MAGIC`] declares
@@ -45,7 +42,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, BytesMut};
 
 use crate::schema::{AttrKey, EventType, SymbolId};
 use crate::value::Value;
@@ -186,15 +183,6 @@ pub fn encode(event: &Event, out: &mut BytesMut) {
     out[start..start + 4].copy_from_slice(&len.to_le_bytes());
 }
 
-/// Encodes a batch of events into a single freshly allocated buffer.
-pub fn encode_all<'a>(events: impl IntoIterator<Item = &'a Event>) -> Bytes {
-    let mut buf = BytesMut::new();
-    for ev in events {
-        encode(ev, &mut buf);
-    }
-    buf.freeze()
-}
-
 /// Appends one encoded watermark frame (see [`WATERMARK_MAGIC`]) to `out`.
 pub fn encode_watermark(stream_ts: u64, out: &mut BytesMut) {
     out.put_u32_le(WATERMARK_MAGIC);
@@ -224,24 +212,12 @@ pub fn encode_bye(out: &mut BytesMut) {
     out.put_u32_le(BYE_MAGIC);
 }
 
-/// Encodes a batch of stream items — events and watermarks — into a single
-/// freshly allocated buffer.
-pub fn encode_items<'a>(items: impl IntoIterator<Item = &'a StreamItem>) -> Bytes {
-    let mut buf = BytesMut::new();
-    for item in items {
-        match item {
-            StreamItem::Event(ev) => encode(ev, &mut buf),
-            StreamItem::Watermark(ts) => encode_watermark(*ts, &mut buf),
-        }
-    }
-    buf.freeze()
-}
-
 /// Incremental frame decoder.
 ///
-/// Feed bytes with [`Decoder::extend`] and pull complete events with
-/// [`Decoder::next_event`]; partial frames are buffered until completed, so
-/// the decoder works over arbitrarily fragmented input.
+/// Feed bytes with [`Decoder::extend`] and pull complete frames with
+/// [`Decoder::next_client_frame`] or [`Decoder::next_server_frame`];
+/// partial frames are buffered until completed, so the decoder works over
+/// arbitrarily fragmented input.
 #[derive(Debug, Default)]
 pub struct Decoder {
     buf: BytesMut,
@@ -261,50 +237,6 @@ impl Decoder {
     /// Number of buffered, not yet consumed bytes.
     pub fn buffered(&self) -> usize {
         self.buf.len()
-    }
-
-    /// Attempts to decode the next complete event, transparently skipping
-    /// watermark frames — the event-only view of a possibly punctuated
-    /// stream. Use [`next_item`](Self::next_item) to observe watermarks.
-    ///
-    /// Returns `Ok(None)` if the buffer holds no complete frame yet.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`DecodeError`] if the buffered bytes are malformed; the
-    /// decoder should be discarded afterwards.
-    pub fn next_event(&mut self) -> Result<Option<Event>, DecodeError> {
-        loop {
-            match self.next_item()? {
-                Some(StreamItem::Event(ev)) => return Ok(Some(ev)),
-                Some(StreamItem::Watermark(_)) => continue,
-                None => return Ok(None),
-            }
-        }
-    }
-
-    /// Attempts to decode the next complete stream item — an event frame
-    /// or a watermark punctuation. Direction-specific sentinel frames
-    /// (credit, throttle, hello, bye) are
-    /// [`DecodeError::UnexpectedFrame`]: this is the engine-side stream
-    /// payload view, which those frames never belong to.
-    ///
-    /// Returns `Ok(None)` if the buffer holds no complete frame yet.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`DecodeError`] if the buffered bytes are malformed; the
-    /// decoder should be discarded afterwards.
-    pub fn next_item(&mut self) -> Result<Option<StreamItem>, DecodeError> {
-        match self.next_raw()? {
-            None => Ok(None),
-            Some(RawFrame::Event(ev)) => Ok(Some(StreamItem::Event(ev))),
-            Some(RawFrame::Watermark(ts)) => Ok(Some(StreamItem::Watermark(ts))),
-            Some(RawFrame::Credit(_)) => Err(DecodeError::UnexpectedFrame(CREDIT_MAGIC)),
-            Some(RawFrame::Throttle(_)) => Err(DecodeError::UnexpectedFrame(THROTTLE_MAGIC)),
-            Some(RawFrame::Hello(_)) => Err(DecodeError::UnexpectedFrame(HELLO_MAGIC)),
-            Some(RawFrame::Bye) => Err(DecodeError::UnexpectedFrame(BYE_MAGIC)),
-        }
     }
 
     /// Attempts to decode the next complete client → server frame — a
@@ -469,42 +401,54 @@ mod tests {
             .build()
     }
 
+    /// The encoded frames of `items`.
+    fn encode_stream(items: &[StreamItem]) -> BytesMut {
+        let mut buf = BytesMut::new();
+        for item in items {
+            match item {
+                StreamItem::Event(ev) => encode(ev, &mut buf),
+                StreamItem::Watermark(ts) => encode_watermark(*ts, &mut buf),
+            }
+        }
+        buf
+    }
+
+    /// Decodes `bytes` fed in `piece`-byte chunks back into stream items,
+    /// asserting that nothing is left buffered.
+    fn decode_stream(bytes: &[u8], piece: usize) -> Vec<StreamItem> {
+        let mut dec = Decoder::new();
+        let mut out = Vec::new();
+        for chunk in bytes.chunks(piece) {
+            dec.extend(chunk);
+            while let Some(frame) = dec.next_client_frame().unwrap() {
+                match frame {
+                    ClientFrame::Item(item) => out.push(item),
+                    other => panic!("unexpected frame {other:?}"),
+                }
+            }
+        }
+        assert_eq!(dec.buffered(), 0);
+        out
+    }
+
     #[test]
     fn round_trip_single() {
-        let ev = sample(1);
-        let bytes = encode_all([&ev]);
-        let mut dec = Decoder::new();
-        dec.extend(&bytes);
-        assert_eq!(dec.next_event().unwrap(), Some(ev));
-        assert_eq!(dec.next_event().unwrap(), None);
-        assert_eq!(dec.buffered(), 0);
+        let items = vec![StreamItem::Event(sample(1))];
+        let bytes = encode_stream(&items);
+        assert_eq!(decode_stream(&bytes, bytes.len()), items);
     }
 
     #[test]
     fn round_trip_many() {
-        let events: Vec<_> = (0..100).map(sample).collect();
-        let bytes = encode_all(&events);
-        let mut dec = Decoder::new();
-        dec.extend(&bytes);
-        for ev in &events {
-            assert_eq!(dec.next_event().unwrap().as_ref(), Some(ev));
-        }
-        assert_eq!(dec.next_event().unwrap(), None);
+        let items: Vec<_> = (0..100).map(|seq| StreamItem::Event(sample(seq))).collect();
+        let bytes = encode_stream(&items);
+        assert_eq!(decode_stream(&bytes, bytes.len()), items);
     }
 
     #[test]
     fn fragmented_input() {
-        let events: Vec<_> = (0..10).map(sample).collect();
-        let bytes = encode_all(&events);
-        let mut dec = Decoder::new();
-        let mut out = Vec::new();
-        for chunk in bytes.chunks(3) {
-            dec.extend(chunk);
-            while let Some(ev) = dec.next_event().unwrap() {
-                out.push(ev);
-            }
-        }
-        assert_eq!(out, events);
+        let items: Vec<_> = (0..10).map(|seq| StreamItem::Event(sample(seq))).collect();
+        assert_eq!(decode_stream(&encode_stream(&items), 3), items);
     }
 
     #[test]
@@ -515,7 +459,7 @@ mod tests {
         let mut dec = Decoder::new();
         dec.extend(&bad.to_le_bytes());
         assert_eq!(
-            dec.next_event(),
+            dec.next_client_frame(),
             Err(DecodeError::FrameTooLarge(bad as usize))
         );
     }
@@ -528,33 +472,8 @@ mod tests {
             StreamItem::Event(sample(2)),
             StreamItem::Watermark(u64::MAX),
         ];
-        let bytes = encode_items(&items);
-        let mut dec = Decoder::new();
-        dec.extend(&bytes);
-        let mut out = Vec::new();
-        while let Some(item) = dec.next_item().unwrap() {
-            out.push(item);
-        }
-        assert_eq!(out, items);
-        assert_eq!(dec.buffered(), 0);
-    }
-
-    #[test]
-    fn next_event_skips_watermarks() {
-        let items = vec![
-            StreamItem::Watermark(5),
-            StreamItem::Event(sample(1)),
-            StreamItem::Watermark(20),
-            StreamItem::Watermark(30),
-            StreamItem::Event(sample(2)),
-            StreamItem::Watermark(40),
-        ];
-        let mut dec = Decoder::new();
-        dec.extend(&encode_items(&items));
-        assert_eq!(dec.next_event().unwrap(), Some(sample(1)));
-        assert_eq!(dec.next_event().unwrap(), Some(sample(2)));
-        assert_eq!(dec.next_event().unwrap(), None);
-        assert_eq!(dec.buffered(), 0);
+        let bytes = encode_stream(&items);
+        assert_eq!(decode_stream(&bytes, bytes.len()), items);
     }
 
     #[test]
@@ -564,49 +483,36 @@ mod tests {
             StreamItem::Event(sample(3)),
             StreamItem::Watermark(99),
         ];
-        let bytes = encode_items(&items);
-        let mut dec = Decoder::new();
-        let mut out = Vec::new();
-        for chunk in bytes.chunks(1) {
-            dec.extend(chunk);
-            while let Some(item) = dec.next_item().unwrap() {
-                out.push(item);
-            }
-        }
-        assert_eq!(out, items);
+        assert_eq!(decode_stream(&encode_stream(&items), 1), items);
     }
 
     #[test]
     fn bad_tag_is_rejected() {
-        let ev = sample(1);
-        let mut buf = BytesMut::new();
-        encode(&ev, &mut buf);
-        // Corrupt the first attribute's tag byte: 4 len + 8 seq + 8 ts + 2 ty
-        // + 2 count + 2 key = offset 26.
-        buf[26] = 99;
-        let mut dec = Decoder::new();
-        dec.extend(&buf);
-        assert_eq!(dec.next_event(), Err(DecodeError::BadTag(99)));
+        let mut dec = decoder_with(|b| {
+            encode(&sample(1), b);
+            // Corrupt the first attribute's tag byte: 4 len + 8 seq + 8 ts
+            // + 2 ty + 2 count + 2 key = offset 26.
+            b[26] = 99;
+        });
+        assert_eq!(dec.next_client_frame(), Err(DecodeError::BadTag(99)));
     }
 
     #[test]
     fn empty_event_round_trips() {
         let ev = Event::builder(EventType::new(0)).seq(5).ts(6).build();
-        let bytes = encode_all([&ev]);
-        let mut dec = Decoder::new();
-        dec.extend(&bytes);
-        assert_eq!(dec.next_event().unwrap(), Some(ev));
+        let items = vec![StreamItem::Event(ev)];
+        let bytes = encode_stream(&items);
+        assert_eq!(decode_stream(&bytes, bytes.len()), items);
     }
 
     #[test]
     fn client_frames_round_trip() {
-        let mut buf = BytesMut::new();
-        encode_hello(7, &mut buf);
-        encode(&sample(1), &mut buf);
-        encode_watermark(10, &mut buf);
-        encode_bye(&mut buf);
-        let mut dec = Decoder::new();
-        dec.extend(&buf);
+        let mut dec = decoder_with(|b| {
+            encode_hello(7, b);
+            encode(&sample(1), b);
+            encode_watermark(10, b);
+            encode_bye(b);
+        });
         assert_eq!(
             dec.next_client_frame().unwrap(),
             Some(ClientFrame::Hello(7))
@@ -643,46 +549,37 @@ mod tests {
         );
     }
 
+    /// A decoder holding the frames `write` encodes.
+    fn decoder_with(write: impl FnOnce(&mut BytesMut)) -> Decoder {
+        let mut buf = BytesMut::new();
+        write(&mut buf);
+        let mut dec = Decoder::new();
+        dec.extend(&buf);
+        dec
+    }
+
     #[test]
     fn feedback_frames_are_rejected_on_the_stream_view() {
-        let mut buf = BytesMut::new();
-        encode_credit(1, &mut buf);
-        let mut dec = Decoder::new();
-        dec.extend(&buf);
-        assert_eq!(
-            dec.next_item(),
-            Err(DecodeError::UnexpectedFrame(CREDIT_MAGIC))
-        );
-        let mut buf = BytesMut::new();
-        encode_hello(2, &mut buf);
-        let mut dec = Decoder::new();
-        dec.extend(&buf);
-        assert_eq!(
-            dec.next_item(),
-            Err(DecodeError::UnexpectedFrame(HELLO_MAGIC))
-        );
+        let credit = decoder_with(|b| encode_credit(1, b)).next_client_frame();
+        assert_eq!(credit, Err(DecodeError::UnexpectedFrame(CREDIT_MAGIC)));
+        let throttle = decoder_with(|b| encode_throttle(2, b)).next_client_frame();
+        assert_eq!(throttle, Err(DecodeError::UnexpectedFrame(THROTTLE_MAGIC)));
     }
 
     #[test]
     fn wrong_direction_frames_are_rejected() {
-        // A credit frame on the client → server path …
-        let mut buf = BytesMut::new();
-        encode_credit(1, &mut buf);
-        let mut dec = Decoder::new();
-        dec.extend(&buf);
-        assert_eq!(
-            dec.next_client_frame(),
-            Err(DecodeError::UnexpectedFrame(CREDIT_MAGIC))
-        );
-        // … and an event frame on the server → client path.
-        let mut buf = BytesMut::new();
-        encode(&sample(1), &mut buf);
-        let mut dec = Decoder::new();
-        dec.extend(&buf);
-        assert_eq!(
-            dec.next_server_frame(),
-            Err(DecodeError::UnexpectedFrame(0))
-        );
+        // Every client → server frame is unexpected on the server → client
+        // path; an event frame reports length field 0.
+        let cases = [
+            (decoder_with(|b| encode(&sample(1), b)), 0),
+            (decoder_with(|b| encode_watermark(3, b)), WATERMARK_MAGIC),
+            (decoder_with(|b| encode_hello(2, b)), HELLO_MAGIC),
+            (decoder_with(encode_bye), BYE_MAGIC),
+        ];
+        for (mut dec, magic) in cases {
+            let got = dec.next_server_frame();
+            assert_eq!(got, Err(DecodeError::UnexpectedFrame(magic)));
+        }
     }
 
     #[test]
@@ -704,7 +601,10 @@ mod tests {
     #[test]
     fn streaming_decode_memory_stays_bounded() {
         const PIECE: usize = 16 * 1024;
-        let block: Vec<u8> = encode_all(&(0..1000).map(sample).collect::<Vec<_>>()).to_vec();
+        let mut block = BytesMut::new();
+        for seq in 0..1000 {
+            encode(&sample(seq), &mut block);
+        }
         let mut dec = Decoder::new();
         let (mut fed, mut decoded, mut at) = (0usize, 0usize, 0usize);
         let mut peak = 0;
@@ -714,7 +614,7 @@ mod tests {
             dec.extend(&piece);
             fed += PIECE;
             peak = peak.max(dec.buf.capacity());
-            while dec.next_event().unwrap().is_some() {
+            while dec.next_client_frame().unwrap().is_some() {
                 decoded += 1;
             }
         }

@@ -20,7 +20,7 @@ use bytes::BytesMut;
 use spectre_events::codec::{
     encode, encode_bye, encode_hello, encode_watermark, Decoder, ServerFrame,
 };
-use spectre_events::{Event, StreamItem};
+use spectre_events::Event;
 
 use crate::error::ServerError;
 
@@ -94,14 +94,6 @@ impl FeedClient {
             self.flush()?;
         }
         Ok(())
-    }
-
-    /// Sends one stream item (event or watermark).
-    pub fn send_item(&mut self, item: &StreamItem) -> Result<(), ServerError> {
-        match item {
-            StreamItem::Event(ev) => self.send_event(ev),
-            StreamItem::Watermark(ts) => self.send_watermark(*ts),
-        }
     }
 
     /// Flushes buffered frames to the socket.

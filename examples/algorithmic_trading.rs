@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use spectre_baselines::{run_sequential, run_waitful};
+use spectre_baselines::run_sequential;
 use spectre_core::{EngineError, SpectreConfig, SpectreEngine};
 use spectre_datasets::{NyseConfig, NyseGenerator};
 use spectre_events::Schema;
@@ -45,7 +45,6 @@ fn main() -> Result<(), EngineError> {
         };
         let r1 = sim(1)?;
         let r8 = sim(8)?;
-        let wait8 = run_waitful(&query, &events, 8);
 
         assert_eq!(r1.complex_events, seq.complex_events);
         assert_eq!(r8.complex_events, seq.complex_events);
@@ -60,17 +59,9 @@ fn main() -> Result<(), EngineError> {
         );
         println!(
             "  SPECTRE   speculation speedup 1→8 instances: {speedup:.1}x \
-             ({} rollbacks, {} versions dropped)",
+             ({} rollbacks, {} versions dropped)\n",
             r8.metrics.rollbacks, r8.metrics.versions_dropped
         );
-        println!(
-            "  wait-based parallelism (no speculation), 8 instances: {:.1}x\n",
-            wait8.speedup
-        );
     }
-    println!(
-        "speculation exploits parallelism where waiting cannot: overlapping\n\
-         windows with consumption serialize the wait-based baseline."
-    );
     Ok(())
 }

@@ -1,10 +1,10 @@
 //! Shared helpers for the SPECTRE integration test suite.
 //!
 //! The tests in `tests/` compare every execution mode of the workspace —
-//! the sequential reference, the wait-based parallel baseline, the T-REX
-//! style automaton engine, the deterministic simulation runtime and the
-//! threaded runtime — against each other on the paper's queries and
-//! datasets. This crate hosts the small amount of common scaffolding.
+//! the sequential reference, the T-REX style automaton engine, the
+//! deterministic simulation runtime and the threaded runtime — against each
+//! other on the paper's queries and datasets. This crate hosts the small
+//! amount of common scaffolding.
 
 use std::sync::Arc;
 

@@ -1,10 +1,10 @@
-//! Cross-engine differential tests: the T-REX style automaton engine and
-//! the wait-based parallel model are independently implemented oracles that
-//! must agree with the sequential reference on every query and dataset.
+//! Cross-engine differential tests: the T-REX style automaton engine is an
+//! independently implemented oracle that must agree with the sequential
+//! reference on every query and dataset.
 
 use std::sync::Arc;
 
-use spectre_baselines::{run_sequential, run_waitful, TrexEngine};
+use spectre_baselines::{run_sequential, TrexEngine};
 use spectre_datasets::{NyseConfig, NyseGenerator, RandConfig, RandGenerator};
 use spectre_events::Schema;
 use spectre_integration::assert_same_output;
@@ -49,41 +49,6 @@ fn trex_agrees_with_sequential_on_q3() {
 }
 
 #[test]
-fn waitful_output_is_sequential_and_speedup_is_bounded() {
-    let mut schema = Schema::new();
-    let events: Vec<_> = NyseGenerator::new(NyseConfig::small(2000, 41), &mut schema).collect();
-    let query = Arc::new(queries::q1(&mut schema, 3, 200, Direction::Rising));
-    let expected = run_sequential(&query, &events).complex_events;
-    for k in [1usize, 4, 16] {
-        let r = run_waitful(&query, &events, k);
-        assert_same_output(&format!("waitful k={k}"), &r.complex_events, &expected);
-        assert!(r.speedup >= 1.0 - 1e-9, "speedup ≥ 1");
-        assert!(
-            r.speedup <= k as f64 + 1e-9,
-            "speedup bounded by instance count"
-        );
-        assert!(r.makespan <= r.total_work, "parallelism never hurts");
-    }
-}
-
-#[test]
-fn waitful_speedup_collapses_under_consumption_dependencies() {
-    // The motivating observation of §2.3: with consumption and overlapping
-    // windows, the wait-based schedule is (nearly) serialized regardless of
-    // k, while the same query *without* consumption parallelizes freely.
-    let mut schema = Schema::new();
-    let events: Vec<_> = NyseGenerator::new(NyseConfig::small(2000, 43), &mut schema).collect();
-    let consuming = Arc::new(queries::q2(&mut schema, 60.0, 140.0, 400, 50));
-    let r16 = run_waitful(&consuming, &events, 16);
-    // Windows overlap 8-fold (ws=400, s=50): dependencies serialize them.
-    assert!(
-        r16.speedup < 4.0,
-        "consumption dependencies must cap the wait-based speedup, got {}",
-        r16.speedup
-    );
-}
-
-#[test]
 fn sequential_statistics_are_internally_consistent() {
     let mut schema = Schema::new();
     let events: Vec<_> = NyseGenerator::new(NyseConfig::small(2500, 47), &mut schema).collect();
@@ -93,11 +58,6 @@ fn sequential_statistics_are_internally_consistent() {
     assert!(r.cgs_completed <= r.cgs_created);
     let p = r.completion_probability();
     assert!((0.0..=1.0).contains(&p));
-    assert_eq!(r.per_window_processed.len() as u64, r.windows);
-    assert_eq!(
-        r.per_window_processed.iter().sum::<u64>(),
-        r.events_processed
-    );
     // Every constituent of every complex event is consumed exactly once
     // (ConsumptionPolicy::All), so counting distinct constituents gives the
     // consumed-events total.

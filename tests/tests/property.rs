@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use spectre_baselines::{run_sequential, run_waitful, TrexEngine};
+use spectre_baselines::{run_sequential, TrexEngine};
 use spectre_core::{PredictorKind, SpectreConfig};
 use spectre_events::{AttrKey, Event, Schema};
 use spectre_integration::{fmt_all, run, Mode};
@@ -116,23 +116,6 @@ proptest! {
         let expected = run_sequential(&query, &events).complex_events;
         let trex = TrexEngine::new(Arc::clone(&query)).run(&events);
         prop_assert_eq!(fmt_all(&trex.complex_events), fmt_all(&expected));
-    }
-
-    /// The wait-based model produces sequential output with a speedup in
-    /// `[1, k]`.
-    #[test]
-    fn waitful_is_correct_and_bounded(
-        xs in proptest::collection::vec(0u8..4, 1..150),
-        ws in 4u64..30,
-        k in 1usize..8,
-    ) {
-        let events = stream(&xs);
-        let query = seq_query(2, ws, (ws / 2).max(1), ConsumptionPolicy::All);
-        let expected = run_sequential(&query, &events).complex_events;
-        let r = run_waitful(&query, &events, k);
-        prop_assert_eq!(fmt_all(&r.complex_events), fmt_all(&expected));
-        prop_assert!(r.speedup >= 1.0 - 1e-9);
-        prop_assert!(r.speedup <= k as f64 + 1e-9);
     }
 
     /// Consumption invariant: under `All`, no event participates in two
