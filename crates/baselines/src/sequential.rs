@@ -92,7 +92,9 @@ pub fn run_sequential(query: &Arc<Query>, events: &[Event]) -> SequentialResult 
                 break;
             }
             if consumed.contains(&ev.seq()) {
-                detector.on_suppressed();
+                // A suppressed position may abandon a match (the
+                // feasibility bound), never complete one.
+                detector.on_suppressed(&mut actions);
                 continue;
             }
             actions.clear();

@@ -386,72 +386,24 @@ impl InstanceCore {
 
         // Suppression (Fig. 8 line 13).
         let suppressed = wv.suppressed().iter().any(|cg| cg.contains(ev.seq()));
+        // Empty: `apply_actions` drains it.
+        let mut actions = std::mem::take(&mut self.actions);
         if suppressed {
-            inner.detector.on_suppressed();
+            // The position still counts: the feasibility bound may abandon
+            // the match here.
+            inner.detector.on_suppressed(&mut actions);
+            self.apply_actions(wv, inner, shared, &mut actions);
             self.run_suppressed += 1;
         } else {
             let prev_delta = inner.open_cgs.first().map(|(_, cg)| cg.delta());
-            let max_delta = wv.query().pattern().max_delta();
 
             debug_assert!(
                 inner.used.last().is_none_or(|&last| last < ev.seq()),
                 "input stream must be seq-ordered"
             );
             inner.used.push(ev.seq());
-            self.actions.clear();
-            let mut actions = std::mem::take(&mut self.actions);
             inner.detector.on_event(ev, &mut actions);
-            let mut abandoned_any = false;
-            let mut started_any = false;
-            for action in actions.drain(..) {
-                match action {
-                    DetectorAction::MatchStarted { match_id } => {
-                        started_any = true;
-                        self.create_cg(wv, inner, shared, match_id, max_delta);
-                    }
-                    DetectorAction::EventAdded {
-                        match_id,
-                        seq,
-                        consumable,
-                        delta,
-                    } => {
-                        // EachLast: a completed match keeps matching; its
-                        // next event opens a new consumption group.
-                        if let Some(i) = inner.needs_new_cg.iter().position(|m| *m == match_id) {
-                            inner.needs_new_cg.swap_remove(i);
-                            self.create_cg(wv, inner, shared, match_id, delta);
-                        }
-                        if let Some((_, cg)) = inner.open_cgs.iter().find(|(m, _)| *m == match_id) {
-                            if consumable {
-                                cg.add_event(seq, delta, inner.pos);
-                            } else {
-                                cg.touch(delta, inner.pos);
-                            }
-                        }
-                    }
-                    DetectorAction::Completed {
-                        match_id, complex, ..
-                    } => {
-                        inner.outputs.push(complex);
-                        if let Some(cg) = self.resolve_cg(wv, inner, shared, match_id, true) {
-                            // Remember the completion: a rollback revokes
-                            // it from the dependency tree.
-                            inner.completed_cells.push(cg);
-                        }
-                        if wv.query().selection() == SelectionPolicy::EachLast {
-                            inner.needs_new_cg.push(match_id);
-                        }
-                    }
-                    DetectorAction::Abandoned { match_id } => {
-                        abandoned_any = true;
-                        self.resolve_cg(wv, inner, shared, match_id, false);
-                        if let Some(i) = inner.needs_new_cg.iter().position(|m| *m == match_id) {
-                            inner.needs_new_cg.swap_remove(i);
-                        }
-                    }
-                }
-            }
-            self.actions = actions;
+            let (started_any, abandoned_any) = self.apply_actions(wv, inner, shared, &mut actions);
 
             // Markov statistics: observed δ transition of this event, taken
             // from non-speculative versions only (paper §3.2.1: statistics
@@ -463,12 +415,16 @@ impl InstanceCore {
                 match (prev_delta, new_delta) {
                     (Some(from), Some(to)) => self.record(shared, qid, from, to),
                     (Some(from), None) => self.record(shared, qid, from, 0), // completed
-                    (None, Some(to)) if started_any => self.record(shared, qid, max_delta, to),
+                    (None, Some(to)) if started_any => {
+                        let from = wv.query().pattern().max_delta();
+                        self.record(shared, qid, from, to);
+                    }
                     _ => {}
                 }
             }
             self.run_processed += 1;
         }
+        self.actions = actions;
 
         // Periodic consistency check (Fig. 8 lines 31–45).
         inner.steps_since_check += 1;
@@ -479,6 +435,70 @@ impl InstanceCore {
             }
         }
         true
+    }
+
+    /// Maps one position's detector feedback onto consumption groups
+    /// (Fig. 8 lines 15–28), draining `actions`. Returns whether a match
+    /// started and whether one was abandoned.
+    fn apply_actions(
+        &mut self,
+        wv: &Arc<VersionState>,
+        inner: &mut VersionInner,
+        shared: &SharedState,
+        actions: &mut Vec<DetectorAction>,
+    ) -> (bool, bool) {
+        let mut started_any = false;
+        let mut abandoned_any = false;
+        for action in actions.drain(..) {
+            match action {
+                DetectorAction::MatchStarted { match_id } => {
+                    started_any = true;
+                    let delta = wv.query().pattern().max_delta();
+                    self.create_cg(wv, inner, shared, match_id, delta);
+                }
+                DetectorAction::EventAdded {
+                    match_id,
+                    seq,
+                    consumable,
+                    delta,
+                } => {
+                    // EachLast: a completed match keeps matching; its
+                    // next event opens a new consumption group.
+                    if let Some(i) = inner.needs_new_cg.iter().position(|m| *m == match_id) {
+                        inner.needs_new_cg.swap_remove(i);
+                        self.create_cg(wv, inner, shared, match_id, delta);
+                    }
+                    if let Some((_, cg)) = inner.open_cgs.iter().find(|(m, _)| *m == match_id) {
+                        if consumable {
+                            cg.add_event(seq, delta, inner.pos);
+                        } else {
+                            cg.touch(delta, inner.pos);
+                        }
+                    }
+                }
+                DetectorAction::Completed {
+                    match_id, complex, ..
+                } => {
+                    inner.outputs.push(complex);
+                    if let Some(cg) = self.resolve_cg(wv, inner, shared, match_id, true) {
+                        // Remember the completion: a rollback revokes
+                        // it from the dependency tree.
+                        inner.completed_cells.push(cg);
+                    }
+                    if wv.query().selection() == SelectionPolicy::EachLast {
+                        inner.needs_new_cg.push(match_id);
+                    }
+                }
+                DetectorAction::Abandoned { match_id } => {
+                    abandoned_any = true;
+                    self.resolve_cg(wv, inner, shared, match_id, false);
+                    if let Some(i) = inner.needs_new_cg.iter().position(|m| *m == match_id) {
+                        inner.needs_new_cg.swap_remove(i);
+                    }
+                }
+            }
+        }
+        (started_any, abandoned_any)
     }
 
     fn create_cg(

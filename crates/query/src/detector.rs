@@ -7,6 +7,7 @@ use crate::complex::ComplexEvent;
 use crate::matcher::{FeedOutcome, PartialMatch};
 use crate::policy::SelectionPolicy;
 use crate::query::Query;
+use crate::window::{WindowClose, WindowOpen};
 
 /// Identifier of a partial match within one [`WindowDetector`].
 ///
@@ -28,7 +29,8 @@ impl fmt::Display for MatchId {
 /// 1. a partial match (= consumption group) is **created**,
 /// 2. an event is **added** to a partial match,
 /// 3. a match **completes**, emitting a complex event and consuming events,
-/// 4. a match is **abandoned** (negation guard or window end).
+/// 4. a match is **abandoned** (negation guard, window end, or an anchored
+///    count window too short to complete it).
 #[derive(Debug, Clone, PartialEq)]
 pub enum DetectorAction {
     /// A new partial match started; the runtime creates a consumption group.
@@ -76,6 +78,19 @@ pub enum DetectorAction {
 /// Detectors are deterministic and cloneable; SPECTRE clones/rebuilds them
 /// when window versions are rolled back.
 ///
+/// # Feasibility bound
+///
+/// In an anchored count window (`WITHIN ws EVENTS FROM <elem>`) that has
+/// seen `n` positions, fed or suppressed, a match whose completion distance
+/// δ exceeds `ws − n` can never complete: each later position lowers δ by
+/// at most one. After every position the detector abandons such matches
+/// (through the ordinary [`DetectorAction::Abandoned`]) instead of feeding
+/// them to the window's end, so the window is [spent](Self::is_spent) as
+/// soon as its match is hopeless. The check costs O(1) per position and
+/// looks at the matches only once `ws − n` drops below the pattern's
+/// minimum length, the largest δ any match can have. Sliding and time
+/// windows are left alone: there a later event may start a new match.
+///
 /// # Example
 ///
 /// ```
@@ -118,17 +133,22 @@ pub struct WindowDetector {
     /// The window *opens on* the pattern's start element
     /// (`WITHIN … FROM <elem>`): only its first event may start a match.
     anchored: bool,
+    /// `ws` of an anchored count window, the one shape the feasibility
+    /// bound applies to; `None` for every other window.
+    scope: Option<u64>,
 }
 
 impl WindowDetector {
     /// Creates a detector for one window.
     pub fn new(query: Arc<Query>, window_id: u64) -> Self {
-        let anchored = matches!(
-            query.window().open(),
-            crate::window::WindowOpen::OnMatch { .. }
-        );
+        let anchored = matches!(query.window().open(), WindowOpen::OnMatch { .. });
+        let scope = match query.window().close() {
+            WindowClose::Count(ws) if anchored => Some(ws),
+            _ => None,
+        };
         WindowDetector {
             anchored,
+            scope,
             query,
             window_id,
             active: Vec::new(),
@@ -141,9 +161,11 @@ impl WindowDetector {
 
     /// `true` once nothing later in the window can change its output: no
     /// match is active and none can start — the window is anchored and its
-    /// first event has been seen. The converse of paper §3.1's rule that
-    /// groups resolve at the latest when the window finishes: a spent
-    /// window may finish before its last event.
+    /// first event has been seen. Its match resolved, by completing, by a
+    /// negation guard or by the feasibility bound (see the type docs). The
+    /// converse of paper §3.1's rule that groups resolve at the latest when
+    /// the window finishes: a spent window may finish before its last
+    /// event. A sliding window is never spent.
     pub fn is_spent(&self) -> bool {
         self.anchored && self.events_seen > 0 && self.active.is_empty()
     }
@@ -158,8 +180,7 @@ impl WindowDetector {
         &self.query
     }
 
-    /// Number of window events processed (suppressed events are not fed and
-    /// therefore not counted).
+    /// Number of window positions processed, fed or suppressed.
     pub fn events_seen(&self) -> u64 {
         self.events_seen
     }
@@ -190,9 +211,12 @@ impl WindowDetector {
     /// Records a window event that is *suppressed* (consumed by an earlier
     /// window): it is not fed to the matcher, but it still occupies its
     /// window position — in particular, a suppressed first event disables
-    /// an anchored query's match for this window.
-    pub fn on_suppressed(&mut self) {
+    /// an anchored query's match for this window. Using up a position may
+    /// leave a match too little room to complete: its abandonment goes to
+    /// `out`.
+    pub fn on_suppressed(&mut self, out: &mut Vec<DetectorAction>) {
         self.events_seen += 1;
+        self.abandon_hopeless(out);
     }
 
     /// Processes the next (non-suppressed) window event, appending feedback
@@ -300,6 +324,29 @@ impl WindowDetector {
                 }
             }
         }
+        self.abandon_hopeless(out);
+    }
+
+    /// The feasibility bound (see the type docs): abandons every match
+    /// whose δ exceeds the positions the anchored count window has left.
+    fn abandon_hopeless(&mut self, out: &mut Vec<DetectorAction>) {
+        let Some(ws) = self.scope else {
+            return;
+        };
+        let left = ws.saturating_sub(self.events_seen);
+        // No match's δ exceeds the pattern's minimum length.
+        if left >= self.query.pattern().max_delta() as u64 {
+            return;
+        }
+        self.active.retain(|(match_id, m)| {
+            let feasible = m.delta() as u64 <= left;
+            if !feasible {
+                out.push(DetectorAction::Abandoned {
+                    match_id: *match_id,
+                });
+            }
+            feasible
+        });
     }
 
     /// The window ended: all still-active matches are abandoned
@@ -647,5 +694,103 @@ mod tests {
         let mut det = WindowDetector::new(q, 0);
         run(&mut det, &[ev(1, 0.0), ev(2, 0.0)]);
         assert_eq!(det.events_seen(), 2);
+    }
+
+    /// `A B C` (values 1, 2, 3) on `window`.
+    fn abc(window: WindowSpec) -> Arc<Query> {
+        Arc::new(
+            Query::builder("abc")
+                .pattern(
+                    Pattern::builder()
+                        .one("A", x_is(1.0))
+                        .one("B", x_is(2.0))
+                        .one("C", x_is(3.0))
+                        .build()
+                        .unwrap(),
+                )
+                .window(window)
+                .build()
+                .unwrap(),
+        )
+    }
+
+    fn abandons(actions: &[DetectorAction]) -> usize {
+        actions
+            .iter()
+            .filter(|a| matches!(a, DetectorAction::Abandoned { .. }))
+            .count()
+    }
+
+    #[test]
+    fn an_anchored_count_window_abandons_a_match_once_it_cannot_fit() {
+        let window = WindowSpec::on_match_count(None, x_is(1.0), 5).unwrap();
+        // After A the match needs 2 more events. At 3 positions seen, 2
+        // are left: it still fits.
+        let mut det = WindowDetector::new(abc(window.clone()), 0);
+        let actions = run(&mut det, &[ev(1, 1.0), ev(2, 0.0), ev(3, 0.0)]);
+        assert_eq!(abandons(&actions), 0);
+        assert!(!det.is_spent());
+        // At 4 positions only 1 is left: abandoned right there.
+        let actions = run(&mut det, &[ev(4, 0.0)]);
+        assert_eq!(
+            actions,
+            vec![DetectorAction::Abandoned {
+                match_id: MatchId(0)
+            }]
+        );
+        assert!(det.is_spent());
+
+        // A match that needs exactly the positions left completes on the
+        // window's last one.
+        let mut det = WindowDetector::new(abc(window), 0);
+        let actions = run(&mut det, &[ev(1, 1.0), ev(2, 0.0), ev(3, 0.0), ev(4, 2.0)]);
+        assert_eq!(abandons(&actions), 0);
+        let actions = run(&mut det, &[ev(5, 3.0)]);
+        assert_eq!(completions(&actions).len(), 1);
+
+        // A window shorter than the pattern abandons on its first event.
+        let short = WindowSpec::on_match_count(None, x_is(1.0), 2).unwrap();
+        let mut det = WindowDetector::new(abc(short), 0);
+        let actions = run(&mut det, &[ev(1, 1.0)]);
+        assert!(matches!(actions[0], DetectorAction::MatchStarted { .. }));
+        assert_eq!(abandons(&actions), 1);
+        assert!(det.is_spent());
+    }
+
+    #[test]
+    fn a_suppressed_position_abandons_a_match_that_no_longer_fits() {
+        let window = WindowSpec::on_match_count(None, x_is(1.0), 5).unwrap();
+        let mut det = WindowDetector::new(abc(window), 0);
+        let mut out = run(&mut det, &[ev(1, 1.0), ev(2, 0.0)]);
+        det.on_suppressed(&mut out);
+        assert_eq!(abandons(&out), 0, "2 positions left, 2 needed");
+        assert!(!det.is_spent());
+        out.clear();
+        det.on_suppressed(&mut out);
+        assert_eq!(
+            out,
+            vec![DetectorAction::Abandoned {
+                match_id: MatchId(0)
+            }]
+        );
+        assert!(det.is_spent());
+        assert_eq!(det.events_seen(), 4, "suppressed positions count");
+    }
+
+    #[test]
+    fn sliding_and_time_windows_never_abandon_early() {
+        let windows = [
+            WindowSpec::count_sliding(5, 5).unwrap(),
+            WindowSpec::on_match_time(None, x_is(1.0), 5).unwrap(),
+        ];
+        for window in windows {
+            let mut det = WindowDetector::new(abc(window), 0);
+            let mut out = run(&mut det, &[ev(1, 1.0), ev(2, 0.0), ev(3, 0.0)]);
+            det.on_suppressed(&mut out);
+            out.extend(run(&mut det, &[ev(5, 0.0)]));
+            assert_eq!(abandons(&out), 0);
+            assert_eq!(det.active_matches().count(), 1);
+            assert!(!det.is_spent());
+        }
     }
 }

@@ -31,7 +31,10 @@ pub enum FeedOutcome {
 /// A partial match walks the pattern's steps in order. Its *completion
 /// distance* δ — the minimum number of further events required to complete —
 /// is the state variable of SPECTRE's Markov completion-probability model
-/// (paper §3.2.1, Fig. 5).
+/// (paper §3.2.1, Fig. 5). Every event bound to an element lowers δ by
+/// exactly one (a Kleene step's later absorptions bind nothing and leave it
+/// alone), so the match keeps δ as a counter: [`delta`](Self::delta) is
+/// O(1), whatever the pattern's length.
 ///
 /// Semantics (deterministic *skip-till-next-match*):
 ///
@@ -75,6 +78,8 @@ pub struct PartialMatch {
     step: usize,
     plus_entered: bool,
     set_mask: u128,
+    /// The completion distance δ, kept in step with `bind`.
+    delta: usize,
     bindings: Vec<Option<Event>>,
     participants: Vec<(ElemId, Seq)>,
     abandoned: bool,
@@ -99,11 +104,13 @@ impl PartialMatch {
     /// Creates a fresh match at the first step.
     pub fn new(pattern: Arc<Pattern>) -> Self {
         let elems = pattern.elem_count();
+        let delta = pattern.max_delta();
         PartialMatch {
             pattern,
             step: 0,
             plus_entered: false,
             set_mask: 0,
+            delta,
             bindings: vec![None; elems],
             participants: Vec::new(),
             abandoned: false,
@@ -141,25 +148,10 @@ impl PartialMatch {
     }
 
     /// The completion distance δ: the minimum number of additional events
-    /// needed to complete the pattern (0 when complete).
+    /// needed to complete the pattern (0 when complete). O(1): the match
+    /// keeps it up to date as events bind.
     pub fn delta(&self) -> usize {
-        if self.complete {
-            return 0;
-        }
-        let steps = self.pattern.steps();
-        let mut d = 0usize;
-        for (i, step) in steps.iter().enumerate().skip(self.step) {
-            if i == self.step {
-                d += match &step.kind {
-                    StepKind::One(_) => 1,
-                    StepKind::Plus(_) => usize::from(!self.plus_entered),
-                    StepKind::Set(members) => members.len() - (self.set_mask.count_ones() as usize),
-                };
-            } else {
-                d += step.kind.min_events();
-            }
-        }
-        d
+        self.delta
     }
 
     /// Events absorbed so far as `(element, sequence number)` pairs, in
@@ -236,6 +228,8 @@ impl PartialMatch {
         self.step = last;
         self.plus_entered = false;
         self.set_mask = 0;
+        // The re-armed `One` step needs one more event.
+        self.delta = 1;
     }
 
     /// Attempts to apply `ev` at step `idx`; on success records the binding,
@@ -325,7 +319,10 @@ impl PartialMatch {
         }
     }
 
+    /// Binds `ev` to `elem`: every binding satisfies one event of the
+    /// pattern's minimum, so δ drops by one.
     fn bind(&mut self, elem: ElemId, ev: &Event) {
+        self.delta -= 1;
         self.bindings[elem.index()] = Some(ev.clone());
         self.participants.push((elem, ev.seq()));
     }
@@ -593,6 +590,69 @@ mod tests {
         assert!(matches!(m.feed(&ev(3, 2.0)), FeedOutcome::Completed { .. }));
         let seqs: Vec<_> = m.participants().iter().map(|(_, s)| *s).collect();
         assert_eq!(seqs, vec![1, 3]);
+    }
+
+    /// δ recounted from scratch: the pending step's remainder plus every
+    /// later step's minimum.
+    fn recount(m: &PartialMatch) -> usize {
+        if m.complete {
+            return 0;
+        }
+        let steps = &m.pattern.steps()[m.step..];
+        let pending = match &steps[0].kind {
+            StepKind::One(_) => 1,
+            StepKind::Plus(_) => usize::from(!m.plus_entered),
+            StepKind::Set(members) => members.len() - m.set_mask.count_ones() as usize,
+        };
+        pending
+            + steps[1..]
+                .iter()
+                .map(|s| s.kind.min_events())
+                .sum::<usize>()
+    }
+
+    #[test]
+    fn cached_delta_equals_a_recount_on_random_patterns() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        let (mut completions, mut rearms) = (0, 0);
+        for _ in 0..500 {
+            let mut b = Pattern::builder();
+            for s in 0..1 + next(6) {
+                let name = format!("S{s}");
+                b = match next(3) {
+                    0 => b.one(&name, x_is(next(4) as f64)),
+                    1 => b.plus(&name, x_is(next(4) as f64)),
+                    _ => b.set(
+                        (0..1 + next(3))
+                            .map(|i| (format!("{name}.{i}"), x_is(next(4) as f64)))
+                            .collect(),
+                    ),
+                };
+            }
+            let p = Arc::new(b.build().unwrap());
+            let rearmable = matches!(p.steps().last().unwrap().kind, StepKind::One(_));
+            let mut m = PartialMatch::new(p);
+            assert_eq!(m.delta(), recount(&m));
+            for seq in 0..40 {
+                m.feed(&ev(seq, next(4) as f64));
+                assert_eq!(m.delta(), recount(&m), "after feed");
+                if m.is_complete() {
+                    completions += 1;
+                    if rearmable {
+                        m.rearm_last();
+                        rearms += 1;
+                        assert_eq!(m.delta(), recount(&m), "after rearm_last");
+                    }
+                }
+            }
+        }
+        assert!(completions > 100 && rearms > 100, "{completions} {rearms}");
     }
 
     #[test]

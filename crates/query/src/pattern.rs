@@ -165,6 +165,8 @@ impl std::error::Error for PatternError {}
 pub struct Pattern {
     steps: Vec<Step>,
     elem_names: Vec<String>,
+    /// Σ `min_events` over the steps, computed once at build time.
+    max_delta: usize,
 }
 
 impl Pattern {
@@ -192,7 +194,7 @@ impl Pattern {
     /// The minimum number of events a fresh match needs to complete — the
     /// initial completion distance δ of the paper's Markov model (§3.2.1).
     pub fn max_delta(&self) -> usize {
-        self.steps.iter().map(|s| s.kind.min_events()).sum()
+        self.max_delta
     }
 
     /// Name of a binding element.
@@ -342,6 +344,7 @@ impl PatternBuilder {
             return Err(PatternError::Empty);
         }
         Ok(Pattern {
+            max_delta: self.steps.iter().map(|s| s.kind.min_events()).sum(),
             steps: self.steps,
             elem_names: self.elem_names,
         })

@@ -3,6 +3,11 @@
 //! constituents — then compare how speculation scales with the
 //! consumption-group completion probability.
 //!
+//! About half the quotes rise, so a window of `ws` events holds about
+//! `ws / 2` of them: the ground truth stays at 100 % while q is well below
+//! that and falls steeply as q nears it. Windows whose match can no longer
+//! fit stop early, so the low-probability end of the sweep is cheap too.
+//!
 //! ```sh
 //! cargo run --release -p spectre-bench --example algorithmic_trading
 //! ```
@@ -20,7 +25,8 @@ fn main() -> Result<(), EngineError> {
     println!("Q1: first q rising quotes within {ws} events of a rising leader quote\n");
 
     // Small q → high completion probability; large q → low.
-    for q in [4usize, 32, 128] {
+    let mut ground_truth = Vec::new();
+    for q in [4usize, 32, 128, 190, 200] {
         let mut schema = Schema::new();
         let events: Vec<_> = NyseGenerator::new(
             NyseConfig {
@@ -49,6 +55,7 @@ fn main() -> Result<(), EngineError> {
         assert_eq!(r1.complex_events, seq.complex_events);
         assert_eq!(r8.complex_events, seq.complex_events);
 
+        ground_truth.push(seq.completion_probability());
         let speedup = r1.rounds.unwrap_or(0) as f64 / r8.rounds.unwrap_or(0).max(1) as f64;
         println!("q = {q:>3}  ratio = {:.3}", q as f64 / ws as f64);
         println!(
@@ -63,5 +70,10 @@ fn main() -> Result<(), EngineError> {
             r8.metrics.rollbacks, r8.metrics.versions_dropped
         );
     }
+    assert!(
+        ground_truth.windows(2).all(|w| w[1] <= w[0])
+            && ground_truth.last().is_some_and(|&p| p < 0.5),
+        "the ground truth falls across the sweep: {ground_truth:?}"
+    );
     Ok(())
 }

@@ -3,14 +3,19 @@
 //! *Selected B* (3 complex events), plus further hand-written consumption
 //! scenarios from §2 and §3.1.
 
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use spectre_baselines::run_sequential;
 use spectre_core::SpectreConfig;
 use spectre_events::{Event, Schema, Value};
-use spectre_integration::{fmt_all, run, Mode};
+use spectre_integration::{fmt_all, mini, run, Mode};
 use spectre_query::queries::StockVocab;
-use spectre_query::{ConsumptionPolicy, Expr, Pattern, Query, SelectionPolicy, WindowSpec};
+use spectre_query::window::compute_ranges;
+use spectre_query::{
+    ConsumptionPolicy, DetectorAction, Expr, Pattern, Query, SelectionPolicy, WindowDetector,
+    WindowSpec,
+};
 
 /// Builds the Fig. 1 stream: A1, A2, B1, B2, B3 (in that order), all within
 /// one minute of each other so both windows span all B events.
@@ -227,4 +232,100 @@ fn consumption_is_atomic_on_completion_only() {
     // seq 2, 2 at seq 3) was abandoned at window end without consuming.
     assert_eq!(r.cgs_completed, 1);
     assert!(r.cgs_created >= 2);
+}
+
+/// The number of windows of `query` over `events` whose match the
+/// feasibility bound abandons on a suppressed position, replaying
+/// `run_sequential`'s consumption.
+fn abandoned_on_suppressed(query: &Arc<Query>, events: &[Event]) -> usize {
+    let mut consumed = HashSet::new();
+    let mut abandoned = 0;
+    let mut actions = Vec::new();
+    for range in compute_ranges(query.window(), events) {
+        let mut detector = WindowDetector::new(Arc::clone(query), range.bounds.id);
+        for ev in &events[range.bounds.start_pos as usize..range.end_pos as usize] {
+            if detector.is_spent() {
+                break;
+            }
+            actions.clear();
+            if consumed.contains(&ev.seq()) {
+                detector.on_suppressed(&mut actions);
+                abandoned += actions.len();
+                continue;
+            }
+            detector.on_event(ev, &mut actions);
+            for action in &actions {
+                if let DetectorAction::Completed { consumed: c, .. } = action {
+                    consumed.extend(c.iter().copied());
+                }
+            }
+        }
+    }
+    abandoned
+}
+
+#[test]
+fn hopeless_matches_end_early_also_on_suppressed_positions() {
+    // A Q1-shaped query at q = 130, ws = 200: a window opens on x = 2 and
+    // needs 130 events with x = 1, all consumed. At 66 % ones some windows
+    // complete; a window opened inside one of them finds its ones consumed,
+    // so the positions it skips as suppressed use up its room and the
+    // feasibility bound often abandons its match on one of them.
+    let mut schema = Schema::new();
+    let v = mini::vocab(&mut schema);
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let xs: Vec<f64> = (0..3_000)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            match (state >> 11) as f64 / (1u64 << 53) as f64 {
+                u if u < 0.05 => 2.0,
+                u if u < 0.71 => 1.0,
+                _ => 0.0,
+            }
+        })
+        .collect();
+    let events = mini::stream(v, &xs);
+    let opens = Expr::current(v.x).eq_(Expr::value(2.0));
+    let mut pattern = Pattern::builder().one("S", opens.clone());
+    for i in 1..=130 {
+        pattern = pattern.one(&format!("R{i}"), Expr::current(v.x).eq_(Expr::value(1.0)));
+    }
+    let ws = 200;
+    let query = Arc::new(
+        Query::builder("q130")
+            .pattern(pattern.build().unwrap())
+            .window(WindowSpec::on_match_count(None, opens, ws).unwrap())
+            .consumption(ConsumptionPolicy::All)
+            .build()
+            .unwrap(),
+    );
+    let sequential = run_sequential(&query, &events);
+    let expected = fmt_all(&sequential.complex_events);
+    assert!(sequential.cgs_completed > 0, "some windows complete");
+    assert!(abandoned_on_suppressed(&query, &events) > 0);
+    let span = sequential.windows * ws;
+    assert!(sequential.events_processed < span);
+    for k in [1usize, 2, 4] {
+        for batch in [1usize, 64] {
+            let label = format!("sim k={k} batch={batch}");
+            let config = SpectreConfig::with_batching(k, batch);
+            let report = run(&query, events.clone(), &config, Mode::Simulated);
+            assert_eq!(fmt_all(&report.complex_events), expected, "{label}");
+            let processed = report.metrics.events_processed;
+            assert!(processed < span, "{label}: {processed} of {span}");
+            if k == 1 {
+                assert_eq!(processed, sequential.events_processed, "{label}");
+            }
+        }
+    }
+    let report = run(
+        &query,
+        events,
+        &SpectreConfig::with_instances(2),
+        Mode::Threaded,
+    );
+    assert_eq!(fmt_all(&report.complex_events), expected, "threaded k=2");
+    assert!(report.metrics.events_processed < span, "threaded k=2");
 }
