@@ -108,7 +108,7 @@ use crate::config::{SpectreConfig, TenantQuota};
 use crate::instance::{InstanceCore, StepOutcome};
 use crate::metrics::{MetricsSnapshot, WorkerSnapshot};
 use crate::reorder::{Offer, ReorderBuffer};
-use crate::shared::{QueryId, SharedState, TenantId};
+use crate::shared::{Park, QueryId, SharedState, TenantId};
 use crate::splitter::Splitter;
 
 /// A misuse of the engine session surface, reported by every session call
@@ -1003,7 +1003,7 @@ impl Drop for SpectreEngine {
                 return;
             }
             self.shared.done.store(true, Ordering::Release);
-            self.shared.unpark_workers();
+            self.shared.wake_all();
             let _ = self.join_workers();
         }
     }
@@ -1017,8 +1017,8 @@ fn spawn_workers(shared: &Arc<SharedState>, config: &SpectreConfig) -> Vec<JoinH
             let check_freq = config.consistency_check_freq;
             let batch_size = config.batch_size;
             std::thread::spawn(move || {
-                // Register for unparking before the first step: the worker
-                // may enter the parking tier before ever doing useful work.
+                // Register for wakes before the first step: the worker may
+                // enter the parking tier before ever doing useful work.
                 shared.register_worker(i);
                 let mut inst = InstanceCore::new(i, check_freq).with_batch(batch_size);
                 instance_worker(&mut inst, &shared);
@@ -1040,10 +1040,13 @@ fn spawn_workers(shared: &Arc<SharedState>, config: &SpectreConfig) -> Vec<JoinH
 ///    core — the path that keeps oversubscribed machines live.
 /// 3. **Park** (beyond 64): `park_timeout` with exponential back-off
 ///    (50 µs doubling to ~1.6 ms), so an idle worker costs no CPU. The
-///    splitter unparks everyone whenever a cycle publishes slots, flushes
-///    events or sets `done` ([`SharedState::unpark_workers`]); the bounded
-///    timeout caps the cost of a lost wake-up at one period instead of a
-///    hang. Without this tier, an idle k=8 session pins 8 cores.
+///    worker parks as idle or as stalled ([`Park`]), and at the end of each
+///    cycle the splitter wakes only a parked worker that has work
+///    ([`SharedState::wake_workers`]): an idle one whose grant has work, a
+///    stalled one once ingestion passed the frontier it stalled at. Before
+///    parking, the worker re-checks the same condition, so a wake is never
+///    missed; the bounded timeout is only a safety net. Without this tier,
+///    an idle k=8 session pins 8 cores.
 ///
 /// Statistics are flushed on shutdown.
 fn instance_worker(inst: &mut InstanceCore, shared: &SharedState) {
@@ -1054,24 +1057,28 @@ fn instance_worker(inst: &mut InstanceCore, shared: &SharedState) {
     let mut idle_spins = 0u32;
     let mut park_for = PARK_MIN;
     while !shared.is_done() {
+        // A step that may park reads the ingestion frontier first: a flush
+        // during the step then moves the frontier past this value, so a
+        // stalled worker is never parked behind events it did not see.
+        let frontier = if idle_spins >= YIELD_STEPS {
+            shared.ingested.load(Ordering::Acquire)
+        } else {
+            0
+        };
         match inst.step(shared) {
-            StepOutcome::Idle | StepOutcome::Stalled => {
+            outcome @ (StepOutcome::Idle | StepOutcome::Stalled) => {
                 idle_spins = idle_spins.saturating_add(1);
                 if idle_spins <= SPIN_STEPS {
                     std::hint::spin_loop();
                 } else if idle_spins <= YIELD_STEPS {
                     std::thread::yield_now();
                 } else {
-                    // Re-check the shutdown flag after joining the parked
-                    // set: unpark_workers only wakes registered threads it
-                    // sees parked, so the order here (count up, re-check,
-                    // park) closes the race with a concurrent `done`.
-                    shared.note_parked();
-                    shared.metrics.add_worker_park(inst.index());
-                    if !shared.is_done() {
-                        std::thread::park_timeout(park_for);
-                    }
-                    shared.note_unparked();
+                    let park = match outcome {
+                        StepOutcome::Idle => Park::Idle,
+                        _ => Park::Stalled { frontier },
+                    };
+                    let (seq, grant) = (inst.slot_seq(), inst.grant());
+                    shared.park_worker(inst.index(), park, seq, grant, park_for);
                     park_for = (park_for * 2).min(PARK_MAX);
                 }
             }

@@ -153,6 +153,16 @@ impl InstanceCore {
         self.index
     }
 
+    /// The publication sequence of the slot's last observed grant.
+    pub(crate) fn slot_seq(&self) -> u64 {
+        self.slot_seq
+    }
+
+    /// The grant last observed on the slot.
+    pub(crate) fn grant(&self) -> Option<&Grant> {
+        self.current.as_ref()
+    }
+
     /// Performs one processing step — up to [`with_batch`](Self::with_batch)
     /// events of the scheduled window version (or, when it cannot progress,
     /// of a lane window), fetched as one run and processed under one

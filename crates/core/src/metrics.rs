@@ -30,7 +30,8 @@ pub struct WorkerCounters {
     pub lane_windows: AtomicU64,
     /// Times this worker entered the park tier of its idle back-off.
     pub worker_parks: AtomicU64,
-    /// Times `SharedState::unpark_workers` unparked this worker's thread.
+    /// Parks of this worker that a waker claimed and ended with an unpark
+    /// (at most one per park, so never above `worker_parks`).
     pub worker_unparks: AtomicU64,
 }
 
@@ -109,11 +110,13 @@ pub struct Metrics {
     /// no tree, no versions.
     pub lane_windows: AtomicU64,
     /// Park-tier entries of the threaded workers' idle back-off (see
-    /// `SharedState::note_parked`).
+    /// `SharedState::park_worker`), including parks the worker's own
+    /// re-check called off.
     pub worker_parks: AtomicU64,
-    /// Worker threads the splitter unparked: each
-    /// [`unpark_workers`](crate::shared::SharedState::unpark_workers) call
-    /// that finds a worker parked counts every registered thread it wakes.
+    /// Parks a waker ended: each wake by `SharedState::wake_workers` or
+    /// `wake_all` claims one park (parked → running) before it unparks the
+    /// thread, so a park is ended at most once and this never exceeds
+    /// `worker_parks`.
     pub worker_unparks: AtomicU64,
     /// Complex events committed (appended to the output stream at window
     /// retirement).

@@ -12,13 +12,18 @@
 //! flushed with `SegQueue::push_many` / drained with `SegQueue::pop_many`
 //! (one lock acquisition per batch), and the `ingested` watermark is
 //! published once per batch rather than once per event.
+//!
+//! Idle threaded workers park, and the splitter wakes only a parked worker
+//! that has work (`SharedState::wake_workers`).
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::thread::Thread;
+use std::time::Duration;
 
 use crossbeam::queue::SegQueue;
+use crossbeam::utils::CachePadded;
 use parking_lot::Mutex;
 
 use spectre_query::{ComplexEvent, Query};
@@ -138,6 +143,17 @@ impl Grant {
             (Grant::Version(a), Grant::Version(b)) => Arc::ptr_eq(a, b),
             (Grant::Lane(a), Grant::Lane(b)) => Arc::ptr_eq(a, b),
             _ => false,
+        }
+    }
+
+    /// `true` when an idle instance holding this grant has something to
+    /// do: a version that is neither finished nor dropped (a new one, or a
+    /// kept one a rollback made runnable again), or a lane with unclaimed
+    /// windows.
+    pub(crate) fn has_work(&self) -> bool {
+        match self {
+            Grant::Version(v) => !v.is_finished() && !v.is_dropped(),
+            Grant::Lane(l) => l.unclaimed() > 0,
         }
     }
 }
@@ -261,6 +277,12 @@ impl SlotCell {
         self.seq.fetch_add(1, Ordering::Release);
     }
 
+    /// The publication sequence: it moves with every
+    /// [`publish`](Self::publish).
+    pub(crate) fn seq(&self) -> u64 {
+        self.seq.load(Ordering::Acquire)
+    }
+
     /// Checks for a publication newer than `last_seen`.
     ///
     /// Returns `None` without locking when nothing was published since the
@@ -277,6 +299,41 @@ impl SlotCell {
     }
 }
 
+/// Why a threaded worker parks, which decides what wakes it (see
+/// [`SharedState::wake_workers`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Park {
+    /// The worker's step found nothing to do: work under its grant wakes it.
+    Idle,
+    /// The worker's step waits for events: ingestion past `frontier`, or
+    /// a new grant with work, wakes it.
+    Stalled {
+        /// [`SharedState::ingested`] as read before the stalled step.
+        frontier: u64,
+    },
+}
+
+const RUNNING: u8 = 0;
+const PARKED_IDLE: u8 = 1;
+const PARKED_STALLED: u8 = 2;
+
+/// One threaded worker's park record.
+#[derive(Debug, Default)]
+struct ParkCell {
+    /// `RUNNING`, `PARKED_IDLE` or `PARKED_STALLED`. Only the worker moves
+    /// it out of `RUNNING`; whoever moves it back — the worker itself, or
+    /// the one waker that wins the exchange — ends the park.
+    state: AtomicU8,
+    /// The slot publication sequence the worker had observed when it
+    /// parked. Like `frontier`, written before `state` (`Release`) and
+    /// read after it (`Acquire`).
+    seen_seq: AtomicU64,
+    /// A stalled worker's [`Park::Stalled`] frontier.
+    frontier: AtomicU64,
+    /// The worker's thread, registered on entry.
+    thread: OnceLock<Thread>,
+}
+
 /// Everything splitter and instances share.
 #[derive(Debug)]
 pub struct SharedState {
@@ -289,10 +346,12 @@ pub struct SharedState {
     /// Buffered Markov observations (instances → splitter), tagged with the
     /// query whose predictor they feed.
     pub stats: SegQueue<(QueryId, StatsBatch)>,
-    /// Number of events ingested so far, published once per
-    /// [`EventBatch`](crate::splitter::EventBatch) flush, after the batch's
-    /// buffer writes: a window whose end is at most this is fully readable
-    /// (`Lane::claim`). Instances read events through the window buffers.
+    /// The ingestion frontier: the number of events ingested so far,
+    /// published once per [`EventBatch`](crate::splitter::EventBatch)
+    /// flush, after the batch's buffer writes, and `u64::MAX` once the
+    /// stream ended and every window is closed. A window whose end is at
+    /// most this is fully readable (`Lane::claim`). Instances read events
+    /// through the window buffers.
     pub ingested: AtomicU64,
     /// Set once all windows retired; instances shut down.
     pub done: AtomicBool,
@@ -301,13 +360,8 @@ pub struct SharedState {
     pub metrics: Metrics,
     next_cg: AtomicU64,
     next_wv: AtomicU64,
-    /// Worker thread handles, registered by each threaded worker on entry
-    /// (`None` for simulated instances, which never park).
-    worker_threads: Mutex<Vec<Option<Thread>>>,
-    /// How many workers are currently inside `park_timeout`. Lets
-    /// [`unpark_workers`](Self::unpark_workers) skip the registry lock in
-    /// the nobody-parked common case.
-    parked: AtomicUsize,
+    /// One park record per instance (simulated instances never park).
+    parks: Vec<CachePadded<ParkCell>>,
 }
 
 impl SharedState {
@@ -328,8 +382,7 @@ impl SharedState {
             metrics: Metrics::with_workers(instances),
             next_cg: AtomicU64::new(0),
             next_wv: AtomicU64::new(0),
-            worker_threads: Mutex::new((0..instances).map(|_| None).collect()),
-            parked: AtomicUsize::new(0),
+            parks: (0..instances).map(|_| CachePadded::default()).collect(),
         })
     }
 
@@ -338,42 +391,145 @@ impl SharedState {
         self.slots.len()
     }
 
-    /// Registers the calling thread as worker `index`, making it reachable
-    /// by [`unpark_workers`](Self::unpark_workers). Threaded workers call
-    /// this on entry; simulated instances never do.
+    /// Registers the calling thread as worker `index`, making it wakeable.
+    /// Threaded workers call this on entry; simulated instances never do.
     pub fn register_worker(&self, index: usize) {
-        let mut threads = self.worker_threads.lock();
-        if index < threads.len() {
-            threads[index] = Some(std::thread::current());
+        if let Some(cell) = self.parks.get(index) {
+            let _ = cell.thread.set(std::thread::current());
         }
     }
 
-    /// Brackets one `park_timeout` in the parked-worker count. The caller
-    /// must re-check its wake conditions *after* incrementing and before
-    /// parking; together with the bounded timeout that makes a missed
-    /// unpark cost at most one timeout, never a hang.
-    pub fn note_parked(&self) {
-        self.parked.fetch_add(1, Ordering::SeqCst);
-    }
-
-    /// See [`note_parked`](Self::note_parked).
-    pub fn note_unparked(&self) {
-        self.parked.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    /// Wakes every parked worker. Cheap when nobody is parked (one atomic
-    /// load); otherwise unparks all registered worker threads — unpark
-    /// tokens are sticky, so racing with a worker about to park is safe.
-    /// Each thread woken counts in its worker's `worker_unparks`.
-    pub fn unpark_workers(&self) {
-        if self.parked.load(Ordering::SeqCst) == 0 {
-            return;
+    /// Parks worker `index` for at most `timeout`, unless its wake
+    /// condition already holds. `seen_seq` is the slot publication it last
+    /// observed and `grant` the grant it holds.
+    ///
+    /// The worker publishes its park state, then re-checks: a new slot
+    /// publication, work under `grant` ([`Grant::has_work`], when idle),
+    /// ingestion past the stalled frontier, or shutdown. Either this
+    /// re-check or the splitter's [`wake_workers`](Self::wake_workers)
+    /// sees the other side's writes (a `SeqCst` fence on each side), so a
+    /// wake is never missed; the timeout is only a safety net.
+    pub(crate) fn park_worker(
+        &self,
+        index: usize,
+        park: Park,
+        seen_seq: u64,
+        grant: Option<&Grant>,
+        timeout: Duration,
+    ) {
+        if self.begin_park(index, park, seen_seq, grant) {
+            std::thread::park_timeout(timeout);
+            // Ends the park (a no-op when a waker already did).
+            self.parks[index].state.store(RUNNING, Ordering::Release);
         }
-        let threads = self.worker_threads.lock();
-        for (i, t) in threads.iter().enumerate() {
-            if let Some(t) = t {
-                t.unpark();
-                self.metrics.add_worker_unpark(i);
+    }
+
+    /// Enters worker `index` into its park state and re-checks its wake
+    /// condition. Returns `true` when the caller must park: nothing is due,
+    /// or a waker already claimed the park and its unpark token is on the
+    /// way (parking then consumes it).
+    fn begin_park(&self, index: usize, park: Park, seen_seq: u64, grant: Option<&Grant>) -> bool {
+        let cell = &self.parks[index];
+        cell.seen_seq.store(seen_seq, Ordering::Relaxed);
+        let state = match park {
+            Park::Idle => PARKED_IDLE,
+            Park::Stalled { frontier } => {
+                cell.frontier.store(frontier, Ordering::Relaxed);
+                PARKED_STALLED
+            }
+        };
+        cell.state.store(state, Ordering::Release);
+        self.metrics.add_worker_park(index);
+        fence(Ordering::SeqCst);
+        let due = self.is_done()
+            || self.slots[index].seq() != seen_seq
+            || match park {
+                Park::Idle => grant.is_some_and(Grant::has_work),
+                Park::Stalled { frontier } => self.ingested.load(Ordering::Acquire) > frontier,
+            };
+        if !due {
+            return true;
+        }
+        // Called off, unless a waker claimed the park first.
+        cell.state
+            .compare_exchange(state, RUNNING, Ordering::AcqRel, Ordering::Acquire)
+            .is_err()
+    }
+
+    /// Claims worker `index`'s park if it is still in `state`, and unparks
+    /// its thread. The exchange lets one side — this waker, another one or
+    /// the worker itself — end a park, so `worker_unparks` never exceeds
+    /// `worker_parks`.
+    fn wake(&self, index: usize, state: u8) {
+        let cell = &self.parks[index];
+        let claimed = cell
+            .state
+            .compare_exchange(state, RUNNING, Ordering::AcqRel, Ordering::Relaxed)
+            .is_ok();
+        if claimed {
+            if let Some(thread) = cell.thread.get() {
+                thread.unpark();
+            }
+            self.metrics.add_worker_unpark(index);
+        }
+    }
+
+    /// Wakes the parked workers that have work, given each slot's current
+    /// grant (`grants[i]` is slot `i`'s; the splitter passes its shadow of
+    /// the slots at the end of a cycle):
+    ///
+    /// * a parked-idle worker whose grant [has work](Grant::has_work);
+    /// * a parked-stalled worker once ingestion passed its frontier, or
+    ///   when a publication since it parked granted it work.
+    ///
+    /// Lane wakes are capped at the lane's unclaimed windows. The rule is
+    /// level-triggered: a worker whose condition holds is woken whichever
+    /// cycle made it so. Cheap when nobody is parked: one fence and one
+    /// load per worker.
+    pub(crate) fn wake_workers(&self, grants: &[Option<Grant>]) {
+        // Pairs with the fence in `begin_park`: every write this cycle made
+        // (publications, buffer flushes, lane pushes, resets) is visible to
+        // a worker that parks after the loads below.
+        fence(Ordering::SeqCst);
+        let ingested = self.ingested.load(Ordering::Acquire);
+        // Lanes woken for, one entry per wake (allocated only on a wake).
+        let mut lanes: Vec<&Arc<Lane>> = Vec::new();
+        for (i, (cell, grant)) in self.parks.iter().zip(grants).enumerate() {
+            let state = cell.state.load(Ordering::Acquire);
+            let due = match state {
+                RUNNING => false,
+                PARKED_STALLED if ingested > cell.frontier.load(Ordering::Relaxed) => true,
+                PARKED_STALLED if self.slots[i].seq() == cell.seen_seq.load(Ordering::Relaxed) => {
+                    false
+                }
+                _ => match grant {
+                    Some(Grant::Lane(lane)) => {
+                        let woken = lanes.iter().filter(|l| Arc::ptr_eq(l, lane)).count();
+                        let due = lane.unclaimed() > woken;
+                        if due {
+                            lanes.push(lane);
+                        }
+                        due
+                    }
+                    Some(grant) => grant.has_work(),
+                    None => false,
+                },
+            };
+            if due {
+                self.wake(i, state);
+            }
+        }
+    }
+
+    /// Wakes every parked worker: for shutdown (`done`), an aborted
+    /// session and a retired query, whose released windows end work that
+    /// no grant shows.
+    pub(crate) fn wake_all(&self) {
+        fence(Ordering::SeqCst);
+        for (i, cell) in self.parks.iter().enumerate() {
+            let state = cell.state.load(Ordering::Acquire);
+            if state != RUNNING {
+                self.wake(i, state);
             }
         }
     }
@@ -477,21 +633,193 @@ mod tests {
         assert_eq!(grant.query_id(), QueryId(3));
     }
 
+    fn tiny_query() -> Arc<Query> {
+        use spectre_query::{Expr, Pattern, WindowSpec};
+        let pattern = Pattern::builder().one("A", Expr::truth()).build().unwrap();
+        let query = Query::builder("t")
+            .pattern(pattern)
+            .window(WindowSpec::count_sliding(4, 2).unwrap())
+            .build()
+            .unwrap();
+        Arc::new(query)
+    }
+
+    fn window(id: u64) -> Arc<WindowInfo> {
+        Arc::new(WindowInfo::new(id, Arc::new(WindowBuf::new(1)), 0, 0, 0))
+    }
+
+    fn version_grant() -> Grant {
+        Grant::Version(VersionState::new(WvId(1), window(0), tiny_query(), vec![]))
+    }
+
+    fn unparks(s: &SharedState) -> Vec<u64> {
+        let workers = s.metrics.worker_snapshots();
+        workers.iter().map(|w| w.worker_unparks).collect()
+    }
+
     #[test]
-    fn unpark_workers_without_parked_workers_is_a_noop() {
+    fn a_parked_idle_worker_is_woken_by_a_publish_to_its_slot() {
         let s = SharedState::new(2);
-        s.unpark_workers(); // fast path: nobody parked, no registry access
-        assert_eq!(s.metrics.snapshot().worker_unparks, 0);
         s.register_worker(0);
-        s.note_parked();
-        s.unpark_workers(); // slow path: delivers a (sticky) unpark token
-        s.note_unparked();
-        // Only the registered thread was woken, and counted as worker 0.
-        assert_eq!(s.metrics.worker_snapshots()[0].worker_unparks, 1);
-        assert_eq!(s.metrics.snapshot().worker_unparks, 1);
+        let seen = s.slots[0].seq();
+        assert!(s.begin_park(0, Park::Idle, seen, None), "nothing is due");
+        s.wake_workers(&[None, None]);
+        assert_eq!(unparks(&s), [0, 0]);
+        // The splitter publishes a runnable version to slot 0 and wakes
+        // the worker holding it, once.
+        let grant = version_grant();
+        s.slots[0].publish(Some(grant.clone()));
+        let grants = [Some(grant), None];
+        s.wake_workers(&grants);
+        s.wake_workers(&grants);
+        assert_eq!(unparks(&s), [1, 0]);
+        // The unpark token makes this park return at once; reaching the
+        // next line well before the timeout is the assertion.
         std::thread::park_timeout(std::time::Duration::from_secs(5));
-        // The token from unpark_workers makes the park return immediately;
-        // reaching this line (well before the 5 s timeout) is the assertion.
+        let m = s.metrics.snapshot();
+        assert_eq!((m.worker_parks, m.worker_unparks), (1, 1));
+    }
+
+    #[test]
+    fn a_parked_idle_worker_sleeps_while_nothing_is_claimable() {
+        let s = SharedState::new(3);
+        let lane = Lane::new(QueryId(0), tiny_query(), Arc::new(Metrics::new()));
+        let lane_grant = Grant::Lane(Arc::clone(&lane));
+        let finished = version_grant();
+        let Grant::Version(v) = &finished else {
+            unreachable!()
+        };
+        v.mark_finished();
+        for (i, grant) in [&lane_grant, &lane_grant, &finished]
+            .into_iter()
+            .enumerate()
+        {
+            assert!(s.begin_park(i, Park::Idle, s.slots[i].seq(), Some(grant)));
+        }
+        let grants = [
+            Some(lane_grant.clone()),
+            Some(lane_grant),
+            Some(finished.clone()),
+        ];
+        s.wake_workers(&grants);
+        assert_eq!(unparks(&s), [0, 0, 0]);
+        // Publications that leave nothing to do: a cleared slot, then a
+        // finished version.
+        s.slots[2].publish(None);
+        s.wake_workers(&[grants[0].clone(), grants[1].clone(), None]);
+        s.slots[2].publish(Some(finished.clone()));
+        s.wake_workers(&grants);
+        assert_eq!(unparks(&s), [0, 0, 0]);
+        // One unclaimed window wakes one of the two lane workers; a rollback
+        // that resets the finished version wakes its holder.
+        lane.push(LaneCell::new(&window(0)));
+        v.reset();
+        s.wake_workers(&grants);
+        assert_eq!(unparks(&s), [1, 0, 1]);
+        assert_eq!(s.metrics.snapshot().worker_parks, 3);
+    }
+
+    #[test]
+    fn a_parked_stalled_worker_is_woken_only_when_ingestion_advances() {
+        let s = SharedState::new(1);
+        s.ingested.store(10, Ordering::Release);
+        // A stalled worker's version is unfinished, so "has work" must not
+        // wake it: it waits for the events past its frontier.
+        let grant = version_grant();
+        let park = Park::Stalled { frontier: 10 };
+        assert!(s.begin_park(0, park, s.slots[0].seq(), Some(&grant)));
+        let grants = [Some(grant)];
+        s.wake_workers(&grants);
+        s.ingested.store(10, Ordering::Release);
+        s.wake_workers(&grants);
+        assert_eq!(unparks(&s), [0]);
+        s.ingested.store(11, Ordering::Release);
+        s.wake_workers(&grants);
+        assert_eq!(unparks(&s), [1]);
+    }
+
+    #[test]
+    fn the_end_of_the_stream_wakes_a_worker_stalled_on_an_open_window() {
+        use crate::instance::{InstanceCore, StepOutcome};
+        use crate::splitter::Splitter;
+        use spectre_events::{AttrKey, Event, EventType};
+        use spectre_query::{Expr, Pattern, WindowSpec};
+        // Windows of 8 events open on x = 1 and need A B C; the stream
+        // ends after A B, so only the end of the stream closes the window.
+        let x = AttrKey::new(0);
+        let is = |v: f64| Expr::current(x).eq_(Expr::value(v));
+        let pattern = Pattern::builder()
+            .one("A", is(1.0))
+            .one("B", is(2.0))
+            .one("C", is(3.0))
+            .build()
+            .unwrap();
+        let query = Query::builder("abc")
+            .pattern(pattern)
+            .window(WindowSpec::on_match_count(None, is(1.0), 8).unwrap())
+            .build()
+            .unwrap();
+        let config = SpectreConfig::with_batching(1, 64);
+        let s = SharedState::for_config(&config);
+        let mut splitter = Splitter::multi(config, Arc::clone(&s));
+        splitter.deploy_query(Arc::new(query)).unwrap();
+        for (seq, v) in [(0, 1.0), (1, 2.0)] {
+            let event = Event::builder(EventType::new(0)).seq(seq).ts(seq);
+            splitter.feed(event.attr(x, v).build());
+        }
+        splitter.cycle();
+        let mut inst = InstanceCore::new(0, 64).with_batch(64);
+        assert_eq!(inst.step(&s), StepOutcome::Worked);
+        let frontier = s.ingested.load(Ordering::Acquire);
+        assert_eq!(inst.step(&s), StepOutcome::Stalled);
+        let park = Park::Stalled { frontier };
+        assert!(s.begin_park(0, park, inst.slot_seq(), inst.grant()));
+        // No event arrives, yet the window closes: the stalled worker can
+        // finish it, and the splitter wakes it.
+        splitter.end_of_stream();
+        splitter.cycle();
+        assert_eq!(unparks(&s), [1]);
+        assert_eq!(inst.step(&s), StepOutcome::Finished);
+    }
+
+    #[test]
+    fn a_worker_calls_off_a_park_whose_wake_is_already_due() {
+        let s = SharedState::new(1);
+        let grant = version_grant();
+        s.ingested.store(5, Ordering::Release);
+        // Ingestion moved past the frontier the stalled step saw.
+        let stale = Park::Stalled { frontier: 4 };
+        assert!(!s.begin_park(0, stale, s.slots[0].seq(), Some(&grant)));
+        // A publication the worker has not observed yet.
+        let seen = s.slots[0].seq();
+        s.slots[0].publish(None);
+        assert!(!s.begin_park(0, Park::Idle, seen, None));
+        // An idle worker whose own grant has work.
+        assert!(!s.begin_park(0, Park::Idle, s.slots[0].seq(), Some(&grant)));
+        // Shutdown.
+        s.done.store(true, Ordering::Release);
+        assert!(!s.begin_park(0, Park::Idle, s.slots[0].seq(), None));
+        // Every attempt counts as a park; none was woken by anyone else.
+        let m = s.metrics.snapshot();
+        assert_eq!((m.worker_parks, m.worker_unparks), (4, 0));
+        s.wake_all();
+        assert_eq!(s.metrics.snapshot().worker_unparks, 0, "nobody is parked");
+    }
+
+    #[test]
+    fn wake_all_claims_every_parked_worker_once() {
+        let s = SharedState::new(3);
+        assert!(s.begin_park(0, Park::Idle, s.slots[0].seq(), None));
+        let park = Park::Stalled { frontier: 0 };
+        assert!(s.begin_park(2, park, s.slots[2].seq(), None));
+        s.wake_all();
+        s.wake_all();
+        assert_eq!(unparks(&s), [1, 0, 1]);
+        // A waker acting on a state it read before the park ended (here:
+        // ended by the first wake) cannot claim it again.
+        s.wake(0, PARKED_IDLE);
+        s.wake(2, PARKED_STALLED);
+        assert_eq!(unparks(&s), [1, 0, 1]);
     }
 
     #[test]

@@ -264,17 +264,17 @@ impl Splitter {
     /// (the buffer and close bookkeeping are shared and unaffected).
     fn open_group_window(&mut self, gi: usize, bounds: WindowBounds, event: &Event) {
         let g = &mut self.groups[gi];
-        if g.members.is_empty() {
+        let members = g.members.len();
+        if members == 0 {
             return;
         }
         let start_pos = g.base_pos + bounds.start_pos;
-        let members = g.members.clone();
-        let buf = Arc::new(WindowBuf::new(members.len()));
+        let buf = Arc::new(WindowBuf::new(members));
         g.open.push(GroupOpenWindow {
             group_id: bounds.id,
             buf: Arc::clone(&buf),
             pending: self.batch.len(),
-            infos: Vec::with_capacity(members.len()),
+            infos: Vec::with_capacity(members),
         });
         let ow = g.open.len() - 1;
         self.shared
@@ -282,7 +282,8 @@ impl Splitter {
             .store_windows_opened
             .fetch_add(1, Ordering::Relaxed);
         let shared = Arc::clone(&self.shared);
-        for qid in members {
+        for mi in 0..members {
+            let qid = self.groups[gi].members[mi];
             let qi = *self
                 .query_index
                 .get(&qid)
@@ -381,5 +382,9 @@ impl Splitter {
             }
         }
         self.ingest_done = true;
+        // Every window is closed and fully ingested: the frontier moves past
+        // every stall, which wakes a worker stalled on a window that just
+        // closed without a new event.
+        self.shared.ingested.store(u64::MAX, Ordering::Release);
     }
 }

@@ -150,6 +150,10 @@ pub struct Splitter {
     /// Reusable schedule order: (owning tenant, registry index) of every
     /// query, ascending — tenant id first, then deployment order.
     sched_order: Vec<(TenantId, usize)>,
+    /// Reusable grant candidates of one schedule, ranked on probability.
+    sched_cands: schedule::RankedNominations,
+    /// Reusable per-slot "grant kept" flags of one schedule.
+    sched_kept: Vec<bool>,
 }
 
 impl Splitter {
@@ -189,6 +193,8 @@ impl Splitter {
             progress: false,
             sched_shadow,
             sched_order: Vec::new(),
+            sched_cands: Vec::new(),
+            sched_kept: Vec::new(),
         }
     }
 
@@ -278,21 +284,19 @@ impl Splitter {
         }
         metrics.sched_cycles.fetch_add(1, Ordering::Relaxed);
         metrics.observe_tree_size(total_versions);
-        let finished = if self.ingest_done
+        let finished = self.ingest_done
             && self
                 .queries
                 .iter()
-                .all(|q| q.tree.is_empty() && q.cells.is_empty())
-        {
+                .all(|q| q.tree.is_empty() && q.cells.is_empty());
+        if finished {
             self.shared.done.store(true, Ordering::Release);
-            true
+            self.shared.wake_all();
         } else {
-            false
-        };
-        // Wake parked workers: this cycle may have published slots, flushed
-        // fresh events into window buffers, or set the done flag. Free when
-        // nobody is parked (one atomic load).
-        self.shared.unpark_workers();
+            // Wake the parked workers this cycle gave work: a grant to run,
+            // or events past a stalled worker's frontier.
+            self.shared.wake_workers(&self.sched_shadow);
+        }
         finished
     }
 }

@@ -345,6 +345,8 @@ impl Splitter {
         for w in windows.chain(unfinished.map(|c| &c.window)) {
             w.buf.release();
         }
+        // A worker stalled on a released window has work no grant shows.
+        self.shared.wake_all();
         // Queued ops/stats still tagged with this id are dropped as stale
         // when drained. Hand back the outputs the session has not drained.
         let mut mine = Vec::new();
@@ -519,10 +521,11 @@ impl VersionFactory for SplitterFactory {
             expected_open,
             &mut mk_twin,
         )?;
-        let qmetrics = &self.qmetrics;
-        self.shared
-            .metrics
-            .add_shared(qmetrics, |m| &m.versions_created, 1);
+        // The copy's twin groups resolve on their own, so they count as
+        // created like the groups an instance opens.
+        let metrics = &self.shared.metrics;
+        metrics.add_shared(&self.qmetrics, |m| &m.versions_created, 1);
+        metrics.add_shared(&self.qmetrics, |m| &m.cgs_created, twins.len() as u64);
         Some((version, twins))
     }
 }

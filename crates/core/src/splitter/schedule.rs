@@ -153,7 +153,8 @@ impl Splitter {
         }
         // Grant loop: one slot at a time to the highest-credit query with
         // nominations left (strict comparison keeps the earliest on ties).
-        let mut cands: RankedNominations = Vec::with_capacity(k);
+        let mut cands = std::mem::take(&mut self.sched_cands);
+        cands.clear();
         while cands.len() < k {
             let mut best: Option<(usize, f64)> = None;
             for &(_, qi) in &order {
@@ -176,18 +177,19 @@ impl Splitter {
         // hand the rest to free instances. Both passes run against the
         // splitter-local shadow — no slot locks — and only slots whose
         // grant actually changes are published.
-        let mut to_place: Vec<Grant> = Vec::new();
-        let mut kept: Vec<bool> = vec![false; self.sched_shadow.len()];
-        'grant: for (_, g) in cands {
-            for (i, cur) in self.sched_shadow.iter().enumerate() {
-                if !kept[i] && cur.as_ref().is_some_and(|s| s.same(&g)) {
-                    kept[i] = true;
-                    continue 'grant;
-                }
+        let mut kept = std::mem::take(&mut self.sched_kept);
+        kept.clear();
+        kept.resize(self.sched_shadow.len(), false);
+        let shadow = &self.sched_shadow;
+        cands.retain(|(_, g)| {
+            let slot = (0..shadow.len())
+                .find(|&i| !kept[i] && shadow[i].as_ref().is_some_and(|s| s.same(g)));
+            if let Some(i) = slot {
+                kept[i] = true;
             }
-            to_place.push(g);
-        }
-        let mut to_place = to_place.into_iter();
+            slot.is_none()
+        });
+        let mut to_place = cands.drain(..).map(|(_, g)| g);
         for (i, kept) in kept.iter().enumerate() {
             if *kept {
                 continue;
@@ -203,6 +205,9 @@ impl Splitter {
                 self.sched_shadow[i] = next;
             }
         }
+        drop(to_place);
         self.sched_order = order;
+        self.sched_cands = cands;
+        self.sched_kept = kept;
     }
 }

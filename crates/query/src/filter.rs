@@ -10,8 +10,9 @@
 //! matcher of every step (and every negation guard, which can abandon a
 //! match without binding) contributes one *alternative* consisting of its
 //! optional event-type test and the self-contained conjuncts of its
-//! predicate. An event is **relevant** when at least one alternative
-//! accepts it.
+//! predicate, unless an equal alternative is already kept (Q1's q
+//! identical trend steps give one). An event is **relevant** when at least
+//! one alternative accepts it.
 //!
 //! Conservative correctness: a conjunct is kept only when it references no
 //! earlier binding ([`Expr::referenced_elems`] is empty), so it evaluates
@@ -45,7 +46,7 @@ impl EvalContext for CurrentOnly<'_> {
 /// The prefilter contribution of one element matcher: the event must have
 /// the matcher's type (when one is declared) and satisfy every
 /// self-contained top-level conjunct of its predicate.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct MatcherFilter {
     event_type: Option<EventType>,
     conjuncts: Vec<Expr>,
@@ -124,7 +125,9 @@ impl EventFilter {
                 if alt.is_pass_all() {
                     return None;
                 }
-                alternatives.push(alt);
+                if !alternatives.contains(&alt) {
+                    alternatives.push(alt);
+                }
             }
         }
         Some(EventFilter { alternatives })
@@ -151,6 +154,7 @@ mod tests {
     use crate::queries::{self, Direction};
     use crate::window::WindowSpec;
     use crate::Pattern;
+    use spectre_datasets::{NyseConfig, NyseGenerator};
     use spectre_events::Schema;
 
     fn quote(schema: &mut Schema, close: f64, open: f64) -> Event {
@@ -185,6 +189,35 @@ mod tests {
         assert!(f.relevant(&quote(&mut schema, 12.0, 10.0)));
         // Falling quotes bind nowhere in rising Q1.
         assert!(!f.relevant(&quote(&mut schema, 10.0, 12.0)));
+    }
+
+    #[test]
+    fn repeated_steps_share_one_alternative() {
+        let mut schema = Schema::new();
+        let q = queries::q1(&mut schema, 130, 200, Direction::Rising);
+        let f = EventFilter::for_query(&q).expect("Q1 is fully constrained");
+        // The leader step and one alternative for the 130 equal trend steps.
+        assert_eq!(f.alternative_count(), 2);
+        // Relevance is unchanged: the same verdicts as every matcher's own
+        // alternative, event by event, on a NYSE stream.
+        let every: Vec<MatcherFilter> = q
+            .pattern()
+            .steps()
+            .iter()
+            .flat_map(|step| match &step.kind {
+                StepKind::One(m) | StepKind::Plus(m) => vec![m.clone()],
+                StepKind::Set(members) => members.clone(),
+            })
+            .map(|m| MatcherFilter::for_matcher(&m))
+            .collect();
+        let config = NyseConfig::small(5_000, 3);
+        let mut relevant = 0;
+        for event in NyseGenerator::new(config, &mut schema) {
+            let expected = every.iter().any(|alt| alt.passes(&event));
+            assert_eq!(f.relevant(&event), expected, "{event:?}");
+            relevant += usize::from(expected);
+        }
+        assert!(relevant > 0 && relevant < 5_000, "{relevant}");
     }
 
     #[test]

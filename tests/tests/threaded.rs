@@ -411,3 +411,70 @@ fn a_successor_spent_before_its_predecessor_group_takes_its_event_rolls_back() {
         }
     }
 }
+
+/// Feeds `events` in 64-event chunks with a pause after each, so the
+/// workers run dry, park and are woken again many times, and returns the
+/// drained plus final outputs with the per-worker counter blocks.
+fn paced_session(
+    query: &Arc<Query>,
+    events: &[spectre_events::Event],
+    k: usize,
+) -> (
+    Vec<spectre_query::ComplexEvent>,
+    Vec<spectre_core::WorkerSnapshot>,
+) {
+    let mut engine = SpectreEngine::builder(query)
+        .config(SpectreConfig::with_batching(k, 64))
+        .threaded()
+        .try_build()
+        .unwrap();
+    let mut outputs = Vec::new();
+    for chunk in events.chunks(64) {
+        engine.ingest(chunk.iter().cloned()).unwrap();
+        let drained = engine.try_drain_outputs().unwrap();
+        outputs.extend(drained.into_iter().map(|(_, ce)| ce));
+        std::thread::sleep(std::time::Duration::from_micros(300));
+    }
+    let report = engine.try_finish().expect("fresh session finishes once");
+    outputs.extend(report.complex_events);
+    (outputs, engine.worker_metrics())
+}
+
+/// Runs `query` paced over a NYSE stream at k = 2 and checks that the
+/// output equals `run_sequential`'s and that no worker was unparked more
+/// often than it parked. A waker claims a park (parked → running) before
+/// it unparks the thread, so no park is ended twice: that makes the bound
+/// an invariant, whatever the interleaving.
+fn assert_one_wake_per_park(query: &Arc<Query>, events: &[spectre_events::Event]) {
+    let expected = run_sequential(query, events).complex_events;
+    let (outputs, workers) = paced_session(query, events, 2);
+    let label = query.name().to_string();
+    assert_same_output(&label, &outputs, &expected);
+    let parks: u64 = workers.iter().map(|w| w.worker_parks).sum();
+    assert!(parks > 0, "{label}: the pauses park the workers");
+    for (i, w) in workers.iter().enumerate() {
+        assert!(
+            w.worker_unparks <= w.worker_parks,
+            "{label} worker {i}: {w:?}"
+        );
+    }
+}
+
+#[test]
+fn a_parked_lane_worker_is_woken_at_most_once_per_park() {
+    // Idle workers are woken for unclaimed windows, stalled ones by
+    // ingestion past their frontier.
+    let mut schema = Schema::new();
+    let events: Vec<_> = NyseGenerator::new(NyseConfig::small(3000, 89), &mut schema).collect();
+    let query = queries::q1(&mut schema, 3, 150, Direction::Rising);
+    assert_one_wake_per_park(&without_consumption(&query), &events);
+}
+
+#[test]
+fn a_parked_tree_worker_is_woken_at_most_once_per_park() {
+    // Idle workers are woken for published or rolled-back versions.
+    let mut schema = Schema::new();
+    let events: Vec<_> = NyseGenerator::new(NyseConfig::small(3000, 97), &mut schema).collect();
+    let query = Arc::new(queries::q1(&mut schema, 3, 150, Direction::Rising));
+    assert_one_wake_per_park(&query, &events);
+}
