@@ -630,7 +630,10 @@ impl InstanceCore {
         shared
             .metrics
             .add_shared(wv.query_metrics(), |m| &m.rollbacks, 1);
-        let revoked = wv.rollback_locked(inner);
+        let (revoked, discarded) = wv.rollback_locked(inner);
+        shared
+            .metrics
+            .add_shared(wv.query_metrics(), |m| &m.cgs_discarded, discarded);
         self.ops_buf.push((
             wv.query_id(),
             TreeOp::WvRolledBack {

@@ -76,6 +76,11 @@ pub struct Metrics {
     pub cgs_completed: AtomicU64,
     /// Consumption groups abandoned.
     pub cgs_abandoned: AtomicU64,
+    /// Consumption groups left open by a version that was reset, rolled
+    /// back or dropped: they can no longer complete or abandon, so they are
+    /// counted here, once. Every created group ends in exactly one of
+    /// `cgs_completed`, `cgs_abandoned` and `cgs_discarded`.
+    pub cgs_discarded: AtomicU64,
     /// Window versions created.
     pub versions_created: AtomicU64,
     /// Window versions dropped (wasted speculation).
@@ -265,6 +270,7 @@ impl Metrics {
             cgs_created: self.cgs_created.load(Ordering::Relaxed),
             cgs_completed: self.cgs_completed.load(Ordering::Relaxed),
             cgs_abandoned: self.cgs_abandoned.load(Ordering::Relaxed),
+            cgs_discarded: self.cgs_discarded.load(Ordering::Relaxed),
             versions_created: self.versions_created.load(Ordering::Relaxed),
             versions_dropped: self.versions_dropped.load(Ordering::Relaxed),
             versions_materialized: self.versions_materialized.load(Ordering::Relaxed),
@@ -299,6 +305,7 @@ pub struct MetricsSnapshot {
     pub cgs_created: u64,
     pub cgs_completed: u64,
     pub cgs_abandoned: u64,
+    pub cgs_discarded: u64,
     pub versions_created: u64,
     pub versions_dropped: u64,
     pub versions_materialized: u64,
@@ -335,6 +342,7 @@ impl MetricsSnapshot {
             cgs_created,
             cgs_completed,
             cgs_abandoned,
+            cgs_discarded,
             versions_created,
             versions_dropped,
             versions_materialized,
@@ -362,6 +370,7 @@ impl MetricsSnapshot {
         self.cgs_created += cgs_created;
         self.cgs_completed += cgs_completed;
         self.cgs_abandoned += cgs_abandoned;
+        self.cgs_discarded += cgs_discarded;
         self.versions_created += versions_created;
         self.versions_dropped += versions_dropped;
         self.versions_materialized += versions_materialized;

@@ -278,6 +278,8 @@ impl Splitter {
             let (materialized, lazy_dropped) = qs.tree.take_lazy_stats();
             metrics.add_shared(&qs.metrics, |m| &m.versions_materialized, materialized);
             metrics.add_shared(&qs.metrics, |m| &m.lazy_versions_dropped, lazy_dropped);
+            let discarded = qs.tree.take_cgs_discarded();
+            metrics.add_shared(&qs.metrics, |m| &m.cgs_discarded, discarded);
             let size = qs.tree.version_count() as u64;
             qs.metrics.observe_tree_size(size);
             total_versions += size;

@@ -313,18 +313,19 @@ impl Splitter {
         for (i, q) in self.queries.iter().enumerate().skip(idx) {
             self.query_index.insert(q.id, i);
         }
+        // Work in flight is discarded: instances observe the dropped flag
+        // (or a lane window marked done) at the next step/run boundary and
+        // go idle.
+        let discarded = qs.tree.versions().iter().map(|v| v.mark_dropped()).sum();
+        self.shared
+            .metrics
+            .add_shared(&qs.metrics, |m| &m.cgs_discarded, discarded);
         // The tenant keeps the retired query's counters as a residual so
         // its rollup stays exact across the retire.
         let ti = self.tenant_index[&qs.tenant];
         let tenant = &mut self.tenants[ti];
         tenant.queries.retain(|m| *m != qid);
         tenant.retired.accumulate(&qs.metrics.snapshot());
-        // Work in flight is discarded: instances observe the dropped flag
-        // (or a lane window marked done) at the next step/run boundary and
-        // go idle.
-        for v in qs.tree.versions() {
-            v.mark_dropped();
-        }
         for (i, cur) in self.sched_shadow.iter_mut().enumerate() {
             if cur.as_ref().is_some_and(|g| g.query_id() == qid) {
                 *cur = None;

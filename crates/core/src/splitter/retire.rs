@@ -73,7 +73,8 @@ impl Splitter {
         // an event a suppressed (now final) group consumed.
         if !root.is_consistent() {
             global.add_shared(&qs.metrics, |m| &m.rollbacks, 1);
-            let revoked = root.rollback_state();
+            let (revoked, discarded) = root.rollback_locked(&mut root.lock());
+            global.add_shared(&qs.metrics, |m| &m.cgs_discarded, discarded);
             let dropped = qs.tree.rollback_rebuild(root.id(), &mut factory)
                 + qs.revoke(&revoked, &mut factory);
             global.add_shared(&qs.metrics, |m| &m.versions_dropped, dropped as u64);

@@ -598,7 +598,7 @@ impl DependencyTree {
         if let Some(c) = old_child {
             dropped += self.drop_subtree(c);
         }
-        old_state.mark_dropped();
+        self.cgs_discarded += old_state.mark_dropped();
         let new_state = f.fresh(old_state.window(), new_suppressed.clone());
         self.version_vertex.remove(&wv.0);
         self.version_vertex.insert(new_state.id().0, vnode);

@@ -157,6 +157,9 @@ pub struct DependencyTree {
     /// [`take_lazy_stats`](Self::take_lazy_stats) — speculation that cost
     /// nothing.
     lazy_versions_dropped: u64,
+    /// Open groups of versions dropped since the last
+    /// [`take_cgs_discarded`](Self::take_cgs_discarded).
+    cgs_discarded: u64,
 }
 
 impl Default for DependencyTree {
@@ -184,6 +187,7 @@ impl DependencyTree {
             pending_window_count: 0,
             versions_materialized: 0,
             lazy_versions_dropped: 0,
+            cgs_discarded: 0,
         }
     }
 
@@ -202,6 +206,13 @@ impl DependencyTree {
     /// (Fig. 10(f)).
     pub fn version_count(&self) -> usize {
         self.version_count
+    }
+
+    /// Drains the count of open groups that dropped versions discarded
+    /// since the last call (see [`VersionState::mark_dropped`]). The
+    /// splitter flushes it into `cgs_discarded` once per cycle.
+    pub fn take_cgs_discarded(&mut self) -> u64 {
+        std::mem::take(&mut self.cgs_discarded)
     }
 
     /// `true` when no window is live.
@@ -523,7 +534,7 @@ impl DependencyTree {
             self.free.push(id);
             match n {
                 Node::Version { state, child, .. } => {
-                    state.mark_dropped();
+                    self.cgs_discarded += state.mark_dropped();
                     self.version_vertex.remove(&state.id().0);
                     self.version_count -= 1;
                     dropped += 1;

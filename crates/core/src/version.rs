@@ -116,6 +116,16 @@ fn prune_dead_suppressed(window: &WindowInfo, suppressed: Vec<Arc<CgCell>>) -> V
         .collect()
 }
 
+/// Takes every open group out of `inner` and abandons its cell: the
+/// processing that would have resolved it is gone. Returns how many.
+fn discard_open_groups(inner: &mut VersionInner) -> u64 {
+    let n = inner.open_cgs.len() as u64;
+    for (_, cg) in inner.open_cgs.drain(..) {
+        cg.abandon();
+    }
+    n
+}
+
 impl VersionState {
     /// Creates a fresh version of `window` suppressing the given groups
     /// (dead cells pruned, see [`CgCell::is_dead_for`]).
@@ -220,9 +230,17 @@ impl VersionState {
         self.dropped.load(Ordering::Acquire)
     }
 
-    /// Marks the version dropped.
-    pub fn mark_dropped(&self) {
+    /// Marks the version dropped and discards the consumption groups its
+    /// processing left open: no instance resolves them any more. Returns
+    /// how many it discarded, for the caller to count in `cgs_discarded`.
+    ///
+    /// The groups leave `open_cgs` under the state lock, after the flag is
+    /// set, so each is counted once: an instance that resolved one first
+    /// has already taken it out, and an instance that takes the lock later
+    /// sees the flag before it feeds another event.
+    pub fn mark_dropped(&self) -> u64 {
         self.dropped.store(true, Ordering::Release);
+        discard_open_groups(&mut self.inner.lock())
     }
 
     /// `true` once the version processed its whole window, or stopped
@@ -259,16 +277,15 @@ impl VersionState {
     /// §3.3: "the window version is reprocessed from the start").
     ///
     /// Open consumption groups created by the discarded processing are
-    /// marked abandoned; the caller must also rebuild the dependency-tree
-    /// subtree (see [`DependencyTree::rollback_rebuild`](crate::tree::DependencyTree::rollback_rebuild)).
-    pub fn reset(&self) {
-        self.reset_locked(&mut self.inner.lock());
+    /// marked abandoned in their cells and returned as a count, for the
+    /// caller to add to `cgs_discarded`; the caller must also rebuild the
+    /// dependency-tree subtree (see [`DependencyTree::rollback_rebuild`](crate::tree::DependencyTree::rollback_rebuild)).
+    pub fn reset(&self) -> u64 {
+        self.reset_locked(&mut self.inner.lock())
     }
 
-    fn reset_locked(&self, inner: &mut VersionInner) {
-        for (_, cg) in inner.open_cgs.drain(..) {
-            cg.abandon();
-        }
+    fn reset_locked(&self, inner: &mut VersionInner) -> u64 {
+        let discarded = discard_open_groups(inner);
         *inner = VersionInner::new(
             Arc::clone(&self.query),
             self.window.id,
@@ -276,6 +293,7 @@ impl VersionState {
         );
         self.finished.store(false, Ordering::Release);
         self.acked.store(false, Ordering::Release);
+        discarded
     }
 
     /// Rolls the version back to the window start ([`reset`](Self::reset))
@@ -285,18 +303,22 @@ impl VersionState {
     /// revoke them from the dependency tree (versions elsewhere in the tree
     /// may still suppress their events based on the void completion — see
     /// [`DependencyTree::revoke_completions`](crate::tree::DependencyTree::revoke_completions)).
+    /// The count of groups it discarded is dropped here; the engine rolls
+    /// back through `rollback_locked`, which returns it.
     pub fn rollback_state(&self) -> Vec<Arc<CgCell>> {
-        self.rollback_locked(&mut self.inner.lock())
+        self.rollback_locked(&mut self.inner.lock()).0
     }
 
     /// [`rollback_state`](Self::rollback_state) under a lock the caller
     /// already holds: `inner` is this version's guarded state (from
     /// [`lock`](Self::lock)). An instance rolls back without releasing the
     /// lock, so no op about the restarted version can overtake its own.
-    pub(crate) fn rollback_locked(&self, inner: &mut VersionInner) -> Vec<Arc<CgCell>> {
+    /// Returns the revoked completions and the number of open groups
+    /// discarded (see [`reset`](Self::reset)).
+    pub(crate) fn rollback_locked(&self, inner: &mut VersionInner) -> (Vec<Arc<CgCell>>, u64) {
         let revoked = std::mem::take(&mut inner.completed_cells);
-        self.reset_locked(inner);
-        revoked
+        let discarded = self.reset_locked(inner);
+        (revoked, discarded)
     }
 
     /// Clones this version's full processing state into a new speculative

@@ -1,3 +1,4 @@
+use std::borrow::Cow;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
@@ -265,9 +266,67 @@ impl Expr {
     }
 
     /// Returns `true` iff the predicate definitely holds (failures count as
-    /// "does not match").
+    /// "does not match"): `eval_bool(ctx).unwrap_or(false)`, without
+    /// copying a value.
+    ///
+    /// This is the matcher's per-event test. Attribute and literal operands
+    /// of a comparison are compared in place through [`Value::cmp`], and
+    /// the logical operators work on `Option<bool>` with `eval`'s
+    /// short-circuit rules; only arithmetic operands are evaluated into
+    /// fresh values.
     pub fn matches(&self, ctx: &dyn EvalContext) -> bool {
-        self.eval_bool(ctx).unwrap_or(false)
+        self.test(ctx) == Some(true)
+    }
+
+    /// [`eval_bool`](Self::eval_bool) without materializing operands.
+    fn test(&self, ctx: &dyn EvalContext) -> Option<bool> {
+        match self {
+            Expr::Const(v) => v.as_bool(),
+            Expr::Attr(elem, key) => self.resolve(ctx, *elem)?.get(*key)?.as_bool(),
+            Expr::TypeIs(elem, ty) => Some(self.resolve(ctx, *elem)?.event_type() == *ty),
+            Expr::Unary(UnaryOp::Not, inner) => inner.test(ctx).map(|b| !b),
+            // Negation and arithmetic yield numbers, never a boolean.
+            Expr::Unary(UnaryOp::Neg, _) => None,
+            Expr::Binary(op, lhs, rhs) => match op {
+                BinOp::And => {
+                    if lhs.test(ctx)? {
+                        rhs.test(ctx)
+                    } else {
+                        Some(false)
+                    }
+                }
+                BinOp::Or => {
+                    if lhs.test(ctx)? {
+                        Some(true)
+                    } else {
+                        rhs.test(ctx)
+                    }
+                }
+                BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div => None,
+                BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge | BinOp::Eq | BinOp::Ne => {
+                    let (a, b) = (lhs.operand(ctx)?, rhs.operand(ctx)?);
+                    let ord = a.as_ref().cmp(b.as_ref());
+                    Some(match op {
+                        BinOp::Lt => ord.is_lt(),
+                        BinOp::Le => ord.is_le(),
+                        BinOp::Gt => ord.is_gt(),
+                        BinOp::Ge => ord.is_ge(),
+                        BinOp::Eq => ord.is_eq(),
+                        _ => ord.is_ne(),
+                    })
+                }
+            },
+        }
+    }
+
+    /// A comparison operand: literals and attributes by reference, anything
+    /// else evaluated.
+    fn operand<'c>(&'c self, ctx: &'c dyn EvalContext) -> Option<Cow<'c, Value>> {
+        match self {
+            Expr::Const(v) => Some(Cow::Borrowed(v)),
+            Expr::Attr(elem, key) => self.resolve(ctx, *elem)?.get(*key).map(Cow::Borrowed),
+            _ => self.eval(ctx).map(Cow::Owned),
+        }
     }
 
     fn resolve<'c>(&self, ctx: &'c dyn EvalContext, elem: ElemRef) -> Option<&'c Event> {

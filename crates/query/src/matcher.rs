@@ -36,6 +36,12 @@ pub enum FeedOutcome {
 /// alone), so the match keeps δ as a counter: [`delta`](Self::delta) is
 /// O(1), whatever the pattern's length.
 ///
+/// A match records every absorbed event as an `(element, seq)` pair in
+/// [`participants`](Self::participants), and keeps a copy of a bound
+/// event only for the elements some predicate or guard reads later
+/// ([`Pattern::referenced_elems`]). A pattern that reads no binding — the
+/// paper's Q1–Q3 — allocates no binding slots and copies no event.
+///
 /// Semantics (deterministic *skip-till-next-match*):
 ///
 /// * events matching nothing are skipped,
@@ -80,6 +86,8 @@ pub struct PartialMatch {
     set_mask: u128,
     /// The completion distance δ, kept in step with `bind`.
     delta: usize,
+    /// Bound events by element index, kept for the pattern's referenced
+    /// elements only; empty when it has none.
     bindings: Vec<Option<Event>>,
     participants: Vec<(ElemId, Seq)>,
     abandoned: bool,
@@ -103,7 +111,10 @@ impl EvalContext for Ctx<'_> {
 impl PartialMatch {
     /// Creates a fresh match at the first step.
     pub fn new(pattern: Arc<Pattern>) -> Self {
-        let elems = pattern.elem_count();
+        let bindings = match pattern.referenced_elems().last() {
+            Some(last) => vec![None; last.index() + 1],
+            None => Vec::new(),
+        };
         let delta = pattern.max_delta();
         PartialMatch {
             pattern,
@@ -111,7 +122,7 @@ impl PartialMatch {
             plus_entered: false,
             set_mask: 0,
             delta,
-            bindings: vec![None; elems],
+            bindings,
             participants: Vec::new(),
             abandoned: false,
             complete: false,
@@ -160,10 +171,14 @@ impl PartialMatch {
         &self.participants
     }
 
-    /// The event bound by `elem`, if any. Kleene elements report their first
-    /// absorbed event.
-    pub fn binding(&self, elem: ElemId) -> Option<&Event> {
-        self.bindings.get(elem.index())?.as_ref()
+    /// The sequence number of the event bound by `elem`, if any: its first
+    /// entry in [`participants`](Self::participants), so Kleene elements
+    /// report their first absorbed event.
+    pub fn bound_seq(&self, elem: ElemId) -> Option<Seq> {
+        self.participants
+            .iter()
+            .find(|(e, _)| *e == elem)
+            .map(|&(_, seq)| seq)
     }
 
     /// Feeds the next window event into the match.
@@ -220,7 +235,9 @@ impl PartialMatch {
             panic!("rearm_last requires a One last step");
         };
         let elem = m.elem.expect("binding element");
-        self.bindings[elem.index()] = None;
+        if let Some(slot) = self.bindings.get_mut(elem.index()) {
+            *slot = None;
+        }
         if let Some(pos) = self.participants.iter().rposition(|(e, _)| *e == elem) {
             self.participants.remove(pos);
         }
@@ -236,14 +253,15 @@ impl PartialMatch {
     /// advances the step cursor as appropriate and returns the element that
     /// absorbed the event.
     fn try_apply(&mut self, idx: usize, ev: &Event) -> Option<ElemId> {
-        let pattern = Arc::clone(&self.pattern);
-        let steps = pattern.steps();
-        let step = &steps[idx];
+        // Borrowed, not cloned: each arm decides with the pattern borrowed
+        // and lets go of it before the match records the binding.
+        let steps = self.pattern.steps();
+        let last = steps.len() - 1;
         let ctx = Ctx {
             current: ev,
             bindings: &self.bindings,
         };
-        match &step.kind {
+        match &steps[idx].kind {
             StepKind::One(m) => {
                 if !matcher_matches(m, &ctx) {
                     return None;
@@ -253,7 +271,7 @@ impl PartialMatch {
                 self.step = idx + 1;
                 self.plus_entered = false;
                 self.set_mask = 0;
-                if self.step == steps.len() {
+                if idx == last {
                     self.complete = true;
                 }
                 Some(elem)
@@ -274,7 +292,7 @@ impl PartialMatch {
                 self.step = idx;
                 self.plus_entered = true;
                 self.set_mask = 0;
-                if idx == steps.len() - 1 {
+                if idx == last {
                     // Trailing Plus: minimal-match completion.
                     self.complete = true;
                 }
@@ -282,31 +300,26 @@ impl PartialMatch {
             }
             StepKind::Set(members) => {
                 let mask = if idx == self.step { self.set_mask } else { 0 };
-                for (i, m) in members.iter().enumerate() {
-                    if mask & (1u128 << i) != 0 {
-                        continue;
+                let (i, m) = members
+                    .iter()
+                    .enumerate()
+                    .find(|&(i, m)| mask & (1u128 << i) == 0 && matcher_matches(m, &ctx))?;
+                let elem = m.elem.expect("binding element");
+                let full = mask | (1u128 << i);
+                let done = full.count_ones() as usize == members.len();
+                self.bind(elem, ev);
+                self.plus_entered = false;
+                if done {
+                    self.step = idx + 1;
+                    self.set_mask = 0;
+                    if idx == last {
+                        self.complete = true;
                     }
-                    if matcher_matches(m, &ctx) {
-                        let elem = m.elem.expect("binding element");
-                        self.bind(elem, ev);
-                        if idx != self.step {
-                            // advancing from a Plus into this set
-                            self.set_mask = 0;
-                        }
-                        self.step = idx;
-                        self.plus_entered = false;
-                        self.set_mask |= 1u128 << i;
-                        if self.set_mask.count_ones() as usize == members.len() {
-                            self.step = idx + 1;
-                            self.set_mask = 0;
-                            if self.step == steps.len() {
-                                self.complete = true;
-                            }
-                        }
-                        return Some(elem);
-                    }
+                } else {
+                    self.step = idx;
+                    self.set_mask = full;
                 }
-                None
+                Some(elem)
             }
         }
     }
@@ -320,10 +333,15 @@ impl PartialMatch {
     }
 
     /// Binds `ev` to `elem`: every binding satisfies one event of the
-    /// pattern's minimum, so δ drops by one.
+    /// pattern's minimum, so δ drops by one. The event itself is kept only
+    /// if a later predicate reads `elem`.
     fn bind(&mut self, elem: ElemId, ev: &Event) {
         self.delta -= 1;
-        self.bindings[elem.index()] = Some(ev.clone());
+        if let Some(slot) = self.bindings.get_mut(elem.index()) {
+            if self.pattern.referenced_elems().binary_search(&elem).is_ok() {
+                *slot = Some(ev.clone());
+            }
+        }
         self.participants.push((elem, ev.seq()));
     }
 }
@@ -420,7 +438,7 @@ mod tests {
         assert_eq!(seqs, vec![1, 2, 3, 4]);
         // B's binding is its first absorbed event
         let b = p.elem_by_name("B").unwrap();
-        assert_eq!(m.binding(b).unwrap().seq(), 2);
+        assert_eq!(m.bound_seq(b), Some(2));
     }
 
     #[test]
@@ -477,7 +495,7 @@ mod tests {
         assert!(matches!(m.feed(&ev(4, 1.0)), FeedOutcome::Absorbed { .. }));
         assert!(matches!(m.feed(&ev(5, 2.0)), FeedOutcome::Completed { .. }));
         let x3 = p.elem_by_name("X3").unwrap();
-        assert_eq!(m.binding(x3).unwrap().seq(), 2);
+        assert_eq!(m.bound_seq(x3), Some(2));
     }
 
     #[test]
@@ -585,8 +603,8 @@ mod tests {
         assert!(!m.is_complete());
         assert_eq!(m.delta(), 1);
         // A binding survives, B is free again
-        assert_eq!(m.binding(p.elem_by_name("A").unwrap()).unwrap().seq(), 1);
-        assert!(m.binding(p.elem_by_name("B").unwrap()).is_none());
+        assert_eq!(m.bound_seq(p.elem_by_name("A").unwrap()), Some(1));
+        assert_eq!(m.bound_seq(p.elem_by_name("B").unwrap()), None);
         assert!(matches!(m.feed(&ev(3, 2.0)), FeedOutcome::Completed { .. }));
         let seqs: Vec<_> = m.participants().iter().map(|(_, s)| *s).collect();
         assert_eq!(seqs, vec![1, 3]);
@@ -653,6 +671,57 @@ mod tests {
             }
         }
         assert!(completions > 100 && rearms > 100, "{completions} {rearms}");
+    }
+
+    #[test]
+    fn paper_queries_keep_no_bound_event() {
+        use crate::queries::{self, Direction, StockVocab};
+        let mut schema = Schema::new();
+        let q1 = queries::q1(&mut schema, 130, 200, Direction::Rising);
+        let q2 = queries::q2(&mut schema, 60.0, 140.0, 300, 60);
+        assert_eq!(q1.pattern().referenced_elems(), &[] as &[ElemId]);
+        assert_eq!(q2.pattern().referenced_elems(), &[] as &[ElemId]);
+        // A full Q1 window: a rising leader quote, then rising quotes.
+        let v = StockVocab::install(&mut schema);
+        let mut m = PartialMatch::new(Arc::clone(q1.pattern()));
+        for seq in 0..200 {
+            let quote = Event::builder(v.quote)
+                .seq(seq)
+                .attr(v.open_price, 10.0)
+                .attr(v.close_price, 11.0)
+                .attr(v.leading, seq == 0)
+                .build();
+            m.feed(&quote);
+        }
+        assert!(m.is_complete());
+        assert_eq!(m.participants().len(), 131);
+        assert_eq!(m.bound_seq(ElemId::new(130)), Some(130));
+        assert!(m.bindings.is_empty() && m.bindings.capacity() == 0);
+    }
+
+    #[test]
+    fn only_referenced_elements_keep_their_event() {
+        let (_s, x) = schema();
+        let (a, b) = (ElemId::new(0), ElemId::new(1));
+        // C reads B; nothing reads A or C.
+        let p = Arc::new(
+            Pattern::builder()
+                .one("A", x_is(1.0))
+                .one("B", x_is(2.0))
+                .one("C", Expr::current(x).gt(Expr::attr(ElemRef::Bound(b), x)))
+                .build()
+                .unwrap(),
+        );
+        assert_eq!(p.referenced_elems(), &[b]);
+        let mut m = PartialMatch::new(p);
+        for (seq, x) in [(1, 1.0), (2, 2.0), (3, 1.5), (4, 3.0)] {
+            m.feed(&ev(seq, x));
+        }
+        assert!(m.is_complete());
+        assert!(m.bindings[a.index()].is_none());
+        assert_eq!(m.bindings[b.index()].as_ref().map(Event::seq), Some(2));
+        assert_eq!(m.bindings.len(), 2, "no slot past the last read element");
+        assert_eq!(m.bound_seq(a), Some(1));
     }
 
     #[test]

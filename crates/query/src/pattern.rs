@@ -167,6 +167,9 @@ pub struct Pattern {
     elem_names: Vec<String>,
     /// Σ `min_events` over the steps, computed once at build time.
     max_delta: usize,
+    /// The elements some predicate or guard reads through
+    /// [`ElemRef::Bound`](crate::ElemRef::Bound), ascending.
+    referenced: Vec<ElemId>,
 }
 
 impl Pattern {
@@ -195,6 +198,15 @@ impl Pattern {
     /// initial completion distance δ of the paper's Markov model (§3.2.1).
     pub fn max_delta(&self) -> usize {
         self.max_delta
+    }
+
+    /// The binding elements that some predicate or negation guard reads
+    /// (through [`ElemRef::Bound`](crate::ElemRef::Bound)), ascending. A
+    /// [`PartialMatch`](crate::PartialMatch) keeps the bound event of
+    /// these elements only; for a pattern whose predicates read the current
+    /// event alone (the paper's Q1–Q3) the list is empty.
+    pub fn referenced_elems(&self) -> &[ElemId] {
+        &self.referenced
     }
 
     /// Name of a binding element.
@@ -343,10 +355,22 @@ impl PatternBuilder {
         if self.steps.is_empty() {
             return Err(PatternError::Empty);
         }
+        let mut referenced = Vec::new();
+        for step in &self.steps {
+            let members = match &step.kind {
+                StepKind::One(m) | StepKind::Plus(m) => std::slice::from_ref(m),
+                StepKind::Set(members) => members,
+            };
+            for m in members.iter().chain(&step.forbid) {
+                m.pred.referenced_elems(&mut referenced);
+            }
+        }
+        referenced.sort_unstable();
         Ok(Pattern {
             max_delta: self.steps.iter().map(|s| s.kind.min_events()).sum(),
             steps: self.steps,
             elem_names: self.elem_names,
+            referenced,
         })
     }
 }

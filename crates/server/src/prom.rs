@@ -32,6 +32,7 @@ pub(crate) fn render(shared: &ServerShared) -> String {
         cgs_created,
         cgs_completed,
         cgs_abandoned,
+        cgs_discarded,
         versions_created,
         versions_dropped,
         versions_materialized,
@@ -67,6 +68,7 @@ pub(crate) fn render(shared: &ServerShared) -> String {
     counter(&mut out, "spectre_engine_cgs_created", cgs_created);
     counter(&mut out, "spectre_engine_cgs_completed", cgs_completed);
     counter(&mut out, "spectre_engine_cgs_abandoned", cgs_abandoned);
+    counter(&mut out, "spectre_engine_cgs_discarded", cgs_discarded);
     counter(
         &mut out,
         "spectre_engine_versions_created",

@@ -107,19 +107,29 @@ fn consumption_regimes_keep_the_tree_path() {
 
 #[test]
 fn every_created_group_is_resolved_once() {
-    // At q = 130, sim k = 4, the tree materializes speculative copies,
-    // whose twin groups resolve like any other: each counts as created
-    // too, so the resolved groups add up to the created ones.
-    let mut schema = Schema::new();
-    let events = nyse(&mut schema, 4_000, 7);
-    let query = Arc::new(queries::q1(&mut schema, 130, 200, Direction::Rising));
-    let expected = run_sequential(&query, &events).complex_events;
-    let config = SpectreConfig::with_instances(4);
-    let report = run(&query, events, &config, Mode::Simulated);
-    assert_same_output("q=130 sim k=4", &report.complex_events, &expected);
-    let m = &report.metrics;
-    assert!(m.versions_materialized > 0, "{m:?}");
-    assert_eq!(m.cgs_completed + m.cgs_abandoned, m.cgs_created, "{m:?}");
+    // Every created group ends exactly once: completed, abandoned, or
+    // discarded with the version that held it open (reset, rolled back or
+    // dropped). At q = 130, sim k = 4, the tree materializes speculative
+    // copies, whose twin groups count as created too; at q = 40 groups
+    // complete, and the versions that lose their bet take open groups
+    // with them.
+    for q in [130usize, 40] {
+        let mut schema = Schema::new();
+        let events = nyse(&mut schema, 4_000, 7);
+        let query = Arc::new(queries::q1(&mut schema, q, 200, Direction::Rising));
+        let expected = run_sequential(&query, &events).complex_events;
+        let config = SpectreConfig::with_instances(4);
+        let label = format!("q={q} sim k=4");
+        let report = run(&query, events, &config, Mode::Simulated);
+        assert_same_output(&label, &report.complex_events, &expected);
+        let m = &report.metrics;
+        assert!(m.versions_materialized > 0, "{label}: {m:?}");
+        assert_eq!(
+            m.cgs_completed + m.cgs_abandoned + m.cgs_discarded,
+            m.cgs_created,
+            "{label}: {m:?}"
+        );
+    }
 }
 
 fn outputs_of(report: &spectre_core::Report, qid: QueryId) -> &[ComplexEvent] {
