@@ -37,7 +37,7 @@
 //!
 //! [`Splitter::feed`]: crate::splitter::Splitter::feed
 
-use std::cmp::{Ordering, Reverse};
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use spectre_events::Event;
@@ -154,30 +154,66 @@ pub enum Offer {
     Rejected(Event),
 }
 
-/// A buffered event, ordered by its `(timestamp, arrival)` key alone.
+/// A min-heap of values keyed by unique `(u64, u64)` keys.
+///
+/// The heap sifts small `(key, slot)` entries; the values sit in a slab
+/// and do not move until they are popped, so a sift never copies a whole
+/// event. Freed slots are reused, so a heap that stays within its peak
+/// length allocates nothing.
 #[derive(Debug)]
-struct Held {
-    key: (u64, u64),
-    event: Event,
+pub struct KeyedHeap<T> {
+    heap: BinaryHeap<Reverse<((u64, u64), usize)>>,
+    slots: Vec<Option<T>>,
+    free: Vec<usize>,
 }
 
-impl PartialEq for Held {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
+impl<T> Default for KeyedHeap<T> {
+    fn default() -> Self {
+        KeyedHeap {
+            heap: BinaryHeap::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
+        }
     }
 }
 
-impl Eq for Held {}
-
-impl PartialOrd for Held {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+impl<T> KeyedHeap<T> {
+    /// Number of held values.
+    pub fn len(&self) -> usize {
+        self.heap.len()
     }
-}
 
-impl Ord for Held {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.key.cmp(&other.key)
+    /// `true` if no value is held.
+    pub fn is_empty(&self) -> bool {
+        self.heap.is_empty()
+    }
+
+    /// Holds `value` under `key`. Keys must be unique: equal keys pop in
+    /// slot order, which is not arrival order.
+    pub fn push(&mut self, key: (u64, u64), value: T) {
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot] = Some(value);
+                slot
+            }
+            None => {
+                self.slots.push(Some(value));
+                self.slots.len() - 1
+            }
+        };
+        self.heap.push(Reverse((key, slot)));
+    }
+
+    /// The smallest key held.
+    pub fn peek_key(&self) -> Option<(u64, u64)> {
+        self.heap.peek().map(|Reverse((key, _))| *key)
+    }
+
+    /// Removes and returns the value with the smallest key.
+    pub fn pop(&mut self) -> Option<T> {
+        let Reverse((_, slot)) = self.heap.pop()?;
+        self.free.push(slot);
+        self.slots[slot].take()
     }
 }
 
@@ -207,11 +243,11 @@ pub struct ReorderBuffer {
     config: ReorderConfig,
     /// Buffered events in a min-heap keyed by `(timestamp, arrival)` —
     /// the arrival counter makes duplicate timestamps drain in arrival
-    /// order. One flat `Vec`: an offer is a sift-up and a release a
-    /// sift-down, with no per-event node allocation. It holds at most
+    /// order. An offer is a sift-up and a release a sift-down of a small
+    /// key entry, with no per-event allocation. It holds at most
     /// [`ReorderConfig::capacity`] events and grows on demand, so building
     /// a buffer allocates nothing.
-    buf: BinaryHeap<Reverse<Held>>,
+    buf: KeyedHeap<Event>,
     /// Monotone arrival counter (tie-breaker for duplicate timestamps).
     arrivals: u64,
     /// Maximum timestamp seen so far (`None` before the first event).
@@ -235,7 +271,7 @@ impl ReorderBuffer {
         }
         ReorderBuffer {
             config,
-            buf: BinaryHeap::new(),
+            buf: KeyedHeap::default(),
             arrivals: 0,
             max_ts: None,
             watermark: None,
@@ -286,10 +322,7 @@ impl ReorderBuffer {
         } else {
             self.max_ts = Some(ts);
         }
-        self.buf.push(Reverse(Held {
-            key: (ts, self.arrivals),
-            event,
-        }));
+        self.buf.push((ts, self.arrivals), event);
         self.arrivals += 1;
         if self.config.watermark == WatermarkPolicy::Periodic {
             let max = self.max_ts.expect("an event was just offered");
@@ -322,8 +355,8 @@ impl ReorderBuffer {
     /// ready. The released sequence is timestamp-monotone by construction.
     pub fn pop_ready(&mut self) -> Option<Event> {
         let w = self.watermark?;
-        if self.buf.peek()?.0.key.0 <= w {
-            self.buf.pop().map(|Reverse(held)| held.event)
+        if self.buf.peek_key()?.0 <= w {
+            self.buf.pop()
         } else {
             None
         }
@@ -676,6 +709,24 @@ mod tests {
                 .all(|&n| n > 0),
             "every case came up: {seen:?}"
         );
+    }
+
+    #[test]
+    fn keyed_heap_pops_in_key_order_and_reuses_freed_slots() {
+        let mut heap = KeyedHeap::default();
+        for (i, key) in [(5, 0), (1, 1), (5, 2), (3, 3)].into_iter().enumerate() {
+            heap.push(key, i);
+        }
+        assert_eq!(heap.peek_key(), Some((1, 1)));
+        assert_eq!(heap.pop(), Some(1));
+        assert_eq!(heap.pop(), Some(3));
+        heap.push((0, 4), 4);
+        heap.push((9, 5), 5);
+        assert_eq!(heap.slots.len(), 4, "the two freed slots were reused");
+        let drained: Vec<_> = std::iter::from_fn(|| heap.pop()).collect();
+        assert_eq!(drained, vec![4, 0, 2, 5]);
+        assert!(heap.is_empty());
+        assert_eq!(heap.peek_key(), None);
     }
 
     #[test]

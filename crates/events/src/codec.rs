@@ -40,7 +40,6 @@
 //! skipped.
 
 use std::fmt;
-use std::sync::Arc;
 
 use bytes::{Buf, BufMut, BytesMut};
 
@@ -318,9 +317,10 @@ impl Decoder {
         if self.buf.len() < 4 + len {
             return Ok(None);
         }
-        self.buf.advance(4);
-        let mut frame = self.buf.split_to(len);
-        decode_frame(&mut frame).map(|ev| Some(RawFrame::Event(ev)))
+        // Decode in place from the buffered bytes, then consume them.
+        let event = decode_frame(&self.buf[4..4 + len]);
+        self.buf.advance(4 + len);
+        event.map(|ev| Some(RawFrame::Event(ev)))
     }
 }
 
@@ -335,8 +335,11 @@ enum RawFrame {
     Bye,
 }
 
-fn decode_frame(buf: &mut BytesMut) -> Result<Event, DecodeError> {
-    fn need(buf: &BytesMut, n: usize) -> Result<(), DecodeError> {
+/// Decodes one event frame's bytes (after the length field). The only heap
+/// memory the event owns is its string payloads and, past four attributes,
+/// its attribute list.
+fn decode_frame(mut buf: &[u8]) -> Result<Event, DecodeError> {
+    fn need(buf: &[u8], n: usize) -> Result<(), DecodeError> {
         if buf.len() < n {
             Err(DecodeError::Truncated)
         } else {
@@ -374,9 +377,10 @@ fn decode_frame(buf: &mut BytesMut) -> Result<Event, DecodeError> {
                 need(buf, 4)?;
                 let len = buf.get_u32_le() as usize;
                 need(buf, len)?;
-                let raw = buf.split_to(len);
-                let s = std::str::from_utf8(&raw).map_err(|_| DecodeError::BadUtf8)?;
-                Value::Str(Arc::from(s))
+                let (raw, rest) = buf.split_at(len);
+                buf = rest;
+                let s = std::str::from_utf8(raw).map_err(|_| DecodeError::BadUtf8)?;
+                Value::from(s)
             }
             other => return Err(DecodeError::BadTag(other)),
         };

@@ -14,9 +14,11 @@ use crate::{Seq, Timestamp};
 /// the global processing order; SPECTRE's windows, consumption groups and
 /// suppression sets all refer to events by [`Seq`].
 ///
-/// The attribute list is kept sorted by [`AttrKey`] so lookups are a binary
-/// search over a short vector — events in the evaluation workloads carry 2–4
-/// attributes.
+/// Up to four attributes are stored inline, in a key array sorted by
+/// [`AttrKey`] beside a value array, so building, cloning and dropping such
+/// an event allocates nothing; every generator and the CSV reader build
+/// exactly four. A fifth attribute moves the whole set to a heap list. Each
+/// attribute set has exactly one form, so derived equality is exact.
 ///
 /// # Example
 ///
@@ -38,7 +40,89 @@ pub struct Event {
     seq: Seq,
     ts: Timestamp,
     etype: EventType,
-    attrs: Vec<(AttrKey, Value)>,
+    attrs: Attrs,
+}
+
+/// Attributes a [`Event`] stores without a heap list.
+const INLINE: usize = 4;
+
+/// What an unused inline value slot holds, so that equal attribute sets
+/// compare equal field by field.
+const FILLER: Value = Value::Bool(false);
+
+/// An attribute set sorted by key: inline up to [`INLINE`] attributes, a
+/// heap list beyond that, never both forms for one set.
+#[derive(Debug, Clone, PartialEq)]
+enum Attrs {
+    /// `keys[..len]` and `values[..len]`; the slots past `len` hold
+    /// `AttrKey::new(0)` and [`FILLER`].
+    Inline {
+        len: u8,
+        keys: [AttrKey; INLINE],
+        values: [Value; INLINE],
+    },
+    /// More than [`INLINE`] attributes.
+    Spilled {
+        keys: Vec<AttrKey>,
+        values: Vec<Value>,
+    },
+}
+
+impl Attrs {
+    const EMPTY: Attrs = Attrs::Inline {
+        len: 0,
+        keys: [AttrKey::new(0); INLINE],
+        values: [FILLER; INLINE],
+    };
+
+    /// The sorted keys and their values.
+    fn parts(&self) -> (&[AttrKey], &[Value]) {
+        match self {
+            Attrs::Inline { len, keys, values } => {
+                let n = usize::from(*len);
+                (&keys[..n], &values[..n])
+            }
+            Attrs::Spilled { keys, values } => (keys, values),
+        }
+    }
+
+    /// Sets `key` to `value`, replacing an existing value.
+    fn insert(&mut self, key: AttrKey, value: Value) {
+        match self {
+            Attrs::Inline { len, keys, values } => {
+                let n = usize::from(*len);
+                match keys[..n].binary_search(&key) {
+                    Ok(i) => values[i] = value,
+                    Err(i) if n < INLINE => {
+                        // The filler at slot `n` rotates to `i` and is
+                        // overwritten.
+                        keys[i..=n].rotate_right(1);
+                        values[i..=n].rotate_right(1);
+                        keys[i] = key;
+                        values[i] = value;
+                        *len += 1;
+                    }
+                    Err(i) => {
+                        let (mut spilled_keys, mut spilled_values) =
+                            (keys.to_vec(), values.to_vec());
+                        spilled_keys.insert(i, key);
+                        spilled_values.insert(i, value);
+                        *self = Attrs::Spilled {
+                            keys: spilled_keys,
+                            values: spilled_values,
+                        };
+                    }
+                }
+            }
+            Attrs::Spilled { keys, values } => match keys.binary_search(&key) {
+                Ok(i) => values[i] = value,
+                Err(i) => {
+                    keys.insert(i, key);
+                    values.insert(i, value);
+                }
+            },
+        }
+    }
 }
 
 impl Event {
@@ -48,7 +132,7 @@ impl Event {
             seq: 0,
             ts: 0,
             etype,
-            attrs: Vec::new(),
+            attrs: Attrs::EMPTY,
         }
     }
 
@@ -69,10 +153,8 @@ impl Event {
 
     /// Looks up an attribute value.
     pub fn get(&self, key: AttrKey) -> Option<&Value> {
-        self.attrs
-            .binary_search_by_key(&key, |(k, _)| *k)
-            .ok()
-            .map(|i| &self.attrs[i].1)
+        let (keys, values) = self.attrs.parts();
+        keys.binary_search(&key).ok().map(|i| &values[i])
     }
 
     /// Looks up a numeric attribute, widening integers to `f64`.
@@ -87,12 +169,13 @@ impl Event {
 
     /// Iterates over the attribute–value pairs in key order.
     pub fn attrs(&self) -> impl Iterator<Item = (AttrKey, &Value)> {
-        self.attrs.iter().map(|(k, v)| (*k, v))
+        let (keys, values) = self.attrs.parts();
+        keys.iter().copied().zip(values)
     }
 
     /// Number of attributes.
     pub fn attr_count(&self) -> usize {
-        self.attrs.len()
+        self.attrs.parts().0.len()
     }
 
     /// Returns a copy of this event with a different sequence number.
@@ -125,7 +208,7 @@ impl Ord for Event {
 impl fmt::Display for Event {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "e{}@{}[ty{}", self.seq, self.ts, self.etype.as_u32())?;
-        for (k, v) in &self.attrs {
+        for (k, v) in self.attrs() {
             write!(f, " {}={}", k.as_u32(), v)?;
         }
         write!(f, "]")
@@ -138,7 +221,7 @@ pub struct EventBuilder {
     seq: Seq,
     ts: Timestamp,
     etype: EventType,
-    attrs: Vec<(AttrKey, Value)>,
+    attrs: Attrs,
 }
 
 impl EventBuilder {
@@ -157,11 +240,7 @@ impl EventBuilder {
 
     /// Adds an attribute. Setting the same key twice replaces the value.
     pub fn attr(mut self, key: AttrKey, value: impl Into<Value>) -> Self {
-        let value = value.into();
-        match self.attrs.binary_search_by_key(&key, |(k, _)| *k) {
-            Ok(i) => self.attrs[i].1 = value,
-            Err(i) => self.attrs.insert(i, (key, value)),
-        }
+        self.attrs.insert(key, value.into());
         self
     }
 

@@ -31,8 +31,9 @@ pub enum Value {
     Bool(bool),
     /// Interned stock / entity symbol (see [`Schema::symbol`](crate::Schema::symbol)).
     Symbol(SymbolId),
-    /// Shared immutable string payload.
-    Str(Arc<str>),
+    /// Shared immutable string payload. The handle is one word wide (an
+    /// `Arc<str>` would be two), which keeps `Value` at 16 bytes.
+    Str(Arc<String>),
 }
 
 impl Value {
@@ -74,7 +75,7 @@ impl Value {
     /// Returns the string payload.
     pub fn as_str(&self) -> Option<&str> {
         match self {
-            Value::Str(v) => Some(v),
+            Value::Str(v) => Some(v.as_str()),
             _ => None,
         }
     }
@@ -174,13 +175,18 @@ impl From<SymbolId> for Value {
 
 impl From<&str> for Value {
     fn from(v: &str) -> Self {
-        Value::Str(Arc::from(v))
+        Value::Str(Arc::new(v.to_owned()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_value_is_two_words() {
+        assert_eq!(std::mem::size_of::<Value>(), 16);
+    }
 
     #[test]
     fn numeric_accessors_widen_integers() {

@@ -23,9 +23,7 @@
 //! `granted − (released + dropped) ≤ window`: a client never has more than
 //! one window of events in flight between its socket and the engine.
 
-use std::cmp::{Ordering as KeyOrdering, Reverse};
-use std::collections::binary_heap::PeekMut;
-use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::io::Write;
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -34,6 +32,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use bytes::BytesMut;
+use spectre_core::reorder::KeyedHeap;
 use spectre_core::{PushResult, QueryId, Report, SpectreEngine, TenantId, TenantQuota};
 use spectre_events::codec::encode_credit;
 use spectre_events::{Event, Schema};
@@ -221,33 +220,6 @@ pub struct ServerOutcome {
     pub summary_json: String,
 }
 
-/// An event the sequencer holds, ordered by its `(seq, arrival)` key alone.
-struct Pending {
-    key: (u64, u64),
-    conn: u64,
-    event: Event,
-}
-
-impl PartialEq for Pending {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-    }
-}
-
-impl Eq for Pending {}
-
-impl PartialOrd for Pending {
-    fn partial_cmp(&self, other: &Self) -> Option<KeyOrdering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Pending {
-    fn cmp(&self, other: &Self) -> KeyOrdering {
-        self.key.cmp(&other.key)
-    }
-}
-
 /// Sequence-order release buffer for [`IngestOrder::Seq`]: a binary
 /// min-heap keyed by `(seq, arrival)`. The arrival counter makes every key
 /// unique, so a second event with an already-held `seq` is held beside the
@@ -261,7 +233,8 @@ struct Sequencer {
     next: u64,
     /// Events received so far (the key's tie-breaker).
     arrivals: u64,
-    pending: BinaryHeap<Reverse<Pending>>,
+    /// The held events with their connection ids.
+    pending: KeyedHeap<(u64, Event)>,
     /// Releases of the current run per connection, settled with one
     /// [`ConnGate::release`] each when the run ends.
     owed: Vec<(u64, u64)>,
@@ -269,11 +242,8 @@ struct Sequencer {
 
 impl Sequencer {
     fn hold(&mut self, conn: u64, event: Event) {
-        self.pending.push(Reverse(Pending {
-            key: (event.seq(), self.arrivals),
-            conn,
-            event,
-        }));
+        self.pending
+            .push((event.seq(), self.arrivals), (conn, event));
         self.arrivals += 1;
     }
 
@@ -289,11 +259,7 @@ impl Sequencer {
         counters: &ServerCounters,
     ) -> u64 {
         let mut gaps = 0u64;
-        loop {
-            let Some(top) = self.pending.peek_mut() else {
-                break;
-            };
-            let seq = top.0.key.0;
+        while let Some((seq, _)) = self.pending.peek_key() {
             if seq > self.next {
                 if !skip_gaps {
                     break;
@@ -301,7 +267,7 @@ impl Sequencer {
                 gaps += 1;
                 self.next = seq;
             }
-            let Reverse(Pending { conn, event, .. }) = PeekMut::pop(top);
+            let (conn, event) = self.pending.pop().expect("a key was peeked");
             self.owe(conn);
             if seq < self.next {
                 ServerCounters::bump(&counters.seq_stale_dropped);

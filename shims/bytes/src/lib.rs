@@ -6,10 +6,10 @@
 //! once the registry is reachable.
 //!
 //! Like the real crate, [`BytesMut`] reads through a cursor: the buffer is a
-//! `Vec<u8>` plus the offset of its first live byte. `advance`, `take_array`
-//! (and so every `get_*`) and `split_to` move the cursor and never touch the
-//! bytes behind it; `split_to(at)` copies only the `at` bytes it returns
-//! instead of refcount-splitting. Appends reclaim the consumed prefix by
+//! `Vec<u8>` plus the offset of its first live byte. `advance` and
+//! `take_array` (and so every `get_*`) move the cursor and never touch the
+//! bytes behind it, so a reader can decode a frame from the borrowed live
+//! bytes and then `advance` past it. Appends reclaim the consumed prefix by
 //! moving the live bytes to the front, but only once that prefix is at least
 //! as long as the live bytes, so each byte is moved at most once per byte
 //! consumed (amortized O(1)) and, right after an append, the buffer holds at
@@ -71,18 +71,6 @@ impl BytesMut {
     pub fn clear(&mut self) {
         self.data.clear();
         self.start = 0;
-    }
-
-    /// Splits off and returns the first `at` bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at > len`.
-    pub fn split_to(&mut self, at: usize) -> BytesMut {
-        assert!(at <= self.len(), "split_to out of bounds");
-        let head = self[..at].to_vec();
-        self.start += at;
-        BytesMut::from(head)
     }
 
     /// Freezes the buffer into an immutable [`Bytes`].
@@ -246,6 +234,22 @@ impl Buf for BytesMut {
     }
 }
 
+/// Reads a borrowed slice in place, as the real crate does: each pop moves
+/// the slice's start past the bytes it read.
+impl Buf for &[u8] {
+    fn advance(&mut self, n: usize) {
+        *self = &self[n..];
+    }
+
+    fn take_array<const N: usize>(&mut self) -> [u8; N] {
+        let (head, rest) = self
+            .split_first_chunk::<N>()
+            .expect("take_array out of bounds");
+        *self = rest;
+        *head
+    }
+}
+
 /// Write-side accessors over a byte buffer (little/big-endian integer puts).
 pub trait BufMut {
     /// Appends raw bytes.
@@ -311,16 +315,13 @@ mod tests {
     }
 
     #[test]
-    fn split_advance_freeze() {
-        let mut b = BytesMut::new();
-        b.extend_from_slice(b"hello world");
-        b.advance(6);
-        let head = b.split_to(5);
-        assert_eq!(&head[..], b"world");
-        assert!(b.is_empty());
-        let frozen = head.freeze();
-        assert_eq!(frozen.len(), 5);
-        assert_eq!(&frozen[..], b"world");
+    fn a_slice_reads_in_place() {
+        let bytes = [7u8, 0, 0, 0, 1, 2, 3];
+        let mut rest: &[u8] = &bytes;
+        assert_eq!(rest.get_u32_le(), 7);
+        rest.advance(1);
+        assert_eq!(rest.get_u8(), 2);
+        assert_eq!(rest, &[3]);
     }
 
     #[test]
@@ -359,7 +360,7 @@ mod tests {
     }
 
     /// Seeded op sequence checked against a `VecDeque<u8>` model: every
-    /// read and split must see the model's bytes, across many compactions.
+    /// read must see the model's bytes, across many compactions.
     #[test]
     fn cursor_matches_a_deque_model() {
         use std::collections::VecDeque;
@@ -399,10 +400,11 @@ mod tests {
                     model.drain(..n);
                 }
                 3 => {
+                    // Read a prefix in place, then consume it.
                     let n = rand(model.len() + 1);
-                    let head = b.split_to(n);
                     let want: Vec<u8> = model.drain(..n).collect();
-                    assert_eq!(&head[..], &want[..]);
+                    assert_eq!(&b[..n], &want[..]);
+                    b.advance(n);
                 }
                 4 if model.len() >= 8 => {
                     let want: Vec<u8> = model.drain(..8).collect();
