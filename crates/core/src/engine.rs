@@ -777,7 +777,8 @@ impl SpectreEngine {
         self.splitter.per_query_metrics()
     }
 
-    /// Events ingested so far (excludes events still in the feed queue).
+    /// Events ingested so far (excludes fed events the splitter has not
+    /// ingested yet, staged or in a sealed chunk).
     pub fn events_ingested(&self) -> u64 {
         self.splitter.events_ingested()
     }

@@ -698,12 +698,9 @@ mod tests {
 
     /// A buffer holding `events` (stream positions from 0).
     fn filled(events: &[Event]) -> Arc<WindowBuf> {
-        let mut batch = EventBatch::with_capacity(0, events.len());
-        for e in events {
-            batch.push(e.clone());
-        }
+        let batch = Arc::new(EventBatch::new(0, events.to_vec()));
         let buf = Arc::new(WindowBuf::new(1));
-        buf.extend(&Arc::new(batch), 0..events.len());
+        buf.extend(&batch, 0..events.len());
         buf
     }
 
@@ -771,8 +768,7 @@ mod tests {
         shared.slots[0].publish(Some(Grant::Version(Arc::clone(&wv))));
         let mut inst = InstanceCore::new(0, 2);
         assert_eq!(inst.step(&shared), StepOutcome::Stalled);
-        let mut batch = EventBatch::with_capacity(0, 1);
-        batch.push(ev(0, 1.0));
+        let batch = EventBatch::new(0, vec![ev(0, 1.0)]);
         wv.window().buf.extend(&Arc::new(batch), 0..1);
         assert_eq!(inst.step(&shared), StepOutcome::Finished);
     }
@@ -991,8 +987,7 @@ mod tests {
         assert_eq!(shared.metrics.snapshot().stalled_steps, 1);
 
         // The open window has events again: the next step returns to it.
-        let mut batch = EventBatch::with_capacity(0, 1);
-        batch.push(ev(0, 1.0));
+        let batch = EventBatch::new(0, vec![ev(0, 1.0)]);
         open.window.buf.extend(&Arc::new(batch), 0..1);
         assert_eq!(inst.step(&shared), StepOutcome::Worked);
         assert_eq!(shared.metrics.snapshot().events_processed, 3);

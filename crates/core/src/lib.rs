@@ -70,10 +70,10 @@
 //! The hot path moves data in batches end to end (see
 //! `docs/ARCHITECTURE.md` at the repository root for the full map):
 //!
-//! * the splitter accumulates ingested events into an
-//!   [`EventBatch`] of up to
-//!   [`SpectreConfig::batch_size`] events and flushes each batch with one
-//!   write per touched window buffer ([`store::WindowBuf`]),
+//! * [`Splitter::feed`] writes each event once, into an [`EventBatch`]
+//!   chunk of up to [`SpectreConfig::batch_size`] events sealed in one
+//!   `Arc`; ingestion reads the chunk in place and flushes each run it
+//!   read with one write per touched window buffer ([`store::WindowBuf`]),
 //! * every window owns its buffer and lock: a window's
 //!   [`store::WindowInfo`] carries the buffer, so instances working on
 //!   different windows take different locks and nobody looks a window up,

@@ -1,5 +1,6 @@
-//! Cycle phase (c): ingestion. Events leave the feed in [`EventBatch`]
-//! units; each spec group opens and closes its windows, and each batch is
+//! Cycle phase (c): ingestion. The feed is a queue of sealed
+//! [`EventBatch`] chunks, read in place from a cursor; each spec group
+//! opens and closes its windows, and the run a cycle read from a chunk is
 //! flushed with one write per touched window buffer.
 
 use std::sync::atomic::Ordering;
@@ -15,15 +16,16 @@ use crate::store::{WindowBuf, WindowInfo};
 /// One splitter→window hand-off unit: a run of consecutive stream events
 /// starting at stream position [`first_pos`](Self::first_pos).
 ///
-/// The splitter accumulates up to
+/// [`Splitter::feed`](super::Splitter::feed) writes each fed event
+/// straight into a staging batch of up to
 /// [`SpectreConfig::batch_size`](crate::SpectreConfig::batch_size) events
-/// per batch, wraps the batch in *one* `Arc`, and hands each window its
-/// slice of it with a single
-/// [`WindowBuf::extend`](crate::store::WindowBuf::extend) call — so
-/// allocation, reference-count and lock traffic all scale with batches,
-/// not events, and overlapping windows share the event payloads through
-/// the batch. A batch size of 1 reproduces the original event-at-a-time
-/// hand-off exactly.
+/// and seals a full one into *one* `Arc` chunk. Ingestion reads the chunk
+/// in place and hands each window its slice of it with a single
+/// [`WindowBuf::extend`](crate::store::WindowBuf::extend) call, so an
+/// event is copied once, allocation, reference-count and lock traffic all
+/// scale with chunks, not events, and overlapping windows share the event
+/// payloads through the chunk. A batch size of 1 reproduces the original
+/// event-at-a-time hand-off exactly.
 ///
 /// # Example
 ///
@@ -31,10 +33,10 @@ use crate::store::{WindowBuf, WindowInfo};
 /// use spectre_core::splitter::EventBatch;
 /// use spectre_events::{Event, EventType};
 ///
-/// let mut batch = EventBatch::with_capacity(100, 64);
-/// for seq in 100..104 {
-///     batch.push(Event::builder(EventType::new(0)).seq(seq).ts(seq).build());
-/// }
+/// let events = (100..104)
+///     .map(|seq| Event::builder(EventType::new(0)).seq(seq).ts(seq).build())
+///     .collect();
+/// let batch = EventBatch::new(100, events);
 /// assert_eq!(batch.len(), 4);
 /// assert_eq!(batch.first_pos(), 100);
 /// // A window that opened at the batch's third event owns the slice
@@ -49,18 +51,10 @@ pub struct EventBatch {
 }
 
 impl EventBatch {
-    /// Creates an empty batch starting at stream position `first_pos` with
-    /// room for `cap` events.
-    pub fn with_capacity(first_pos: u64, cap: usize) -> Self {
-        EventBatch {
-            first_pos,
-            events: Vec::with_capacity(cap),
-        }
-    }
-
-    /// Appends the next event (stream position `first_pos() + len()`).
-    pub fn push(&mut self, event: Event) {
-        self.events.push(event);
+    /// Creates the batch of `events`, the first at stream position
+    /// `first_pos` (the vector is kept, not copied).
+    pub fn new(first_pos: u64, events: Vec<Event>) -> Self {
+        EventBatch { first_pos, events }
     }
 
     /// Stream position of the batch's first event.
@@ -85,15 +79,16 @@ impl EventBatch {
 }
 
 /// A not-yet-closed window of one spec group: the shared window buffer,
-/// the batch-relative index of its first pending event, and the subscribed
+/// the front-chunk offset of its first unflushed event, and the subscribed
 /// members' window cells.
 pub(super) struct GroupOpenWindow {
     /// Group-local window id (the assigner's numbering), for close matching.
     group_id: u64,
     /// The buffer every member's cell shares.
     buf: Arc<WindowBuf>,
-    /// Batch-relative index of the first batch event belonging to the
-    /// window (reset to 0 at each flush).
+    /// Offset in the front chunk of the window's first event not yet
+    /// handed to its buffer (the cursor after each flush, 0 once the
+    /// chunk is popped).
     pending: usize,
     /// Each subscribed member's own `WindowInfo` cell for this window.
     pub(super) infos: Vec<(QueryId, Arc<WindowInfo>)>,
@@ -119,17 +114,18 @@ pub(super) struct SpecGroup {
     pub(super) deferred: usize,
 }
 
-/// Why [`Splitter::fill_batch`] stopped collecting events.
+/// Why [`Splitter::fill_batch`] stopped reading events.
 enum FillOutcome {
-    /// The batch reached its size cap.
+    /// The cycle's budget ran out or the cursor reached the chunk's end.
     Full,
     /// Speculative back-pressure: some query's dependency tree is oversized
     /// and its root window is fully ingested; stop ingesting for this cycle.
     BackPressure,
-    /// The feed queue is empty but end-of-stream has not been signalled;
-    /// stop ingesting until the session feeds more events.
+    /// No sealed chunk is waiting and end-of-stream has not been
+    /// signalled (or events still wait in staging): stop ingesting until
+    /// the next cycle seals them, or the session feeds more events.
     SourceDry,
-    /// The feed queue is empty and [`Splitter::end_of_stream`] was called.
+    /// The feed is empty and [`Splitter::end_of_stream`] was called.
     SourceExhausted,
 }
 
@@ -138,12 +134,20 @@ impl Splitter {
         if self.ingest_done {
             return;
         }
+        // Events that filled no whole chunk before the cycle are sealed
+        // now; within the cycle, only sealed chunks are read.
+        if self.chunks.is_empty() {
+            self.seal();
+        }
         let mut budget = self.config.ingest_per_cycle;
         while budget > 0 {
-            let cap = budget.min(self.config.batch_size);
-            let outcome = self.fill_batch(cap);
-            budget -= self.batch.len();
-            self.flush_batch();
+            let start = self.next_pos;
+            let outcome = self.fill_batch(budget);
+            let read = (self.next_pos - start) as usize;
+            budget -= read;
+            if read > 0 {
+                self.flush_batch();
+            }
             match outcome {
                 FillOutcome::Full => {}
                 FillOutcome::BackPressure | FillOutcome::SourceDry => return,
@@ -155,13 +159,27 @@ impl Splitter {
         }
     }
 
+    /// Seals the staged events into a chunk at the back of the feed (one
+    /// `Arc`; the next staging `Vec` is the chunk's one other allocation).
+    /// No-op while nothing is staged.
+    pub(super) fn seal(&mut self) {
+        if self.staging.is_empty() {
+            return;
+        }
+        let next = Vec::with_capacity(self.config.batch_size);
+        let events = std::mem::replace(&mut self.staging, next);
+        let first_pos = self.fed - events.len() as u64;
+        self.chunks
+            .push_back(Arc::new(EventBatch::new(first_pos, events)));
+    }
+
     /// Speculative back-pressure (paper §3.2.2): stall ingestion while any
     /// query's tree — or lane of unretired windows — is oversized, but
     /// never starve the oldest window of its remaining events (it must be
     /// able to finish so the load can shrink). One slow query therefore
     /// throttles the whole shared feed; that is the deliberate semantics of
     /// a shared-stream session (all queries see the same prefix).
-    fn backpressured(&self) -> bool {
+    pub(super) fn backpressured(&self) -> bool {
         self.queries.iter().any(|q| {
             let (load, oldest) = match q.lane {
                 Some(_) => (q.cells.len(), q.cells.front().map(|c| &c.window)),
@@ -171,17 +189,25 @@ impl Splitter {
         })
     }
 
-    /// Collects up to `cap` source events into the hand-off batch, applying
-    /// window opens/closes of every spec group as they are discovered. The
-    /// batch's event slices are distributed to their window buffers by
+    /// Reads up to `cap` events of the front chunk in place from the
+    /// cursor, applying window opens/closes of every spec group as they
+    /// are discovered. The run read is distributed to the window buffers by
     /// [`flush_batch`](Self::flush_batch).
     fn fill_batch(&mut self, cap: usize) -> FillOutcome {
+        let Some(chunk) = self.chunks.front().map(Arc::clone) else {
+            return if self.eos && self.staging.is_empty() {
+                FillOutcome::SourceExhausted
+            } else {
+                FillOutcome::SourceDry
+            };
+        };
         debug_assert_eq!(
-            self.batch.first_pos() + self.batch.len() as u64,
+            chunk.first_pos() + self.cursor as u64,
             self.next_pos,
-            "batch continues the stream"
+            "the cursor continues the stream"
         );
-        while self.batch.len() < cap {
+        let end = chunk.len().min(self.cursor + cap);
+        while self.cursor < end {
             // The load counts windows pending on attach markers alongside
             // live versions: lazy attach keeps the version count low while
             // windows accumulate, and each holds its buffered events, so
@@ -189,22 +215,15 @@ impl Splitter {
             if self.backpressured() {
                 return FillOutcome::BackPressure;
             }
-            let Some(event) = self.feed.pop_front() else {
-                return if self.eos {
-                    FillOutcome::SourceExhausted
-                } else {
-                    FillOutcome::SourceDry
-                };
-            };
+            let event = &chunk.events()[self.cursor];
             self.progress = true;
             let pos = self.next_pos;
             self.next_pos += 1;
             for gi in 0..self.groups.len() {
                 let mut closed = std::mem::take(&mut self.closed_buf);
-                let opened = self.groups[gi].assigner.ingest(&event, &mut closed);
-                // Closes exclude the current event, which is not yet in
-                // the batch, so the closing window's slice is exactly the
-                // batch tail so far.
+                let opened = self.groups[gi].assigner.ingest(event, &mut closed);
+                // Closes exclude the current event, at the cursor, so the
+                // closing window's slice ends just before it.
                 for bounds in closed.drain(..) {
                     self.close_group_window(gi, bounds.id, pos);
                 }
@@ -214,14 +233,14 @@ impl Splitter {
                 // while deferred was just skipped above), so all of them
                 // contain it. Attach before any window opening *on* this
                 // event so each tree's window sequence stays ascending.
-                self.flush_deferred(gi, &event);
+                self.flush_deferred(gi, event);
                 if let Some(opened) = opened {
-                    // The window contains its start event — the one about
-                    // to be pushed, at batch-relative index `batch.len()`.
-                    self.open_group_window(gi, opened, &event);
+                    // The window contains its start event, the one at the
+                    // cursor.
+                    self.open_group_window(gi, opened, event);
                 }
             }
-            self.batch.push(event);
+            self.cursor += 1;
         }
         FillOutcome::Full
     }
@@ -273,7 +292,7 @@ impl Splitter {
         g.open.push(GroupOpenWindow {
             group_id: bounds.id,
             buf: Arc::clone(&buf),
-            pending: self.batch.len(),
+            pending: self.cursor,
             infos: Vec::with_capacity(members),
         });
         let ow = g.open.len() - 1;
@@ -310,20 +329,20 @@ impl Splitter {
     }
 
     /// Closes group `gi`'s window `group_id` at exclusive end `end_pos`:
-    /// records the buffer's final batch slice (distributed at the next
+    /// records the buffer's final chunk slice (distributed at the next
     /// flush), publishes the end position to every subscriber's cell and
     /// feeds each subscriber's running window-size average (paper Fig. 5:
     /// `Splitter.avgWindowSize`).
     fn close_group_window(&mut self, gi: usize, group_id: u64, end_pos: u64) {
-        let batch_len = self.batch.len();
+        let cursor = self.cursor;
         let g = &mut self.groups[gi];
         let Some(i) = g.open.iter().position(|ow| ow.group_id == group_id) else {
             return;
         };
         let ow = g.open.remove(i);
-        if ow.pending < batch_len {
+        if ow.pending < cursor {
             self.batch_closed
-                .push((Arc::clone(&ow.buf), ow.pending..batch_len));
+                .push((Arc::clone(&ow.buf), ow.pending..cursor));
         }
         for (qid, info) in &ow.infos {
             info.set_end_pos(end_pos);
@@ -349,26 +368,29 @@ impl Splitter {
         }
     }
 
-    /// Seals the batch into one shared `Arc`, hands every touched window
-    /// buffer its slice (one buffer write and one `Arc` clone per buffer —
-    /// not per subscribing query), and publishes the ingestion watermark
-    /// once.
+    /// Hands every touched window buffer its slice of the front chunk up
+    /// to the cursor (one buffer write and one `Arc` clone per buffer, not
+    /// per subscribing query), pops the chunk once the cursor reached its
+    /// end, and publishes the ingestion watermark once. A chunk cut
+    /// mid-way stays at the front, unsplit: the next flush hands out the
+    /// rest of the same `Arc`.
     fn flush_batch(&mut self) {
-        let len = self.batch.len();
-        if len == 0 {
-            debug_assert!(self.batch_closed.is_empty());
-            return;
-        }
-        let next = EventBatch::with_capacity(self.next_pos, self.config.batch_size);
-        let sealed = Arc::new(std::mem::replace(&mut self.batch, next));
+        let chunk = self.chunks.front().expect("a flush follows a read");
+        let cursor = self.cursor;
         for (buf, range) in self.batch_closed.drain(..) {
-            buf.extend(&sealed, range);
+            buf.extend(chunk, range);
         }
+        let done = cursor == chunk.len();
+        let next = if done { 0 } else { cursor };
         for g in &mut self.groups {
             for ow in &mut g.open {
-                ow.buf.extend(&sealed, ow.pending..len);
-                ow.pending = 0; // relative to the next batch
+                ow.buf.extend(chunk, ow.pending..cursor);
+                ow.pending = next;
             }
+        }
+        if done {
+            self.chunks.pop_front();
+            self.cursor = 0;
         }
         self.shared.ingested.store(self.next_pos, Ordering::Release);
     }

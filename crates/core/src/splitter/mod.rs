@@ -4,9 +4,10 @@
 //! One maintenance cycle performs, in order (paper §4.2.1's "cycle"):
 //! (a) apply all buffered dependency-tree updates from the instances
 //! (drained in one batch and routed to the owning query), (b) feed each
-//! query's Markov model, (c) ingest input events in [`EventBatch`] units
-//! (opening and closing windows, flushing each batch with one write per
-//! touched window buffer), (d) retire finished,
+//! query's Markov model, (c) ingest input events in place from the
+//! [`EventBatch`] chunks the feed sealed them into (opening and closing
+//! windows, flushing each chunk run with one write per touched window
+//! buffer), (d) retire finished,
 //! confirmed root versions per query — emitting their buffered complex
 //! events in window order — and (e) select and schedule the top-k window
 //! versions across all queries.
@@ -24,8 +25,8 @@
 //!   membership, dependency tree and completion predictor (or lane),
 //!   live-window bookkeeping, running window-size average, metric
 //!   counters and committed outputs.
-//! * **Shared** ([`SharedState`]): the feed queue, the scheduling slots,
-//!   the op/stats queues and the aggregate metrics.
+//! * **Shared** (the splitter and [`SharedState`]): the feed, the
+//!   scheduling slots, the op/stats queues and the aggregate metrics.
 //!
 //! Queries whose `WindowSpec`s compare equal share a `SpecGroup`: one
 //! assigner drives their (identical) window boundaries, and each window's
@@ -87,12 +88,16 @@ use registry::{QueryState, TenantState};
 ///
 /// The splitter is *feed-driven*: it owns no input iterator. A session
 /// (normally [`SpectreEngine`](crate::SpectreEngine)) pushes events into
-/// the feed queue with [`feed`](Self::feed) and signals the end of the
-/// stream explicitly with [`end_of_stream`](Self::end_of_stream); each
-/// [`cycle`](Self::cycle) then ingests from the queue under the usual
-/// per-cycle budget and speculative back-pressure. A queue that runs dry
-/// mid-stream simply pauses ingestion — maintenance, retirement and
-/// scheduling keep running — until more events arrive.
+/// the feed with [`feed`](Self::feed) and signals the end of the stream
+/// explicitly with [`end_of_stream`](Self::end_of_stream); each
+/// [`cycle`](Self::cycle) then ingests from the feed under the usual
+/// per-cycle budget and speculative back-pressure. The feed is a staging
+/// `Vec` that `feed` seals into an [`EventBatch`] chunk every
+/// `batch_size` events, plus the queue of sealed chunks, which ingestion
+/// reads in place from a cursor and windows share: each event is written
+/// once, by `feed`. A feed that runs dry mid-stream simply pauses
+/// ingestion — maintenance, retirement and scheduling keep running —
+/// until more events arrive.
 ///
 /// Queries are deployed and retired through
 /// [`deploy_query`](Self::deploy_query) / [`retire_query`](Self::retire_query)
@@ -100,8 +105,14 @@ use registry::{QueryState, TenantState};
 pub struct Splitter {
     config: SpectreConfig,
     shared: Arc<SharedState>,
-    /// Events fed by the session, not yet ingested.
-    feed: VecDeque<Event>,
+    /// Fed events not yet sealed into a chunk (at most `batch_size`).
+    staging: Vec<Event>,
+    /// Sealed chunks not yet fully ingested, oldest first.
+    chunks: VecDeque<Arc<EventBatch>>,
+    /// Offset in the front chunk of the next event to ingest.
+    cursor: usize,
+    /// Events fed so far (`fed - next_pos` wait in the feed).
+    fed: u64,
     /// `true` once the session signalled end-of-stream.
     eos: bool,
     /// Window-spec equivalence classes (shared assigners + window buffers).
@@ -117,10 +128,8 @@ pub struct Splitter {
     /// Tenant id → position in [`tenants`](Self::tenants).
     tenant_index: HashMap<TenantId, usize>,
     next_query: u32,
-    /// The in-flight hand-off batch (sealed into an `Arc` at flush).
-    batch: EventBatch,
-    /// Buffers whose window closed while the current batch was filling,
-    /// with the batch-relative ranges they own (distributed at flush).
+    /// Buffers whose window closed since the last flush, with the ranges
+    /// of the front chunk they own (distributed at flush).
     batch_closed: Vec<(Arc<WindowBuf>, std::ops::Range<usize>)>,
     /// Reusable buffer for per-event window closes.
     closed_buf: Vec<WindowBounds>,
@@ -157,7 +166,7 @@ pub struct Splitter {
 }
 
 impl Splitter {
-    /// Creates a splitter hosting no queries yet, with an empty feed queue.
+    /// Creates a splitter hosting no queries yet, with an empty feed.
     /// Deploy queries with [`deploy_query`](Self::deploy_query).
     ///
     /// # Panics
@@ -168,12 +177,15 @@ impl Splitter {
         if let Err(msg) = config.try_validate() {
             panic!("{msg}");
         }
-        let batch = EventBatch::with_capacity(0, config.batch_size);
+        let staging = Vec::with_capacity(config.batch_size);
         let sched_shadow = (0..shared.instance_count()).map(|_| None).collect();
         Splitter {
             config,
             shared,
-            feed: VecDeque::new(),
+            staging,
+            chunks: VecDeque::new(),
+            cursor: 0,
+            fed: 0,
             eos: false,
             groups: Vec::new(),
             queries: Vec::new(),
@@ -181,7 +193,6 @@ impl Splitter {
             tenants: Vec::new(),
             tenant_index: HashMap::new(),
             next_query: 0,
-            batch,
             batch_closed: Vec::new(),
             closed_buf: Vec::new(),
             ops_scratch: Vec::new(),
@@ -198,9 +209,12 @@ impl Splitter {
         }
     }
 
-    /// Queues one event for ingestion. The event is not touched until a
-    /// [`cycle`](Self::cycle) ingests it under the per-cycle budget and the
-    /// speculative back-pressure bound.
+    /// Queues one event for ingestion by writing it into the staging
+    /// chunk, which is sealed into a shared [`EventBatch`] once it holds
+    /// `batch_size` events; windows later read the event where it was
+    /// written. The event is not looked at until a [`cycle`](Self::cycle)
+    /// ingests it under the per-cycle budget and the speculative
+    /// back-pressure bound.
     ///
     /// # Panics
     ///
@@ -216,7 +230,11 @@ impl Splitter {
             );
             self.last_fed_ts = Some(event.ts());
         }
-        self.feed.push_back(event);
+        self.staging.push(event);
+        self.fed += 1;
+        if self.staging.len() == self.config.batch_size {
+            self.seal();
+        }
     }
 
     /// Declares whether the feed is expected to be timestamp-monotone
@@ -228,15 +246,15 @@ impl Splitter {
     }
 
     /// Signals that no further events will be fed. Idempotent. Once the
-    /// feed queue drains, the next cycle closes the remaining windows and
+    /// feed drains, the next cycle closes the remaining windows and
     /// the run winds down to completion.
     pub fn end_of_stream(&mut self) {
         self.eos = true;
     }
 
-    /// Number of fed events not yet ingested.
+    /// Number of fed events not yet ingested, staged or sealed (O(1)).
     pub fn feed_len(&self) -> usize {
-        self.feed.len()
+        (self.fed - self.next_pos) as usize
     }
 
     /// Number of events ingested from the feed so far (the stream position

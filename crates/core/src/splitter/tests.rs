@@ -686,3 +686,95 @@ fn instance_outcomes_cover_stall() {
     }
     assert!(shared.is_done());
 }
+
+/// Every open window's buffer reads exactly the stream positions from its
+/// start up to the ingestion frontier, each once and in order.
+fn assert_open_windows_read_to_frontier(splitter: &Splitter) {
+    let frontier = splitter.events_ingested();
+    for g in &splitter.groups {
+        for ow in &g.open {
+            let info = &ow.infos[0].1;
+            let mut runs = Vec::new();
+            let n = info.buf.read_run(0, usize::MAX, &mut runs);
+            let seqs: Vec<u64> = runs
+                .iter()
+                .flat_map(|r| r.events())
+                .map(Event::seq)
+                .collect();
+            assert_eq!(n, seqs.len());
+            assert_eq!(
+                seqs,
+                (info.start_pos..frontier).collect::<Vec<_>>(),
+                "window at {} after {frontier} ingested",
+                info.start_pos
+            );
+        }
+    }
+}
+
+#[test]
+fn ingestion_cuts_resume_at_the_cursor_without_splitting_a_chunk() {
+    // 8-event chunks read 3 events per cycle, a tree budget of 2 versions
+    // and an uneven feed (some rounds feed nothing) cut cycles mid-chunk
+    // by budget, back-pressure and a dry feed; end-of-stream cuts the last.
+    let query = ab_query();
+    let events: Vec<Event> = (0..200)
+        .map(|i| ev(i, [1.0, 9.0, 2.0, 1.0, 2.0, 9.0, 9.0][i as usize % 7]))
+        .collect();
+    let expected = spectre_baselines::run_sequential(&query, &events).complex_events;
+    let config = SpectreConfig {
+        instances: 2,
+        ingest_per_cycle: 3,
+        batch_size: 8,
+        max_tree_versions: 3,
+        ..Default::default()
+    };
+    let shared = SharedState::for_config(&config);
+    let mut splitter = single(Arc::clone(&query), config, Arc::clone(&shared));
+    let mut instances: Vec<_> = (0..2)
+        .map(|i| InstanceCore::new(i, 64).with_batch(8))
+        .collect();
+    let (mut fed, mut round) = (0usize, 0usize);
+    let (mut budget_cuts, mut pressure_cuts, mut dry_cuts, mut mid_chunk) = (0, 0, 0, 0);
+    loop {
+        let n = [5, 0, 11, 2, 0, 7, 1, 9][round % 8].min(events.len() - fed);
+        for event in &events[fed..fed + n] {
+            splitter.feed(event.clone());
+        }
+        fed += n;
+        if fed == events.len() {
+            splitter.end_of_stream();
+        }
+        round += 1;
+        let before = splitter.events_ingested();
+        let done = splitter.cycle();
+        let read = splitter.events_ingested() - before;
+        assert_eq!(
+            splitter.events_ingested() + splitter.feed_len() as u64,
+            fed as u64,
+            "every fed event is ingested or still in the feed"
+        );
+        assert_open_windows_read_to_frontier(&splitter);
+        if done {
+            break;
+        }
+        if splitter.cursor > 0 {
+            mid_chunk += 1;
+        }
+        if splitter.feed_len() == 0 {
+            dry_cuts += 1;
+        } else if splitter.backpressured() {
+            pressure_cuts += 1;
+        } else if read == 3 {
+            budget_cuts += 1;
+        }
+        for inst in &mut instances {
+            let _ = inst.step(&shared);
+        }
+        assert!(round < 100_000, "did not converge");
+    }
+    assert_eq!(splitter.events_ingested(), 200);
+    assert!(splitter.chunks.is_empty() && splitter.staging.is_empty());
+    assert!(budget_cuts > 0 && pressure_cuts > 0 && dry_cuts > 0 && mid_chunk > 0);
+    assert_eq!(untag(splitter.take_outputs()), expected);
+}

@@ -1,8 +1,9 @@
 //! Window buffers and window bookkeeping.
 //!
-//! The splitter hands each sealed [`EventBatch`] to every window that
-//! overlaps it — one `Arc` clone and one buffer-lock acquisition per
-//! (window, batch), never per event — and operator instances read their
+//! The splitter hands each sealed [`EventBatch`] chunk of the feed to every
+//! window that overlaps it — one `Arc` clone and one buffer-lock
+//! acquisition per (window, run of the chunk a cycle read), never per
+//! event — and operator instances read their
 //! scheduled window's events back by *window-relative index* as
 //! [`EventRun`] slices of those shared batches. Window boundaries are
 //! described by [`WindowInfo`] cells shared between the splitter (which
@@ -155,11 +156,10 @@ struct Seg {
 /// use spectre_events::{Event, EventType};
 ///
 /// let buf = WindowBuf::new(1); // one subscriber
-/// let mut batch = EventBatch::with_capacity(0, 3);
-/// for seq in 0..3 {
-///     batch.push(Event::builder(EventType::new(0)).seq(seq).ts(seq).build());
-/// }
-/// let batch = Arc::new(batch);
+/// let events = (0..3)
+///     .map(|seq| Event::builder(EventType::new(0)).seq(seq).ts(seq).build())
+///     .collect();
+/// let batch = Arc::new(EventBatch::new(0, events));
 /// buf.extend(&batch, 0..3); // one lock + one Arc clone for the run
 ///
 /// let mut runs = Vec::new();
@@ -300,11 +300,10 @@ mod tests {
     }
 
     fn batch(first_pos: u64, seqs: Range<u64>) -> Arc<EventBatch> {
-        let mut b = EventBatch::with_capacity(first_pos, (seqs.end - seqs.start) as usize);
-        for seq in seqs {
-            b.push(Event::builder(EventType::new(0)).seq(seq).ts(seq).build());
-        }
-        Arc::new(b)
+        let events = seqs
+            .map(|seq| Event::builder(EventType::new(0)).seq(seq).ts(seq).build())
+            .collect();
+        Arc::new(EventBatch::new(first_pos, events))
     }
 
     fn read_seqs(buf: &WindowBuf, from: u64, max: usize) -> Vec<Seq> {

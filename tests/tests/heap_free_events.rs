@@ -1,17 +1,21 @@
 //! Events of at most four attributes own no heap memory: building, cloning
 //! and dropping one, decoding a buffer of their frames, generating a NYSE
 //! stream and cycling them through a reorder buffer at steady state all
-//! allocate nothing.
+//! allocate nothing; pushing them into a session allocates only the
+//! splitter's chunks.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
+use std::sync::Arc;
 
 use bytes::BytesMut;
 use spectre_core::reorder::{Offer, ReorderBuffer, ReorderConfig};
+use spectre_core::{PushResult, SpectreConfig, SpectreEngine};
 use spectre_datasets::{NyseConfig, NyseGenerator};
 use spectre_events::codec::{encode, ClientFrame, Decoder, StreamItem};
 use spectre_events::{AttrKey, Event, EventType, Schema, SymbolId, Value};
+use spectre_query::{ConsumptionPolicy, Expr, Pattern, Query, WindowSpec};
 
 /// Counts this thread's allocations (libtest runs tests on parallel
 /// threads, so a process-wide count would see the neighbours').
@@ -146,4 +150,50 @@ fn a_reorder_buffer_at_steady_state_allocates_nothing() {
     let n = allocations_in(|| released = cycle(1_000, 11_000));
     assert!(released > 9_900, "released {released}");
     assert_eq!(n, 0);
+}
+
+#[test]
+fn a_session_allocates_one_chunk_per_batch_of_pushed_events() {
+    // The query's windows open on an event type the stream never carries,
+    // so every cycle is pure ingestion: with 5 events per cycle and
+    // 64-event chunks, a cycle cut mid-chunk must not split or copy it.
+    let x = AttrKey::new(2);
+    let query = Arc::new(
+        Query::builder("never")
+            .pattern(
+                Pattern::builder()
+                    .one("A", Expr::current(x).gt(Expr::value(0.0)))
+                    .build()
+                    .unwrap(),
+            )
+            .window(
+                WindowSpec::on_match_count(Some(EventType::new(9)), Expr::value(true), 8).unwrap(),
+            )
+            .consumption(ConsumptionPolicy::None)
+            .build()
+            .unwrap(),
+    );
+    let config = SpectreConfig {
+        ingest_per_cycle: 5,
+        batch_size: 64,
+        ..SpectreConfig::with_instances(2)
+    };
+    let mut engine = SpectreEngine::builder(&query)
+        .config(config)
+        .simulated()
+        .try_build()
+        .unwrap();
+    let mut push = |from: u64, to: u64| {
+        for seq in from..to {
+            let result = engine.try_push(quote(seq, seq)).unwrap();
+            assert!(matches!(result, PushResult::Accepted), "push {seq} refused");
+        }
+    };
+    // Warm-up: the chunk queue and every reusable buffer reach their size.
+    push(0, 6_400);
+    let n = allocations_in(|| push(6_400, 12_800));
+    // Each chunk is one `Vec` of events and one `Arc`.
+    assert!(n <= 2 * 100, "{n} allocations for 100 chunks of events");
+    let report = engine.try_finish().unwrap();
+    assert_eq!(report.metrics.store_windows_opened, 0);
 }
