@@ -20,6 +20,14 @@
 //!                   u32 len + bytes for Str)
 //! ```
 //!
+//! Writing and reading an event frame each take one pass. [`encode`] stages
+//! the fields in a stack buffer and appends them to the output with one
+//! write (a string payload is appended from the string itself, and a frame
+//! larger than the stage takes one write per full stage), then patches the
+//! length in; every event takes this one path. The [`Decoder`] decodes a
+//! frame in place from its buffered bytes, filling one builder's
+//! attributes through `&mut`, and then consumes the bytes.
+//!
 //! A second frame kind carries **watermark punctuations** for out-of-order
 //! streams: the length field holds the sentinel [`WATERMARK_MAGIC`]
 //! (`u32::MAX`, unreachable as a real length since frames are capped at
@@ -144,42 +152,72 @@ impl fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
+/// Bytes [`encode`] stages on the stack before appending them to `out`:
+/// enough for the 24-byte header and four attributes of at most 11 bytes
+/// each, so a frame of up to four attributes without a string takes one
+/// write.
+const STAGE: usize = 80;
+
 /// Appends one encoded event frame to `out`.
 pub fn encode(event: &Event, out: &mut BytesMut) {
     let start = out.len();
-    out.put_u32_le(0); // patched below
-    out.put_u64_le(event.seq());
-    out.put_u64_le(event.ts());
-    out.put_u16_le(event.event_type().as_u32() as u16);
-    out.put_u16_le(event.attr_count() as u16);
+    let mut frame = Staged {
+        out,
+        buf: [0; STAGE],
+        len: 0,
+    };
+    frame.put(0u32.to_le_bytes()); // the length, patched below
+    frame.put(event.seq().to_le_bytes());
+    frame.put(event.ts().to_le_bytes());
+    frame.put((event.event_type().as_u32() as u16).to_le_bytes());
+    frame.put((event.attr_count() as u16).to_le_bytes());
     for (key, value) in event.attrs() {
-        out.put_u16_le(key.as_u32() as u16);
+        frame.put((key.as_u32() as u16).to_le_bytes());
         match value {
-            Value::F64(v) => {
-                out.put_u8(0);
-                out.put_f64_le(*v);
-            }
-            Value::I64(v) => {
-                out.put_u8(1);
-                out.put_i64_le(*v);
-            }
-            Value::Bool(v) => {
-                out.put_u8(2);
-                out.put_u8(u8::from(*v));
-            }
-            Value::Symbol(v) => {
-                out.put_u8(3);
-                out.put_u32_le(v.as_u32());
-            }
+            Value::F64(v) => frame.put_tagged(0, v.to_le_bytes()),
+            Value::I64(v) => frame.put_tagged(1, v.to_le_bytes()),
+            Value::Bool(v) => frame.put_tagged(2, [u8::from(*v)]),
+            Value::Symbol(v) => frame.put_tagged(3, v.as_u32().to_le_bytes()),
             Value::Str(v) => {
-                out.put_u8(4);
-                out.put_u32_le(v.len() as u32);
-                out.put_slice(v.as_bytes());
+                frame.put_tagged(4, (v.len() as u32).to_le_bytes());
+                frame.flush();
+                frame.out.put_slice(v.as_bytes());
             }
         }
     }
+    frame.flush();
     let len = (out.len() - start - 4) as u32;
     out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+}
+
+/// The frame [`encode`] is writing: fields are staged in `buf` and
+/// appended to `out` in one write when the stage is full, before a string
+/// payload (which is appended from the string itself) and at the end.
+struct Staged<'a> {
+    out: &'a mut BytesMut,
+    buf: [u8; STAGE],
+    len: usize,
+}
+
+impl Staged<'_> {
+    fn put<const N: usize>(&mut self, bytes: [u8; N]) {
+        if self.len + N > STAGE {
+            self.flush();
+        }
+        self.buf[self.len..self.len + N].copy_from_slice(&bytes);
+        self.len += N;
+    }
+
+    /// A value's tag byte, then its payload.
+    fn put_tagged<const N: usize>(&mut self, tag: u8, payload: [u8; N]) {
+        self.put([tag]);
+        self.put(payload);
+    }
+
+    fn flush(&mut self) {
+        self.out.put_slice(&self.buf[..self.len]);
+        self.len = 0;
+    }
 }
 
 /// Appends one encoded watermark frame (see [`WATERMARK_MAGIC`]) to `out`.
@@ -339,54 +377,38 @@ enum RawFrame {
 /// memory the event owns is its string payloads and, past four attributes,
 /// its attribute list.
 fn decode_frame(mut buf: &[u8]) -> Result<Event, DecodeError> {
-    fn need(buf: &[u8], n: usize) -> Result<(), DecodeError> {
-        if buf.len() < n {
-            Err(DecodeError::Truncated)
-        } else {
-            Ok(())
-        }
-    }
-    need(buf, 8 + 8 + 2 + 2)?;
-    let seq = buf.get_u64_le();
-    let ts = buf.get_u64_le();
-    let etype = EventType::new(buf.get_u16_le());
-    let attr_count = buf.get_u16_le();
+    let seq = u64::from_le_bytes(take(&mut buf)?);
+    let ts = u64::from_le_bytes(take(&mut buf)?);
+    let etype = EventType::new(u16::from_le_bytes(take(&mut buf)?));
+    let attr_count = u16::from_le_bytes(take(&mut buf)?);
     let mut builder = Event::builder(etype).seq(seq).ts(ts);
     for _ in 0..attr_count {
-        need(buf, 3)?;
-        let key = AttrKey::new(buf.get_u16_le());
-        let tag = buf.get_u8();
+        let key = AttrKey::new(u16::from_le_bytes(take(&mut buf)?));
+        let [tag] = take(&mut buf)?;
         let value = match tag {
-            0 => {
-                need(buf, 8)?;
-                Value::F64(buf.get_f64_le())
-            }
-            1 => {
-                need(buf, 8)?;
-                Value::I64(buf.get_i64_le())
-            }
-            2 => {
-                need(buf, 1)?;
-                Value::Bool(buf.get_u8() != 0)
-            }
-            3 => {
-                need(buf, 4)?;
-                Value::Symbol(SymbolId::new(buf.get_u32_le()))
-            }
+            0 => Value::F64(f64::from_le_bytes(take(&mut buf)?)),
+            1 => Value::I64(i64::from_le_bytes(take(&mut buf)?)),
+            2 => Value::Bool(take::<1>(&mut buf)?[0] != 0),
+            3 => Value::Symbol(SymbolId::new(u32::from_le_bytes(take(&mut buf)?))),
             4 => {
-                need(buf, 4)?;
-                let len = buf.get_u32_le() as usize;
-                need(buf, len)?;
-                let (raw, rest) = buf.split_at(len);
+                let len = u32::from_le_bytes(take(&mut buf)?) as usize;
+                let (raw, rest) = buf.split_at_checked(len).ok_or(DecodeError::Truncated)?;
                 buf = rest;
                 let s = std::str::from_utf8(raw).map_err(|_| DecodeError::BadUtf8)?;
                 Value::from(s)
             }
             other => return Err(DecodeError::BadTag(other)),
         };
-        builder = builder.attr(key, value);
+        builder.insert(key, value);
     }
     Ok(builder.build())
+}
+
+/// Pops the leading `N` bytes of `buf`, or reports the frame truncated.
+fn take<const N: usize>(buf: &mut &[u8]) -> Result<[u8; N], DecodeError> {
+    let (head, rest) = buf.split_first_chunk::<N>().ok_or(DecodeError::Truncated)?;
+    *buf = rest;
+    Ok(*head)
 }
 
 #[cfg(test)]
@@ -507,6 +529,124 @@ mod tests {
         let items = vec![StreamItem::Event(ev)];
         let bytes = encode_stream(&items);
         assert_eq!(decode_stream(&bytes, bytes.len()), items);
+    }
+
+    /// One event carrying every value kind, its keys added out of order,
+    /// and its frame byte for byte: the wire format is pinned.
+    #[test]
+    fn the_wire_format_is_pinned() {
+        let event = Event::builder(EventType::new(3))
+            .seq(0x0102_0304_0506_0708)
+            .ts(0x1112_1314_1516_1718)
+            .attr(AttrKey::new(9), Value::from("hé"))
+            .attr(AttrKey::new(2), Value::Bool(true))
+            .attr(AttrKey::new(0), Value::F64(1.5))
+            .attr(AttrKey::new(3), Value::Symbol(SymbolId::new(7)))
+            .attr(AttrKey::new(1), Value::I64(-2))
+            .build();
+        #[rustfmt::skip]
+        let frame: [u8; 67] = [
+            63, 0, 0, 0,                                  // frame_len
+            8, 7, 6, 5, 4, 3, 2, 1,                       // seq
+            0x18, 0x17, 0x16, 0x15, 0x14, 0x13, 0x12, 0x11, // ts
+            3, 0,                                         // event_type
+            5, 0,                                         // attr_count
+            0, 0, 0, 0, 0, 0, 0, 0, 0, 248, 63,           // key 0: F64 1.5
+            1, 0, 1, 254, 255, 255, 255, 255, 255, 255, 255, // key 1: I64 -2
+            2, 0, 2, 1,                                   // key 2: Bool true
+            3, 0, 3, 7, 0, 0, 0,                          // key 3: Symbol 7
+            9, 0, 4, 3, 0, 0, 0, 104, 195, 169,           // key 9: Str "hé"
+        ];
+        let mut out = BytesMut::from(b"xy".to_vec());
+        encode(&event, &mut out);
+        assert_eq!(&out[..2], b"xy", "encode appends");
+        assert_eq!(&out[2..], &frame[..]);
+        let mut dec = Decoder::new();
+        dec.extend(&frame);
+        let decoded = dec.next_client_frame().unwrap();
+        assert_eq!(decoded, Some(ClientFrame::Item(StreamItem::Event(event))));
+    }
+
+    /// The bytes of an event frame whose attributes are written in the
+    /// given order, duplicates included, as a client other than [`encode`]
+    /// may write them.
+    fn raw_frame(seq: u64, etype: u16, attrs: &[(u16, Value)]) -> Vec<u8> {
+        let mut body = Vec::new();
+        body.extend(seq.to_le_bytes());
+        body.extend((seq * 3).to_le_bytes());
+        body.extend(etype.to_le_bytes());
+        body.extend((attrs.len() as u16).to_le_bytes());
+        for (key, value) in attrs {
+            body.extend(key.to_le_bytes());
+            match value {
+                Value::F64(v) => body.extend([0].into_iter().chain(v.to_le_bytes())),
+                Value::I64(v) => body.extend([1].into_iter().chain(v.to_le_bytes())),
+                Value::Bool(v) => body.extend([2, u8::from(*v)]),
+                Value::Symbol(v) => body.extend([3].into_iter().chain(v.as_u32().to_le_bytes())),
+                Value::Str(v) => {
+                    body.push(4);
+                    body.extend((v.len() as u32).to_le_bytes());
+                    body.extend(v.as_bytes());
+                }
+            }
+        }
+        let mut frame = (body.len() as u32).to_le_bytes().to_vec();
+        frame.extend(body);
+        frame
+    }
+
+    /// The decoder fills attributes in place; whatever order and repeats a
+    /// frame carries its keys in, the event equals the one `EventBuilder`
+    /// builds from the same inserts (the last value of a key wins), inline
+    /// or spilled past four, with string payloads.
+    #[test]
+    fn decoded_frames_equal_the_builders_event() {
+        let mut rng = Rng(0x0dec_0de5_eed5_f00d);
+        let (mut unsorted, mut repeated, mut spilled, mut strings) = (0, 0, 0, 0);
+        for case in 0..600u64 {
+            let attrs: Vec<(u16, Value)> = (0..rng.below(11))
+                .map(|_| {
+                    let key = rng.below(9) as u16;
+                    let value = match rng.below(5) {
+                        0 => Value::F64(rng.below(4000) as f64 * 0.25 - 500.0),
+                        1 => Value::I64(rng.below(4000) as i64 - 2000),
+                        2 => Value::Bool(rng.below(2) == 1),
+                        3 => Value::Symbol(SymbolId::new(rng.below(64) as u32)),
+                        _ => Value::from("é".repeat(rng.below(12)).as_str()),
+                    };
+                    (key, value)
+                })
+                .collect();
+            let mut builder = Event::builder(EventType::new(case as u16 % 7))
+                .seq(case)
+                .ts(case * 3);
+            for (key, value) in &attrs {
+                builder = builder.attr(AttrKey::new(*key), value.clone());
+            }
+            let want = builder.build();
+            let mut dec = Decoder::new();
+            dec.extend(&raw_frame(case, case as u16 % 7, &attrs));
+            let got = dec.next_client_frame();
+            assert_eq!(
+                got,
+                Ok(Some(ClientFrame::Item(StreamItem::Event(want.clone())))),
+                "case {case}"
+            );
+            assert_eq!(dec.buffered(), 0);
+            let keys: Vec<u16> = attrs.iter().map(|(k, _)| *k).collect();
+            unsorted += usize::from(keys.windows(2).any(|w| w[0] > w[1]));
+            repeated += usize::from(want.attr_count() < keys.len());
+            spilled += usize::from(want.attr_count() > 4);
+            strings += usize::from(attrs.iter().any(|(_, v)| matches!(v, Value::Str(_))));
+        }
+        for (what, n) in [
+            ("unsorted", unsorted),
+            ("repeated", repeated),
+            ("spilled", spilled),
+            ("string", strings),
+        ] {
+            assert!(n > 100, "only {n} {what} cases");
+        }
     }
 
     #[test]

@@ -244,6 +244,12 @@ impl EventBuilder {
         self
     }
 
+    /// Sets `key` to `value` in place, replacing an existing value: the
+    /// decoder fills a builder attribute by attribute without moving it.
+    pub(crate) fn insert(&mut self, key: AttrKey, value: Value) {
+        self.attrs.insert(key, value);
+    }
+
     /// Finishes the event.
     pub fn build(self) -> Event {
         Event {

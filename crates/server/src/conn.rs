@@ -1,6 +1,7 @@
 //! The per-connection read loop: framed decode, the idle timeout, the
-//! rate limit and the frame counters, then forward to the feed thread a
-//! read's worth of events at a time.
+//! rate limit and the frame counters (tallied locally and published once
+//! per read), then forward to the feed thread a read's worth of events at
+//! a time.
 //!
 //! Credit protocol: the server grants an initial window of
 //! `credit_window` events and replenishes as the feed thread releases
@@ -61,6 +62,7 @@ pub(crate) fn serve_conn(
         .map(|limiter| (limiter, limiter.conn_bucket(last_activity_ms)));
     let mut seen = 0u64; // event frames decoded: forwarded or dropped
     let mut dropped = 0u64; // event frames discarded by the rate limiter
+    let mut admitted = metrics::Admitted::default();
     let mut saw_bye = false;
     let mut decoder = Decoder::new();
     let mut read_buf = vec![0u8; READ_BYTES];
@@ -101,7 +103,7 @@ pub(crate) fn serve_conn(
                             encode_throttle(wait_nanos, &mut throttles);
                         }
                     }
-                    metrics::admitted(counters, &frame);
+                    admitted.count(&frame);
                     match frame {
                         ClientFrame::Hello(declared) => {
                             tenant = u32::try_from(declared).unwrap_or(u32::MAX);
@@ -111,17 +113,16 @@ pub(crate) fn serve_conn(
                             // The chaos hook: a poisoned tenant's events
                             // blow up the connection thread, exercising
                             // the listener's panic containment end to end.
-                            if let Some(poison) = shared.cfg.chaos_panic_tenant {
-                                assert!(
-                                    tenant != poison,
-                                    "chaos: poisoned tenant {poison} on connection {id}"
-                                );
+                            if shared.cfg.chaos_panic_tenant == Some(tenant) {
+                                admitted.publish(counters);
+                                panic!("chaos: poisoned tenant {tenant} on connection {id}");
                             }
                             seen += 1;
                             batch.push(event);
                         }
                         ClientFrame::Item(StreamItem::Watermark(ts)) => {
                             // The events ahead of it on the wire go first.
+                            admitted.publish(counters);
                             if !forward(tx, gate, id, &mut batch, seen, dropped)
                                 || tx.send(Msg::Watermark(ts)).is_err()
                             {
@@ -130,6 +131,9 @@ pub(crate) fn serve_conn(
                         }
                     }
                 };
+                // Published before the events are forwarded, so the
+                // counters never trail what the feed thread has seen.
+                admitted.publish(counters);
                 if !forward(tx, gate, id, &mut batch, seen, dropped) {
                     return false;
                 }

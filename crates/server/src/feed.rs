@@ -12,10 +12,11 @@
 //! In [`IngestOrder::Seq`] mode a sequencer releases events to the engine
 //! in dense sequence-number order, which makes the merged multi-client
 //! stream deterministic (bit-identical to a solo session fed the ordered
-//! stream). Credit is released only when an event leaves the sequencer,
-//! so it holds at most the sum of the per-connection credit windows —
-//! duplicate sequence numbers included, since each copy is held until it
-//! leaves.
+//! stream). An event that is due passes straight through; only an early
+//! one is held. Credit is released only when an event leaves the
+//! sequencer, so it holds at most the sum of the per-connection credit
+//! windows — duplicate sequence numbers included, since each copy is held
+//! until it leaves.
 //!
 //! Credit is *release-driven*: each connection's [`ConnGate`] holds the
 //! credit state and the socket's write half, and this thread writes the
@@ -220,31 +221,66 @@ pub struct ServerOutcome {
     pub summary_json: String,
 }
 
-/// Sequence-order release buffer for [`IngestOrder::Seq`]: a binary
-/// min-heap keyed by `(seq, arrival)`. The arrival counter makes every key
-/// unique, so a second event with an already-held `seq` is held beside the
-/// first instead of replacing it; the later copy pops after the first is
-/// released and is dropped as stale, with its credit returned and counted.
-/// Credit comes back only when an event leaves, so the heap holds at most
-/// the sum of the connections' credit windows.
+/// Sequence-order release for [`IngestOrder::Seq`]. An event whose seq is
+/// `next` is due: it goes straight to the engine, and so does every held
+/// event it makes due. Only an early event (seq above `next`) is held, in a
+/// [`KeyedHeap`] keyed by `(seq, arrival)`; every release leaves the held
+/// set above `next`, so an event at `next` never has a held event at or
+/// below it to wait for. The arrival counter makes every key unique, so a
+/// second event with an already-held `seq` is held beside the first instead
+/// of replacing it; the later copy pops after the first is released and is
+/// dropped as stale, as is an event that arrives below `next`, with its
+/// credit returned and counted. The release order is therefore a sort by
+/// `(seq, arrival)` of the first copy of each seq. Credit comes back only
+/// when an event leaves, so the held set is at most the sum of the
+/// connections' credit windows.
 #[derive(Default)]
 struct Sequencer {
     /// The next sequence number due for release.
     next: u64,
-    /// Events received so far (the key's tie-breaker).
+    /// Events held so far (the key's tie-breaker).
     arrivals: u64,
-    /// The held events with their connection ids.
+    /// The early events with their connection ids.
     pending: KeyedHeap<(u64, Event)>,
-    /// Releases of the current run per connection, settled with one
-    /// [`ConnGate::release`] each when the run ends.
+    /// The connection and length of the current run of held events
+    /// released from one connection (see [`owe_held`](Self::owe_held)).
+    run: Option<(u64, u64)>,
+    /// Credit owed per connection, settled with one [`ConnGate::release`]
+    /// each.
     owed: Vec<(u64, u64)>,
 }
 
 impl Sequencer {
-    fn hold(&mut self, conn: u64, event: Event) {
-        self.pending
-            .push((event.seq(), self.arrivals), (conn, event));
-        self.arrivals += 1;
+    /// Takes a read's worth of events from `conn`, in wire order: each due
+    /// one is handed to `push` (with the held events it makes due), each
+    /// stale one is dropped and each early one is held. The credit of the
+    /// events that did not wait is owed once for the whole read.
+    fn accept(
+        &mut self,
+        conn: u64,
+        events: Vec<Event>,
+        push: &mut impl FnMut(Event),
+        counters: &ServerCounters,
+    ) {
+        let mut passed = 0u64;
+        for event in events {
+            let seq = event.seq();
+            if seq > self.next {
+                self.pending.push((seq, self.arrivals), (conn, event));
+                self.arrivals += 1;
+                continue;
+            }
+            passed += 1;
+            if seq < self.next {
+                ServerCounters::bump(&counters.seq_stale_dropped);
+                continue;
+            }
+            debug_assert!(self.pending.peek_key().is_none_or(|(s, _)| s > seq));
+            push(event);
+            self.next += 1;
+            self.release(false, push, counters);
+        }
+        self.owe(conn, passed);
     }
 
     /// Hands the dense prefix it holds to `push` in seq order, dropping
@@ -255,7 +291,7 @@ impl Sequencer {
     fn release(
         &mut self,
         skip_gaps: bool,
-        mut push: impl FnMut(Event),
+        push: &mut impl FnMut(Event),
         counters: &ServerCounters,
     ) -> u64 {
         let mut gaps = 0u64;
@@ -268,7 +304,7 @@ impl Sequencer {
                 self.next = seq;
             }
             let (conn, event) = self.pending.pop().expect("a key was peeked");
-            self.owe(conn);
+            self.owe_held(conn);
             if seq < self.next {
                 ServerCounters::bump(&counters.seq_stale_dropped);
                 continue;
@@ -279,14 +315,34 @@ impl Sequencer {
         gaps
     }
 
-    fn owe(&mut self, conn: u64) {
+    /// Counts a held event of `conn` leaving. A run of one connection's
+    /// events is owed at once, when another connection's event ends it or
+    /// at [`settle`](Self::settle).
+    fn owe_held(&mut self, conn: u64) {
+        match &mut self.run {
+            Some((c, n)) if *c == conn => *n += 1,
+            _ => {
+                if let Some((c, n)) = self.run.replace((conn, 1)) {
+                    self.owe(c, n);
+                }
+            }
+        }
+    }
+
+    fn owe(&mut self, conn: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
         match self.owed.iter_mut().find(|(c, _)| *c == conn) {
-            Some((_, n)) => *n += 1,
-            None => self.owed.push((conn, 1)),
+            Some((_, owed)) => *owed += n,
+            None => self.owed.push((conn, n)),
         }
     }
 
     fn settle(&mut self, gates: &HashMap<u64, Arc<ConnGate>>) {
+        if let Some((conn, n)) = self.run.take() {
+            self.owe(conn, n);
+        }
         for (conn, n) in self.owed.drain(..) {
             release_credit(gates, conn, n);
         }
@@ -404,10 +460,7 @@ fn handle_msg(
         }
         Msg::Events { conn, events } => match sequencer {
             Some(seq) => {
-                for event in events {
-                    seq.hold(conn, event);
-                }
-                seq.release(false, |event| push_blocking(engine, event), counters);
+                seq.accept(conn, events, &mut |e| push_blocking(engine, e), counters);
                 seq.settle(gates);
             }
             None => {
@@ -471,7 +524,7 @@ fn flush_sequencer(
     gates: &HashMap<u64, Arc<ConnGate>>,
     counters: &ServerCounters,
 ) {
-    let gaps = seq.release(true, |event| push_blocking(engine, event), counters);
+    let gaps = seq.release(true, &mut |e| push_blocking(engine, e), counters);
     seq.settle(gates);
     ServerCounters::add(&counters.seq_gaps_skipped, gaps);
 }
@@ -554,6 +607,7 @@ mod tests {
     use super::*;
     use spectre_datasets::{NyseConfig, NyseGenerator};
     use spectre_events::codec::{Decoder, ServerFrame};
+    use spectre_events::EventType;
     use spectre_query::queries::{self, Direction};
     use std::sync::atomic::AtomicBool;
 
@@ -762,11 +816,9 @@ mod tests {
                     // A resent number already released: stale.
                     run.push(0);
                 }
-                for &s in &run {
-                    seq.hold(conn as u64, events[s as usize].clone());
-                    owed[conn] += 1;
-                }
-                seq.release(false, |e| released.push(e.seq()), &counters);
+                let run: Vec<Event> = run.iter().map(|&s| events[s as usize].clone()).collect();
+                owed[conn] += run.len() as u64;
+                seq.accept(conn as u64, run, &mut |e| released.push(e.seq()), &counters);
                 seq.settle(&gates);
                 // Connection 1's run waits on connection 0's; connection
                 // 0's completes both.
@@ -791,16 +843,246 @@ mod tests {
 
         // Connection 0 dies holding N + 2, N + 3 and N + 6: the flush skips
         // the two gaps below them and releases all three in order.
-        for s in [N + 6, N + 2, N + 3] {
-            seq.hold(0, events[s].clone());
-        }
-        seq.release(false, |_| panic!("nothing is dense yet"), &counters);
+        let early = [N + 6, N + 2, N + 3].map(|s| events[s].clone());
+        seq.accept(
+            0,
+            early.to_vec(),
+            &mut |_| panic!("nothing is due yet"),
+            &counters,
+        );
         flush_sequencer(&mut seq, &mut engine, &gates, &counters);
         assert_eq!(engine.try_finish().unwrap().input_events, 3);
         assert_eq!(seq.next, N as u64 + 7);
         assert!(seq.pending.is_empty());
         assert_eq!(ServerCounters::get(&counters.seq_gaps_skipped), 2);
         assert_eq!(wires[0].gate.released.load(Ordering::Acquire), owed[0] + 3);
+    }
+
+    /// The sequencer's specification, the slow way: every event is held in
+    /// arrival order; after each read the held set is sorted by
+    /// `(seq, arrival)` and its dense prefix released, copies below the
+    /// release point dropped as stale; an abnormal close releases all of
+    /// it, jumping the gaps.
+    #[derive(Default)]
+    struct Model {
+        next: u64,
+        /// `(seq, arrival, conn)`.
+        held: Vec<(u64, u64, u64)>,
+        arrivals: u64,
+        released: Vec<u64>,
+        credit: HashMap<u64, u64>,
+        stale: u64,
+        gaps: u64,
+    }
+
+    impl Model {
+        fn read(&mut self, conn: u64, seqs: &[u64]) {
+            for &seq in seqs {
+                self.held.push((seq, self.arrivals, conn));
+                self.arrivals += 1;
+            }
+            self.release(false);
+        }
+
+        fn release(&mut self, skip_gaps: bool) {
+            self.held.sort_unstable();
+            let held = std::mem::take(&mut self.held);
+            for (i, &(seq, _, conn)) in held.iter().enumerate() {
+                if seq > self.next {
+                    if !skip_gaps {
+                        self.held = held[i..].to_vec();
+                        return;
+                    }
+                    self.gaps += 1;
+                    self.next = seq;
+                }
+                *self.credit.entry(conn).or_default() += 1;
+                if seq < self.next {
+                    self.stale += 1;
+                } else {
+                    self.released.push(seq);
+                    self.next += 1;
+                }
+            }
+        }
+    }
+
+    /// xorshift64: a seeded, dependency-free source for the interleavings.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, bound: u64) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0 % bound
+        }
+    }
+
+    /// Each connection's reads: its share of `0..n` in runs of one to
+    /// eight, each run ascending or reversed, with some numbers also sent
+    /// by another connection and some resent after a later run. The
+    /// `doomed` connection sends only its first few runs, so the numbers in
+    /// the rest never arrive.
+    fn interleaving(rng: &mut Rng, conns: u64, n: u64, doomed: Option<u64>) -> Vec<Vec<Vec<u64>>> {
+        let owner: Vec<u64> = (0..n).map(|_| rng.below(conns)).collect();
+        let mut reads: Vec<Vec<Vec<u64>>> = (0..conns)
+            .map(|conn| {
+                let mine: Vec<u64> = (0..n).filter(|&s| owner[s as usize] == conn).collect();
+                let mut runs = Vec::new();
+                let mut rest = &mine[..];
+                while !rest.is_empty() {
+                    let (run, tail) = rest.split_at((1 + rng.below(8) as usize).min(rest.len()));
+                    rest = tail;
+                    let mut run = run.to_vec();
+                    if rng.below(2) == 0 {
+                        run.reverse();
+                    }
+                    runs.push(run);
+                }
+                runs
+            })
+            .collect();
+        for _ in 0..n / 16 {
+            // A duplicate from another connection.
+            let s = rng.below(n);
+            let conn = (owner[s as usize] + 1 + rng.below(conns - 1)) % conns;
+            let runs = &mut reads[conn as usize];
+            if !runs.is_empty() {
+                let at = rng.below(runs.len() as u64) as usize;
+                runs[at].push(s);
+            }
+            // A resend of a number sent in an earlier run.
+            let conn = rng.below(conns) as usize;
+            if reads[conn].len() > 1 {
+                let at = 1 + rng.below(reads[conn].len() as u64 - 1) as usize;
+                let earlier = reads[conn][at - 1][0];
+                reads[conn][at].push(earlier);
+            }
+        }
+        if let Some(doomed) = doomed {
+            let runs = &mut reads[doomed as usize];
+            runs.truncate(runs.len() / 2);
+        }
+        reads
+    }
+
+    /// Seeded multi-connection interleavings driven through `handle_msg`:
+    /// the engine receives each number's first copy sorted by
+    /// `(seq, arrival)`, every connection gets back the credit of every
+    /// event it sent, and the stale and gap counters match the model.
+    #[test]
+    fn the_sequencer_releases_what_a_sorted_model_releases() {
+        let mut rng = Rng(0x5e9_c0de_2b1d_0042);
+        let (mut stale, mut gaps, mut held) = (0, 0, 0);
+        for case in 0..60 {
+            let conns = 2 + rng.below(3);
+            let n = 100 + rng.below(150);
+            let doomed = (case % 3 != 0).then(|| rng.below(conns));
+            let mut reads = interleaving(&mut rng, conns, n, doomed);
+            let mut schema = Schema::new();
+            let query = parse_query(
+                "PATTERN (A) WITHIN 1 EVENTS FROM EVERY 1 EVENTS",
+                &mut schema,
+            )
+            .unwrap();
+            let mut engine = SpectreEngine::builder(&Arc::new(query))
+                .simulated()
+                .try_build()
+                .unwrap();
+            let counters = Arc::new(ServerCounters::default());
+            let wires: Vec<Wire> = (0..conns).map(|_| wire(1 << 20, None, &counters)).collect();
+            let mut gates = HashMap::new();
+            let (mut open_conns, mut draining) = (0usize, false);
+            let mut sequencer = Some(Sequencer::default());
+            let mut model = Model::default();
+            let mut sent = vec![0u64; conns as usize];
+            let mut outputs: Vec<ComplexEvent> = Vec::new();
+            let mut feed = |msg: Msg, engine: &mut SpectreEngine| {
+                handle_msg(
+                    msg,
+                    engine,
+                    &mut schema,
+                    &counters,
+                    &mut gates,
+                    &mut open_conns,
+                    &mut draining,
+                    &mut sequencer,
+                );
+            };
+            for (conn, w) in (0..).zip(&wires) {
+                let gate = Arc::clone(&w.gate);
+                feed(Msg::Opened { conn, gate }, &mut engine);
+            }
+            for run in reads.iter_mut() {
+                run.reverse(); // popped from the back
+            }
+            let mut live: Vec<u64> = (0..conns).collect();
+            while !live.is_empty() {
+                let pick = rng.below(live.len() as u64) as usize;
+                let conn = live[pick];
+                let Some(run) = reads[conn as usize].pop() else {
+                    live.swap_remove(pick);
+                    if doomed == Some(conn) {
+                        model.release(true);
+                        feed(Msg::Closed { conn, clean: false }, &mut engine);
+                    }
+                    continue;
+                };
+                sent[conn as usize] += run.len() as u64;
+                model.read(conn, &run);
+                let events = run
+                    .iter()
+                    .map(|&s| Event::builder(EventType::new(0)).seq(s).ts(s).build())
+                    .collect();
+                feed(Msg::Events { conn, events }, &mut engine);
+                held = held.max(model.held.len());
+                outputs.extend(
+                    engine
+                        .try_drain_outputs()
+                        .unwrap()
+                        .into_iter()
+                        .map(|(_, ce)| ce),
+                );
+            }
+            // The end of service releases what is still held.
+            model.release(true);
+            let seq = sequencer.as_mut().unwrap();
+            flush_sequencer(seq, &mut engine, &gates, &counters);
+            assert!(seq.pending.is_empty(), "case {case}");
+            let report = engine.try_finish().unwrap();
+            outputs.extend(report.queries.into_values().flat_map(|q| q.complex_events));
+            outputs.sort_by_key(|ce| ce.window_id);
+            let released: Vec<u64> = outputs
+                .iter()
+                .flat_map(|ce| ce.constituents.clone())
+                .collect();
+            assert_eq!(released, model.released, "case {case}: release order");
+            assert!(released.windows(2).all(|w| w[0] < w[1]), "case {case}");
+            assert_eq!(
+                ServerCounters::get(&counters.seq_stale_dropped),
+                model.stale,
+                "case {case}"
+            );
+            assert_eq!(
+                ServerCounters::get(&counters.seq_gaps_skipped),
+                model.gaps,
+                "case {case}"
+            );
+            for (conn, w) in wires.iter().enumerate() {
+                let returned = w.gate.released.load(Ordering::Acquire);
+                assert_eq!(returned, sent[conn], "case {case}: conn {conn}'s credit");
+                assert_eq!(
+                    model.credit.get(&(conn as u64)).copied().unwrap_or(0),
+                    sent[conn]
+                );
+            }
+            stale += model.stale;
+            gaps += model.gaps;
+        }
+        assert!(stale > 200, "only {stale} stale copies");
+        assert!(gaps > 20, "only {gaps} gaps skipped");
+        assert!(held > 50, "the held set peaked at {held}");
     }
 
     #[test]

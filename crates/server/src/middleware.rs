@@ -60,15 +60,40 @@ pub(crate) mod metrics {
         ServerCounters::bump(&counters.active);
     }
 
-    /// Counts one frame the rate limit let through.
-    pub(crate) fn admitted(counters: &ServerCounters, frame: &ClientFrame) {
-        ServerCounters::bump(&counters.frames);
-        match frame {
-            ClientFrame::Item(StreamItem::Event(_)) => ServerCounters::bump(&counters.events),
-            ClientFrame::Item(StreamItem::Watermark(_)) => {
-                ServerCounters::bump(&counters.watermarks);
+    /// The frames a connection let through the rate limit since it last
+    /// published them. The read loop counts each frame here and publishes
+    /// once per read, so a frame costs no shared atomic.
+    #[derive(Debug, Default)]
+    pub(crate) struct Admitted {
+        frames: u64,
+        events: u64,
+        watermarks: u64,
+    }
+
+    impl Admitted {
+        /// Counts one frame the rate limit let through.
+        pub(crate) fn count(&mut self, frame: &ClientFrame) {
+            self.frames += 1;
+            match frame {
+                ClientFrame::Item(StreamItem::Event(_)) => self.events += 1,
+                ClientFrame::Item(StreamItem::Watermark(_)) => self.watermarks += 1,
+                ClientFrame::Hello(_) | ClientFrame::Bye => {}
             }
-            ClientFrame::Hello(_) | ClientFrame::Bye => {}
+        }
+
+        /// Adds what was counted to the shared counters, each with one
+        /// add, and starts counting afresh.
+        pub(crate) fn publish(&mut self, counters: &ServerCounters) {
+            for (counter, n) in [
+                (&counters.frames, self.frames),
+                (&counters.events, self.events),
+                (&counters.watermarks, self.watermarks),
+            ] {
+                if n > 0 {
+                    ServerCounters::add(counter, n);
+                }
+            }
+            *self = Admitted::default();
         }
     }
 
@@ -94,9 +119,14 @@ pub(crate) mod metrics {
             let ev = ClientFrame::Item(StreamItem::Event(
                 Event::builder(EventType::new(0)).seq(0).ts(0).build(),
             ));
-            admitted(&counters, &ev);
-            admitted(&counters, &ClientFrame::Item(StreamItem::Watermark(5)));
-            admitted(&counters, &ClientFrame::Bye);
+            let mut admitted = Admitted::default();
+            admitted.count(&ev);
+            admitted.count(&ClientFrame::Item(StreamItem::Watermark(5)));
+            admitted.count(&ClientFrame::Bye);
+            // Nothing is shared until the read publishes its tally.
+            assert_eq!(ServerCounters::get(&counters.frames), 0);
+            admitted.publish(&counters);
+            admitted.publish(&counters); // a second publish adds nothing
             closed(&counters, true);
             assert_eq!(ServerCounters::get(&counters.accepted), 1);
             assert_eq!(ServerCounters::get(&counters.active), 0);

@@ -234,22 +234,6 @@ impl Buf for BytesMut {
     }
 }
 
-/// Reads a borrowed slice in place, as the real crate does: each pop moves
-/// the slice's start past the bytes it read.
-impl Buf for &[u8] {
-    fn advance(&mut self, n: usize) {
-        *self = &self[n..];
-    }
-
-    fn take_array<const N: usize>(&mut self) -> [u8; N] {
-        let (head, rest) = self
-            .split_first_chunk::<N>()
-            .expect("take_array out of bounds");
-        *self = rest;
-        *head
-    }
-}
-
 /// Write-side accessors over a byte buffer (little/big-endian integer puts).
 pub trait BufMut {
     /// Appends raw bytes.
@@ -312,16 +296,6 @@ mod tests {
         assert_eq!(b.get_u16_le(), 300);
         assert_eq!(b.get_u8(), 9);
         assert!(b.is_empty());
-    }
-
-    #[test]
-    fn a_slice_reads_in_place() {
-        let bytes = [7u8, 0, 0, 0, 1, 2, 3];
-        let mut rest: &[u8] = &bytes;
-        assert_eq!(rest.get_u32_le(), 7);
-        rest.advance(1);
-        assert_eq!(rest.get_u8(), 2);
-        assert_eq!(rest, &[3]);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Events of at most four attributes own no heap memory: building, cloning
-//! and dropping one, decoding a buffer of their frames, generating a NYSE
-//! stream and cycling them through a reorder buffer at steady state all
-//! allocate nothing; pushing them into a session allocates only the
-//! splitter's chunks.
+//! and dropping one, encoding them into a grown write buffer, decoding a
+//! buffer of their frames, generating a NYSE stream and cycling them
+//! through a reorder buffer at steady state all allocate nothing; pushing
+//! them into a session allocates only the splitter's chunks.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -111,6 +111,31 @@ fn decoding_four_attribute_frames_allocates_nothing() {
         }
     });
     assert_eq!(decoded, 1_000);
+    assert_eq!(n, 0);
+}
+
+#[test]
+fn encoding_into_a_grown_buffer_allocates_nothing_per_event() {
+    // A `FeedClient`'s write buffer: one `BytesMut`, cleared each time it
+    // passes the flush threshold, so it stops growing after the first fill.
+    const FLUSH_THRESHOLD: usize = 32 * 1024;
+    let mut wbuf = BytesMut::new();
+    let mut fill = |from: u64, to: u64| {
+        let mut flushes = 0;
+        for seq in from..to {
+            encode(&quote(seq, seq * 10), &mut wbuf);
+            if wbuf.len() >= FLUSH_THRESHOLD {
+                black_box(&wbuf[..]);
+                wbuf.clear();
+                flushes += 1;
+            }
+        }
+        flushes
+    };
+    assert!(fill(0, 1_000) > 0, "the first fill reached the threshold");
+    let mut flushes = 0;
+    let n = allocations_in(|| flushes = fill(1_000, 11_000));
+    assert!(flushes > 10, "flushed {flushes} times");
     assert_eq!(n, 0);
 }
 
