@@ -8,7 +8,7 @@ use std::fmt::Write;
 
 use spectre_core::MetricsSnapshot;
 
-use crate::stats::ServerCounters;
+use crate::stats::{PublishedStats, ServerCounters};
 use crate::ServerShared;
 
 fn counter(out: &mut String, name: &str, value: u64) {
@@ -22,7 +22,11 @@ fn gauge(out: &mut String, name: &str, value: u64) {
 /// Renders the full scrape body from the latest published engine stats
 /// plus the live server counters.
 pub(crate) fn render(shared: &ServerShared) -> String {
-    let stats = shared.stats.read();
+    render_body(&shared.stats.read(), &shared.counters)
+}
+
+/// Renders the scrape body from published engine stats and server counters.
+fn render_body(stats: &PublishedStats, server: &ServerCounters) -> String {
     let mut out = String::with_capacity(4096);
 
     // Engine aggregate: every MetricsSnapshot field, spelled out once.
@@ -168,7 +172,7 @@ pub(crate) fn render(shared: &ServerShared) -> String {
         );
     }
 
-    server_counters(&mut out, &shared.counters);
+    server_counters(&mut out, server);
     out
 }
 
@@ -256,7 +260,163 @@ fn server_counters(out: &mut String, c: &ServerCounters) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spectre_core::{MetricsSnapshot, QueryId, TenantId};
     use std::sync::atomic::Ordering;
+
+    #[test]
+    fn scrape_body_is_pinned() {
+        // Every engine counter holds its own value, so a row that renders
+        // the wrong field, name or type changes the text. The snapshot is
+        // spelled out here, independently of how `render_body` lists the
+        // counters.
+        let snapshot = MetricsSnapshot {
+            events_processed: 101,
+            events_suppressed: 102,
+            cgs_created: 103,
+            cgs_completed: 104,
+            cgs_abandoned: 105,
+            cgs_discarded: 106,
+            versions_created: 107,
+            versions_dropped: 108,
+            versions_materialized: 109,
+            lazy_versions_dropped: 110,
+            predictor_refreshes: 111,
+            predictor_refresh_nanos: 112,
+            rollbacks: 113,
+            sched_cycles: 114,
+            max_tree_versions: 115,
+            windows_retired: 116,
+            idle_steps: 117,
+            stalled_steps: 118,
+            lane_windows: 119,
+            worker_parks: 120,
+            worker_unparks: 121,
+            outputs_emitted: 122,
+            store_windows_opened: 123,
+            windows_skipped: 124,
+            events_reordered: 125,
+            late_events_dropped: 126,
+            watermarks_advanced: 127,
+        };
+        let share = MetricsSnapshot {
+            events_processed: 31,
+            outputs_emitted: 32,
+            ..Default::default()
+        };
+        let stats = PublishedStats {
+            snapshot,
+            per_query: vec![(QueryId(3), TenantId(4), share)],
+            tenants: vec![(TenantId(4), share)],
+            input_events: 500,
+            outputs: 600,
+            finished: true,
+        };
+        let body = render_body(&stats, &ServerCounters::default());
+        assert_eq!(body, PINNED_SCRAPE, "scrape changed:\n{body}");
+    }
+
+    /// The scrape text of the stats above, byte for byte.
+    const PINNED_SCRAPE: &str = r#"# TYPE spectre_engine_events_processed counter
+spectre_engine_events_processed 101
+# TYPE spectre_engine_events_suppressed counter
+spectre_engine_events_suppressed 102
+# TYPE spectre_engine_cgs_created counter
+spectre_engine_cgs_created 103
+# TYPE spectre_engine_cgs_completed counter
+spectre_engine_cgs_completed 104
+# TYPE spectre_engine_cgs_abandoned counter
+spectre_engine_cgs_abandoned 105
+# TYPE spectre_engine_cgs_discarded counter
+spectre_engine_cgs_discarded 106
+# TYPE spectre_engine_versions_created counter
+spectre_engine_versions_created 107
+# TYPE spectre_engine_versions_dropped counter
+spectre_engine_versions_dropped 108
+# TYPE spectre_engine_versions_materialized counter
+spectre_engine_versions_materialized 109
+# TYPE spectre_engine_lazy_versions_dropped counter
+spectre_engine_lazy_versions_dropped 110
+# TYPE spectre_engine_predictor_refreshes counter
+spectre_engine_predictor_refreshes 111
+# TYPE spectre_engine_predictor_refresh_nanos counter
+spectre_engine_predictor_refresh_nanos 112
+# TYPE spectre_engine_rollbacks counter
+spectre_engine_rollbacks 113
+# TYPE spectre_engine_sched_cycles counter
+spectre_engine_sched_cycles 114
+# TYPE spectre_engine_max_tree_versions gauge
+spectre_engine_max_tree_versions 115
+# TYPE spectre_engine_windows_retired counter
+spectre_engine_windows_retired 116
+# TYPE spectre_engine_idle_steps counter
+spectre_engine_idle_steps 117
+# TYPE spectre_engine_stalled_steps counter
+spectre_engine_stalled_steps 118
+# TYPE spectre_engine_lane_windows counter
+spectre_engine_lane_windows 119
+# TYPE spectre_engine_worker_parks counter
+spectre_engine_worker_parks 120
+# TYPE spectre_engine_worker_unparks counter
+spectre_engine_worker_unparks 121
+# TYPE spectre_engine_outputs_emitted counter
+spectre_engine_outputs_emitted 122
+# TYPE spectre_engine_store_windows_opened counter
+spectre_engine_store_windows_opened 123
+# TYPE spectre_engine_windows_skipped counter
+spectre_engine_windows_skipped 124
+# TYPE spectre_engine_events_reordered counter
+spectre_engine_events_reordered 125
+# TYPE spectre_engine_late_events_dropped counter
+spectre_engine_late_events_dropped 126
+# TYPE spectre_engine_watermarks_advanced counter
+spectre_engine_watermarks_advanced 127
+# TYPE spectre_engine_input_events counter
+spectre_engine_input_events 500
+# TYPE spectre_engine_complex_events counter
+spectre_engine_complex_events 600
+# TYPE spectre_server_finished gauge
+spectre_server_finished 1
+# TYPE spectre_engine_query_events_processed counter
+spectre_engine_query_events_processed{query="3",tenant="4"} 31
+# TYPE spectre_engine_query_outputs_emitted counter
+spectre_engine_query_outputs_emitted{query="3",tenant="4"} 32
+# TYPE spectre_engine_tenant_events_processed counter
+spectre_engine_tenant_events_processed{tenant="4"} 31
+# TYPE spectre_server_connections_accepted counter
+spectre_server_connections_accepted 0
+# TYPE spectre_server_connections_active gauge
+spectre_server_connections_active 0
+# TYPE spectre_server_connections_closed_clean counter
+spectre_server_connections_closed_clean 0
+# TYPE spectre_server_connections_closed_abnormal counter
+spectre_server_connections_closed_abnormal 0
+# TYPE spectre_server_panics_caught counter
+spectre_server_panics_caught 0
+# TYPE spectre_server_frames counter
+spectre_server_frames 0
+# TYPE spectre_server_events counter
+spectre_server_events 0
+# TYPE spectre_server_watermarks counter
+spectre_server_watermarks 0
+# TYPE spectre_server_rate_limited_dropped counter
+spectre_server_rate_limited_dropped 0
+# TYPE spectre_server_rate_limited_throttled counter
+spectre_server_rate_limited_throttled 0
+# TYPE spectre_server_idle_closed counter
+spectre_server_idle_closed 0
+# TYPE spectre_server_decode_errors counter
+spectre_server_decode_errors 0
+# TYPE spectre_server_credits_granted counter
+spectre_server_credits_granted 0
+# TYPE spectre_server_credit_frames counter
+spectre_server_credit_frames 0
+# TYPE spectre_server_credit_starved_ticks counter
+spectre_server_credit_starved_ticks 0
+# TYPE spectre_server_seq_stale_dropped counter
+spectre_server_seq_stale_dropped 0
+# TYPE spectre_server_seq_gaps_skipped counter
+spectre_server_seq_gaps_skipped 0
+"#;
 
     #[test]
     fn credit_counters_are_exposed() {
