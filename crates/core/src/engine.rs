@@ -208,11 +208,11 @@ pub struct QueryReport {
     /// [`try_drain_outputs`](SpectreEngine::try_drain_outputs), in its window
     /// order (detection order within a window).
     pub complex_events: Vec<ComplexEvent>,
-    /// This query's share of the metric counters. Engine-scoped counters
-    /// (`sched_cycles`, `idle_steps`, `stalled_steps`, `worker_parks`,
-    /// `worker_unparks`, `store_windows_opened`) are zero here; for the
-    /// summable counters the aggregate [`Report::metrics`] equals the sum
-    /// over queries.
+    /// This query's share of the metric counters. The counter table in
+    /// [`crate::metrics`] gives each counter's [`Scope`](crate::Scope) and
+    /// [`Fold`](crate::Fold): engine-scoped counters are zero here, and each
+    /// per-query counter of the aggregate [`Report::metrics`] is the fold of
+    /// the shares over queries.
     pub metrics: MetricsSnapshot,
 }
 

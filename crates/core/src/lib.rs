@@ -174,7 +174,7 @@ pub use config::{PredictorKind, SpectreConfig, TenantQuota};
 pub use engine::{
     EngineError, PushResult, QueryReport, Report, SpectreEngine, SpectreEngineBuilder,
 };
-pub use metrics::{MetricsSnapshot, WorkerSnapshot};
+pub use metrics::{Fold, MetricsSnapshot, Scope, WorkerSnapshot};
 pub use reorder::{ReorderConfig, WatermarkPolicy};
 pub use shared::{QueryId, TenantId};
 pub use splitter::{EventBatch, Splitter};

@@ -2,154 +2,268 @@
 //! (Fig. 10(c) scheduling frequency, Fig. 10(f) tree size) plus speculation
 //! accounting.
 //!
-//! The instance-hot counters (events processed/suppressed, idle and stalled
-//! steps, lane windows, parks and unparks) are split into per-worker
-//! [`CachePadded`] blocks when the metrics are built with
-//! [`Metrics::with_workers`]: each operator instance then
-//! increments its own cache line instead of ping-ponging one shared line
-//! between cores, and [`Metrics::snapshot`] folds the blocks back into the
-//! aggregate. Metrics built without worker blocks (`new`/`default`, e.g.
-//! per-query views) fall back to the shared base atomics transparently.
+//! Every counter is declared once, as a row of the table at the
+//! `counters!` invocation below. A row gives the counter's name and doc,
+//! its [`Fold`] (how shares combine), its [`Scope`] (per-query share or
+//! engine-wide), and, for the instance-hot counters, the bump method that
+//! operator instances call. The table generates [`Metrics`],
+//! [`WorkerCounters`], [`WorkerSnapshot`] and [`MetricsSnapshot`], the
+//! per-worker fold of [`Metrics::snapshot`], the hot bumps,
+//! [`MetricsSnapshot::accumulate`] and the [`MetricsSnapshot::counters`]
+//! iterator that the `/metrics` scrape and the decomposition tests read.
+//!
+//! The instance-hot counters are split into per-worker [`CachePadded`]
+//! blocks when the metrics are built with [`Metrics::with_workers`]: each
+//! operator instance then increments its own cache line instead of
+//! ping-ponging one shared line between cores, and [`Metrics::snapshot`]
+//! folds the blocks back into the aggregate. Metrics built without worker
+//! blocks (`new`/`default`, e.g. per-query views) fall back to the shared
+//! base atomics transparently.
 
 use crossbeam::utils::CachePadded;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// The instance-hot counters, one cache-padded block per worker (see the
-/// module docs). Fields mirror the same-named [`Metrics`] counters.
-#[derive(Debug, Default)]
-pub struct WorkerCounters {
-    /// Events processed by this worker (excluding suppressed skips).
-    pub events_processed: AtomicU64,
-    /// Events this worker skipped because a suppressed group contained them.
-    pub events_suppressed: AtomicU64,
-    /// Idle steps taken by this worker (no version scheduled).
-    pub idle_steps: AtomicU64,
-    /// Stalled steps taken by this worker (version waiting for ingestion).
-    pub stalled_steps: AtomicU64,
-    /// Windows this worker finished through a query's lane.
-    pub lane_windows: AtomicU64,
-    /// Times this worker entered the park tier of its idle back-off.
-    pub worker_parks: AtomicU64,
-    /// Parks of this worker that a waker claimed and ended with an unpark
-    /// (at most one per park, so never above `worker_parks`).
-    pub worker_unparks: AtomicU64,
+/// How a counter's shares combine into an aggregate or a rollup.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fold {
+    /// Shares add up; exported as a Prometheus `counter`.
+    Sum,
+    /// A high-water mark: shares combine by maximum; exported as a
+    /// Prometheus `gauge`.
+    Max,
 }
 
-impl WorkerCounters {
-    /// Takes a plain-value snapshot of this worker's block.
-    pub fn snapshot(&self) -> WorkerSnapshot {
-        WorkerSnapshot {
-            events_processed: self.events_processed.load(Ordering::Relaxed),
-            events_suppressed: self.events_suppressed.load(Ordering::Relaxed),
-            idle_steps: self.idle_steps.load(Ordering::Relaxed),
-            stalled_steps: self.stalled_steps.load(Ordering::Relaxed),
-            lane_windows: self.lane_windows.load(Ordering::Relaxed),
-            worker_parks: self.worker_parks.load(Ordering::Relaxed),
-            worker_unparks: self.worker_unparks.load(Ordering::Relaxed),
+impl Fold {
+    /// Folds `share` into `acc`.
+    pub fn apply(self, acc: u64, share: u64) -> u64 {
+        match self {
+            Fold::Sum => acc + share,
+            Fold::Max => acc.max(share),
         }
     }
 }
 
-/// Plain-value snapshot of one worker's [`WorkerCounters`] block.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[allow(missing_docs)]
-pub struct WorkerSnapshot {
-    pub events_processed: u64,
-    pub events_suppressed: u64,
-    pub idle_steps: u64,
-    pub stalled_steps: u64,
-    pub lane_windows: u64,
-    pub worker_parks: u64,
-    pub worker_unparks: u64,
+/// Where a counter is attributed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Scope {
+    /// Every query's view records its share, and the session aggregate is
+    /// the [`Fold`] of the shares (a `Max` counter's aggregate is the
+    /// high-water mark of all trees together, so it is at least the largest
+    /// share).
+    Query,
+    /// Recorded for the engine as a whole: zero in per-query views and
+    /// tenant rollups.
+    Engine,
 }
 
-/// Shared atomic counters, updated by splitter and instances.
-#[derive(Debug, Default)]
-pub struct Metrics {
+/// Sorts the rows of the counter table into all counters and the
+/// instance-hot ones, then generates the metric types from both lists.
+macro_rules! counters {
+    (@sort [$($all:tt)*] [$($hot:tt)*]) => {
+        counters!(@emit [$($all)*] [$($hot)*]);
+    };
+    (@sort [$($all:tt)*] [$($hot:tt)*]
+        $(#[doc = $doc:literal])* $name:ident: $fold:ident, $scope:ident,
+            hot $bump:ident($($n:ident)?);
+        $($rest:tt)*
+    ) => {
+        counters!(@sort
+            [$($all)* [$($doc)*] $name $fold $scope;]
+            [$($hot)* [$($doc)*] $name $bump ($($n)?);]
+            $($rest)*);
+    };
+    (@sort [$($all:tt)*] [$($hot:tt)*]
+        $(#[doc = $doc:literal])* $name:ident: $fold:ident, $scope:ident;
+        $($rest:tt)*
+    ) => {
+        counters!(@sort [$($all)* [$($doc)*] $name $fold $scope;] [$($hot)*] $($rest)*);
+    };
+    (@amount) => { "one" };
+    (@amount $n:ident) => { concat!("`", stringify!($n), "`") };
+    (@count) => { 1 };
+    (@count $n:ident) => { $n };
+    (@emit
+        [$([$($doc:literal)*] $name:ident $fold:ident $scope:ident;)*]
+        [$([$($hdoc:literal)*] $hot:ident $bump:ident ($($n:ident)?);)*]
+    ) => {
+        /// The instance-hot counters, one cache-padded block per worker (see
+        /// the module docs). Fields mirror the same-named [`Metrics`]
+        /// counters.
+        #[derive(Debug, Default)]
+        pub struct WorkerCounters {
+            $($(#[doc = $hdoc])* pub $hot: AtomicU64,)*
+        }
+
+        impl WorkerCounters {
+            /// Takes a plain-value snapshot of this worker's block.
+            pub fn snapshot(&self) -> WorkerSnapshot {
+                WorkerSnapshot {
+                    $($hot: self.$hot.load(Ordering::Relaxed),)*
+                }
+            }
+        }
+
+        /// Plain-value snapshot of one worker's [`WorkerCounters`] block.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct WorkerSnapshot {
+            $($(#[doc = $hdoc])* pub $hot: u64,)*
+        }
+
+        impl WorkerSnapshot {
+            /// Every counter of the block as `(name, value)`, in table
+            /// order.
+            pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> {
+                [$((stringify!($hot), self.$hot),)*].into_iter()
+            }
+        }
+
+        /// Shared atomic counters, updated by splitter and instances.
+        #[derive(Debug, Default)]
+        pub struct Metrics {
+            $($(#[doc = $doc])* pub $name: AtomicU64,)*
+            /// Per-worker blocks for the instance-hot counters (empty unless
+            /// built with [`Metrics::with_workers`]). [`Metrics::snapshot`]
+            /// adds these to the base fields of the same names.
+            workers: Vec<CachePadded<WorkerCounters>>,
+        }
+
+        impl Metrics {
+            $(
+                #[doc = concat!(
+                    "Adds ", counters!(@amount $($n)?), " to `", stringify!($hot),
+                    "` in worker `index`'s block, or in the base counter when \
+                     the metrics have no such block."
+                )]
+                pub fn $bump(&self, index: usize $(, $n: u64)?) {
+                    self.add_hot(index, counters!(@count $($n)?), |w| &w.$hot, |m| &m.$hot);
+                }
+            )*
+
+            /// Takes a plain-value snapshot. The instance-hot counters fold
+            /// every per-worker block into the base value, so the snapshot is
+            /// the same aggregate whether or not the metrics were built
+            /// `with_workers`.
+            pub fn snapshot(&self) -> MetricsSnapshot {
+                let mut snapshot = MetricsSnapshot {
+                    $($name: self.$name.load(Ordering::Relaxed),)*
+                };
+                for w in &self.workers {
+                    $(snapshot.$hot += w.$hot.load(Ordering::Relaxed);)*
+                }
+                snapshot
+            }
+        }
+
+        /// Plain-value snapshot of [`Metrics`].
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct MetricsSnapshot {
+            $($(#[doc = $doc])* pub $name: u64,)*
+        }
+
+        impl MetricsSnapshot {
+            /// Folds `other` into `self`, each counter by its [`Fold`]. The
+            /// per-tenant rollups ([`crate::SpectreEngine::tenant_metrics`])
+            /// are built with this.
+            pub fn accumulate(&mut self, other: &MetricsSnapshot) {
+                $(self.$name = Fold::$fold.apply(self.$name, other.$name);)*
+            }
+
+            /// Every counter as `(name, value, fold, scope)`, in table order.
+            pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64, Fold, Scope)> {
+                [$((stringify!($name), self.$name, Fold::$fold, Scope::$scope),)*].into_iter()
+            }
+        }
+    };
+    ($($rows:tt)*) => {
+        counters!(@sort [] [] $($rows)*);
+    };
+}
+
+// The counter table: `name: fold, scope[, hot bump(arg)];`, one row per
+// counter, in export order.
+counters! {
     /// Events processed by instances (excluding suppressed skips).
-    pub events_processed: AtomicU64,
+    events_processed: Sum, Query, hot add_events_processed(n);
     /// Events skipped because a suppressed group contained them.
-    pub events_suppressed: AtomicU64,
+    events_suppressed: Sum, Query, hot add_events_suppressed(n);
     /// Consumption groups created.
-    pub cgs_created: AtomicU64,
+    cgs_created: Sum, Query;
     /// Consumption groups completed.
-    pub cgs_completed: AtomicU64,
+    cgs_completed: Sum, Query;
     /// Consumption groups abandoned.
-    pub cgs_abandoned: AtomicU64,
+    cgs_abandoned: Sum, Query;
     /// Consumption groups left open by a version that was reset, rolled
     /// back or dropped: they can no longer complete or abandon, so they are
     /// counted here, once. Every created group ends in exactly one of
     /// `cgs_completed`, `cgs_abandoned` and `cgs_discarded`.
-    pub cgs_discarded: AtomicU64,
+    cgs_discarded: Sum, Query;
     /// Window versions created.
-    pub versions_created: AtomicU64,
+    versions_created: Sum, Query;
     /// Window versions dropped (wasted speculation).
-    pub versions_dropped: AtomicU64,
+    versions_dropped: Sum, Query;
     /// Window versions created by materializing lazy completion branches
     /// (the demand-driven subset of `versions_created`).
-    pub versions_materialized: AtomicU64,
+    versions_materialized: Sum, Query;
     /// Lazy completion branches discarded before ever being materialized —
     /// speculation the lazy tree made free (each one stands for a whole
     /// subtree copy the eager tree would have made and thrown away).
-    pub lazy_versions_dropped: AtomicU64,
+    lazy_versions_dropped: Sum, Query;
     /// Predictor refreshes performed by the splitter (each rebuilt the
     /// Markov completion-probability vectors).
-    pub predictor_refreshes: AtomicU64,
+    predictor_refreshes: Sum, Query;
     /// Cumulative wall-clock time spent in predictor refreshes, in
     /// nanoseconds (the `apply_stats` share of the splitter cycle).
-    pub predictor_refresh_nanos: AtomicU64,
+    predictor_refresh_nanos: Sum, Query;
     /// Rollbacks (instance consistency check or final check).
-    pub rollbacks: AtomicU64,
+    rollbacks: Sum, Query;
     /// Splitter maintenance + scheduling cycles.
-    pub sched_cycles: AtomicU64,
-    /// Maximum observed live-version count (paper Fig. 10(f)).
-    pub max_tree_versions: AtomicU64,
+    sched_cycles: Sum, Engine;
+    /// Maximum observed live-version count (paper Fig. 10(f)). A query's
+    /// view holds its own tree's high-water mark; the aggregate holds that
+    /// of all trees together.
+    max_tree_versions: Max, Query;
     /// Windows retired (fully processed and emitted).
-    pub windows_retired: AtomicU64,
+    windows_retired: Sum, Query;
     /// Idle instance steps (no version scheduled).
-    pub idle_steps: AtomicU64,
+    idle_steps: Sum, Engine, hot add_idle_step();
     /// Stalled instance steps (version waiting for ingestion).
-    pub stalled_steps: AtomicU64,
+    stalled_steps: Sum, Engine, hot add_stalled_step();
     /// Windows finished through the speculation-free lane of a query
     /// without a consumption policy (see [`Lane`](crate::shared::Lane)):
     /// no tree, no versions.
-    pub lane_windows: AtomicU64,
+    lane_windows: Sum, Query, hot add_lane_window();
     /// Park-tier entries of the threaded workers' idle back-off (see
     /// `SharedState::park_worker`), including parks the worker's own
     /// re-check called off.
-    pub worker_parks: AtomicU64,
+    worker_parks: Sum, Engine, hot add_worker_park();
     /// Parks a waker ended: each wake by `SharedState::wake_workers` or
     /// `wake_all` claims one park (parked → running) before it unparks the
     /// thread, so a park is ended at most once and this never exceeds
     /// `worker_parks`.
-    pub worker_unparks: AtomicU64,
+    worker_unparks: Sum, Engine, hot add_worker_unpark();
     /// Complex events committed (appended to the output stream at window
     /// retirement).
-    pub outputs_emitted: AtomicU64,
+    outputs_emitted: Sum, Query;
     /// Window buffers opened, one per spec-group window. Engine-global:
     /// same-spec windows of different queries share one buffer, so in a
     /// multi-query session this stays below the per-query window counts.
-    pub store_windows_opened: AtomicU64,
+    store_windows_opened: Sum, Engine;
     /// Windows a query never attached because its ingestion prefilter
     /// proved no contained event could match (see the per-query filters in
     /// the splitter): the window spec opened it, but the query paid no
     /// window-attach or tree cost for it.
-    pub windows_skipped: AtomicU64,
+    windows_skipped: Sum, Query;
     /// Out-of-order arrivals the reorder stage repaired (events whose
     /// timestamp was below the maximum already seen). Counted per query
     /// view, like `windows_retired`: every deployed query records the
     /// shared stage's delta, and the aggregate is the sum of the shares.
-    pub events_reordered: AtomicU64,
+    events_reordered: Sum, Query;
     /// Late events (below the watermark) the reorder stage discarded. Per
     /// query view, like `events_reordered`.
-    pub late_events_dropped: AtomicU64,
+    late_events_dropped: Sum, Query;
     /// Watermark advances emitted by the reorder stage. Per query view,
     /// like `events_reordered`.
-    pub watermarks_advanced: AtomicU64,
-    /// Per-worker blocks for the instance-hot counters (empty unless built
-    /// with [`Metrics::with_workers`]). [`Metrics::snapshot`] adds these to
-    /// the base fields of the same names.
-    workers: Vec<CachePadded<WorkerCounters>>,
+    watermarks_advanced: Sum, Query;
 }
 
 impl Metrics {
@@ -194,41 +308,6 @@ impl Metrics {
         counter.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Adds `n` processed events to worker `index`'s block.
-    pub fn add_events_processed(&self, index: usize, n: u64) {
-        self.add_hot(index, n, |w| &w.events_processed, |m| &m.events_processed);
-    }
-
-    /// Adds `n` suppressed events to worker `index`'s block.
-    pub fn add_events_suppressed(&self, index: usize, n: u64) {
-        self.add_hot(index, n, |w| &w.events_suppressed, |m| &m.events_suppressed);
-    }
-
-    /// Counts one idle step for worker `index`.
-    pub fn add_idle_step(&self, index: usize) {
-        self.add_hot(index, 1, |w| &w.idle_steps, |m| &m.idle_steps);
-    }
-
-    /// Counts one stalled step for worker `index`.
-    pub fn add_stalled_step(&self, index: usize) {
-        self.add_hot(index, 1, |w| &w.stalled_steps, |m| &m.stalled_steps);
-    }
-
-    /// Counts one window worker `index` finished through a lane.
-    pub fn add_lane_window(&self, index: usize) {
-        self.add_hot(index, 1, |w| &w.lane_windows, |m| &m.lane_windows);
-    }
-
-    /// Counts one park-tier entry of worker `index`.
-    pub fn add_worker_park(&self, index: usize) {
-        self.add_hot(index, 1, |w| &w.worker_parks, |m| &m.worker_parks);
-    }
-
-    /// Counts one unpark of worker `index`'s thread.
-    pub fn add_worker_unpark(&self, index: usize) {
-        self.add_hot(index, 1, |w| &w.worker_unparks, |m| &m.worker_unparks);
-    }
-
     /// Adds `n` to the `counter` field of both this session aggregate and
     /// `query`'s share of it, so the two are always written together.
     /// Writes nothing when `n` is zero.
@@ -243,157 +322,9 @@ impl Metrics {
     pub fn observe_tree_size(&self, size: u64) {
         self.max_tree_versions.fetch_max(size, Ordering::Relaxed);
     }
-
-    /// Takes a plain-value snapshot. The instance-hot counters fold every
-    /// per-worker block into the base value, so the snapshot is the same
-    /// aggregate whether or not the metrics were built `with_workers`.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut events_processed = self.events_processed.load(Ordering::Relaxed);
-        let mut events_suppressed = self.events_suppressed.load(Ordering::Relaxed);
-        let mut idle_steps = self.idle_steps.load(Ordering::Relaxed);
-        let mut stalled_steps = self.stalled_steps.load(Ordering::Relaxed);
-        let mut lane_windows = self.lane_windows.load(Ordering::Relaxed);
-        let mut worker_parks = self.worker_parks.load(Ordering::Relaxed);
-        let mut worker_unparks = self.worker_unparks.load(Ordering::Relaxed);
-        for w in &self.workers {
-            events_processed += w.events_processed.load(Ordering::Relaxed);
-            events_suppressed += w.events_suppressed.load(Ordering::Relaxed);
-            idle_steps += w.idle_steps.load(Ordering::Relaxed);
-            stalled_steps += w.stalled_steps.load(Ordering::Relaxed);
-            lane_windows += w.lane_windows.load(Ordering::Relaxed);
-            worker_parks += w.worker_parks.load(Ordering::Relaxed);
-            worker_unparks += w.worker_unparks.load(Ordering::Relaxed);
-        }
-        MetricsSnapshot {
-            events_processed,
-            events_suppressed,
-            cgs_created: self.cgs_created.load(Ordering::Relaxed),
-            cgs_completed: self.cgs_completed.load(Ordering::Relaxed),
-            cgs_abandoned: self.cgs_abandoned.load(Ordering::Relaxed),
-            cgs_discarded: self.cgs_discarded.load(Ordering::Relaxed),
-            versions_created: self.versions_created.load(Ordering::Relaxed),
-            versions_dropped: self.versions_dropped.load(Ordering::Relaxed),
-            versions_materialized: self.versions_materialized.load(Ordering::Relaxed),
-            lazy_versions_dropped: self.lazy_versions_dropped.load(Ordering::Relaxed),
-            predictor_refreshes: self.predictor_refreshes.load(Ordering::Relaxed),
-            predictor_refresh_nanos: self.predictor_refresh_nanos.load(Ordering::Relaxed),
-            rollbacks: self.rollbacks.load(Ordering::Relaxed),
-            sched_cycles: self.sched_cycles.load(Ordering::Relaxed),
-            max_tree_versions: self.max_tree_versions.load(Ordering::Relaxed),
-            windows_retired: self.windows_retired.load(Ordering::Relaxed),
-            idle_steps,
-            stalled_steps,
-            lane_windows,
-            worker_parks,
-            worker_unparks,
-            outputs_emitted: self.outputs_emitted.load(Ordering::Relaxed),
-            store_windows_opened: self.store_windows_opened.load(Ordering::Relaxed),
-            windows_skipped: self.windows_skipped.load(Ordering::Relaxed),
-            events_reordered: self.events_reordered.load(Ordering::Relaxed),
-            late_events_dropped: self.late_events_dropped.load(Ordering::Relaxed),
-            watermarks_advanced: self.watermarks_advanced.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Plain-value snapshot of [`Metrics`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[allow(missing_docs)]
-pub struct MetricsSnapshot {
-    pub events_processed: u64,
-    pub events_suppressed: u64,
-    pub cgs_created: u64,
-    pub cgs_completed: u64,
-    pub cgs_abandoned: u64,
-    pub cgs_discarded: u64,
-    pub versions_created: u64,
-    pub versions_dropped: u64,
-    pub versions_materialized: u64,
-    pub lazy_versions_dropped: u64,
-    pub predictor_refreshes: u64,
-    pub predictor_refresh_nanos: u64,
-    pub rollbacks: u64,
-    pub sched_cycles: u64,
-    pub max_tree_versions: u64,
-    pub windows_retired: u64,
-    pub idle_steps: u64,
-    pub stalled_steps: u64,
-    pub lane_windows: u64,
-    pub worker_parks: u64,
-    pub worker_unparks: u64,
-    pub outputs_emitted: u64,
-    pub store_windows_opened: u64,
-    pub windows_skipped: u64,
-    pub events_reordered: u64,
-    pub late_events_dropped: u64,
-    pub watermarks_advanced: u64,
 }
 
 impl MetricsSnapshot {
-    /// Folds `other` into `self`: every summable counter adds, the
-    /// high-water mark `max_tree_versions` takes the maximum. The
-    /// per-tenant rollups ([`crate::SpectreEngine::tenant_metrics`]) are
-    /// built with this, so a new counter added here keeps the
-    /// tenant-decomposition invariant by construction.
-    pub fn accumulate(&mut self, other: &MetricsSnapshot) {
-        let MetricsSnapshot {
-            events_processed,
-            events_suppressed,
-            cgs_created,
-            cgs_completed,
-            cgs_abandoned,
-            cgs_discarded,
-            versions_created,
-            versions_dropped,
-            versions_materialized,
-            lazy_versions_dropped,
-            predictor_refreshes,
-            predictor_refresh_nanos,
-            rollbacks,
-            sched_cycles,
-            max_tree_versions,
-            windows_retired,
-            idle_steps,
-            stalled_steps,
-            lane_windows,
-            worker_parks,
-            worker_unparks,
-            outputs_emitted,
-            store_windows_opened,
-            windows_skipped,
-            events_reordered,
-            late_events_dropped,
-            watermarks_advanced,
-        } = *other;
-        self.events_processed += events_processed;
-        self.events_suppressed += events_suppressed;
-        self.cgs_created += cgs_created;
-        self.cgs_completed += cgs_completed;
-        self.cgs_abandoned += cgs_abandoned;
-        self.cgs_discarded += cgs_discarded;
-        self.versions_created += versions_created;
-        self.versions_dropped += versions_dropped;
-        self.versions_materialized += versions_materialized;
-        self.lazy_versions_dropped += lazy_versions_dropped;
-        self.predictor_refreshes += predictor_refreshes;
-        self.predictor_refresh_nanos += predictor_refresh_nanos;
-        self.rollbacks += rollbacks;
-        self.sched_cycles += sched_cycles;
-        self.max_tree_versions = self.max_tree_versions.max(max_tree_versions);
-        self.windows_retired += windows_retired;
-        self.idle_steps += idle_steps;
-        self.stalled_steps += stalled_steps;
-        self.lane_windows += lane_windows;
-        self.worker_parks += worker_parks;
-        self.worker_unparks += worker_unparks;
-        self.outputs_emitted += outputs_emitted;
-        self.store_windows_opened += store_windows_opened;
-        self.windows_skipped += windows_skipped;
-        self.events_reordered += events_reordered;
-        self.late_events_dropped += late_events_dropped;
-        self.watermarks_advanced += watermarks_advanced;
-    }
-
     /// Fraction of processing that survived (was not spent on later-dropped
     /// versions); a rough utility measure of the speculation.
     pub fn cg_completion_ratio(&self) -> f64 {

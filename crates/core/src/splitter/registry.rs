@@ -410,11 +410,9 @@ impl Splitter {
             .collect()
     }
 
-    /// Per-query metric snapshots (deployment order). Engine-scoped
-    /// counters (`sched_cycles`, `idle_steps`, `stalled_steps`,
-    /// `worker_parks`, `worker_unparks`, `store_windows_opened`) are zero
-    /// here — they have no per-query attribution; `max_tree_versions` is
-    /// each query's own tree high-water mark, not a share of the aggregate.
+    /// Per-query metric snapshots (deployment order). Counters the table
+    /// in [`crate::metrics`] marks [`Scope::Engine`](crate::Scope::Engine)
+    /// are zero here — they have no per-query attribution.
     pub fn per_query_metrics(&self) -> Vec<(QueryId, MetricsSnapshot)> {
         self.queries
             .iter()

@@ -1,8 +1,6 @@
 use std::cmp::Ordering;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::schema::{AttrKey, EventType, SymbolId};
 use crate::value::Value;
 use crate::{Seq, Timestamp};
@@ -35,7 +33,7 @@ use crate::{Seq, Timestamp};
 ///     .build();
 /// assert!(ev.f64(close) > ev.f64(open));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Event {
     seq: Seq,
     ts: Timestamp,

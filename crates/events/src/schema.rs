@@ -1,14 +1,10 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 macro_rules! interned_id {
     ($(#[$meta:meta])* $name:ident, $repr:ty) => {
         $(#[$meta])*
-        #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-        )]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
         pub struct $name($repr);
 
         impl $name {
@@ -77,7 +73,7 @@ interned_id!(
 /// assert_eq!(a, schema.attr("closePrice"));
 /// assert_eq!(schema.attr_name(a), Some("closePrice"));
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Schema {
     attrs: Interner,
     event_types: Interner,
@@ -161,7 +157,7 @@ impl Schema {
     }
 }
 
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 struct Interner {
     names: Vec<String>,
     by_name: HashMap<String, u32>,

@@ -2,8 +2,6 @@ use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::schema::SymbolId;
 
 /// A dynamically typed attribute value carried by an [`Event`](crate::Event).
@@ -21,7 +19,7 @@ use crate::schema::SymbolId;
 /// variant rank; query predicates normally never rely on this (the query
 /// compiler type-checks attribute references), but having a total order keeps
 /// the type well behaved.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum Value {
     /// 64-bit float, e.g. a stock price.
     F64(f64),

@@ -1,4 +1,3 @@
-use serde::{Deserialize, Serialize};
 use spectre_events::{Seq, Timestamp};
 
 /// A complex event produced by a completed pattern match (paper §2.1).
@@ -9,7 +8,7 @@ use spectre_events::{Seq, Timestamp};
 /// agree — this is how the reproduction validates SPECTRE against the
 /// sequential reference engine (paper §2.3: no false positives, no false
 /// negatives).
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ComplexEvent {
     /// Id of the window the match completed in.
     pub window_id: u64,

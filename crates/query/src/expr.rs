@@ -1,13 +1,12 @@
 use std::borrow::Cow;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use spectre_events::{AttrKey, Event, EventType, Value};
 
 use crate::pattern::ElemId;
 
 /// Reference to the event an attribute is read from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ElemRef {
     /// The event currently being evaluated against a matcher.
     Current,
@@ -16,7 +15,7 @@ pub enum ElemRef {
 }
 
 /// Binary operators of the expression language.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BinOp {
     /// Arithmetic `+`.
     Add,
@@ -45,7 +44,7 @@ pub enum BinOp {
 }
 
 /// Unary operators of the expression language.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UnaryOp {
     /// Logical negation.
     Not,
@@ -86,7 +85,7 @@ pub enum UnaryOp {
 /// let ev = Event::builder(quote).attr(open, 10.0).attr(close, 11.0).build();
 /// assert_eq!(rising.eval_bool(&Ctx(ev)), Some(true));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
     /// A literal value.
     Const(Value),

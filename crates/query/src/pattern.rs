@@ -2,7 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use spectre_events::EventType;
 
 use crate::expr::Expr;
@@ -11,7 +10,7 @@ use crate::expr::Expr;
 /// bound to (a sequence step, a Kleene step or a set member).
 ///
 /// Negation guards do not bind events and therefore have no `ElemId`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ElemId(u16);
 
 impl ElemId {
@@ -33,7 +32,7 @@ impl fmt::Display for ElemId {
 }
 
 /// Dense id of a pattern step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct StepId(u16);
 
 impl StepId {
@@ -53,7 +52,7 @@ impl StepId {
 /// The predicate is evaluated with the candidate event as
 /// [`ElemRef::Current`](crate::ElemRef::Current) and earlier bindings
 /// available via [`ElemRef::Bound`](crate::ElemRef::Bound).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ElemMatcher {
     /// Element name as written in the query (e.g. `"RE1"`).
     pub name: String,
@@ -66,7 +65,7 @@ pub struct ElemMatcher {
 }
 
 /// The kind of a pattern step.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum StepKind {
     /// Exactly one event (`A`).
     One(ElemMatcher),
@@ -96,7 +95,7 @@ impl StepKind {
 /// A guard firing abandons the partial match — the paper's example of a
 /// sequence `A … B` with "no event of type C in between" attaches a guard
 /// for `C` to the `B` step (§3.1).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Step {
     /// The step's id (== its position).
     pub id: StepId,
@@ -161,7 +160,7 @@ impl std::error::Error for PatternError {}
 /// assert_eq!(pattern.max_delta(), 2);
 /// # Ok::<(), spectre_query::pattern::PatternError>(())
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Pattern {
     steps: Vec<Step>,
     elem_names: Vec<String>,

@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 /// Selection policy: how many complex events one partial match may produce
 /// within a window (paper §2.1, §5).
 ///
@@ -7,7 +5,7 @@ use serde::{Deserialize, Serialize};
 /// rich space of selection policies; SPECTRE's runtime is agnostic to the
 /// concrete policy (paper §5) and this crate implements the two shapes the
 /// paper's queries use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SelectionPolicy {
     /// Every partial match completes at most once; this is the "first"
     /// semantics used by Q1–Q3.
@@ -28,7 +26,7 @@ pub enum SelectionPolicy {
 /// Consumption happens atomically when a match completes; partial matches
 /// never consume (paper §2.1: "events are not consumed while they only build
 /// a partial match").
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum ConsumptionPolicy {
     /// No event is consumed; windows stay independent (paper Fig. 1a).
     #[default]

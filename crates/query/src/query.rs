@@ -1,8 +1,6 @@
 use std::fmt;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::pattern::{Pattern, StepKind};
 use crate::policy::{ConsumptionPolicy, SelectionPolicy};
 use crate::window::WindowSpec;
@@ -34,7 +32,7 @@ use crate::window::WindowSpec;
 /// assert!(query.consumable(spectre_query::ElemId::new(0)));
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Query {
     name: String,
     pattern: Arc<Pattern>,

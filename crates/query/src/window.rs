@@ -3,14 +3,13 @@
 use std::collections::VecDeque;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use spectre_events::{Event, EventType, Seq, Timestamp};
 
 use crate::expr::Expr;
 
 /// When a new window opens (paper §2.2: windows based on time, count or
 /// logical predicates).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum WindowOpen {
     /// A new window opens every `slide` events (`FROM EVERY s EVENTS`); the
     /// first window opens on the first event of the stream.
@@ -27,7 +26,7 @@ pub enum WindowOpen {
 }
 
 /// When an open window closes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WindowClose {
     /// The window spans `ws` consecutive events including its start event
     /// (`WITHIN ws EVENTS`).
@@ -43,7 +42,7 @@ pub enum WindowClose {
 /// equal produce identical window boundaries over the same stream, which
 /// is what lets a multi-query engine share one assigner — and one stored
 /// copy of each window — between them.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WindowSpec {
     open: WindowOpen,
     close: WindowClose,
@@ -128,7 +127,7 @@ impl WindowSpec {
 
 /// Boundaries of one window instance, as stored by the splitter in shared
 /// memory ("`wi` from event X to event Y", paper §2.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WindowBounds {
     /// Monotonically increasing window id; also the total order of windows
     /// (paper §3.1: windows are ordered by their start events).

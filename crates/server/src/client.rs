@@ -18,7 +18,8 @@ use std::time::{Duration, Instant};
 
 use bytes::BytesMut;
 use spectre_events::codec::{
-    encode, encode_bye, encode_hello, encode_watermark, Decoder, ServerFrame,
+    encode, encode_bye, encode_hello, encode_watermark, DecodeError, Decoder, ServerFrame,
+    MAX_FRAME_LEN,
 };
 use spectre_events::Event;
 
@@ -75,12 +76,23 @@ impl FeedClient {
     }
 
     /// Sends one event, blocking for credit if the budget is spent.
+    ///
+    /// An event whose frame is longer than [`MAX_FRAME_LEN`], which the
+    /// server would refuse by ending the connection, is refused here
+    /// instead with [`DecodeError::FrameTooLarge`]: nothing of it is
+    /// written, no credit is spent, and the connection stays usable.
     pub fn send_event(&mut self, event: &Event) -> Result<(), ServerError> {
         while self.credit == 0 {
             self.wait_feedback()?;
         }
-        self.credit -= 1;
+        let start = self.wbuf.len();
         encode(event, &mut self.wbuf);
+        let frame_len = self.wbuf.len() - start - 4;
+        if frame_len > MAX_FRAME_LEN {
+            self.wbuf.truncate(start);
+            return Err(ServerError::Decode(DecodeError::FrameTooLarge(frame_len)));
+        }
+        self.credit -= 1;
         if self.wbuf.len() >= FLUSH_THRESHOLD {
             self.flush()?;
         }
@@ -184,5 +196,40 @@ impl FeedClient {
     /// the server (no `BYE`).
     pub fn abort(self) {
         let _ = self.stream.shutdown(Shutdown::Both);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use spectre_events::codec::encode_credit;
+    use spectre_events::{AttrKey, EventType, Value};
+    use std::net::TcpListener;
+    use std::sync::Arc;
+
+    #[test]
+    fn an_oversized_event_is_refused_before_anything_is_written() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = FeedClient::connect(listener.local_addr().unwrap(), 0).unwrap();
+        let (mut server, _) = listener.accept().unwrap();
+        let mut grant = BytesMut::new();
+        encode_credit(2, &mut grant);
+        server.write_all(&grant).unwrap();
+        let event = |payload: &str| {
+            Event::builder(EventType::new(0))
+                .attr(AttrKey::new(0), Value::Str(Arc::new(payload.to_string())))
+                .build()
+        };
+        let huge = event(&"x".repeat(2 << 20));
+        match client.send_event(&huge) {
+            Err(ServerError::Decode(DecodeError::FrameTooLarge(len))) => {
+                assert!(len > MAX_FRAME_LEN, "{len}")
+            }
+            other => panic!("expected FrameTooLarge, got {other:?}"),
+        }
+        assert_eq!(client.credit, 2, "the refused event spent no credit");
+        assert!(client.wbuf.is_empty(), "nothing of it was buffered");
+        client.send_event(&event("small")).unwrap();
+        assert_eq!(client.credit, 1);
     }
 }

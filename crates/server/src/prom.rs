@@ -1,12 +1,15 @@
 //! Prometheus text-exposition rendering of the engine and server metrics.
 //!
-//! The engine block destructures [`MetricsSnapshot`] exhaustively, so
-//! adding a counter to the engine without exporting it here is a compile
-//! error, not a silently incomplete scrape.
+//! The engine block walks [`MetricsSnapshot::counters`], the iterator that
+//! the engine's counter table generates, so every engine counter is
+//! exported as `spectre_engine_<name>`: a `Sum` counter as a Prometheus
+//! `counter`, the `Max` high-water mark as a `gauge`.
+//!
+//! [`MetricsSnapshot::counters`]: spectre_core::MetricsSnapshot::counters
 
 use std::fmt::Write;
 
-use spectre_core::MetricsSnapshot;
+use spectre_core::Fold;
 
 use crate::stats::{PublishedStats, ServerCounters};
 use crate::ServerShared;
@@ -29,115 +32,17 @@ pub(crate) fn render(shared: &ServerShared) -> String {
 fn render_body(stats: &PublishedStats, server: &ServerCounters) -> String {
     let mut out = String::with_capacity(4096);
 
-    // Engine aggregate: every MetricsSnapshot field, spelled out once.
-    let MetricsSnapshot {
-        events_processed,
-        events_suppressed,
-        cgs_created,
-        cgs_completed,
-        cgs_abandoned,
-        cgs_discarded,
-        versions_created,
-        versions_dropped,
-        versions_materialized,
-        lazy_versions_dropped,
-        predictor_refreshes,
-        predictor_refresh_nanos,
-        rollbacks,
-        sched_cycles,
-        max_tree_versions,
-        windows_retired,
-        idle_steps,
-        stalled_steps,
-        lane_windows,
-        worker_parks,
-        worker_unparks,
-        outputs_emitted,
-        store_windows_opened,
-        windows_skipped,
-        events_reordered,
-        late_events_dropped,
-        watermarks_advanced,
-    } = stats.snapshot;
-    counter(
-        &mut out,
-        "spectre_engine_events_processed",
-        events_processed,
-    );
-    counter(
-        &mut out,
-        "spectre_engine_events_suppressed",
-        events_suppressed,
-    );
-    counter(&mut out, "spectre_engine_cgs_created", cgs_created);
-    counter(&mut out, "spectre_engine_cgs_completed", cgs_completed);
-    counter(&mut out, "spectre_engine_cgs_abandoned", cgs_abandoned);
-    counter(&mut out, "spectre_engine_cgs_discarded", cgs_discarded);
-    counter(
-        &mut out,
-        "spectre_engine_versions_created",
-        versions_created,
-    );
-    counter(
-        &mut out,
-        "spectre_engine_versions_dropped",
-        versions_dropped,
-    );
-    counter(
-        &mut out,
-        "spectre_engine_versions_materialized",
-        versions_materialized,
-    );
-    counter(
-        &mut out,
-        "spectre_engine_lazy_versions_dropped",
-        lazy_versions_dropped,
-    );
-    counter(
-        &mut out,
-        "spectre_engine_predictor_refreshes",
-        predictor_refreshes,
-    );
-    counter(
-        &mut out,
-        "spectre_engine_predictor_refresh_nanos",
-        predictor_refresh_nanos,
-    );
-    counter(&mut out, "spectre_engine_rollbacks", rollbacks);
-    counter(&mut out, "spectre_engine_sched_cycles", sched_cycles);
-    gauge(
-        &mut out,
-        "spectre_engine_max_tree_versions",
-        max_tree_versions,
-    );
-    counter(&mut out, "spectre_engine_windows_retired", windows_retired);
-    counter(&mut out, "spectre_engine_idle_steps", idle_steps);
-    counter(&mut out, "spectre_engine_stalled_steps", stalled_steps);
-    counter(&mut out, "spectre_engine_lane_windows", lane_windows);
-    counter(&mut out, "spectre_engine_worker_parks", worker_parks);
-    counter(&mut out, "spectre_engine_worker_unparks", worker_unparks);
-    counter(&mut out, "spectre_engine_outputs_emitted", outputs_emitted);
-    counter(
-        &mut out,
-        "spectre_engine_store_windows_opened",
-        store_windows_opened,
-    );
-    counter(&mut out, "spectre_engine_windows_skipped", windows_skipped);
-    counter(
-        &mut out,
-        "spectre_engine_events_reordered",
-        events_reordered,
-    );
-    counter(
-        &mut out,
-        "spectre_engine_late_events_dropped",
-        late_events_dropped,
-    );
-    counter(
-        &mut out,
-        "spectre_engine_watermarks_advanced",
-        watermarks_advanced,
-    );
+    // Engine aggregate: every counter of the table, in table order.
+    for (name, value, fold, _) in stats.snapshot.counters() {
+        let kind = match fold {
+            Fold::Sum => "counter",
+            Fold::Max => "gauge",
+        };
+        let _ = writeln!(
+            out,
+            "# TYPE spectre_engine_{name} {kind}\nspectre_engine_{name} {value}"
+        );
+    }
     counter(&mut out, "spectre_engine_input_events", stats.input_events);
     counter(&mut out, "spectre_engine_complex_events", stats.outputs);
     gauge(

@@ -3,9 +3,10 @@
 
 Starts `spectre-server`, streams 100 k events into it from two concurrent
 `spectre-feed` client processes (strided halves of the same seeded
-stream), scrapes `/metrics` until every event is accounted for, drains
-over the control socket, and asserts a clean exit with a final report
-that balances exactly.
+stream), scrapes `/metrics` until every event is accounted for, checks
+that the scrape declares each metric family once with its sample on the
+next line, drains over the control socket, and asserts a clean exit
+with a final report that balances exactly.
 
 Usage:
     python3 scripts/server_smoke.py [--bin-dir target/release]
@@ -52,13 +53,39 @@ def read_banner(server, deadline):
     fail("timed out waiting for READY", server)
 
 
-def scrape(http_addr, name):
-    """Returns the value of one un-labelled metric, or None."""
-    body = (
+def metrics_body(http_addr):
+    """Fetches the /metrics text."""
+    return (
         urllib.request.urlopen("http://%s/metrics" % http_addr, timeout=10)
         .read()
         .decode()
     )
+
+
+def exposition_errors(body):
+    """Lists what is wrong with the scrape's shape: a `# TYPE` name that
+    appears twice, or one whose next line is not a sample of it."""
+    errors = []
+    lines = body.splitlines()
+    seen = set()
+    for i, line in enumerate(lines):
+        if not line.startswith("# TYPE "):
+            continue
+        name = line.split()[2]
+        if name in seen:
+            errors.append("%s has two # TYPE lines" % name)
+        seen.add(name)
+        sample = lines[i + 1] if i + 1 < len(lines) else ""
+        if not (sample.startswith(name + " ") or sample.startswith(name + "{")):
+            errors.append("%s is followed by %r, not its sample" % (name, sample))
+    if not seen:
+        errors.append("no # TYPE lines")
+    return errors
+
+
+def scrape(http_addr, name):
+    """Returns the value of one un-labelled metric, or None."""
+    body = metrics_body(http_addr)
     for line in body.splitlines():
         parts = line.split(" ")
         if len(parts) == 2 and parts[0] == name:
@@ -143,6 +170,10 @@ def main():
                 fail("metrics report %s of %d events" % (got, args.events), server)
             time.sleep(0.2)
         print("/metrics accounts for all %d events" % args.events)
+        errors = exposition_errors(metrics_body(addrs["HTTP"]))
+        if errors:
+            fail("malformed /metrics: %s" % "; ".join(errors), server)
+        print("/metrics declares each family once, each with its sample")
 
         reply = control(addrs["CONTROL"], "DRAIN")
         if reply != "OK draining":

@@ -67,6 +67,12 @@ impl BytesMut {
         self.data.extend_from_slice(slice);
     }
 
+    /// Keeps the first `len` unread bytes and drops the rest (no-op when
+    /// `len` is at least the buffer's length).
+    pub fn truncate(&mut self, len: usize) {
+        self.data.truncate(self.start + len);
+    }
+
     /// Removes all bytes from the buffer.
     pub fn clear(&mut self) {
         self.data.clear();

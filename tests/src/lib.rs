@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use spectre_core::{Report, SpectreConfig, SpectreEngine};
+use spectre_core::{Fold, MetricsSnapshot, Report, Scope, SpectreConfig, SpectreEngine};
 use spectre_events::Event;
 use spectre_query::window::compute_ranges;
 use spectre_query::{ComplexEvent, ConsumptionPolicy, Query, WindowDetector};
@@ -143,5 +143,40 @@ pub mod mini {
                     .build()
             })
             .collect()
+    }
+}
+
+/// Asserts that `total` decomposes over `shares` (per-query shares or
+/// per-tenant rollups), row by row of the engine's counter table: a
+/// per-query `Sum` counter equals the sum of the shares, a per-query `Max`
+/// counter is at least the largest share, and an engine-scoped counter is
+/// zero in every share. `what` names the shares in failure messages.
+pub fn assert_decomposes<'a>(
+    total: &MetricsSnapshot,
+    shares: impl IntoIterator<Item = &'a MetricsSnapshot>,
+    what: &str,
+) {
+    let mut folded = MetricsSnapshot::default();
+    for share in shares {
+        for (name, value, _, scope) in share.counters() {
+            if scope == Scope::Engine {
+                assert_eq!(value, 0, "engine-scoped {name} must be zero in the {what}");
+            }
+        }
+        folded.accumulate(share);
+    }
+    for ((name, total, fold, scope), (_, folded, ..)) in total.counters().zip(folded.counters()) {
+        match (scope, fold) {
+            (Scope::Engine, _) => {}
+            (Scope::Query, Fold::Sum) => {
+                assert_eq!(total, folded, "{name} must equal the sum of the {what}")
+            }
+            (Scope::Query, Fold::Max) => {
+                assert!(
+                    total >= folded,
+                    "{name} {total} is below the largest of the {what}"
+                )
+            }
+        }
     }
 }

@@ -19,7 +19,7 @@ use spectre_core::{
 };
 use spectre_datasets::{bounded_shuffle, NyseConfig, NyseGenerator};
 use spectre_events::{Event, Schema};
-use spectre_integration::{assert_same_output, without_consumption};
+use spectre_integration::{assert_decomposes, assert_same_output, without_consumption};
 use spectre_query::queries::{self, Direction};
 use spectre_query::{ComplexEvent, Query};
 
@@ -308,45 +308,40 @@ fn aggregate_metrics_are_the_sum_of_per_query_shares() {
     let report = engine.run(events).unwrap();
     assert_eq!(report.queries.len(), ids.len());
     let total = report.metrics;
-    // Every logically-per-query counter must decompose exactly: the
-    // aggregate is the sum of the per-query shares, nothing double-counted
-    // and nothing attributed to the void. Engine-scoped counters
-    // (sched_cycles, idle/stalled steps, store_windows_opened) and the
-    // per-tree gauge max_tree_versions are excluded by design.
-    macro_rules! assert_decomposes {
-        ($($field:ident),+ $(,)?) => {$(
-            let sum: u64 = report.queries.values().map(|q| q.metrics.$field).sum();
-            assert_eq!(
-                total.$field, sum,
-                concat!(stringify!($field), " must equal the sum of per-query shares"),
-            );
-        )+};
-    }
-    assert_decomposes!(
-        events_processed,
-        events_suppressed,
-        cgs_created,
-        cgs_completed,
-        cgs_abandoned,
-        versions_created,
-        versions_dropped,
-        versions_materialized,
-        lazy_versions_dropped,
-        predictor_refreshes,
-        predictor_refresh_nanos,
-        rollbacks,
-        lane_windows,
-        windows_retired,
-        outputs_emitted,
-        events_reordered,
-        late_events_dropped,
-        watermarks_advanced,
+    // Every per-query counter of the table must decompose: the aggregate
+    // is the fold of the per-query shares, nothing double-counted and
+    // nothing attributed to the void.
+    assert_decomposes(
+        &total,
+        report.queries.values().map(|q| &q.metrics),
+        "per-query shares",
     );
     assert!(total.outputs_emitted > 0, "the run produced outputs");
     assert_eq!(
         total.outputs_emitted as usize,
         report.complex_events.len(),
         "nothing was drained, so emitted == reported"
+    );
+
+    // Queries whose groups complete (q = 40) and abandon (q = 130)
+    // materialize speculative versions and discard the groups of the
+    // versions that lose their bet: counters the session above leaves at
+    // zero.
+    let mut schema = Schema::new();
+    let events: Vec<_> = NyseGenerator::new(NyseConfig::small(4_000, 7), &mut schema).collect();
+    let completes = Arc::new(queries::q1(&mut schema, 40, 200, Direction::Rising));
+    let abandons = Arc::new(queries::q1(&mut schema, 130, 200, Direction::Rising));
+    let (engine, _) = multi_session(
+        &[&completes, &abandons],
+        SpectreConfig::with_instances(4),
+        false,
+    );
+    let report = engine.run(events).unwrap();
+    let total = report.metrics;
+    assert_decomposes(
+        &total,
+        report.queries.values().map(|q| &q.metrics),
+        "per-query shares",
     );
 }
 

@@ -17,12 +17,14 @@ use spectre_core::{
     QueryId, ReorderConfig, SpectreConfig, SpectreEngine, TenantId, WatermarkPolicy,
 };
 use spectre_datasets::{bounded_shuffle, max_disorder, NyseConfig, NyseGenerator};
-use spectre_events::{Event, Schema};
+use spectre_events::codec::{DecodeError, MAX_FRAME_LEN};
+use spectre_events::{AttrKey, Event, Schema, Value};
 use spectre_integration::assert_same_output;
 use spectre_query::queries::{self, Direction};
 use spectre_query::{ComplexEvent, Query};
 use spectre_server::{
-    FeedClient, IngestOrder, OverLimitPolicy, RateLimitConfig, Server, ServerConfig, ServerOutcome,
+    FeedClient, IngestOrder, OverLimitPolicy, RateLimitConfig, Server, ServerConfig, ServerError,
+    ServerOutcome,
 };
 
 /// A seeded NYSE stream plus two queries on different tenants.
@@ -151,6 +153,46 @@ fn a_spent_credit_window_never_waits_for_a_read_tick() {
         assert_eq!(counters.credit_starved_ticks.load(load), 0, "{order:?}");
         assert!(counters.credit_frames.load(load) > sent / 64, "{order:?}");
     }
+}
+
+#[test]
+fn an_oversized_event_is_refused_by_the_client_and_the_connection_keeps_serving() {
+    // The server ends a connection whose frame exceeds MAX_FRAME_LEN; the
+    // client refuses such an event before writing any of it, so the
+    // connection and the rest of the stream are unaffected.
+    let (schema, a, _, events) = fixture(500, 29);
+    let queries = vec![(TenantId(0), Arc::clone(&a))];
+    let expected = solo_outputs(&queries, SpectreConfig::default(), &events);
+    let handle = Server::start(ServerConfig::default(), schema, queries).expect("server starts");
+    let counters = handle.counters();
+    let mut client = FeedClient::connect(handle.ingest_addr(), 0).expect("connect");
+    let huge = Event::builder(events[1].event_type())
+        .seq(events[1].seq())
+        .ts(events[1].ts())
+        .attr(AttrKey::new(0), Value::Str(Arc::new("x".repeat(2 << 20))))
+        .build();
+    client.send_event(&events[0]).expect("send");
+    match client.send_event(&huge) {
+        Err(ServerError::Decode(DecodeError::FrameTooLarge(len))) => {
+            assert!(len > MAX_FRAME_LEN, "{len}")
+        }
+        other => panic!("expected FrameTooLarge, got {other:?}"),
+    }
+    for event in &events[1..] {
+        client
+            .send_event(event)
+            .expect("the connection stays usable");
+    }
+    client.finish().expect("finish");
+    let outcome = drain_and_join(handle);
+    assert_eq!(outcome.report.input_events, events.len() as u64);
+    for (qid, expected_outputs) in &expected {
+        let got = outcome.outputs.get(qid).map(Vec::as_slice).unwrap_or(&[]);
+        assert_same_output(&format!("{qid}"), got, expected_outputs);
+    }
+    let load = std::sync::atomic::Ordering::Relaxed;
+    assert_eq!(counters.decode_errors.load(load), 0);
+    assert_eq!(counters.closed_abnormal.load(load), 0);
 }
 
 #[test]

@@ -15,7 +15,7 @@ use spectre_core::{
 };
 use spectre_datasets::{NyseConfig, NyseGenerator};
 use spectre_events::{Event, Schema};
-use spectre_integration::{assert_same_output, mini};
+use spectre_integration::{assert_decomposes, assert_same_output, mini};
 use spectre_query::queries::{self, Direction};
 use spectre_query::{ComplexEvent, ConsumptionPolicy, Expr, Pattern, Query, WindowSpec};
 
@@ -272,36 +272,7 @@ fn tenant_rollups_sum_to_the_aggregate() {
 
     assert_eq!(report.tenants.len(), 2, "both tenants report a rollup");
     let total = report.metrics;
-    macro_rules! assert_decomposes {
-        ($($field:ident),+ $(,)?) => {$(
-            let sum: u64 = report.tenants.values().map(|t| t.$field).sum();
-            assert_eq!(
-                total.$field, sum,
-                concat!(stringify!($field), " must equal the sum of tenant rollups"),
-            );
-        )+};
-    }
-    assert_decomposes!(
-        events_processed,
-        events_suppressed,
-        cgs_created,
-        cgs_completed,
-        cgs_abandoned,
-        versions_created,
-        versions_dropped,
-        versions_materialized,
-        lazy_versions_dropped,
-        predictor_refreshes,
-        predictor_refresh_nanos,
-        rollbacks,
-        lane_windows,
-        windows_retired,
-        windows_skipped,
-        outputs_emitted,
-        events_reordered,
-        late_events_dropped,
-        watermarks_advanced,
-    );
+    assert_decomposes(&total, report.tenants.values(), "tenant rollups");
     assert!(total.outputs_emitted > 0, "the run produced outputs");
     // The live session exposes the same rollups before finish().
     let mut engine = SpectreEngine::multi_builder()

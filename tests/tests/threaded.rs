@@ -156,25 +156,21 @@ fn threaded_aggregate_metrics_equal_the_sum_of_per_worker_blocks() {
         let workers = engine.worker_metrics();
         assert_eq!(workers.len(), k, "one counter block per instance");
         let m = &report.metrics;
-        let sums = workers.iter().fold([0u64; 7], |acc, w| {
-            [
-                acc[0] + w.events_processed,
-                acc[1] + w.events_suppressed,
-                acc[2] + w.idle_steps,
-                acc[3] + w.stalled_steps,
-                acc[4] + w.lane_windows,
-                acc[5] + w.worker_parks,
-                acc[6] + w.worker_unparks,
-            ]
-        });
         let label = format!("{} k={k}", query.name());
-        assert_eq!(sums[0], m.events_processed, "events_processed {label}");
-        assert_eq!(sums[1], m.events_suppressed, "events_suppressed {label}");
-        assert_eq!(sums[2], m.idle_steps, "idle_steps {label}");
-        assert_eq!(sums[3], m.stalled_steps, "stalled_steps {label}");
-        assert_eq!(sums[4], m.lane_windows, "lane_windows {label}");
-        assert_eq!(sums[5], m.worker_parks, "worker_parks {label}");
-        assert_eq!(sums[6], m.worker_unparks, "worker_unparks {label}");
+        // Each instance-hot counter of the aggregate is the sum of its
+        // per-worker blocks (the other counters have no block).
+        let mut checked = 0;
+        for (name, total, ..) in m.counters() {
+            let blocks: Option<u64> = workers
+                .iter()
+                .map(|w| w.counters().find(|&(n, _)| n == name).map(|(_, v)| v))
+                .sum();
+            if let Some(sum) = blocks {
+                assert_eq!(sum, total, "{name} {label}");
+                checked += 1;
+            }
+        }
+        assert_eq!(checked, workers[0].counters().count(), "{label}");
         // A window stops at its end or once its detector is spent, so the
         // lane query processes exactly what a fresh detector per window
         // consumes. On the tree path the committed versions feed exactly
