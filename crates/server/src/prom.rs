@@ -8,18 +8,16 @@
 //! [`MetricsSnapshot::counters`]: spectre_core::MetricsSnapshot::counters
 
 use std::fmt::Write;
+use std::sync::atomic::AtomicU64;
 
 use spectre_core::Fold;
 
 use crate::stats::{PublishedStats, ServerCounters};
 use crate::ServerShared;
 
-fn counter(out: &mut String, name: &str, value: u64) {
-    let _ = writeln!(out, "# TYPE {name} counter\n{name} {value}");
-}
-
-fn gauge(out: &mut String, name: &str, value: u64) {
-    let _ = writeln!(out, "# TYPE {name} gauge\n{name} {value}");
+/// Writes one unlabelled sample of `{prefix}{name}` with its `# TYPE` line.
+fn sample(out: &mut String, prefix: &str, name: &str, kind: &str, value: u64) {
+    let _ = writeln!(out, "# TYPE {prefix}{name} {kind}\n{prefix}{name} {value}");
 }
 
 /// Renders the full scrape body from the latest published engine stats
@@ -38,18 +36,19 @@ fn render_body(stats: &PublishedStats, server: &ServerCounters) -> String {
             Fold::Sum => "counter",
             Fold::Max => "gauge",
         };
-        let _ = writeln!(
-            out,
-            "# TYPE spectre_engine_{name} {kind}\nspectre_engine_{name} {value}"
-        );
+        sample(&mut out, "spectre_engine_", name, kind, value);
     }
-    counter(&mut out, "spectre_engine_input_events", stats.input_events);
-    counter(&mut out, "spectre_engine_complex_events", stats.outputs);
-    gauge(
+    let engine = "spectre_engine_";
+    sample(
         &mut out,
-        "spectre_server_finished",
-        u64::from(stats.finished),
+        engine,
+        "input_events",
+        "counter",
+        stats.input_events,
     );
+    sample(&mut out, engine, "complex_events", "counter", stats.outputs);
+    let finished = u64::from(stats.finished);
+    sample(&mut out, "spectre_server_", "finished", "gauge", finished);
 
     // Per-query and per-tenant shares (the summable headline counters).
     let _ = writeln!(out, "# TYPE spectre_engine_query_events_processed counter");
@@ -81,85 +80,36 @@ fn render_body(stats: &PublishedStats, server: &ServerCounters) -> String {
     out
 }
 
-/// The server front-end counters.
+/// The server front-end counters, in export order.
 fn server_counters(out: &mut String, c: &ServerCounters) {
-    counter(
-        out,
-        "spectre_server_connections_accepted",
-        ServerCounters::get(&c.accepted),
-    );
-    gauge(
-        out,
-        "spectre_server_connections_active",
-        ServerCounters::get(&c.active),
-    );
-    counter(
-        out,
-        "spectre_server_connections_closed_clean",
-        ServerCounters::get(&c.closed_clean),
-    );
-    counter(
-        out,
-        "spectre_server_connections_closed_abnormal",
-        ServerCounters::get(&c.closed_abnormal),
-    );
-    counter(
-        out,
-        "spectre_server_panics_caught",
-        ServerCounters::get(&c.panics_caught),
-    );
-    counter(out, "spectre_server_frames", ServerCounters::get(&c.frames));
-    counter(out, "spectre_server_events", ServerCounters::get(&c.events));
-    counter(
-        out,
-        "spectre_server_watermarks",
-        ServerCounters::get(&c.watermarks),
-    );
-    counter(
-        out,
-        "spectre_server_rate_limited_dropped",
-        ServerCounters::get(&c.rate_dropped),
-    );
-    counter(
-        out,
-        "spectre_server_rate_limited_throttled",
-        ServerCounters::get(&c.rate_throttled),
-    );
-    counter(
-        out,
-        "spectre_server_idle_closed",
-        ServerCounters::get(&c.idle_closed),
-    );
-    counter(
-        out,
-        "spectre_server_decode_errors",
-        ServerCounters::get(&c.decode_errors),
-    );
-    counter(
-        out,
-        "spectre_server_credits_granted",
-        ServerCounters::get(&c.credits_granted),
-    );
-    counter(
-        out,
-        "spectre_server_credit_frames",
-        ServerCounters::get(&c.credit_frames),
-    );
-    counter(
-        out,
-        "spectre_server_credit_starved_ticks",
-        ServerCounters::get(&c.credit_starved_ticks),
-    );
-    counter(
-        out,
-        "spectre_server_seq_stale_dropped",
-        ServerCounters::get(&c.seq_stale_dropped),
-    );
-    counter(
-        out,
-        "spectre_server_seq_gaps_skipped",
-        ServerCounters::get(&c.seq_gaps_skipped),
-    );
+    let rows: [(&str, &str, &AtomicU64); 17] = [
+        ("connections_accepted", "counter", &c.accepted),
+        ("connections_active", "gauge", &c.active),
+        ("connections_closed_clean", "counter", &c.closed_clean),
+        ("connections_closed_abnormal", "counter", &c.closed_abnormal),
+        ("panics_caught", "counter", &c.panics_caught),
+        ("frames", "counter", &c.frames),
+        ("events", "counter", &c.events),
+        ("watermarks", "counter", &c.watermarks),
+        ("rate_limited_dropped", "counter", &c.rate_dropped),
+        ("rate_limited_throttled", "counter", &c.rate_throttled),
+        ("idle_closed", "counter", &c.idle_closed),
+        ("decode_errors", "counter", &c.decode_errors),
+        ("credits_granted", "counter", &c.credits_granted),
+        ("credit_frames", "counter", &c.credit_frames),
+        ("credit_starved_ticks", "counter", &c.credit_starved_ticks),
+        ("seq_stale_dropped", "counter", &c.seq_stale_dropped),
+        ("seq_gaps_skipped", "counter", &c.seq_gaps_skipped),
+    ];
+    for (name, kind, value) in rows {
+        sample(
+            out,
+            "spectre_server_",
+            name,
+            kind,
+            ServerCounters::get(value),
+        );
+    }
 }
 
 #[cfg(test)]
