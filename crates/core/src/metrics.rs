@@ -35,7 +35,7 @@ pub enum Fold {
 
 impl Fold {
     /// Folds `share` into `acc`.
-    pub fn apply(self, acc: u64, share: u64) -> u64 {
+    fn apply(self, acc: u64, share: u64) -> u64 {
         match self {
             Fold::Sum => acc + share,
             Fold::Max => acc.max(share),

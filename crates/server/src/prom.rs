@@ -15,6 +15,11 @@ use spectre_core::Fold;
 use crate::stats::{PublishedStats, ServerCounters};
 use crate::ServerShared;
 
+/// Name prefix of the engine's samples.
+const ENGINE: &str = "spectre_engine_";
+/// Name prefix of the server front-end's samples.
+const SERVER: &str = "spectre_server_";
+
 /// Writes one unlabelled sample of `{prefix}{name}` with its `# TYPE` line.
 fn sample(out: &mut String, prefix: &str, name: &str, kind: &str, value: u64) {
     let _ = writeln!(out, "# TYPE {prefix}{name} {kind}\n{prefix}{name} {value}");
@@ -36,19 +41,23 @@ fn render_body(stats: &PublishedStats, server: &ServerCounters) -> String {
             Fold::Sum => "counter",
             Fold::Max => "gauge",
         };
-        sample(&mut out, "spectre_engine_", name, kind, value);
+        sample(&mut out, ENGINE, name, kind, value);
     }
-    let engine = "spectre_engine_";
     sample(
         &mut out,
-        engine,
+        ENGINE,
         "input_events",
         "counter",
         stats.input_events,
     );
-    sample(&mut out, engine, "complex_events", "counter", stats.outputs);
-    let finished = u64::from(stats.finished);
-    sample(&mut out, "spectre_server_", "finished", "gauge", finished);
+    sample(&mut out, ENGINE, "complex_events", "counter", stats.outputs);
+    sample(
+        &mut out,
+        SERVER,
+        "finished",
+        "gauge",
+        u64::from(stats.finished),
+    );
 
     // Per-query and per-tenant shares (the summable headline counters).
     let _ = writeln!(out, "# TYPE spectre_engine_query_events_processed counter");
